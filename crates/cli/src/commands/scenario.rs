@@ -272,8 +272,8 @@ pub fn campaign(args: &Args) -> CmdResult {
             (s.seed..s.seed + n).collect()
         }
     };
-    // Shard counts: 0 means the sequential executor, k >= 1 the sharded
-    // one with k shards.
+    // Shard counts: 0 leaves `shards` unset (the report's `-` column),
+    // k >= 1 asks for k shards; the outcomes must not differ.
     let shard_counts: Vec<Option<usize>> = match args.flag("shard-list") {
         Some(list) => parse_list::<usize>(list, "shard-list")?
             .into_iter()

@@ -121,12 +121,10 @@ pub fn run(args: &Args) -> CmdResult {
         0 => veil_par::env_parallelism(),
         k => Some(k),
     };
-    // `--shards S` (or VEIL_SHARDS) selects the windowed multi-threaded
-    // executor. Unlike `--parallelism` it changes the event interleaving
-    // (results are identical for every S >= 1, but differ from the
-    // sequential executor's); 0/unset keeps the sequential executor. The
-    // knob only takes effect when the run has lookahead (a fault model or
-    // positive link latency).
+    // `--shards S` (or VEIL_SHARDS) is, like `--parallelism`, a layout
+    // knob that never changes results: it spreads the windowed executor —
+    // which runs whenever a fault model or positive link latency puts
+    // messages in flight — over S shards; 0/unset means one.
     let shards = match args.get_or::<usize>("shards", 0, "integer")? {
         0 => veil_par::env_shards(),
         s => Some(s),

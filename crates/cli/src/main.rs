@@ -47,11 +47,11 @@ COMMANDS:
                                          metrics; 0 = all cores (default,
                                          or VEIL_PARALLELISM); results
                                          are identical for every K
-                     [--shards S]        run the windowed multi-threaded
-                                         executor with S shards (or
-                                         VEIL_SHARDS); needs a fault model
-                                         or positive latency; results are
-                                         identical for every S >= 1
+                     [--shards S]        shards (threads) of the windowed
+                                         executor that runs every lossy or
+                                         latent link (or VEIL_SHARDS;
+                                         default 1); results are identical
+                                         for every S
                      [--graph M]         source model: holme-kim (default)
                                          or degree-matched (paper trust-
                                          sample densities)
@@ -133,7 +133,7 @@ COMMANDS:
     scenario campaign  sweep seeds (× shard counts) in parallel
                      <FILE> [--seeds N]  N seeds from the scenario's seed
                      [--seed-list A,B,C] explicit seeds instead
-                     [--shard-list 0,1,8] shard counts; 0 = sequential
+                     [--shard-list 0,1,8] shard counts; 0 = unset
                      [--parallelism K] [--report FILE.jsonl]
                                          exits 3 if any run fails
     help             show this message

@@ -153,19 +153,19 @@ pub struct OverlayConfig {
     /// from the master seed and its own stream, and results are reduced in
     /// index order, so the output is byte-identical for every value.
     pub parallelism: Option<usize>,
-    /// Number of shards for the windowed multi-threaded simulation executor
-    /// (`None` = classic single-threaded event loop).
+    /// Number of shards the windowed simulation executor partitions the
+    /// nodes into (`None` = one).
     ///
-    /// Sharding partitions the node population into `S` contiguous ranges,
-    /// each owning its own event engine, and runs them in bounded time
-    /// windows with a deterministic cross-shard message barrier (see
-    /// DESIGN.md "Sharded execution"). Every shard count — including
-    /// `Some(1)` — produces byte-identical snapshots and canonical traces,
-    /// so this is an execution knob, not a model change. Sharding only
-    /// engages when the configuration gives messages a non-zero flight time
-    /// (a faulty link layer or `link_latency > 0`); the paper's ideal
-    /// zero-latency configuration has no lookahead to exploit and keeps the
-    /// sequential loop, byte-identical to earlier releases.
+    /// The windowed executor runs every configuration that gives messages a
+    /// non-zero flight time (a faulty link layer or `link_latency > 0`):
+    /// `S` contiguous node ranges, each owning its own event engine,
+    /// advance in bounded time windows with a deterministic cross-shard
+    /// message barrier (see DESIGN.md "Sharded execution"). Every value —
+    /// `None`, `Some(1)`, `Some(8)` — produces byte-identical snapshots
+    /// and canonical traces, so this is a thread-layout knob, never a
+    /// model change. The paper's ideal zero-latency configuration has no
+    /// lookahead to exploit; it keeps the sequential loop and ignores this
+    /// field.
     ///
     /// Skipped during serialization when `None` so existing experiment
     /// artifacts (fig3 JSON etc.) keep their exact bytes; absent keys

@@ -100,6 +100,9 @@ pub struct Node {
     throttle_until: f64,
     /// Activity statistics.
     pub stats: NodeStats,
+    /// How many tracked exchanges the node has begun; the next one's id is
+    /// [`crate::protocol::exchange_id`]`(id, exchange_seq)`.
+    pub(crate) exchange_seq: u64,
     /// Reusable buffer for [`Node::pick_link`], so the per-shuffle uniform
     /// pick does not allocate a fresh link vector.
     links_scratch: Vec<LinkTarget>,
@@ -134,6 +137,7 @@ impl Node {
             own: None,
             throttle_until: f64::NEG_INFINITY,
             stats: NodeStats::default(),
+            exchange_seq: 0,
             links_scratch: Vec::new(),
         }
     }

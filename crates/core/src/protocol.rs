@@ -11,10 +11,21 @@
 //! [`crate::simulation`]. Offers carry full [`Pseudonym`] values (that is
 //! what crosses the wire); the receiving side interns them into its
 //! executor's [`PseudonymArena`].
+//!
+//! Two exchanges are built from the offer primitives: [`execute_shuffle`],
+//! the paper's synchronous exchange over an ideal zero-latency link, and
+//! the **exchange core** ([`Exchanges`], [`respond`]) — the asynchronous
+//! request/response exchange over a link that delays and may lose
+//! messages. The core is sans-IO: it owns the initiator's pending state,
+//! the id and backoff formulas and the four decisions (begin, respond,
+//! response, timeout), and reports each as a plain value; its drivers (the
+//! windowed simulator's shards, veil-net's socket runtime) only decide
+//! message fates, schedule timers and record what happened.
 
-use crate::node::Node;
+use crate::node::{LinkTarget, Node};
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymId};
 use rand::Rng;
+use std::collections::hash_map::{Entry, HashMap};
 use veil_sim::SimTime;
 
 /// The pseudonym set one side contributes to a shuffle.
@@ -129,6 +140,227 @@ pub fn execute_shuffle<R: Rng + ?Sized>(
     );
     initiator.stats.requests_sent += 1;
     responder.stats.responses_sent += 1;
+}
+
+/// The id of the `seq`-th exchange `initiator` begins: pure in the node's
+/// own history, so every shard layout, veil-net process and trace
+/// reconstruction (`veil_obs::xtrace`) agrees on it.
+pub fn exchange_id(initiator: u32, seq: u64) -> u64 {
+    ((u64::from(initiator) + 1) << 32) | seq
+}
+
+/// The node that began `exchange` (the inverse of [`exchange_id`]).
+pub fn exchange_initiator(exchange: u64) -> u32 {
+    ((exchange >> 32) as u32).wrapping_sub(1)
+}
+
+/// How long transmission `attempt` (zero-based) waits for its response:
+/// the timeout doubles per retransmission, up to `2^16` times the base.
+pub fn retry_backoff(shuffle_timeout: f64, attempt: u32) -> f64 {
+    shuffle_timeout * f64::from(1u32 << attempt.min(16))
+}
+
+/// One transmission of an exchange's request, for the driver to submit to
+/// its link layer and guard with a [`retry_backoff`] timer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// The exchange this request belongs to.
+    pub exchange: u64,
+    /// Zero-based transmission attempt; both ends key the link layer's
+    /// per-message randomness on it.
+    pub attempt: u32,
+    /// Destination node (the pseudonym service's resolution of the link).
+    pub dest: u32,
+    /// Whether the exchange runs over a trusted link.
+    pub trusted_link: bool,
+    /// The initiator's offer, identical on every retransmission.
+    pub offer: Vec<Pseudonym>,
+}
+
+/// Initiator-side state of an in-flight exchange, kept until the response
+/// arrives or the retry budget runs out.
+#[derive(Debug)]
+struct PendingExchange {
+    /// The current transmission (retransmitted verbatim, `attempt` aside).
+    request: Request,
+    /// The pseudonym behind the chosen link, evicted if the exchange
+    /// fails; `None` for trusted links (never evicted).
+    target_pseudonym: Option<PseudonymId>,
+    sent_from_cache: Vec<PseudonymId>,
+}
+
+/// What a response did to the exchange it answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResponseOutcome {
+    /// The exchange already completed, failed or was abandoned (a
+    /// duplicate answer to a retransmitted request); nothing was absorbed.
+    Stale,
+    /// The response was absorbed and the exchange is resolved.
+    Completed,
+}
+
+/// What the timeout of one transmission decided.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TimeoutOutcome {
+    /// The exchange is already resolved; nobody is waiting.
+    Stale,
+    /// Within budget: retransmit. `request.attempt` is the new attempt
+    /// (the one that timed out was `request.attempt − 1`).
+    Retry {
+        /// The retransmission to submit.
+        request: Request,
+    },
+    /// Budget exhausted: the exchange is abandoned.
+    Failed {
+        /// The attempt that timed out last.
+        attempt: u32,
+        /// The unresponsive pseudonym, already removed from the node's
+        /// cache and sampler so the sampler can replace it; `None` for a
+        /// trusted link (those belong to the social graph).
+        evict: Option<PseudonymId>,
+    },
+}
+
+/// The in-flight exchanges of one driver's initiators, keyed by exchange
+/// id. Only ever accessed by key, so the map's iteration order can never
+/// leak into results.
+#[derive(Debug, Default)]
+pub struct Exchanges {
+    pending: HashMap<u64, PendingExchange>,
+}
+
+impl Exchanges {
+    /// Approximate heap footprint of the table in bytes.
+    pub fn approx_heap_bytes(&self) -> usize {
+        self.pending.capacity() * std::mem::size_of::<(u64, PendingExchange)>()
+    }
+
+    /// Begins an exchange over `target` (a link the driver picked from
+    /// `node`): builds the offer, assigns the node's next exchange id and
+    /// registers the pending state. Returns the first transmission.
+    pub fn begin<R: Rng + ?Sized>(
+        &mut self,
+        node: &mut Node,
+        arena: &PseudonymArena,
+        target: LinkTarget,
+        shuffle_length: usize,
+        now: SimTime,
+        rng: &mut R,
+    ) -> Request {
+        let offer = build_offer(node, arena, shuffle_length, now, rng);
+        let request = Request {
+            exchange: exchange_id(node.id, node.exchange_seq),
+            attempt: 0,
+            dest: target.resolve(),
+            trusted_link: target.is_trusted(),
+            offer: offer.entries,
+        };
+        node.exchange_seq += 1;
+        let pending = PendingExchange {
+            request: request.clone(),
+            target_pseudonym: match target {
+                LinkTarget::Pseudonym(p) => Some(p.id()),
+                LinkTarget::Trusted(_) => None,
+            },
+            sent_from_cache: offer.sent_from_cache,
+        };
+        self.pending.insert(request.exchange, pending);
+        request
+    }
+
+    /// A response to `exchange` reached its initiator `node`: absorbs it
+    /// and resolves the exchange, unless it is stale.
+    pub fn on_response<R: Rng + ?Sized>(
+        &mut self,
+        exchange: u64,
+        node: &mut Node,
+        arena: &mut PseudonymArena,
+        response: &[Pseudonym],
+        now: SimTime,
+        rng: &mut R,
+    ) -> ResponseOutcome {
+        let Some(p) = self.pending.remove(&exchange) else {
+            return ResponseOutcome::Stale;
+        };
+        receive_offer(node, arena, response, &p.sent_from_cache, now, rng);
+        ResponseOutcome::Completed
+    }
+
+    /// The timer guarding the current transmission of `exchange` fired at
+    /// its initiator `node`: retry within `retry_budget`, then give up and
+    /// apply Cyclon-style recovery.
+    pub fn on_timeout(
+        &mut self,
+        exchange: u64,
+        node: &mut Node,
+        retry_budget: u32,
+    ) -> TimeoutOutcome {
+        let Entry::Occupied(mut entry) = self.pending.entry(exchange) else {
+            return TimeoutOutcome::Stale;
+        };
+        let request = &mut entry.get_mut().request;
+        let attempt = request.attempt;
+        if attempt < retry_budget {
+            request.attempt += 1;
+            return TimeoutOutcome::Retry {
+                request: request.clone(),
+            };
+        }
+        let evict = entry.remove().target_pseudonym;
+        if let Some(id) = evict {
+            node.cache.remove(id);
+            node.sampler.evict(id);
+        }
+        TimeoutOutcome::Failed { attempt, evict }
+    }
+
+    /// Forgets `exchange` without resolving it: its initiator went away
+    /// and nobody is waiting any more. A no-op when already resolved.
+    pub fn abandon(&mut self, exchange: u64) {
+        self.pending.remove(&exchange);
+    }
+}
+
+/// The responder's side of an exchange: builds the response offer *before*
+/// absorbing the request (Cyclon semantics — what was just received is
+/// never echoed straight back) and returns the entries to send.
+pub fn respond<R: Rng + ?Sized>(
+    node: &mut Node,
+    arena: &mut PseudonymArena,
+    request: &[Pseudonym],
+    shuffle_length: usize,
+    now: SimTime,
+    rng: &mut R,
+) -> Vec<Pseudonym> {
+    let response = build_offer(node, arena, shuffle_length, now, rng);
+    receive_offer(node, arena, request, &response.sent_from_cache, now, rng);
+    response.entries
+}
+
+/// The initiator's side of an exchange over a link that delays but never
+/// loses messages. Such an exchange needs no id, pending state or timer:
+/// the offer's `sent_from_cache` travels with the messages and comes back
+/// to [`complete_lossless`].
+pub fn begin_lossless<R: Rng + ?Sized>(
+    node: &mut Node,
+    arena: &PseudonymArena,
+    shuffle_length: usize,
+    now: SimTime,
+    rng: &mut R,
+) -> Offer {
+    build_offer(node, arena, shuffle_length, now, rng)
+}
+
+/// Absorbs the response of a [`begin_lossless`] exchange.
+pub fn complete_lossless<R: Rng + ?Sized>(
+    node: &mut Node,
+    arena: &mut PseudonymArena,
+    response: &[Pseudonym],
+    sent_from_cache: &[PseudonymId],
+    now: SimTime,
+    rng: &mut R,
+) {
+    receive_offer(node, arena, response, sent_from_cache, now, rng);
 }
 
 #[cfg(test)]
@@ -368,5 +600,188 @@ mod tests {
             }
         }
         assert!(learned, "third-party pseudonym should eventually spread");
+    }
+
+    /// A node with one pseudonym link (to node 1) and, optionally, one
+    /// trusted link (to node 9); returns the pseudonym link's target.
+    fn initiator(trusted: Vec<u32>, seed: u64) -> (Node, PseudonymArena, LinkTarget, StdRng) {
+        let cfg = small_cfg();
+        let mut svc = PseudonymService::new(seed);
+        let mut arena = PseudonymArena::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut node = Node::new(0, trusted, &cfg, &mut rng);
+        node.renew_pseudonym(&mut svc, SimTime::ZERO, cfg.pseudonym_lifetime);
+        let peer = svc.mint(1, SimTime::ZERO, None);
+        node.cache.insert(&mut arena, peer, SimTime::ZERO);
+        assert!(node.sampler.offer(&mut arena, peer, SimTime::ZERO));
+        (node, arena, LinkTarget::Pseudonym(peer), rng)
+    }
+
+    #[test]
+    fn timeout_retries_through_the_budget_then_fails_and_evicts() {
+        // (trusted link?, retry budget)
+        for (trusted, budget) in [(false, 0), (false, 2), (true, 2), (true, 3)] {
+            let (mut node, arena, pseudonym_link, mut rng) = initiator(vec![9], 11);
+            let target = if trusted {
+                LinkTarget::Trusted(9)
+            } else {
+                pseudonym_link
+            };
+            let mut table = Exchanges::default();
+            let first = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
+            assert_eq!((first.attempt, first.dest), (0, target.resolve()));
+            assert_eq!(first.trusted_link, trusted);
+            for attempt in 1..=budget {
+                let expect = Request {
+                    attempt,
+                    ..first.clone()
+                };
+                assert_eq!(
+                    table.on_timeout(first.exchange, &mut node, budget),
+                    TimeoutOutcome::Retry { request: expect },
+                    "trusted {trusted}, budget {budget}"
+                );
+            }
+            let evict = match pseudonym_link {
+                LinkTarget::Pseudonym(p) if !trusted => Some(p.id()),
+                _ => None,
+            };
+            assert_eq!(
+                table.on_timeout(first.exchange, &mut node, budget),
+                TimeoutOutcome::Failed {
+                    attempt: budget,
+                    evict
+                }
+            );
+            // Only a failed pseudonym link costs the node that link.
+            assert_eq!(node.sampler.link_count(), usize::from(trusted));
+            assert_eq!(node.cache.len(), usize::from(trusted));
+            assert_eq!(
+                table.on_timeout(first.exchange, &mut node, budget),
+                TimeoutOutcome::Stale
+            );
+        }
+    }
+
+    #[test]
+    fn response_completes_once_and_a_duplicate_is_stale() {
+        let (mut node, mut arena, target, mut rng) = initiator(vec![], 12);
+        // Keyed ids cannot collide with the counter ids minted above.
+        let mut svc = PseudonymService::new_keyed(99);
+        let fresh = [svc.mint(5, SimTime::ZERO, None)];
+        let mut table = Exchanges::default();
+        let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
+        let mut respond = |table: &mut Exchanges, node: &mut Node, offer: &[Pseudonym]| {
+            table.on_response(
+                req.exchange,
+                node,
+                &mut arena,
+                offer,
+                SimTime::ZERO,
+                &mut rng,
+            )
+        };
+        assert_eq!(
+            respond(&mut table, &mut node, &fresh),
+            ResponseOutcome::Completed
+        );
+        assert!(node.cache.contains(fresh[0].id()));
+        // The answer to a retransmission arrives after the exchange is
+        // resolved: nothing of it is absorbed.
+        let late = [svc.mint(6, SimTime::ZERO, None)];
+        assert_eq!(
+            respond(&mut table, &mut node, &late),
+            ResponseOutcome::Stale
+        );
+        assert!(!node.cache.contains(late[0].id()));
+        assert!(!node.sampler.contains(late[0].id()));
+        // So is the answer to an exchange its initiator abandoned.
+        let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
+        table.abandon(req.exchange);
+        let outcome = table.on_response(
+            req.exchange,
+            &mut node,
+            &mut arena,
+            &late,
+            SimTime::ZERO,
+            &mut rng,
+        );
+        assert_eq!(outcome, ResponseOutcome::Stale);
+    }
+
+    #[test]
+    fn backoff_doubles_and_saturates() {
+        for (attempt, factor) in [(0, 1.0), (1, 2.0), (2, 4.0), (16, 65536.0), (17, 65536.0)] {
+            assert_eq!(
+                retry_backoff(3.0, attempt),
+                3.0 * factor,
+                "attempt {attempt}"
+            );
+        }
+        assert_eq!(retry_backoff(3.0, u32::MAX), 3.0 * 65536.0);
+    }
+
+    #[test]
+    fn exchange_ids_match_the_trace_reconstruction() {
+        // xtrace rebuilds ids from a trace alone: the k-th ShuffleStart of
+        // node n is exchange_id(n, k). Drive two initiators through the
+        // core and check every id it assigns against that reconstruction.
+        let mut table = Exchanges::default();
+        let mut events = Vec::new();
+        let mut assigned = Vec::new();
+        let (mut a, arena_a, target_a, mut rng_a) = initiator(vec![], 13);
+        let (mut b, arena_b, target_b, mut rng_b) = initiator(vec![], 14);
+        b.id = 7;
+        for (seq, first) in [true, false, true, true, false].into_iter().enumerate() {
+            let req = if first {
+                table.begin(&mut a, &arena_a, target_a, 4, SimTime::ZERO, &mut rng_a)
+            } else {
+                table.begin(&mut b, &arena_b, target_b, 4, SimTime::ZERO, &mut rng_b)
+            };
+            let node = if first { a.id } else { b.id };
+            assert_eq!(exchange_initiator(req.exchange), node);
+            assigned.push(req.exchange);
+            events.push(veil_obs::TraceEvent {
+                t: seq as f64,
+                tid: 0,
+                seq: seq as u64,
+                node: Some(node),
+                kind: veil_obs::EventKind::ShuffleStart {
+                    target: u64::from(req.dest),
+                    trusted: req.trusted_link,
+                },
+            });
+        }
+        assert_eq!(assigned[..2], [exchange_id(0, 0), exchange_id(7, 0)]);
+        let mut reconstructed: Vec<u64> = veil_obs::correlate_exchanges(&events)
+            .iter()
+            .map(|r| r.exchange)
+            .collect();
+        assigned.sort_unstable();
+        reconstructed.sort_unstable();
+        assert_eq!(assigned, reconstructed);
+    }
+
+    #[test]
+    fn responder_builds_its_offer_before_absorbing_the_request() {
+        let cfg = small_cfg();
+        let mut svc = PseudonymService::new(15);
+        let mut arena = PseudonymArena::new();
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut node = node_with_pseudonym(0, &cfg, &mut svc, &mut rng);
+        let incoming = [svc.mint(1, SimTime::ZERO, None)];
+        let response = respond(
+            &mut node,
+            &mut arena,
+            &incoming,
+            cfg.shuffle_length,
+            SimTime::ZERO,
+            &mut rng,
+        );
+        assert!(
+            !response.contains(&incoming[0]),
+            "never echoed straight back"
+        );
+        assert!(node.cache.contains(incoming[0].id()));
     }
 }

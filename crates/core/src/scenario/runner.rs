@@ -31,8 +31,8 @@ use veil_obs::{analyze_trace, Recorder, TraceEvent};
 pub struct RunOverrides {
     /// Replaces the scenario's master seed.
     pub seed: Option<u64>,
-    /// Runs the sharded executor with this many shards (`None` keeps the
-    /// scenario's sequential path).
+    /// Shard count of the windowed executor (`None` = one; never changes
+    /// the outcome).
     pub shards: Option<usize>,
 }
 
@@ -72,7 +72,7 @@ pub struct ScenarioOutcome {
     pub scenario: String,
     /// Seed the run used (after overrides).
     pub seed: u64,
-    /// Shard count the run used (`None` = sequential executor).
+    /// Shard count the run asked for (`None` = unset).
     pub shards: Option<usize>,
     /// Final overlay snapshot at the horizon.
     pub snapshot: OverlaySnapshot,
@@ -472,7 +472,7 @@ fn grade(scenario: &Scenario, outcome: &mut ScenarioOutcome) {
 pub struct CampaignSpec {
     /// Seeds to run (the CLI defaults to `scenario.seed .. + N`).
     pub seeds: Vec<u64>,
-    /// Shard counts; `None` entries run the sequential executor.
+    /// Shard counts; `None` entries leave `shards` unset.
     pub shard_counts: Vec<Option<usize>>,
     /// Worker threads for the sweep (`None` = all available cores).
     pub parallelism: Option<usize>,

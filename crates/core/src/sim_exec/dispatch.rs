@@ -1,25 +1,22 @@
-//! Sequential event dispatch: the original single-threaded executor.
+//! Sequential event dispatch: the paper's synchronous special case.
 //!
-//! One global [`veil_sim::engine::Engine`] orders every event; handlers
-//! take `&mut Simulation` and may touch any node directly (the zero-latency
-//! shuffle even runs both endpoints synchronously). This path is
-//! byte-identical to the paper's simulator and is what figure pipelines and
-//! committed baselines run on. The sharded executor in
-//! [`super::shard`]/[`super::executor`] replaces it only when a fault model
-//! or positive link latency gives the event graph enough lookahead to
-//! window.
+//! One global [`veil_sim::engine::Engine`] orders every event and the
+//! handlers take `&mut Simulation`. This executor runs exactly one link
+//! regime — the ideal zero-latency link of the paper's Section IV — where
+//! a shuffle is a single synchronous [`protocol::execute_shuffle`] between
+//! two online nodes: nothing is ever in flight, so there is no lookahead
+//! to window and nothing to time out. Every run with a fault model or a
+//! positive latency takes the windowed executor
+//! ([`super::shard`]/[`super::executor`]) instead, whatever `shards` says.
 
 use crate::protocol;
 use crate::simulation::Simulation;
-use crate::transport::{SendOutcome, SimLink, Transport};
 use rand::Rng;
 use veil_obs::EventKind as Obs;
 use veil_sim::SimTime;
 
-use super::state::lifetime_for;
-use super::{two_mut, Delivery, Event, MessageKind, MessageRecord, PendingExchange};
-use crate::node::LinkTarget;
-use veil_sim::fault::EpisodeEffect;
+use super::state::{HealthView, Transition};
+use super::{two_mut, Event, MessageKind, MessageRecord};
 
 impl Simulation {
     /// Emits an observability event: feeds the health monitor's window
@@ -35,27 +32,14 @@ impl Simulation {
     /// remediation is enabled, the window's alerts are handed straight to
     /// the engine and applied before the event runs.
     pub(crate) fn health_tick(&mut self, now: SimTime) {
-        let due = self.health.as_ref().is_some_and(|h| h.due(now.as_f64()));
-        if !due {
+        let Some(h) = self.health.as_mut().filter(|h| h.due(now.as_f64())) else {
             return;
-        }
-        let online = self.online_mask();
-        let pseudonym_degrees: Vec<usize> = self
-            .cells
-            .iter()
-            .map(|c| c.node.sampler.link_count())
-            .collect();
-        let degrees: Vec<usize> = pseudonym_degrees
-            .iter()
-            .enumerate()
-            .map(|(v, p)| self.trust.neighbors(v).len() + p)
-            .collect();
-        let alerts = match self.health.as_mut() {
-            Some(h) => h.rotate(now.as_f64(), &online, &degrees, &pseudonym_degrees),
-            None => return,
         };
+        let mut view = HealthView::default();
+        view.fill(&self.cells, &self.trust);
+        let alerts = view.rotate(h, now.as_f64());
         if let Some(rm) = self.remedy.as_mut() {
-            let decisions = rm.decide(&alerts, &online);
+            let decisions = rm.decide(&alerts, &view.online);
             let mut arenas = crate::pseudonym::DomainArenas::Single(&mut self.arena);
             rm.apply(
                 &decisions,
@@ -67,21 +51,23 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn log_message(&mut self, record: MessageRecord) {
+    fn log_message(
+        &mut self,
+        time: SimTime,
+        from: usize,
+        to: usize,
+        kind: MessageKind,
+        trusted_link: bool,
+    ) {
         if let Some(log) = &mut self.message_log {
-            log.push(record);
+            log.push(MessageRecord {
+                time,
+                from: from as u32,
+                to: to as u32,
+                kind,
+                trusted_link,
+            });
         }
-    }
-
-    /// Borrows this simulation's link layer as a [`Transport`]. The
-    /// faulty layer shares the sequential `Stream::Fault` RNG; the ideal
-    /// layer never draws and reports the fixed `effective_latency`.
-    pub(crate) fn link(&mut self) -> SimLink<'_> {
-        SimLink::new(
-            self.fault.as_ref(),
-            &mut self.fault_rng,
-            self.effective_latency,
-        )
     }
 
     pub(crate) fn handle(&mut self, now: SimTime, event: Event) {
@@ -90,63 +76,60 @@ impl Simulation {
         }
         match event {
             Event::Shuffle(v) => self.handle_shuffle(now, v as usize),
-            Event::Churn { node, generation } => self.handle_churn(now, node as usize, generation),
-            Event::BlackoutEnd { node, generation } => {
-                self.handle_blackout_end(now, node as usize, generation)
+            Event::Churn { node, generation } => {
+                let t =
+                    self.cells[node as usize].churn_flip(&self.cfg, &mut self.svc, now, generation);
+                self.apply_transition(now, node, generation, t);
             }
-            Event::DeliverRequest(d) => self.handle_request_delivery(now, *d),
-            Event::DeliverResponse(d) => self.handle_response_delivery(now, *d),
-            Event::ShuffleTimeout { exchange } => self.handle_shuffle_timeout(now, exchange),
-            Event::EpisodeStart(idx) => self.handle_episode_start(now, idx as usize),
+            Event::BlackoutEnd { node, generation } => {
+                let t = self.cells[node as usize].end_blackout(
+                    &self.cfg,
+                    &mut self.svc,
+                    now,
+                    generation,
+                );
+                self.apply_transition(now, node, generation, t);
+            }
+            // In-flight messages, exchange timeouts and fault episodes
+            // exist only where messages take time or get lost, and all of
+            // that runs on the windowed executor.
+            Event::DeliverRequest(_)
+            | Event::DeliverResponse(_)
+            | Event::ShuffleTimeout { .. }
+            | Event::EpisodeStart(_) => {
+                unreachable!("{event:?} scheduled on the zero-latency sequential executor")
+            }
+        }
+    }
+
+    /// Schedules and emits what a lifecycle transition returned.
+    fn apply_transition(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        generation: u32,
+        t: Option<Transition>,
+    ) {
+        let Some(t) = t else {
+            return; // superseded by a (newer) blackout
+        };
+        if let Some(delay) = t.next_churn {
+            self.engine
+                .schedule_at(now + delay, Event::Churn { node, generation });
+        }
+        for kind in t.events.into_iter().flatten() {
+            self.emit(now, Some(node), || kind);
         }
     }
 
     fn handle_shuffle(&mut self, now: SimTime, v: usize) {
         // The timer always re-arms; offline nodes simply skip the round.
         self.engine.schedule_at(now + 1.0, Event::Shuffle(v as u32));
-        if !self.cells[v].churn.is_online() {
-            return;
+        let tick = self.cells[v].shuffle_tick(&self.cfg, &mut self.svc, now);
+        for kind in tick.events.into_iter().flatten() {
+            self.emit(now, Some(v as u32), || kind);
         }
-        // Lazy renewal: a node notices its own pseudonym expired at the
-        // next timer tick and mints a fresh one.
-        if self.cells[v].node.needs_pseudonym(now) {
-            let lifetime = lifetime_for(&self.cfg, &self.cells[v]);
-            self.cells[v]
-                .node
-                .renew_pseudonym(&mut self.svc, now, lifetime);
-            self.emit(now, Some(v as u32), || Obs::PseudonymMinted { lifetime });
-        }
-        let purged = self.cells[v].node.purge_expired(now);
-        if purged > 0 {
-            self.emit(now, Some(v as u32), || Obs::PseudonymsExpired {
-                count: purged as u64,
-            });
-        }
-        // Adaptive shuffle suppression: once the link set has been stable
-        // for the configured number of periods, skip initiating (responses
-        // still happen, and any change re-arms the node).
-        let activity =
-            self.cells[v].node.sampler.additions() + self.cells[v].node.sampler.removals();
-        if activity == self.cells[v].last_sampler_activity {
-            self.cells[v].stable_ticks = self.cells[v].stable_ticks.saturating_add(1);
-        } else {
-            self.cells[v].stable_ticks = 0;
-        }
-        self.cells[v].last_sampler_activity = activity;
-        if let Some(k) = self.cfg.stop_after_stable_periods {
-            if self.cells[v].stable_ticks >= k {
-                self.cells[v].node.stats.shuffles_suppressed += 1;
-                return;
-            }
-        }
-        // Remediation backoff: sit out this round and decay the counter.
-        if self.cells[v].shuffle_backoff > 0 {
-            self.cells[v].shuffle_backoff -= 1;
-            self.cells[v].node.stats.shuffles_suppressed += 1;
-            return;
-        }
-        if self.fault.is_some() {
-            self.faulty_shuffle(now, v);
+        if !tick.initiate {
             return;
         }
         let target = if self.cfg.skip_offline_peers {
@@ -187,66 +170,7 @@ impl Simulation {
                 exchange: 0,
                 response: false,
             });
-            self.log_message(MessageRecord {
-                time: now,
-                from: v as u32,
-                to: dest as u32,
-                kind: MessageKind::Dropped,
-                trusted_link,
-            });
-            return;
-        }
-        if self.effective_latency > 0.0 {
-            // Asynchronous exchange: build the request offer now, deliver
-            // it after the link latency; the peer may churn in transit.
-            let offer = {
-                let cell = &mut self.cells[v];
-                protocol::build_offer(
-                    &mut cell.node,
-                    &self.arena,
-                    self.cfg.shuffle_length,
-                    now,
-                    &mut cell.proto_rng,
-                )
-            };
-            // The ideal transport never drops (and draws no randomness);
-            // the Dropped arm only matters for future lossy transports
-            // behind the same seam.
-            let outcome = self.link().send(v as u32, dest as u32, now.as_f64());
-            self.cells[v].node.stats.requests_sent += 1;
-            self.log_message(MessageRecord {
-                time: now,
-                from: v as u32,
-                to: dest as u32,
-                kind: match outcome {
-                    SendOutcome::Dropped => MessageKind::Dropped,
-                    SendOutcome::Delivered { .. } => MessageKind::Request,
-                },
-                trusted_link,
-            });
-            match outcome {
-                SendOutcome::Dropped => {
-                    self.cells[v].node.stats.dropped_requests += 1;
-                    self.emit(now, Some(v as u32), || Obs::MessageDropped {
-                        exchange: 0,
-                        response: false,
-                    });
-                }
-                SendOutcome::Delivered { latency } => {
-                    self.engine.schedule_in(
-                        latency,
-                        Event::DeliverRequest(Box::new(Delivery {
-                            from: v as u32,
-                            to: dest as u32,
-                            offer: offer.entries,
-                            initiator_sent: offer.sent_from_cache,
-                            trusted_link,
-                            exchange: 0,
-                            attempt: 0,
-                        })),
-                    );
-                }
-            }
+            self.log_message(now, v, dest, MessageKind::Dropped, trusted_link);
             return;
         }
         // Zero latency: run the exchange over the ideal link synchronously.
@@ -262,329 +186,7 @@ impl Simulation {
         );
         self.cells[v].proto_rng = rng;
         self.emit(now, Some(v as u32), || Obs::ShuffleComplete { exchange: 0 });
-        self.log_message(MessageRecord {
-            time: now,
-            from: v as u32,
-            to: dest as u32,
-            kind: MessageKind::Request,
-            trusted_link,
-        });
-        self.log_message(MessageRecord {
-            time: now,
-            from: dest as u32,
-            to: v as u32,
-            kind: MessageKind::Response,
-            trusted_link,
-        });
-    }
-
-    /// Initiates one shuffle round over the faulty link layer: pick a link
-    /// (over *all* links — a lossy layer cannot report deliverability, so
-    /// there is no `skip_offline_peers` shortcut), register a pending
-    /// exchange, and transmit the request guarded by a timeout.
-    fn faulty_shuffle(&mut self, now: SimTime, v: usize) {
-        let crashed = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.crashed(v as u32, now.as_f64()));
-        if crashed {
-            return; // a silently crashed node initiates nothing
-        }
-        let target = {
-            let cell = &mut self.cells[v];
-            cell.node.pick_link(&self.arena, now, &mut cell.proto_rng)
-        };
-        let Some(target) = target else {
-            return;
-        };
-        let dest = target.resolve();
-        debug_assert_ne!(dest as usize, v, "nodes never link to themselves");
-        let target_pseudonym = match target {
-            LinkTarget::Pseudonym(p) => Some(p.id()),
-            LinkTarget::Trusted(_) => None,
-        };
-        let offer = {
-            let cell = &mut self.cells[v];
-            protocol::build_offer(
-                &mut cell.node,
-                &self.arena,
-                self.cfg.shuffle_length,
-                now,
-                &mut cell.proto_rng,
-            )
-        };
-        let exchange = self.next_exchange;
-        self.next_exchange += 1;
-        self.emit(now, Some(v as u32), || Obs::ShuffleStart {
-            target: u64::from(dest),
-            trusted: target.is_trusted(),
-        });
-        self.pending.insert(
-            exchange,
-            PendingExchange {
-                initiator: v as u32,
-                dest,
-                target_pseudonym,
-                trusted_link: target.is_trusted(),
-                offer: offer.entries,
-                sent_from_cache: offer.sent_from_cache,
-                attempt: 0,
-            },
-        );
-        self.transmit_request(now, exchange);
-    }
-
-    /// Sends (or resends) the request of a pending exchange through the
-    /// fault model, and arms the exchange's timeout with exponential
-    /// backoff.
-    fn transmit_request(&mut self, now: SimTime, exchange: u64) {
-        let (initiator, dest, trusted_link, attempt) = {
-            let p = &self.pending[&exchange];
-            (p.initiator, p.dest, p.trusted_link, p.attempt)
-        };
-        let v = initiator as usize;
-        // The seam draws the drop decision and (for survivors) the latency
-        // sample back to back from the shared fault RNG — the same order
-        // as the pre-seam code, so the stream stays byte-identical.
-        let outcome = self.link().send(initiator, dest, now.as_f64());
-        self.cells[v].node.stats.requests_sent += 1;
-        if outcome == SendOutcome::Dropped {
-            self.cells[v].node.stats.dropped_requests += 1;
-            self.emit(now, Some(initiator), || Obs::MessageDropped {
-                exchange,
-                response: false,
-            });
-        }
-        self.log_message(MessageRecord {
-            time: now,
-            from: initiator,
-            to: dest,
-            kind: match outcome {
-                SendOutcome::Dropped => MessageKind::Dropped,
-                SendOutcome::Delivered { .. } => MessageKind::Request,
-            },
-            trusted_link,
-        });
-        if let SendOutcome::Delivered { latency } = outcome {
-            let (offer, sent_from_cache) = {
-                let p = &self.pending[&exchange];
-                (p.offer.clone(), p.sent_from_cache.clone())
-            };
-            self.engine.schedule_in(
-                latency,
-                Event::DeliverRequest(Box::new(Delivery {
-                    from: initiator,
-                    to: dest,
-                    offer,
-                    initiator_sent: sent_from_cache,
-                    trusted_link,
-                    exchange,
-                    attempt,
-                })),
-            );
-        }
-        // Exponential backoff: timeout doubles with every retransmission.
-        let backoff = self.cfg.shuffle_timeout * f64::from(1u32 << attempt.min(16));
-        self.engine
-            .schedule_in(backoff, Event::ShuffleTimeout { exchange });
-    }
-
-    /// The timeout of a faulty-link exchange fired. If the response already
-    /// arrived this is a no-op; otherwise retry within budget, then give up
-    /// and apply Cyclon-style recovery.
-    fn handle_shuffle_timeout(&mut self, now: SimTime, exchange: u64) {
-        let (initiator, attempt) = match self.pending.get(&exchange) {
-            Some(p) => (p.initiator, p.attempt),
-            None => return, // completed: the response arrived in time
-        };
-        let v = initiator as usize;
-        let crashed = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.crashed(initiator, now.as_f64()));
-        if !self.cells[v].churn.is_online() || crashed {
-            // The initiator itself is gone; nobody is waiting any more.
-            self.pending.remove(&exchange);
-            return;
-        }
-        self.emit(now, Some(initiator), || Obs::ShuffleTimeout {
-            exchange,
-            attempt: u64::from(attempt),
-        });
-        if attempt < self.cfg.shuffle_retry_budget {
-            self.pending
-                .get_mut(&exchange)
-                .expect("checked above")
-                .attempt += 1;
-            self.cells[v].node.stats.shuffle_retries += 1;
-            self.emit(now, Some(initiator), || Obs::ShuffleRetry {
-                exchange,
-                attempt: u64::from(attempt) + 1,
-            });
-            self.transmit_request(now, exchange);
-            return;
-        }
-        // Budget exhausted: count the failure and evict the unresponsive
-        // pseudonym so the sampler can replace it (trusted links are part
-        // of the social graph and are never evicted).
-        let p = self.pending.remove(&exchange).expect("checked above");
-        self.cells[v].node.stats.shuffle_failures += 1;
-        self.emit(now, Some(initiator), || Obs::ShuffleFailure { exchange });
-        if let Some(id) = p.target_pseudonym {
-            self.cells[v].node.cache.remove(id);
-            self.cells[v].node.sampler.evict(id);
-            self.emit(now, Some(initiator), || Obs::PeerEvicted {
-                pseudonym: id.0,
-            });
-        }
-    }
-
-    /// A scripted episode with a simulation-side effect begins. Blackout
-    /// episodes reuse [`Simulation::inject_blackout`], so they compose with
-    /// natural churn and manual injections.
-    fn handle_episode_start(&mut self, now: SimTime, idx: usize) {
-        let Some(ep) = self
-            .fault
-            .as_ref()
-            .and_then(|f| f.episodes.get(idx))
-            .copied()
-        else {
-            return;
-        };
-        self.emit(now, None, || Obs::EpisodeStart {
-            index: idx as u64,
-            kind: ep.effect.kind_str().to_string(),
-        });
-        if let EpisodeEffect::Blackout { first, count } = ep.effect {
-            let n = self.cells.len();
-            let lo = (first as usize).min(n);
-            let hi = (first as usize).saturating_add(count as usize).min(n);
-            let victims: Vec<usize> = (lo..hi).collect();
-            let duration = ep.end - ep.start;
-            if !victims.is_empty() && duration > 0.0 && duration.is_finite() {
-                self.inject_blackout_at(now, &victims, duration);
-            }
-        }
-    }
-
-    /// A delayed shuffle request reaches the responder.
-    fn handle_request_delivery(&mut self, now: SimTime, delivery: Delivery) {
-        let responder = delivery.to as usize;
-        let crashed = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.crashed(delivery.to, now.as_f64()));
-        if !self.cells[responder].churn.is_online() || crashed {
-            // Lost in transit: the responder churned out (or sits silently
-            // crashed). The initiator's request produces no response; on
-            // the faulty path the exchange timeout will recover.
-            self.cells[delivery.from as usize]
-                .node
-                .stats
-                .dropped_requests += 1;
-            self.emit(now, Some(delivery.from), || Obs::MessageDropped {
-                exchange: delivery.exchange,
-                response: false,
-            });
-            return;
-        }
-        // Mirror the synchronous order: build the response offer before
-        // absorbing the request (Cyclon semantics).
-        let response = {
-            let cell = &mut self.cells[responder];
-            protocol::build_offer(
-                &mut cell.node,
-                &self.arena,
-                self.cfg.shuffle_length,
-                now,
-                &mut cell.proto_rng,
-            )
-        };
-        {
-            let cell = &mut self.cells[responder];
-            protocol::receive_offer(
-                &mut cell.node,
-                &mut self.arena,
-                &delivery.offer,
-                &response.sent_from_cache,
-                now,
-                &mut cell.proto_rng,
-            );
-        }
-        self.cells[responder].node.stats.responses_sent += 1;
-        let faulty = self.fault.is_some();
-        // The response is itself subject to loss and sampled latency (on
-        // the faulty layer); a dropped response is recovered by the
-        // initiator's timeout. Same seam, same draw order as the request.
-        let outcome = self.link().send(delivery.to, delivery.from, now.as_f64());
-        self.log_message(MessageRecord {
-            time: now,
-            from: delivery.to,
-            to: delivery.from,
-            kind: match outcome {
-                SendOutcome::Dropped => MessageKind::Dropped,
-                SendOutcome::Delivered { .. } => MessageKind::Response,
-            },
-            trusted_link: delivery.trusted_link,
-        });
-        match outcome {
-            SendOutcome::Dropped => {
-                self.cells[responder].node.stats.dropped_requests += 1;
-                self.emit(now, Some(delivery.to), || Obs::MessageDropped {
-                    exchange: delivery.exchange,
-                    response: true,
-                });
-            }
-            SendOutcome::Delivered { latency } => {
-                // The ideal path predates exchange ids; keep its responses
-                // tagged with the sentinel 0 so traces stay byte-identical.
-                let (exchange, attempt) = if faulty {
-                    (delivery.exchange, delivery.attempt)
-                } else {
-                    (0, 0)
-                };
-                self.engine.schedule_in(
-                    latency,
-                    Event::DeliverResponse(Box::new(Delivery {
-                        from: delivery.to,
-                        to: delivery.from,
-                        offer: response.entries,
-                        initiator_sent: delivery.initiator_sent,
-                        trusted_link: delivery.trusted_link,
-                        exchange,
-                        attempt,
-                    })),
-                );
-            }
-        }
-    }
-
-    /// A delayed shuffle response reaches the original initiator.
-    fn handle_response_delivery(&mut self, now: SimTime, delivery: Delivery) {
-        if self.fault.is_some() && self.pending.remove(&delivery.exchange).is_none() {
-            // A duplicate answer to a retransmitted request whose exchange
-            // already completed or failed; ignore it.
-            return;
-        }
-        let initiator = delivery.to as usize;
-        let crashed = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.crashed(delivery.to, now.as_f64()));
-        if !self.cells[initiator].churn.is_online() || crashed {
-            return; // response lost; the initiator churned out
-        }
-        let cell = &mut self.cells[initiator];
-        protocol::receive_offer(
-            &mut cell.node,
-            &mut self.arena,
-            &delivery.offer,
-            &delivery.initiator_sent,
-            now,
-            &mut cell.proto_rng,
-        );
-        self.emit(now, Some(delivery.to), || Obs::ShuffleComplete {
-            exchange: delivery.exchange,
-        });
+        self.log_message(now, v, dest, MessageKind::Request, trusted_link);
+        self.log_message(now, dest, v, MessageKind::Response, trusted_link);
     }
 }

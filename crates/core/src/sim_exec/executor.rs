@@ -1,4 +1,7 @@
-//! The sharded runtime: window loop, fork/join dispatch and the barrier.
+//! The windowed (sharded) runtime: window loop, fork/join dispatch and the
+//! barrier. Every run whose messages spend time in flight — a fault model
+//! or positive link latency — executes here, on `S = shards.unwrap_or(1)`
+//! shards.
 //!
 //! Nodes are partitioned into `S` contiguous ranges; each [`Shard`] owns
 //! its range's cells, engine, pending exchanges and pseudonym minter.
@@ -22,13 +25,12 @@ use veil_sim::SimTime;
 
 use super::mailbox::{sort_canonical, sort_records, HealthObs, OutMsg, WINDOW};
 use super::shard::{Shard, WindowCtx};
-use super::state::{owner_of, shard_starts, NodeCell};
+use super::state::{owner_of, shard_starts, HealthView, NodeCell};
 use super::MessageRecord;
 use crate::simulation::Simulation;
 
-/// Runtime state of the sharded executor (present only when the
-/// simulation was constructed with `shards: Some(_)` and the event graph
-/// has lookahead — a fault model or positive link latency).
+/// Runtime state of the windowed executor (present exactly when the event
+/// graph has lookahead — a fault model or positive link latency).
 pub(crate) struct ShardedRuntime {
     pub(crate) shards: Vec<Shard>,
     /// `shards.len() + 1` range boundaries; shard `i` owns
@@ -47,6 +49,8 @@ pub(crate) struct ShardedRuntime {
     records: Vec<MessageRecord>,
     /// Reused barrier scratch for buffered health observations.
     obs: Vec<HealthObs>,
+    /// Reused barrier scratch for a health rotation's topology view.
+    view: HealthView,
 }
 
 impl ShardedRuntime {
@@ -66,6 +70,7 @@ impl ShardedRuntime {
             batch: Vec::new(),
             records: Vec::new(),
             obs: Vec::new(),
+            view: HealthView::default(),
         }
     }
 
@@ -107,6 +112,7 @@ impl ShardedRuntime {
             + self.batch.capacity() * size_of::<OutMsg>()
             + self.records.capacity() * size_of::<MessageRecord>()
             + self.obs.capacity() * size_of::<HealthObs>()
+            + self.view.capacity_bytes()
     }
 }
 
@@ -168,6 +174,7 @@ impl Simulation {
             batch,
             records,
             obs,
+            view,
             ..
         } = rt;
         let ctx = WindowCtx {
@@ -251,25 +258,29 @@ impl Simulation {
                 obs.append(&mut shard.health_buf);
             }
             obs.sort_by(|a, b| a.t.partial_cmp(&b.t).expect("finite event times"));
-            let online_now: Vec<bool> = cells.iter().map(|c| c.churn.is_online()).collect();
-            let pdeg_now: Vec<usize> = cells.iter().map(|c| c.node.sampler.link_count()).collect();
-            let degrees_now: Vec<usize> = pdeg_now
-                .iter()
-                .enumerate()
-                .map(|(v, p)| trust.neighbors(v).len() + p)
-                .collect();
+            // A rotation falls due once per health window, not once per
+            // executor window: the O(n) topology view is filled on the
+            // barrier's first rotation only (cells do not change during
+            // the replay, so later rotations of the same barrier share it).
+            let mut filled = false;
             let mut alerts = Vec::new();
-            for o in obs.drain(..) {
-                if h.due(o.t) {
-                    alerts.extend(h.rotate(o.t, &online_now, &degrees_now, &pdeg_now));
+            let mut rotate = |h: &mut crate::health::HealthMonitor, t: f64| {
+                if !h.due(t) {
+                    return;
                 }
+                if !filled {
+                    view.fill(cells, trust);
+                    filled = true;
+                }
+                alerts.extend(view.rotate(h, t));
+            };
+            for o in obs.drain(..) {
+                rotate(h, o.t);
                 h.observe(o.t, o.node, &o.kind);
             }
-            if h.due(cap.as_f64()) {
-                alerts.extend(h.rotate(cap.as_f64(), &online_now, &degrees_now, &pdeg_now));
-            }
-            if let Some(rm) = remedy.as_mut() {
-                let decisions = rm.decide(&alerts, &online_now);
+            rotate(h, cap.as_f64());
+            if let Some(rm) = remedy.as_mut().filter(|_| !alerts.is_empty()) {
+                let decisions = rm.decide(&alerts, &view.online);
                 let mut arenas = crate::pseudonym::DomainArenas::PerShard {
                     arenas: shards.iter_mut().map(|s| &mut s.arena).collect(),
                     owner: owner.as_slice(),

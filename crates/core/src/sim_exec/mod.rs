@@ -1,30 +1,32 @@
 //! The discrete-event execution core behind [`crate::simulation`].
 //!
 //! [`crate::simulation::Simulation`] is a thin facade; the machinery lives
-//! here, split along the executor's fault lines:
+//! here:
 //!
-//! - [`state`] — the per-node state cell ([`state::NodeCell`]) and the
-//!   node-lifecycle handlers (churn, rejoin/depart, blackouts) plus the
-//!   contiguous node-range partitioning used by the sharded executor.
-//! - [`dispatch`] — the **sequential** event handlers: one engine, direct
-//!   `&mut` access across nodes, byte-identical to the original
-//!   single-threaded simulator (this is the paper's ideal-link regime).
+//! - [`state`] — the per-node state cell ([`state::NodeCell`]) with the
+//!   node lifecycle (shuffle-tick preamble, churn, rejoin/depart,
+//!   blackouts) as effect-returning methods, plus the contiguous
+//!   node-range partitioning.
 //! - [`mailbox`] — the cross-shard mail primitives: the window grid, the
 //!   canonical `(deliver_at, src, seq)` merge order, and the buffered
 //!   health observations.
-//! - [`shard`] — one shard of the **sharded** executor: a per-shard
+//! - [`shard`] — one shard of the **windowed** executor: a per-shard
 //!   [`veil_sim::engine::Engine`] over a contiguous slice of node cells,
-//!   with message-passing-pure handlers (no cross-shard `&mut`).
-//! - [`executor`] — the sharded runtime: partitions nodes over S shards,
+//!   driving the exchange core of [`crate::protocol`] with
+//!   message-passing-pure handlers (no cross-shard `&mut`).
+//! - [`executor`] — the windowed runtime: partitions nodes over S shards,
 //!   runs them on `veil-par` worker threads in bounded time windows, and
 //!   merges cross-shard traffic at a deterministic barrier.
+//! - [`dispatch`] — the **sequential** special case: one engine, direct
+//!   `&mut` access across nodes, one synchronous exchange.
 //!
-//! The two regimes coexist deliberately. The sequential path preserves the
-//! exact event interleaving (and therefore byte-identical artifacts) of
-//! the original simulator; the sharded path trades that global ordering
-//! for a window-quantized delivery schedule that is invariant in the
-//! *shard count*: any `S` — including `S = 1` — produces identical
-//! results, which is what makes multi-threaded runs trustworthy.
+//! The link regime alone picks the executor. A fault model or a positive
+//! link latency puts messages in flight; every such run is windowed, on
+//! `shards.unwrap_or(1)` shards, with a delivery schedule (`deliver_at =
+//! max(send + latency, next 0.5-period boundary)`) invariant in the shard
+//! count. The paper's ideal zero-latency link exchanges synchronously, has
+//! nothing to window, and keeps the sequential loop every figure baseline
+//! was produced with.
 
 pub(crate) mod dispatch;
 pub(crate) mod executor;
@@ -40,12 +42,12 @@ mod tests_faults;
 mod tests_shard;
 
 use crate::health::HealthMonitor;
-use crate::pseudonym::PseudonymId;
 use serde::{Deserialize, Serialize};
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::SimTime;
 
-/// Events driving the overlay simulation (both executors).
+/// Events driving the overlay simulation. The sequential executor only ever
+/// holds the first three; the rest need messages in flight.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Event {
     /// A node's shuffle timer fired.
@@ -78,40 +80,24 @@ pub(crate) enum Event {
     EpisodeStart(u32),
 }
 
-/// An in-flight shuffle message (used whenever delivery is not synchronous).
+/// An in-flight shuffle message of the windowed executor.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Delivery {
     pub(crate) from: u32,
     pub(crate) to: u32,
     pub(crate) offer: Vec<crate::pseudonym::Pseudonym>,
-    /// Cache entries the *initiator* offered — carried through the round
-    /// trip so the Cyclon eviction preference applies when the response
-    /// finally arrives.
+    /// Lossless link only: the cache entries the *initiator* offered,
+    /// carried through the round trip so the Cyclon eviction preference
+    /// applies when the response arrives. Empty on the faulty link, where
+    /// the exchange core's pending state remembers them.
     pub(crate) initiator_sent: Vec<crate::pseudonym::PseudonymId>,
     pub(crate) trusted_link: bool,
-    /// Faulty-link exchange id matching a [`PendingExchange`]; `0` on the
-    /// ideal path (which never consults it).
+    /// The tracked exchange this message belongs to; `0` on the lossless
+    /// link, whose exchanges carry no id.
     pub(crate) exchange: u64,
-    /// Which transmission attempt carried this message. The sequential
-    /// executor never reads it; the sharded executor keys the responder's
-    /// per-message RNG on it so duplicate answers to retransmitted
+    /// Which transmission attempt carried this message; keys the
+    /// responder's per-message RNG so duplicate answers to retransmitted
     /// requests draw independent, layout-invariant randomness.
-    pub(crate) attempt: u32,
-}
-
-/// Initiator-side state of an in-flight faulty-link shuffle exchange, kept
-/// until the response arrives or the retry budget runs out.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingExchange {
-    pub(crate) initiator: u32,
-    pub(crate) dest: u32,
-    /// The pseudonym behind the chosen link, for Cyclon-style eviction on
-    /// failure; `None` for trusted links (never evicted).
-    pub(crate) target_pseudonym: Option<PseudonymId>,
-    pub(crate) trusted_link: bool,
-    /// The request offer, retransmitted verbatim on retry.
-    pub(crate) offer: Vec<crate::pseudonym::Pseudonym>,
-    pub(crate) sent_from_cache: Vec<PseudonymId>,
     pub(crate) attempt: u32,
 }
 

@@ -6,30 +6,29 @@
 //! same-shard neighbour — goes through the outbox and is injected at the
 //! barrier, so a node's behaviour cannot depend on which shard runs it.
 //!
-//! The handlers here mirror [`super::dispatch`] but are message-passing
-//! pure. The places where the sequential code reaches across nodes are
-//! replaced by layout-invariant mechanisms:
+//! A shard is a *driver* of the exchange core in [`crate::protocol`]: the
+//! core decides what an exchange does next; the handlers here decide each
+//! message's fate, schedule deliveries and timers, and keep the stats,
+//! trace and message log. Everything a handler consults is
+//! layout-invariant:
 //!
-//! - **Deliverability checks** (`skip_offline_peers`, the ideal path's
+//! - **Deliverability checks** (`skip_offline_peers`, the lossless link's
 //!   destination-offline drop) read the barrier-snapshot online mask in
-//!   [`WindowCtx`] instead of live churn state.
+//!   [`WindowCtx`], never another node's live churn state.
 //! - **Fault randomness** comes from a stateless per-message RNG
 //!   ([`veil_sim::rng::derive_message_rng`]) keyed by `(exchange, attempt,
-//!   direction)` instead of the sequential executor's single shared
-//!   `fault_rng` stream.
+//!   direction)`.
 //! - **Pseudonym ids** come from a per-shard *keyed*
 //!   [`PseudonymService`], a pure function of `(owner, per-owner count)`.
-//! - **Exchange ids** are `((initiator + 1) << 32) | per-node counter`.
+//! - **Exchange ids** are a pure function of the initiator's own history
+//!   ([`protocol::exchange_id`]).
 //! - **Foreign stat credit** (the initiator's `dropped_requests` bump when
 //!   a responder is found offline) is deferred to the barrier.
 
-use std::collections::HashMap;
-
 use crate::config::OverlayConfig;
-use crate::node::LinkTarget;
-use crate::protocol;
+use crate::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
 use crate::pseudonym::{PseudonymArena, PseudonymService};
-use crate::transport::{MessageLink, SendOutcome, Transport};
+use crate::transport::{MessageLink, Transport};
 use rand::Rng;
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::engine::Engine;
@@ -37,21 +36,21 @@ use veil_sim::fault::FaultConfig;
 use veil_sim::SimTime;
 
 use super::mailbox::{next_boundary, HealthObs, OutMsg};
-use super::state::{lifetime_for, NodeCell};
-use super::{Delivery, Event, MessageKind, MessageRecord, PendingExchange};
+use super::state::NodeCell;
+use super::{Delivery, Event, MessageKind, MessageRecord};
 
 /// Read-only context shared by every shard during one window.
 pub(crate) struct WindowCtx<'a> {
     pub cfg: &'a OverlayConfig,
     pub fault: Option<&'a FaultConfig>,
-    /// One-way latency of the ideal path (positive in this regime unless a
-    /// fault model is active).
+    /// One-way latency of the lossless link (`fault` is `None`); positive,
+    /// or the run would be on the sequential executor.
     pub effective_latency: f64,
     pub master_seed: u64,
     pub recorder: &'a Recorder,
     /// Online mask snapshotted at the window's opening barrier: the
     /// deliverability oracle for `skip_offline_peers` filtering and the
-    /// ideal path's destination-offline check. A shard must not read live
+    /// lossless link's destination-offline check. A shard must not read live
     /// churn state of nodes it does not own; the snapshot is refreshed
     /// every window boundary and is identical for every shard count.
     pub online: &'a [bool],
@@ -70,7 +69,7 @@ pub(crate) struct Shard {
     pub start: usize,
     pub engine: Engine<Event>,
     /// In-flight faulty-link exchanges initiated by this shard's nodes.
-    pub pending: HashMap<u64, PendingExchange>,
+    pub exchanges: Exchanges,
     /// Keyed pseudonym minter (ids are pure functions of the owner's mint
     /// count, so per-shard services agree with any other layout).
     pub minter: PseudonymService,
@@ -96,7 +95,7 @@ impl Shard {
         Self {
             start,
             engine: Engine::new(),
-            pending: HashMap::new(),
+            exchanges: Exchanges::default(),
             minter: PseudonymService::new_keyed_for_range(master_seed, start as u32, len),
             arena: PseudonymArena::new(),
             outbox: Vec::new(),
@@ -112,7 +111,7 @@ impl Shard {
     pub(crate) fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.engine.approx_heap_bytes()
-            + self.pending.capacity() * (size_of::<u64>() + size_of::<PendingExchange>())
+            + self.exchanges.approx_heap_bytes()
             + self.arena.approx_heap_bytes()
             + self.outbox.capacity() * size_of::<OutMsg>()
             + self.log_buf.capacity() * size_of::<MessageRecord>()
@@ -131,10 +130,14 @@ impl Shard {
         match event {
             Event::Shuffle(v) => self.handle_shuffle(now, v as usize, cells, ctx),
             Event::Churn { node, generation } => {
-                self.handle_churn(now, node as usize, generation, cells, ctx)
+                let cell = &mut cells[node as usize - self.start];
+                let t = cell.churn_flip(ctx.cfg, &mut self.minter, now, generation);
+                self.apply_transition(ctx, now, node, generation, t);
             }
             Event::BlackoutEnd { node, generation } => {
-                self.handle_blackout_end(now, node as usize, generation, cells, ctx)
+                let cell = &mut cells[node as usize - self.start];
+                let t = cell.end_blackout(ctx.cfg, &mut self.minter, now, generation);
+                self.apply_transition(ctx, now, node, generation, t);
             }
             Event::DeliverRequest(d) => self.handle_request_delivery(now, *d, cells, ctx),
             Event::DeliverResponse(d) => self.handle_response_delivery(now, *d, cells, ctx),
@@ -170,9 +173,29 @@ impl Shard {
         ctx.recorder.event(now.as_f64(), node, move || kind);
     }
 
-    fn log(&mut self, ctx: &WindowCtx<'_>, record: MessageRecord) {
+    /// Logs one protocol message sent at `now`, as `kind` if the link layer
+    /// delivers it and as dropped otherwise.
+    fn log(
+        &mut self,
+        ctx: &WindowCtx<'_>,
+        now: SimTime,
+        (from, to): (u32, u32),
+        kind: MessageKind,
+        delivered: bool,
+        trusted_link: bool,
+    ) {
         if ctx.log_on {
-            self.log_buf.push(record);
+            self.log_buf.push(MessageRecord {
+                time: now,
+                from,
+                to,
+                kind: if delivered {
+                    kind
+                } else {
+                    MessageKind::Dropped
+                },
+                trusted_link,
+            });
         }
     }
 
@@ -209,54 +232,25 @@ impl Shard {
     ) {
         // The timer always re-arms; offline nodes simply skip the round.
         self.engine.schedule_at(now + 1.0, Event::Shuffle(v as u32));
-        let local = v - self.start;
-        if !cells[local].churn.is_online() {
+        let cell = &mut cells[v - self.start];
+        let tick = cell.shuffle_tick(ctx.cfg, &mut self.minter, now);
+        for kind in tick.events.into_iter().flatten() {
+            self.emit(ctx, now, Some(v as u32), || kind);
+        }
+        if !tick.initiate {
             return;
         }
-        if cells[local].node.needs_pseudonym(now) {
-            let lifetime = lifetime_for(ctx.cfg, &cells[local]);
-            cells[local]
-                .node
-                .renew_pseudonym(&mut self.minter, now, lifetime);
-            self.emit(ctx, now, Some(v as u32), || Obs::PseudonymMinted {
-                lifetime,
-            });
+        match ctx.fault {
+            Some(fault) => self.begin_exchange(now, v as u32, fault, cell, ctx),
+            None => self.begin_lossless(now, v as u32, cell, ctx),
         }
-        let purged = cells[local].node.purge_expired(now);
-        if purged > 0 {
-            self.emit(ctx, now, Some(v as u32), || Obs::PseudonymsExpired {
-                count: purged as u64,
-            });
-        }
-        // Adaptive shuffle suppression, as in the sequential executor.
-        let cell = &mut cells[local];
-        let activity = cell.node.sampler.additions() + cell.node.sampler.removals();
-        if activity == cell.last_sampler_activity {
-            cell.stable_ticks = cell.stable_ticks.saturating_add(1);
-        } else {
-            cell.stable_ticks = 0;
-        }
-        cell.last_sampler_activity = activity;
-        if let Some(k) = ctx.cfg.stop_after_stable_periods {
-            if cell.stable_ticks >= k {
-                cell.node.stats.shuffles_suppressed += 1;
-                return;
-            }
-        }
-        // Remediation backoff: sit out this round and decay the counter.
-        if cell.shuffle_backoff > 0 {
-            cell.shuffle_backoff -= 1;
-            cell.node.stats.shuffles_suppressed += 1;
-            return;
-        }
-        if ctx.fault.is_some() {
-            self.faulty_shuffle(now, v, cells, ctx);
-            return;
-        }
-        // Ideal link with positive latency (this regime never runs the
-        // zero-latency synchronous exchange). Deliverability comes from
-        // the barrier snapshot.
-        let cell = &mut cells[local];
+    }
+
+    /// Initiates a shuffle over the lossless link (positive constant
+    /// latency, no fault model). Deliverability comes from the barrier
+    /// snapshot; nothing is lost in flight, so the exchange carries no id,
+    /// pending state or timeout.
+    fn begin_lossless(&mut self, now: SimTime, v: u32, cell: &mut NodeCell, ctx: &WindowCtx<'_>) {
         let target = if ctx.cfg.skip_offline_peers {
             let links = cell.node.links(&self.arena, now);
             let online: Vec<_> = links
@@ -274,182 +268,135 @@ impl Shard {
         let Some(target) = target else {
             return;
         };
-        let dest = target.resolve() as usize;
+        let dest = target.resolve();
         debug_assert_ne!(dest, v, "nodes never link to themselves");
         let trusted_link = target.is_trusted();
-        self.emit(ctx, now, Some(v as u32), || Obs::ShuffleStart {
-            target: dest as u64,
+        self.emit(ctx, now, Some(v), || Obs::ShuffleStart {
+            target: u64::from(dest),
             trusted: trusted_link,
         });
-        if !ctx.online[dest] {
+        cell.node.stats.requests_sent += 1;
+        let deliverable = ctx.online[dest as usize];
+        self.log(
+            ctx,
+            now,
+            (v, dest),
+            MessageKind::Request,
+            deliverable,
+            trusted_link,
+        );
+        if !deliverable {
             // Request sent into the anonymity service but never delivered.
-            let cell = &mut cells[local];
-            cell.node.stats.requests_sent += 1;
             cell.node.stats.dropped_requests += 1;
-            self.emit(ctx, now, Some(v as u32), || Obs::MessageDropped {
+            self.emit(ctx, now, Some(v), || Obs::MessageDropped {
                 exchange: 0,
                 response: false,
             });
-            self.log(
-                ctx,
-                MessageRecord {
-                    time: now,
-                    from: v as u32,
-                    to: dest as u32,
-                    kind: MessageKind::Dropped,
-                    trusted_link,
-                },
-            );
             return;
         }
-        let cell = &mut cells[local];
-        let offer = protocol::build_offer(
+        let offer = protocol::begin_lossless(
             &mut cell.node,
             &self.arena,
             ctx.cfg.shuffle_length,
             now,
             &mut cell.proto_rng,
         );
-        cell.node.stats.requests_sent += 1;
-        self.log(
-            ctx,
-            MessageRecord {
-                time: now,
-                from: v as u32,
-                to: dest as u32,
-                kind: MessageKind::Request,
-                trusted_link,
-            },
-        );
         let event = Event::DeliverRequest(Box::new(Delivery {
-            from: v as u32,
-            to: dest as u32,
+            from: v,
+            to: dest,
             offer: offer.entries,
             initiator_sent: offer.sent_from_cache,
             trusted_link,
             exchange: 0,
             attempt: 0,
         }));
-        self.send(
-            &mut cells[local],
-            v as u32,
-            now,
-            ctx.effective_latency,
-            dest as u32,
-            event,
-        );
+        self.send(cell, v, now, ctx.effective_latency, dest, event);
     }
 
-    fn faulty_shuffle(
+    /// Initiates a shuffle over the faulty link: a uniform pick over *all*
+    /// links (a lossy layer cannot report deliverability, so there is no
+    /// `skip_offline_peers` shortcut), then a tracked exchange whose
+    /// request is guarded by a timeout.
+    fn begin_exchange(
         &mut self,
         now: SimTime,
-        v: usize,
-        cells: &mut [NodeCell],
+        v: u32,
+        fault: &FaultConfig,
+        cell: &mut NodeCell,
         ctx: &WindowCtx<'_>,
     ) {
-        let fault = ctx.fault.expect("faulty path");
-        if fault.crashed(v as u32, now.as_f64()) {
+        if fault.crashed(v, now.as_f64()) {
             return; // a silently crashed node initiates nothing
         }
-        let local = v - self.start;
-        let cell = &mut cells[local];
         let Some(target) = cell.node.pick_link(&self.arena, now, &mut cell.proto_rng) else {
             return;
         };
-        let dest = target.resolve();
-        debug_assert_ne!(dest as usize, v, "nodes never link to themselves");
-        let target_pseudonym = match target {
-            LinkTarget::Pseudonym(p) => Some(p.id()),
-            LinkTarget::Trusted(_) => None,
-        };
-        let offer = protocol::build_offer(
+        debug_assert_ne!(target.resolve(), v, "nodes never link to themselves");
+        let request = self.exchanges.begin(
             &mut cell.node,
             &self.arena,
+            target,
             ctx.cfg.shuffle_length,
             now,
             &mut cell.proto_rng,
         );
-        // Exchange ids are a pure function of the initiator's history, so
-        // every shard layout assigns the same ids.
-        let exchange = ((v as u64 + 1) << 32) | cell.exchange_seq;
-        cell.exchange_seq += 1;
-        self.emit(ctx, now, Some(v as u32), || Obs::ShuffleStart {
-            target: u64::from(dest),
-            trusted: target.is_trusted(),
+        self.emit(ctx, now, Some(v), || Obs::ShuffleStart {
+            target: u64::from(request.dest),
+            trusted: request.trusted_link,
         });
-        self.pending.insert(
-            exchange,
-            PendingExchange {
-                initiator: v as u32,
-                dest,
-                target_pseudonym,
-                trusted_link: target.is_trusted(),
-                offer: offer.entries,
-                sent_from_cache: offer.sent_from_cache,
-                attempt: 0,
-            },
-        );
-        self.transmit_request(now, exchange, cells, ctx);
+        self.transmit(now, v, request, fault, cell, ctx);
     }
 
-    fn transmit_request(
+    /// Submits one transmission of a tracked exchange's request to the
+    /// link layer and arms its timeout.
+    fn transmit(
         &mut self,
         now: SimTime,
-        exchange: u64,
-        cells: &mut [NodeCell],
+        v: u32,
+        request: Request,
+        fault: &FaultConfig,
+        cell: &mut NodeCell,
         ctx: &WindowCtx<'_>,
     ) {
-        let (initiator, dest, trusted_link, attempt) = {
-            let p = &self.pending[&exchange];
-            (p.initiator, p.dest, p.trusted_link, p.attempt)
-        };
-        let local = initiator as usize - self.start;
-        let fault = ctx.fault.expect("faulty path");
+        let (exchange, attempt, dest) = (request.exchange, request.attempt, request.dest);
         // One stateless link layer per transmission: drop decision, then
         // latency, from the per-message RNG (shard-count-invariant).
-        let outcome = MessageLink::for_message(fault, ctx.master_seed, exchange, attempt, false)
-            .send(initiator, dest, now.as_f64());
-        cells[local].node.stats.requests_sent += 1;
-        if outcome == SendOutcome::Dropped {
-            cells[local].node.stats.dropped_requests += 1;
-            self.emit(ctx, now, Some(initiator), || Obs::MessageDropped {
+        let fate = MessageLink::for_message(fault, ctx.master_seed, exchange, attempt, false)
+            .send(v, dest, now.as_f64())
+            .delivered();
+        cell.node.stats.requests_sent += 1;
+        if fate.is_none() {
+            cell.node.stats.dropped_requests += 1;
+            self.emit(ctx, now, Some(v), || Obs::MessageDropped {
                 exchange,
                 response: false,
             });
         }
+        let trusted_link = request.trusted_link;
         self.log(
             ctx,
-            MessageRecord {
-                time: now,
-                from: initiator,
-                to: dest,
-                kind: match outcome {
-                    SendOutcome::Dropped => MessageKind::Dropped,
-                    SendOutcome::Delivered { .. } => MessageKind::Request,
-                },
-                trusted_link,
-            },
+            now,
+            (v, dest),
+            MessageKind::Request,
+            fate.is_some(),
+            trusted_link,
         );
-        if let SendOutcome::Delivered { latency } = outcome {
-            let (offer, sent_from_cache) = {
-                let p = &self.pending[&exchange];
-                (p.offer.clone(), p.sent_from_cache.clone())
-            };
+        if let Some(latency) = fate {
             let event = Event::DeliverRequest(Box::new(Delivery {
-                from: initiator,
+                from: v,
                 to: dest,
-                offer,
-                initiator_sent: sent_from_cache,
+                offer: request.offer,
+                initiator_sent: Vec::new(),
                 trusted_link,
                 exchange,
                 attempt,
             }));
-            self.send(&mut cells[local], initiator, now, latency, dest, event);
+            self.send(cell, v, now, latency, dest, event);
         }
-        // Exponential backoff: timeout doubles with every retransmission.
-        let backoff = ctx.cfg.shuffle_timeout * f64::from(1u32 << attempt.min(16));
-        self.engine
-            .schedule_in(backoff, Event::ShuffleTimeout { exchange });
+        self.engine.schedule_in(
+            protocol::retry_backoff(ctx.cfg.shuffle_timeout, attempt),
+            Event::ShuffleTimeout { exchange },
+        );
     }
 
     fn handle_shuffle_timeout(
@@ -459,47 +406,44 @@ impl Shard {
         cells: &mut [NodeCell],
         ctx: &WindowCtx<'_>,
     ) {
-        let (initiator, attempt) = match self.pending.get(&exchange) {
-            Some(p) => (p.initiator, p.attempt),
-            None => return, // completed: the response arrived in time
+        // Timeouts are only ever armed by `transmit`, under a fault model.
+        let Some(fault) = ctx.fault else {
+            return;
         };
-        let local = initiator as usize - self.start;
-        let crashed = ctx
-            .fault
-            .is_some_and(|f| f.crashed(initiator, now.as_f64()));
-        if !cells[local].churn.is_online() || crashed {
+        let v = protocol::exchange_initiator(exchange);
+        let cell = &mut cells[v as usize - self.start];
+        if !cell.churn.is_online() || fault.crashed(v, now.as_f64()) {
             // The initiator itself is gone; nobody is waiting any more.
-            self.pending.remove(&exchange);
+            self.exchanges.abandon(exchange);
             return;
         }
-        self.emit(ctx, now, Some(initiator), || Obs::ShuffleTimeout {
-            exchange,
-            attempt: u64::from(attempt),
-        });
-        if attempt < ctx.cfg.shuffle_retry_budget {
-            self.pending
-                .get_mut(&exchange)
-                .expect("checked above")
-                .attempt += 1;
-            cells[local].node.stats.shuffle_retries += 1;
-            self.emit(ctx, now, Some(initiator), || Obs::ShuffleRetry {
-                exchange,
-                attempt: u64::from(attempt) + 1,
-            });
-            self.transmit_request(now, exchange, cells, ctx);
-            return;
-        }
-        let p = self.pending.remove(&exchange).expect("checked above");
-        cells[local].node.stats.shuffle_failures += 1;
-        self.emit(ctx, now, Some(initiator), || Obs::ShuffleFailure {
-            exchange,
-        });
-        if let Some(id) = p.target_pseudonym {
-            cells[local].node.cache.remove(id);
-            cells[local].node.sampler.evict(id);
-            self.emit(ctx, now, Some(initiator), || Obs::PeerEvicted {
-                pseudonym: id.0,
-            });
+        let budget = ctx.cfg.shuffle_retry_budget;
+        match self.exchanges.on_timeout(exchange, &mut cell.node, budget) {
+            TimeoutOutcome::Stale => {} // the response arrived in time
+            TimeoutOutcome::Retry { request } => {
+                let attempt = u64::from(request.attempt);
+                self.emit(ctx, now, Some(v), || Obs::ShuffleTimeout {
+                    exchange,
+                    attempt: attempt - 1,
+                });
+                cell.node.stats.shuffle_retries += 1;
+                self.emit(ctx, now, Some(v), || Obs::ShuffleRetry {
+                    exchange,
+                    attempt,
+                });
+                self.transmit(now, v, request, fault, cell, ctx);
+            }
+            TimeoutOutcome::Failed { attempt, evict } => {
+                self.emit(ctx, now, Some(v), || Obs::ShuffleTimeout {
+                    exchange,
+                    attempt: u64::from(attempt),
+                });
+                cell.node.stats.shuffle_failures += 1;
+                self.emit(ctx, now, Some(v), || Obs::ShuffleFailure { exchange });
+                if let Some(id) = evict {
+                    self.emit(ctx, now, Some(v), || Obs::PeerEvicted { pseudonym: id.0 });
+                }
+            }
         }
     }
 
@@ -510,118 +454,68 @@ impl Shard {
         cells: &mut [NodeCell],
         ctx: &WindowCtx<'_>,
     ) {
-        let responder = delivery.to as usize;
-        let local = responder - self.start;
+        let (initiator, responder, exchange) = (delivery.from, delivery.to, delivery.exchange);
+        let (attempt, trusted_link) = (delivery.attempt, delivery.trusted_link);
+        let cell = &mut cells[responder as usize - self.start];
         let crashed = ctx
             .fault
-            .is_some_and(|f| f.crashed(delivery.to, now.as_f64()));
-        if !cells[local].churn.is_online() || crashed {
+            .is_some_and(|f| f.crashed(responder, now.as_f64()));
+        if !cell.churn.is_online() || crashed {
             // Lost in transit. The initiator may live on another shard, so
             // its `dropped_requests` bump is credited at the barrier.
-            self.credits.push(delivery.from);
-            self.emit(ctx, now, Some(delivery.from), || Obs::MessageDropped {
-                exchange: delivery.exchange,
+            self.credits.push(initiator);
+            self.emit(ctx, now, Some(initiator), || Obs::MessageDropped {
+                exchange,
                 response: false,
             });
             return;
         }
-        // Mirror the synchronous order: build the response offer before
-        // absorbing the request (Cyclon semantics).
-        let cell = &mut cells[local];
-        let response = protocol::build_offer(
+        let response = protocol::respond(
             &mut cell.node,
-            &self.arena,
+            &mut self.arena,
+            &delivery.offer,
             ctx.cfg.shuffle_length,
             now,
             &mut cell.proto_rng,
         );
-        protocol::receive_offer(
-            &mut cell.node,
-            &mut self.arena,
-            &delivery.offer,
-            &response.sent_from_cache,
-            now,
-            &mut cell.proto_rng,
-        );
         cell.node.stats.responses_sent += 1;
-        if let Some(fault) = ctx.fault {
-            // Responses answering a retransmission (`attempt > 0`) draw
-            // their own stream, so duplicate answers stay independent.
-            let outcome = MessageLink::for_message(
-                fault,
-                ctx.master_seed,
-                delivery.exchange,
-                delivery.attempt,
-                true,
-            )
-            .send(delivery.to, delivery.from, now.as_f64());
-            self.log(
-                ctx,
-                MessageRecord {
-                    time: now,
-                    from: delivery.to,
-                    to: delivery.from,
-                    kind: match outcome {
-                        SendOutcome::Dropped => MessageKind::Dropped,
-                        SendOutcome::Delivered { .. } => MessageKind::Response,
-                    },
-                    trusted_link: delivery.trusted_link,
-                },
-            );
-            let SendOutcome::Delivered { latency } = outcome else {
-                cells[local].node.stats.dropped_requests += 1;
-                self.emit(ctx, now, Some(delivery.to), || Obs::MessageDropped {
-                    exchange: delivery.exchange,
-                    response: true,
-                });
-                return;
-            };
-            let event = Event::DeliverResponse(Box::new(Delivery {
-                from: delivery.to,
-                to: delivery.from,
-                offer: response.entries,
-                initiator_sent: delivery.initiator_sent,
-                trusted_link: delivery.trusted_link,
-                exchange: delivery.exchange,
-                attempt: delivery.attempt,
-            }));
-            self.send(
-                &mut cells[local],
-                delivery.to,
-                now,
-                latency,
-                delivery.from,
-                event,
-            );
-            return;
-        }
+        // Responses answering a retransmission (`attempt > 0`) draw their
+        // own stream, so duplicate answers stay independent.
+        let fate = match ctx.fault {
+            Some(fault) => {
+                MessageLink::for_message(fault, ctx.master_seed, exchange, attempt, true)
+                    .send(responder, initiator, now.as_f64())
+                    .delivered()
+            }
+            None => Some(ctx.effective_latency),
+        };
+        let ends = (responder, initiator);
         self.log(
             ctx,
-            MessageRecord {
-                time: now,
-                from: delivery.to,
-                to: delivery.from,
-                kind: MessageKind::Response,
-                trusted_link: delivery.trusted_link,
-            },
-        );
-        let event = Event::DeliverResponse(Box::new(Delivery {
-            from: delivery.to,
-            to: delivery.from,
-            offer: response.entries,
-            initiator_sent: delivery.initiator_sent,
-            trusted_link: delivery.trusted_link,
-            exchange: 0,
-            attempt: 0,
-        }));
-        self.send(
-            &mut cells[local],
-            delivery.to,
             now,
-            ctx.effective_latency,
-            delivery.from,
-            event,
+            ends,
+            MessageKind::Response,
+            fate.is_some(),
+            trusted_link,
         );
+        let Some(latency) = fate else {
+            cell.node.stats.dropped_requests += 1;
+            self.emit(ctx, now, Some(responder), || Obs::MessageDropped {
+                exchange,
+                response: true,
+            });
+            return;
+        };
+        let event = Event::DeliverResponse(Box::new(Delivery {
+            from: responder,
+            to: initiator,
+            offer: response,
+            initiator_sent: delivery.initiator_sent,
+            trusted_link,
+            exchange,
+            attempt,
+        }));
+        self.send(cell, responder, now, latency, initiator, event);
     }
 
     fn handle_response_delivery(
@@ -631,29 +525,28 @@ impl Shard {
         cells: &mut [NodeCell],
         ctx: &WindowCtx<'_>,
     ) {
-        if ctx.fault.is_some() && self.pending.remove(&delivery.exchange).is_none() {
-            // A duplicate answer to a retransmitted request whose exchange
-            // already completed or failed; ignore it.
+        let (v, exchange) = (delivery.to, delivery.exchange);
+        let cell = &mut cells[v as usize - self.start];
+        let crashed = ctx.fault.is_some_and(|f| f.crashed(v, now.as_f64()));
+        if !cell.churn.is_online() || crashed {
+            // Response lost: its initiator is gone, and so is the exchange.
+            self.exchanges.abandon(exchange);
             return;
         }
-        let local = delivery.to as usize - self.start;
-        let crashed = ctx
-            .fault
-            .is_some_and(|f| f.crashed(delivery.to, now.as_f64()));
-        if !cells[local].churn.is_online() || crashed {
-            return; // response lost; the initiator churned out
+        let (node, rng) = (&mut cell.node, &mut cell.proto_rng);
+        let arena = &mut self.arena;
+        let outcome = if ctx.fault.is_some() {
+            self.exchanges
+                .on_response(exchange, node, arena, &delivery.offer, now, rng)
+        } else {
+            let sent = &delivery.initiator_sent;
+            protocol::complete_lossless(node, arena, &delivery.offer, sent, now, rng);
+            ResponseOutcome::Completed
+        };
+        // A duplicate answer to a retransmitted request whose exchange
+        // already completed or failed is stale; ignore it.
+        if outcome == ResponseOutcome::Completed {
+            self.emit(ctx, now, Some(v), || Obs::ShuffleComplete { exchange });
         }
-        let cell = &mut cells[local];
-        protocol::receive_offer(
-            &mut cell.node,
-            &mut self.arena,
-            &delivery.offer,
-            &delivery.initiator_sent,
-            now,
-            &mut cell.proto_rng,
-        );
-        self.emit(ctx, now, Some(delivery.to), || Obs::ShuffleComplete {
-            exchange: delivery.exchange,
-        });
     }
 }

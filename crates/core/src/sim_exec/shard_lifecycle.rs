@@ -1,127 +1,39 @@
-//! Churn, blackout and fault-episode handlers for [`Shard`].
+//! Lifecycle glue and fault-episode handling for [`Shard`].
 //!
-//! These mirror the coordinator-side lifecycle code in [`super::state`]
-//! but operate on the shard's own cells only: every victim of an episode
-//! is handled by the shard that owns it, and exactly one shard (the owner
-//! of the episode's anchor node) emits the network-level observation.
+//! The transitions themselves are [`NodeCell`] methods (see
+//! [`super::state`]); a shard only schedules what they return into its own
+//! engine and emits their events. Every victim of an episode is handled by
+//! the shard that owns it, and exactly one shard (the owner of the
+//! episode's anchor node) emits the network-level observation.
 
 use veil_obs::EventKind as Obs;
 use veil_sim::fault::EpisodeEffect;
 use veil_sim::SimTime;
 
 use super::shard::{Shard, WindowCtx};
-use super::state::{lifetime_for, NodeCell};
+use super::state::{NodeCell, Transition};
 use super::Event;
 
 impl Shard {
-    pub(super) fn handle_churn(
+    /// Schedules and emits what a lifecycle transition returned.
+    pub(super) fn apply_transition(
         &mut self,
+        ctx: &WindowCtx<'_>,
         now: SimTime,
-        v: usize,
+        node: u32,
         generation: u32,
-        cells: &mut [NodeCell],
-        ctx: &WindowCtx<'_>,
+        t: Option<Transition>,
     ) {
-        let local = v - self.start;
-        if generation != cells[local].churn_generation {
-            return; // superseded by failure injection
+        let Some(t) = t else {
+            return; // superseded by a (newer) blackout
+        };
+        if let Some(delay) = t.next_churn {
+            self.engine
+                .schedule_at(now + delay, Event::Churn { node, generation });
         }
-        let cell = &mut cells[local];
-        let next = cell.churn.transition(&mut cell.churn_rng);
-        if let Some(delay) = next {
-            self.engine.schedule_at(
-                now + delay,
-                Event::Churn {
-                    node: v as u32,
-                    generation,
-                },
-            );
+        for kind in t.events.into_iter().flatten() {
+            self.emit(ctx, now, Some(node), || kind);
         }
-        if cells[local].churn.is_online() {
-            self.rejoin(now, v, cells, ctx);
-        } else {
-            self.depart(now, v, cells, ctx);
-        }
-    }
-
-    pub(super) fn rejoin(
-        &mut self,
-        now: SimTime,
-        v: usize,
-        cells: &mut [NodeCell],
-        ctx: &WindowCtx<'_>,
-    ) {
-        let local = v - self.start;
-        self.emit(ctx, now, Some(v as u32), || Obs::NodeOnline);
-        cells[local].online_since = Some(now);
-        if let Some(since) = cells[local].offline_since.take() {
-            let duration = now.since(since);
-            cells[local].ewma_offline = Some(match cells[local].ewma_offline {
-                Some(prev) => 0.8 * prev + 0.2 * duration,
-                None => duration,
-            });
-        }
-        cells[local].stable_ticks = 0;
-        let purged = cells[local].node.purge_expired(now);
-        if purged > 0 {
-            self.emit(ctx, now, Some(v as u32), || Obs::PseudonymsExpired {
-                count: purged as u64,
-            });
-        }
-        if cells[local].node.needs_pseudonym(now) {
-            let lifetime = lifetime_for(ctx.cfg, &cells[local]);
-            cells[local]
-                .node
-                .renew_pseudonym(&mut self.minter, now, lifetime);
-            self.emit(ctx, now, Some(v as u32), || Obs::PseudonymMinted {
-                lifetime,
-            });
-        }
-    }
-
-    pub(super) fn depart(
-        &mut self,
-        now: SimTime,
-        v: usize,
-        cells: &mut [NodeCell],
-        ctx: &WindowCtx<'_>,
-    ) {
-        let local = v - self.start;
-        self.emit(ctx, now, Some(v as u32), || Obs::NodeOffline);
-        cells[local].offline_since = Some(now);
-        if let Some(since) = cells[local].online_since.take() {
-            cells[local].node.stats.online_time += now.since(since);
-        }
-    }
-
-    pub(super) fn handle_blackout_end(
-        &mut self,
-        now: SimTime,
-        v: usize,
-        generation: u32,
-        cells: &mut [NodeCell],
-        ctx: &WindowCtx<'_>,
-    ) {
-        let local = v - self.start;
-        if generation != cells[local].churn_generation {
-            return; // a newer blackout supersedes this recovery
-        }
-        cells[local].blackout_until = None;
-        self.emit(ctx, now, Some(v as u32), || Obs::BlackoutEnd);
-        let cell = &mut cells[local];
-        let next = cell
-            .churn
-            .force_state(veil_sim::churn::NodeState::Online, &mut cell.churn_rng);
-        if let Some(delay) = next {
-            self.engine.schedule_at(
-                now + delay,
-                Event::Churn {
-                    node: v as u32,
-                    generation,
-                },
-            );
-        }
-        self.rejoin(now, v, cells, ctx);
     }
 
     pub(super) fn handle_episode_start(
@@ -142,61 +54,38 @@ impl Shard {
             EpisodeEffect::Blackout { first, .. } => (first as usize).min(n_total - 1),
             _ => 0,
         };
-        if anchor >= self.start && anchor < self.start + cells.len() {
+        let owned = self.start..self.start + cells.len();
+        if owned.contains(&anchor) {
             self.emit(ctx, now, None, || Obs::EpisodeStart {
                 index: idx as u64,
                 kind: ep.effect.kind_str().to_string(),
             });
         }
-        if let EpisodeEffect::Blackout { first, count } = ep.effect {
-            let lo = (first as usize).clamp(self.start, self.start + cells.len());
-            let hi = (first as usize)
-                .saturating_add(count as usize)
-                .clamp(self.start, self.start + cells.len());
-            let duration = ep.end - ep.start;
-            if lo < hi && duration > 0.0 && duration.is_finite() {
-                self.apply_blackout(now, lo..hi, duration, cells, ctx);
-            }
+        let EpisodeEffect::Blackout { first, count } = ep.effect else {
+            return;
+        };
+        let duration = ep.end - ep.start;
+        if !(duration > 0.0 && duration.is_finite()) {
+            return;
         }
-    }
-
-    /// Blackout injection for this shard's own victims; mirrors the
-    /// coordinator-side `Simulation::inject_blackout_at`.
-    fn apply_blackout(
-        &mut self,
-        now: SimTime,
-        victims: std::ops::Range<usize>,
-        duration: f64,
-        cells: &mut [NodeCell],
-        ctx: &WindowCtx<'_>,
-    ) {
-        for v in victims {
-            let local = v - self.start;
-            let until = now + duration;
-            if let Some(existing) = cells[local].blackout_until {
-                if existing >= until {
-                    continue;
-                }
+        let until = now + duration;
+        let lo = (first as usize).clamp(owned.start, owned.end);
+        let hi = (first as usize)
+            .saturating_add(count as usize)
+            .clamp(owned.start, owned.end);
+        for v in lo..hi {
+            let cell = &mut cells[v - self.start];
+            let Some(events) = cell.begin_blackout(now, until) else {
+                continue;
+            };
+            let wake = Event::BlackoutEnd {
+                node: v as u32,
+                generation: cell.churn_generation,
+            };
+            for kind in events.into_iter().flatten() {
+                self.emit(ctx, now, Some(v as u32), || kind);
             }
-            cells[local].blackout_until = Some(until);
-            self.emit(ctx, now, Some(v as u32), || Obs::BlackoutStart {
-                until: until.as_f64(),
-            });
-            cells[local].churn_generation = cells[local].churn_generation.wrapping_add(1);
-            if cells[local].churn.is_online() {
-                self.depart(now, v, cells, ctx);
-            }
-            let cell = &mut cells[local];
-            let _ = cell
-                .churn
-                .force_state(veil_sim::churn::NodeState::Offline, &mut cell.churn_rng);
-            self.engine.schedule_at(
-                until,
-                Event::BlackoutEnd {
-                    node: v as u32,
-                    generation: cells[local].churn_generation,
-                },
-            );
+            self.engine.schedule_at(until, wake);
         }
     }
 }

@@ -1,21 +1,40 @@
-//! Per-node state cells, shard partitioning, and node-lifecycle handlers.
+//! Per-node state cells, the node lifecycle, and shard partitioning.
 //!
-//! All per-node simulation state lives in one [`NodeCell`] so the sharded
+//! All per-node simulation state lives in one [`NodeCell`] so the windowed
 //! executor can hand each shard a contiguous `&mut [NodeCell]` slice with a
-//! single `split_at_mut` chain. The sequential executor indexes the same
-//! cells directly; the grouping changes data layout only, never the order
-//! of any RNG draw or event, so sequential results stay byte-identical to
-//! the pre-cell simulator.
+//! single `split_at_mut` chain; the sequential executor indexes the same
+//! cells directly.
+//!
+//! Every lifecycle transition — shuffle-tick preamble, churn flip, rejoin,
+//! depart, blackout begin and end — is a [`NodeCell`] method that mutates
+//! only the cell and *returns* what happened (events in emission order,
+//! the delay to the next churn transition); each executor adds a few lines
+//! of glue that emit and schedule through its own sink and engine.
 
 use crate::config::{LifetimePolicy, OverlayConfig};
+use crate::health::{HealthMonitor, WindowAlert};
 use crate::node::Node;
-use crate::simulation::Simulation;
+use crate::pseudonym::PseudonymService;
 use rand::rngs::StdRng;
 use veil_obs::EventKind as Obs;
-use veil_sim::churn::ChurnProcess;
+use veil_sim::churn::{ChurnProcess, NodeState};
 use veil_sim::SimTime;
 
-use super::Event;
+/// What a churn flip or a blackout's end did to a node.
+pub(crate) struct Transition {
+    /// Delay until the node's next natural churn transition, if any.
+    pub next_churn: Option<f64>,
+    /// Observability events, in emission order.
+    pub events: [Option<Obs>; 4],
+}
+
+/// What a shuffle timer tick did before any exchange starts.
+pub(crate) struct Tick {
+    /// Observability events, in emission order.
+    pub events: [Option<Obs>; 2],
+    /// Whether the node goes on to initiate a shuffle this round.
+    pub initiate: bool,
+}
 
 /// Everything the simulation tracks about one node, grouped so a shard can
 /// own a contiguous slice of nodes exclusively.
@@ -45,13 +64,9 @@ pub(crate) struct NodeCell {
     /// Remaining shuffle initiations to skip (the remediation engine's
     /// eviction-storm backoff); decays by one per skipped shuffle.
     pub shuffle_backoff: u32,
-    /// Sharded executor: per-source sequence number of outbox messages;
+    /// Windowed executor: per-source sequence number of outbox messages;
     /// part of the canonical `(deliver_at, src, seq)` merge key.
     pub outbox_seq: u64,
-    /// Sharded executor: per-initiator exchange counter; the exchange id
-    /// `((v + 1) << 32) | seq` is a pure function of the node's own
-    /// history, hence invariant in the shard layout.
-    pub exchange_seq: u64,
 }
 
 impl NodeCell {
@@ -78,8 +93,214 @@ impl NodeCell {
             blackout_until: None,
             shuffle_backoff: 0,
             outbox_seq: 0,
-            exchange_seq: 0,
         }
+    }
+
+    /// The preamble of a shuffle timer tick: an offline node skips the
+    /// round; an online one lazily renews its expired pseudonym, purges
+    /// expired state, then sits the round out if its link set has been
+    /// stable for `stop_after_stable_periods` ticks (it still responds,
+    /// and any change re-arms it) or remediation put it in backoff.
+    pub(crate) fn shuffle_tick(
+        &mut self,
+        cfg: &OverlayConfig,
+        minter: &mut PseudonymService,
+        now: SimTime,
+    ) -> Tick {
+        let mut tick = Tick {
+            events: [None, None],
+            initiate: false,
+        };
+        if !self.churn.is_online() {
+            return tick;
+        }
+        tick.events[0] = self.renew_if_needed(cfg, minter, now);
+        tick.events[1] = self.purge(now);
+        let activity = self.node.sampler.additions() + self.node.sampler.removals();
+        if activity == self.last_sampler_activity {
+            self.stable_ticks = self.stable_ticks.saturating_add(1);
+        } else {
+            self.stable_ticks = 0;
+        }
+        self.last_sampler_activity = activity;
+        let stable = cfg
+            .stop_after_stable_periods
+            .is_some_and(|k| self.stable_ticks >= k);
+        if stable {
+            self.node.stats.shuffles_suppressed += 1;
+        } else if self.shuffle_backoff > 0 {
+            // Remediation backoff decays by one per round sat out.
+            self.shuffle_backoff -= 1;
+            self.node.stats.shuffles_suppressed += 1;
+        } else {
+            tick.initiate = true;
+        }
+        tick
+    }
+
+    /// A natural churn transition fires. `None` when `generation` was
+    /// superseded by a blackout.
+    pub(crate) fn churn_flip(
+        &mut self,
+        cfg: &OverlayConfig,
+        minter: &mut PseudonymService,
+        now: SimTime,
+        generation: u32,
+    ) -> Option<Transition> {
+        if generation != self.churn_generation {
+            return None;
+        }
+        let next_churn = self.churn.transition(&mut self.churn_rng);
+        let events = if self.churn.is_online() {
+            self.rejoin(cfg, minter, now, None)
+        } else {
+            [Some(self.depart(now)), None, None, None]
+        };
+        Some(Transition { next_churn, events })
+    }
+
+    /// Forces the node dark until `until`; the caller schedules the wake
+    /// under the bumped `churn_generation` (which also cancels any pending
+    /// natural transition). `None` when the node is already dark at least
+    /// that long: the pending wake stands.
+    pub(crate) fn begin_blackout(
+        &mut self,
+        now: SimTime,
+        until: SimTime,
+    ) -> Option<[Option<Obs>; 2]> {
+        if self
+            .blackout_until
+            .is_some_and(|existing| existing >= until)
+        {
+            return None;
+        }
+        self.blackout_until = Some(until);
+        self.churn_generation = self.churn_generation.wrapping_add(1);
+        let departed = self.churn.is_online().then(|| self.depart(now));
+        // The residence sample is discarded: the blackout's end is forced.
+        let _ = self
+            .churn
+            .force_state(NodeState::Offline, &mut self.churn_rng);
+        Some([
+            Some(Obs::BlackoutStart {
+                until: until.as_f64(),
+            }),
+            departed,
+        ])
+    }
+
+    /// The blackout stamped `generation` ends and the node reconnects.
+    /// `None` when a newer blackout superseded it.
+    pub(crate) fn end_blackout(
+        &mut self,
+        cfg: &OverlayConfig,
+        minter: &mut PseudonymService,
+        now: SimTime,
+        generation: u32,
+    ) -> Option<Transition> {
+        if generation != self.churn_generation {
+            return None;
+        }
+        self.blackout_until = None;
+        let next_churn = self
+            .churn
+            .force_state(NodeState::Online, &mut self.churn_rng);
+        let events = self.rejoin(cfg, minter, now, Some(Obs::BlackoutEnd));
+        Some(Transition { next_churn, events })
+    }
+
+    /// Bookkeeping for coming online: session tracking, the adaptive
+    /// lifetime policy's offline-duration observation (EWMA, weight 0.2 on
+    /// the new one), re-armed shuffling, expired-state purge and pseudonym
+    /// renewal. `cause` (a blackout's end) is emitted first.
+    fn rejoin(
+        &mut self,
+        cfg: &OverlayConfig,
+        minter: &mut PseudonymService,
+        now: SimTime,
+        cause: Option<Obs>,
+    ) -> [Option<Obs>; 4] {
+        self.online_since = Some(now);
+        if let Some(since) = self.offline_since.take() {
+            let duration = now.since(since);
+            self.ewma_offline = Some(match self.ewma_offline {
+                Some(prev) => 0.8 * prev + 0.2 * duration,
+                None => duration,
+            });
+        }
+        self.stable_ticks = 0;
+        let expired = self.purge(now);
+        let minted = self.renew_if_needed(cfg, minter, now);
+        [cause, Some(Obs::NodeOnline), expired, minted]
+    }
+
+    /// Bookkeeping for going offline: closes the online session.
+    fn depart(&mut self, now: SimTime) -> Obs {
+        self.offline_since = Some(now);
+        if let Some(since) = self.online_since.take() {
+            self.node.stats.online_time += now.since(since);
+        }
+        Obs::NodeOffline
+    }
+
+    fn purge(&mut self, now: SimTime) -> Option<Obs> {
+        let purged = self.node.purge_expired(now);
+        (purged > 0).then_some(Obs::PseudonymsExpired {
+            count: purged as u64,
+        })
+    }
+
+    fn renew_if_needed(
+        &mut self,
+        cfg: &OverlayConfig,
+        minter: &mut PseudonymService,
+        now: SimTime,
+    ) -> Option<Obs> {
+        if !self.node.needs_pseudonym(now) {
+            return None;
+        }
+        let lifetime = lifetime_for(cfg, self);
+        self.node.renew_pseudonym(minter, now, lifetime);
+        Some(Obs::PseudonymMinted { lifetime })
+    }
+}
+
+/// The topology view a health rotation (and the remediation engine) reads:
+/// per node, the online flag, the pseudonym-link count and the total
+/// overlay degree. Reusable scratch — `fill` overwrites it in place.
+#[derive(Default)]
+pub(crate) struct HealthView {
+    pub online: Vec<bool>,
+    pseudonym_degrees: Vec<usize>,
+    degrees: Vec<usize>,
+}
+
+impl HealthView {
+    pub(crate) fn fill(&mut self, cells: &[NodeCell], trust: &veil_graph::Graph) {
+        self.online.clear();
+        self.online
+            .extend(cells.iter().map(|c| c.churn.is_online()));
+        self.pseudonym_degrees.clear();
+        self.pseudonym_degrees
+            .extend(cells.iter().map(|c| c.node.sampler.link_count()));
+        self.degrees.clear();
+        self.degrees.extend(
+            self.pseudonym_degrees
+                .iter()
+                .enumerate()
+                .map(|(v, p)| trust.neighbors(v).len() + p),
+        );
+    }
+
+    /// Closes the monitor's elapsed window(s) against this view.
+    pub(crate) fn rotate(&self, h: &mut HealthMonitor, t: f64) -> Vec<WindowAlert> {
+        h.rotate(t, &self.online, &self.degrees, &self.pseudonym_degrees)
+    }
+
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.online.capacity()
+            + (self.pseudonym_degrees.capacity() + self.degrees.capacity())
+                * std::mem::size_of::<usize>()
     }
 }
 
@@ -103,137 +324,13 @@ pub(crate) fn owner_of(n: usize, starts: &[usize]) -> Vec<u32> {
 }
 
 /// The lifetime node `cell` would give a pseudonym minted right now, per
-/// the configured [`LifetimePolicy`]. Reads only the node's own state, so
-/// both executors share it.
-pub(crate) fn lifetime_for(cfg: &OverlayConfig, cell: &NodeCell) -> Option<f64> {
+/// the configured [`LifetimePolicy`].
+fn lifetime_for(cfg: &OverlayConfig, cell: &NodeCell) -> Option<f64> {
     match cfg.lifetime_policy {
         LifetimePolicy::Global => cfg.pseudonym_lifetime,
         LifetimePolicy::Adaptive { multiplier, floor } => match cell.ewma_offline {
             Some(mean) => Some((multiplier * mean).max(floor)),
             None => cfg.pseudonym_lifetime,
         },
-    }
-}
-
-impl Simulation {
-    pub(crate) fn handle_churn(&mut self, now: SimTime, v: usize, generation: u32) {
-        if generation != self.cells[v].churn_generation {
-            return; // superseded by failure injection
-        }
-        let cell = &mut self.cells[v];
-        let next = cell.churn.transition(&mut cell.churn_rng);
-        if let Some(delay) = next {
-            self.engine.schedule_at(
-                now + delay,
-                Event::Churn {
-                    node: v as u32,
-                    generation,
-                },
-            );
-        }
-        if self.cells[v].churn.is_online() {
-            self.rejoin(now, v);
-        } else {
-            self.depart(now, v);
-        }
-    }
-
-    /// Bookkeeping for a node coming online: session tracking, adaptive
-    /// lifetime observation, expired-state purge and pseudonym renewal.
-    pub(crate) fn rejoin(&mut self, now: SimTime, v: usize) {
-        self.emit(now, Some(v as u32), || Obs::NodeOnline);
-        self.cells[v].online_since = Some(now);
-        if let Some(since) = self.cells[v].offline_since.take() {
-            // Feed the adaptive lifetime policy with the node's own
-            // observed offline duration (EWMA, weight 0.2 on the new
-            // observation).
-            let duration = now.since(since);
-            self.cells[v].ewma_offline = Some(match self.cells[v].ewma_offline {
-                Some(prev) => 0.8 * prev + 0.2 * duration,
-                None => duration,
-            });
-        }
-        // Rejoining is a state change: re-arm suppressed shuffling.
-        self.cells[v].stable_ticks = 0;
-        let purged = self.cells[v].node.purge_expired(now);
-        if purged > 0 {
-            self.emit(now, Some(v as u32), || Obs::PseudonymsExpired {
-                count: purged as u64,
-            });
-        }
-        if self.cells[v].node.needs_pseudonym(now) {
-            let lifetime = lifetime_for(&self.cfg, &self.cells[v]);
-            self.cells[v]
-                .node
-                .renew_pseudonym(&mut self.svc, now, lifetime);
-            self.emit(now, Some(v as u32), || Obs::PseudonymMinted { lifetime });
-        }
-    }
-
-    /// Bookkeeping for a node going offline: close the online session.
-    pub(crate) fn depart(&mut self, now: SimTime, v: usize) {
-        self.emit(now, Some(v as u32), || Obs::NodeOffline);
-        self.cells[v].offline_since = Some(now);
-        if let Some(since) = self.cells[v].online_since.take() {
-            self.cells[v].node.stats.online_time += now.since(since);
-        }
-    }
-
-    pub(crate) fn inject_blackout_at(&mut self, now: SimTime, nodes: &[usize], duration: f64) {
-        assert!(duration > 0.0, "blackout duration must be positive");
-        for &v in nodes {
-            assert!(v < self.cells.len(), "node {v} out of range");
-            let until = now + duration;
-            if let Some(existing) = self.cells[v].blackout_until {
-                if existing >= until {
-                    // Already dark at least that long: the pending wake
-                    // event stands; re-forcing would duplicate it.
-                    continue;
-                }
-            }
-            self.cells[v].blackout_until = Some(until);
-            self.emit(now, Some(v as u32), || Obs::BlackoutStart {
-                until: until.as_f64(),
-            });
-            self.cells[v].churn_generation = self.cells[v].churn_generation.wrapping_add(1);
-            if self.cells[v].churn.is_online() {
-                self.depart(now, v);
-            }
-            // Residence sample is discarded: the blackout end is forced.
-            let cell = &mut self.cells[v];
-            let _ = cell
-                .churn
-                .force_state(veil_sim::churn::NodeState::Offline, &mut cell.churn_rng);
-            let wake = Event::BlackoutEnd {
-                node: v as u32,
-                generation: self.cells[v].churn_generation,
-            };
-            match &mut self.sharded {
-                Some(rt) => rt.shard_of_mut(v).engine.schedule_at(until, wake),
-                None => self.engine.schedule_at(until, wake),
-            }
-        }
-    }
-
-    pub(crate) fn handle_blackout_end(&mut self, now: SimTime, v: usize, generation: u32) {
-        if generation != self.cells[v].churn_generation {
-            return; // a newer blackout supersedes this recovery
-        }
-        self.cells[v].blackout_until = None;
-        self.emit(now, Some(v as u32), || Obs::BlackoutEnd);
-        let cell = &mut self.cells[v];
-        let next = cell
-            .churn
-            .force_state(veil_sim::churn::NodeState::Online, &mut cell.churn_rng);
-        if let Some(delay) = next {
-            self.engine.schedule_at(
-                now + delay,
-                Event::Churn {
-                    node: v as u32,
-                    generation,
-                },
-            );
-        }
-        self.rejoin(now, v);
     }
 }

@@ -1,10 +1,8 @@
-//! Shard-count invariance tests for the sharded executor.
+//! Shard-count invariance tests for the windowed executor.
 //!
-//! The contract under test: with `cfg.shards = Some(s)` and an event graph
-//! that has lookahead (fault model or positive link latency), every shard
-//! count — including one — produces identical results. Sequential runs
-//! (`shards = None`) use a different (unwindowed) event interleaving and
-//! are *not* expected to match; `S = 1` is the reference.
+//! The contract under test: an event graph with lookahead (fault model or
+//! positive link latency) always runs windowed, and `cfg.shards` — unset,
+//! one, or many — never changes the result. `S = 1` is the reference.
 
 use crate::config::{LinkLayerConfig, OverlayConfig};
 use crate::node::NodeStats;
@@ -49,27 +47,33 @@ fn snapshot(sim: &mut Simulation) -> Snapshot {
     )
 }
 
-fn run_sharded(cfg: &OverlayConfig, alpha: f64, seed: u64, shards: usize, t: f64) -> Snapshot {
+fn run_sharded(
+    cfg: &OverlayConfig,
+    alpha: f64,
+    seed: u64,
+    shards: Option<usize>,
+    t: f64,
+) -> Snapshot {
     let trust = trust_graph(60, seed);
     let cfg = OverlayConfig {
-        shards: Some(shards),
+        shards,
         ..cfg.clone()
     };
     let churn = ChurnConfig::from_availability(alpha, 10.0);
     let mut sim = Simulation::new(trust, cfg, churn, seed).unwrap();
-    assert!(sim.is_sharded(), "config must engage the sharded executor");
+    assert!(sim.is_sharded(), "config must engage the windowed executor");
     sim.enable_message_log();
     sim.run_until(t);
     snapshot(&mut sim)
 }
 
 fn assert_shard_invariant(cfg: &OverlayConfig, alpha: f64, seed: u64, t: f64) {
-    let reference = run_sharded(cfg, alpha, seed, 1, t);
-    for shards in [2, 4] {
+    let reference = run_sharded(cfg, alpha, seed, Some(1), t);
+    for shards in [None, Some(2), Some(4)] {
         let got = run_sharded(cfg, alpha, seed, shards, t);
         assert_eq!(
             got, reference,
-            "shards={shards} diverged from shards=1 (seed {seed})"
+            "shards={shards:?} diverged from shards=1 (seed {seed})"
         );
     }
 }
@@ -196,7 +200,7 @@ fn sharded_run_is_deterministic() {
         }),
         ..base_cfg()
     };
-    let run = || run_sharded(&cfg, 0.5, 48, 3, 25.0);
+    let run = || run_sharded(&cfg, 0.5, 48, Some(3), 25.0);
     assert_eq!(run(), run());
 }
 
@@ -261,20 +265,6 @@ fn shard_count_above_node_count_is_clamped() {
     assert!(sim.is_sharded());
     sim.run_until(10.0);
     assert_eq!(sim.online_count(), 10);
-}
-
-#[test]
-#[should_panic(expected = "sequential executor")]
-fn step_panics_on_sharded_executor() {
-    let trust = trust_graph(20, 52);
-    let cfg = OverlayConfig {
-        link_latency: 0.2,
-        shards: Some(2),
-        ..base_cfg()
-    };
-    let churn = ChurnConfig::from_availability(1.0, 10.0);
-    let mut sim = Simulation::new(trust, cfg, churn, 52).unwrap();
-    let _ = sim.step();
 }
 
 #[test]

@@ -20,19 +20,17 @@
 //! by evicting the unresponsive pseudonym from its cache and sampler.
 //!
 //! This module is the public facade; the execution machinery lives in
-//! [`crate::sim_exec`]. Two executors share the per-node state:
+//! [`crate::sim_exec`]. The link regime — never a user knob — picks the
+//! executor:
 //!
-//! - the **sequential** executor ([`crate::sim_exec::dispatch`]): one
-//!   global engine, byte-identical to the original simulator; and
-//! - the **sharded** executor ([`crate::sim_exec::executor`]): nodes
-//!   partitioned over [`OverlayConfig::shards`] shards running on worker
-//!   threads in bounded time windows, producing identical results for
-//!   every shard count (including one).
-//!
-//! The sharded executor only engages when the event graph has lookahead —
-//! a fault model or positive link latency. Zero-latency ideal runs are
-//! synchronous exchanges with no in-flight messages to window, so they
-//! always run sequentially and `shards` is ignored.
+//! - a fault model or a positive link latency puts messages in flight, and
+//!   every such run takes the **windowed** executor
+//!   ([`crate::sim_exec::executor`]): nodes partitioned over
+//!   [`OverlayConfig::shards`] shards (one when unset) advancing in
+//!   bounded time windows, with identical results for every shard count;
+//! - the paper's ideal zero-latency link exchanges synchronously, leaves
+//!   nothing in flight to window, and keeps the **sequential** executor
+//!   ([`crate::sim_exec::dispatch`]); `shards` is ignored there.
 
 use crate::config::{LinkLayerConfig, OverlayConfig};
 use crate::error::CoreError;
@@ -42,10 +40,8 @@ use crate::pseudonym::{PseudonymArena, PseudonymService};
 use crate::remedy::{RemedyCounts, RemedyEngine};
 use crate::sim_exec::executor::ShardedRuntime;
 use crate::sim_exec::state::NodeCell;
-use crate::sim_exec::{record, Event, PendingExchange};
-use rand::rngs::StdRng;
+use crate::sim_exec::{record, Event};
 use rand::Rng;
-use std::collections::HashMap;
 use veil_graph::Graph;
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::churn::{ChurnConfig, ChurnProcess};
@@ -94,37 +90,31 @@ pub struct Simulation {
     pub(crate) trust: Graph,
     pub(crate) cfg: OverlayConfig,
     pub(crate) churn_cfg: ChurnConfig,
-    /// The sequential executor's global engine (empty in sharded mode,
-    /// where each shard owns its own).
+    /// The sequential executor's global engine (empty on the windowed
+    /// executor, where each shard owns its own).
     pub(crate) engine: Engine<Event>,
     /// All per-node state, one contiguous cell per trust-graph vertex.
     pub(crate) cells: Vec<NodeCell>,
     pub(crate) svc: PseudonymService,
     /// The sequential executor's pseudonym arena: one canonical copy of
-    /// every pseudonym instance the caches and samplers reference. In
-    /// sharded mode each shard owns its own arena instead and this one
-    /// stays empty (save for instrumentation-minted pseudonyms).
+    /// every pseudonym instance the caches and samplers reference. On the
+    /// windowed executor each shard owns its own arena instead and this
+    /// one stays empty.
     pub(crate) arena: PseudonymArena,
     pub(crate) current_time: SimTime,
     pub(crate) message_log: Option<Vec<MessageRecord>>,
     /// The fault model when the non-trivial faulty link layer is active;
-    /// `None` runs the ideal code path (bit-identical to the paper setup).
+    /// `None` is the lossless link.
     pub(crate) fault: Option<FaultConfig>,
-    /// One-way latency of the ideal code path: `cfg.link_latency`, or the
+    /// One-way latency of the lossless link: `cfg.link_latency`, or the
     /// constant latency of a trivial faulty layer.
     pub(crate) effective_latency: f64,
-    pub(crate) fault_rng: StdRng,
-    /// In-flight faulty-link exchanges keyed by exchange id (sequential
-    /// executor; shards keep their own maps). Only ever accessed by key,
-    /// so iteration order can never leak into results.
-    pub(crate) pending: HashMap<u64, PendingExchange>,
-    pub(crate) next_exchange: u64,
-    /// The master seed, kept for the sharded executor's stateless
+    /// The master seed, kept for the windowed executor's stateless
     /// per-message RNG derivation.
     pub(crate) master_seed: u64,
-    /// The sharded runtime when `cfg.shards` is set *and* the event graph
-    /// has lookahead (fault model or positive latency); `None` runs the
-    /// sequential executor.
+    /// The windowed runtime, present exactly when messages spend time in
+    /// flight (a fault model or positive latency); `None` runs the
+    /// zero-latency sequential executor.
     pub(crate) sharded: Option<ShardedRuntime>,
     /// Observability sink; disabled by default (a single branch per hook)
     /// and never a source of randomness, so enabling it cannot perturb the
@@ -168,22 +158,20 @@ impl Simulation {
             });
         }
         // The faulty link layer only takes over when it actually injects
-        // something; a trivial fault model routes through the ideal code
-        // path (with its constant latency), which keeps zero-fault runs
-        // byte-identical to the paper setup. The collapse is pure, so it
-        // can run first to pick the executor.
+        // something; a trivial fault model is the lossless link (with its
+        // constant latency), which keeps zero-fault runs byte-identical to
+        // the paper setup.
         let (fault, effective_latency) = match &cfg.link {
             LinkLayerConfig::Ideal => (None, cfg.link_latency),
             LinkLayerConfig::Faulty(fc) if fc.is_trivial() => (None, fc.latency.mean()),
             LinkLayerConfig::Faulty(fc) => (Some(fc.clone()), 0.0),
         };
-        // Sharding needs lookahead: the zero-latency ideal path exchanges
+        // Messages in flight ⇒ the windowed executor, on one shard unless
+        // told otherwise. The zero-latency lossless link exchanges
         // synchronously and stays sequential whatever `shards` says.
-        let use_sharded = cfg.shards.is_some() && (fault.is_some() || effective_latency > 0.0);
-        let mut sharded = use_sharded.then(|| {
-            let s = cfg.shards.expect("checked above").min(n);
-            ShardedRuntime::new(n, s, master_seed)
-        });
+        let in_flight = fault.is_some() || effective_latency > 0.0;
+        let mut sharded =
+            in_flight.then(|| ShardedRuntime::new(n, cfg.shards.unwrap_or(1).min(n), master_seed));
         let mut engine = Engine::new();
         let mut cells = Vec::with_capacity(n);
         let mut svc = PseudonymService::new(master_seed);
@@ -198,20 +186,22 @@ impl Simulation {
             let mut churn_rng = derive_rng(master_seed, Stream::Churn(v as u32));
             let mut node = Node::new(v as u32, trusted, &cfg, &mut proto_rng);
             let (process, first_transition) = ChurnProcess::new(&churn_cfg, &mut churn_rng);
+            // The node's home: its shard's minter and engine on the
+            // windowed executor, the global ones on the sequential.
+            let (minter, engine) = match &mut sharded {
+                Some(rt) => {
+                    let shard = rt.shard_of_mut(v);
+                    (&mut shard.minter, &mut shard.engine)
+                }
+                None => (&mut svc, &mut engine),
+            };
             if process.is_online() {
                 // All initially online nodes mint pseudonyms at t = 0,
                 // which produces the synchronized-expiry transient the
                 // paper observes in Figure 9. (The adaptive lifetime policy
                 // has no availability observations yet and falls back to
                 // the global lifetime here.)
-                match &mut sharded {
-                    Some(rt) => node.renew_pseudonym(
-                        &mut rt.shard_of_mut(v).minter,
-                        SimTime::ZERO,
-                        cfg.pseudonym_lifetime,
-                    ),
-                    None => node.renew_pseudonym(&mut svc, SimTime::ZERO, cfg.pseudonym_lifetime),
-                };
+                node.renew_pseudonym(minter, SimTime::ZERO, cfg.pseudonym_lifetime);
                 record(&recorder, &mut health, 0.0, Some(v as u32), || {
                     Obs::PseudonymMinted {
                         lifetime: cfg.pseudonym_lifetime,
@@ -223,47 +213,26 @@ impl Simulation {
                     node: v as u32,
                     generation: 0,
                 };
-                match &mut sharded {
-                    Some(rt) => rt
-                        .shard_of_mut(v)
-                        .engine
-                        .schedule_at(SimTime::new(delay), ev),
-                    None => engine.schedule_at(SimTime::new(delay), ev),
-                }
+                engine.schedule_at(SimTime::new(delay), ev);
             }
             // Shuffle timers are desynchronised with a random phase in
             // [0, 1) shuffle periods; they keep firing while the node is
             // offline (the handler no-ops), matching the "rejoining node
             // resumes where it left off" semantics.
-            let ev = Event::Shuffle(v as u32);
-            match &mut sharded {
-                Some(rt) => rt
-                    .shard_of_mut(v)
-                    .engine
-                    .schedule_at(SimTime::new(phase), ev),
-                None => engine.schedule_at(SimTime::new(phase), ev),
-            }
+            engine.schedule_at(SimTime::new(phase), Event::Shuffle(v as u32));
             cells.push(NodeCell::new(node, process, proto_rng, churn_rng));
         }
 
         if let Some(fault) = &fault {
             // Partition and crash episodes are pure message-time filters;
-            // only blackouts need a simulation-side trigger. In sharded
-            // mode every shard gets the trigger and handles its own
-            // victims.
+            // only blackouts need a simulation-side trigger. Every shard
+            // gets the trigger and handles its own victims.
             for (i, ep) in fault.episodes.iter().enumerate() {
                 if matches!(ep.effect, EpisodeEffect::Blackout { .. }) {
-                    match &mut sharded {
-                        Some(rt) => {
-                            for shard in rt.shards.iter_mut() {
-                                shard.engine.schedule_at(
-                                    SimTime::new(ep.start),
-                                    Event::EpisodeStart(i as u32),
-                                );
-                            }
-                        }
-                        None => engine
-                            .schedule_at(SimTime::new(ep.start), Event::EpisodeStart(i as u32)),
+                    for shard in sharded.iter_mut().flat_map(|rt| rt.shards.iter_mut()) {
+                        shard
+                            .engine
+                            .schedule_at(SimTime::new(ep.start), Event::EpisodeStart(i as u32));
                     }
                 }
             }
@@ -281,9 +250,6 @@ impl Simulation {
             message_log: None,
             fault,
             effective_latency,
-            fault_rng: derive_rng(master_seed, Stream::Fault),
-            pending: HashMap::new(),
-            next_exchange: 1,
             master_seed,
             sharded,
             recorder,
@@ -315,8 +281,9 @@ impl Simulation {
         &self.recorder
     }
 
-    /// Whether the sharded executor is active (requires both
-    /// [`OverlayConfig::shards`] and an event graph with lookahead).
+    /// Whether the windowed (sharded) executor is active: `true` exactly
+    /// when a fault model or a positive link latency is configured,
+    /// `false` for the zero-latency ideal link.
     pub fn is_sharded(&self) -> bool {
         self.sharded.is_some()
     }
@@ -569,10 +536,7 @@ impl Simulation {
                 .sum::<usize>();
         let executor = match &self.sharded {
             Some(rt) => rt.approx_heap_bytes(),
-            None => {
-                self.engine.approx_heap_bytes()
-                    + self.pending.capacity() * (size_of::<u64>() + size_of::<PendingExchange>())
-            }
+            None => self.engine.approx_heap_bytes(),
         };
         cells + self.arena.approx_heap_bytes() + executor
     }
@@ -609,23 +573,6 @@ impl Simulation {
         self.current_time = horizon;
     }
 
-    /// Processes a single event, if any is pending. Returns its time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the sharded executor, which has no single global event
-    /// order to step through — use [`Simulation::run_until`].
-    pub fn step(&mut self) -> Option<SimTime> {
-        assert!(
-            self.sharded.is_none(),
-            "step() requires the sequential executor; sharded runs advance window-by-window via run_until"
-        );
-        let (now, event) = self.engine.pop()?;
-        self.handle(now, event);
-        self.current_time = now;
-        Some(now)
-    }
-
     /// Injects a correlated failure: every node in `nodes` goes offline now
     /// and returns online exactly `duration` shuffle periods later
     /// (a regional blackout followed by a reconnect flash crowd). Natural
@@ -643,8 +590,27 @@ impl Simulation {
     /// Panics if `duration` is not positive or a node index is out of
     /// range.
     pub fn inject_blackout(&mut self, nodes: &[usize], duration: f64) {
+        assert!(duration > 0.0, "blackout duration must be positive");
         let now = self.current_time;
-        self.inject_blackout_at(now, nodes, duration);
+        let until = now + duration;
+        for &v in nodes {
+            assert!(v < self.cells.len(), "node {v} out of range");
+            let Some(events) = self.cells[v].begin_blackout(now, until) else {
+                continue;
+            };
+            for kind in events.into_iter().flatten() {
+                self.emit(now, Some(v as u32), || kind);
+            }
+            let wake = Event::BlackoutEnd {
+                node: v as u32,
+                generation: self.cells[v].churn_generation,
+            };
+            // The wake goes to whichever engine owns the victim.
+            match &mut self.sharded {
+                Some(rt) => rt.shard_of_mut(v).engine.schedule_at(until, wake),
+                None => self.engine.schedule_at(until, wake),
+            }
+        }
     }
 
     /// Materializes the current overlay as an undirected graph: the union

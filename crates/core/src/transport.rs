@@ -6,23 +6,20 @@
 //! events and scheduling stay with the caller, so an implementation can
 //! be swapped without touching protocol semantics.
 //!
-//! Three implementations exist:
+//! Two implementations exist:
 //!
-//! * [`SimLink`] — the sequential simulator's link layer: a shared
-//!   `Stream::Fault` RNG drives the drop decision and the latency sample
-//!   in a fixed order (drop first, latency only for survivors), which is
-//!   what keeps the executor byte-identical to the pre-seam dispatch
-//!   code. With no fault model it is the paper's ideal service: never
-//!   drops, constant latency, **zero** RNG draws.
-//! * `MessageLink` ([`MessageLink::for_message`]) — the sharded
-//!   executor's stateless variant: the same decision order, but drawn
-//!   from a per-message RNG keyed by `(exchange, attempt, direction)` so
-//!   any shard count derives identical fates.
+//! * [`MessageLink`] ([`MessageLink::for_message`]) — the windowed
+//!   executor's link layer: the drop decision, then (for survivors) the
+//!   latency sample, drawn from a per-message RNG keyed by `(seed,
+//!   exchange, attempt, direction)`, so any shard count derives identical
+//!   fates and no RNG state is shared between messages.
 //! * `veil-net`'s socket layer — reuses [`MessageLink`] sender-side for
 //!   drop injection over real sockets (latency there is supplied by the
-//!   network itself, not the sample): because the fate is keyed purely by
-//!   `(seed, exchange, attempt, direction)`, a real process and the
-//!   sharded oracle derive identical drops with no shared RNG state.
+//!   network itself, not the sample): a real process and the simulator
+//!   oracle derive identical drops.
+//!
+//! The paper's ideal link needs neither: it never drops, draws no
+//! randomness, and its latency is a configured constant.
 
 use rand::rngs::StdRng;
 use veil_sim::fault::FaultConfig;
@@ -60,51 +57,7 @@ pub trait Transport {
     fn send(&mut self, from: u32, to: u32, now: f64) -> SendOutcome;
 }
 
-/// The simulator's link layer, borrowed from the running simulation.
-///
-/// With a fault model, the shared RNG draws the drop decision first and a
-/// latency sample only for surviving messages — the exact draw order of
-/// the original dispatch code, preserved so refactored executors stay
-/// byte-identical. Without one, this is the ideal service: every message
-/// is delivered after the fixed `ideal_latency` and the RNG is never
-/// touched.
-pub struct SimLink<'a> {
-    fault: Option<&'a FaultConfig>,
-    rng: &'a mut StdRng,
-    ideal_latency: f64,
-}
-
-impl<'a> SimLink<'a> {
-    /// Borrows a link layer over the given fault model and RNG stream.
-    pub fn new(fault: Option<&'a FaultConfig>, rng: &'a mut StdRng, ideal_latency: f64) -> Self {
-        Self {
-            fault,
-            rng,
-            ideal_latency,
-        }
-    }
-}
-
-impl Transport for SimLink<'_> {
-    fn send(&mut self, from: u32, to: u32, now: f64) -> SendOutcome {
-        match self.fault {
-            None => SendOutcome::Delivered {
-                latency: self.ideal_latency,
-            },
-            Some(fault) => {
-                if fault.is_dropped(from, to, now, self.rng) {
-                    SendOutcome::Dropped
-                } else {
-                    SendOutcome::Delivered {
-                        latency: fault.sample_latency(self.rng),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The sharded executor's stateless link layer: one owned RNG per
+/// The windowed executor's stateless link layer: one owned RNG per
 /// transmission, derived from `(master_seed, exchange, attempt,
 /// response)` so every shard — and every shard count — computes the
 /// identical fate for the identical message.
@@ -144,46 +97,7 @@ impl Transport for MessageLink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use veil_sim::fault::{FaultConfig, LatencyDist};
-
-    #[test]
-    fn ideal_link_never_draws_and_uses_fixed_latency() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut witness = StdRng::seed_from_u64(1);
-        let mut link = SimLink::new(None, &mut rng, 0.25);
-        for i in 0..10 {
-            assert_eq!(
-                link.send(0, i, 3.0),
-                SendOutcome::Delivered { latency: 0.25 }
-            );
-        }
-        // The RNG was never advanced.
-        use rand::Rng as _;
-        assert_eq!(rng.gen::<u64>(), witness.gen::<u64>());
-    }
-
-    #[test]
-    fn faulty_link_matches_the_manual_draw_order() {
-        let fault = FaultConfig {
-            drop_probability: 0.5,
-            latency: LatencyDist::Exponential { mean: 0.3 },
-            episodes: vec![],
-        };
-        let mut manual = StdRng::seed_from_u64(7);
-        let mut seam = StdRng::seed_from_u64(7);
-        for i in 0..200u32 {
-            let expected = if fault.is_dropped(0, i, 1.0, &mut manual) {
-                SendOutcome::Dropped
-            } else {
-                SendOutcome::Delivered {
-                    latency: fault.sample_latency(&mut manual),
-                }
-            };
-            let got = SimLink::new(Some(&fault), &mut seam, 0.0).send(0, i, 1.0);
-            assert_eq!(got, expected, "message {i}");
-        }
-    }
+    use veil_sim::fault::FaultConfig;
 
     #[test]
     fn message_link_is_stateless_per_transmission() {
@@ -196,9 +110,8 @@ mod tests {
     #[test]
     fn total_loss_always_drops() {
         let fault = FaultConfig::with_loss(1.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut link = SimLink::new(Some(&fault), &mut rng, 0.0);
         for i in 0..20 {
+            let mut link = MessageLink::for_message(&fault, 3, u64::from(i), 0, false);
             assert_eq!(link.send(i, i + 1, 0.5), SendOutcome::Dropped);
         }
     }

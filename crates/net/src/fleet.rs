@@ -8,7 +8,7 @@
 //! The merged fleet trace and the oracle trace are reduced to
 //! [`TraceReport`]s and compared with [`veil_obs::diff_reports`]; the
 //! tolerance bands of [`DiffConfig`] absorb what may legitimately differ,
-//! which is purely latency discipline at the horizon: the sharded oracle
+//! which is purely latency discipline at the horizon: a lossy oracle
 //! quantizes deliveries to window boundaries, so exchanges it starts late
 //! never finish before the cutoff, while the real fleet completes them in
 //! milliseconds. Drop *fates* are not a source of slack — both sides key

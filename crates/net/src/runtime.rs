@@ -1,12 +1,14 @@
 //! The veil-node runtime: one overlay node per process, driving the
-//! existing `veil_core::protocol` shuffle logic over real non-blocking TCP.
+//! sans-IO exchange core of `veil_core::protocol` over real non-blocking
+//! TCP.
 //!
-//! The runtime mirrors the simulator's faulty-link executor step for step —
-//! same lazy pseudonym renewal, same uniform link pick, same
-//! build-response-before-absorbing-request Cyclon order, same
-//! exponential-backoff timeout and Cyclon-style eviction — so a merged
-//! fleet trace can be diffed against a simulated run of the same scenario
-//! (the oracle) with only latency-induced drift to tolerate:
+//! The runtime is the second driver of that core (the windowed simulator's
+//! shards are the first): the core decides what an exchange does next —
+//! build the offer, answer before absorbing, retry with doubled timeout,
+//! give up and evict — and this module only moves bytes, keeps deadlines on
+//! the wall clock, and counts. A merged fleet trace can therefore be
+//! diffed against a simulated run of the same scenario (the oracle) with
+//! only latency-induced drift to tolerate:
 //!
 //! - **Timer phases** come from [`veil_core::simulation::shuffle_phases`],
 //!   the exact `Stream::Scheduler` draws the simulator makes, so node `v`
@@ -16,13 +18,12 @@
 //!   logical time, reactive events at the current one. Events at
 //!   `t >= horizon` are not recorded, mirroring `run_until(horizon)`.
 //! - **Drop injection** goes through the same [`veil_core::transport`]
-//!   seam as the simulator's link layer — specifically the sharded
-//!   executor's stateless [`MessageLink`], whose per-message RNG is keyed
-//!   by `(seed, exchange, attempt, direction)`. Exchange ids follow the
-//!   sharded scheme `((node + 1) << 32) | seq` (pure in the initiator's
-//!   own history), so the fleet computes *the identical drop fate* for
-//!   the identical message as a sharded simulation of the scenario — the
-//!   lossy oracle comparison is tight, not merely statistical.
+//!   seam as the simulator's link layer: the stateless [`MessageLink`],
+//!   whose per-message RNG is keyed by `(seed, exchange, attempt,
+//!   direction)`. Exchange ids come from the shared core (pure in the
+//!   initiator's own history), so the fleet computes *the identical drop
+//!   fate* for the identical message as a simulation of the scenario —
+//!   the lossy oracle comparison is tight, not merely statistical.
 //! - **Pseudonyms** are minted by a keyed [`PseudonymService`], making ids
 //!   and bits a pure function of `(seed, owner, per-owner seq)` — no
 //!   cross-process mint counter needed.
@@ -41,9 +42,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use veil_core::node::{LinkTarget, Node};
-use veil_core::protocol;
-use veil_core::pseudonym::{Pseudonym, PseudonymArena, PseudonymId, PseudonymService};
+use veil_core::node::Node;
+use veil_core::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
+use veil_core::pseudonym::{Pseudonym, PseudonymArena, PseudonymService};
 use veil_core::simulation::shuffle_phases;
 use veil_core::transport::{MessageLink, SendOutcome, Transport};
 use veil_obs::{EventKind as Obs, Recorder};
@@ -101,20 +102,13 @@ pub struct NodeSummary {
     pub evictions: u64,
 }
 
-/// An in-flight exchange awaiting its response, mirroring the simulator's
-/// `PendingExchange`.
-struct Pending {
-    dest: u32,
-    target_pseudonym: Option<PseudonymId>,
-    trusted_link: bool,
-    offer: Vec<Pseudonym>,
-    sent_from_cache: Vec<PseudonymId>,
-    attempt: u32,
-    /// Logical time at which the current attempt times out.
+/// The transport's view of an exchange's current transmission.
+struct Flight {
+    /// Logical time at which the transmission times out.
     deadline: f64,
-    /// Wall-clock instant the current attempt's request went out, for the
-    /// telemetry RTT histogram. `None` when the attempt never hit the
-    /// wire (injected drop or dial failure).
+    /// Wall-clock instant the request went out, for the telemetry RTT
+    /// histogram. `None` when it never hit the wire (injected drop or dial
+    /// failure).
     sent_at: Option<Instant>,
 }
 
@@ -201,8 +195,10 @@ struct NodeRuntime {
     listener: std::net::TcpListener,
     inbound: Vec<Conn>,
     outbound: Vec<Outbound>,
-    pending: HashMap<u64, Pending>,
-    next_seq: u64,
+    /// The exchange core's pending state of this node's own exchanges…
+    exchanges: Exchanges,
+    /// …and the deadline of each one's current transmission.
+    flights: HashMap<u64, Flight>,
     summary: NodeSummary,
     /// Transport telemetry, when enabled. `None` costs one branch per
     /// hook; the protocol recorder above is never touched by it.
@@ -253,8 +249,8 @@ impl NodeRuntime {
             listener,
             inbound: Vec::new(),
             outbound: Vec::new(),
-            pending: HashMap::new(),
-            next_seq: 0,
+            exchanges: Exchanges::default(),
+            flights: HashMap::new(),
             summary: NodeSummary {
                 node: id,
                 ..NodeSummary::default()
@@ -283,8 +279,8 @@ impl NodeRuntime {
     }
 
     /// The drop decision for one transmission, through the same transport
-    /// seam the simulator's link layer implements: the sharded executor's
-    /// stateless per-message RNG, keyed by `(seed, exchange, attempt,
+    /// seam the simulator's link layer implements: the stateless
+    /// per-message RNG, keyed by `(seed, exchange, attempt,
     /// direction)`. Both ends of an exchange — and the oracle — derive
     /// the identical fate. The latency of a delivered message comes from
     /// the real network, so only the drop/deliver verdict is used.
@@ -334,16 +330,16 @@ impl NodeRuntime {
                     .map(|c| c.pending_output_bytes())
                     .chain(self.outbound.iter().map(|o| o.conn.pending_output_bytes()))
                     .sum();
-                tel.sample(now, queued, self.pending.len());
+                tel.sample(now, queued, self.flights.len());
                 tel.serve();
             }
             std::thread::sleep(POLL_SLEEP);
         }
     }
 
-    /// One shuffle round at scheduled logical time `s`, mirroring the
-    /// simulator's `faulty_shuffle` (and the ideal path, which with every
-    /// node permanently online picks from the identical link set).
+    /// One shuffle round at scheduled logical time `s`: the simulator's
+    /// tick preamble for a permanently online node (lazy renewal, purge),
+    /// a uniform link pick, then a tracked exchange.
     fn do_shuffle(&mut self, s: f64) {
         let now = SimTime::new(s);
         if self.node.needs_pseudonym(now) {
@@ -360,52 +356,27 @@ impl NodeRuntime {
         let Some(target) = self.node.pick_link(&self.arena, now, &mut self.proto_rng) else {
             return;
         };
-        let dest = target.resolve();
-        let trusted_link = target.is_trusted();
-        let target_pseudonym = match target {
-            LinkTarget::Pseudonym(p) => Some(p.id()),
-            LinkTarget::Trusted(_) => None,
-        };
-        self.summary.shuffles_started += 1;
-        self.emit(s, || Obs::ShuffleStart {
-            target: u64::from(dest),
-            trusted: trusted_link,
-        });
-        let offer = protocol::build_offer(
+        let request = self.exchanges.begin(
             &mut self.node,
             &self.arena,
+            target,
             self.shuffle_length,
             now,
             &mut self.proto_rng,
         );
-        // The sharded executor's exchange-id scheme: pure in the
-        // initiator's own history, so the oracle assigns the same ids.
-        let exchange = ((u64::from(self.id) + 1) << 32) | self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(
-            exchange,
-            Pending {
-                dest,
-                target_pseudonym,
-                trusted_link,
-                offer: offer.entries,
-                sent_from_cache: offer.sent_from_cache,
-                attempt: 0,
-                deadline: s + self.shuffle_timeout,
-                sent_at: None,
-            },
-        );
-        self.transmit(exchange, s);
+        self.summary.shuffles_started += 1;
+        self.emit(s, || Obs::ShuffleStart {
+            target: u64::from(request.dest),
+            trusted: request.trusted_link,
+        });
+        self.transmit(request, s);
     }
 
-    /// Sends (or resends) a pending exchange's request: drop injection
-    /// first, then a fresh connection with `Hello` + request pipelined.
-    fn transmit(&mut self, exchange: u64, t: f64) {
-        let (dest, trusted_link, offer, attempt) = {
-            let p = self.pending.get_mut(&exchange).expect("pending present");
-            p.sent_at = None;
-            (p.dest, p.trusted_link, p.offer.clone(), p.attempt)
-        };
+    /// Sends one transmission of a request at logical time `t` and arms
+    /// its deadline: drop injection first, then a fresh connection with
+    /// `Hello` + request pipelined.
+    fn transmit(&mut self, request: Request, t: f64) {
+        let (exchange, attempt, dest) = (request.exchange, request.attempt, request.dest);
         self.summary.requests_sent += 1;
         if let Some(tel) = self.tel.as_mut() {
             tel.count("net.requests_sent", 1);
@@ -413,94 +384,91 @@ impl NodeRuntime {
                 tel.count("net.reconnects", 1);
             }
         }
+        let mut sent_at = None;
         if self.drop_injected(exchange, attempt, false, self.id, dest, t) {
             self.summary.dropped_requests += 1;
             self.emit(t, || Obs::MessageDropped {
                 exchange,
                 response: false,
             });
-            return; // the armed timeout recovers
-        }
-        match dial(self.peers[dest as usize], dest) {
-            Ok(mut conn) => {
-                conn.queue(&hello(self.seed, self.id));
-                conn.queue(&WireMsg::ShuffleRequest {
-                    exchange,
-                    from: self.id,
-                    offer,
-                    trusted_link,
-                    attempt,
-                });
-                conn.flush();
-                self.pending
-                    .get_mut(&exchange)
-                    .expect("pending present")
-                    .sent_at = Some(Instant::now());
-                self.outbound.push(Outbound { conn, exchange });
-            }
-            Err(_) => {
-                // Indistinguishable from a lost message; the timeout
-                // retries. Not an injected drop, so no trace event.
-                self.summary.dial_failures += 1;
-                if let Some(tel) = self.tel.as_mut() {
-                    tel.count("net.dial_failures", 1);
-                }
+        } else if let Ok(mut conn) = dial(self.peers[dest as usize], dest) {
+            conn.queue(&hello(self.seed, self.id));
+            conn.queue(&WireMsg::ShuffleRequest {
+                exchange,
+                from: self.id,
+                offer: request.offer,
+                trusted_link: request.trusted_link,
+                attempt,
+            });
+            conn.flush();
+            sent_at = Some(Instant::now());
+            self.outbound.push(Outbound { conn, exchange });
+        } else {
+            // Indistinguishable from a lost message; the timeout
+            // retries. Not an injected drop, so no trace event.
+            self.summary.dial_failures += 1;
+            if let Some(tel) = self.tel.as_mut() {
+                tel.count("net.dial_failures", 1);
             }
         }
+        // Either way the deadline recovers; it runs from the scheduled
+        // instant, like the simulator's `schedule_in`.
+        let deadline = t + protocol::retry_backoff(self.shuffle_timeout, attempt);
+        self.flights.insert(exchange, Flight { deadline, sent_at });
     }
 
-    /// Fires due timeouts, mirroring the simulator's
-    /// `handle_shuffle_timeout`: retry within budget (doubling the
-    /// timeout), then fail and evict the unresponsive pseudonym. Only
-    /// deadlines before the horizon fire, like events popped by
-    /// `run_until`.
+    /// Fires due deadlines and lets the exchange core decide: retry, or
+    /// fail and evict. Only deadlines before the horizon fire, like events
+    /// popped by `run_until`.
     fn check_timeouts(&mut self, now: f64) {
         let mut due: Vec<(u64, f64)> = self
-            .pending
+            .flights
             .iter()
-            .filter(|(_, p)| p.deadline <= now && p.deadline < self.horizon)
-            .map(|(&e, p)| (e, p.deadline))
+            .filter(|(_, f)| f.deadline <= now && f.deadline < self.horizon)
+            .map(|(&e, f)| (e, f.deadline))
             .collect();
         // Deterministic firing order: by deadline, exchange id breaking
         // ties (the map's iteration order must not leak into the trace).
         due.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for (exchange, deadline) in due {
-            let attempt = self.pending[&exchange].attempt;
-            self.summary.shuffle_timeouts += 1;
-            self.emit(deadline, || Obs::ShuffleTimeout {
-                exchange,
-                attempt: u64::from(attempt),
-            });
+            self.flights.remove(&exchange);
             // The stale connection (if any) serves a dead attempt.
             for o in &mut self.outbound {
                 if o.exchange == exchange {
                     o.conn.closed = true;
                 }
             }
-            if attempt < self.retry_budget {
-                let p = self.pending.get_mut(&exchange).expect("present");
-                p.attempt += 1;
-                // Backoff doubles per attempt, measured from the timeout
-                // instant like the simulator's schedule_in.
-                p.deadline = deadline + self.shuffle_timeout * f64::from(1u32 << p.attempt.min(16));
-                self.summary.shuffle_retries += 1;
-                self.emit(deadline, || Obs::ShuffleRetry {
-                    exchange,
-                    attempt: u64::from(attempt) + 1,
-                });
-                self.transmit(exchange, deadline);
-            } else {
-                let p = self.pending.remove(&exchange).expect("present");
-                self.summary.shuffle_failures += 1;
-                self.emit(deadline, || Obs::ShuffleFailure { exchange });
-                if let Some(pid) = p.target_pseudonym {
-                    self.node.cache.remove(pid);
-                    self.node.sampler.evict(pid);
-                    self.summary.evictions += 1;
-                    self.emit(deadline, || Obs::PeerEvicted { pseudonym: pid.0 });
+            let budget = self.retry_budget;
+            match self.exchanges.on_timeout(exchange, &mut self.node, budget) {
+                TimeoutOutcome::Stale => {}
+                TimeoutOutcome::Retry { request } => {
+                    self.note_timeout(exchange, request.attempt - 1, deadline);
+                    self.summary.shuffle_retries += 1;
+                    self.emit(deadline, || Obs::ShuffleRetry {
+                        exchange,
+                        attempt: u64::from(request.attempt),
+                    });
+                    self.transmit(request, deadline);
+                }
+                TimeoutOutcome::Failed { attempt, evict } => {
+                    self.note_timeout(exchange, attempt, deadline);
+                    self.summary.shuffle_failures += 1;
+                    self.emit(deadline, || Obs::ShuffleFailure { exchange });
+                    if let Some(pid) = evict {
+                        self.summary.evictions += 1;
+                        self.emit(deadline, || Obs::PeerEvicted { pseudonym: pid.0 });
+                    }
                 }
             }
         }
+    }
+
+    fn note_timeout(&mut self, exchange: u64, attempt: u32, deadline: f64) {
+        self.summary.shuffle_timeouts += 1;
+        self.emit(deadline, || Obs::ShuffleTimeout {
+            exchange,
+            attempt: u64::from(attempt),
+        });
     }
 
     fn poll_io(&mut self, now: f64) {
@@ -606,22 +574,12 @@ impl NodeRuntime {
         else {
             return; // ignore protocol misuse after the handshake
         };
-        // Responder semantics, same order as the simulator: build the
-        // response offer *before* absorbing the request (Cyclon).
-        let now_st = SimTime::new(now);
-        let response = protocol::build_offer(
-            &mut self.node,
-            &self.arena,
-            self.shuffle_length,
-            now_st,
-            &mut self.proto_rng,
-        );
-        protocol::receive_offer(
+        let response = protocol::respond(
             &mut self.node,
             &mut self.arena,
             &offer,
-            &response.sent_from_cache,
-            now_st,
+            self.shuffle_length,
+            SimTime::new(now),
             &mut self.proto_rng,
         );
         self.summary.responses_sent += 1;
@@ -630,7 +588,7 @@ impl NodeRuntime {
         }
         // The response leg is subject to the same injected loss, keyed by
         // the attempt it answers (a duplicate answer to a retransmission
-        // draws its own stream, like the sharded executor's).
+        // draws its own stream, like the simulator's).
         if self.drop_injected(exchange, attempt, true, self.id, from, now) {
             self.summary.dropped_requests += 1;
             self.emit(now, || Obs::MessageDropped {
@@ -642,29 +600,29 @@ impl NodeRuntime {
         let resp = WireMsg::ShuffleResponse {
             exchange,
             from: self.id,
-            offer: response.entries,
+            offer: response,
         };
         self.inbound[conn_idx].queue(&resp);
     }
 
-    /// The response arrived: merge it and complete the exchange (a
-    /// duplicate answer to an already-resolved exchange is ignored, like
-    /// the simulator's stale `DeliverResponse`).
+    /// The response arrived: the core merges it and completes the exchange
+    /// (a duplicate answer to an already-resolved exchange is stale).
     fn complete_exchange(&mut self, exchange: u64, offer: &[Pseudonym], now: f64) {
-        let Some(p) = self.pending.remove(&exchange) else {
-            return;
-        };
-        protocol::receive_offer(
+        let outcome = self.exchanges.on_response(
+            exchange,
             &mut self.node,
             &mut self.arena,
             offer,
-            &p.sent_from_cache,
             SimTime::new(now),
             &mut self.proto_rng,
         );
+        if outcome == ResponseOutcome::Stale {
+            return;
+        }
+        let flight = self.flights.remove(&exchange);
         self.summary.shuffles_completed += 1;
         self.emit(now, || Obs::ShuffleComplete { exchange });
-        if let (Some(tel), Some(sent)) = (self.tel.as_mut(), p.sent_at) {
+        if let (Some(tel), Some(sent)) = (self.tel.as_mut(), flight.and_then(|f| f.sent_at)) {
             tel.observe_rtt(sent.elapsed().as_micros() as u64);
         }
     }

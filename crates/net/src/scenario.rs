@@ -36,19 +36,15 @@ pub struct NetScenario {
 impl NetScenario {
     /// The overlay configuration the processes and the oracle share:
     /// paper defaults, with the link layer carrying the scenario's loss.
-    ///
-    /// Lossy scenarios run the oracle on the sharded executor
-    /// (`shards = 1`): only that executor derives message fates statelessly
-    /// via [`veil_core::transport::MessageLink`], which is the scheme the
-    /// real processes use — so fleet and oracle draw *identical* drop
-    /// fates and the comparison stays tight rather than statistical.
+    /// A lossy oracle derives message fates statelessly via
+    /// [`veil_core::transport::MessageLink`] — the scheme the real
+    /// processes use — so fleet and oracle draw *identical* drop fates.
     pub fn overlay(&self) -> OverlayConfig {
         OverlayConfig {
             link: match self.fault() {
                 Some(fc) => LinkLayerConfig::Faulty(fc),
                 None => LinkLayerConfig::Ideal,
             },
-            shards: if self.loss > 0.0 { Some(1) } else { None },
             ..OverlayConfig::default()
         }
     }
@@ -145,10 +141,9 @@ mod tests {
         };
         assert!(lossy.fault().is_some());
         assert!(matches!(lossy.overlay().link, LinkLayerConfig::Faulty(_)));
-        // Lossy oracles run sharded so drop fates are derived statelessly,
-        // exactly like the real processes; lossless runs stay sequential.
+        // The link regime alone picks the oracle's executor.
         assert_eq!(sc.overlay().shards, None);
-        assert_eq!(lossy.overlay().shards, Some(1));
+        assert_eq!(lossy.overlay().shards, None);
     }
 
     #[test]

@@ -188,18 +188,19 @@ mod tests {
 
     #[test]
     fn messages_round_trip_through_frames() {
+        let exchange = veil_core::protocol::exchange_id(3, 1);
         let msgs = [
             hello(42, 3),
             WireMsg::HelloAck { node: 7 },
             WireMsg::ShuffleRequest {
-                exchange: (4u64 << 32) | 1,
+                exchange,
                 from: 3,
                 offer: vec![],
                 trusted_link: true,
                 attempt: 0,
             },
             WireMsg::ShuffleResponse {
-                exchange: (4u64 << 32) | 1,
+                exchange,
                 from: 7,
                 offer: vec![],
             },

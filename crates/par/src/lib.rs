@@ -43,13 +43,13 @@ pub fn env_parallelism() -> Option<usize> {
     }
 }
 
-/// Reads the `VEIL_SHARDS` environment knob for the sharded simulation
-/// executor.
+/// Reads the `VEIL_SHARDS` environment knob: how many shards the windowed
+/// simulation executor partitions the nodes into.
 ///
-/// `0` or unset → `None` (sequential executor); `s > 0` → `Some(s)`.
-/// Unlike `VEIL_PARALLELISM`, this knob *selects an executor*: sharded
-/// runs use a window-quantized delivery schedule whose results differ
-/// from the sequential executor's (but are identical for every `s`).
+/// `0` or unset → `None` (one shard); `s > 0` → `Some(s)`. Like
+/// `VEIL_PARALLELISM` this is a layout knob that never changes results:
+/// the link regime alone decides which executor runs, and the windowed
+/// one is identical for every `s`.
 #[must_use]
 pub fn env_shards() -> Option<usize> {
     match std::env::var("VEIL_SHARDS") {

@@ -34,6 +34,20 @@ fn params(seed: u64, parallelism: Option<usize>) -> ExperimentParams {
     p
 }
 
+/// Builds a simulation while no concurrently running test has a global
+/// recorder installed: construction adopts whatever `veil_obs::global()`
+/// returns at that instant, and would otherwise write its t = 0 events
+/// into the other test's trace.
+fn build_isolated(
+    trust: veil_graph::Graph,
+    p: &ExperimentParams,
+) -> veil_core::simulation::Simulation {
+    let _guard = GLOBAL_RECORDER_LOCK
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    build_simulation(trust, p, 0.5).expect("simulation")
+}
+
 /// Runs one simulation under `recorder` and returns the serialized final
 /// snapshot — the byte-identity witness.
 fn witness(seed: u64, recorder: Recorder) -> String {
@@ -45,7 +59,7 @@ fn witness_health(seed: u64, recorder: Recorder, health: bool) -> String {
     let mut p = params(seed, Some(1));
     p.overlay.health.enabled = health;
     let trust = build_trust_graph(&p).expect("trust graph");
-    let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+    let mut sim = build_isolated(trust, &p);
     sim.set_recorder(recorder);
     sim.run_until(40.0);
     serde_json::to_string(&snapshot(&sim)).expect("snapshot serializes")
@@ -92,7 +106,7 @@ fn recorder_free_monitor_counts_alerts_without_perturbing_the_run() {
         let mut p = params(11, Some(1));
         p.overlay.health.enabled = health;
         let trust = build_trust_graph(&p).expect("trust graph");
-        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+        let mut sim = build_isolated(trust, &p);
         sim.run_until(40.0);
         let alerts = sim.health_alerts();
         (

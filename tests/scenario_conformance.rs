@@ -3,7 +3,7 @@
 //! Every committed scenario must parse, validate, lower onto a config
 //! that `OverlayConfig::validate` accepts, round-trip through canonical
 //! TOML, and run *deterministically*: identical outcomes and traces on
-//! repeat, identical sharded results for every shard count ≥ 1, and
+//! repeat, identical results whatever the shard count (unset included), and
 //! byte-identical campaign reports whether the sweep ran serially or in
 //! parallel. For `blackout_recovery` — which mirrors a config that can be
 //! written by hand — the lowered parameters and the whole run (snapshot,
@@ -103,38 +103,40 @@ fn every_committed_scenario_runs_deterministically() {
 
 #[test]
 fn sharded_runs_are_shard_count_invariant() {
-    // The sharded executor's reference is S = 1; every S >= 1 must agree
-    // with it bit-for-bit (sequential runs are a different, also
-    // deterministic, schedule — see DESIGN.md §9).
+    // `shards` is a layout knob: unset (the `-` column of a campaign
+    // report), one or eight, every committed scenario — lossy, latent or
+    // ideal — must produce the S = 1 run bit-for-bit.
     for (path, s) in library() {
         for seed in [s.seed, s.seed + 1] {
-            let run = |shards: usize| {
+            let run = |shards: Option<usize>| {
                 run_scenario_with(
                     &s,
                     RunOverrides {
                         seed: Some(seed),
-                        shards: Some(shards),
+                        shards,
                     },
                     eval(),
                 )
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
             };
-            let one = run(1);
-            let eight = run(8);
-            assert_eq!(
-                one.trace_jsonl,
-                eight.trace_jsonl,
-                "{} seed {seed}: shard count changed the trace",
-                path.display()
-            );
-            let mut eight_outcome = eight.outcome.clone();
-            eight_outcome.shards = one.outcome.shards; // the only allowed difference
-            assert_eq!(
-                one.outcome,
-                eight_outcome,
-                "{} seed {seed}: shard count changed the outcome",
-                path.display()
-            );
+            let one = run(Some(1));
+            for shards in [None, Some(8)] {
+                let got = run(shards);
+                assert_eq!(
+                    one.trace_jsonl,
+                    got.trace_jsonl,
+                    "{} seed {seed}: shards {shards:?} changed the trace",
+                    path.display()
+                );
+                let mut outcome = got.outcome.clone();
+                outcome.shards = one.outcome.shards; // the only allowed difference
+                assert_eq!(
+                    one.outcome,
+                    outcome,
+                    "{} seed {seed}: shards {shards:?} changed the outcome",
+                    path.display()
+                );
+            }
         }
     }
 }
