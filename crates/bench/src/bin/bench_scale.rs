@@ -8,8 +8,8 @@
 //! CI gates on this binary: `--min-events-per-sec F` and
 //! `--max-bytes-per-node F` turn the measured numbers into assertions
 //! (exit code 1 on violation), so a regression in the flat data layout or
-//! the calendar-queue engine fails the `scale-smoke` job instead of
-//! silently shipping. `VEIL_SCALE` divides every size for smoke runs.
+//! the event queue fails the `scale-smoke` job instead of silently
+//! shipping. `VEIL_SCALE` divides every size for smoke runs.
 
 use serde::Serialize;
 use veil_bench::scale::{measure_scale_point, ScalePoint};

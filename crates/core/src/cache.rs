@@ -13,10 +13,11 @@
 //! [`PseudonymHandle`]s into the executor's shared [`PseudonymArena`]
 //! instead of 48-byte [`Pseudonym`] values, with the expiry time mirrored
 //! inline (`expires`, `f64::INFINITY` = never) so the per-shuffle expiry
-//! sweep scans one contiguous array and never dereferences the arena. The
-//! id index is a sorted parallel pair of `Vec`s (binary search) replacing
-//! the former `HashMap<PseudonymId, usize>`. At the default capacity of
-//! 400 this is ~24 bytes per entry instead of ~65, all of it lazily grown.
+//! sweep scans one contiguous array and never dereferences the arena. A
+//! third parallel column, `ids`, answers membership by a linear scan of at
+//! most `capacity` `u64`s; there is no separate index to keep in step.
+//! That is 20 bytes per entry (handle 4 + expiry 8 + id 8) instead of the
+//! ~65 of a `Vec<Pseudonym>` plus `HashMap`, all of it lazily grown.
 
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
 use rand::seq::SliceRandom;
@@ -43,15 +44,14 @@ use veil_sim::SimTime;
 #[derive(Debug, Clone)]
 pub struct Cache {
     capacity: usize,
-    /// Arena handles in legacy entry order (inserts append, removals
-    /// swap-remove) — the order the random-eviction RNG indexes into.
+    /// Arena handles in entry order (inserts append, removals
+    /// swap-remove) — the order the random-eviction RNG indexes into, and
+    /// so the one piece of layout a run can observe.
     entries: Vec<PseudonymHandle>,
     /// Expiry instant per entry, parallel to `entries`; `INFINITY` = never.
     expires: Vec<f64>,
-    /// Sorted instance ids with their entry positions (parallel vectors):
-    /// the flat replacement for the old `HashMap<PseudonymId, usize>`.
-    index_ids: Vec<PseudonymId>,
-    index_pos: Vec<u32>,
+    /// Instance id per entry, parallel to `entries`.
+    ids: Vec<PseudonymId>,
     /// Reusable shuffle-pick buffer for [`Cache::select_offer`].
     offer_scratch: Vec<u32>,
     /// Reusable just-sent eviction pool for [`Cache::absorb`].
@@ -72,8 +72,7 @@ impl Cache {
             capacity,
             entries: Vec::new(),
             expires: Vec::new(),
-            index_ids: Vec::new(),
-            index_pos: Vec::new(),
+            ids: Vec::new(),
             offer_scratch: Vec::new(),
             sent_scratch: Vec::new(),
         }
@@ -96,7 +95,7 @@ impl Cache {
 
     /// Whether a pseudonym with this id is cached.
     pub fn contains(&self, id: PseudonymId) -> bool {
-        self.index_ids.binary_search(&id).is_ok()
+        self.ids.contains(&id)
     }
 
     /// The cached entries as arena handles, in unspecified order.
@@ -114,57 +113,24 @@ impl Cache {
     pub fn approx_heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<PseudonymHandle>()
             + self.expires.capacity() * std::mem::size_of::<f64>()
-            + self.index_ids.capacity() * std::mem::size_of::<PseudonymId>()
-            + self.index_pos.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<PseudonymId>()
             + self.offer_scratch.capacity() * std::mem::size_of::<u32>()
             + self.sent_scratch.capacity() * std::mem::size_of::<PseudonymId>()
     }
 
-    /// Position of `id` in the sorted index, if present.
-    fn index_of(&self, id: PseudonymId) -> Option<usize> {
-        self.index_ids.binary_search(&id).ok()
-    }
-
-    fn index_insert(&mut self, id: PseudonymId, pos: usize) {
-        let i = self
-            .index_ids
-            .binary_search(&id)
-            .expect_err("inserting an id already present");
-        self.index_ids.insert(i, id);
-        self.index_pos.insert(i, pos as u32);
-    }
-
-    /// Removes the entry at `pos`, preserving the legacy swap-remove
-    /// semantics (the last entry moves into `pos`).
+    /// Removes the entry at `pos` from all three columns by swap-remove
+    /// (the last entry moves into `pos`).
     fn remove_at(&mut self, pos: usize) {
-        let moved_from = self.entries.len() - 1;
         self.entries.swap_remove(pos);
         self.expires.swap_remove(pos);
-        // Drop `pos` from the index and redirect the moved entry. The
-        // scans are over a flat u32 array, bounded by the cache capacity.
-        let i = self
-            .index_pos
-            .iter()
-            .position(|&p| p as usize == pos)
-            .expect("entry position must be indexed");
-        self.index_ids.remove(i);
-        self.index_pos.remove(i);
-        if pos < self.entries.len() {
-            let j = self
-                .index_pos
-                .iter()
-                .position(|&p| p as usize == moved_from)
-                .expect("moved position must be indexed");
-            self.index_pos[j] = pos as u32;
-        }
+        self.ids.swap_remove(pos);
     }
 
     /// Removes the pseudonym with the given id; returns whether it was
     /// present.
     pub fn remove(&mut self, id: PseudonymId) -> bool {
-        match self.index_of(id) {
-            Some(i) => {
-                let pos = self.index_pos[i] as usize;
+        match self.ids.iter().position(|&i| i == id) {
+            Some(pos) => {
                 self.remove_at(pos);
                 true
             }
@@ -192,8 +158,9 @@ impl Cache {
 
     fn push_entry(&mut self, arena: &mut PseudonymArena, p: Pseudonym) {
         let h = arena.intern(p);
-        self.index_insert(p.id(), self.entries.len());
+        debug_assert!(!self.contains(p.id()), "inserting an id already present");
         self.entries.push(h);
+        self.ids.push(p.id());
         self.expires
             .push(p.expires().map_or(f64::INFINITY, |e| e.as_f64()));
     }

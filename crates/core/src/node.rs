@@ -103,9 +103,6 @@ pub struct Node {
     /// How many tracked exchanges the node has begun; the next one's id is
     /// [`crate::protocol::exchange_id`]`(id, exchange_seq)`.
     pub(crate) exchange_seq: u64,
-    /// Reusable buffer for [`Node::pick_link`], so the per-shuffle uniform
-    /// pick does not allocate a fresh link vector.
-    links_scratch: Vec<LinkTarget>,
 }
 
 impl Node {
@@ -138,7 +135,6 @@ impl Node {
             throttle_until: f64::NEG_INFINITY,
             stats: NodeStats::default(),
             exchange_seq: 0,
-            links_scratch: Vec::new(),
         }
     }
 
@@ -195,44 +191,55 @@ impl Node {
     /// The node's overlay links: trusted links plus the sampled pseudonym
     /// links valid at `now` (`n.links` in the paper).
     pub fn links(&self, arena: &PseudonymArena, now: SimTime) -> Vec<LinkTarget> {
-        let mut out = Vec::new();
-        self.links_into(arena, now, &mut out);
-        out
+        self.links_iter(arena, now).collect()
     }
 
-    /// Appends the node's overlay links to `out` — the allocation-free form
-    /// of [`Node::links`] used on per-shuffle paths with a reused buffer.
-    pub fn links_into(&self, arena: &PseudonymArena, now: SimTime, out: &mut Vec<LinkTarget>) {
-        out.extend(self.trusted.iter().map(|&t| LinkTarget::Trusted(t)));
-        // Sampler links resolve through the arena in sorted-id order, the
-        // same order the old owned-Pseudonym storage produced.
-        out.extend(
-            self.sampler
-                .links_iter(arena)
-                .filter(|p| p.is_valid(now))
+    /// [`Node::links`] without the allocation, in the one canonical order:
+    /// trusted neighbours, then the sampler's valid links by ascending
+    /// pseudonym id.
+    pub fn links_iter<'a>(
+        &'a self,
+        arena: &'a PseudonymArena,
+        now: SimTime,
+    ) -> impl Iterator<Item = LinkTarget> + 'a {
+        let trusted = self.trusted.iter().map(|&t| LinkTarget::Trusted(t));
+        let sampled = self.sampler.links_iter(arena);
+        trusted.chain(
+            sampled
+                .filter(move |p| p.is_valid(now))
                 .map(LinkTarget::Pseudonym),
-        );
+        )
     }
 
     /// Picks one link uniformly at random ("periodically, n selects a link
     /// from n.links uniformly at random"); `None` when the node has no
     /// links at all.
     pub fn pick_link<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         arena: &PseudonymArena,
         now: SimTime,
         rng: &mut R,
     ) -> Option<LinkTarget> {
-        let mut links = std::mem::take(&mut self.links_scratch);
-        links.clear();
-        self.links_into(arena, now, &mut links);
-        let picked = if links.is_empty() {
-            None
-        } else {
-            Some(links[rng.gen_range(0..links.len())])
-        };
-        self.links_scratch = links;
-        picked
+        self.pick_link_where(arena, now, rng, |_| true)
+    }
+
+    /// [`Node::pick_link`] restricted to links whose endpoint `accept`s —
+    /// the `skip_offline_peers` pick, with the executor's deliverability
+    /// oracle as `accept`. Two passes over the links (count, then take the
+    /// drawn one) instead of a buffer: link order is kept and the RNG is
+    /// drawn from exactly once, and only when some link qualifies.
+    pub fn pick_link_where<R: Rng + ?Sized>(
+        &self,
+        arena: &PseudonymArena,
+        now: SimTime,
+        rng: &mut R,
+        accept: impl Fn(u32) -> bool,
+    ) -> Option<LinkTarget> {
+        let accepted = || self.links_iter(arena, now).filter(|l| accept(l.resolve()));
+        match accepted().count() {
+            0 => None,
+            n => accepted().nth(rng.gen_range(0..n)),
+        }
     }
 
     /// Current overlay out-degree: trusted links plus distinct pseudonym
@@ -247,7 +254,6 @@ impl Node {
         self.trusted.capacity() * std::mem::size_of::<u32>()
             + self.cache.approx_heap_bytes()
             + self.sampler.approx_heap_bytes()
-            + self.links_scratch.capacity() * std::mem::size_of::<LinkTarget>()
     }
 }
 
@@ -327,7 +333,7 @@ mod tests {
 
     #[test]
     fn pick_link_none_when_isolated() {
-        let mut node = make_node(0, vec![]);
+        let node = make_node(0, vec![]);
         let arena = PseudonymArena::new();
         let mut rng = StdRng::seed_from_u64(5);
         assert!(node.pick_link(&arena, SimTime::ZERO, &mut rng).is_none());
@@ -335,7 +341,7 @@ mod tests {
 
     #[test]
     fn pick_link_uniform_over_links() {
-        let mut node = make_node(0, vec![1, 2, 3, 4]);
+        let node = make_node(0, vec![1, 2, 3, 4]);
         let arena = PseudonymArena::new();
         let mut rng = StdRng::seed_from_u64(6);
         let mut counts = [0u32; 5];
@@ -347,6 +353,23 @@ mod tests {
         for &c in &counts[1..] {
             assert!((800..1200).contains(&c), "counts {counts:?}");
         }
+    }
+
+    #[test]
+    fn pick_link_where_filters_and_draws_only_when_a_link_qualifies() {
+        let node = make_node(0, vec![1, 2, 3, 4]);
+        let arena = PseudonymArena::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let picked = node.pick_link_where(&arena, SimTime::ZERO, &mut rng, |u| u != 3);
+            assert!(matches!(picked, Some(LinkTarget::Trusted(1 | 2 | 4))));
+        }
+        // No qualifying link: `None`, and the RNG stream is untouched (the
+        // executors' byte-identity depends on exactly one draw per pick).
+        let mut untouched = rng.clone();
+        let none = node.pick_link_where(&arena, SimTime::ZERO, &mut rng, |_| false);
+        assert!(none.is_none());
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>());
     }
 
     #[test]

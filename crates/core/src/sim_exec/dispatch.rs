@@ -11,7 +11,6 @@
 
 use crate::protocol;
 use crate::simulation::Simulation;
-use rand::Rng;
 use veil_obs::EventKind as Obs;
 use veil_sim::SimTime;
 
@@ -132,26 +131,17 @@ impl Simulation {
         if !tick.initiate {
             return;
         }
-        let target = if self.cfg.skip_offline_peers {
-            // The ideal link layer reports deliverability, so the node
-            // shuffles with a uniformly random *online* link (this is what
-            // makes the paper's request/response count come out at exactly
-            // two messages per period).
-            let links = self.cells[v].node.links(&self.arena, now);
-            let online: Vec<_> = links
-                .into_iter()
-                .filter(|l| self.cells[l.resolve() as usize].churn.is_online())
-                .collect();
-            if online.is_empty() {
-                None
-            } else {
-                let rng = &mut self.cells[v].proto_rng;
-                Some(online[rng.gen_range(0..online.len())])
-            }
-        } else {
-            let cell = &mut self.cells[v];
-            cell.node.pick_link(&self.arena, now, &mut cell.proto_rng)
-        };
+        // The ideal link layer reports deliverability, so by default
+        // (`skip_offline_peers`) the node shuffles with a uniformly random
+        // *online* link — this is what makes the paper's request/response
+        // count come out at exactly two messages per period.
+        let mut rng = self.cells[v].proto_rng.clone();
+        let target = self.cells[v]
+            .node
+            .pick_link_where(&self.arena, now, &mut rng, |u| {
+                !self.cfg.skip_offline_peers || self.cells[u as usize].churn.is_online()
+            });
+        self.cells[v].proto_rng = rng;
         let Some(target) = target else {
             return;
         };

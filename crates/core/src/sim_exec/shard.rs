@@ -29,7 +29,6 @@ use crate::config::OverlayConfig;
 use crate::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
 use crate::pseudonym::{PseudonymArena, PseudonymService};
 use crate::transport::{MessageLink, Transport};
-use rand::Rng;
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::engine::Engine;
 use veil_sim::fault::FaultConfig;
@@ -251,20 +250,10 @@ impl Shard {
     /// snapshot; nothing is lost in flight, so the exchange carries no id,
     /// pending state or timeout.
     fn begin_lossless(&mut self, now: SimTime, v: u32, cell: &mut NodeCell, ctx: &WindowCtx<'_>) {
-        let target = if ctx.cfg.skip_offline_peers {
-            let links = cell.node.links(&self.arena, now);
-            let online: Vec<_> = links
-                .into_iter()
-                .filter(|l| ctx.online[l.resolve() as usize])
-                .collect();
-            if online.is_empty() {
-                None
-            } else {
-                Some(online[cell.proto_rng.gen_range(0..online.len())])
-            }
-        } else {
-            cell.node.pick_link(&self.arena, now, &mut cell.proto_rng)
-        };
+        let accept = |u: u32| !ctx.cfg.skip_offline_peers || ctx.online[u as usize];
+        let target = cell
+            .node
+            .pick_link_where(&self.arena, now, &mut cell.proto_rng, accept);
         let Some(target) = target else {
             return;
         };

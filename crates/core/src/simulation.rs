@@ -621,24 +621,11 @@ impl Simulation {
     /// separately ("overlay links to nodes that go offline are not
     /// removed"; they become operational again on rejoin).
     pub fn overlay_graph(&self) -> Graph {
-        let now = self.current_time;
         let mut g = Graph::new(self.cells.len());
         for (a, b) in self.trust.edges() {
             g.add_edge(a, b).expect("trust edge in range");
         }
-        let mut links = Vec::new();
-        for (v, cell) in self.cells.iter().enumerate() {
-            links.clear();
-            cell.node.links_into(self.arena_of(v), now, &mut links);
-            for link in &links {
-                if let LinkTarget::Pseudonym(p) = link {
-                    let owner = p.owner() as usize;
-                    if owner != v {
-                        let _ = g.add_edge(v, owner).expect("pseudonym edge in range");
-                    }
-                }
-            }
-        }
+        self.add_pseudonym_edges(&mut g);
         g
     }
 
@@ -656,13 +643,16 @@ impl Simulation {
     /// while pseudonym edges must be re-gossiped (or re-bootstrapped by the
     /// remediation engine) before a node is reachable anonymously again.
     pub fn pseudonym_graph(&self) -> Graph {
-        let now = self.current_time;
         let mut g = Graph::new(self.cells.len());
-        let mut links = Vec::new();
+        self.add_pseudonym_edges(&mut g);
+        g
+    }
+
+    /// Adds an edge `{v, owner}` for every valid pseudonym link `v` holds.
+    fn add_pseudonym_edges(&self, g: &mut Graph) {
+        let now = self.current_time;
         for (v, cell) in self.cells.iter().enumerate() {
-            links.clear();
-            cell.node.links_into(self.arena_of(v), now, &mut links);
-            for link in &links {
+            for link in cell.node.links_iter(self.arena_of(v), now) {
                 if let LinkTarget::Pseudonym(p) = link {
                     let owner = p.owner() as usize;
                     if owner != v {
@@ -671,7 +661,6 @@ impl Simulation {
                 }
             }
         }
-        g
     }
 }
 

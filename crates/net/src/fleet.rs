@@ -330,15 +330,15 @@ fn unix_now_ms() -> u64 {
 
 /// Runs the simulator oracle for `sc` and returns its JSONL trace.
 ///
-/// The recorder is installed globally around construction so the t = 0
-/// pseudonym mints (emitted inside `Simulation::new`) are captured, same
-/// as the CLI's `simulate` command does.
+/// The recorder is installed globally (under the scenario runner's gate,
+/// so concurrent oracles cannot cross-wire) around construction so the
+/// t = 0 pseudonym mints (emitted inside `Simulation::new`) are captured.
 pub fn oracle_trace(sc: &NetScenario) -> Result<String, String> {
     let rec = Recorder::full();
-    let prev = veil_obs::install_global(rec.clone());
-    let sim = Simulation::new(sc.trust_graph(), sc.overlay(), sc.churn(), sc.seed);
-    veil_obs::install_global(prev);
-    let mut sim = sim.map_err(|e| format!("oracle: {e}"))?;
+    let mut sim = veil_core::scenario::with_global_recorder(&rec, || {
+        Simulation::new(sc.trust_graph(), sc.overlay(), sc.churn(), sc.seed)
+    })
+    .map_err(|e| format!("oracle: {e}"))?;
     sim.set_recorder(rec.clone());
     sim.run_until(sc.horizon);
     Ok(rec.events_jsonl())

@@ -1,17 +1,13 @@
 //! Monotonic discrete-event queue.
 //!
-//! The engine is a *bucketed calendar queue*: pending events live in an
-//! array of fixed-width time buckets, and only the bucket currently being
-//! drained is kept sorted. Compared to the `BinaryHeap` it replaced, each
-//! `schedule_at` is an amortized O(1) `Vec::push` (no per-event sift-up)
-//! and each bucket is sorted exactly once when the clock reaches it, which
-//! keeps the hot loop cache-friendly at millions of pending events. The
-//! observable contract — time order with FIFO ties — is identical; see the
-//! [FIFO guarantee](Engine#fifo-guarantee) and the model-equivalence
-//! property test in `tests/properties.rs`.
+//! The engine is a binary min-heap keyed by `(time, seq)`, where `seq` is
+//! the insertion counter: time order with FIFO ties is the whole contract
+//! (see the [FIFO guarantee](Engine#fifo-guarantee)), and it is pinned
+//! against an independent sorted-scan model in `tests/properties.rs`.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One scheduled entry: ordered by time, then by insertion sequence so that
 /// simultaneous events run in FIFO order (deterministic replay).
@@ -21,33 +17,29 @@ struct Scheduled<E> {
     event: E,
 }
 
-impl<E> Scheduled<E> {
-    /// Total order key: earliest time first, FIFO among equal times.
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-/// Buckets per simulated time unit. A width of 1/8 period keeps buckets
-/// well below the sharded executor's 0.5-period window, so cross-window
-/// messages always land in a bucket *after* the one being drained. Window
-/// boundaries (multiples of 0.5) fall exactly on bucket boundaries.
-const BUCKETS_PER_UNIT: f64 = 8.0;
+impl<E> Eq for Scheduled<E> {}
 
-/// Maximum number of buckets held in the calendar array (2048 time units).
-/// Events farther out (e.g. exponential-backoff retries) go to the
-/// unordered overflow list and are folded back in when the calendar
-/// catches up; they cost O(overflow) once per fold, not per event.
-const SPAN_CAP: usize = 1 << 14;
-
-/// Maps a time to its bucket index. Only *monotonicity* matters for
-/// correctness (equal times must share a bucket, later times must never
-/// map earlier); the `as` cast saturates at both ends, which preserves it.
-fn bucket_of(time: SimTime) -> u64 {
-    (time.as_f64() * BUCKETS_PER_UNIT) as u64
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// Discrete-event engine: a calendar queue of `(time, event)` pairs plus a
+impl<E> Ord for Scheduled<E> {
+    /// Reversed `(time, seq)`, so `BinaryHeap` (a max-heap) pops the
+    /// earliest time first, FIFO among equal times.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+/// Discrete-event engine: a priority queue of `(time, event)` pairs plus a
 /// monotonic clock.
 ///
 /// Events at equal times are delivered in scheduling order. Scheduling into
@@ -65,17 +57,11 @@ fn bucket_of(time: SimTime) -> u64 {
 /// destination engine in a canonical `(time, src, seq)` order, and the FIFO
 /// tie-break is what turns that injection order into a deterministic
 /// delivery order for equal-time messages. Changing the tie-break silently
-/// changes every sharded trace. The guarantee is pinned by the
-/// `equal_time_keys_pop_in_insertion_order` and
-/// `calendar_queue_matches_binary_heap_model` property tests in
+/// changes every sharded trace. It holds because the insertion sequence
+/// number is part of the heap key, so no two entries ever compare equal.
+/// The guarantee is pinned by the `equal_time_keys_pop_in_insertion_order`
+/// and `engine_matches_sorted_model` property tests in
 /// `tests/properties.rs`.
-///
-/// Why the calendar layout preserves it: equal times always share a bucket
-/// (the bucket map is a monotone function of time), every bucket is sorted
-/// by `(time, seq)` before it is drained, and an insertion into the bucket
-/// currently being drained carries a sequence number strictly greater than
-/// every entry already there — so the sorted insert can never place it
-/// before an equal-time predecessor.
 ///
 /// # Examples
 ///
@@ -91,21 +77,7 @@ fn bucket_of(time: SimTime) -> u64 {
 /// ```
 #[derive(Default)]
 pub struct Engine<E> {
-    /// Calendar array: `buckets[i]` holds events whose bucket index is
-    /// `base + i`. The front bucket is the one being drained; it is kept
-    /// sorted *descending* by `(time, seq)` so the next event pops in O(1)
-    /// off the tail. Later buckets are unsorted append logs.
-    buckets: VecDeque<Vec<Scheduled<E>>>,
-    /// Bucket index of `buckets[0]`.
-    base: u64,
-    /// Whether the front bucket is sorted (invariant outside method calls:
-    /// the front bucket, when present, is non-empty and sorted).
-    front_sorted: bool,
-    /// Events beyond the calendar span, unordered.
-    overflow: Vec<Scheduled<E>>,
-    /// Smallest bucket index present in `overflow` (`u64::MAX` when empty).
-    overflow_min: u64,
-    len: usize,
+    heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     seq: u64,
     processed: u64,
@@ -116,12 +88,7 @@ impl<E> Engine<E> {
     /// Creates an empty engine with the clock at zero.
     pub fn new() -> Self {
         Self {
-            buckets: VecDeque::new(),
-            base: 0,
-            front_sorted: false,
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            len: 0,
+            heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
@@ -136,7 +103,7 @@ impl<E> Engine<E> {
 
     /// Number of events waiting in the queue.
     pub fn pending(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Total number of events delivered so far.
@@ -152,16 +119,13 @@ impl<E> Engine<E> {
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Approximate heap footprint of the queue structure itself in bytes
-    /// (buckets, entries and overflow; not the events' own heap data).
+    /// (the entry slots; not the events' own heap data).
     pub fn approx_heap_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<Scheduled<E>>();
-        let spine = self.buckets.capacity() * std::mem::size_of::<Vec<Scheduled<E>>>();
-        let slots: usize = self.buckets.iter().map(Vec::capacity).sum();
-        spine + (slots + self.overflow.capacity()) * entry
+        self.heap.capacity() * std::mem::size_of::<Scheduled<E>>()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -179,48 +143,13 @@ impl<E> Engine<E> {
             "cannot schedule into the past: {time} < {now}",
             now = self.now
         );
-        let entry = Scheduled {
+        self.heap.push(Scheduled {
             time,
             seq: self.seq,
             event,
-        };
+        });
         self.seq += 1;
-        let bucket = bucket_of(time);
-        if self.len == 0 {
-            // Empty engine: re-anchor the calendar at this event's bucket.
-            self.base = bucket;
-            self.buckets.clear();
-            self.buckets.push_back(vec![entry]);
-            self.front_sorted = true;
-        } else if bucket >= self.overflow_min {
-            // Never let a calendar bucket sort after an overflow bucket:
-            // the drain consults overflow only once the calendar is empty.
-            self.push_overflow(entry, bucket);
-        } else {
-            // A bucket that already slid past the calendar front clamps to
-            // the front: the sorted insert places the entry, whose time is
-            // strictly earlier than everything undrained, at the pop end.
-            let rel = bucket.saturating_sub(self.base);
-            if rel >= SPAN_CAP as u64 {
-                self.push_overflow(entry, bucket);
-            } else {
-                let rel = rel as usize;
-                while self.buckets.len() <= rel {
-                    self.buckets.push_back(Vec::new());
-                }
-                if rel == 0 {
-                    debug_assert!(self.front_sorted, "front bucket must stay sorted");
-                    let front = &mut self.buckets[0];
-                    // Descending order: larger keys first.
-                    let pos = front.partition_point(|e| e.key() > entry.key());
-                    front.insert(pos, entry);
-                } else {
-                    self.buckets[rel].push(entry);
-                }
-            }
-        }
-        self.len += 1;
-        self.high_water = self.high_water.max(self.len);
+        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Schedules `event` after `delay` shuffle periods.
@@ -234,12 +163,7 @@ impl<E> Engine<E> {
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        // Invariant: a non-empty engine has a non-empty, sorted front
-        // bucket (descending), so the next event is the front's tail.
-        Some(self.buckets[0][self.buckets[0].len() - 1].time)
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Removes and returns the earliest event, advancing the clock to it.
@@ -247,15 +171,10 @@ impl<E> Engine<E> {
     /// Equal-time events come out in the order they were scheduled (see the
     /// [FIFO guarantee](Engine#fifo-guarantee)).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        let s = self.buckets[0].pop().expect("front bucket non-empty");
-        self.len -= 1;
+        let s = self.heap.pop()?;
         debug_assert!(s.time >= self.now, "queue produced an event in the past");
         self.now = s.time;
         self.processed += 1;
-        self.normalize();
         Some((s.time, s.event))
     }
 
@@ -274,72 +193,13 @@ impl<E> Engine<E> {
             None
         }
     }
-
-    fn push_overflow(&mut self, entry: Scheduled<E>, bucket: u64) {
-        self.overflow.push(entry);
-        self.overflow_min = self.overflow_min.min(bucket);
-    }
-
-    /// Restores the invariant: either the engine is empty, or the front
-    /// bucket is non-empty and sorted descending by `(time, seq)`.
-    fn normalize(&mut self) {
-        loop {
-            match self.buckets.front() {
-                Some(b) if b.is_empty() => {
-                    self.buckets.pop_front();
-                    self.base += 1;
-                    self.front_sorted = false;
-                }
-                Some(_) => break,
-                None => {
-                    if self.overflow.is_empty() {
-                        self.front_sorted = false;
-                        return;
-                    }
-                    self.fold_overflow();
-                }
-            }
-        }
-        if !self.front_sorted {
-            let front = &mut self.buckets[0];
-            front.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            self.front_sorted = true;
-        }
-    }
-
-    /// Re-anchors the calendar at the earliest overflow bucket and moves
-    /// every overflow event within the new span back into the calendar.
-    /// Only called with an empty calendar, so ordering is re-established
-    /// by the per-bucket sort as buckets are drained.
-    fn fold_overflow(&mut self) {
-        debug_assert!(self.buckets.is_empty() && !self.overflow.is_empty());
-        self.base = self.overflow_min;
-        let cutoff = self.base.saturating_add(SPAN_CAP as u64);
-        self.overflow_min = u64::MAX;
-        let mut kept = Vec::new();
-        for entry in self.overflow.drain(..) {
-            let bucket = bucket_of(entry.time);
-            if bucket < cutoff {
-                let rel = (bucket - self.base) as usize;
-                while self.buckets.len() <= rel {
-                    self.buckets.push_back(Vec::new());
-                }
-                self.buckets[rel].push(entry);
-            } else {
-                self.overflow_min = self.overflow_min.min(bucket);
-                kept.push(entry);
-            }
-        }
-        self.overflow = kept;
-        self.front_sorted = false;
-    }
 }
 
 impl<E> std::fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.len)
+            .field("pending", &self.heap.len())
             .field("processed", &self.processed)
             .finish()
     }
@@ -439,10 +299,9 @@ mod tests {
     }
 
     #[test]
-    fn schedule_into_drained_bucket_region_pops_first() {
-        // Advance the clock into bucket k, drain past empty buckets so the
-        // calendar front slides beyond bucket_of(now), then schedule an
-        // event between now and the next queued one: it must pop first.
+    fn schedule_just_after_now_pops_before_queued_later_events() {
+        // Advance the clock, then schedule events between now and the next
+        // queued one: they must pop first.
         let mut e: Engine<&str> = Engine::new();
         e.schedule_at(SimTime::new(1.0), "a");
         e.schedule_at(SimTime::new(50.0), "z");
@@ -455,11 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_round_trip_through_overflow() {
-        let span = SPAN_CAP as f64 / BUCKETS_PER_UNIT;
+    fn far_future_events_keep_time_then_fifo_order() {
+        let span = 2048.0;
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(SimTime::new(0.5), 0);
-        // Far beyond the calendar span: lands in overflow.
+        // Thousands of periods out (exponential-backoff retries reach this).
         e.schedule_at(SimTime::new(span * 3.0), 3);
         e.schedule_at(SimTime::new(span * 3.0), 4);
         e.schedule_at(SimTime::new(span * 2.0), 2);
@@ -471,15 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn equal_times_straddling_overflow_keep_fifo() {
-        let span = SPAN_CAP as f64 / BUCKETS_PER_UNIT;
-        let far = span + 1.0;
+    fn equal_far_times_straddling_a_pop_keep_fifo() {
+        let far = 2048.0 + 1.0;
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(SimTime::new(0.25), 0);
-        // First goes to overflow (beyond span)...
         e.schedule_at(SimTime::new(far), 1);
-        // ...then the calendar drains and folds it back in; a later insert
-        // at the same time must still pop after it.
+        // The queue drains down to the far event alone; a later insert at
+        // the same time must still pop after it.
         assert_eq!(e.pop(), Some((SimTime::new(0.25), 0)));
         e.schedule_at(SimTime::new(far), 2);
         assert_eq!(e.pop(), Some((SimTime::new(far), 1)));

@@ -63,39 +63,45 @@ proptest! {
     }
 
     #[test]
-    fn calendar_queue_matches_binary_heap_model(
+    fn engine_matches_sorted_model(
         ops in prop::collection::vec(
             // (time slot, how many equal-time events to burst, pops to attempt,
             //  whether to drain through a pop_before horizon first)
             (0usize..6, 1usize..5, 0usize..4, any::<bool>()),
             1..120,
         ),
+        far_first in any::<bool>(),
     ) {
-        // Reference model: the exact `BinaryHeap` ordering the calendar
-        // queue replaced — a max-heap over reversed `(time, seq)` keys.
-        // Interleaves same-time bursts, far-future (overflow-span) times,
-        // pops and split horizons; the pop sequences must be identical.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        // Includes sub-bucket neighbours (0.25/0.26), a bucket boundary
-        // value (1.5) and a far-future time beyond the calendar span so the
-        // overflow path is exercised.
+        // Reference model, independent of the engine's heap: an unordered
+        // `Vec` whose pop removes the minimum `(time, seq)` by linear scan.
+        // Interleaves same-time bursts, far-future times, pops and split
+        // horizons; the pop sequences must be identical.
+        fn pop_min(model: &mut Vec<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+            let i = (0..model.len()).min_by_key(|&i| model[i])?;
+            Some(model.swap_remove(i))
+        }
+        // Includes near neighbours (0.25/0.26), a window-boundary value
+        // (1.5) and a time thousands of periods out.
         let grid = [0.0, 0.25, 0.26, 1.5, 7.75, 3000.0];
         let mut engine: Engine<u64> = Engine::new();
-        let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut model: Vec<(SimTime, u64)> = Vec::new();
         let mut next = 0u64;
-        for (slot, burst, pops, split) in ops {
+        // The shape that broke the calendar queue this engine replaced: the
+        // very first event lies far ahead, and every later burst and pop
+        // happens in the near time before it.
+        let far = far_first.then_some((5, 1, 0, false));
+        for (slot, burst, pops, split) in far.into_iter().chain(ops) {
             let t = SimTime::new(grid[slot]);
             if t >= engine.now() {
                 for _ in 0..burst {
                     engine.schedule_at(t, next);
-                    model.push(Reverse((t, next)));
+                    model.push((t, next));
                     next += 1;
                 }
             }
             prop_assert_eq!(engine.pending(), model.len());
             for _ in 0..pops {
-                let expected = model.pop().map(|Reverse((t, i))| (t, i));
+                let expected = pop_min(&mut model);
                 let got = if split {
                     // Drain through a horizon first; fall back to pop so the
                     // attempt always consumes at most one event either way.
@@ -110,8 +116,8 @@ proptest! {
             }
         }
         // Final drain: full remaining order must match.
-        while let Some(Reverse((t, i))) = model.pop() {
-            prop_assert_eq!(engine.pop(), Some((t, i)));
+        while let Some(expected) = pop_min(&mut model) {
+            prop_assert_eq!(engine.pop(), Some(expected));
         }
         prop_assert_eq!(engine.pop(), None);
         prop_assert_eq!(engine.processed(), next);

@@ -6,12 +6,14 @@
 use veil_bench::scale::measure_scale_point;
 
 /// Generous ceiling on the simulation's approximate heap per node. The
-/// measured figure at 10k nodes is ~18 KiB/node (paper-default
-/// parameters: 400-entry cache ≈ 10 KiB of flat vectors, 50-slot
-/// sampler ≈ 4 KiB, plus the node's arena share, cell and queue
-/// amortization — see BENCH_scale.json). 32 KiB leaves headroom for
-/// load variance while still catching a relapse into per-pseudonym
-/// boxing or per-call map rebuilds, which multiply the footprint.
+/// measured figure at 10k nodes is ≈ 9,000 bytes/node at this test's
+/// 10-period horizon and ≈ 16,300 by horizon 100 (paper-default
+/// parameters: a 400-entry cache is 10 KiB of flat vectors once grown,
+/// then the 50-slot sampler, the node's share of the append-only arena,
+/// cell and queue amortization — see BENCH_scale.json). 32 KiB leaves
+/// headroom for load variance while still catching a relapse into
+/// per-pseudonym boxing or per-call map rebuilds, which multiply the
+/// footprint.
 const BYTES_PER_NODE_CEILING: f64 = 32.0 * 1024.0;
 
 #[test]

@@ -10,6 +10,7 @@
 use veil_core::config::LinkLayerConfig;
 use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::metrics::snapshot;
+use veil_core::scenario::with_global_recorder;
 use veil_obs::{analyze_trace, Recorder};
 use veil_sim::fault::FaultConfig;
 
@@ -36,12 +37,10 @@ fn replayed_trace_reconstructs_live_final_stats() {
             let p = params(seed, parallelism);
             let trust = build_trust_graph(&p).expect("trust graph");
             let recorder = Recorder::full();
-            // Install globally before construction so the initial
-            // pseudonym mints land in the trace (the CLI does the same).
-            let prev = veil_obs::install_global(recorder.clone());
-            let sim = build_simulation(trust, &p, 0.5);
-            veil_obs::install_global(prev);
-            let mut sim = sim.expect("simulation");
+            // Install globally (gated against sibling tests) before
+            // construction so the initial pseudonym mints land in the trace.
+            let mut sim = with_global_recorder(&recorder, || build_simulation(trust, &p, 0.5))
+                .expect("simulation");
             sim.set_recorder(recorder.clone());
             sim.run_until(40.0);
             let live = snapshot(&sim);
@@ -100,10 +99,8 @@ fn sharded_trace_replays_to_live_stats_at_every_shard_count() {
         p.overlay.shards = Some(shards);
         let trust = build_trust_graph(&p).expect("trust graph");
         let recorder = Recorder::full();
-        let prev = veil_obs::install_global(recorder.clone());
-        let sim = build_simulation(trust, &p, 0.5);
-        veil_obs::install_global(prev);
-        let mut sim = sim.expect("simulation");
+        let mut sim = with_global_recorder(&recorder, || build_simulation(trust, &p, 0.5))
+            .expect("simulation");
         assert!(sim.is_sharded(), "fault model must engage the executor");
         sim.run_until(40.0);
         let live = snapshot(&sim);
@@ -150,10 +147,8 @@ fn serial_and_parallel_traces_reconstruct_identically() {
             let p = params(7, parallelism);
             let trust = build_trust_graph(&p).expect("trust graph");
             let recorder = Recorder::full();
-            let prev = veil_obs::install_global(recorder.clone());
-            let sim = build_simulation(trust, &p, 0.5);
-            veil_obs::install_global(prev);
-            let mut sim = sim.expect("simulation");
+            let mut sim = with_global_recorder(&recorder, || build_simulation(trust, &p, 0.5))
+                .expect("simulation");
             sim.set_recorder(recorder.clone());
             sim.run_until(40.0);
             let report = analyze_trace(&recorder.events_jsonl()).expect("trace analyzes");
