@@ -118,7 +118,7 @@ pub struct EpidemicSession {
     cfg: BroadcastConfig,
     nodes: Vec<AppState>,
     publishers: HashMap<MessageId, (u32, f64)>,
-    next_id: u64,
+    next_message_id: u64,
     rng: StdRng,
     messages_sent: u64,
 }
@@ -142,7 +142,7 @@ impl EpidemicSession {
             cfg,
             nodes: Vec::new(),
             publishers: HashMap::new(),
-            next_id: 0,
+            next_message_id: 0,
             rng: derive_rng(seed, Stream::Workload(0xB0)),
             messages_sent: 0,
         }
@@ -166,8 +166,8 @@ impl EpidemicSession {
         if !sim.is_online(publisher) {
             return None;
         }
-        let id = MessageId(self.next_id);
-        self.next_id += 1;
+        let id = MessageId(self.next_message_id);
+        self.next_message_id += 1;
         let now = sim.now().as_f64();
         self.publishers.insert(id, (publisher as u32, now));
         let state = &mut self.nodes[publisher];

@@ -1,6 +1,7 @@
 //! Overlay protocol configuration (Table I of the paper).
 
 use crate::error::CoreError;
+use crate::sim_exec::mailbox::WINDOW;
 use serde::{Deserialize, Serialize};
 use veil_sim::fault::FaultConfig;
 
@@ -153,19 +154,18 @@ pub struct OverlayConfig {
     /// from the master seed and its own stream, and results are reduced in
     /// index order, so the output is byte-identical for every value.
     pub parallelism: Option<usize>,
-    /// Number of shards the windowed simulation executor partitions the
-    /// nodes into (`None` = one).
+    /// Number of shards the simulation executor partitions the nodes into
+    /// (`None` = one).
     ///
-    /// The windowed executor runs every configuration that gives messages a
-    /// non-zero flight time (a faulty link layer or `link_latency > 0`):
     /// `S` contiguous node ranges, each owning its own event engine,
     /// advance in bounded time windows with a deterministic cross-shard
     /// message barrier (see DESIGN.md "Sharded execution"). Every value —
     /// `None`, `Some(1)`, `Some(8)` — produces byte-identical snapshots
     /// and canonical traces, so this is a thread-layout knob, never a
-    /// model change. The paper's ideal zero-latency configuration has no
-    /// lookahead to exploit; it keeps the sequential loop and ignores this
-    /// field.
+    /// model change. It partitions every configuration that gives messages
+    /// a non-zero flight time (a faulty link layer or `link_latency > 0`);
+    /// the paper's ideal zero-latency link exchanges synchronously across
+    /// two nodes, always runs on one shard, and ignores this field.
     ///
     /// Skipped during serialization when `None` so existing experiment
     /// artifacts (fig3 JSON etc.) keep their exact bytes; absent keys
@@ -305,9 +305,10 @@ pub struct HealthConfig {
     /// `HealthAlert` trace events and `health.*` gauges are emitted only if
     /// a recorder happens to be attached.
     pub enabled: bool,
-    /// Rolling window length in shuffle periods. Detector counters reset at
-    /// every window boundary (boundaries lie on a fixed grid, so results do
-    /// not depend on event timing).
+    /// Rolling window length in shuffle periods; a multiple of the
+    /// executor's 0.5-period window. Detector counters reset at every
+    /// window boundary (boundaries lie on a fixed grid, so results do not
+    /// depend on event timing).
     pub window: f64,
     /// `shuffle_failure_burst` fires when `failures / starts` within a
     /// window exceeds this rate.
@@ -368,6 +369,18 @@ impl HealthConfig {
                     reason: format!("must be finite and positive, got {v}"),
                 });
             }
+        }
+        // A rotation reads the cells at the barrier that finds it due, and
+        // only the execution grid's boundaries are barriers however the
+        // caller steps `run_until` (DESIGN §9).
+        if (self.window / WINDOW).fract() != 0.0 {
+            return Err(CoreError::InvalidConfig {
+                field: "health.window",
+                reason: format!(
+                    "must be a multiple of the {WINDOW}-period execution window, got {}",
+                    self.window
+                ),
+            });
         }
         let fractions = [
             (

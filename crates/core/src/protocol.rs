@@ -109,9 +109,9 @@ pub fn receive_offer<R: Rng + ?Sized>(
 /// Models the paper's exchange over an ideal privacy-preserving link: the
 /// initiator's offer is delivered, the responder builds and returns its own
 /// offer, and both sides apply what they received. The caller must have
-/// verified that both nodes are online. Both nodes must belong to the same
-/// executor domain (they share `arena`); the sharded executor routes
-/// cross-shard exchanges through the mailbox instead.
+/// verified that both nodes are online. Both nodes must live in the same
+/// shard (they share `arena`), which is why the executor gives the
+/// zero-latency link one shard.
 pub fn execute_shuffle<R: Rng + ?Sized>(
     initiator: &mut Node,
     responder: &mut Node,
@@ -667,7 +667,7 @@ mod tests {
     fn response_completes_once_and_a_duplicate_is_stale() {
         let (mut node, mut arena, target, mut rng) = initiator(vec![], 12);
         // Keyed ids cannot collide with the counter ids minted above.
-        let mut svc = PseudonymService::new_keyed(99);
+        let mut svc = PseudonymService::new(99);
         let fresh = [svc.mint(5, SimTime::ZERO, None)];
         let mut table = Exchanges::default();
         let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);

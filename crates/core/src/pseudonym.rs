@@ -102,14 +102,13 @@ pub type PseudonymHandle = u32;
 /// [`PseudonymHandle`]s instead of 48-byte [`Pseudonym`] values: one
 /// canonical copy of each instance lives here, shared by every node whose
 /// state references it. Interning is keyed by [`PseudonymId`] — ids are
-/// globally unique per instance (both id schemes are counters), so equal
+/// globally unique per instance (an owner plus its mint count), so equal
 /// ids always denote byte-identical pseudonyms and deduplication is exact.
 ///
-/// One arena exists per executor domain: the sequential simulation owns
-/// one, each shard of the sharded executor owns its own (messages cross
-/// shard boundaries as full [`Pseudonym`] values and are re-interned on
-/// receipt, so no synchronization is ever needed). Entries are never
-/// removed; expiry is a property of the pseudonym, not of arena residency.
+/// Each shard of the executor owns one arena (messages cross shard
+/// boundaries as full [`Pseudonym`] values and are re-interned on receipt,
+/// so no synchronization is ever needed). Entries are never removed;
+/// expiry is a property of the pseudonym, not of arena residency.
 ///
 /// # Examples
 ///
@@ -190,45 +189,15 @@ impl PseudonymArena {
     }
 }
 
-/// Mutable access to the arena of every executor domain at once — the form
-/// barrier-time code (the remediation engine) uses, since it may touch
-/// nodes owned by different shards.
-pub(crate) enum DomainArenas<'a> {
-    /// The sequential executor's single arena.
-    Single(&'a mut PseudonymArena),
-    /// One arena per shard, plus the owner shard of every node.
-    PerShard {
-        /// Borrowed shard arenas, indexed by shard.
-        arenas: Vec<&'a mut PseudonymArena>,
-        /// Owner shard of every node.
-        owner: &'a [u32],
-    },
-}
-
-impl DomainArenas<'_> {
-    /// The arena of node `v`'s executor domain.
-    pub(crate) fn for_node(&mut self, v: usize) -> &mut PseudonymArena {
-        match self {
-            DomainArenas::Single(a) => a,
-            DomainArenas::PerShard { arenas, owner } => arenas[owner[v] as usize],
-        }
-    }
-}
-
-/// Flat per-owner mint counters for the keyed id scheme: `counts[owner -
-/// base]` is how many pseudonyms that owner has minted. Shard-local
-/// services pre-size `base`/`counts` to their node range, replacing the
-/// `HashMap<u32, u64>` this used to be.
-#[derive(Debug, Clone)]
-struct OwnerCounters {
-    base: u32,
-    counts: Vec<u64>,
-}
-
 /// Mints pseudonyms with deterministic per-owner randomness.
 ///
-/// One service instance exists per simulation; its counter makes every
-/// minted pseudonym unique.
+/// Instance ids are keyed by owner: `id = (owner + 1) << 32 | seq`, where
+/// `seq` counts the pseudonyms that owner minted before. An id is thus a
+/// pure function of the owner's own history — never of how mints interleave
+/// across nodes — so any number of service instances (one per shard, one
+/// per veil-net process) assign identical ids to identical protocol
+/// histories. Bits are derived from `(master_seed ^ id,
+/// Stream::Pseudonym(owner))`.
 ///
 /// # Examples
 ///
@@ -238,51 +207,36 @@ struct OwnerCounters {
 ///
 /// let mut svc = PseudonymService::new(7);
 /// let p = svc.mint(3, SimTime::ZERO, Some(90.0));
+/// assert_eq!(p.id().0, 4 << 32);
 /// assert!(p.is_valid(SimTime::new(89.9)));
 /// assert!(!p.is_valid(SimTime::new(90.0)));
 /// ```
 #[derive(Debug)]
 pub struct PseudonymService {
     master_seed: u64,
-    next_id: u64,
     minted: u64,
-    /// Per-owner mint counters for the *keyed* id scheme (sharded runs);
-    /// `None` selects the classic global-counter scheme.
-    per_owner: Option<OwnerCounters>,
+    /// First owner `counts` covers.
+    base: u32,
+    /// `counts[owner - base]` is how many pseudonyms that owner minted.
+    counts: Vec<u64>,
 }
 
 impl PseudonymService {
     /// Creates a service deriving all pseudonym bits from `master_seed`.
     pub fn new(master_seed: u64) -> Self {
-        Self {
-            master_seed,
-            next_id: 0,
-            minted: 0,
-            per_owner: None,
-        }
-    }
-
-    /// Creates a service whose instance ids are *keyed* by owner:
-    /// `id = (owner + 1) << 32 | per_owner_seq`.
-    ///
-    /// A global mint counter would make pseudonym ids depend on the
-    /// interleaving of mints across nodes — exactly what a sharded run must
-    /// not observe. The keyed scheme makes every id a pure function of
-    /// `(owner, how many pseudonyms that owner minted before)`, so any
-    /// shard layout assigns identical ids to identical protocol histories.
-    /// The `owner + 1` offset keeps keyed ids disjoint from the classic
-    /// scheme's small integers, so mixed traces cannot alias. Bits are
-    /// derived exactly as in the classic scheme, from `(master_seed ^ id,
-    /// Stream::Pseudonym(owner))`.
-    pub fn new_keyed(master_seed: u64) -> Self {
         Self::new_keyed_for_range(master_seed, 0, 0)
     }
 
-    /// Keyed service pre-sized for owners `start..start + len` — the form
-    /// the sharded executor uses, so a shard's counters are one flat,
-    /// allocation-free `Vec` indexed by `owner - start`. Owners outside the
-    /// range still work (the counter vector grows), and ids are identical
-    /// to [`PseudonymService::new_keyed`] for every owner.
+    /// Alias of [`PseudonymService::new`] (every service is keyed).
+    pub fn new_keyed(master_seed: u64) -> Self {
+        Self::new(master_seed)
+    }
+
+    /// Service pre-sized for owners `start..start + len` — the form a
+    /// shard uses, so its counters are one flat, allocation-free `Vec`
+    /// indexed by `owner - start`. Owners above the range still work (the
+    /// counter vector grows), and ids are identical to
+    /// [`PseudonymService::new`] for every owner.
     ///
     /// # Panics
     ///
@@ -290,40 +244,27 @@ impl PseudonymService {
     pub fn new_keyed_for_range(master_seed: u64, start: u32, len: usize) -> Self {
         Self {
             master_seed,
-            next_id: 0,
             minted: 0,
-            per_owner: Some(OwnerCounters {
-                base: start,
-                counts: vec![0; len],
-            }),
+            base: start,
+            counts: vec![0; len],
         }
     }
 
     /// Mints a fresh pseudonym for `owner` at time `now` with the given
     /// lifetime in shuffle periods (`None` = never expires).
     pub fn mint(&mut self, owner: u32, now: SimTime, lifetime: Option<f64>) -> Pseudonym {
-        let id = match &mut self.per_owner {
-            Some(counters) => {
-                assert!(
-                    owner >= counters.base,
-                    "owner {owner} below keyed range base {}",
-                    counters.base
-                );
-                let idx = (owner - counters.base) as usize;
-                if idx >= counters.counts.len() {
-                    counters.counts.resize(idx + 1, 0);
-                }
-                let seq = &mut counters.counts[idx];
-                let id = PseudonymId(((u64::from(owner) + 1) << 32) | *seq);
-                *seq += 1;
-                id
-            }
-            None => {
-                let id = PseudonymId(self.next_id);
-                self.next_id += 1;
-                id
-            }
-        };
+        assert!(
+            owner >= self.base,
+            "owner {owner} below keyed range base {}",
+            self.base
+        );
+        let idx = (owner - self.base) as usize;
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        let seq = &mut self.counts[idx];
+        let id = PseudonymId(((u64::from(owner) + 1) << 32) | *seq);
+        *seq += 1;
         self.minted += 1;
         // Bits are drawn from a stream keyed by the instance id, so the
         // sequence is reproducible and independent across instances.
@@ -432,10 +373,6 @@ mod tests {
         assert_eq!(a0b.id(), PseudonymId((1 << 32) | 1));
         assert_eq!(a7.id(), PseudonymId(8 << 32));
         assert_eq!(a.minted(), 3);
-        // Keyed ids never collide with classic small-integer ids.
-        let mut classic = PseudonymService::new(9);
-        let c = classic.mint(0, SimTime::ZERO, None);
-        assert!(c.id().0 < (1 << 32) && a0.id().0 >= (1 << 32));
     }
 
     #[test]

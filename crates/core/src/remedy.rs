@@ -25,10 +25,10 @@
 //! # Shard-layout invariance
 //!
 //! Decisions are a pure function of the window alerts and the online mask,
-//! both of which the sharded executor derives from the barrier-replayed,
-//! time-sorted health observations — so every shard count (including the
-//! sequential executor's health tick) sees the same alert sequence and
-//! produces the same reactions at the same barrier instant. Reactions
+//! both of which the executor derives from the barrier-replayed,
+//! time-sorted health observations — so every shard count sees the same
+//! alert sequence and produces the same reactions at the same barrier
+//! instant. Reactions
 //! mutate only per-node state (backoff counters, throttle deadlines,
 //! sampler offers along trust edges in neighbor order) and draw no
 //! randomness, keeping the downstream event stream invariant too.
@@ -41,7 +41,7 @@
 
 use crate::config::RemedyConfig;
 use crate::health::WindowAlert;
-use crate::pseudonym::DomainArenas;
+use crate::sim_exec::shard::Shard;
 use crate::sim_exec::state::NodeCell;
 use veil_graph::Graph;
 use veil_obs::{EventKind as Obs, Recorder};
@@ -190,15 +190,15 @@ impl RemedyEngine {
     /// Applies the decided reactions to the node cells and emits one
     /// `RemedyAction` event per decision (a no-op on a disabled recorder).
     ///
-    /// Both executors call this at their health boundary: the sequential
-    /// executor right after its `health_tick` rotation, the sharded
-    /// executor at the window barrier after replaying the merged health
-    /// observations — the same state snapshot for every shard layout.
+    /// Called at the window barrier after the merged health observations
+    /// were replayed — the same state snapshot for every shard layout.
+    /// `owner[v]` is the shard whose arena node `v`'s state interns into.
     pub(crate) fn apply(
         &mut self,
         decisions: &[RemedyDecision],
         cells: &mut [NodeCell],
-        arenas: &mut DomainArenas<'_>,
+        shards: &mut [Shard],
+        owner: &[u32],
         trust: &Graph,
         recorder: &Recorder,
     ) {
@@ -236,7 +236,7 @@ impl RemedyEngine {
                             offers.push(p);
                         }
                     }
-                    let arena = arenas.for_node(v);
+                    let arena = &mut shards[owner[v] as usize].arena;
                     let cell = &mut cells[v];
                     let mut accepted = 0u64;
                     for p in offers {

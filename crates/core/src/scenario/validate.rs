@@ -10,6 +10,8 @@
 use super::lower::phase_episodes;
 use super::schema::{GraphModel, LatencyKind, Phase, Scenario, ScenarioSpans};
 use super::{ScenarioError, Span};
+use crate::config::HealthConfig;
+use crate::error::CoreError;
 use veil_sim::fault::EpisodeEffect;
 
 /// Which part of the scenario a validation issue concerns.
@@ -199,7 +201,13 @@ fn check_globals(s: &Scenario) -> Result<(), Issue> {
         )));
     }
 
-    finite_positive("health.window", s.health.window)?;
+    let health = HealthConfig {
+        window: s.health.window,
+        ..HealthConfig::default()
+    };
+    if let Err(CoreError::InvalidConfig { field, reason }) = health.validate() {
+        return Err(Issue::global(format!("{field} {reason}")));
+    }
 
     let r = &s.remediation;
     if r.enabled && !s.health.enabled {

@@ -1,21 +1,22 @@
-//! The windowed (sharded) runtime: window loop, fork/join dispatch and the
-//! barrier. Every run whose messages spend time in flight — a fault model
-//! or positive link latency — executes here, on `S = shards.unwrap_or(1)`
-//! shards.
+//! The windowed runtime: window loop, fork/join dispatch and the barrier.
+//! Every run executes here — on `S = shards.unwrap_or(1)` shards when
+//! messages spend time in flight (a fault model or positive link latency),
+//! on one shard for the ideal zero-latency link.
 //!
 //! Nodes are partitioned into `S` contiguous ranges; each [`Shard`] owns
 //! its range's cells, engine, pending exchanges and pseudonym minter.
 //! Execution advances in bounded windows on the global grid
 //! (`mailbox::WINDOW`): every shard drains its own events strictly before
-//! the window cap on a `veil-par` worker, then the coordinator runs the
-//! barrier single-threaded:
+//! the window cap (on a `veil-par` worker when there is more than one),
+//! then the coordinator runs the barrier single-threaded:
 //!
 //! 1. merge all outboxes in the canonical `(deliver_at, src, seq)` order
 //!    and inject each message into its destination's owner shard,
 //! 2. apply deferred cross-shard stat credits,
 //! 3. merge the per-shard message logs in canonical record order,
 //! 4. replay buffered health observations (sorted by time, rotations
-//!    interleaved where due) into the coordinator-owned monitor.
+//!    interleaved where due) into the coordinator-owned monitor,
+//! 5. hand the alerts that fired to the remediation engine.
 //!
 //! Every barrier step is a pure function of set-of-shard-outputs, so the
 //! post-barrier state — and therefore the whole run — is invariant in the
@@ -29,8 +30,7 @@ use super::state::{owner_of, shard_starts, HealthView, NodeCell};
 use super::MessageRecord;
 use crate::simulation::Simulation;
 
-/// Runtime state of the windowed executor (present exactly when the event
-/// graph has lookahead — a fault model or positive link latency).
+/// Runtime state of the windowed executor.
 pub(crate) struct ShardedRuntime {
     pub(crate) shards: Vec<Shard>,
     /// `shards.len() + 1` range boundaries; shard `i` owns
@@ -80,7 +80,7 @@ impl ShardedRuntime {
         &mut self.shards[i]
     }
 
-    /// Total pseudonyms minted across all shard-local keyed minters.
+    /// Total pseudonyms minted across all shard-local minters.
     pub(crate) fn pseudonyms_minted(&self) -> u64 {
         self.shards.iter().map(|s| s.minter.minted()).sum()
     }
@@ -124,21 +124,19 @@ struct WorkItem<'a> {
 }
 
 impl Simulation {
-    /// Advances the sharded executor to `horizon` window by window.
-    pub(crate) fn run_until_sharded(&mut self, horizon: SimTime) {
+    /// Advances every shard to `horizon` window by window.
+    pub(crate) fn run_windows(&mut self, horizon: SimTime) {
         loop {
-            let window_index = self.sharded.as_ref().expect("sharded").window_index;
-            let boundary = SimTime::new((window_index + 1) as f64 * WINDOW);
+            let boundary = SimTime::new((self.rt.window_index + 1) as f64 * WINDOW);
             let cap = boundary.min(horizon);
             self.run_one_window(cap);
             if cap == boundary {
-                self.sharded.as_mut().expect("sharded").window_index += 1;
+                self.rt.window_index += 1;
             }
             if boundary >= horizon {
                 break;
             }
         }
-        self.current_time = horizon;
     }
 
     /// Runs one (possibly partial) window: fork shards, join, barrier.
@@ -149,7 +147,7 @@ impl Simulation {
             cfg,
             trust,
             cells,
-            sharded,
+            rt,
             fault,
             effective_latency,
             master_seed,
@@ -159,7 +157,6 @@ impl Simulation {
             remedy,
             ..
         } = self;
-        let rt = sharded.as_mut().expect("sharded runtime");
         // Deliverability oracle for the whole window: the online mask as
         // of the opening barrier. Identical for every shard count. The
         // mask (like every barrier buffer below) reuses the runtime's
@@ -189,21 +186,25 @@ impl Simulation {
             buffer_health,
         };
 
-        // Fork: hand every shard exclusive &muts to its own cells.
-        let mut items: Vec<WorkItem<'_>> = Vec::with_capacity(shards.len());
-        let mut rest: &mut [NodeCell] = cells;
-        for (i, shard) in shards.iter_mut().enumerate() {
-            let len = starts[i + 1] - starts[i];
-            let (head, tail) = rest.split_at_mut(len);
-            rest = tail;
-            items.push(WorkItem { shard, cells: head });
+        if let [shard] = shards.as_mut_slice() {
+            // One shard owns every cell: nothing to fork.
+            shard.run_window(cells, &ctx);
+        } else {
+            // Fork: hand every shard exclusive &muts to its own cells.
+            let mut items: Vec<WorkItem<'_>> = Vec::with_capacity(shards.len());
+            let mut rest: &mut [NodeCell] = cells;
+            for (i, shard) in shards.iter_mut().enumerate() {
+                let len = starts[i + 1] - starts[i];
+                let (head, tail) = rest.split_at_mut(len);
+                rest = tail;
+                items.push(WorkItem { shard, cells: head });
+            }
+            let s = items.len();
+            veil_par::fork_join_indexed(&mut items, Some(s), |i, item| {
+                ctx.recorder.label_thread(|| format!("shard-{i}"));
+                item.shard.run_window(item.cells, &ctx);
+            });
         }
-        let s = items.len();
-        veil_par::fork_join_indexed(&mut items, Some(s), |i, item| {
-            ctx.recorder.label_thread(|| format!("shard-{i}"));
-            item.shard.run_window(item.cells, &ctx);
-        });
-        drop(items);
 
         // Barrier step 1: canonical cross-shard message merge. The sort
         // key (deliver_at, src, seq) depends only on each sender's own
@@ -281,11 +282,7 @@ impl Simulation {
             rotate(h, cap.as_f64());
             if let Some(rm) = remedy.as_mut().filter(|_| !alerts.is_empty()) {
                 let decisions = rm.decide(&alerts, &view.online);
-                let mut arenas = crate::pseudonym::DomainArenas::PerShard {
-                    arenas: shards.iter_mut().map(|s| &mut s.arena).collect(),
-                    owner: owner.as_slice(),
-                };
-                rm.apply(&decisions, cells, &mut arenas, trust, recorder);
+                rm.apply(&decisions, cells, shards, owner, trust, recorder);
             }
         } else {
             for shard in shards.iter_mut() {

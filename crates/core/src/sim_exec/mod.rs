@@ -10,25 +10,23 @@
 //! - [`mailbox`] — the cross-shard mail primitives: the window grid, the
 //!   canonical `(deliver_at, src, seq)` merge order, and the buffered
 //!   health observations.
-//! - [`shard`] — one shard of the **windowed** executor: a per-shard
+//! - [`shard`] — one shard of the executor: a per-shard
 //!   [`veil_sim::engine::Engine`] over a contiguous slice of node cells,
-//!   driving the exchange core of [`crate::protocol`] with
-//!   message-passing-pure handlers (no cross-shard `&mut`).
+//!   the one event dispatch, and the three link modes' shuffle initiation
+//!   (ideal-synchronous, lossless-latent, faulty) driving the exchange
+//!   core of [`crate::protocol`].
 //! - [`executor`] — the windowed runtime: partitions nodes over S shards,
-//!   runs them on `veil-par` worker threads in bounded time windows, and
-//!   merges cross-shard traffic at a deterministic barrier.
-//! - [`dispatch`] — the **sequential** special case: one engine, direct
-//!   `&mut` access across nodes, one synchronous exchange.
+//!   runs them in bounded time windows (on `veil-par` worker threads when
+//!   S > 1), and merges cross-shard traffic, health observations and
+//!   remediation at a deterministic barrier.
 //!
-//! The link regime alone picks the executor. A fault model or a positive
-//! link latency puts messages in flight; every such run is windowed, on
+//! There is one executor; the link regime only picks the link mode. A
+//! fault model or a positive link latency puts messages in flight, on
 //! `shards.unwrap_or(1)` shards, with a delivery schedule (`deliver_at =
 //! max(send + latency, next 0.5-period boundary)`) invariant in the shard
-//! count. The paper's ideal zero-latency link exchanges synchronously, has
-//! nothing to window, and keeps the sequential loop every figure baseline
-//! was produced with.
+//! count. The paper's ideal zero-latency link exchanges synchronously
+//! across two cells, so it runs the same window loop on one shard.
 
-pub(crate) mod dispatch;
 pub(crate) mod executor;
 pub(crate) mod mailbox;
 pub(crate) mod shard;
@@ -46,8 +44,8 @@ use serde::{Deserialize, Serialize};
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::SimTime;
 
-/// Events driving the overlay simulation. The sequential executor only ever
-/// holds the first three; the rest need messages in flight.
+/// Events driving the overlay simulation. The ideal zero-latency link only
+/// ever schedules the first three; the rest need messages in flight.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Event {
     /// A node's shuffle timer fired.
@@ -145,9 +143,11 @@ pub struct MessageRecord {
     pub trusted_link: bool,
 }
 
-/// Shared emission funnel for the sequential executor and construction-time
-/// events (before `Simulation` exists): builds the payload once, feeds the
-/// health monitor, then records. The monitor observes even when recording
+/// Emission funnel for coordinator-side events — construction-time mints
+/// and manual blackouts, which happen between windows: builds the payload
+/// once, feeds the health monitor directly, then records (in-window events
+/// go through `Shard::emit` and reach the monitor at the barrier). The
+/// monitor observes even when recording
 /// is off — untraced runs must monitor (and heal) exactly like traced
 /// ones; with neither consumer present this stays a single branch.
 pub(crate) fn record(

@@ -1,25 +1,38 @@
-//! One shard of the sharded executor.
+//! One shard of the windowed executor.
 //!
 //! A shard owns a contiguous range of node cells and its own
 //! [`veil_sim::engine::Engine`]. During a window it pops only its own
-//! events; every cross-node interaction — request, response, even to a
+//! events; every cross-node message — request, response, even to a
 //! same-shard neighbour — goes through the outbox and is injected at the
 //! barrier, so a node's behaviour cannot depend on which shard runs it.
+//!
+//! The link regime picks one of three initiation handlers for a shuffle
+//! tick; everything else — event dispatch, lifecycle glue, emission, the
+//! message log — exists once:
+//!
+//! - **ideal-synchronous** ([`Shard::begin_ideal`]): the paper's
+//!   zero-latency link. Nothing is in flight, so the exchange runs to
+//!   completion inside the tick, across two cells of the one shard such a
+//!   run is forced onto.
+//! - **lossless-latent** ([`Shard::begin_lossless`]): a positive constant
+//!   latency, no fault model; id-less request/response deliveries.
+//! - **faulty** ([`Shard::begin_exchange`]): a fault model; tracked
+//!   exchanges with timeout, retry and eviction.
 //!
 //! A shard is a *driver* of the exchange core in [`crate::protocol`]: the
 //! core decides what an exchange does next; the handlers here decide each
 //! message's fate, schedule deliveries and timers, and keep the stats,
-//! trace and message log. Everything a handler consults is
-//! layout-invariant:
+//! trace and message log. Everything a handler consults on a link with
+//! messages in flight is layout-invariant:
 //!
-//! - **Deliverability checks** (`skip_offline_peers`, the lossless link's
-//!   destination-offline drop) read the barrier-snapshot online mask in
-//!   [`WindowCtx`], never another node's live churn state.
+//! - **Deliverability checks** (`skip_offline_peers`, the lossless-latent
+//!   link's destination-offline drop) read the barrier-snapshot online
+//!   mask in [`WindowCtx`], never another node's live churn state.
 //! - **Fault randomness** comes from a stateless per-message RNG
 //!   ([`veil_sim::rng::derive_message_rng`]) keyed by `(exchange, attempt,
 //!   direction)`.
-//! - **Pseudonym ids** come from a per-shard *keyed*
-//!   [`PseudonymService`], a pure function of `(owner, per-owner count)`.
+//! - **Pseudonym ids** are a pure function of `(owner, per-owner count)`
+//!   ([`PseudonymService`]).
 //! - **Exchange ids** are a pure function of the initiator's own history
 //!   ([`protocol::exchange_id`]).
 //! - **Foreign stat credit** (the initiator's `dropped_requests` bump when
@@ -36,22 +49,23 @@ use veil_sim::SimTime;
 
 use super::mailbox::{next_boundary, HealthObs, OutMsg};
 use super::state::NodeCell;
-use super::{Delivery, Event, MessageKind, MessageRecord};
+use super::{two_mut, Delivery, Event, MessageKind, MessageRecord};
 
 /// Read-only context shared by every shard during one window.
 pub(crate) struct WindowCtx<'a> {
     pub cfg: &'a OverlayConfig,
     pub fault: Option<&'a FaultConfig>,
-    /// One-way latency of the lossless link (`fault` is `None`); positive,
-    /// or the run would be on the sequential executor.
+    /// One-way latency of the lossless link (`fault` is `None`); zero is
+    /// the ideal-synchronous link.
     pub effective_latency: f64,
     pub master_seed: u64,
     pub recorder: &'a Recorder,
     /// Online mask snapshotted at the window's opening barrier: the
     /// deliverability oracle for `skip_offline_peers` filtering and the
-    /// lossless link's destination-offline check. A shard must not read live
-    /// churn state of nodes it does not own; the snapshot is refreshed
-    /// every window boundary and is identical for every shard count.
+    /// lossless-latent link's destination-offline check. A shard must not
+    /// read live churn state of nodes it does not own; the snapshot is
+    /// refreshed every window boundary and is identical for every shard
+    /// count.
     pub online: &'a [bool],
     /// Events strictly before `cap` run in this window.
     pub cap: SimTime,
@@ -69,8 +83,8 @@ pub(crate) struct Shard {
     pub engine: Engine<Event>,
     /// In-flight faulty-link exchanges initiated by this shard's nodes.
     pub exchanges: Exchanges,
-    /// Keyed pseudonym minter (ids are pure functions of the owner's mint
-    /// count, so per-shard services agree with any other layout).
+    /// Pseudonym minter (ids are pure functions of the owner's mint count,
+    /// so per-shard services agree with any other layout).
     pub minter: PseudonymService,
     /// Canonical pseudonym copies referenced by this shard's caches and
     /// samplers. Offers cross shard boundaries as full [`crate::pseudonym::Pseudonym`]
@@ -241,8 +255,62 @@ impl Shard {
         }
         match ctx.fault {
             Some(fault) => self.begin_exchange(now, v as u32, fault, cell, ctx),
-            None => self.begin_lossless(now, v as u32, cell, ctx),
+            None if ctx.effective_latency > 0.0 => self.begin_lossless(now, v as u32, cell, ctx),
+            None => self.begin_ideal(now, v, cells, ctx),
         }
+    }
+
+    /// Runs a whole shuffle over the ideal zero-latency link, synchronously.
+    /// The ideal link layer reports deliverability as of *now*, so the pick
+    /// and the destination check read the peers' live churn state — which
+    /// is why such a run owns every cell in one shard. By default
+    /// (`skip_offline_peers`) the node shuffles with a uniformly random
+    /// *online* link — this is what makes the paper's request/response
+    /// count come out at exactly two messages per period.
+    fn begin_ideal(&mut self, now: SimTime, v: usize, cells: &mut [NodeCell], ctx: &WindowCtx<'_>) {
+        let mut rng = cells[v].proto_rng.clone();
+        let accept = |u: u32| !ctx.cfg.skip_offline_peers || cells[u as usize].churn.is_online();
+        let target = cells[v]
+            .node
+            .pick_link_where(&self.arena, now, &mut rng, accept);
+        cells[v].proto_rng = rng;
+        let Some(target) = target else {
+            return;
+        };
+        let dest = target.resolve() as usize;
+        debug_assert_ne!(dest, v, "nodes never link to themselves");
+        let trusted_link = target.is_trusted();
+        let ends = (v as u32, dest as u32);
+        self.emit(ctx, now, Some(ends.0), || Obs::ShuffleStart {
+            target: dest as u64,
+            trusted: trusted_link,
+        });
+        let (initiator, responder) = two_mut(cells, v, dest);
+        if !responder.churn.is_online() {
+            // Request sent into the anonymity service but never delivered.
+            initiator.node.stats.requests_sent += 1;
+            initiator.node.stats.dropped_requests += 1;
+            self.emit(ctx, now, Some(ends.0), || Obs::MessageDropped {
+                exchange: 0,
+                response: false,
+            });
+            self.log(ctx, now, ends, MessageKind::Request, false, trusted_link);
+            return;
+        }
+        protocol::execute_shuffle(
+            &mut initiator.node,
+            &mut responder.node,
+            &mut self.arena,
+            ctx.cfg.shuffle_length,
+            now,
+            &mut initiator.proto_rng,
+        );
+        self.emit(ctx, now, Some(ends.0), || Obs::ShuffleComplete {
+            exchange: 0,
+        });
+        self.log(ctx, now, ends, MessageKind::Request, true, trusted_link);
+        let back = (ends.1, ends.0);
+        self.log(ctx, now, back, MessageKind::Response, true, trusted_link);
     }
 
     /// Initiates a shuffle over the lossless link (positive constant

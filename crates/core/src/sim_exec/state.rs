@@ -1,15 +1,14 @@
 //! Per-node state cells, the node lifecycle, and shard partitioning.
 //!
-//! All per-node simulation state lives in one [`NodeCell`] so the windowed
-//! executor can hand each shard a contiguous `&mut [NodeCell]` slice with a
-//! single `split_at_mut` chain; the sequential executor indexes the same
-//! cells directly.
+//! All per-node simulation state lives in one [`NodeCell`] so the executor
+//! can hand each shard a contiguous `&mut [NodeCell]` slice with a single
+//! `split_at_mut` chain.
 //!
 //! Every lifecycle transition — shuffle-tick preamble, churn flip, rejoin,
 //! depart, blackout begin and end — is a [`NodeCell`] method that mutates
 //! only the cell and *returns* what happened (events in emission order,
-//! the delay to the next churn transition); each executor adds a few lines
-//! of glue that emit and schedule through its own sink and engine.
+//! the delay to the next churn transition); the shard adds a few lines of
+//! glue that emit and schedule through its own sink and engine.
 
 use crate::config::{LifetimePolicy, OverlayConfig};
 use crate::health::{HealthMonitor, WindowAlert};
@@ -64,8 +63,8 @@ pub(crate) struct NodeCell {
     /// Remaining shuffle initiations to skip (the remediation engine's
     /// eviction-storm backoff); decays by one per skipped shuffle.
     pub shuffle_backoff: u32,
-    /// Windowed executor: per-source sequence number of outbox messages;
-    /// part of the canonical `(deliver_at, src, seq)` merge key.
+    /// Per-source sequence number of outbox messages; part of the canonical
+    /// `(deliver_at, src, seq)` merge key.
     pub outbox_seq: u64,
 }
 

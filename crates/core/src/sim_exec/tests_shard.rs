@@ -1,13 +1,14 @@
-//! Shard-count invariance tests for the windowed executor.
+//! Layout and stepping invariance tests for the windowed executor.
 //!
-//! The contract under test: an event graph with lookahead (fault model or
-//! positive link latency) always runs windowed, and `cfg.shards` — unset,
-//! one, or many — never changes the result. `S = 1` is the reference.
+//! The contract under test: every link regime runs the one window loop,
+//! and neither `cfg.shards` — unset, one, or many — nor how the caller
+//! steps `run_until` changes the result. `S = 1` is the reference.
 
-use crate::config::{LinkLayerConfig, OverlayConfig};
+use crate::config::{HealthConfig, LinkLayerConfig, OverlayConfig, RemedyConfig};
 use crate::node::NodeStats;
 use crate::simulation::{MessageRecord, Simulation};
 use veil_graph::{generators, Graph};
+use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::churn::ChurnConfig;
 use veil_sim::fault::{EpisodeEffect, FaultConfig, FaultEpisode, LatencyDist};
 use veil_sim::rng::{derive_rng, Stream};
@@ -26,7 +27,19 @@ fn base_cfg() -> OverlayConfig {
     }
 }
 
-/// Everything observable about a finished run, for exact comparison.
+fn healing(cfg: OverlayConfig) -> OverlayConfig {
+    OverlayConfig {
+        health: HealthConfig {
+            enabled: true,
+            ..HealthConfig::default()
+        },
+        remedy: RemedyConfig::all_on(),
+        ..cfg
+    }
+}
+
+/// Everything observable about a finished run, for exact comparison; the
+/// last field is the health-alert and remediation timeline.
 type Snapshot = (
     Vec<bool>,
     Graph,
@@ -34,9 +47,11 @@ type Snapshot = (
     u64,
     Vec<NodeStats>,
     Vec<MessageRecord>,
+    Vec<(f64, Option<u32>, Obs)>,
 );
 
 fn snapshot(sim: &mut Simulation) -> Snapshot {
+    let alerts = sim.recorder().events().into_iter();
     (
         sim.online_mask(),
         sim.overlay_graph(),
@@ -44,33 +59,42 @@ fn snapshot(sim: &mut Simulation) -> Snapshot {
         sim.total_link_removals(),
         (0..sim.node_count()).map(|v| sim.node_stats(v)).collect(),
         sim.take_message_log(),
+        alerts
+            .filter(|e| matches!(e.kind, Obs::HealthAlert { .. } | Obs::RemedyAction { .. }))
+            .map(|e| (e.t, e.node, e.kind))
+            .collect(),
     )
 }
 
+/// Runs `cfg` on `shards` shards, stepping `run_until` through `steps`.
 fn run_sharded(
     cfg: &OverlayConfig,
     alpha: f64,
     seed: u64,
     shards: Option<usize>,
-    t: f64,
+    steps: &[f64],
 ) -> Snapshot {
     let trust = trust_graph(60, seed);
     let cfg = OverlayConfig {
         shards,
         ..cfg.clone()
     };
+    let in_flight = cfg.link != LinkLayerConfig::Ideal || cfg.link_latency > 0.0;
     let churn = ChurnConfig::from_availability(alpha, 10.0);
     let mut sim = Simulation::new(trust, cfg, churn, seed).unwrap();
-    assert!(sim.is_sharded(), "config must engage the windowed executor");
+    assert_eq!(sim.is_sharded(), in_flight);
+    sim.set_recorder(Recorder::full());
     sim.enable_message_log();
-    sim.run_until(t);
+    for &t in steps {
+        sim.run_until(t);
+    }
     snapshot(&mut sim)
 }
 
 fn assert_shard_invariant(cfg: &OverlayConfig, alpha: f64, seed: u64, t: f64) {
-    let reference = run_sharded(cfg, alpha, seed, Some(1), t);
-    for shards in [None, Some(2), Some(4)] {
-        let got = run_sharded(cfg, alpha, seed, shards, t);
+    let reference = run_sharded(cfg, alpha, seed, Some(1), &[t]);
+    for shards in [None, Some(2), Some(8)] {
+        let got = run_sharded(cfg, alpha, seed, shards, &[t]);
         assert_eq!(
             got, reference,
             "shards={shards:?} diverged from shards=1 (seed {seed})"
@@ -142,8 +166,7 @@ fn self_healing_blackout_is_shard_invariant() {
     // boundaries against barrier-time state, so a healing run — monitor
     // on, every reaction armed, with a blackout to provoke rebootstraps —
     // must be byte-identical at every shard count, not just a passive one.
-    use crate::config::{HealthConfig, RemedyConfig};
-    let cfg = OverlayConfig {
+    let cfg = healing(OverlayConfig {
         link: LinkLayerConfig::Faulty(FaultConfig {
             drop_probability: 0.1,
             latency: LatencyDist::Exponential { mean: 0.2 },
@@ -156,13 +179,8 @@ fn self_healing_blackout_is_shard_invariant() {
                 },
             }],
         }),
-        health: HealthConfig {
-            enabled: true,
-            ..HealthConfig::default()
-        },
-        remedy: RemedyConfig::all_on(),
         ..base_cfg()
-    };
+    });
     for seed in [54, 55] {
         assert_shard_invariant(&cfg, 0.8, seed, 25.0);
         // The run must actually exercise the engine, or the invariance
@@ -200,7 +218,7 @@ fn sharded_run_is_deterministic() {
         }),
         ..base_cfg()
     };
-    let run = || run_sharded(&cfg, 0.5, 48, Some(3), 25.0);
+    let run = || run_sharded(&cfg, 0.5, 48, Some(3), &[25.0]);
     assert_eq!(run(), run());
 }
 
@@ -233,23 +251,108 @@ fn split_horizons_match_single_run() {
 }
 
 #[test]
-fn zero_latency_ideal_ignores_shards() {
-    // No lookahead, no sharding: the request must fall back to the
-    // sequential executor and reproduce the unsharded run exactly.
-    let trust = trust_graph(60, 50);
-    let run = |shards: Option<usize>| {
-        let cfg = OverlayConfig {
-            shards,
-            ..base_cfg()
-        };
-        let churn = ChurnConfig::from_availability(0.5, 10.0);
-        let mut sim = Simulation::new(trust.clone(), cfg, churn, 50).unwrap();
-        assert!(!sim.is_sharded(), "zero-latency ideal runs stay sequential");
-        sim.enable_message_log();
-        sim.run_until(30.0);
-        snapshot(&mut sim)
+fn ideal_link_is_shard_invariant() {
+    // The zero-latency link exchanges synchronously across two cells, so
+    // it runs on one shard whatever `shards` asks for — health monitor,
+    // remediation and message log included.
+    let cfg = healing(base_cfg());
+    assert_shard_invariant(&cfg, 0.5, 50, 30.0);
+    // The ideal link's defining property: it reports deliverability, so
+    // with `skip_offline_peers` (the default) every request is answered —
+    // the paper's "exactly two messages per period".
+    assert!(cfg.skip_offline_peers);
+    let (.., stats, log, alerts) = run_sharded(&cfg, 0.5, 50, Some(8), &[30.0]);
+    let sent: u64 = stats.iter().map(|s| s.requests_sent).sum();
+    let answered: u64 = stats.iter().map(|s| s.responses_sent).sum();
+    assert!(sent > 0 && sent == answered, "{sent} != {answered}");
+    assert_eq!(stats.iter().map(|s| s.dropped_requests).sum::<u64>(), 0);
+    assert!(log
+        .iter()
+        .all(|m| m.kind != crate::simulation::MessageKind::Dropped));
+    assert!(
+        !alerts.is_empty(),
+        "the alert comparison must not be vacuous"
+    );
+}
+
+#[test]
+fn stepping_is_invisible_with_health_and_remedy_on() {
+    // Stopping mid-window and resuming must equal one straight run in
+    // every observable — message log, alerts and reactions included.
+    let lossy = OverlayConfig {
+        link: LinkLayerConfig::Faulty(FaultConfig {
+            drop_probability: 0.1,
+            latency: LatencyDist::Exponential { mean: 0.3 },
+            ..FaultConfig::none()
+        }),
+        ..base_cfg()
     };
-    assert_eq!(run(Some(8)), run(None));
+    for (cfg, shards) in [(base_cfg(), None), (lossy, Some(4))] {
+        let cfg = healing(cfg);
+        let straight = run_sharded(&cfg, 0.7, 56, shards, &[20.0]);
+        let split = run_sharded(&cfg, 0.7, 56, shards, &[7.3, 12.75, 20.0]);
+        assert_eq!(split, straight, "link {:?}", cfg.link);
+        assert!(!straight.6.is_empty(), "no alert fired ({:?})", cfg.link);
+    }
+}
+
+#[test]
+fn off_grid_health_window_is_rejected() {
+    // A rotation reads the cells at the barrier that finds it due, and
+    // `run_until` may end on a partial window — so a health window off the
+    // 0.5-period execution grid would make alerts depend on how the caller
+    // steps. Validation refuses it.
+    let validate = |window: f64| {
+        let health = HealthConfig {
+            window,
+            ..HealthConfig::default()
+        };
+        OverlayConfig {
+            health,
+            ..base_cfg()
+        }
+        .validate()
+    };
+    for window in [0.5, 2.5, 5.0] {
+        assert_eq!(validate(window), Ok(()));
+    }
+    assert!(matches!(
+        validate(3.3),
+        Err(crate::error::CoreError::InvalidConfig {
+            field: "health.window",
+            ..
+        })
+    ));
+}
+
+#[test]
+fn marker_pseudonym_comes_from_its_owners_mint_sequence() {
+    // `mint_pseudonym` (the timing attack's traceable marker) draws the
+    // owner's next keyed id like any natural mint, on every link regime.
+    let lossy = OverlayConfig {
+        link: LinkLayerConfig::Faulty(FaultConfig::with_loss(0.1)),
+        shards: Some(4),
+        ..base_cfg()
+    };
+    for cfg in [base_cfg(), lossy] {
+        let cfg = OverlayConfig {
+            pseudonym_lifetime: Some(5.0),
+            ..cfg
+        };
+        let churn = ChurnConfig::from_availability(1.0, 10.0);
+        let mut sim = Simulation::new(trust_graph(60, 57), cfg, churn, 57).unwrap();
+        sim.run_until(3.0);
+        // No churn and no expiry yet: every node minted exactly once.
+        let (owner, before) = (41u32, sim.pseudonyms_minted());
+        assert_eq!(before, 60);
+        let marker = sim.mint_pseudonym(owner);
+        assert_eq!(marker.id().0, (u64::from(owner) + 1) << 32 | 1);
+        assert_eq!(sim.pseudonyms_minted(), before + 1, "counted once");
+        // The owner's next natural mint takes the following sequence number.
+        sim.run_until(7.0);
+        let own = sim.node(owner as usize).own_pseudonym(sim.now()).unwrap();
+        assert_eq!(own.id().0, (u64::from(owner) + 1) << 32 | 2);
+    }
 }
 
 #[test]

@@ -20,23 +20,22 @@
 //! by evicting the unresponsive pseudonym from its cache and sampler.
 //!
 //! This module is the public facade; the execution machinery lives in
-//! [`crate::sim_exec`]. The link regime — never a user knob — picks the
-//! executor:
+//! [`crate::sim_exec`]. Every run advances through the one windowed
+//! executor ([`crate::sim_exec::executor`]); the link regime — never a
+//! user knob — only picks how a shuffle is initiated
+//! ([`crate::sim_exec::shard`]):
 //!
-//! - a fault model or a positive link latency puts messages in flight, and
-//!   every such run takes the **windowed** executor
-//!   ([`crate::sim_exec::executor`]): nodes partitioned over
-//!   [`OverlayConfig::shards`] shards (one when unset) advancing in
-//!   bounded time windows, with identical results for every shard count;
-//! - the paper's ideal zero-latency link exchanges synchronously, leaves
-//!   nothing in flight to window, and keeps the **sequential** executor
-//!   ([`crate::sim_exec::dispatch`]); `shards` is ignored there.
+//! - a fault model or a positive link latency puts messages in flight:
+//!   nodes are partitioned over [`OverlayConfig::shards`] shards (one when
+//!   unset), with identical results for every shard count;
+//! - the paper's ideal zero-latency link exchanges synchronously across
+//!   two nodes, so it runs on one shard and `shards` is ignored there.
 
 use crate::config::{LinkLayerConfig, OverlayConfig};
 use crate::error::CoreError;
 use crate::health::HealthMonitor;
 use crate::node::{LinkTarget, Node, NodeStats};
-use crate::pseudonym::{PseudonymArena, PseudonymService};
+use crate::pseudonym::PseudonymArena;
 use crate::remedy::{RemedyCounts, RemedyEngine};
 use crate::sim_exec::executor::ShardedRuntime;
 use crate::sim_exec::state::NodeCell;
@@ -45,7 +44,6 @@ use rand::Rng;
 use veil_graph::Graph;
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::churn::{ChurnConfig, ChurnProcess};
-use veil_sim::engine::Engine;
 use veil_sim::fault::{EpisodeEffect, FaultConfig};
 use veil_sim::rng::{derive_rng, Stream};
 use veil_sim::SimTime;
@@ -90,17 +88,8 @@ pub struct Simulation {
     pub(crate) trust: Graph,
     pub(crate) cfg: OverlayConfig,
     pub(crate) churn_cfg: ChurnConfig,
-    /// The sequential executor's global engine (empty on the windowed
-    /// executor, where each shard owns its own).
-    pub(crate) engine: Engine<Event>,
     /// All per-node state, one contiguous cell per trust-graph vertex.
     pub(crate) cells: Vec<NodeCell>,
-    pub(crate) svc: PseudonymService,
-    /// The sequential executor's pseudonym arena: one canonical copy of
-    /// every pseudonym instance the caches and samplers reference. On the
-    /// windowed executor each shard owns its own arena instead and this
-    /// one stays empty.
-    pub(crate) arena: PseudonymArena,
     pub(crate) current_time: SimTime,
     pub(crate) message_log: Option<Vec<MessageRecord>>,
     /// The fault model when the non-trivial faulty link layer is active;
@@ -109,13 +98,11 @@ pub struct Simulation {
     /// One-way latency of the lossless link: `cfg.link_latency`, or the
     /// constant latency of a trivial faulty layer.
     pub(crate) effective_latency: f64,
-    /// The master seed, kept for the windowed executor's stateless
-    /// per-message RNG derivation.
+    /// The master seed, kept for the stateless per-message RNG derivation.
     pub(crate) master_seed: u64,
-    /// The windowed runtime, present exactly when messages spend time in
-    /// flight (a fault model or positive latency); `None` runs the
-    /// zero-latency sequential executor.
-    pub(crate) sharded: Option<ShardedRuntime>,
+    /// The windowed runtime: the shards with their engines, minters and
+    /// arenas, plus the barrier scratch.
+    pub(crate) rt: ShardedRuntime,
     /// Observability sink; disabled by default (a single branch per hook)
     /// and never a source of randomness, so enabling it cannot perturb the
     /// simulation.
@@ -166,15 +153,17 @@ impl Simulation {
             LinkLayerConfig::Faulty(fc) if fc.is_trivial() => (None, fc.latency.mean()),
             LinkLayerConfig::Faulty(fc) => (Some(fc.clone()), 0.0),
         };
-        // Messages in flight ⇒ the windowed executor, on one shard unless
-        // told otherwise. The zero-latency lossless link exchanges
-        // synchronously and stays sequential whatever `shards` says.
+        // One shard unless told otherwise. The zero-latency lossless link
+        // exchanges synchronously across two cells, so it gets one shard
+        // whatever `shards` says.
         let in_flight = fault.is_some() || effective_latency > 0.0;
-        let mut sharded =
-            in_flight.then(|| ShardedRuntime::new(n, cfg.shards.unwrap_or(1).min(n), master_seed));
-        let mut engine = Engine::new();
+        let shards = if in_flight {
+            cfg.shards.unwrap_or(1).min(n)
+        } else {
+            1
+        };
+        let mut rt = ShardedRuntime::new(n, shards, master_seed);
         let mut cells = Vec::with_capacity(n);
-        let mut svc = PseudonymService::new(master_seed);
         let phases = shuffle_phases(master_seed, n);
         let recorder = veil_obs::global();
         let mut health = HealthMonitor::maybe_new(&cfg.health, &recorder, n, 0.0);
@@ -186,22 +175,14 @@ impl Simulation {
             let mut churn_rng = derive_rng(master_seed, Stream::Churn(v as u32));
             let mut node = Node::new(v as u32, trusted, &cfg, &mut proto_rng);
             let (process, first_transition) = ChurnProcess::new(&churn_cfg, &mut churn_rng);
-            // The node's home: its shard's minter and engine on the
-            // windowed executor, the global ones on the sequential.
-            let (minter, engine) = match &mut sharded {
-                Some(rt) => {
-                    let shard = rt.shard_of_mut(v);
-                    (&mut shard.minter, &mut shard.engine)
-                }
-                None => (&mut svc, &mut engine),
-            };
+            let shard = rt.shard_of_mut(v);
             if process.is_online() {
                 // All initially online nodes mint pseudonyms at t = 0,
                 // which produces the synchronized-expiry transient the
                 // paper observes in Figure 9. (The adaptive lifetime policy
                 // has no availability observations yet and falls back to
                 // the global lifetime here.)
-                node.renew_pseudonym(minter, SimTime::ZERO, cfg.pseudonym_lifetime);
+                node.renew_pseudonym(&mut shard.minter, SimTime::ZERO, cfg.pseudonym_lifetime);
                 record(&recorder, &mut health, 0.0, Some(v as u32), || {
                     Obs::PseudonymMinted {
                         lifetime: cfg.pseudonym_lifetime,
@@ -213,13 +194,15 @@ impl Simulation {
                     node: v as u32,
                     generation: 0,
                 };
-                engine.schedule_at(SimTime::new(delay), ev);
+                shard.engine.schedule_at(SimTime::new(delay), ev);
             }
             // Shuffle timers are desynchronised with a random phase in
             // [0, 1) shuffle periods; they keep firing while the node is
             // offline (the handler no-ops), matching the "rejoining node
             // resumes where it left off" semantics.
-            engine.schedule_at(SimTime::new(phase), Event::Shuffle(v as u32));
+            shard
+                .engine
+                .schedule_at(SimTime::new(phase), Event::Shuffle(v as u32));
             cells.push(NodeCell::new(node, process, proto_rng, churn_rng));
         }
 
@@ -229,7 +212,7 @@ impl Simulation {
             // gets the trigger and handles its own victims.
             for (i, ep) in fault.episodes.iter().enumerate() {
                 if matches!(ep.effect, EpisodeEffect::Blackout { .. }) {
-                    for shard in sharded.iter_mut().flat_map(|rt| rt.shards.iter_mut()) {
+                    for shard in rt.shards.iter_mut() {
                         shard
                             .engine
                             .schedule_at(SimTime::new(ep.start), Event::EpisodeStart(i as u32));
@@ -242,16 +225,13 @@ impl Simulation {
             trust,
             cfg,
             churn_cfg,
-            engine,
             cells,
-            svc,
-            arena: PseudonymArena::new(),
             current_time: SimTime::ZERO,
             message_log: None,
             fault,
             effective_latency,
             master_seed,
-            sharded,
+            rt,
             recorder,
             health,
             remedy,
@@ -281,11 +261,12 @@ impl Simulation {
         &self.recorder
     }
 
-    /// Whether the windowed (sharded) executor is active: `true` exactly
-    /// when a fault model or a positive link latency is configured,
-    /// `false` for the zero-latency ideal link.
+    /// Whether messages spend time in flight: `true` exactly when a fault
+    /// model or a positive link latency is configured — the runs
+    /// [`OverlayConfig::shards`] partitions — and `false` for the
+    /// zero-latency ideal link, which exchanges synchronously on one shard.
     pub fn is_sharded(&self) -> bool {
-        self.sharded.is_some()
+        self.fault.is_some() || self.effective_latency > 0.0
     }
 
     /// Publishes end-of-run engine and protocol aggregates into the
@@ -301,21 +282,10 @@ impl Simulation {
         if !r.is_enabled() {
             return;
         }
-        match &self.sharded {
-            Some(rt) => {
-                r.gauge("engine.events_processed", rt.events_processed() as f64);
-                r.gauge("engine.queue_high_water", rt.queue_high_water() as f64);
-                r.gauge("engine.pending_events", rt.pending_events() as f64);
-            }
-            None => {
-                r.gauge("engine.events_processed", self.engine.processed() as f64);
-                r.gauge(
-                    "engine.queue_high_water",
-                    self.engine.high_water_mark() as f64,
-                );
-                r.gauge("engine.pending_events", self.engine.pending() as f64);
-            }
-        }
+        let rt = &self.rt;
+        r.gauge("engine.events_processed", rt.events_processed() as f64);
+        r.gauge("engine.queue_high_water", rt.queue_high_water() as f64);
+        r.gauge("engine.pending_events", rt.pending_events() as f64);
         r.gauge("sim.nodes", self.cells.len() as f64);
         r.gauge("sim.online_nodes", self.online_count() as f64);
         r.gauge(
@@ -459,38 +429,31 @@ impl Simulation {
         &mut self.cells[v].node
     }
 
-    /// The pseudonym arena of node `v`'s executor domain: the sequential
-    /// simulation's single arena, or — in sharded mode — the arena of the
-    /// shard that owns `v`. Needed to resolve the [`crate::pseudonym::PseudonymHandle`]s
-    /// stored in the node's cache and sampler back to pseudonym values.
+    /// The pseudonym arena of the shard that owns node `v`. Needed to
+    /// resolve the [`crate::pseudonym::PseudonymHandle`]s stored in the
+    /// node's cache and sampler back to pseudonym values.
     pub fn arena_of(&self, v: usize) -> &PseudonymArena {
-        match &self.sharded {
-            Some(rt) => &rt.shards[rt.owner[v] as usize].arena,
-            None => &self.arena,
-        }
+        &self.rt.shards[self.rt.owner[v] as usize].arena
     }
 
-    /// Mutable access to a node together with its domain's arena — the
+    /// Mutable access to a node together with its shard's arena — the
     /// borrow-splitting companion of [`Simulation::node_mut`] for
     /// instrumentation that inserts pseudonyms into per-node structures
     /// (which interns them into the arena).
     pub fn node_and_arena_mut(&mut self, v: usize) -> (&mut Node, &mut PseudonymArena) {
-        let arena = match &mut self.sharded {
-            Some(rt) => {
-                let i = rt.owner[v] as usize;
-                &mut rt.shards[i].arena
-            }
-            None => &mut self.arena,
-        };
-        (&mut self.cells[v].node, arena)
+        (&mut self.cells[v].node, &mut self.rt.shard_of_mut(v).arena)
     }
 
     /// Mints a pseudonym owned by `owner` at the current time with the
-    /// configured lifetime — used by attack experiments where an internal
-    /// observer crafts a traceable pseudonym.
+    /// configured lifetime, from the owner's own mint sequence — used by
+    /// attack experiments where an internal observer crafts a traceable
+    /// pseudonym.
     pub fn mint_pseudonym(&mut self, owner: u32) -> crate::pseudonym::Pseudonym {
-        let lifetime = self.cfg.pseudonym_lifetime;
-        self.svc.mint(owner, self.current_time, lifetime)
+        let (now, lifetime) = (self.current_time, self.cfg.pseudonym_lifetime);
+        self.rt
+            .shard_of_mut(owner as usize)
+            .minter
+            .mint(owner, now, lifetime)
     }
 
     /// Message/activity statistics of node `v`, with online time accounted
@@ -505,25 +468,18 @@ impl Simulation {
 
     /// Total pseudonyms minted so far.
     pub fn pseudonyms_minted(&self) -> u64 {
-        match &self.sharded {
-            Some(rt) => rt.pseudonyms_minted() + self.svc.minted(),
-            None => self.svc.minted(),
-        }
+        self.rt.pseudonyms_minted()
     }
 
-    /// Total events processed by the engine(s) so far — the sequential
-    /// engine's counter, or the sum across shard engines in sharded mode.
+    /// Total events processed so far, summed across the shard engines.
     pub fn events_processed(&self) -> u64 {
-        match &self.sharded {
-            Some(rt) => rt.events_processed(),
-            None => self.engine.processed(),
-        }
+        self.rt.events_processed()
     }
 
     /// Approximate heap footprint of the live overlay state in bytes:
     /// per-node protocol state (caches, samplers, scratch), the pseudonym
-    /// arena(s), the event queue(s) and, in sharded mode, the runtime's
-    /// barrier buffers. Undercounts only the executor's transient
+    /// arenas, the event queues and the runtime's barrier buffers.
+    /// Undercounts only the executor's transient
     /// per-call stack allocations, so `approx_heap_bytes() / node_count()`
     /// is a faithful bytes-per-node figure for capacity planning.
     pub fn approx_heap_bytes(&self) -> usize {
@@ -534,11 +490,7 @@ impl Simulation {
                 .iter()
                 .map(|c| c.node.approx_heap_bytes())
                 .sum::<usize>();
-        let executor = match &self.sharded {
-            Some(rt) => rt.approx_heap_bytes(),
-            None => self.engine.approx_heap_bytes(),
-        };
-        cells + self.arena.approx_heap_bytes() + executor
+        cells + self.rt.approx_heap_bytes()
     }
 
     /// Cumulative pseudonym-link removals summed over all nodes — the raw
@@ -563,13 +515,7 @@ impl Simulation {
         let _span = self
             .recorder
             .span_with("sim.run_until", || format!("until={t}"));
-        if self.sharded.is_some() {
-            self.run_until_sharded(horizon);
-            return;
-        }
-        while let Some((now, event)) = self.engine.pop_before(horizon) {
-            self.handle(now, event);
-        }
+        self.run_windows(horizon);
         self.current_time = horizon;
     }
 
@@ -599,17 +545,19 @@ impl Simulation {
                 continue;
             };
             for kind in events.into_iter().flatten() {
-                self.emit(now, Some(v as u32), || kind);
+                record(
+                    &self.recorder,
+                    &mut self.health,
+                    now.as_f64(),
+                    Some(v as u32),
+                    || kind,
+                );
             }
             let wake = Event::BlackoutEnd {
                 node: v as u32,
                 generation: self.cells[v].churn_generation,
             };
-            // The wake goes to whichever engine owns the victim.
-            match &mut self.sharded {
-                Some(rt) => rt.shard_of_mut(v).engine.schedule_at(until, wake),
-                None => self.engine.schedule_at(until, wake),
-            }
+            self.rt.shard_of_mut(v).engine.schedule_at(until, wake);
         }
     }
 

@@ -158,7 +158,12 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         ),
         (0.05f64..=1.0, 1.0f64..100.0, 0.1f64..=1.0, 1usize..10),
         (arb_graph_model(), arb_overlay(), arb_link()),
-        (any::<bool>(), 1.0f64..10.0, option::of(1usize..20)),
+        // Health windows lie on the executor's 0.5-period grid.
+        (
+            any::<bool>(),
+            (2u32..20).prop_map(|k| f64::from(k) * 0.5),
+            option::of(1usize..20),
+        ),
         (
             collection::vec(arb_phase(), 0..4),
             collection::vec(sample::select(DETECTOR_NAMES.to_vec()), 0..3),

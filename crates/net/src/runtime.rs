@@ -212,7 +212,7 @@ impl NodeRuntime {
         let trusted = trust.neighbors(id as usize).to_vec();
         let mut proto_rng = derive_rng(sc.seed, Stream::Protocol(id));
         let mut node = Node::new(id, trusted, &cfg, &mut proto_rng);
-        let mut svc = PseudonymService::new_keyed(sc.seed);
+        let mut svc = PseudonymService::new(sc.seed);
         let rec = Recorder::full();
         let phases = shuffle_phases(sc.seed, sc.nodes);
         let peers: Vec<SocketAddr> = sc

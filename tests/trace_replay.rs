@@ -90,10 +90,10 @@ fn replayed_trace_reconstructs_live_final_stats() {
 
 #[test]
 fn sharded_trace_replays_to_live_stats_at_every_shard_count() {
-    // The sharded executor emits the same per-event story the sequential
-    // one does (different interleaving, same increments), so offline
-    // replay must still reconstruct the live stats — and the replayed
-    // report must be identical for every shard count.
+    // Every shard count emits the same per-event story (different
+    // interleaving, same increments), so offline replay must still
+    // reconstruct the live stats — and the replayed report must be
+    // identical for every shard count.
     let run = |shards: usize| {
         let mut p = params(23, Some(1));
         p.overlay.shards = Some(shards);
