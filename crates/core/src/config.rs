@@ -503,7 +503,8 @@ impl OverlayConfig {
                 reason: "a shuffle must exchange at least one pseudonym".into(),
             });
         }
-        if self.shuffle_length > self.cache_size + 1 {
+        // `- 1`, not `cache_size + 1`: a file can ask for `usize::MAX`.
+        if self.shuffle_length - 1 > self.cache_size {
             return Err(CoreError::InvalidConfig {
                 field: "shuffle_length",
                 reason: format!(
@@ -666,6 +667,10 @@ mod tests {
             ..OverlayConfig::default()
         };
         assert!(cfg.validate().is_err());
+        cfg.shuffle_length = 11;
+        cfg.validate().unwrap();
+        cfg.cache_size = usize::MAX;
+        cfg.validate().unwrap();
         cfg = OverlayConfig {
             target_links: 0,
             ..OverlayConfig::default()

@@ -49,26 +49,8 @@ impl BroadcastReport {
 /// Panics if `source` is out of range, offline, or the mask length differs
 /// from the graph order.
 pub fn flood(graph: &Graph, online: &[bool], source: usize) -> BroadcastReport {
-    assert_eq!(online.len(), graph.node_count(), "mask length mismatch");
-    assert!(online[source], "broadcast source must be online");
-    let mut hops = vec![usize::MAX; graph.node_count()];
-    hops[source] = 0;
-    let mut queue = VecDeque::from([source]);
-    let mut messages = 0usize;
-    while let Some(v) = queue.pop_front() {
-        for &w in graph.neighbors(v) {
-            let w = w as usize;
-            if !online[w] {
-                continue;
-            }
-            messages += 1;
-            if hops[w] == usize::MAX {
-                hops[w] = hops[v] + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    summarize(online, source, &hops, messages)
+    // No queued node is `usize::MAX` hops out, so this TTL never expires.
+    controlled_flood(graph, online, source, usize::MAX)
 }
 
 /// Controlled flooding: like [`flood`], but messages carry a TTL and stop

@@ -184,9 +184,10 @@ pub fn recovery_interval(s: &Scenario) -> Option<(f64, f64)> {
     envelope
 }
 
-/// Lowers the link spec + phases into a link-layer config. Trivial fault
-/// configs collapse to `Ideal`, keeping the fast path for fault-free
-/// scenarios.
+/// Lowers the link spec + phases into a link-layer config. Only the model
+/// that injects nothing at all — no loss, no latency, no episodes — is the
+/// ideal link; a constant latency alone stays a fault model, whose
+/// constant `Simulation::new` keeps when it collapses trivial models.
 fn lower_link(s: &Scenario) -> LinkLayerConfig {
     let latency = if s.link.latency.mean <= 0.0 {
         LatencyDist::Constant { value: 0.0 }
@@ -213,7 +214,7 @@ fn lower_link(s: &Scenario) -> LinkLayerConfig {
             .flat_map(|p| phase_episodes(p, s.nodes))
             .collect(),
     };
-    if fault.is_trivial() {
+    if fault == FaultConfig::none() {
         LinkLayerConfig::Ideal
     } else {
         LinkLayerConfig::Faulty(fault)
@@ -295,6 +296,21 @@ mod tests {
         assert_eq!(lowered.params.overlay.link, LinkLayerConfig::Ideal);
         assert_eq!(lowered.params.warmup, 50.0);
         assert_eq!(lowered.alpha, 0.9);
+        lowered.params.overlay.validate().unwrap();
+    }
+
+    #[test]
+    fn constant_latency_survives_lowering() {
+        let mut s = base();
+        s.link.latency.mean = 0.5;
+        let lowered = lower(&s).unwrap();
+        assert_eq!(
+            lowered.params.overlay.link,
+            LinkLayerConfig::Faulty(FaultConfig {
+                latency: LatencyDist::Constant { value: 0.5 },
+                ..FaultConfig::none()
+            })
+        );
         lowered.params.overlay.validate().unwrap();
     }
 

@@ -43,8 +43,9 @@ impl<T> Spanned<T> {
 pub enum Value {
     /// A quoted string.
     Str(String),
-    /// An integer literal.
-    Int(i64),
+    /// An integer literal; wide enough for every `u64` (seeds) and for
+    /// negative values, so range errors are the schema's to report.
+    Int(i128),
     /// A float literal (also produced by `inf` / `-inf`).
     Float(f64),
     /// `true` / `false`.
@@ -542,7 +543,7 @@ impl Cursor {
                         }
                     }
                 } else {
-                    match digits.parse::<i64>() {
+                    match digits.parse::<i128>() {
                         Ok(n) => Value::Int(n),
                         Err(_) => {
                             return Err(ScenarioError::at(span, format!("invalid value `{word}`")))
@@ -573,14 +574,10 @@ pub fn from_json(value: &serde_json::Value) -> Result<Spanned<Value>, ScenarioEr
             ))
         }
         J::Bool(b) => Value::Bool(*b),
-        J::U64(n) => {
-            let n = i64::try_from(*n)
-                .map_err(|_| ScenarioError::new(format!("integer {n} is out of range")))?;
-            Value::Int(n)
-        }
-        J::I64(n) => Value::Int(*n),
+        J::U64(n) => Value::Int(i128::from(*n)),
+        J::I64(n) => Value::Int(i128::from(*n)),
         J::U128(n) => {
-            let n = i64::try_from(*n)
+            let n = i128::try_from(*n)
                 .map_err(|_| ScenarioError::new(format!("integer {n} is out of range")))?;
             Value::Int(n)
         }

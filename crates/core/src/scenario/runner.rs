@@ -20,7 +20,7 @@ use crate::experiment::{
 use crate::metrics::{snapshot, OverlaySnapshot};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::Mutex;
 use veil_graph::Graph;
 use veil_obs::{analyze_trace, Recorder, TraceEvent};
@@ -313,11 +313,66 @@ pub fn run_scenario_with(
     })
 }
 
+/// Grades one numeric bound (`None` when it is unset). Every bound key is
+/// spelled `max_*` or `min_*`, which is its direction; `shown` is the
+/// observed value as it reads in the check's detail.
+fn bound<T: PartialOrd + Display>(
+    key: &str,
+    limit: Option<T>,
+    observed: T,
+    shown: String,
+) -> Option<AssertionOutcome> {
+    let limit = limit?;
+    let (word, passed) = if key.starts_with("max_") {
+        ("max", observed <= limit)
+    } else {
+        ("min", observed >= limit)
+    };
+    Some(AssertionOutcome {
+        key: key.to_string(),
+        detail: format!("{shown} vs {word} {limit}"),
+        passed,
+    })
+}
+
 /// Grades every assertion in the scenario against the measured outcome,
 /// filling `outcome.checks` and `outcome.passed`.
 fn grade(scenario: &Scenario, outcome: &mut ScenarioOutcome) {
     let a = &scenario.assertions;
-    let mut checks = Vec::new();
+    let (disconnected, failures) = (
+        outcome.snapshot.fraction_disconnected,
+        outcome.snapshot.shuffle_failures,
+    );
+    let (alerts, critical) = (outcome.alerts_total, outcome.critical_alerts);
+    let (coverage, success) = (outcome.coverage, outcome.shuffle_success_rate);
+    // One row per numeric bound: the assertion (the key as written in
+    // files and the field holding its limit), the observed value, and
+    // how that value reads in the check's detail.
+    macro_rules! bounds {
+        ($(($key:ident, $observed:expr, $shown:literal)),+ $(,)?) => {
+            [$(bound(stringify!($key), a.$key, $observed, format!($shown))),+]
+                .into_iter()
+                .flatten()
+        };
+    }
+    let mut checks: Vec<AssertionOutcome> = bounds![
+        (
+            max_disconnected,
+            disconnected,
+            "disconnected {disconnected:.4}"
+        ),
+        (min_coverage, coverage, "coverage {coverage:.4}"),
+        (max_alerts, alerts, "{alerts} alerts"),
+        (min_alerts, alerts, "{alerts} alerts"),
+        (max_critical_alerts, critical, "{critical} critical"),
+        (
+            min_shuffle_success_rate,
+            success,
+            "success rate {success:.4}"
+        ),
+        (max_shuffle_failures, failures, "{failures} failures"),
+    ]
+    .collect();
     let mut push = |key: &str, detail: String, passed: bool| {
         checks.push(AssertionOutcome {
             key: key.to_string(),
@@ -325,62 +380,6 @@ fn grade(scenario: &Scenario, outcome: &mut ScenarioOutcome) {
             passed,
         });
     };
-    if let Some(bound) = a.max_disconnected {
-        let v = outcome.snapshot.fraction_disconnected;
-        push(
-            "max_disconnected",
-            format!("disconnected {v:.4} vs max {bound}"),
-            v <= bound,
-        );
-    }
-    if let Some(bound) = a.min_coverage {
-        let v = outcome.coverage;
-        push(
-            "min_coverage",
-            format!("coverage {v:.4} vs min {bound}"),
-            v >= bound,
-        );
-    }
-    if let Some(bound) = a.max_alerts {
-        let v = outcome.alerts_total;
-        push(
-            "max_alerts",
-            format!("{v} alerts vs max {bound}"),
-            v <= bound,
-        );
-    }
-    if let Some(bound) = a.min_alerts {
-        let v = outcome.alerts_total;
-        push(
-            "min_alerts",
-            format!("{v} alerts vs min {bound}"),
-            v >= bound,
-        );
-    }
-    if let Some(bound) = a.max_critical_alerts {
-        let v = outcome.critical_alerts;
-        push(
-            "max_critical_alerts",
-            format!("{v} critical vs max {bound}"),
-            v <= bound,
-        );
-    }
-    if let Some(bound) = a.min_shuffle_success_rate {
-        let v = outcome.shuffle_success_rate;
-        push(
-            "min_shuffle_success_rate",
-            format!("success rate {v:.4} vs min {bound}"),
-            v >= bound,
-        );
-    }
-    if let Some(bound) = a.max_shuffle_failures {
-        let v = outcome.snapshot.shuffle_failures;
-        push(
-            "max_shuffle_failures",
-            format!("{v} failures vs max {bound}"),
-            v <= bound,
-        );
-    }
     for name in &a.require_detectors {
         let fired = outcome.detectors.iter().any(|d| d == name);
         push(
@@ -435,31 +434,28 @@ fn grade(scenario: &Scenario, outcome: &mut ScenarioOutcome) {
         );
     }
     if let Some(attack) = &outcome.attack {
-        if let Some(bound) = a.max_observed_node_fraction {
-            let v = attack.node_fraction;
-            push(
-                "max_observed_node_fraction",
-                format!("observers know {v:.4} of nodes vs max {bound}"),
-                v <= bound,
-            );
-        }
-        if let Some(bound) = a.max_observed_edge_fraction {
-            let v = attack.edge_fraction;
-            push(
-                "max_observed_edge_fraction",
-                format!("observers know {v:.4} of edges vs max {bound}"),
-                v <= bound,
-            );
-        }
+        let (nodes, edges) = (attack.node_fraction, attack.edge_fraction);
+        checks.extend(bounds![
+            (
+                max_observed_node_fraction,
+                nodes,
+                "observers know {nodes:.4} of nodes"
+            ),
+            (
+                max_observed_edge_fraction,
+                edges,
+                "observers know {edges:.4} of edges"
+            ),
+        ]);
         if a.forbid_vertex_cut {
-            push(
-                "forbid_vertex_cut",
-                format!(
+            checks.push(AssertionOutcome {
+                key: "forbid_vertex_cut".to_string(),
+                detail: format!(
                     "observer set {} a vertex cut",
                     if attack.is_vertex_cut { "IS" } else { "is not" }
                 ),
-                !attack.is_vertex_cut,
-            );
+                passed: !attack.is_vertex_cut,
+            });
         }
     }
     outcome.passed = checks.iter().all(|c| c.passed);

@@ -1,12 +1,14 @@
 //! Scenario schema: the typed description a scenario file parses into,
-//! plus the canonical TOML serializer (`Scenario::to_toml`) used by
-//! round-trip tests and `veil scenario list`.
+//! the key tables that read it from the spanned value tree, and the
+//! canonical TOML serializer (`Scenario::to_toml`, the parser's inverse,
+//! which the round-trip tests pin) that walks the same tables.
 //!
-//! Building from the spanned value tree happens here so every "unknown
-//! key" / "wrong type" diagnostic can point at the offending character.
-//! Semantic rules that involve more than one field (phase ordering,
-//! overlapping blackouts, assertion/attack consistency) live in
-//! [`super::validate`].
+//! Each file key and each `[[phase]]` kind is declared once, below the
+//! types: the declaration drives reading, the "unknown key" check and
+//! writing, so every "unknown key" / "wrong type" diagnostic can point at
+//! the offending character. Semantic rules that involve more than one
+//! field (phase ordering, overlapping blackouts, assertion/attack
+//! consistency) live in [`super::validate`].
 
 use super::parser::{Spanned, Table, Value};
 use super::{ScenarioError, Span};
@@ -146,16 +148,6 @@ pub enum LatencyKind {
     Pareto,
 }
 
-impl LatencyKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            LatencyKind::Constant => "constant",
-            LatencyKind::Exponential => "exponential",
-            LatencyKind::Pareto => "pareto",
-        }
-    }
-}
-
 /// Online health monitoring switch and window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSpec {
@@ -280,19 +272,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Stable lower-case phase name (the `kind` key in files).
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            Phase::FlashCrowd { .. } => "flash-crowd",
-            Phase::Blackout { .. } => "blackout",
-            Phase::Partition { .. } => "partition",
-            Phase::Crash { .. } => "crash",
-            Phase::ChurnWaves { .. } => "churn-waves",
-            Phase::CreepingLoss { .. } => "creeping-loss",
-            Phase::Eclipse { .. } => "eclipse",
-        }
-    }
-
     /// The time the phase's first effect begins, used for ordering
     /// validation. A flash crowd's blackout starts at t = 0, but the
     /// phase is *about* the join at `at`, so that is its ordering key.
@@ -474,85 +453,162 @@ impl Default for Scenario {
 }
 
 // ---------------------------------------------------------------------------
-// Building from the spanned value tree
+// The value codec
 // ---------------------------------------------------------------------------
 
 fn err_at(span: Span, message: String) -> ScenarioError {
     ScenarioError::at(span, message)
 }
 
-fn as_str<'a>(v: &'a Spanned<Value>, what: &str) -> Result<&'a str, ScenarioError> {
-    match &v.value {
-        Value::Str(s) => Ok(s),
-        other => Err(err_at(
-            v.span,
-            format!("{what}: expected a string, got {}", other.type_name()),
-        )),
+/// The "wrong type" diagnostic, pointing at the value.
+fn expected(v: &Spanned<Value>, what: &str, wanted: &str) -> ScenarioError {
+    err_at(
+        v.span,
+        format!("{what}: expected {wanted}, got {}", v.value.type_name()),
+    )
+}
+
+/// A type one `key = value` line can hold: how it is read from the
+/// spanned value tree and written back canonically.
+trait Scalar: Sized {
+    /// Reads the value of key `what`; type and range errors point at the
+    /// value's span.
+    fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError>;
+    /// The canonical value text, which [`Scalar::read`] parses back to
+    /// `self`; `None` omits the line (an unset `Option`).
+    fn write(&self) -> Option<String>;
+}
+
+impl Scalar for f64 {
+    fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError> {
+        match v.value {
+            Value::Float(f) => Ok(f),
+            Value::Int(n) => Ok(n as f64),
+            _ => Err(expected(v, what, "a number")),
+        }
+    }
+
+    /// Rust's shortest-representation `{:?}` round-trips through the
+    /// parser as a float (`10.0`, not `10`; `inf` for the infinities).
+    fn write(&self) -> Option<String> {
+        Some(format!("{self:?}"))
     }
 }
 
-fn as_f64(v: &Spanned<Value>, what: &str) -> Result<f64, ScenarioError> {
-    match v.value {
-        Value::Float(f) => Ok(f),
-        Value::Int(n) => Ok(n as f64),
-        ref other => Err(err_at(
-            v.span,
-            format!("{what}: expected a number, got {}", other.type_name()),
-        )),
+/// The unsigned integer types: negative and too-large values are range
+/// errors, never silent wraps.
+macro_rules! uint_scalar {
+    ($($t:ty),+) => {$(
+        impl Scalar for $t {
+            fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError> {
+                let Value::Int(n) = v.value else {
+                    return Err(expected(v, what, "an integer"));
+                };
+                if n < 0 {
+                    return Err(err_at(v.span, format!("{what}: must be non-negative, got {n}")));
+                }
+                <$t>::try_from(n).map_err(|_| {
+                    err_at(v.span, format!("{what}: must be at most {}, got {n}", <$t>::MAX))
+                })
+            }
+
+            fn write(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )+};
+}
+uint_scalar!(usize, u64, u32);
+
+impl Scalar for bool {
+    fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError> {
+        match v.value {
+            Value::Bool(b) => Ok(b),
+            _ => Err(expected(v, what, "true or false")),
+        }
+    }
+
+    fn write(&self) -> Option<String> {
+        Some(self.to_string())
     }
 }
 
-fn as_usize(v: &Spanned<Value>, what: &str) -> Result<usize, ScenarioError> {
-    match v.value {
-        Value::Int(n) if n >= 0 => Ok(n as usize),
-        Value::Int(n) => Err(err_at(
-            v.span,
-            format!("{what}: must be non-negative, got {n}"),
-        )),
-        ref other => Err(err_at(
-            v.span,
-            format!("{what}: expected an integer, got {}", other.type_name()),
-        )),
+impl Scalar for String {
+    fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError> {
+        match &v.value {
+            Value::Str(s) => Ok(s.clone()),
+            _ => Err(expected(v, what, "a string")),
+        }
+    }
+
+    fn write(&self) -> Option<String> {
+        let mut out = String::with_capacity(self.len() + 2);
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                other => out.push(other),
+            }
+        }
+        out.push('"');
+        Some(out)
     }
 }
 
-fn as_u64(v: &Spanned<Value>, what: &str) -> Result<u64, ScenarioError> {
-    as_usize(v, what).map(|n| n as u64)
+/// An optional key: absent in the file ⇔ `None`.
+impl<T: Scalar> Scalar for Option<T> {
+    fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError> {
+        T::read(v, what).map(Some)
+    }
+
+    fn write(&self) -> Option<String> {
+        self.as_ref().and_then(T::write)
+    }
 }
 
-fn as_bool(v: &Spanned<Value>, what: &str) -> Result<bool, ScenarioError> {
-    match v.value {
-        Value::Bool(b) => Ok(b),
-        ref other => Err(err_at(
-            v.span,
-            format!("{what}: expected true or false, got {}", other.type_name()),
-        )),
+impl Scalar for LatencyKind {
+    fn read(v: &Spanned<Value>, what: &str) -> Result<Self, ScenarioError> {
+        match String::read(v, what)?.as_str() {
+            "constant" => Ok(LatencyKind::Constant),
+            "exponential" | "exp" => Ok(LatencyKind::Exponential),
+            "pareto" => Ok(LatencyKind::Pareto),
+            other => Err(err_at(
+                v.span,
+                format!(
+                    "{what}: expected \"constant\", \"exponential\" or \"pareto\", got \"{other}\""
+                ),
+            )),
+        }
+    }
+
+    fn write(&self) -> Option<String> {
+        let name = match self {
+            LatencyKind::Constant => "constant",
+            LatencyKind::Exponential => "exponential",
+            LatencyKind::Pareto => "pareto",
+        };
+        Some(format!("\"{name}\""))
     }
 }
 
 fn as_table<'a>(v: &'a Spanned<Value>, what: &str) -> Result<&'a Table, ScenarioError> {
     match &v.value {
         Value::Table(t) => Ok(t),
-        other => Err(err_at(
-            v.span,
-            format!("{what}: expected a table, got {}", other.type_name()),
-        )),
+        _ => Err(expected(v, what, "a table")),
     }
 }
 
-/// Rejects keys outside `allowed`, pointing at the first offender and
-/// suggesting the closest allowed key when one is plausibly a typo.
-fn check_keys(table: &Table, section: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
-    for (key, _) in table.entries() {
-        if !allowed.contains(&key.value.as_str()) {
-            let mut message = format!("unknown key `{}` in {section}", key.value);
-            if let Some(suggestion) = closest(&key.value, allowed) {
-                let _ = write!(message, " (did you mean `{suggestion}`?)");
-            }
-            return Err(err_at(key.span, message));
-        }
+/// Appends the closest allowed spelling to `message` when `got` is
+/// plausibly a typo of one; `quote` is the quoting the message uses.
+fn suggest(mut message: String, got: &str, allowed: &[&str], quote: char) -> String {
+    if let Some(suggestion) = closest(got, allowed) {
+        let _ = write!(message, " (did you mean {quote}{suggestion}{quote}?)");
     }
-    Ok(())
+    message
 }
 
 /// The allowed key within edit distance 2, if any.
@@ -581,6 +637,403 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
+// ---------------------------------------------------------------------------
+// The key tables: one declaration per file key. Reading, the unknown-key
+// check and canonical writing are three walks over the same table, so a
+// new key is a struct field, its default, and one line here.
+// ---------------------------------------------------------------------------
+
+/// One key of a table whose typed home is `S`.
+struct Key<S> {
+    /// The key as spelled in files.
+    name: &'static str,
+    /// Parses the key's value into `S`.
+    read: fn(&mut S, &Spanned<Value>) -> Result<(), ScenarioError>,
+    /// Appends the key's canonical line(s) for `S`, or nothing when the
+    /// key is unset.
+    write: fn(&S, &mut String),
+}
+
+/// Rejects keys outside `allowed`, pointing at the first offender and
+/// suggesting the closest allowed key when one is plausibly a typo.
+fn reject_unknown_keys(t: &Table, section: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
+    match t
+        .entries()
+        .iter()
+        .find(|(key, _)| !allowed.contains(&key.value.as_str()))
+    {
+        None => Ok(()),
+        Some((key, _)) => {
+            let message = format!("unknown key `{}` in {section}", key.value);
+            Err(err_at(key.span, suggest(message, &key.value, allowed, '`')))
+        }
+    }
+}
+
+/// Reads table `t` into `into`: undeclared keys are rejected first, then
+/// every declared key that is present is read, in declaration order.
+fn read_table<S>(
+    t: &Table,
+    section: &str,
+    keys: &[Key<S>],
+    into: &mut S,
+) -> Result<(), ScenarioError> {
+    let names: Vec<&str> = keys.iter().map(|k| k.name).collect();
+    reject_unknown_keys(t, section, &names)?;
+    for key in keys {
+        if let Some(v) = t.get(key.name) {
+            (key.read)(into, v)?;
+        }
+    }
+    Ok(())
+}
+
+fn write_table<S>(s: &S, keys: &[Key<S>], out: &mut String) {
+    for key in keys {
+        (key.write)(s, out);
+    }
+}
+
+fn write_line<T: Scalar>(out: &mut String, name: &str, value: &T) {
+    if let Some(text) = value.write() {
+        let _ = writeln!(out, "{name} = {text}");
+    }
+}
+
+/// A scalar key stored in the field of the same name.
+macro_rules! key {
+    ($field:ident) => {
+        Key {
+            name: stringify!($field),
+            read: |s, v| {
+                s.$field = Scalar::read(v, stringify!($field))?;
+                Ok(())
+            },
+            write: |s, out| write_line(out, stringify!($field), &s.$field),
+        }
+    };
+}
+
+/// A sub-table stored in the field of the same name, with its own key
+/// table; `$header` is its full `[dotted.path]`.
+macro_rules! section {
+    ($field:ident, $header:literal, $keys:expr) => {
+        Key {
+            name: stringify!($field),
+            read: |s, v| read_table(as_table(v, $header)?, $header, $keys, &mut s.$field),
+            write: |s, out| {
+                let _ = writeln!(out, "\n{}", $header);
+                write_table(&s.$field, $keys, out);
+            },
+        }
+    };
+}
+
+/// A `[graph]` key stored inside the listed `model` variants. Under any
+/// other model the key is accepted and ignored, so a file can switch
+/// `model` without deleting the other family's tuning.
+macro_rules! model_key {
+    ($field:ident in $($variant:ident)|+) => {
+        Key {
+            name: stringify!($field),
+            read: |g, v| {
+                match &mut g.model {
+                    $(GraphModel::$variant { $field, .. })|+ => {
+                        *$field = Scalar::read(v, stringify!($field))?;
+                    }
+                    _ => {}
+                }
+                Ok(())
+            },
+            write: |g, out| match &g.model {
+                $(GraphModel::$variant { $field, .. })|+ => {
+                    write_line(out, stringify!($field), $field);
+                }
+                _ => {}
+            },
+        }
+    };
+}
+
+/// A list of names drawn from the fixed set `$known` (a typo cannot
+/// silently never match), written only when non-empty.
+macro_rules! names {
+    ($field:ident, $noun:literal, $known:expr) => {
+        Key {
+            name: stringify!($field),
+            read: |a, v| {
+                a.$field = read_names(v, stringify!($field), $noun, &$known)?;
+                Ok(())
+            },
+            write: |a, out| {
+                if !a.$field.is_empty() {
+                    let list = a.$field.join("\", \"");
+                    let _ = writeln!(out, "{} = [\"{list}\"]", stringify!($field));
+                }
+            },
+        }
+    };
+}
+
+fn read_names(
+    v: &Spanned<Value>,
+    key: &str,
+    noun: &str,
+    known: &[&str],
+) -> Result<Vec<String>, ScenarioError> {
+    let Value::Array(items) = &v.value else {
+        return Err(expected(v, key, &format!("an array of {noun} names")));
+    };
+    items
+        .iter()
+        .map(|item| {
+            let name = String::read(item, key)?;
+            if known.contains(&name.as_str()) {
+                Ok(name)
+            } else {
+                let message = format!("unknown {noun} `{name}`");
+                Err(err_at(item.span, suggest(message, &name, known, '`')))
+            }
+        })
+        .collect()
+}
+
+const SCENARIO: &[Key<Scenario>] = &[
+    key!(name),
+    key!(description),
+    key!(seed),
+    key!(nodes),
+    key!(horizon),
+    key!(availability),
+    key!(mean_offline),
+    section!(graph, "[graph]", GRAPH),
+    section!(overlay, "[overlay]", OVERLAY),
+    section!(link, "[link]", LINK),
+    section!(health, "[health]", HEALTH),
+    section!(remediation, "[remediation]", REMEDIATION),
+    Key {
+        name: "phase",
+        read: |s, v| {
+            let Value::Array(items) = &v.value else {
+                return Err(expected(v, "phase", "[[phase]] entries"));
+            };
+            for item in items {
+                s.phases
+                    .push(read_phase(as_table(item, "[[phase]]")?, item.span)?);
+            }
+            Ok(())
+        },
+        write: |s, out| s.phases.iter().for_each(|p| write_phase(p, out)),
+    },
+    Key {
+        name: "attack",
+        read: |s, v| {
+            let mut attack = AttackSpec { observers: 1 };
+            read_table(as_table(v, "[attack]")?, "[attack]", ATTACK, &mut attack)?;
+            s.attack = Some(attack);
+            Ok(())
+        },
+        write: |s, out| {
+            if let Some(attack) = &s.attack {
+                let _ = writeln!(out, "\n[attack]");
+                write_table(attack, ATTACK, out);
+            }
+        },
+    },
+    section!(assertions, "[assertions]", ASSERTIONS),
+];
+
+#[allow(unreachable_patterns)] // `triad` lives in every model variant
+const GRAPH: &[Key<GraphSpec>] = &[
+    Key {
+        name: "model",
+        read: |g, v| {
+            g.model = match String::read(v, "model")?.as_str() {
+                "holme-kim" | "hk" => GraphModel::HolmeKim {
+                    attach: 4,
+                    triad: 0.6,
+                },
+                "degree-matched" | "dm" => GraphModel::DegreeMatched {
+                    avg_degree: 8.0,
+                    triad: 0.6,
+                },
+                other => {
+                    return Err(err_at(
+                        v.span,
+                        format!(
+                            "model: expected \"holme-kim\" or \"degree-matched\", got \"{other}\""
+                        ),
+                    ))
+                }
+            };
+            Ok(())
+        },
+        write: |g, out| {
+            let model = match g.model {
+                GraphModel::HolmeKim { .. } => "holme-kim",
+                GraphModel::DegreeMatched { .. } => "degree-matched",
+            };
+            let _ = writeln!(out, "model = \"{model}\"");
+        },
+    },
+    model_key!(attach in HolmeKim),
+    model_key!(avg_degree in DegreeMatched),
+    model_key!(triad in HolmeKim | DegreeMatched),
+    key!(trust_f),
+    key!(source_multiplier),
+];
+
+const OVERLAY: &[Key<OverlaySpec>] = &[
+    key!(cache_size),
+    key!(shuffle_length),
+    key!(target_links),
+    // Not the `Option` codec: unset is spelled `"inf"`, not omitted.
+    Key {
+        name: "lifetime_ratio",
+        read: |o, v| {
+            o.lifetime_ratio = match &v.value {
+                Value::Str(s) if s == "inf" => None,
+                Value::Str(s) => {
+                    return Err(err_at(
+                        v.span,
+                        format!("lifetime_ratio: expected a number or \"inf\", got \"{s}\""),
+                    ))
+                }
+                _ => Some(f64::read(v, "lifetime_ratio")?),
+            };
+            Ok(())
+        },
+        write: |o, out| {
+            let ratio = o
+                .lifetime_ratio
+                .map_or_else(|| "\"inf\"".to_string(), |r| format!("{r:?}"));
+            let _ = writeln!(out, "lifetime_ratio = {ratio}");
+        },
+    },
+    key!(shuffle_timeout),
+    key!(shuffle_retries),
+];
+
+const LINK: &[Key<LinkSpec>] = &[key!(loss), section!(latency, "[link.latency]", LATENCY)];
+
+const LATENCY: &[Key<LatencySpec>] = &[key!(dist), key!(mean), key!(shape)];
+
+const HEALTH: &[Key<HealthSpec>] = &[key!(enabled), key!(window)];
+
+const REMEDIATION: &[Key<RemedySpec>] = &[
+    key!(enabled),
+    key!(backoff),
+    key!(rebootstrap),
+    key!(throttle),
+    key!(backoff_shuffles),
+    key!(rebootstrap_max_offers),
+    key!(rebootstrap_cooldown),
+    key!(throttle_periods),
+];
+
+const ATTACK: &[Key<AttackSpec>] = &[key!(observers)];
+
+const ASSERTIONS: &[Key<Assertions>] = &[
+    key!(max_disconnected),
+    key!(min_coverage),
+    key!(max_alerts),
+    key!(min_alerts),
+    key!(max_critical_alerts),
+    key!(min_shuffle_success_rate),
+    key!(max_shuffle_failures),
+    names!(require_detectors, "detector", DETECTOR_NAMES),
+    names!(forbid_detectors, "detector", DETECTOR_NAMES),
+    key!(max_observed_node_fraction),
+    key!(max_observed_edge_fraction),
+    key!(forbid_vertex_cut),
+    key!(recovery_time_at_most),
+    names!(reaction_fired, "reaction", REACTION_NAMES),
+];
+
+// ---------------------------------------------------------------------------
+// Phase kinds: one declaration per `[[phase]]` kind
+// ---------------------------------------------------------------------------
+
+/// Reads one field of a phase: the key's value, else the declared
+/// default, else the "missing" diagnostic at the `[[phase]]` header.
+fn phase_field<T: Scalar>(
+    t: &Table,
+    span: Span,
+    kind: &str,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, ScenarioError> {
+    match (t.get(key), default) {
+        (Some(v), _) => T::read(v, key),
+        (None, Some(default)) => Ok(default),
+        (None, None) => Err(err_at(span, format!("{kind} phase is missing `{key}`"))),
+    }
+}
+
+/// Declares every phase kind as `"kind" => Variant { field, field =
+/// default, … }` — a field without a default is required — and derives
+/// the kind names, the reader (with its unknown-key check) and the
+/// canonical writer from that one list.
+macro_rules! phase_kinds {
+    ($($kind:literal => $variant:ident { $($field:ident $(= $default:expr)?),+ },)+) => {
+        impl Phase {
+            /// Stable lower-case phase name (the `kind` key in files).
+            pub fn kind_str(&self) -> &'static str {
+                match self {
+                    $(Phase::$variant { .. } => $kind,)+
+                }
+            }
+        }
+
+        fn read_phase(t: &Table, span: Span) -> Result<Phase, ScenarioError> {
+            let Some(kind) = t.get("kind") else {
+                return Err(err_at(span, "phase is missing its `kind`".to_string()));
+            };
+            match String::read(kind, "kind")?.as_str() {
+                $($kind => {
+                    let keys = ["kind", $(stringify!($field)),+];
+                    reject_unknown_keys(t, concat!("[[phase]] ", $kind), &keys)?;
+                    Ok(Phase::$variant {
+                        $($field: phase_field(
+                            t,
+                            span,
+                            $kind,
+                            stringify!($field),
+                            None $(.or(Some($default)))?,
+                        )?,)+
+                    })
+                })+
+                other => {
+                    let message = format!("unknown phase kind \"{other}\"");
+                    Err(err_at(
+                        t.key_span("kind").unwrap_or(span),
+                        suggest(message, other, &[$($kind),+], '"'),
+                    ))
+                }
+            }
+        }
+
+        fn write_phase(phase: &Phase, out: &mut String) {
+            let _ = writeln!(out, "\n[[phase]]\nkind = \"{}\"", phase.kind_str());
+            match phase {
+                $(Phase::$variant { $($field),+ } => {
+                    $(write_line(out, stringify!($field), $field);)+
+                })+
+            }
+        }
+    };
+}
+
+phase_kinds! {
+    "flash-crowd" => FlashCrowd { at, fraction, from = 0.0 },
+    "blackout" => Blackout { start, duration, fraction, from = 0.0 },
+    "partition" => Partition { start, duration, fraction },
+    "crash" => Crash { start, duration, fraction, from = 0.0 },
+    "churn-waves" => ChurnWaves { start, period, duty = 0.5, fraction, waves },
+    "creeping-loss" => CreepingLoss { start, end, steps = 4, max_fraction },
+    "eclipse" => Eclipse { start, duration, victims },
+}
+
 /// Spans recorded while building, so semantic validation (which runs on
 /// the plain [`Scenario`]) can still point diagnostics at the file.
 #[derive(Debug, Clone, Default)]
@@ -602,580 +1055,19 @@ pub fn build_scenario(
     doc: &Table,
     default_name: &str,
 ) -> Result<(Scenario, ScenarioSpans), ScenarioError> {
-    check_keys(
-        doc,
-        "the scenario",
-        &[
-            "name",
-            "description",
-            "seed",
-            "nodes",
-            "horizon",
-            "availability",
-            "mean_offline",
-            "graph",
-            "overlay",
-            "link",
-            "health",
-            "remediation",
-            "phase",
-            "attack",
-            "assertions",
-        ],
-    )?;
     let mut s = Scenario {
         name: default_name.to_string(),
         ..Scenario::default()
     };
-    let mut spans = ScenarioSpans::default();
-    if let Some(v) = doc.get("name") {
-        s.name = as_str(v, "name")?.to_string();
-    }
-    if let Some(v) = doc.get("description") {
-        s.description = as_str(v, "description")?.to_string();
-    }
-    if let Some(v) = doc.get("seed") {
-        s.seed = as_u64(v, "seed")?;
-    }
-    if let Some(v) = doc.get("nodes") {
-        s.nodes = as_usize(v, "nodes")?;
-    }
-    if let Some(v) = doc.get("horizon") {
-        s.horizon = as_f64(v, "horizon")?;
-    }
-    if let Some(v) = doc.get("availability") {
-        s.availability = as_f64(v, "availability")?;
-    }
-    if let Some(v) = doc.get("mean_offline") {
-        s.mean_offline = as_f64(v, "mean_offline")?;
-    }
-    if let Some(v) = doc.get("graph") {
-        s.graph = build_graph(as_table(v, "[graph]")?)?;
-    }
-    if let Some(v) = doc.get("overlay") {
-        s.overlay = build_overlay(as_table(v, "[overlay]")?)?;
-    }
-    if let Some(v) = doc.get("link") {
-        s.link = build_link(as_table(v, "[link]")?)?;
-    }
-    if let Some(v) = doc.get("health") {
-        s.health = build_health(as_table(v, "[health]")?)?;
-    }
-    if let Some(v) = doc.get("remediation") {
-        s.remediation = build_remediation(as_table(v, "[remediation]")?)?;
-    }
-    if let Some(v) = doc.get("phase") {
-        let items = match &v.value {
-            Value::Array(items) => items,
-            other => {
-                return Err(err_at(
-                    v.span,
-                    format!(
-                        "phase: expected [[phase]] entries, got {}",
-                        other.type_name()
-                    ),
-                ))
-            }
-        };
-        for item in items {
-            let table = as_table(item, "[[phase]]")?;
-            s.phases.push(build_phase(table, item.span)?);
-            spans.phases.push(item.span);
-        }
-    }
-    if let Some(v) = doc.get("attack") {
-        s.attack = Some(build_attack(as_table(v, "[attack]")?)?);
-    }
-    if let Some(v) = doc.get("assertions") {
-        s.assertions = build_assertions(as_table(v, "[assertions]")?)?;
-        spans.assertions = Some(v.span);
-    }
+    read_table(doc, "the scenario", SCENARIO, &mut s)?;
+    let spans = ScenarioSpans {
+        phases: match doc.get("phase").map(|v| &v.value) {
+            Some(Value::Array(items)) => items.iter().map(|item| item.span).collect(),
+            _ => Vec::new(),
+        },
+        assertions: doc.get("assertions").map(|v| v.span),
+    };
     Ok((s, spans))
-}
-
-fn build_graph(t: &Table) -> Result<GraphSpec, ScenarioError> {
-    check_keys(
-        t,
-        "[graph]",
-        &[
-            "model",
-            "attach",
-            "triad",
-            "avg_degree",
-            "trust_f",
-            "source_multiplier",
-        ],
-    )?;
-    let mut g = GraphSpec::default();
-    let model = match t.get("model") {
-        None => "holme-kim".to_string(),
-        Some(v) => as_str(v, "model")?.to_string(),
-    };
-    g.model = match model.as_str() {
-        "holme-kim" | "hk" => {
-            let mut attach = 4;
-            let mut triad = 0.6;
-            if let Some(v) = t.get("attach") {
-                attach = as_usize(v, "attach")?;
-            }
-            if let Some(v) = t.get("triad") {
-                triad = as_f64(v, "triad")?;
-            }
-            GraphModel::HolmeKim { attach, triad }
-        }
-        "degree-matched" | "dm" => {
-            let mut avg_degree = 8.0;
-            let mut triad = 0.6;
-            if let Some(v) = t.get("avg_degree") {
-                avg_degree = as_f64(v, "avg_degree")?;
-            }
-            if let Some(v) = t.get("triad") {
-                triad = as_f64(v, "triad")?;
-            }
-            GraphModel::DegreeMatched { avg_degree, triad }
-        }
-        other => {
-            let span = t.get("model").map(|v| v.span).unwrap_or(Span::NONE);
-            return Err(err_at(
-                span,
-                format!("model: expected \"holme-kim\" or \"degree-matched\", got \"{other}\""),
-            ));
-        }
-    };
-    if let Some(v) = t.get("trust_f") {
-        g.trust_f = as_f64(v, "trust_f")?;
-    }
-    if let Some(v) = t.get("source_multiplier") {
-        g.source_multiplier = as_usize(v, "source_multiplier")?;
-    }
-    Ok(g)
-}
-
-fn build_overlay(t: &Table) -> Result<OverlaySpec, ScenarioError> {
-    check_keys(
-        t,
-        "[overlay]",
-        &[
-            "cache_size",
-            "shuffle_length",
-            "target_links",
-            "lifetime_ratio",
-            "shuffle_timeout",
-            "shuffle_retries",
-        ],
-    )?;
-    let mut o = OverlaySpec::default();
-    if let Some(v) = t.get("cache_size") {
-        o.cache_size = as_usize(v, "cache_size")?;
-    }
-    if let Some(v) = t.get("shuffle_length") {
-        o.shuffle_length = as_usize(v, "shuffle_length")?;
-    }
-    if let Some(v) = t.get("target_links") {
-        o.target_links = as_usize(v, "target_links")?;
-    }
-    if let Some(v) = t.get("lifetime_ratio") {
-        o.lifetime_ratio = match &v.value {
-            Value::Str(s) if s == "inf" => None,
-            Value::Str(s) => {
-                return Err(err_at(
-                    v.span,
-                    format!("lifetime_ratio: expected a number or \"inf\", got \"{s}\""),
-                ))
-            }
-            _ => Some(as_f64(v, "lifetime_ratio")?),
-        };
-    }
-    if let Some(v) = t.get("shuffle_timeout") {
-        o.shuffle_timeout = as_f64(v, "shuffle_timeout")?;
-    }
-    if let Some(v) = t.get("shuffle_retries") {
-        o.shuffle_retries = as_usize(v, "shuffle_retries")? as u32;
-    }
-    Ok(o)
-}
-
-fn build_link(t: &Table) -> Result<LinkSpec, ScenarioError> {
-    check_keys(t, "[link]", &["loss", "latency"])?;
-    let mut l = LinkSpec::default();
-    if let Some(v) = t.get("loss") {
-        l.loss = as_f64(v, "loss")?;
-    }
-    if let Some(v) = t.get("latency") {
-        let latency = as_table(v, "[link.latency]")?;
-        check_keys(latency, "[link.latency]", &["dist", "mean", "shape"])?;
-        if let Some(d) = latency.get("dist") {
-            l.latency.dist = match as_str(d, "dist")? {
-                "constant" => LatencyKind::Constant,
-                "exponential" | "exp" => LatencyKind::Exponential,
-                "pareto" => LatencyKind::Pareto,
-                other => {
-                    return Err(err_at(
-                        d.span,
-                        format!(
-                            "dist: expected \"constant\", \"exponential\" or \"pareto\", \
-                             got \"{other}\""
-                        ),
-                    ))
-                }
-            };
-        }
-        if let Some(m) = latency.get("mean") {
-            l.latency.mean = as_f64(m, "mean")?;
-        }
-        if let Some(sh) = latency.get("shape") {
-            l.latency.shape = as_f64(sh, "shape")?;
-        }
-    }
-    Ok(l)
-}
-
-fn build_health(t: &Table) -> Result<HealthSpec, ScenarioError> {
-    check_keys(t, "[health]", &["enabled", "window"])?;
-    let mut h = HealthSpec::default();
-    if let Some(v) = t.get("enabled") {
-        h.enabled = as_bool(v, "enabled")?;
-    }
-    if let Some(v) = t.get("window") {
-        h.window = as_f64(v, "window")?;
-    }
-    Ok(h)
-}
-
-fn build_remediation(t: &Table) -> Result<RemedySpec, ScenarioError> {
-    check_keys(
-        t,
-        "[remediation]",
-        &[
-            "enabled",
-            "backoff",
-            "rebootstrap",
-            "throttle",
-            "backoff_shuffles",
-            "rebootstrap_max_offers",
-            "rebootstrap_cooldown",
-            "throttle_periods",
-        ],
-    )?;
-    let mut r = RemedySpec::default();
-    if let Some(v) = t.get("enabled") {
-        r.enabled = as_bool(v, "enabled")?;
-    }
-    if let Some(v) = t.get("backoff") {
-        r.backoff = as_bool(v, "backoff")?;
-    }
-    if let Some(v) = t.get("rebootstrap") {
-        r.rebootstrap = as_bool(v, "rebootstrap")?;
-    }
-    if let Some(v) = t.get("throttle") {
-        r.throttle = as_bool(v, "throttle")?;
-    }
-    if let Some(v) = t.get("backoff_shuffles") {
-        r.backoff_shuffles = as_usize(v, "backoff_shuffles")? as u32;
-    }
-    if let Some(v) = t.get("rebootstrap_max_offers") {
-        r.rebootstrap_max_offers = as_usize(v, "rebootstrap_max_offers")?;
-    }
-    if let Some(v) = t.get("rebootstrap_cooldown") {
-        r.rebootstrap_cooldown = as_f64(v, "rebootstrap_cooldown")?;
-    }
-    if let Some(v) = t.get("throttle_periods") {
-        r.throttle_periods = as_f64(v, "throttle_periods")?;
-    }
-    Ok(r)
-}
-
-fn build_phase(t: &Table, span: Span) -> Result<Phase, ScenarioError> {
-    let kind = match t.get("kind") {
-        Some(v) => as_str(v, "kind")?.to_string(),
-        None => return Err(err_at(span, "phase is missing its `kind`".to_string())),
-    };
-    let kind_span = t.key_span("kind").unwrap_or(span);
-    let f = |key: &str, default: f64| -> Result<f64, ScenarioError> {
-        match t.get(key) {
-            Some(v) => as_f64(v, key),
-            None => Ok(default),
-        }
-    };
-    let required = |key: &'static str| -> Result<f64, ScenarioError> {
-        match t.get(key) {
-            Some(v) => as_f64(v, key),
-            None => Err(err_at(span, format!("{kind} phase is missing `{key}`"))),
-        }
-    };
-    let phase = match kind.as_str() {
-        "flash-crowd" => {
-            check_keys(
-                t,
-                "[[phase]] flash-crowd",
-                &["kind", "at", "fraction", "from"],
-            )?;
-            Phase::FlashCrowd {
-                at: required("at")?,
-                fraction: required("fraction")?,
-                from: f("from", 0.0)?,
-            }
-        }
-        "blackout" => {
-            check_keys(
-                t,
-                "[[phase]] blackout",
-                &["kind", "start", "duration", "fraction", "from"],
-            )?;
-            Phase::Blackout {
-                start: required("start")?,
-                duration: required("duration")?,
-                fraction: required("fraction")?,
-                from: f("from", 0.0)?,
-            }
-        }
-        "partition" => {
-            check_keys(
-                t,
-                "[[phase]] partition",
-                &["kind", "start", "duration", "fraction"],
-            )?;
-            Phase::Partition {
-                start: required("start")?,
-                duration: required("duration")?,
-                fraction: required("fraction")?,
-            }
-        }
-        "crash" => {
-            check_keys(
-                t,
-                "[[phase]] crash",
-                &["kind", "start", "duration", "fraction", "from"],
-            )?;
-            Phase::Crash {
-                start: required("start")?,
-                duration: required("duration")?,
-                fraction: required("fraction")?,
-                from: f("from", 0.0)?,
-            }
-        }
-        "churn-waves" => {
-            check_keys(
-                t,
-                "[[phase]] churn-waves",
-                &["kind", "start", "period", "duty", "fraction", "waves"],
-            )?;
-            let waves = match t.get("waves") {
-                Some(v) => as_usize(v, "waves")?,
-                None => return Err(err_at(span, "churn-waves phase is missing `waves`".into())),
-            };
-            Phase::ChurnWaves {
-                start: required("start")?,
-                period: required("period")?,
-                duty: f("duty", 0.5)?,
-                fraction: required("fraction")?,
-                waves,
-            }
-        }
-        "creeping-loss" => {
-            check_keys(
-                t,
-                "[[phase]] creeping-loss",
-                &["kind", "start", "end", "steps", "max_fraction"],
-            )?;
-            let steps = match t.get("steps") {
-                Some(v) => as_usize(v, "steps")?,
-                None => 4,
-            };
-            Phase::CreepingLoss {
-                start: required("start")?,
-                end: required("end")?,
-                steps,
-                max_fraction: required("max_fraction")?,
-            }
-        }
-        "eclipse" => {
-            check_keys(
-                t,
-                "[[phase]] eclipse",
-                &["kind", "start", "duration", "victims"],
-            )?;
-            Phase::Eclipse {
-                start: required("start")?,
-                duration: required("duration")?,
-                victims: required("victims")?,
-            }
-        }
-        other => {
-            let mut message = format!("unknown phase kind \"{other}\"");
-            let kinds = [
-                "flash-crowd",
-                "blackout",
-                "partition",
-                "crash",
-                "churn-waves",
-                "creeping-loss",
-                "eclipse",
-            ];
-            if let Some(suggestion) = closest(other, &kinds) {
-                let _ = write!(message, " (did you mean \"{suggestion}\"?)");
-            }
-            return Err(err_at(kind_span, message));
-        }
-    };
-    Ok(phase)
-}
-
-fn build_attack(t: &Table) -> Result<AttackSpec, ScenarioError> {
-    check_keys(t, "[attack]", &["observers"])?;
-    let observers = match t.get("observers") {
-        Some(v) => as_usize(v, "observers")?,
-        None => 1,
-    };
-    Ok(AttackSpec { observers })
-}
-
-fn build_assertions(t: &Table) -> Result<Assertions, ScenarioError> {
-    check_keys(
-        t,
-        "[assertions]",
-        &[
-            "max_disconnected",
-            "min_coverage",
-            "max_alerts",
-            "min_alerts",
-            "max_critical_alerts",
-            "min_shuffle_success_rate",
-            "max_shuffle_failures",
-            "require_detectors",
-            "forbid_detectors",
-            "max_observed_node_fraction",
-            "max_observed_edge_fraction",
-            "forbid_vertex_cut",
-            "recovery_time_at_most",
-            "reaction_fired",
-        ],
-    )?;
-    let mut a = Assertions::default();
-    if let Some(v) = t.get("max_disconnected") {
-        a.max_disconnected = Some(as_f64(v, "max_disconnected")?);
-    }
-    if let Some(v) = t.get("min_coverage") {
-        a.min_coverage = Some(as_f64(v, "min_coverage")?);
-    }
-    if let Some(v) = t.get("max_alerts") {
-        a.max_alerts = Some(as_u64(v, "max_alerts")?);
-    }
-    if let Some(v) = t.get("min_alerts") {
-        a.min_alerts = Some(as_u64(v, "min_alerts")?);
-    }
-    if let Some(v) = t.get("max_critical_alerts") {
-        a.max_critical_alerts = Some(as_u64(v, "max_critical_alerts")?);
-    }
-    if let Some(v) = t.get("min_shuffle_success_rate") {
-        a.min_shuffle_success_rate = Some(as_f64(v, "min_shuffle_success_rate")?);
-    }
-    if let Some(v) = t.get("max_shuffle_failures") {
-        a.max_shuffle_failures = Some(as_u64(v, "max_shuffle_failures")?);
-    }
-    for (key, target) in [
-        ("require_detectors", &mut a.require_detectors),
-        ("forbid_detectors", &mut a.forbid_detectors),
-    ] {
-        if let Some(v) = t.get(key) {
-            let items = match &v.value {
-                Value::Array(items) => items,
-                other => {
-                    return Err(err_at(
-                        v.span,
-                        format!(
-                            "{key}: expected an array of detector names, got {}",
-                            other.type_name()
-                        ),
-                    ))
-                }
-            };
-            for item in items {
-                let name = as_str(item, key)?;
-                if !DETECTOR_NAMES.contains(&name) {
-                    let mut message = format!("unknown detector `{name}`");
-                    if let Some(suggestion) = closest(name, &DETECTOR_NAMES) {
-                        let _ = write!(message, " (did you mean `{suggestion}`?)");
-                    }
-                    return Err(err_at(item.span, message));
-                }
-                target.push(name.to_string());
-            }
-        }
-    }
-    if let Some(v) = t.get("max_observed_node_fraction") {
-        a.max_observed_node_fraction = Some(as_f64(v, "max_observed_node_fraction")?);
-    }
-    if let Some(v) = t.get("max_observed_edge_fraction") {
-        a.max_observed_edge_fraction = Some(as_f64(v, "max_observed_edge_fraction")?);
-    }
-    if let Some(v) = t.get("forbid_vertex_cut") {
-        a.forbid_vertex_cut = as_bool(v, "forbid_vertex_cut")?;
-    }
-    if let Some(v) = t.get("recovery_time_at_most") {
-        a.recovery_time_at_most = Some(as_f64(v, "recovery_time_at_most")?);
-    }
-    if let Some(v) = t.get("reaction_fired") {
-        let items = match &v.value {
-            Value::Array(items) => items,
-            other => {
-                return Err(err_at(
-                    v.span,
-                    format!(
-                        "reaction_fired: expected an array of reaction names, got {}",
-                        other.type_name()
-                    ),
-                ))
-            }
-        };
-        for item in items {
-            let name = as_str(item, "reaction_fired")?;
-            if !REACTION_NAMES.contains(&name) {
-                let mut message = format!("unknown reaction `{name}`");
-                if let Some(suggestion) = closest(name, &REACTION_NAMES) {
-                    let _ = write!(message, " (did you mean `{suggestion}`?)");
-                }
-                return Err(err_at(item.span, message));
-            }
-            a.reaction_fired.push(name.to_string());
-        }
-    }
-    Ok(a)
-}
-
-// ---------------------------------------------------------------------------
-// Canonical TOML serialization
-// ---------------------------------------------------------------------------
-
-/// Formats a float so it round-trips through the parser as a float
-/// (`10.0`, not `10`), using Rust's shortest-representation `{:?}`.
-fn toml_f64(x: f64) -> String {
-    if x.is_infinite() {
-        if x > 0.0 {
-            "inf".into()
-        } else {
-            "-inf".into()
-        }
-    } else {
-        format!("{x:?}")
-    }
-}
-
-fn toml_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl Scenario {
@@ -1184,209 +1076,9 @@ impl Scenario {
     /// for any scenario — the round-trip property the conformance and
     /// property tests pin.
     pub fn to_toml(&self) -> String {
-        let mut o = String::new();
-        let _ = writeln!(o, "name = {}", toml_str(&self.name));
-        let _ = writeln!(o, "description = {}", toml_str(&self.description));
-        let _ = writeln!(o, "seed = {}", self.seed);
-        let _ = writeln!(o, "nodes = {}", self.nodes);
-        let _ = writeln!(o, "horizon = {}", toml_f64(self.horizon));
-        let _ = writeln!(o, "availability = {}", toml_f64(self.availability));
-        let _ = writeln!(o, "mean_offline = {}", toml_f64(self.mean_offline));
-
-        let _ = writeln!(o, "\n[graph]");
-        match self.graph.model {
-            GraphModel::HolmeKim { attach, triad } => {
-                let _ = writeln!(o, "model = \"holme-kim\"");
-                let _ = writeln!(o, "attach = {attach}");
-                let _ = writeln!(o, "triad = {}", toml_f64(triad));
-            }
-            GraphModel::DegreeMatched { avg_degree, triad } => {
-                let _ = writeln!(o, "model = \"degree-matched\"");
-                let _ = writeln!(o, "avg_degree = {}", toml_f64(avg_degree));
-                let _ = writeln!(o, "triad = {}", toml_f64(triad));
-            }
-        }
-        let _ = writeln!(o, "trust_f = {}", toml_f64(self.graph.trust_f));
-        let _ = writeln!(o, "source_multiplier = {}", self.graph.source_multiplier);
-
-        let _ = writeln!(o, "\n[overlay]");
-        let _ = writeln!(o, "cache_size = {}", self.overlay.cache_size);
-        let _ = writeln!(o, "shuffle_length = {}", self.overlay.shuffle_length);
-        let _ = writeln!(o, "target_links = {}", self.overlay.target_links);
-        match self.overlay.lifetime_ratio {
-            Some(r) => {
-                let _ = writeln!(o, "lifetime_ratio = {}", toml_f64(r));
-            }
-            None => {
-                let _ = writeln!(o, "lifetime_ratio = \"inf\"");
-            }
-        }
-        let _ = writeln!(
-            o,
-            "shuffle_timeout = {}",
-            toml_f64(self.overlay.shuffle_timeout)
-        );
-        let _ = writeln!(o, "shuffle_retries = {}", self.overlay.shuffle_retries);
-
-        let _ = writeln!(o, "\n[link]");
-        let _ = writeln!(o, "loss = {}", toml_f64(self.link.loss));
-        let _ = writeln!(o, "\n[link.latency]");
-        let _ = writeln!(o, "dist = \"{}\"", self.link.latency.dist.as_str());
-        let _ = writeln!(o, "mean = {}", toml_f64(self.link.latency.mean));
-        let _ = writeln!(o, "shape = {}", toml_f64(self.link.latency.shape));
-
-        let _ = writeln!(o, "\n[health]");
-        let _ = writeln!(o, "enabled = {}", self.health.enabled);
-        let _ = writeln!(o, "window = {}", toml_f64(self.health.window));
-
-        let _ = writeln!(o, "\n[remediation]");
-        let r = &self.remediation;
-        let _ = writeln!(o, "enabled = {}", r.enabled);
-        let _ = writeln!(o, "backoff = {}", r.backoff);
-        let _ = writeln!(o, "rebootstrap = {}", r.rebootstrap);
-        let _ = writeln!(o, "throttle = {}", r.throttle);
-        let _ = writeln!(o, "backoff_shuffles = {}", r.backoff_shuffles);
-        let _ = writeln!(o, "rebootstrap_max_offers = {}", r.rebootstrap_max_offers);
-        let _ = writeln!(
-            o,
-            "rebootstrap_cooldown = {}",
-            toml_f64(r.rebootstrap_cooldown)
-        );
-        let _ = writeln!(o, "throttle_periods = {}", toml_f64(r.throttle_periods));
-
-        for phase in &self.phases {
-            let _ = writeln!(o, "\n[[phase]]");
-            let _ = writeln!(o, "kind = \"{}\"", phase.kind_str());
-            match *phase {
-                Phase::FlashCrowd { at, fraction, from } => {
-                    let _ = writeln!(o, "at = {}", toml_f64(at));
-                    let _ = writeln!(o, "fraction = {}", toml_f64(fraction));
-                    let _ = writeln!(o, "from = {}", toml_f64(from));
-                }
-                Phase::Blackout {
-                    start,
-                    duration,
-                    fraction,
-                    from,
-                } => {
-                    let _ = writeln!(o, "start = {}", toml_f64(start));
-                    let _ = writeln!(o, "duration = {}", toml_f64(duration));
-                    let _ = writeln!(o, "fraction = {}", toml_f64(fraction));
-                    let _ = writeln!(o, "from = {}", toml_f64(from));
-                }
-                Phase::Partition {
-                    start,
-                    duration,
-                    fraction,
-                } => {
-                    let _ = writeln!(o, "start = {}", toml_f64(start));
-                    let _ = writeln!(o, "duration = {}", toml_f64(duration));
-                    let _ = writeln!(o, "fraction = {}", toml_f64(fraction));
-                }
-                Phase::Crash {
-                    start,
-                    duration,
-                    fraction,
-                    from,
-                } => {
-                    let _ = writeln!(o, "start = {}", toml_f64(start));
-                    let _ = writeln!(o, "duration = {}", toml_f64(duration));
-                    let _ = writeln!(o, "fraction = {}", toml_f64(fraction));
-                    let _ = writeln!(o, "from = {}", toml_f64(from));
-                }
-                Phase::ChurnWaves {
-                    start,
-                    period,
-                    duty,
-                    fraction,
-                    waves,
-                } => {
-                    let _ = writeln!(o, "start = {}", toml_f64(start));
-                    let _ = writeln!(o, "period = {}", toml_f64(period));
-                    let _ = writeln!(o, "duty = {}", toml_f64(duty));
-                    let _ = writeln!(o, "fraction = {}", toml_f64(fraction));
-                    let _ = writeln!(o, "waves = {waves}");
-                }
-                Phase::CreepingLoss {
-                    start,
-                    end,
-                    steps,
-                    max_fraction,
-                } => {
-                    let _ = writeln!(o, "start = {}", toml_f64(start));
-                    let _ = writeln!(o, "end = {}", toml_f64(end));
-                    let _ = writeln!(o, "steps = {steps}");
-                    let _ = writeln!(o, "max_fraction = {}", toml_f64(max_fraction));
-                }
-                Phase::Eclipse {
-                    start,
-                    duration,
-                    victims,
-                } => {
-                    let _ = writeln!(o, "start = {}", toml_f64(start));
-                    let _ = writeln!(o, "duration = {}", toml_f64(duration));
-                    let _ = writeln!(o, "victims = {}", toml_f64(victims));
-                }
-            }
-        }
-
-        if let Some(attack) = &self.attack {
-            let _ = writeln!(o, "\n[attack]");
-            let _ = writeln!(o, "observers = {}", attack.observers);
-        }
-
-        let _ = writeln!(o, "\n[assertions]");
-        let a = &self.assertions;
-        if let Some(v) = a.max_disconnected {
-            let _ = writeln!(o, "max_disconnected = {}", toml_f64(v));
-        }
-        if let Some(v) = a.min_coverage {
-            let _ = writeln!(o, "min_coverage = {}", toml_f64(v));
-        }
-        if let Some(v) = a.max_alerts {
-            let _ = writeln!(o, "max_alerts = {v}");
-        }
-        if let Some(v) = a.min_alerts {
-            let _ = writeln!(o, "min_alerts = {v}");
-        }
-        if let Some(v) = a.max_critical_alerts {
-            let _ = writeln!(o, "max_critical_alerts = {v}");
-        }
-        if let Some(v) = a.min_shuffle_success_rate {
-            let _ = writeln!(o, "min_shuffle_success_rate = {}", toml_f64(v));
-        }
-        if let Some(v) = a.max_shuffle_failures {
-            let _ = writeln!(o, "max_shuffle_failures = {v}");
-        }
-        let list = |names: &[String]| {
-            names
-                .iter()
-                .map(|n| format!("\"{n}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        if !a.require_detectors.is_empty() {
-            let _ = writeln!(o, "require_detectors = [{}]", list(&a.require_detectors));
-        }
-        if !a.forbid_detectors.is_empty() {
-            let _ = writeln!(o, "forbid_detectors = [{}]", list(&a.forbid_detectors));
-        }
-        if let Some(v) = a.max_observed_node_fraction {
-            let _ = writeln!(o, "max_observed_node_fraction = {}", toml_f64(v));
-        }
-        if let Some(v) = a.max_observed_edge_fraction {
-            let _ = writeln!(o, "max_observed_edge_fraction = {}", toml_f64(v));
-        }
-        if a.forbid_vertex_cut {
-            let _ = writeln!(o, "forbid_vertex_cut = true");
-        }
-        if let Some(v) = a.recovery_time_at_most {
-            let _ = writeln!(o, "recovery_time_at_most = {}", toml_f64(v));
-        }
-        if !a.reaction_fired.is_empty() {
-            let _ = writeln!(o, "reaction_fired = [{}]", list(&a.reaction_fired));
-        }
-        o
+        let mut out = String::new();
+        write_table(self, SCENARIO, &mut out);
+        out
     }
 }
 
@@ -1440,6 +1132,45 @@ mod tests {
         let (s, _) = build_scenario(&doc, "x").unwrap();
         assert_eq!(s.horizon, 80.0);
         assert_eq!(s.availability, 1.0);
+    }
+
+    #[test]
+    fn u32_keys_reject_out_of_range_integers() {
+        for (text, key, got) in [
+            (
+                "[overlay]\nshuffle_retries = 4294967297\n",
+                "shuffle_retries",
+                "4294967297",
+            ),
+            (
+                "[remediation]\nbackoff_shuffles = 4294967296\n",
+                "backoff_shuffles",
+                "4294967296",
+            ),
+        ] {
+            let err = build_scenario(&parse_document(text).unwrap(), "x").unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("{key}: must be at most 4294967295, got {got}")
+            );
+            assert_eq!(err.span, Some(Span::new(2, key.len() as u32 + 4)));
+        }
+        let doc = parse_document("[overlay]\nshuffle_retries = 4294967295\n").unwrap();
+        let (s, _) = build_scenario(&doc, "x").unwrap();
+        assert_eq!(s.overlay.shuffle_retries, u32::MAX);
+    }
+
+    #[test]
+    fn every_u64_seed_round_trips() {
+        for seed in [0, 1 << 63, u64::MAX] {
+            let s = Scenario {
+                seed,
+                ..Scenario::default()
+            };
+            let doc = parse_document(&s.to_toml()).unwrap();
+            let (back, _) = build_scenario(&doc, "x").unwrap();
+            assert_eq!(back, s);
+        }
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //! well-formed [`Scenario`] — phase ordering, overlapping blackout
 //! regions, parameter ranges, and assertion/attack/health coherence.
 //!
+//! Only the rules the DSL owns are written here: top-level and `[graph]`
+//! ranges, `lifetime_ratio`, whatever [`lower`] clamps before a config
+//! could see it, phases, assertions, and cross-section coherence. The
+//! range rules of everything that lowers 1:1 onto `OverlayConfig` — the
+//! rest of `[overlay]`, `[link]`, `[health]`, `[remediation]` — are that
+//! config's (and its fault model's) own `validate`, run on the lowered
+//! value, so no rule is stated twice.
+//!
 //! Validation runs on the plain scenario value (so programmatically built
 //! scenarios and property tests can use it without source text); when the
 //! scenario came from a file, [`validate_with_spans`] maps each issue back
 //! to the `[[phase]]` or `[assertions]` header it concerns.
 
-use super::lower::phase_episodes;
-use super::schema::{GraphModel, LatencyKind, Phase, Scenario, ScenarioSpans};
+use super::lower::{lower, phase_episodes};
+use super::schema::{GraphModel, Phase, Scenario, ScenarioSpans};
 use super::{ScenarioError, Span};
-use crate::config::HealthConfig;
-use crate::error::CoreError;
 use veil_sim::fault::EpisodeEffect;
 
 /// Which part of the scenario a validation issue concerns.
@@ -61,11 +67,13 @@ impl Issue {
 ///
 /// # Errors
 ///
-/// The first [`Issue`], in field order: global parameters, graph, overlay,
-/// link, health, phases (per-phase then cross-phase), attack, assertions.
+/// The first [`Issue`], in this order: global parameters, graph and the
+/// other DSL-owned ranges, phases (per-phase then cross-phase), the
+/// lowered config's own rules, attack, assertions.
 pub fn check(s: &Scenario) -> Result<(), Issue> {
     check_globals(s)?;
     check_phases(s)?;
+    check_lowered(s)?;
     check_attack_and_assertions(s)?;
     Ok(())
 }
@@ -97,23 +105,30 @@ pub fn validate_with_spans(s: &Scenario, spans: &ScenarioSpans) -> Result<(), Sc
     })
 }
 
-fn finite_positive(name: &str, v: f64) -> Result<(), Issue> {
+/// The two range rules globals and phases share; `issue` says where the
+/// offending value lives.
+fn finite_positive(name: &str, v: f64, issue: impl Fn(String) -> Issue) -> Result<(), Issue> {
     if v.is_finite() && v > 0.0 {
         Ok(())
     } else {
-        Err(Issue::global(format!(
+        Err(issue(format!(
             "{name} must be finite and positive, got {v}"
         )))
     }
 }
 
-fn fraction_01(name: &str, v: f64, open_top: bool) -> Result<(), Issue> {
+fn fraction_01(
+    name: &str,
+    v: f64,
+    open_top: bool,
+    issue: impl Fn(String) -> Issue,
+) -> Result<(), Issue> {
     let ok = v.is_finite() && v > 0.0 && if open_top { v < 1.0 } else { v <= 1.0 };
     if ok {
         Ok(())
     } else {
         let range = if open_top { "(0, 1)" } else { "(0, 1]" };
-        Err(Issue::global(format!("{name} must be in {range}, got {v}")))
+        Err(issue(format!("{name} must be in {range}, got {v}")))
     }
 }
 
@@ -124,185 +139,101 @@ fn check_globals(s: &Scenario) -> Result<(), Issue> {
             s.nodes
         )));
     }
-    finite_positive("horizon", s.horizon)?;
-    fraction_01("availability", s.availability, false)?;
-    finite_positive("mean_offline", s.mean_offline)?;
+    finite_positive("horizon", s.horizon, Issue::global)?;
+    fraction_01("availability", s.availability, false, Issue::global)?;
+    finite_positive("mean_offline", s.mean_offline, Issue::global)?;
 
-    fraction_01("graph.trust_f", s.graph.trust_f, false)?;
+    fraction_01("graph.trust_f", s.graph.trust_f, false, Issue::global)?;
     if s.graph.source_multiplier == 0 {
         return Err(Issue::global(
             "graph.source_multiplier must be at least 1".into(),
         ));
     }
-    match s.graph.model {
-        GraphModel::HolmeKim { attach, triad } => {
-            if attach == 0 {
-                return Err(Issue::global("graph.attach must be at least 1".into()));
-            }
-            if !(triad.is_finite() && (0.0..=1.0).contains(&triad)) {
-                return Err(Issue::global(format!(
-                    "graph.triad must be in [0, 1], got {triad}"
-                )));
-            }
+    let triad = match s.graph.model {
+        GraphModel::HolmeKim { attach: 0, .. } => {
+            return Err(Issue::global("graph.attach must be at least 1".into()));
         }
+        GraphModel::HolmeKim { triad, .. } => triad,
         GraphModel::DegreeMatched { avg_degree, triad } => {
-            finite_positive("graph.avg_degree", avg_degree)?;
-            if !(triad.is_finite() && (0.0..=1.0).contains(&triad)) {
-                return Err(Issue::global(format!(
-                    "graph.triad must be in [0, 1], got {triad}"
-                )));
-            }
+            finite_positive("graph.avg_degree", avg_degree, Issue::global)?;
+            triad
         }
-    }
-
-    let o = &s.overlay;
-    if o.cache_size == 0 {
-        return Err(Issue::global(
-            "overlay.cache_size must be at least 1".into(),
-        ));
-    }
-    if o.shuffle_length == 0 || o.shuffle_length > o.cache_size + 1 {
+    };
+    if !(triad.is_finite() && (0.0..=1.0).contains(&triad)) {
         return Err(Issue::global(format!(
-            "overlay.shuffle_length must be in [1, cache_size + 1 = {}], got {}",
-            o.cache_size + 1,
-            o.shuffle_length
+            "graph.triad must be in [0, 1], got {triad}"
         )));
     }
-    if o.target_links == 0 {
-        return Err(Issue::global(
-            "overlay.target_links must be at least 1".into(),
-        ));
-    }
-    if let Some(r) = o.lifetime_ratio {
-        finite_positive("overlay.lifetime_ratio", r)?;
-    }
-    finite_positive("overlay.shuffle_timeout", o.shuffle_timeout)?;
 
-    if !(s.link.loss.is_finite() && (0.0..=1.0).contains(&s.link.loss)) {
-        return Err(Issue::global(format!(
-            "link.loss must be in [0, 1], got {}",
-            s.link.loss
-        )));
+    // A ratio of `mean_offline`, multiplied out only when the simulation
+    // is built, so no config validator sees it.
+    if let Some(r) = s.overlay.lifetime_ratio {
+        finite_positive("overlay.lifetime_ratio", r, Issue::global)?;
     }
-    let lat = &s.link.latency;
-    if !(lat.mean.is_finite() && lat.mean >= 0.0) {
+    // Lowering reads a mean <= 0 as "instant", which would hide a
+    // negative one from the fault model's validator.
+    if s.link.latency.mean < 0.0 {
         return Err(Issue::global(format!(
             "link.latency.mean must be finite and non-negative, got {}",
-            lat.mean
+            s.link.latency.mean
         )));
     }
-    if lat.dist == LatencyKind::Pareto
-        && lat.mean > 0.0
-        && !(lat.shape.is_finite() && lat.shape > 1.0)
-    {
-        return Err(Issue::global(format!(
-            "link.latency.shape must exceed 1 for a pareto tail, got {}",
-            lat.shape
-        )));
-    }
-
-    let health = HealthConfig {
-        window: s.health.window,
-        ..HealthConfig::default()
-    };
-    if let Err(CoreError::InvalidConfig { field, reason }) = health.validate() {
-        return Err(Issue::global(format!("{field} {reason}")));
-    }
-
-    let r = &s.remediation;
-    if r.enabled && !s.health.enabled {
+    if s.remediation.enabled && !s.health.enabled {
         return Err(Issue::global(
             "[remediation] requires `enabled = true` in [health] — the engine reacts to \
              health alerts and has nothing to consume without the monitor"
                 .into(),
         ));
     }
-    // Tuning is checked even while the engine is off, mirroring
-    // `RemedyConfig::validate`: a latent bad value must not hide until
-    // someone flips the switch.
-    if r.backoff_shuffles == 0 {
-        return Err(Issue::global(
-            "remediation.backoff_shuffles must be at least 1 (zero would be a no-op \
-             reaction)"
-                .into(),
-        ));
-    }
-    if r.rebootstrap_max_offers == 0 {
-        return Err(Issue::global(
-            "remediation.rebootstrap_max_offers must be at least 1 (zero would be a \
-             no-op reaction)"
-                .into(),
-        ));
-    }
-    finite_positive("remediation.rebootstrap_cooldown", r.rebootstrap_cooldown)?;
-    finite_positive("remediation.throttle_periods", r.throttle_periods)?;
     Ok(())
 }
 
-fn phase_issue(i: usize, kind: &str, msg: String) -> Issue {
-    Issue::phase(i, format!("{kind} phase: {msg}"))
+/// The range rules `OverlayConfig::validate` owns (with the health,
+/// remedy and fault-model validators under it), applied to the lowered
+/// config and reported under the config's field name. Runs after the
+/// phase checks, so the episodes it sees are already well-formed. Tuning
+/// is checked even while its engine is off: a latent bad value must not
+/// hide until someone flips the switch.
+fn check_lowered(s: &Scenario) -> Result<(), Issue> {
+    let lowered = lower(s).map_err(|e| Issue::global(e.message))?;
+    lowered
+        .params
+        .overlay
+        .validate()
+        .map_err(|e| Issue::global(e.to_string()))
 }
 
 fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Issue> {
     let kind = p.kind_str();
-    let pos = |name: &str, v: f64| -> Result<(), Issue> {
-        if v.is_finite() && v > 0.0 {
-            Ok(())
-        } else {
-            Err(phase_issue(
-                i,
-                kind,
-                format!("{name} must be finite and positive, got {v}"),
-            ))
-        }
-    };
+    let here = |msg: String| Issue::phase(i, format!("{kind} phase: {msg}"));
+    let pos = |name: &str, v: f64| finite_positive(name, v, here);
     let nonneg = |name: &str, v: f64| -> Result<(), Issue> {
         if v.is_finite() && v >= 0.0 {
             Ok(())
         } else {
-            Err(phase_issue(
-                i,
-                kind,
-                format!("{name} must be finite and non-negative, got {v}"),
-            ))
+            Err(here(format!(
+                "{name} must be finite and non-negative, got {v}"
+            )))
         }
     };
     let frac = |name: &str, v: f64, open_top: bool| -> Result<(), Issue> {
-        let ok = v.is_finite() && v > 0.0 && if open_top { v < 1.0 } else { v <= 1.0 };
-        if !ok {
-            let range = if open_top { "(0, 1)" } else { "(0, 1]" };
-            return Err(phase_issue(
-                i,
-                kind,
-                format!("{name} must be in {range}, got {v}"),
-            ));
-        }
+        fraction_01(name, v, open_top, here)?;
         if (v * nodes as f64).round() < 1.0 {
-            return Err(phase_issue(
-                i,
-                kind,
-                format!("{name} = {v} affects no nodes at {nodes} nodes"),
-            ));
+            return Err(here(format!(
+                "{name} = {v} affects no nodes at {nodes} nodes"
+            )));
         }
         Ok(())
     };
     let region = |fraction: f64, from: f64| -> Result<(), Issue> {
         if !(from.is_finite() && (0.0..1.0).contains(&from)) {
-            return Err(phase_issue(
-                i,
-                kind,
-                format!("from must be in [0, 1), got {from}"),
-            ));
+            return Err(here(format!("from must be in [0, 1), got {from}")));
         }
         if from + fraction > 1.0 + 1e-9 {
-            return Err(phase_issue(
-                i,
-                kind,
-                format!(
-                    "region [from, from + fraction) = [{from}, {}) exceeds the population",
-                    from + fraction
-                ),
-            ));
+            return Err(here(format!(
+                "region [from, from + fraction) = [{from}, {}) exceeds the population",
+                from + fraction
+            )));
         }
         Ok(())
     };
@@ -312,9 +243,7 @@ fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Is
             frac("fraction", fraction, false)?;
             region(fraction, from)?;
             if fraction >= 1.0 - 1e-9 && from == 0.0 {
-                return Err(phase_issue(
-                    i,
-                    kind,
+                return Err(here(
                     "the whole population cannot join as a flash crowd — nobody would be \
                      online to receive them"
                         .into(),
@@ -322,6 +251,12 @@ fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Is
             }
         }
         Phase::Blackout {
+            start,
+            duration,
+            fraction,
+            from,
+        }
+        | Phase::Crash {
             start,
             duration,
             fraction,
@@ -341,17 +276,6 @@ fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Is
             pos("duration", duration)?;
             frac("fraction", fraction, true)?;
         }
-        Phase::Crash {
-            start,
-            duration,
-            fraction,
-            from,
-        } => {
-            nonneg("start", start)?;
-            pos("duration", duration)?;
-            frac("fraction", fraction, false)?;
-            region(fraction, from)?;
-        }
         Phase::ChurnWaves {
             start,
             period,
@@ -362,15 +286,11 @@ fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Is
             nonneg("start", start)?;
             pos("period", period)?;
             if !(duty.is_finite() && duty > 0.0 && duty < 1.0) {
-                return Err(phase_issue(
-                    i,
-                    kind,
-                    format!("duty must be in (0, 1), got {duty}"),
-                ));
+                return Err(here(format!("duty must be in (0, 1), got {duty}")));
             }
             frac("fraction", fraction, false)?;
             if waves == 0 {
-                return Err(phase_issue(i, kind, "waves must be at least 1".into()));
+                return Err(here("waves must be at least 1".into()));
             }
         }
         Phase::CreepingLoss {
@@ -381,14 +301,10 @@ fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Is
         } => {
             nonneg("start", start)?;
             if !(end.is_finite() && end > start) {
-                return Err(phase_issue(
-                    i,
-                    kind,
-                    format!("end {end} must exceed start {start}"),
-                ));
+                return Err(here(format!("end {end} must exceed start {start}")));
             }
             if steps == 0 {
-                return Err(phase_issue(i, kind, "steps must be at least 1".into()));
+                return Err(here("steps must be at least 1".into()));
             }
             frac("max_fraction", max_fraction, false)?;
         }
@@ -403,14 +319,10 @@ fn check_phase(i: usize, p: &Phase, nodes: usize, horizon: f64) -> Result<(), Is
         }
     }
     if p.start_key() >= horizon {
-        return Err(phase_issue(
-            i,
-            kind,
-            format!(
-                "starts at t = {} but the horizon is {horizon} — it would never run",
-                p.start_key()
-            ),
-        ));
+        return Err(here(format!(
+            "starts at t = {} but the horizon is {horizon} — it would never run",
+            p.start_key()
+        )));
     }
     Ok(())
 }
@@ -597,6 +509,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::super::schema::Assertions;
+    use super::super::{parse_scenario_str, Format};
     use super::*;
 
     fn base() -> Scenario {
@@ -610,6 +523,102 @@ mod tests {
     #[test]
     fn default_scenario_is_valid() {
         base().validate().unwrap();
+    }
+
+    /// One out-of-range value per validated key, through the pipeline a
+    /// file takes (parse, then validate): each must be rejected with a
+    /// message that names the key. This is what shows that delegating a
+    /// rule to the lowered config's validators lost none.
+    #[test]
+    fn every_range_rule_rejects_and_names_its_key() {
+        let rows: &[(&str, &str)] = &[
+            ("seed = 18446744073709551616", "seed"),
+            ("nodes = 19", "nodes"),
+            ("horizon = 0", "horizon"),
+            ("availability = 1.5", "availability"),
+            ("mean_offline = -1", "mean_offline"),
+            ("[graph]\ntrust_f = 0", "graph.trust_f"),
+            ("[graph]\nsource_multiplier = 0", "graph.source_multiplier"),
+            ("[graph]\nattach = 0", "graph.attach"),
+            ("[graph]\ntriad = 1.5", "graph.triad"),
+            (
+                "[graph]\nmodel = \"dm\"\navg_degree = 0",
+                "graph.avg_degree",
+            ),
+            ("[graph]\nmodel = \"dm\"\ntriad = -0.1", "graph.triad"),
+            ("[overlay]\ncache_size = 0", "cache_size"),
+            ("[overlay]\nshuffle_length = 0", "shuffle_length"),
+            (
+                "[overlay]\ncache_size = 10\nshuffle_length = 12",
+                "shuffle_length",
+            ),
+            ("[overlay]\ntarget_links = 0", "target_links"),
+            ("[overlay]\nlifetime_ratio = 0", "overlay.lifetime_ratio"),
+            ("[overlay]\nlifetime_ratio = inf", "overlay.lifetime_ratio"),
+            ("[overlay]\nshuffle_timeout = 0", "shuffle_timeout"),
+            ("[overlay]\nshuffle_retries = 4294967297", "shuffle_retries"),
+            // The fault model reports under the config's `link` field.
+            ("[link]\nloss = 1.5", "link"),
+            ("[link]\nloss = -0.1", "link"),
+            ("[link.latency]\nmean = -0.5", "link.latency.mean"),
+            ("[link.latency]\ndist = \"exponential\"\nmean = inf", "mean"),
+            (
+                "[link.latency]\ndist = \"pareto\"\nmean = 0.5\nshape = 1.0",
+                "shape",
+            ),
+            ("[health]\nwindow = 0", "health.window"),
+            ("[health]\nwindow = 3.3", "health.window"),
+            ("[remediation]\nbackoff_shuffles = 0", "backoff_shuffles"),
+            (
+                "[remediation]\nbackoff_shuffles = 4294967296",
+                "backoff_shuffles",
+            ),
+            (
+                "[remediation]\nrebootstrap_max_offers = 0",
+                "rebootstrap_max_offers",
+            ),
+            (
+                "[remediation]\nrebootstrap_cooldown = 0",
+                "rebootstrap_cooldown",
+            ),
+            ("[remediation]\nthrottle_periods = -1", "throttle_periods"),
+            ("[attack]\nobservers = 0", "attack.observers"),
+            ("nodes = 50\n[attack]\nobservers = 50", "attack.observers"),
+            ("[assertions]\nmax_disconnected = 1.5", "max_disconnected"),
+            ("[assertions]\nmin_coverage = -0.1", "min_coverage"),
+            (
+                "[assertions]\nmin_shuffle_success_rate = 2",
+                "min_shuffle_success_rate",
+            ),
+            (
+                "[attack]\nobservers = 3\n[assertions]\nmax_observed_node_fraction = 1.5",
+                "max_observed_node_fraction",
+            ),
+            (
+                "[attack]\nobservers = 3\n[assertions]\nmax_observed_edge_fraction = -1",
+                "max_observed_edge_fraction",
+            ),
+            (
+                "[health]\nenabled = true\n[assertions]\nmin_alerts = 3\nmax_alerts = 2",
+                "min_alerts",
+            ),
+            (
+                "[assertions]\nrecovery_time_at_most = 0",
+                "recovery_time_at_most",
+            ),
+        ];
+        for &(text, key) in rows {
+            let verdict = parse_scenario_str(text, Format::Toml, "row")
+                .and_then(|(s, spans)| validate_with_spans(&s, &spans));
+            match verdict {
+                Ok(()) => panic!("accepted an out-of-range value:\n{text}"),
+                Err(e) => assert!(
+                    e.message.contains(key),
+                    "the message for\n{text}\ndoes not name `{key}`: {}",
+                    e.message
+                ),
+            }
+        }
     }
 
     #[test]

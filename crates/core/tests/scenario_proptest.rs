@@ -33,7 +33,7 @@ fn arb_graph_model() -> impl Strategy<Value = GraphModel> {
 }
 
 fn arb_overlay() -> impl Strategy<Value = OverlaySpec> {
-    (1usize..120, 1usize..60, 0.5f64..8.0, 0u32..5).prop_flat_map(
+    (1usize..120, 1usize..60, 0.5f64..8.0, any::<u32>()).prop_flat_map(
         |(cache_size, target_links, shuffle_timeout, shuffle_retries)| {
             (1usize..=cache_size + 1, option::of(0.5f64..10.0)).prop_map(
                 move |(shuffle_length, lifetime_ratio)| OverlaySpec {
@@ -148,14 +148,7 @@ fn arb_wild_string() -> impl Strategy<Value = String> {
 /// phases sorted by start key, horizon past every phase start.
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (
-        // TOML integers are i64, so only seeds up to i64::MAX are
-        // file-representable; the strategy stays inside that range.
-        (
-            arb_name(),
-            0u64..=i64::MAX as u64,
-            20usize..300,
-            100.0f64..200.0,
-        ),
+        (arb_name(), any::<u64>(), 20usize..300, 100.0f64..200.0),
         (0.05f64..=1.0, 1.0f64..100.0, 0.1f64..=1.0, 1usize..10),
         (arb_graph_model(), arb_overlay(), arb_link()),
         // Health windows lie on the executor's 0.5-period grid.
@@ -163,6 +156,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             any::<bool>(),
             (2u32..20).prop_map(|k| f64::from(k) * 0.5),
             option::of(1usize..20),
+            1u32..=u32::MAX,
         ),
         (
             collection::vec(arb_phase(), 0..4),
@@ -174,7 +168,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 (name, seed, nodes, horizon),
                 (availability, mean_offline, trust_f, source_multiplier),
                 (model, overlay, link),
-                (health_enabled, window, observers),
+                (health_enabled, window, observers, backoff_shuffles),
                 (mut phases, forbid),
             )| {
                 phases.sort_by(|a, b| {
@@ -202,6 +196,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                     enabled: health_enabled,
                     window,
                 };
+                s.remediation.backoff_shuffles = backoff_shuffles;
                 // Alert assertions require health.enabled, so detector
                 // lists only ride along when the monitor is on.
                 if health_enabled {
