@@ -15,9 +15,16 @@
 //! inline (`expires`, `f64::INFINITY` = never) so the per-shuffle expiry
 //! sweep scans one contiguous array and never dereferences the arena. A
 //! third parallel column, `ids`, answers membership by a linear scan of at
-//! most `capacity` `u64`s; there is no separate index to keep in step.
-//! That is 20 bytes per entry (handle 4 + expiry 8 + id 8) instead of the
-//! ~65 of a `Vec<Pseudonym>` plus `HashMap`, all of it lazily grown.
+//! most `capacity` `u64`s; there is no index to keep in step between
+//! calls. That is 20 bytes per entry (handle 4 + expiry 8 + id 8) instead
+//! of the ~65 of a `Vec<Pseudonym>` plus `HashMap`, all of it lazily grown,
+//! and nothing else: the cache owns no scratch buffer.
+//!
+//! [`Cache::absorb`], which would otherwise scan `ids` once per received
+//! pseudonym and twice per eviction, scans it once per call instead: a
+//! single pass resolves every id the call can ask about (the received ids
+//! and the just-sent ids) into a call-local [`PosTable`], kept in step
+//! with the call's own removals and pushes.
 
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
 use rand::seq::SliceRandom;
@@ -52,10 +59,86 @@ pub struct Cache {
     expires: Vec<f64>,
     /// Instance id per entry, parallel to `entries`.
     ids: Vec<PseudonymId>,
-    /// Reusable shuffle-pick buffer for [`Cache::select_offer`].
-    offer_scratch: Vec<u32>,
-    /// Reusable just-sent eviction pool for [`Cache::absorb`].
-    sent_scratch: Vec<PseudonymId>,
+}
+
+/// Position marker of a [`PosTable`] slot no key has claimed.
+const VACANT: u32 = u32::MAX;
+/// Position marker of a key that is not in the cache right now.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// Sixteen filter bits per slot at the paper's ℓ = 40 (79 keys, 256 slots).
+const FILTER_BITS: usize = 4096;
+
+/// The id → position table of one [`Cache::absorb`] call: open addressing
+/// with linear probing over a fixed key set (registered up front, never
+/// removed), at most half full. Only the positions change while the call
+/// runs, so a slot index stays valid for the whole call.
+///
+/// Most ids the call looks up are not keys (the cache's other entries), so
+/// a one-hash bit filter answers those before the probe loop and its
+/// unpredictable branches are reached.
+struct PosTable {
+    slots: Vec<(PseudonymId, u32)>,
+    shift: u32,
+    filter: [u64; FILTER_BITS / 64],
+}
+
+impl PosTable {
+    /// An empty table with room for `keys` distinct ids.
+    fn for_keys(keys: usize) -> Self {
+        let len = (2 * keys).next_power_of_two().max(2);
+        Self {
+            slots: vec![(PseudonymId(0), VACANT); len],
+            shift: u64::BITS - len.trailing_zeros(),
+            filter: [0; FILTER_BITS / 64],
+        }
+    }
+
+    /// Ids are `(owner + 1) << 32 | seq`: multiplicative hashing spreads
+    /// both halves over the top bits, which index the slots and the filter.
+    fn hash(id: PseudonymId) -> u64 {
+        id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// The filter word and bit of `id`.
+    fn filter_bit(id: PseudonymId) -> (usize, u64) {
+        let bit = Self::hash(id) >> (u64::BITS - FILTER_BITS.trailing_zeros());
+        ((bit / 64) as usize, 1 << (bit % 64))
+    }
+
+    /// The slot holding `id`, or the vacant slot where it would go.
+    fn probe(&self, id: PseudonymId) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (Self::hash(id) >> self.shift) as usize;
+        loop {
+            let (key, pos) = self.slots[i];
+            if pos == VACANT || key == id {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Makes `id` a key (not in the cache until [`PosTable::set`] says so).
+    fn register(&mut self, id: PseudonymId) {
+        let (word, bit) = Self::filter_bit(id);
+        self.filter[word] |= bit;
+        let i = self.probe(id);
+        if self.slots[i].1 == VACANT {
+            self.slots[i] = (id, ABSENT);
+        }
+    }
+
+    /// Records `pos` for `id` if `id` is a key; other ids are ignored.
+    fn set(&mut self, id: PseudonymId, pos: u32) {
+        let (word, bit) = Self::filter_bit(id);
+        if self.filter[word] & bit != 0 {
+            let i = self.probe(id);
+            if self.slots[i].1 != VACANT {
+                self.slots[i].1 = pos;
+            }
+        }
+    }
 }
 
 impl Cache {
@@ -73,8 +156,6 @@ impl Cache {
             entries: Vec::new(),
             expires: Vec::new(),
             ids: Vec::new(),
-            offer_scratch: Vec::new(),
-            sent_scratch: Vec::new(),
         }
     }
 
@@ -114,8 +195,6 @@ impl Cache {
         self.entries.capacity() * std::mem::size_of::<PseudonymHandle>()
             + self.expires.capacity() * std::mem::size_of::<f64>()
             + self.ids.capacity() * std::mem::size_of::<PseudonymId>()
-            + self.offer_scratch.capacity() * std::mem::size_of::<u32>()
-            + self.sent_scratch.capacity() * std::mem::size_of::<PseudonymId>()
     }
 
     /// Removes the entry at `pos` from all three columns by swap-remove
@@ -181,19 +260,17 @@ impl Cache {
     /// — the node's offer in a shuffle (its own pseudonym is appended by the
     /// protocol, not stored here).
     ///
-    /// The pick permutation lives in a reusable scratch buffer, so the only
-    /// allocation is the returned offer itself. The randomness consumed
-    /// depends solely on the cache length, exactly as before.
+    /// The randomness consumed depends solely on the cache length (one
+    /// full shuffle of the positions).
     pub fn select_offer<R: Rng + ?Sized>(
         &mut self,
         arena: &PseudonymArena,
         count: usize,
         rng: &mut R,
     ) -> Vec<Pseudonym> {
-        self.offer_scratch.clear();
-        self.offer_scratch.extend(0..self.entries.len() as u32);
-        self.offer_scratch.shuffle(rng);
-        self.offer_scratch
+        let mut picks: Vec<u32> = (0..self.entries.len() as u32).collect();
+        picks.shuffle(rng);
+        picks
             .iter()
             .take(count)
             .map(|&i| arena.get(self.entries[i as usize]))
@@ -217,36 +294,55 @@ impl Cache {
         rng: &mut R,
     ) -> usize {
         self.purge_expired(now);
+        // One pass over the id column answers every membership and position
+        // question the loop below can ask.
+        let mut table = PosTable::for_keys(received.len() + just_sent.len());
+        for p in received {
+            table.register(p.id());
+        }
+        for &id in just_sent {
+            table.register(id);
+        }
+        for (pos, &id) in self.ids.iter().enumerate() {
+            table.set(id, pos as u32);
+        }
         let mut inserted = 0;
-        let mut sent_pool = std::mem::take(&mut self.sent_scratch);
-        sent_pool.clear();
-        sent_pool.extend_from_slice(just_sent);
+        // Just-sent ids not yet tried as victims: `just_sent[..unsent]`,
+        // taken from the back.
+        let mut unsent = just_sent.len();
         for &p in received {
-            if Some(p.id()) == own || !p.is_valid(now) || self.contains(p.id()) {
+            if Some(p.id()) == own || !p.is_valid(now) {
+                continue;
+            }
+            let slot = table.probe(p.id());
+            if table.slots[slot].1 != ABSENT {
                 continue;
             }
             if self.entries.len() >= self.capacity {
                 // Prefer evicting what we just offered to the peer: the peer
                 // now holds those entries, so overall cache diversity grows.
-                let evicted = loop {
-                    match sent_pool.pop() {
-                        Some(victim) if self.contains(victim) => {
-                            self.remove(victim);
-                            break true;
-                        }
-                        Some(_) => continue,
-                        None => break false,
+                let victim = loop {
+                    let Some(&id) = just_sent[..unsent].last() else {
+                        break rng.gen_range(0..self.entries.len());
+                    };
+                    unsent -= 1;
+                    let pos = table.slots[table.probe(id)].1;
+                    if pos != ABSENT {
+                        break pos as usize;
                     }
                 };
-                if !evicted {
-                    let victim = rng.gen_range(0..self.entries.len());
-                    self.remove_at(victim);
+                // Swap-remove: the victim goes absent and the last entry
+                // inherits its position.
+                table.set(self.ids[victim], ABSENT);
+                self.remove_at(victim);
+                if let Some(&moved) = self.ids.get(victim) {
+                    table.set(moved, victim as u32);
                 }
             }
+            table.slots[slot].1 = self.entries.len() as u32;
             self.push_entry(arena, p);
             inserted += 1;
         }
-        self.sent_scratch = sent_pool;
         inserted
     }
 }
@@ -445,5 +541,232 @@ mod tests {
         assert!(cache.remove(ps[2].id()));
         assert!(!cache.remove(ps[2].id()), "double remove is a no-op");
         assert_eq!(cache.len(), 1);
+    }
+
+    /// `absorb` as it was before the one-pass rewrite — a `contains` scan
+    /// per received pseudonym, a `contains` and a `remove` scan per
+    /// just-sent victim — kept as the oracle the rewrite is checked
+    /// against.
+    fn absorb_reference(
+        cache: &mut Cache,
+        arena: &mut PseudonymArena,
+        received: &[Pseudonym],
+        just_sent: &[PseudonymId],
+        own: Option<PseudonymId>,
+        now: SimTime,
+        rng: &mut StdRng,
+    ) -> usize {
+        cache.purge_expired(now);
+        let mut inserted = 0;
+        let mut sent_pool = just_sent.to_vec();
+        for &p in received {
+            if Some(p.id()) == own || !p.is_valid(now) || cache.contains(p.id()) {
+                continue;
+            }
+            if cache.entries.len() >= cache.capacity {
+                let evicted = loop {
+                    match sent_pool.pop() {
+                        Some(victim) if cache.contains(victim) => {
+                            cache.remove(victim);
+                            break true;
+                        }
+                        Some(_) => continue,
+                        None => break false,
+                    }
+                };
+                if !evicted {
+                    let victim = rng.gen_range(0..cache.entries.len());
+                    cache.remove_at(victim);
+                }
+            }
+            cache.push_entry(arena, p);
+            inserted += 1;
+        }
+        inserted
+    }
+
+    /// Which of the cases the rewrite could get wrong the random sequences
+    /// below actually produced.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        duplicate_received: bool,
+        received_and_sent: bool,
+        reinserted_after_eviction: bool,
+        own_received: bool,
+        expired_cached: bool,
+        expired_received: bool,
+        duplicate_sent: bool,
+        capacity_one: bool,
+        capacity_below_offer: bool,
+        random_after_sent: bool,
+    }
+
+    fn has_duplicates(ids: &[PseudonymId]) -> bool {
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|w| w[0] == w[1])
+    }
+
+    /// Old and new `absorb`, side by side through random operation
+    /// sequences: same entry order, same return values, same arena, same
+    /// RNG stream.
+    #[test]
+    fn absorb_matches_reference_on_random_ops() {
+        let mut seen = Coverage::default();
+        for seed in 0..400u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let mut svc = PseudonymService::new(seed);
+            let pool: Vec<Pseudonym> = (0..24)
+                .map(|i| {
+                    let lifetime =
+                        [None, Some(4.0), Some(9.0), Some(30.0)][gen.gen_range(0..4usize)];
+                    svc.mint(i, SimTime::ZERO, lifetime)
+                })
+                .collect();
+            let capacity = [1usize, 2, 3, 5, 8, 16][gen.gen_range(0..6usize)];
+            let (mut new, mut old) = (Cache::new(capacity), Cache::new(capacity));
+            let (mut arena_new, mut arena_old) = (PseudonymArena::new(), PseudonymArena::new());
+            let mut rng_new = StdRng::seed_from_u64(seed ^ 0xABCD);
+            let mut rng_old = rng_new.clone();
+            let mut now = SimTime::ZERO;
+            for _ in 0..40 {
+                match gen.gen_range(0..8) {
+                    0 => {
+                        let p = pool[gen.gen_range(0..pool.len())];
+                        assert_eq!(
+                            new.insert(&mut arena_new, p, now),
+                            old.insert(&mut arena_old, p, now)
+                        );
+                    }
+                    1 => {
+                        let id = pool[gen.gen_range(0..pool.len())].id();
+                        assert_eq!(new.remove(id), old.remove(id));
+                    }
+                    2 => assert_eq!(new.purge_expired(now), old.purge_expired(now)),
+                    3 => now += gen.gen_range(0.0..3.0),
+                    _ => {
+                        // Draw with replacement, so ids repeat inside
+                        // `received`, inside `just_sent` and across both.
+                        let received: Vec<Pseudonym> = (0..gen.gen_range(0..12))
+                            .map(|_| pool[gen.gen_range(0..pool.len())])
+                            .collect();
+                        let just_sent: Vec<PseudonymId> = (0..gen.gen_range(0..6))
+                            .map(|_| {
+                                if new.is_empty() || gen.gen_bool(0.3) {
+                                    pool[gen.gen_range(0..pool.len())].id()
+                                } else {
+                                    new.ids[gen.gen_range(0..new.len())]
+                                }
+                            })
+                            .collect();
+                        let own = match gen.gen_range(0..3) {
+                            0 => None,
+                            1 => received.first().map(|p| p.id()),
+                            _ => Some(pool[gen.gen_range(0..pool.len())].id()),
+                        };
+
+                        let t = now.as_f64();
+                        let live = |p: &&Pseudonym| p.is_valid(now) && Some(p.id()) != own;
+                        let live_ids: Vec<_> =
+                            received.iter().filter(live).map(|p| p.id()).collect();
+                        let cached_live = |id: &PseudonymId| {
+                            old.ids
+                                .iter()
+                                .zip(&old.expires)
+                                .any(|(i, &e)| i == id && t < e)
+                        };
+                        let mut novel: Vec<_> =
+                            live_ids.iter().filter(|id| !cached_live(id)).collect();
+                        novel.sort_unstable();
+                        novel.dedup();
+                        let sent_cached = just_sent.iter().any(cached_live);
+                        seen.duplicate_received |= has_duplicates(&live_ids);
+                        seen.received_and_sent |= live_ids.iter().any(|id| just_sent.contains(id));
+                        seen.own_received |= received.iter().any(|p| Some(p.id()) == own);
+                        seen.expired_cached |= old.expires.iter().any(|&e| t >= e);
+                        seen.expired_received |= received.iter().any(|p| !p.is_valid(now));
+                        seen.duplicate_sent |= has_duplicates(&just_sent);
+                        seen.capacity_one |= capacity == 1 && !live_ids.is_empty();
+                        seen.capacity_below_offer |= capacity < novel.len();
+
+                        let rng_before = rng_new.clone();
+                        let inserted = new.absorb(
+                            &mut arena_new,
+                            &received,
+                            &just_sent,
+                            own,
+                            now,
+                            &mut rng_new,
+                        );
+                        assert_eq!(
+                            inserted,
+                            absorb_reference(
+                                &mut old,
+                                &mut arena_old,
+                                &received,
+                                &just_sent,
+                                own,
+                                now,
+                                &mut rng_old
+                            )
+                        );
+                        // More insertions than novel ids: some id went in,
+                        // was evicted, and went in again; without repeats in
+                        // `received` it was one cached when the call began.
+                        seen.reinserted_after_eviction |=
+                            inserted > novel.len() && !has_duplicates(&live_ids);
+                        seen.random_after_sent |= sent_cached && rng_new != rng_before;
+                    }
+                }
+                assert_eq!(new.entries, old.entries);
+                assert_eq!(new.ids, old.ids);
+                assert_eq!(new.expires, old.expires);
+                assert!(new.len() <= capacity);
+                assert_eq!(arena_new.len(), arena_old.len());
+                assert_eq!(rng_new, rng_old);
+            }
+            assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
+        }
+        let all = format!("{seen:?}");
+        assert!(!all.contains("false"), "a case was never generated: {all}");
+    }
+
+    #[test]
+    fn absorb_reinserts_a_cached_id_evicted_earlier_in_the_call() {
+        // `back` is cached when the call begins, is the just-sent victim
+        // of the first insertion, and is then received itself: it must go
+        // back in (at the end), evicting at random since the pool is spent.
+        let (mut svc, mut arena, mut rng) = setup();
+        let ps = mint_n(&mut svc, 4, None);
+        let (stay, back, fresh) = (ps[0], ps[1], ps[2]);
+        let mut cache = Cache::new(2);
+        cache.insert(&mut arena, stay, SimTime::ZERO);
+        cache.insert(&mut arena, back, SimTime::ZERO);
+        let mut reference = cache.clone();
+        let (mut ref_arena, mut ref_rng) = (arena.clone(), rng.clone());
+        let n = cache.absorb(
+            &mut arena,
+            &[fresh, back],
+            &[back.id()],
+            None,
+            SimTime::ZERO,
+            &mut rng,
+        );
+        assert_eq!(n, 2);
+        assert_eq!(cache.ids.last(), Some(&back.id()));
+        assert_eq!(
+            n,
+            absorb_reference(
+                &mut reference,
+                &mut ref_arena,
+                &[fresh, back],
+                &[back.id()],
+                None,
+                SimTime::ZERO,
+                &mut ref_rng
+            )
+        );
+        assert_eq!(cache.ids, reference.ids);
+        assert_eq!(rng, ref_rng);
     }
 }

@@ -230,9 +230,18 @@ pub struct Exchanges {
 }
 
 impl Exchanges {
-    /// Approximate heap footprint of the table in bytes.
+    /// Approximate heap footprint in bytes: the table plus what each
+    /// pending exchange owns (its request's offer and its just-sent ids).
     pub fn approx_heap_bytes(&self) -> usize {
-        self.pending.capacity() * std::mem::size_of::<(u64, PendingExchange)>()
+        let owned: usize = self
+            .pending
+            .values()
+            .map(|p| {
+                p.request.offer.capacity() * std::mem::size_of::<Pseudonym>()
+                    + p.sent_from_cache.capacity() * std::mem::size_of::<PseudonymId>()
+            })
+            .sum();
+        self.pending.capacity() * std::mem::size_of::<(u64, PendingExchange)>() + owned
     }
 
     /// Begins an exchange over `target` (a link the driver picked from
@@ -707,6 +716,26 @@ mod tests {
             &mut rng,
         );
         assert_eq!(outcome, ResponseOutcome::Stale);
+    }
+
+    #[test]
+    fn heap_bytes_count_what_a_pending_exchange_owns() {
+        let (mut node, arena, target, mut rng) = initiator(vec![], 16);
+        let mut table = Exchanges::default();
+        assert_eq!(table.approx_heap_bytes(), 0);
+        let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
+        // Own pseudonym plus the one cached peer, of which one id was sent
+        // from the cache.
+        assert_eq!(req.offer.len(), 2);
+        let entry = std::mem::size_of::<(u64, PendingExchange)>();
+        let owned = 2 * std::mem::size_of::<Pseudonym>() + std::mem::size_of::<PseudonymId>();
+        assert!(table.approx_heap_bytes() >= entry + owned);
+        table.abandon(req.exchange);
+        assert_eq!(
+            table.approx_heap_bytes(),
+            table.pending.capacity() * entry,
+            "nothing owned once the exchange is gone"
+        );
     }
 
     #[test]

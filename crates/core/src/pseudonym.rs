@@ -82,6 +82,19 @@ impl Pseudonym {
         self.owner
     }
 
+    /// A pseudonym with chosen bits and expiry, which the service's random
+    /// bits never produce on demand: distance ties between distinct
+    /// instances, a pseudonym at the maximal distance from a reference.
+    #[cfg(test)]
+    pub(crate) fn forged(id: u64, bits: u128, expires: Option<f64>) -> Self {
+        Self {
+            id: PseudonymId(id),
+            bits,
+            expires: expires.map(SimTime::new),
+            owner: 0,
+        }
+    }
+
     /// Distance between this pseudonym and a reference value under the
     /// given metric. Smaller is better for the min-wise sampler.
     pub fn distance_to(&self, reference: u128, metric: DistanceMetric) -> u128 {

@@ -19,9 +19,13 @@
 //!
 //! The sampler is structure-of-arrays: references, slot occupancy
 //! (4-byte [`PseudonymHandle`]s into the executor's [`PseudonymArena`]),
-//! slot bits and slot expiries live in parallel flat vectors, so the hot
-//! per-offer loop — one distance comparison per slot per received pseudonym
-//! — streams over contiguous `u128`s and never dereferences the arena. The
+//! slot distances and slot expiries live in parallel flat vectors. The
+//! distance column caches what the replacement rules compare against — the
+//! occupant's distance to the slot's reference, fixed for as long as the
+//! occupant stays — so the hot per-offer loop computes one distance per
+//! slot (the offered pseudonym's), rejects on a single `u128` compare, and
+//! never dereferences the arena or hashes an id unless a slot takes the
+//! pseudonym. The
 //! link set (distinct sampled pseudonyms) is a sorted parallel triple of
 //! vectors replacing the former `HashMap<PseudonymId, u32>` refcount map,
 //! which also makes [`Sampler::links`] a pre-sorted resolve instead of a
@@ -68,8 +72,9 @@ pub struct Sampler {
     refs: Vec<u128>,
     /// Arena handle of each slot's current pseudonym (`EMPTY` = vacant).
     slot_entry: Vec<PseudonymHandle>,
-    /// Bits of each slot's pseudonym, mirrored inline for the distance loop.
-    slot_bits: Vec<u128>,
+    /// Distance of each slot's pseudonym to the slot's reference
+    /// (`u128::MAX` while vacant, so every offer is at least as close).
+    slot_dist: Vec<u128>,
     /// Expiry of each slot's pseudonym (`INFINITY` = never), mirrored
     /// inline for the tie-break and the expiry sweep.
     slot_expires: Vec<f64>,
@@ -104,7 +109,7 @@ impl Sampler {
             metric,
             minwise,
             slot_entry: vec![EMPTY; slot_count],
-            slot_bits: vec![0; slot_count],
+            slot_dist: vec![u128::MAX; slot_count],
             slot_expires: vec![0.0; slot_count],
             refs,
             link_ids: Vec::new(),
@@ -174,7 +179,7 @@ impl Sampler {
     pub fn approx_heap_bytes(&self) -> usize {
         self.refs.capacity() * std::mem::size_of::<u128>()
             + self.slot_entry.capacity() * std::mem::size_of::<PseudonymHandle>()
-            + self.slot_bits.capacity() * std::mem::size_of::<u128>()
+            + self.slot_dist.capacity() * std::mem::size_of::<u128>()
             + self.slot_expires.capacity() * std::mem::size_of::<f64>()
             + self.link_ids.capacity() * std::mem::size_of::<PseudonymId>()
             + self.link_handles.capacity() * std::mem::size_of::<PseudonymHandle>()
@@ -210,18 +215,21 @@ impl Sampler {
         }
     }
 
+    /// Empties slot `idx`, which must be occupied.
+    fn clear_slot(&mut self, idx: usize) {
+        let h = std::mem::replace(&mut self.slot_entry[idx], EMPTY);
+        self.slot_dist[idx] = u128::MAX;
+        self.release_entry(h);
+    }
+
     fn set_slot(&mut self, idx: usize, h: PseudonymHandle, id: PseudonymId, p: Pseudonym) {
         let cur = self.slot_entry[idx];
+        debug_assert_ne!(cur, h, "a slot never replaces its own occupant");
         if cur != EMPTY {
-            // Equal handles mean equal instance ids, hence identical
-            // values: nothing to update.
-            if cur == h {
-                return;
-            }
             self.release_entry(cur);
         }
         self.slot_entry[idx] = h;
-        self.slot_bits[idx] = p.bits();
+        self.slot_dist[idx] = distance(p.bits(), self.refs[idx], self.metric);
         self.slot_expires[idx] = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
         self.retain_entry(id, h);
     }
@@ -250,35 +258,31 @@ impl Sampler {
             self.set_slot(idx, h, p.id(), p);
             return true;
         }
-        // If `p` was ever interned (by any structure in this executor
-        // domain) this finds its handle, making the same-id check below a
-        // u32 compare; if not, no slot can currently hold it.
-        let mut handle = arena.lookup(p.id());
         let p_bits = p.bits();
         let p_expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
-        let mut changed = false;
+        let mut handle = None;
         for idx in 0..self.refs.len() {
-            let cur = self.slot_entry[idx];
-            let replace = if cur == EMPTY {
-                true
-            } else if Some(cur) == handle {
-                false
-            } else {
-                let r = self.refs[idx];
-                let d_new = distance(p_bits, r, self.metric);
-                let d_old = distance(self.slot_bits[idx], r, self.metric);
-                // Rule 3 tie-break under the inline encoding: `INFINITY`
-                // (never expires) beats every finite expiry and ties with
-                // itself, exactly the old `Option<SimTime>` lattice.
-                d_new < d_old || (d_new == d_old && p_expires > self.slot_expires[idx])
-            };
-            if replace {
-                let h = *handle.get_or_insert_with(|| arena.intern(p));
-                self.set_slot(idx, h, p.id(), p);
-                changed = true;
+            let d_new = distance(p_bits, self.refs[idx], self.metric);
+            let d_old = self.slot_dist[idx];
+            if d_new > d_old {
+                continue;
             }
+            // Rule 3 tie-break under the inline encoding: `INFINITY` (never
+            // expires) beats every finite expiry and ties with itself. A
+            // slot already holding this very instance ties on distance and
+            // on expiry, so the strict `>` keeps it without comparing
+            // handles. A vacant slot ties only with an offer at the maximal
+            // distance, which fills it like any other.
+            if d_new == d_old
+                && p_expires <= self.slot_expires[idx]
+                && self.slot_entry[idx] != EMPTY
+            {
+                continue;
+            }
+            let h = *handle.get_or_insert_with(|| arena.intern(p));
+            self.set_slot(idx, h, p.id(), p);
         }
-        changed
+        handle.is_some()
     }
 
     /// Clears every slot whose pseudonym has expired by `now`
@@ -294,8 +298,7 @@ impl Sampler {
             // Expiry is exclusive (`now < expires` is valid), matching
             // `Pseudonym::is_valid`.
             if h != EMPTY && t >= self.slot_expires[idx] {
-                self.slot_entry[idx] = EMPTY;
-                self.release_entry(h);
+                self.clear_slot(idx);
             }
         }
         (self.removals - before) as usize
@@ -319,8 +322,7 @@ impl Sampler {
         let h = self.link_handles[i];
         for idx in 0..self.slot_entry.len() {
             if self.slot_entry[idx] == h {
-                self.slot_entry[idx] = EMPTY;
-                self.release_entry(h);
+                self.clear_slot(idx);
             }
         }
         true
@@ -476,24 +478,211 @@ mod tests {
                 .min()
                 .unwrap();
             assert_eq!(kept_d, min_d);
-            // The inline bits mirror matches the arena's canonical copy.
-            assert_eq!(s.slot_bits[idx], kept.bits());
+            // The cached distance matches the arena's canonical copy.
+            assert_eq!(s.slot_dist[idx], kept_d);
         }
+    }
+
+    /// A one-slot sampler and the bits that sit at distance 5 from its
+    /// reference, for building distinct pseudonyms that tie on distance.
+    fn one_slot_and_tying_bits(metric: DistanceMetric) -> (Sampler, u128) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let s = Sampler::new(1, metric, true, &mut rng);
+        let bits = match metric {
+            DistanceMetric::Absolute => s.refs[0].wrapping_add(5),
+            DistanceMetric::Xor => s.refs[0] ^ 5,
+        };
+        (s, bits)
     }
 
     #[test]
     fn equal_distance_prefers_later_expiry() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut s = Sampler::new(1, DistanceMetric::Absolute, true, &mut rng);
-        let mut svc = PseudonymService::new(5);
+        // Rule 3 between distinct instances that tie on distance, under the
+        // inline f64 encoding (`INFINITY` = never): later > earlier,
+        // never > finite, and the incumbent stays on equal expiry.
+        for metric in [DistanceMetric::Absolute, DistanceMetric::Xor] {
+            let (mut s, bits) = one_slot_and_tying_bits(metric);
+            let mut arena = PseudonymArena::new();
+            let early = Pseudonym::forged(1, bits, Some(10.0));
+            let late = Pseudonym::forged(2, bits, Some(20.0));
+            let late_twin = Pseudonym::forged(3, bits, Some(20.0));
+            let never = Pseudonym::forged(4, bits, None);
+            let never_twin = Pseudonym::forged(5, bits, None);
+
+            assert!(s.offer(&mut arena, early, SimTime::ZERO));
+            assert!(
+                s.offer(&mut arena, late, SimTime::ZERO),
+                "later finite wins"
+            );
+            assert!(!s.offer(&mut arena, early, SimTime::ZERO), "earlier loses");
+            assert!(
+                !s.offer(&mut arena, late_twin, SimTime::ZERO),
+                "equal expiry keeps the incumbent"
+            );
+            assert!(s.contains(late.id()));
+            assert!(
+                s.offer(&mut arena, never, SimTime::ZERO),
+                "never beats finite"
+            );
+            assert!(
+                !s.offer(&mut arena, late, SimTime::ZERO),
+                "finite loses to never"
+            );
+            assert!(
+                !s.offer(&mut arena, never_twin, SimTime::ZERO),
+                "never keeps the incumbent"
+            );
+            assert!(s.contains(never.id()));
+            assert_eq!((s.additions(), s.removals()), (3, 2));
+            assert_eq!(arena.len(), 3, "losers were never interned");
+        }
+    }
+
+    #[test]
+    fn same_instance_reoffered_is_a_no_op() {
+        // The slot's occupant ties with itself on distance and on expiry;
+        // rule 3's strict comparison keeps it without a second count.
+        for expires in [Some(10.0), None] {
+            let (mut s, bits) = one_slot_and_tying_bits(DistanceMetric::Absolute);
+            let mut arena = PseudonymArena::new();
+            let a = Pseudonym::forged(1, bits, expires);
+            assert!(s.offer(&mut arena, a, SimTime::ZERO));
+            assert!(!s.offer(&mut arena, a, SimTime::ZERO));
+            assert_eq!((s.additions(), s.removals()), (1, 0));
+            assert_eq!(arena.len(), 1);
+        }
+    }
+
+    #[test]
+    fn maximal_distance_still_fills_a_vacant_slot() {
+        // Under Xor, `!reference` is at distance `u128::MAX` — the value the
+        // distance column holds for a vacant slot. Rule 1 still applies.
+        let (mut s, _) = one_slot_and_tying_bits(DistanceMetric::Xor);
         let mut arena = PseudonymArena::new();
-        let a = svc.mint(0, SimTime::ZERO, Some(10.0));
-        // Rule 3 under the inline f64 encoding (`INFINITY` = never):
-        // never > finite, later > earlier, never == never.
-        // Same pseudonym re-offered: no change, no double count.
-        s.offer(&mut arena, a, SimTime::ZERO);
-        assert!(!s.offer(&mut arena, a, SimTime::ZERO));
-        assert_eq!(s.additions(), 1);
+        let farthest = Pseudonym::forged(1, !s.refs[0], Some(10.0));
+        assert!(s.offer(&mut arena, farthest, SimTime::ZERO));
+        assert!(s.contains(farthest.id()));
+        // Occupied at the maximal distance, the slot applies rule 3 again...
+        let twin = Pseudonym::forged(2, !s.refs[0], Some(10.0));
+        assert!(!s.offer(&mut arena, twin, SimTime::ZERO));
+        // ...and once emptied it is vacant again, whatever expiry the
+        // previous occupant left behind in the slot's columns.
+        assert!(s.evict(farthest.id()));
+        assert!(s.offer(&mut arena, twin, SimTime::ZERO));
+        assert_eq!(s.empty_slots(), 0);
+    }
+
+    /// The min-wise `offer` as it was before the distance column: both
+    /// distances computed per slot, and an arena lookup up front so a slot
+    /// already holding the instance is recognized by handle. Kept as the
+    /// oracle the rewrite is checked against.
+    fn offer_reference(
+        s: &mut Sampler,
+        arena: &mut PseudonymArena,
+        p: Pseudonym,
+        now: SimTime,
+    ) -> bool {
+        if !p.is_valid(now) || s.refs.is_empty() {
+            return false;
+        }
+        let mut handle = arena.lookup(p.id());
+        let p_expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
+        let mut changed = false;
+        for idx in 0..s.refs.len() {
+            let cur = s.slot_entry[idx];
+            let replace = if cur == EMPTY {
+                true
+            } else if Some(cur) == handle {
+                false
+            } else {
+                let r = s.refs[idx];
+                let d_new = distance(p.bits(), r, s.metric);
+                let d_old = distance(arena.get(cur).bits(), r, s.metric);
+                d_new < d_old || (d_new == d_old && p_expires > s.slot_expires[idx])
+            };
+            if replace {
+                let h = *handle.get_or_insert_with(|| arena.intern(p));
+                s.set_slot(idx, h, p.id(), p);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Old and new `offer`, side by side through random operation
+    /// sequences over pseudonyms that collide on bits (so distinct
+    /// instances tie on distance) and include the maximal distance.
+    #[test]
+    fn offer_matches_reference_on_random_ops() {
+        let (mut ties, mut vacant_at_max) = (0u32, 0u32);
+        for seed in 0..300u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let metric = [DistanceMetric::Absolute, DistanceMetric::Xor][gen.gen_range(0..2usize)];
+            let mut new = Sampler::new(gen.gen_range(1..6), metric, true, &mut gen);
+            // Under Xor the last slot's reference is the complement of the
+            // first pool value, which then sits at distance `u128::MAX`.
+            let values: Vec<u128> = (0..4).map(|_| gen.gen()).collect();
+            if metric == DistanceMetric::Xor {
+                *new.refs.last_mut().unwrap() = !values[0];
+            }
+            let mut old = new.clone();
+            let pool: Vec<Pseudonym> = (0..16)
+                .map(|i| {
+                    let expires =
+                        [None, Some(4.0), Some(9.0), Some(30.0)][gen.gen_range(0..4usize)];
+                    Pseudonym::forged(i + 1, values[gen.gen_range(0..values.len())], expires)
+                })
+                .collect();
+            let (mut arena_new, mut arena_old) = (PseudonymArena::new(), PseudonymArena::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..60 {
+                match gen.gen_range(0..8) {
+                    0 => assert_eq!(new.purge_expired(now), old.purge_expired(now)),
+                    1 => {
+                        let id = pool[gen.gen_range(0..pool.len())].id();
+                        assert_eq!(new.evict(id), old.evict(id));
+                    }
+                    2 => now += gen.gen_range(0.0..3.0),
+                    _ => {
+                        let p = pool[gen.gen_range(0..pool.len())];
+                        if gen.gen_bool(0.2) {
+                            // Interned by someone else (the cache, in a
+                            // run): the old code then finds a handle.
+                            arena_new.intern(p);
+                            arena_old.intern(p);
+                        }
+                        for idx in 0..old.refs.len() {
+                            let d = distance(p.bits(), old.refs[idx], metric);
+                            if old.slot_entry[idx] == EMPTY {
+                                vacant_at_max += u32::from(d == u128::MAX && p.is_valid(now));
+                            } else {
+                                let held = arena_old.get(old.slot_entry[idx]);
+                                ties += u32::from(held.id() != p.id() && d == old.slot_dist[idx]);
+                            }
+                        }
+                        assert_eq!(
+                            new.offer(&mut arena_new, p, now),
+                            offer_reference(&mut old, &mut arena_old, p, now)
+                        );
+                    }
+                }
+                assert_eq!(new.slot_entry, old.slot_entry);
+                assert_eq!(new.slot_dist, old.slot_dist);
+                assert_eq!(new.link_ids, old.link_ids);
+                assert_eq!(new.link_handles, old.link_handles);
+                assert_eq!(new.link_counts, old.link_counts);
+                assert_eq!(
+                    (new.additions(), new.removals()),
+                    (old.additions(), old.removals())
+                );
+                assert_eq!(arena_new.len(), arena_old.len());
+            }
+        }
+        assert!(ties > 100, "distinct instances tied only {ties} times");
+        assert!(
+            vacant_at_max > 0,
+            "no offer at the vacant sentinel's distance"
+        );
     }
 
     #[test]
