@@ -22,14 +22,38 @@
 //! slot distances and slot expiries live in parallel flat vectors. The
 //! distance column caches what the replacement rules compare against — the
 //! occupant's distance to the slot's reference, fixed for as long as the
-//! occupant stays — so the hot per-offer loop computes one distance per
-//! slot (the offered pseudonym's), rejects on a single `u128` compare, and
-//! never dereferences the arena or hashes an id unless a slot takes the
-//! pseudonym. The
-//! link set (distinct sampled pseudonyms) is a sorted parallel triple of
-//! vectors replacing the former `HashMap<PseudonymId, u32>` refcount map,
-//! which also makes [`Sampler::links`] a pre-sorted resolve instead of a
-//! rebuild-a-HashMap-and-sort.
+//! occupant stays — so an offer computes one distance per slot it visits,
+//! rejects on a single `u128` compare, and never dereferences the arena or
+//! hashes an id unless a slot takes the pseudonym.
+//!
+//! Once a slot is occupied the references are **sorted**, and one more
+//! field, `max_dist`, holds the largest entry of the distance column
+//! (`u128::MAX` while any slot is vacant). A slot can take an offer only
+//! if the offer is at least as close to its reference as its occupant is,
+//! hence at most `max_dist` away; under either metric the references that
+//! close to the offered bits form one contiguous run of the sorted column,
+//! so [`Sampler::offer`] visits that run and nothing else — once the slots
+//! hold good minima, a fraction of a slot per offer on average instead of
+//! all `S`.
+//!
+//! The references are put in order by the first offer into an *empty*
+//! sampler, not by [`Sampler::new`]: while no slot has an occupant no slot
+//! has state, so sorting the one column permutes nothing else, and building
+//! an overlay (one sampler per node, most of them idle for a while) pays
+//! nothing for it.
+//!
+//! Sorting renumbers the slots relative to the order their references were
+//! drawn in, and nothing can tell. A slot's state depends only on its own
+//! reference and the sequence of offers; the link set is keyed by
+//! pseudonym id, and the reference counting behind it commutes within one
+//! `offer`, `purge_expired` or `evict` (each call releases an occupant
+//! once per slot it loses and retains the newcomer once per slot it gains,
+//! so the final counts — and therefore `additions`, `removals` and the one
+//! arena `intern` — are the same in any slot order). The recency ablation
+//! fills slots round-robin and never reads a reference at all.
+//!
+//! The link set (distinct sampled pseudonyms) is a sorted parallel triple
+//! of vectors, which makes [`Sampler::links`] a pre-sorted resolve.
 
 use crate::config::DistanceMetric;
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
@@ -68,13 +92,17 @@ const EMPTY: PseudonymHandle = PseudonymHandle::MAX;
 pub struct Sampler {
     metric: DistanceMetric,
     minwise: bool,
-    /// Fixed per-slot reference values, drawn once at start-up.
+    /// Fixed per-slot reference values, drawn once at start-up; in
+    /// ascending order whenever a slot is occupied.
     refs: Vec<u128>,
     /// Arena handle of each slot's current pseudonym (`EMPTY` = vacant).
     slot_entry: Vec<PseudonymHandle>,
     /// Distance of each slot's pseudonym to the slot's reference
     /// (`u128::MAX` while vacant, so every offer is at least as close).
     slot_dist: Vec<u128>,
+    /// The largest entry of `slot_dist`: no slot takes an offer farther
+    /// than this from its reference.
+    max_dist: u128,
     /// Expiry of each slot's pseudonym (`INFINITY` = never), mirrored
     /// inline for the tie-break and the expiry sweep.
     slot_expires: Vec<f64>,
@@ -102,16 +130,23 @@ impl Sampler {
         minwise: bool,
         rng: &mut R,
     ) -> Self {
-        // One draw per slot, in slot order — the same RNG stream the
-        // struct-of-slots layout consumed.
-        let refs: Vec<u128> = (0..slot_count).map(|_| rng.gen()).collect();
+        // One draw per slot, in the order the struct-of-slots layout drew
+        // them.
+        let refs = (0..slot_count).map(|_| rng.gen()).collect();
+        Self::with_refs(refs, metric, minwise)
+    }
+
+    /// An empty sampler over the given reference values.
+    fn with_refs(refs: Vec<u128>, metric: DistanceMetric, minwise: bool) -> Self {
+        let slot_count = refs.len();
         Self {
             metric,
             minwise,
+            refs,
             slot_entry: vec![EMPTY; slot_count],
             slot_dist: vec![u128::MAX; slot_count],
+            max_dist: u128::MAX,
             slot_expires: vec![0.0; slot_count],
-            refs,
             link_ids: Vec::new(),
             link_handles: Vec::new(),
             link_counts: Vec::new(),
@@ -219,6 +254,7 @@ impl Sampler {
     fn clear_slot(&mut self, idx: usize) {
         let h = std::mem::replace(&mut self.slot_entry[idx], EMPTY);
         self.slot_dist[idx] = u128::MAX;
+        self.max_dist = u128::MAX;
         self.release_entry(h);
     }
 
@@ -230,12 +266,38 @@ impl Sampler {
         }
         self.slot_entry[idx] = h;
         self.slot_dist[idx] = distance(p.bits(), self.refs[idx], self.metric);
+        self.max_dist = self.slot_dist.iter().copied().max().unwrap_or(u128::MAX);
         self.slot_expires[idx] = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
         self.retain_entry(id, h);
     }
 
-    /// Offers a received pseudonym to every slot, applying the paper's
+    /// The inclusive range of reference values a slot must lie in to be
+    /// able to take a pseudonym with these bits: every reference within
+    /// `max_dist` of `bits` is inside it. Under the absolute metric that is
+    /// the interval around `bits`; under XOR a distance of at most
+    /// `max_dist` has no bit above `max_dist`'s highest, so the reference
+    /// agrees with `bits` on all of those.
+    fn window(&self, bits: u128) -> (u128, u128) {
+        match self.metric {
+            DistanceMetric::Absolute => (
+                bits.saturating_sub(self.max_dist),
+                bits.saturating_add(self.max_dist),
+            ),
+            DistanceMetric::Xor => {
+                let mask = u128::MAX
+                    .checked_shr(self.max_dist.leading_zeros())
+                    .unwrap_or(0);
+                (bits & !mask, bits | mask)
+            }
+        }
+    }
+
+    /// Offers a received pseudonym to the slots, applying the paper's
     /// three replacement rules. Returns `true` if any slot changed.
+    ///
+    /// Only the slots whose reference lies in [`Sampler::window`] are
+    /// visited; every other slot holds something strictly closer and would
+    /// reject the offer on rule 2.
     ///
     /// The pseudonym is interned into `arena` only if some slot actually
     /// keeps it, so rejected offers (the common case once slots hold good
@@ -258,10 +320,31 @@ impl Sampler {
             self.set_slot(idx, h, p.id(), p);
             return true;
         }
+        if self.link_ids.is_empty() {
+            // Every slot is vacant, so the reference column is the only one
+            // with anything in it: the moment to put it in order (the first
+            // offer, or — already sorted — the first after losing every
+            // link).
+            self.refs.sort_unstable();
+        }
         let p_bits = p.bits();
         let p_expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
+        let (lo, hi) = self.window(p_bits);
+        // The references are uniform, so the first one at or above `lo`
+        // sits a slot or two from where `lo` itself would rank.
+        let slots = self.refs.len();
+        let mut first = expected_rank(lo, slots);
+        while first > 0 && self.refs[first - 1] >= lo {
+            first -= 1;
+        }
+        while first < slots && self.refs[first] < lo {
+            first += 1;
+        }
         let mut handle = None;
-        for idx in 0..self.refs.len() {
+        for idx in first..slots {
+            if self.refs[idx] > hi {
+                break;
+            }
             let d_new = distance(p_bits, self.refs[idx], self.metric);
             let d_old = self.slot_dist[idx];
             if d_new > d_old {
@@ -336,6 +419,13 @@ fn distance(bits: u128, reference: u128, metric: DistanceMetric) -> u128 {
         DistanceMetric::Absolute => bits.abs_diff(reference),
         DistanceMetric::Xor => bits ^ reference,
     }
+}
+
+/// The rank a value would take among `slots` sorted uniform draws:
+/// `⌊r · slots / 2¹²⁸⌋`, from the top 64 bits of `r`. Always below `slots`
+/// (0 for none).
+fn expected_rank(r: u128, slots: usize) -> usize {
+    (((r >> 64) * slots as u128) >> 64) as usize
 }
 
 #[cfg(test)]
@@ -609,40 +699,66 @@ mod tests {
         changed
     }
 
+    /// Which of the cases the windowed scan could get wrong the random
+    /// sequences below actually produced.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        window_excluded_a_slot: bool,
+        window_covered_all_on_vacancy: bool,
+        window_held_two_candidates: bool,
+        xor_mask_excluded_a_slot: bool,
+        offer_at_maximal_distance: bool,
+        tie_inside_a_narrow_window: bool,
+        window_empty: bool,
+        slot_taken_in_a_narrow_window: bool,
+    }
+
     /// Old and new `offer`, side by side through random operation
     /// sequences over pseudonyms that collide on bits (so distinct
-    /// instances tie on distance) and include the maximal distance.
+    /// instances tie on distance) and include the maximal distance. The
+    /// reference scans every slot and needs no order among the references.
     #[test]
     fn offer_matches_reference_on_random_ops() {
-        let (mut ties, mut vacant_at_max) = (0u32, 0u32);
-        for seed in 0..300u64 {
+        let mut seen = Coverage::default();
+        for seed in 0..400u64 {
             let mut gen = StdRng::seed_from_u64(seed);
             let metric = [DistanceMetric::Absolute, DistanceMetric::Xor][gen.gen_range(0..2usize)];
-            let mut new = Sampler::new(gen.gen_range(1..6), metric, true, &mut gen);
-            // Under Xor the last slot's reference is the complement of the
-            // first pool value, which then sits at distance `u128::MAX`.
-            let values: Vec<u128> = (0..4).map(|_| gen.gen()).collect();
+            let slots = [1usize, 2, 3, 4, 5, 6, 39, 50][gen.gen_range(0..8usize)];
+            // A few values many pseudonyms share, so distinct instances
+            // tie; under Xor the last reference is the complement of the
+            // first, which then sits at distance `u128::MAX`.
+            let shared: Vec<u128> = (0..4).map(|_| gen.gen()).collect();
+            let mut refs: Vec<u128> = (0..slots).map(|_| gen.gen()).collect();
             if metric == DistanceMetric::Xor {
-                *new.refs.last_mut().unwrap() = !values[0];
+                *refs.last_mut().unwrap() = !shared[0];
             }
+            // Planted in order, so that `old` — whose `offer_reference`
+            // never sorts — numbers its slots as `new` will.
+            refs.sort_unstable();
+            let mut new = Sampler::with_refs(refs, metric, true);
             let mut old = new.clone();
-            let pool: Vec<Pseudonym> = (0..16)
+            let pool: Vec<Pseudonym> = (0..64)
                 .map(|i| {
                     let expires =
                         [None, Some(4.0), Some(9.0), Some(30.0)][gen.gen_range(0..4usize)];
-                    Pseudonym::forged(i + 1, values[gen.gen_range(0..values.len())], expires)
+                    let bits = if gen.gen_bool(0.3) {
+                        shared[gen.gen_range(0..shared.len())]
+                    } else {
+                        gen.gen()
+                    };
+                    Pseudonym::forged(i + 1, bits, expires)
                 })
                 .collect();
             let (mut arena_new, mut arena_old) = (PseudonymArena::new(), PseudonymArena::new());
             let mut now = SimTime::ZERO;
-            for _ in 0..60 {
-                match gen.gen_range(0..8) {
+            for _ in 0..60 + 6 * slots {
+                match gen.gen_range(0..16) {
                     0 => assert_eq!(new.purge_expired(now), old.purge_expired(now)),
                     1 => {
                         let id = pool[gen.gen_range(0..pool.len())].id();
                         assert_eq!(new.evict(id), old.evict(id));
                     }
-                    2 => now += gen.gen_range(0.0..3.0),
+                    2 => now += gen.gen_range(0.0..1.5),
                     _ => {
                         let p = pool[gen.gen_range(0..pool.len())];
                         if gen.gen_bool(0.2) {
@@ -651,23 +767,37 @@ mod tests {
                             arena_new.intern(p);
                             arena_old.intern(p);
                         }
-                        for idx in 0..old.refs.len() {
+                        let valid = p.is_valid(now);
+                        let narrow = new.max_dist != u128::MAX;
+                        let (lo, hi) = new.window(p.bits());
+                        let inside = new.refs.iter().filter(|r| (lo..=hi).contains(r)).count();
+                        assert!(narrow || inside == slots, "a vacancy opens every slot");
+                        seen.window_covered_all_on_vacancy |= !narrow && slots > 1;
+                        seen.window_excluded_a_slot |= valid && inside < slots;
+                        seen.window_held_two_candidates |= valid && narrow && inside >= 2;
+                        seen.window_empty |= valid && inside == 0;
+                        seen.xor_mask_excluded_a_slot |=
+                            valid && metric == DistanceMetric::Xor && narrow && inside < slots;
+                        for idx in 0..slots {
                             let d = distance(p.bits(), old.refs[idx], metric);
                             if old.slot_entry[idx] == EMPTY {
-                                vacant_at_max += u32::from(d == u128::MAX && p.is_valid(now));
+                                seen.offer_at_maximal_distance |= valid && d == u128::MAX;
                             } else {
                                 let held = arena_old.get(old.slot_entry[idx]);
-                                ties += u32::from(held.id() != p.id() && d == old.slot_dist[idx]);
+                                seen.tie_inside_a_narrow_window |= valid
+                                    && narrow
+                                    && held.id() != p.id()
+                                    && d == old.slot_dist[idx];
                             }
                         }
-                        assert_eq!(
-                            new.offer(&mut arena_new, p, now),
-                            offer_reference(&mut old, &mut arena_old, p, now)
-                        );
+                        let changed = new.offer(&mut arena_new, p, now);
+                        assert_eq!(changed, offer_reference(&mut old, &mut arena_old, p, now));
+                        seen.slot_taken_in_a_narrow_window |= changed && narrow && inside < slots;
                     }
                 }
                 assert_eq!(new.slot_entry, old.slot_entry);
                 assert_eq!(new.slot_dist, old.slot_dist);
+                assert_eq!(new.max_dist, *new.slot_dist.iter().max().unwrap());
                 assert_eq!(new.link_ids, old.link_ids);
                 assert_eq!(new.link_handles, old.link_handles);
                 assert_eq!(new.link_counts, old.link_counts);
@@ -678,11 +808,50 @@ mod tests {
                 assert_eq!(arena_new.len(), arena_old.len());
             }
         }
-        assert!(ties > 100, "distinct instances tied only {ties} times");
-        assert!(
-            vacant_at_max > 0,
-            "no offer at the vacant sentinel's distance"
-        );
+        let all = format!("{seen:?}");
+        assert!(!all.contains("false"), "a case was never generated: {all}");
+    }
+
+    #[test]
+    fn slot_order_is_unobservable() {
+        // The same references, sorted by the first `offer` in one sampler
+        // and left in drawn order by the all-slot reference scan in the
+        // other, fed the same operations: link set, counters, arena and
+        // return values agree although the two number their slots
+        // differently.
+        for seed in 0..50u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let refs: Vec<u128> = (0..12).map(|_| gen.gen()).collect();
+            let mut sorted = Sampler::with_refs(refs, DistanceMetric::Absolute, true);
+            let mut drawn = sorted.clone();
+            let pool: Vec<Pseudonym> = (0..40)
+                .map(|i| Pseudonym::forged(i + 1, gen.gen(), [None, Some(6.0)][i as usize % 2]))
+                .collect();
+            let (mut arena_a, mut arena_b) = (PseudonymArena::new(), PseudonymArena::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..120 {
+                let p = pool[gen.gen_range(0..pool.len())];
+                match gen.gen_range(0..10) {
+                    0 => assert_eq!(sorted.purge_expired(now), drawn.purge_expired(now)),
+                    1 => assert_eq!(sorted.evict(p.id()), drawn.evict(p.id())),
+                    2 => now += gen.gen_range(0.0..1.0),
+                    _ => assert_eq!(
+                        sorted.offer(&mut arena_a, p, now),
+                        offer_reference(&mut drawn, &mut arena_b, p, now)
+                    ),
+                }
+                let in_order = sorted.refs.windows(2).all(|w| w[0] <= w[1]);
+                assert!(in_order || sorted.link_ids.is_empty());
+                assert_eq!(sorted.link_ids, drawn.link_ids);
+                assert_eq!(sorted.link_handles, drawn.link_handles);
+                assert_eq!(sorted.link_counts, drawn.link_counts);
+                assert_eq!(
+                    (sorted.additions(), sorted.removals()),
+                    (drawn.additions(), drawn.removals())
+                );
+                assert_eq!(arena_a.len(), arena_b.len());
+            }
+        }
     }
 
     #[test]
@@ -768,14 +937,13 @@ mod tests {
     fn xor_metric_also_samples_minimum() {
         let mut rng = StdRng::seed_from_u64(10);
         let mut s = Sampler::new(3, DistanceMetric::Xor, true, &mut rng);
-        let refs = s.refs.clone();
         let mut svc = PseudonymService::new(10);
         let mut arena = PseudonymArena::new();
         let offered: Vec<Pseudonym> = (0..100).map(|i| svc.mint(i, SimTime::ZERO, None)).collect();
         for &p in &offered {
             s.offer(&mut arena, p, SimTime::ZERO);
         }
-        for (idx, &r) in refs.iter().enumerate() {
+        for (idx, &r) in s.refs.iter().enumerate() {
             let kept = slot_entry(&s, &arena, idx).unwrap();
             let min = offered.iter().map(|p| p.bits() ^ r).min().unwrap();
             assert_eq!(kept.bits() ^ r, min);
