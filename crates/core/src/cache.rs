@@ -27,7 +27,6 @@
 //! with the call's own removals and pushes.
 
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use veil_sim::SimTime;
 
@@ -260,19 +259,25 @@ impl Cache {
     /// — the node's offer in a shuffle (its own pseudonym is appended by the
     /// protocol, not stored here).
     ///
-    /// The randomness consumed depends solely on the cache length (one
-    /// full shuffle of the positions).
+    /// A forward partial Fisher–Yates: position `i` of the result is drawn
+    /// from the entries not yet taken, so every ordered `count`-subset is
+    /// equally likely and the randomness consumed is exactly
+    /// `min(count, len)` bounded draws — nothing for an empty cache or a
+    /// zero `count`.
     pub fn select_offer<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         arena: &PseudonymArena,
         count: usize,
         rng: &mut R,
     ) -> Vec<Pseudonym> {
-        let mut picks: Vec<u32> = (0..self.entries.len() as u32).collect();
-        picks.shuffle(rng);
-        picks
+        let n = self.entries.len();
+        let take = count.min(n);
+        let mut picks: Vec<u32> = (0..n as u32).collect();
+        for i in 0..take {
+            picks.swap(i, rng.gen_range(i..n));
+        }
+        picks[..take]
             .iter()
-            .take(count)
             .map(|&i| arena.get(self.entries[i as usize]))
             .collect()
     }
@@ -444,22 +449,49 @@ mod tests {
     }
 
     #[test]
-    fn select_offer_randomness_is_length_determined() {
-        // The scratch-buffer rewrite must consume the RNG exactly as the
-        // original `(0..len).collect()` + shuffle did: byte-identity of
-        // every downstream draw depends on it.
+    fn select_offer_draws_only_what_it_sends() {
         let (mut svc, mut arena, _) = setup();
         let mut cache = Cache::new(20);
-        for p in mint_n(&mut svc, 7, None) {
+        let (mut a, mut b) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
+        // Nothing to pick from, or nothing asked for: no draw at all.
+        assert!(cache.select_offer(&arena, 3, &mut a).is_empty());
+        let members = mint_n(&mut svc, 10, None);
+        for &p in &members {
             cache.insert(&mut arena, p, SimTime::ZERO);
         }
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        let _ = cache.select_offer(&arena, 3, &mut a);
-        let mut reference: Vec<usize> = (0..7).collect();
-        reference.shuffle(&mut b);
-        // Both consumed the same amount of randomness: the next draws match.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        assert!(cache.select_offer(&arena, 0, &mut a).is_empty());
+        assert_eq!(a, b);
+        // Otherwise one bounded draw per pseudonym sent, over the entries
+        // not yet taken — also when the whole cache is asked for.
+        for count in [1, 3, 9, 10, 11, 100] {
+            let take = count.min(10);
+            assert_eq!(cache.select_offer(&arena, count, &mut a).len(), take);
+            for i in 0..take {
+                let _ = b.gen_range(i..10);
+            }
+            assert_eq!(a, b, "count {count}");
+        }
+        // Every entry is equally likely in every output position: 200k
+        // calls put 20k ± 134 (one standard deviation) in each of the 100
+        // cells, so 5 % is seven deviations away.
+        let calls = 200_000;
+        let mut hits = [[0u32; 10]; 10];
+        for _ in 0..calls {
+            let offer = cache.select_offer(&arena, 10, &mut a);
+            for (pos, p) in offer.iter().enumerate() {
+                hits[pos][members.iter().position(|m| m.id() == p.id()).unwrap()] += 1;
+            }
+        }
+        let expected = calls as f64 / 10.0;
+        for (pos, row) in hits.iter().enumerate() {
+            for (entry, &n) in row.iter().enumerate() {
+                let off = (f64::from(n) - expected).abs() / expected;
+                assert!(
+                    off < 0.05,
+                    "entry {entry} at position {pos}: {n} of {calls}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,29 @@
 //! Every barrier step is a pure function of set-of-shard-outputs, so the
 //! post-barrier state — and therefore the whole run — is invariant in the
 //! shard count.
+//!
+//! # Partial windows
+//!
+//! `run_until` may stop off the grid. The window it stops in stays open:
+//! shards have drained their events up to the stop, and a *partial*
+//! barrier runs steps 2–5 on what they produced (each is a merge by time
+//! or a commutative sum, so splitting it at the stop changes nothing). Two
+//! things belong to the grid window, not to the call, and are left alone
+//! until the window closes on its boundary:
+//!
+//! - the **online mask** is taken when a window opens and serves the whole
+//!   window — a resumed window must not see the churn that happened inside
+//!   it;
+//! - the **outboxes** keep their messages (every one is due at or after
+//!   the closing boundary, so nobody can need it earlier) and step 1
+//!   injects them in one canonical batch — two batches would let the
+//!   engines' FIFO tie-break order equal-time deliveries by batch.
+//!
+//! So between two calls the engines hold exactly what a straight run's
+//! engines hold at that instant, [`ShardedRuntime::queue_high_water`] is
+//! stepping-invariant, and the messages of the open window sit in the
+//! outboxes, which [`ShardedRuntime::pending_events`] and
+//! [`ShardedRuntime::approx_heap_bytes`] count.
 
 use veil_sim::SimTime;
 
@@ -94,8 +117,13 @@ impl ShardedRuntime {
         self.shards.iter().map(|s| s.engine.high_water_mark()).sum()
     }
 
+    /// Events not yet processed: queued ones plus, while a window is open,
+    /// the deliveries waiting in the outboxes for its closing barrier.
     pub(crate) fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.engine.pending()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.engine.pending() + s.outbox.len())
+            .sum()
     }
 
     /// Approximate heap footprint of the runtime across all shards plus
@@ -126,21 +154,28 @@ struct WorkItem<'a> {
 impl Simulation {
     /// Advances every shard to `horizon` window by window.
     pub(crate) fn run_windows(&mut self, horizon: SimTime) {
+        // Only the first window can be one an earlier call left open.
+        let mut opens = self.current_time == SimTime::new(self.rt.window_index as f64 * WINDOW);
         loop {
             let boundary = SimTime::new((self.rt.window_index + 1) as f64 * WINDOW);
             let cap = boundary.min(horizon);
-            self.run_one_window(cap);
-            if cap == boundary {
+            let closes = cap == boundary;
+            self.run_one_window(cap, opens, closes);
+            if closes {
                 self.rt.window_index += 1;
             }
             if boundary >= horizon {
                 break;
             }
+            opens = true;
         }
     }
 
-    /// Runs one (possibly partial) window: fork shards, join, barrier.
-    fn run_one_window(&mut self, cap: SimTime) {
+    /// Runs one window, or the part of it before `cap`: fork shards, join,
+    /// barrier. `opens` says the run starts on the window's own grid
+    /// boundary, `closes` that `cap` is its far one (see "Partial windows"
+    /// in the module docs).
+    fn run_one_window(&mut self, cap: SimTime, opens: bool, closes: bool) {
         let log_on = self.message_log.is_some();
         let buffer_health = self.health.is_some();
         let Simulation {
@@ -161,8 +196,10 @@ impl Simulation {
         // of the opening barrier. Identical for every shard count. The
         // mask (like every barrier buffer below) reuses the runtime's
         // scratch allocation across windows.
-        rt.online.clear();
-        rt.online.extend(cells.iter().map(|c| c.churn.is_online()));
+        if opens {
+            rt.online.clear();
+            rt.online.extend(cells.iter().map(|c| c.churn.is_online()));
+        }
         let ShardedRuntime {
             shards,
             starts,
@@ -212,13 +249,15 @@ impl Simulation {
         // injection order — hence everything downstream — is invariant in
         // the shard layout. One amortized drain per window: outboxes are
         // appended (emptying them in place), sorted once, and re-injected.
-        for shard in shards.iter_mut() {
-            batch.append(&mut shard.outbox);
-        }
-        sort_canonical(batch);
-        for msg in batch.drain(..) {
-            let owner = owner[msg.dest as usize] as usize;
-            shards[owner].engine.schedule_at(msg.deliver_at, msg.event);
+        if closes {
+            for shard in shards.iter_mut() {
+                batch.append(&mut shard.outbox);
+            }
+            sort_canonical(batch);
+            for msg in batch.drain(..) {
+                let owner = owner[msg.dest as usize] as usize;
+                shards[owner].engine.schedule_at(msg.deliver_at, msg.event);
+            }
         }
 
         // Barrier step 2: deferred foreign stat credits (responder-side
