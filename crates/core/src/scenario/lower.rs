@@ -225,6 +225,9 @@ fn lower_link(s: &Scenario) -> LinkLayerConfig {
 /// lowering re-checks nothing and a malformed scenario may produce a
 /// config that `OverlayConfig::validate` rejects.
 ///
+/// The frozen benchmark package compiles against this signature and the
+/// `params`, `alpha` and `horizon` fields of [`Lowered`].
+///
 /// # Errors
 ///
 /// Currently infallible for validated input; the `Result` keeps room for

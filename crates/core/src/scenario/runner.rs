@@ -19,11 +19,12 @@ use crate::experiment::{
 };
 use crate::metrics::{snapshot, OverlaySnapshot};
 use serde::Serialize;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{Display, Write as _};
 use std::sync::Mutex;
 use veil_graph::Graph;
-use veil_obs::{analyze_trace, Recorder, TraceEvent};
+use veil_obs::{analyze_events, EventKind, Recorder, TraceEvent};
 
 /// Per-run overrides a campaign (or `--seed`/`--shards` on the CLI)
 /// applies on top of the scenario file.
@@ -112,7 +113,9 @@ pub struct ScenarioOutcome {
 pub struct ScenarioRun {
     /// The graded verdict.
     pub outcome: ScenarioOutcome,
-    /// JSONL observability trace (feed to `veil obs analyze` / `diff`).
+    /// Canonical JSONL observability trace (feed to `veil obs analyze` /
+    /// `diff`); replays to the report the verdict was graded from. The
+    /// frozen benchmark package reads this field.
     pub trace_jsonl: String,
 }
 
@@ -126,11 +129,72 @@ static OBS_GATE: Mutex<()> = Mutex::new(());
 /// runs (the conformance suite's byte-identity checks) must use this
 /// instead of calling `veil_obs::install_global` directly, or a
 /// concurrent scenario run could cross-wire traces.
+///
+/// The frozen benchmark package compiles against this signature.
 pub fn with_global_recorder<T>(recorder: &Recorder, f: impl FnOnce() -> T) -> T {
     let _gate = OBS_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let prev = veil_obs::install_global(recorder.clone());
     let out = f();
     veil_obs::install_global(prev);
+    out
+}
+
+/// Whether `kind` serializes as a bare string (`"NodeOnline"`) and not as
+/// a single-key map (`{"ShuffleStart":{…}}`).
+fn is_unit(kind: &EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::NodeOnline | EventKind::NodeOffline | EventKind::BlackoutEnd
+    )
+}
+
+/// Canonical order without the kind's payload: `(t bits, node)`, then the
+/// order of the kinds' JSON text as far as the variant decides it. A unit
+/// variant is `"Name"` and a struct variant `{"Name":{…}}`; `"` sorts
+/// before `{`, and past that first byte two different names compare as
+/// the names do, because a name is alphanumeric and the `"` that closes
+/// it sorts before every letter and digit (so a name that is a prefix of
+/// another comes first either way). `Equal` means same `(t, node)` and
+/// same variant — only the payload can still tell the two apart.
+fn canonical_order_by_variant(a: &TraceEvent, b: &TraceEvent) -> Ordering {
+    (a.t.to_bits().cmp(&b.t.to_bits()))
+        .then_with(|| a.node.cmp(&b.node))
+        .then_with(|| is_unit(&b.kind).cmp(&is_unit(&a.kind)))
+        .then_with(|| a.kind.name().cmp(b.kind.name()))
+}
+
+/// The recorder's events in canonical order — sorted by `(t bits, node,
+/// kind as JSON text)` — with the capture metadata (`tid`, per-thread
+/// `seq`) rewritten to `(0, position)`.
+///
+/// The kind's JSON is only built where it is needed to decide: for events
+/// that tie on [`canonical_order_by_variant`], whose payloads then compare
+/// as text (`{"exchange":10}` before `{"exchange":9}`).
+fn canonical_events(recorder: &Recorder) -> Vec<TraceEvent> {
+    let mut events = recorder.events();
+    events.sort_by(canonical_order_by_variant);
+    for tied in events.chunk_by_mut(|a, b| canonical_order_by_variant(a, b).is_eq()) {
+        if tied.len() > 1 {
+            tied.sort_by_cached_key(|e| {
+                serde_json::to_string(&e.kind).expect("event kind serializes")
+            });
+        }
+    }
+    for (i, ev) in events.iter_mut().enumerate() {
+        ev.tid = 0;
+        ev.seq = i as u64;
+    }
+    events
+}
+
+/// Writes events as JSONL: a trace header, then one event per line.
+fn events_jsonl(events: &[TraceEvent]) -> String {
+    let mut out = veil_obs::trace_header();
+    out.push('\n');
+    for ev in events {
+        out.push_str(&serde_json::to_string(ev).expect("event serializes"));
+        out.push('\n');
+    }
     out
 }
 
@@ -144,27 +208,18 @@ pub fn with_global_recorder<T>(recorder: &Recorder, f: impl FnOnce() -> T) -> T 
 /// even across runs at the same shard count. The canonical form is
 /// byte-identical for every shard count (the event *content* is the
 /// executor's invariant; see `sharded_traces_are_shard_count_invariant`
-/// in the obs equivalence suite) and still replays through
-/// [`analyze_trace`], which re-sorts by the rewritten `(t, tid, seq)`.
+/// in the obs equivalence suite).
+///
+/// After the rewrite, canonical order *is* `(t, tid, seq)` order — the
+/// order both doors of `veil_obs::replay` replay in — so
+/// [`veil_obs::analyze_trace`] on this text and
+/// [`veil_obs::analyze_events`] on the events it was written from give
+/// one report. [`run_scenario_with`] grades through the typed door and
+/// never reads this text back; the conformance suite pins the equality.
+///
+/// The frozen benchmark package compiles against this signature.
 pub fn canonical_trace_jsonl(recorder: &Recorder) -> String {
-    let mut events: Vec<(u64, Option<u32>, String, TraceEvent)> = recorder
-        .events()
-        .into_iter()
-        .map(|e| {
-            let kind = serde_json::to_string(&e.kind).expect("event kind serializes");
-            (e.t.to_bits(), e.node, kind, e)
-        })
-        .collect();
-    events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let mut out = veil_obs::trace_header();
-    out.push('\n');
-    for (i, (_, _, _, mut ev)) in events.into_iter().enumerate() {
-        ev.tid = 0;
-        ev.seq = i as u64;
-        out.push_str(&serde_json::to_string(&ev).expect("event serializes"));
-        out.push('\n');
-    }
-    out
+    events_jsonl(&canonical_events(recorder))
 }
 
 /// Runs `scenario` with the default overrides and no attack evaluator.
@@ -181,15 +236,36 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, ScenarioError> {
 /// `attack_eval` must be supplied when the scenario has an `[attack]`
 /// section (the CLI passes `veil_privacy::evaluate_attack`).
 ///
+/// The frozen benchmark package compiles against this signature.
+///
 /// # Errors
 ///
-/// Validation failures, simulation construction errors, trace analysis
-/// failures, and a missing attack evaluator.
+/// Validation failures, simulation construction errors, a missing attack
+/// evaluator, and a recorded event with a non-finite field (`analyzing
+/// trace: …` — the one thing about a trace the event types do not rule
+/// out; see [`veil_obs::analyze_events`]).
 pub fn run_scenario_with(
     scenario: &Scenario,
     overrides: RunOverrides,
     attack_eval: Option<&AttackEval>,
 ) -> Result<ScenarioRun, ScenarioError> {
+    let (outcome, trace_jsonl) = run_graded(scenario, overrides, attack_eval, events_jsonl)?;
+    Ok(ScenarioRun {
+        outcome,
+        trace_jsonl,
+    })
+}
+
+/// The run itself: simulates, hands the canonical events to `export`,
+/// then grades from those same events — the trace is never read back.
+/// What `export` makes of the events is the caller's: a run keeps their
+/// JSONL, a campaign keeps nothing.
+fn run_graded<T>(
+    scenario: &Scenario,
+    overrides: RunOverrides,
+    attack_eval: Option<&AttackEval>,
+    export: impl FnOnce(&[TraceEvent]) -> T,
+) -> Result<(ScenarioOutcome, T), ScenarioError> {
     scenario.validate()?;
     let lowered = lower(scenario)?;
     let mut params = lowered.params;
@@ -259,9 +335,10 @@ pub fn run_scenario_with(
         None => 0.0,
     };
 
-    let trace_jsonl = canonical_trace_jsonl(&recorder);
-    let report = analyze_trace(&trace_jsonl)
-        .map_err(|e| ScenarioError::new(format!("analyzing trace: {e}")))?;
+    let events = canonical_events(&recorder);
+    let exported = export(&events);
+    let report =
+        analyze_events(events).map_err(|e| ScenarioError::new(format!("analyzing trace: {e}")))?;
 
     let attack = match &scenario.attack {
         Some(spec) => match attack_eval {
@@ -307,10 +384,7 @@ pub fn run_scenario_with(
         passed: true,
     };
     grade(scenario, &mut outcome);
-    Ok(ScenarioRun {
-        outcome,
-        trace_jsonl,
-    })
+    Ok((outcome, exported))
 }
 
 /// Grades one numeric bound (`None` when it is unset). Every bound key is
@@ -558,7 +632,7 @@ pub fn run_campaign(
         }
     }
     let results = veil_par::map(&grid, spec.parallelism, |&overrides| {
-        run_scenario_with(scenario, overrides, attack_eval).map(|run| run.outcome)
+        run_graded(scenario, overrides, attack_eval, |_| ()).map(|(outcome, ())| outcome)
     });
     let mut runs = Vec::with_capacity(results.len());
     for result in results {
@@ -574,6 +648,186 @@ pub fn run_campaign(
 mod tests {
     use super::super::schema::Phase;
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use veil_obs::analyze_trace;
+
+    /// `canonical_trace_jsonl` as it was while every event's kind was
+    /// serialized up front to be its sort key: the order-and-bytes oracle.
+    fn canonical_trace_jsonl_oracle(recorder: &Recorder) -> String {
+        let mut events: Vec<(u64, Option<u32>, String, TraceEvent)> = recorder
+            .events()
+            .into_iter()
+            .map(|e| {
+                let kind = serde_json::to_string(&e.kind).expect("event kind serializes");
+                (e.t.to_bits(), e.node, kind, e)
+            })
+            .collect();
+        events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let mut out = veil_obs::trace_header();
+        out.push('\n');
+        for (i, (_, _, _, mut ev)) in events.into_iter().enumerate() {
+            ev.tid = 0;
+            ev.seq = i as u64;
+            out.push_str(&serde_json::to_string(&ev).expect("event serializes"));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// One of the 22 kinds, its numbers drawn from a pool whose text order
+    /// and integer order disagree (`10` < `9` as text).
+    fn random_kind(gen: &mut StdRng) -> EventKind {
+        let which = gen.gen_range(0..22);
+        let mut n = || [0u64, 9, 10, 100][gen.gen_range(0..4usize)];
+        let name = |i: u64| ["a", "b\"", "starved_nodes"][i as usize % 3].to_string();
+        let (flag, float) = (n() % 2 == 0, n() as f64 / 4.0);
+        match which {
+            0 => EventKind::ShuffleStart {
+                target: n(),
+                trusted: flag,
+            },
+            1 => EventKind::ShuffleComplete { exchange: n() },
+            2 => EventKind::ShuffleTimeout {
+                exchange: n(),
+                attempt: n(),
+            },
+            3 => EventKind::ShuffleRetry {
+                exchange: n(),
+                attempt: n(),
+            },
+            4 => EventKind::ShuffleFailure { exchange: n() },
+            5 => EventKind::PeerEvicted { pseudonym: n() },
+            6 => EventKind::MessageDropped {
+                exchange: n(),
+                response: flag,
+            },
+            7 => EventKind::PseudonymMinted {
+                lifetime: flag.then_some(float),
+            },
+            8 => EventKind::PseudonymsExpired { count: n() },
+            9 => EventKind::NodeOnline,
+            10 => EventKind::NodeOffline,
+            11 => EventKind::BlackoutStart { until: float },
+            12 => EventKind::BlackoutEnd,
+            13 => EventKind::EpisodeStart {
+                index: n(),
+                kind: name(n()),
+            },
+            14 => EventKind::BroadcastPublish { message: n() },
+            15 => EventKind::BroadcastDeliver {
+                message: n(),
+                hops: n(),
+            },
+            16 => EventKind::HealthAlert {
+                detector: name(n()),
+                severity: name(n()),
+                value: float,
+                threshold: n() as f64,
+            },
+            17 => EventKind::RemedyAction {
+                reaction: name(n()),
+                detector: name(n()),
+                affected: n(),
+            },
+            18 => EventKind::NetHandshakeFail { reason: name(n()) },
+            19 => EventKind::NetDecodeError { fatal: flag },
+            20 => EventKind::NetConnClose {
+                inbound: flag,
+                bytes_in: n(),
+                bytes_out: n(),
+            },
+            _ => EventKind::NetBytes {
+                bytes_in: n(),
+                bytes_out: n(),
+                frames_in: n(),
+                frames_out: n(),
+            },
+        }
+    }
+
+    /// The ties a cheaper sort key could order differently from the JSON
+    /// text, as found side by side in the canonical output.
+    #[derive(Debug, Default)]
+    struct Ties {
+        unit_and_struct_variant: bool,
+        two_struct_variants: bool,
+        one_variant_text_order_against_integer_order: bool,
+        node_none_and_some: bool,
+        exact_duplicates: bool,
+    }
+
+    #[test]
+    fn canonical_order_matches_the_serialized_key_oracle() {
+        let mut seen = Ties::default();
+        let mut kinds = BTreeSet::new();
+        for seed in 0..60u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            // Few times and few nodes, so most events tie on `(t, node)`.
+            let events: Vec<(f64, Option<u32>, EventKind)> = (0..gen.gen_range(2..160))
+                .map(|_| {
+                    let t = [0.0, 0.5, 1.0, 2.25][gen.gen_range(0..4usize)];
+                    let node = [None, Some(0), Some(1), Some(10)][gen.gen_range(0..4usize)];
+                    (t, node, random_kind(&mut gen))
+                })
+                .collect();
+            // Two recording threads: the canonical form must not care
+            // which `tid` captured what.
+            let recorder = Recorder::full();
+            let (here, there) = events.split_at(events.len() / 2);
+            let record = |part: &[(f64, Option<u32>, EventKind)]| {
+                for (t, node, kind) in part {
+                    recorder.event(*t, *node, || kind.clone());
+                }
+            };
+            record(here);
+            std::thread::scope(|scope| {
+                scope.spawn(|| record(there));
+            });
+
+            let canonical = canonical_events(&recorder);
+            let text = canonical_trace_jsonl(&recorder);
+            assert_eq!(text, canonical_trace_jsonl_oracle(&recorder), "seed {seed}");
+            assert_eq!(text, events_jsonl(&canonical));
+            // Canonical order is `(t, tid, seq)` order, so both doors of
+            // `replay` see one sequence.
+            assert_eq!(
+                analyze_events(canonical.clone()).unwrap(),
+                analyze_trace(&text).unwrap(),
+                "seed {seed}"
+            );
+
+            for e in &canonical {
+                let json = serde_json::to_string(&e.kind).unwrap();
+                assert_eq!(is_unit(&e.kind), json.starts_with('"'), "{json}");
+                kinds.insert(e.kind.name());
+            }
+            for pair in canonical.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                if a.t != b.t {
+                    continue;
+                }
+                seen.node_none_and_some |= a.node.is_none() && b.node.is_some();
+                if a.node != b.node {
+                    continue;
+                }
+                seen.unit_and_struct_variant |= is_unit(&a.kind) != is_unit(&b.kind);
+                seen.two_struct_variants |=
+                    !is_unit(&a.kind) && !is_unit(&b.kind) && a.kind.name() != b.kind.name();
+                seen.exact_duplicates |= a.kind == b.kind;
+                if let (
+                    EventKind::ShuffleComplete { exchange: first },
+                    EventKind::ShuffleComplete { exchange: second },
+                ) = (&a.kind, &b.kind)
+                {
+                    seen.one_variant_text_order_against_integer_order |= first > second;
+                }
+            }
+        }
+        assert_eq!(kinds.len(), veil_obs::schema().len(), "{kinds:?}");
+        let all = format!("{seen:?}");
+        assert!(!all.contains("false"), "a tie was never generated: {all}");
+    }
 
     fn quick() -> Scenario {
         Scenario {

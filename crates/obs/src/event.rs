@@ -469,13 +469,18 @@ fn validate_kind(kind: &serde_json::Value) -> Result<(), String> {
     Ok(())
 }
 
+fn check_time(t: f64) -> Result<(), String> {
+    if t.is_finite() && t >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("\"t\" must be finite and non-negative, got {t}"))
+    }
+}
+
 /// Validates one parsed JSONL event object against the schema.
 pub fn validate_event_value(v: &serde_json::Value) -> Result<(), String> {
     let t = v.get("t").ok_or("missing field \"t\"")?;
-    let t = t.as_f64().ok_or("\"t\" must be a number")?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(format!("\"t\" must be finite and non-negative, got {t}"));
-    }
+    check_time(t.as_f64().ok_or("\"t\" must be a number")?)?;
     v.get("tid")
         .and_then(serde_json::Value::as_u64)
         .ok_or("missing or non-integer field \"tid\"")?;
@@ -488,6 +493,34 @@ pub fn validate_event_value(v: &serde_json::Value) -> Result<(), String> {
     }
     let kind = v.get("kind").ok_or("missing field \"kind\"")?;
     validate_kind(kind)
+}
+
+/// What [`validate_event_value`] enforces that the types of a
+/// [`TraceEvent`] do not: `t` finite and non-negative, and every `f64`
+/// payload finite — the JSON writer has no spelling for NaN or infinity
+/// and writes `null`, which is a schema violation for a required float
+/// and reads back as "absent" for an optional one.
+pub(crate) fn check_event_fields(ev: &TraceEvent) -> Result<(), String> {
+    check_time(ev.t)?;
+    let finite = |field: &str, v: f64| {
+        if v.is_finite() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{}.{field} must be finite, got {v}",
+                ev.kind.name()
+            ))
+        }
+    };
+    // Every float field of [`schema`]; a unit test pins the list.
+    match ev.kind {
+        EventKind::PseudonymMinted { lifetime: Some(l) } => finite("lifetime", l),
+        EventKind::BlackoutStart { until } => finite("until", until),
+        EventKind::HealthAlert {
+            value, threshold, ..
+        } => finite("value", value).and(finite("threshold", threshold)),
+        _ => Ok(()),
+    }
 }
 
 /// Validates a whole JSONL trace (one event object per non-empty line,
@@ -709,6 +742,69 @@ mod tests {
             EventKind::PseudonymsExpired { count: 4 }.counter(),
             Some(("sim.pseudonyms_expired", 4))
         );
+    }
+
+    #[test]
+    fn typed_field_check_covers_every_float_in_the_schema() {
+        use FieldType::{NullableF64, F64};
+        let floats: Vec<(&str, &str)> = schema()
+            .iter()
+            .flat_map(|(kind, fields)| {
+                fields
+                    .iter()
+                    .filter(|(_, ty)| matches!(ty, F64 | NullableF64))
+                    .map(move |(field, _)| (*kind, *field))
+            })
+            .collect();
+        // Adding a float field means adding it to `check_event_fields`.
+        assert_eq!(
+            floats,
+            [
+                ("PseudonymMinted", "lifetime"),
+                ("BlackoutStart", "until"),
+                ("HealthAlert", "value"),
+                ("HealthAlert", "threshold"),
+            ]
+        );
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for v in bad {
+            for (kind, field) in [
+                (EventKind::PseudonymMinted { lifetime: Some(v) }, "lifetime"),
+                (EventKind::BlackoutStart { until: v }, "until"),
+                (
+                    EventKind::HealthAlert {
+                        detector: "d".into(),
+                        severity: "warning".into(),
+                        value: v,
+                        threshold: 1.0,
+                    },
+                    "value",
+                ),
+                (
+                    EventKind::HealthAlert {
+                        detector: "d".into(),
+                        severity: "warning".into(),
+                        value: 1.0,
+                        threshold: v,
+                    },
+                    "threshold",
+                ),
+            ] {
+                let err = check_event_fields(&event(kind)).unwrap_err();
+                assert!(err.contains(field) && err.contains("finite"), "{err}");
+            }
+            let mut ev = event(EventKind::NodeOnline);
+            ev.t = v;
+            assert!(check_event_fields(&ev).is_err());
+        }
+        let mut ev = event(EventKind::NodeOnline);
+        ev.t = -1.0;
+        assert!(check_event_fields(&ev).is_err());
+        ev.t = 0.0;
+        assert_eq!(check_event_fields(&ev), Ok(()));
+        // Absent is a value of the optional field, not a missing float.
+        let immortal = event(EventKind::PseudonymMinted { lifetime: None });
+        assert_eq!(check_event_fields(&immortal), Ok(()));
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub use merge::merge_traces;
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{ObsConfig, Recorder, Span};
 pub use replay::{
-    analyze_trace, analyze_trace_reader, AlertRecord, BlackoutRecord, RoundStats, TraceReport,
+    analyze_events, analyze_trace, analyze_trace_reader, AlertRecord, BlackoutRecord, RoundStats,
+    TraceReport,
 };
 pub use span::{chrome_trace_json, SpanRecord};
 pub use xtrace::{correlate_exchanges, exchange_chrome_trace, ExchangeRecord};

@@ -1,9 +1,12 @@
 //! Offline trace analytics: replay a JSONL trace into a reconstructed
 //! per-node / per-round state model and derive time series from it.
 //!
-//! [`analyze_trace`] parses a trace (as written by
-//! [`crate::Recorder::events_jsonl`]), replays every event in `(t, tid,
-//! seq)` order, and produces a [`TraceReport`]:
+//! One `replay`, two doors. [`analyze_trace`] (and its streaming form
+//! [`analyze_trace_reader`]) is the text door: it parses a trace as
+//! written by [`crate::Recorder::events_jsonl`], for artifacts on disk.
+//! [`analyze_events`] is the typed door, for the process that recorded
+//! the events and still holds them. Both replay every event in `(t, tid,
+//! seq)` order and produce a [`TraceReport`]:
 //!
 //! * **totals** — event-derived counters, accumulated exactly as the live
 //!   recorder accumulates them ([`EventKind::counter`]), so a replayed
@@ -22,7 +25,10 @@
 //!   time-to-recover, measured as the delay until per-round shuffle
 //!   completions regain 90% of their pre-blackout mean.
 
-use crate::event::{parse_trace_header, validate_event_value, TRACE_SCHEMA_VERSION};
+use crate::event::{
+    check_event_fields, parse_trace_header, validate_event_value, COUNTER_NAMES, KIND_COUNT,
+    TRACE_SCHEMA_VERSION,
+};
 use crate::{EventKind, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -270,6 +276,9 @@ impl TraceReport {
 
 /// Parses and replays a JSONL trace into a [`TraceReport`].
 ///
+/// Call-compatible since it was introduced (`&str` in, report or message
+/// out): the frozen benchmark package compiles against it.
+///
 /// # Errors
 ///
 /// Returns a line-annotated message when the header announces an
@@ -285,8 +294,9 @@ pub fn analyze_trace(text: &str) -> Result<TraceReport, String> {
 /// below) — the raw JSON text and the intermediate [`serde_json::Value`]
 /// of each line are dropped as soon as the line validates, so the
 /// analytics path never holds a whole multi-gigabyte trace in memory.
+/// Each line is parsed once: the event is built from the `Value` that
+/// was just validated.
 pub fn analyze_trace_reader<R: std::io::BufRead>(reader: R) -> Result<TraceReport, String> {
-    let mut version = TRACE_SCHEMA_VERSION;
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut saw_line = false;
     for (i, line) in reader.lines().enumerate() {
@@ -304,7 +314,6 @@ pub fn analyze_trace_reader<R: std::io::BufRead>(reader: R) -> Result<TraceRepor
                          {TRACE_SCHEMA_VERSION}); re-record the trace with a matching build"
                     ));
                 }
-                version = TRACE_SCHEMA_VERSION;
                 continue;
             }
         }
@@ -312,19 +321,42 @@ pub fn analyze_trace_reader<R: std::io::BufRead>(reader: R) -> Result<TraceRepor
             serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         validate_event_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
         let ev: TraceEvent =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+            serde_json::from_value(value).map_err(|e| format!("line {}: {e}", i + 1))?;
         events.push(ev);
     }
-    // The recorder exports shard-merged events already sorted by
-    // `(t, tid, seq)`; re-sort so hand-assembled or concatenated traces
-    // replay identically.
+    Ok(sort_and_replay(events))
+}
+
+/// Replays events the caller already holds as values into a
+/// [`TraceReport`] — the report [`analyze_trace`] gives for the same
+/// events written out as JSONL, without writing or parsing them.
+///
+/// # Errors
+///
+/// The types rule out everything the text door's schema validation
+/// checks except two things, which stay checked here: `t` must be finite
+/// and non-negative, and every `f64` payload must be finite (the JSON
+/// writer turns a non-finite float into `null`, which the validator
+/// rejects — or, for an optional field, silently reads back as absent).
+/// The message names the offending event by its position.
+pub fn analyze_events(events: Vec<TraceEvent>) -> Result<TraceReport, String> {
+    for (i, ev) in events.iter().enumerate() {
+        check_event_fields(ev).map_err(|e| format!("event {i}: {e}"))?;
+    }
+    Ok(sort_and_replay(events))
+}
+
+/// The tail both doors share. The recorder exports shard-merged events
+/// already sorted by `(t, tid, seq)`; re-sort so hand-assembled or
+/// concatenated traces replay identically.
+fn sort_and_replay(mut events: Vec<TraceEvent>) -> TraceReport {
     events.sort_by(|a, b| {
         a.t.partial_cmp(&b.t)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.tid.cmp(&b.tid))
             .then(a.seq.cmp(&b.seq))
     });
-    Ok(replay(version, &events))
+    replay(&events)
 }
 
 /// Node-state model rebuilt during replay.
@@ -376,8 +408,14 @@ impl NodeModel {
     }
 }
 
-fn replay(version: u32, events: &[TraceEvent]) -> TraceReport {
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+/// Every trace this build reads is [`TRACE_SCHEMA_VERSION`]: a header
+/// announcing another version is refused before replay, and a header-less
+/// trace is read as the current one.
+fn replay(events: &[TraceEvent]) -> TraceReport {
+    // Counter totals by `EventKind::index`, folded into names once at
+    // the end. `Some` once the kind occurred, so it keeps its key even at
+    // total 0.
+    let mut kind_totals: [Option<u64>; KIND_COUNT] = [None; KIND_COUNT];
     let mut rounds: Vec<RoundStats> = Vec::new();
     let mut alerts = Vec::new();
     let mut reactions: Vec<ReactionRecord> = Vec::new();
@@ -392,8 +430,8 @@ fn replay(version: u32, events: &[TraceEvent]) -> TraceReport {
 
     for ev in events {
         duration = duration.max(ev.t);
-        if let Some((name, delta)) = ev.kind.counter() {
-            *totals.entry(name.to_string()).or_insert(0) += delta;
+        if let Some((_, delta)) = ev.kind.counter() {
+            *kind_totals[ev.kind.index()].get_or_insert(0) += delta;
         }
         nodes.apply(ev);
 
@@ -490,10 +528,15 @@ fn replay(version: u32, events: &[TraceEvent]) -> TraceReport {
         b.time_to_recover = recovery_time(&rounds, b.start, b.end);
     }
 
+    let totals: BTreeMap<String, u64> = COUNTER_NAMES
+        .iter()
+        .zip(kind_totals)
+        .filter_map(|(name, total)| Some(((*name)?.to_string(), total?)))
+        .collect();
     let starts = totals.get("sim.shuffles_started").copied().unwrap_or(0);
     let completes = totals.get("sim.shuffles_completed").copied().unwrap_or(0);
     TraceReport {
-        schema_version: version,
+        schema_version: TRACE_SCHEMA_VERSION,
         events: events.len() as u64,
         duration,
         nodes_seen: nodes.seen(),
@@ -579,6 +622,84 @@ mod tests {
         assert_eq!(report.events, 4);
         assert_eq!(report.total("sim.pseudonyms_expired"), 3);
         assert_eq!(report.schema_version, TRACE_SCHEMA_VERSION);
+    }
+
+    #[test]
+    fn typed_door_gives_the_text_doors_report() {
+        let rec = Recorder::full();
+        rec.event(0.0, Some(0), || EventKind::PseudonymMinted {
+            lifetime: Some(90.0),
+        });
+        rec.event(0.0, Some(1), || EventKind::PseudonymMinted {
+            lifetime: None,
+        });
+        rec.event(0.5, Some(0), || EventKind::ShuffleStart {
+            target: 1,
+            trusted: false,
+        });
+        rec.event(1.5, Some(1), || EventKind::PseudonymsExpired { count: 0 });
+        rec.event(2.0, Some(1), || EventKind::BlackoutStart { until: 4.0 });
+        rec.event(3.0, None, || EventKind::HealthAlert {
+            detector: "isolated_nodes".into(),
+            severity: "critical".into(),
+            value: 2.0,
+            threshold: 1.0,
+        });
+        rec.event(3.0, Some(1), || EventKind::RemedyAction {
+            reaction: "rebootstrap".into(),
+            detector: "isolated_nodes".into(),
+            affected: 3,
+        });
+        rec.event(4.0, Some(1), || EventKind::BlackoutEnd);
+        let typed = analyze_events(rec.events()).unwrap();
+        assert_eq!(typed, analyze_trace(&rec.events_jsonl()).unwrap());
+        assert_eq!(typed.events, 8);
+        // A kind that occurred keeps its key even at total 0; one that
+        // never occurred, or feeds no counter, has none.
+        assert_eq!(typed.totals.get("sim.pseudonyms_expired"), Some(&0));
+        assert_eq!(typed.totals.get("sim.evictions"), None);
+        assert_eq!(typed.totals.len(), 6, "{:?}", typed.totals);
+        // Like the text door, it sorts what it is given.
+        let mut reversed = rec.events();
+        reversed.reverse();
+        assert_eq!(analyze_events(reversed).unwrap(), typed);
+    }
+
+    #[test]
+    fn typed_door_refuses_what_the_text_door_refuses() {
+        let forged = |t: f64, value: f64| TraceEvent {
+            t,
+            tid: 0,
+            seq: 1,
+            node: None,
+            kind: EventKind::HealthAlert {
+                detector: "forged".into(),
+                severity: "warning".into(),
+                value,
+                threshold: 1.0,
+            },
+        };
+        let fine = TraceEvent {
+            t: 0.0,
+            tid: 0,
+            seq: 0,
+            node: Some(0),
+            kind: EventKind::NodeOnline,
+        };
+        for (bad, what) in [
+            (forged(1.0, f64::NAN), "event 1: HealthAlert.value"),
+            (forged(-1.0, 0.5), "event 1: \"t\""),
+        ] {
+            let events = vec![fine.clone(), bad];
+            let text: Vec<String> = events
+                .iter()
+                .map(|e| serde_json::to_string(e).unwrap())
+                .collect();
+            let err = analyze_trace(&text.join("\n")).unwrap_err();
+            assert!(err.starts_with("line 2:"), "{err}");
+            let err = analyze_events(events).unwrap_err();
+            assert!(err.starts_with(what), "{err}");
+        }
     }
 
     #[test]

@@ -263,6 +263,55 @@ fn blackout_recovery_run_is_byte_identical_to_hand_built_run() {
 }
 
 #[test]
+fn the_trace_a_run_writes_replays_to_the_report_it_was_graded_from() {
+    // A run grades from the events it holds (`analyze_events`) and never
+    // reads its own trace back, so this is where the two doors of
+    // `veil_obs::replay` are held to one report: over every committed
+    // scenario and the benchmark's, the whole `TraceReport`, `==`.
+    let heal = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../benchmarks/veil-benchmark/scenarios/heal.toml");
+    let mut cases = library();
+    let (s, _) = parse_scenario_path(&heal).unwrap_or_else(|e| panic!("{}: {e}", heal.display()));
+    cases.push((heal, s));
+    for (path, s) in cases {
+        for shards in [None, Some(2)] {
+            let at = format!("{} shards {shards:?}", path.display());
+            let run = run_scenario_with(&s, RunOverrides { seed: None, shards }, eval())
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let from_text = veil_obs::analyze_trace(&run.trace_jsonl).unwrap();
+            assert_eq!(
+                veil_obs::validate_events_jsonl(&run.trace_jsonl),
+                Ok(from_text.events as usize),
+                "{at}"
+            );
+            // The canonical events, back from the lines they were written
+            // to: position is `seq`, so file order is replay order.
+            let events: Vec<veil_obs::TraceEvent> = run
+                .trace_jsonl
+                .lines()
+                .skip(1)
+                .map(|line| serde_json::from_str(line).unwrap())
+                .collect();
+            assert!(
+                (events.iter().enumerate()).all(|(i, e)| (e.tid, e.seq) == (0, i as u64)),
+                "{at}: trace is not in canonical form"
+            );
+            assert_eq!(veil_obs::analyze_events(events).unwrap(), from_text, "{at}");
+
+            let o = &run.outcome;
+            let critical = from_text.alerts.iter().filter(|a| a.severity == "critical");
+            assert_eq!(o.alerts_total, from_text.alerts.len() as u64, "{at}");
+            assert_eq!(o.critical_alerts, critical.count() as u64, "{at}");
+            assert_eq!(o.shuffle_success_rate, from_text.shuffle_success_rate);
+            assert_eq!(o.reaction_counts, from_text.reaction_counts, "{at}");
+            for a in &from_text.alerts {
+                assert!(o.detectors.contains(&a.detector), "{at}: {}", a.detector);
+            }
+        }
+    }
+}
+
+#[test]
 fn expected_fail_fixture_fails_its_assertions() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/fixtures/scenario_expected_fail.toml");
