@@ -8,8 +8,9 @@
 
 use serde::Serialize;
 use veil_bench::{f3, paper_params, render_table, write_json};
-use veil_core::config::OverlayConfig;
+use veil_core::config::{LinkLayerConfig, OverlayConfig};
 use veil_core::experiment::{availability_sweep, build_trust_graph, ExperimentParams};
+use veil_sim::fault::{FaultConfig, LatencyDist};
 
 #[derive(Serialize)]
 struct SensitivityRow {
@@ -62,7 +63,10 @@ fn main() {
             "link_latency (sp)",
             latency,
             OverlayConfig {
-                link_latency: latency,
+                link: LinkLayerConfig::Faulty(FaultConfig {
+                    latency: LatencyDist::Constant { value: latency },
+                    ..FaultConfig::none()
+                }),
                 ..base.overlay.clone()
             },
         );

@@ -122,9 +122,9 @@ pub fn run(args: &Args) -> CmdResult {
         k => Some(k),
     };
     // `--shards S` (or VEIL_SHARDS) is, like `--parallelism`, a layout
-    // knob that never changes results: it spreads the windowed executor —
-    // which runs whenever a fault model or positive link latency puts
-    // messages in flight — over S shards; 0/unset means one.
+    // knob that never changes results: it spreads the windowed executor
+    // over S shards whenever a fault model (loss or any latency) puts
+    // messages in flight; 0/unset means one.
     let shards = match args.get_or::<usize>("shards", 0, "integer")? {
         0 => veil_par::env_shards(),
         s => Some(s),

@@ -32,10 +32,13 @@ COMMANDS:
                      [--lifetime-ratio R|inf] [--snapshot-every X]
                      [--blackout T,DURATION,FRACTION] [--json]
                      [--loss P]          per-message drop probability;
-                                         any non-zero fault switches to the
-                                         fault-injecting link layer
+                                         any loss or latency switches to
+                                         the fault-injecting link layer
                      [--mean-latency M]  mean one-way latency in shuffle
-                                         periods (0 = instant)
+                                         periods (0 = instant); any M > 0,
+                                         constant included, puts messages
+                                         in flight: tracked exchanges with
+                                         timeout and retry
                      [--latency-dist D]  constant | exponential |
                                          pareto[:SHAPE] (default
                                          exponential, shape 2.5)
@@ -48,10 +51,10 @@ COMMANDS:
                                          or VEIL_PARALLELISM); results
                                          are identical for every K
                      [--shards S]        shards (threads) of the windowed
-                                         executor that runs every lossy or
-                                         latent link (or VEIL_SHARDS;
-                                         default 1); results are identical
-                                         for every S
+                                         executor on every link with
+                                         --loss or --mean-latency > 0 (or
+                                         VEIL_SHARDS; default 1); results
+                                         are identical for every S
                      [--graph M]         source model: holme-kim (default)
                                          or degree-matched (paper trust-
                                          sample densities)
@@ -342,6 +345,24 @@ mod tests {
             "faulty run reports losses:\n{out}"
         );
         assert!(out.contains("shuffle retries"));
+        // A latency alone, constant included, is a fault model too — and
+        // none at all is the ideal link, byte for byte.
+        let json = |extra: &[&str]| {
+            let base = ["simulate", "--nodes", "60", "--horizon", "30", "--json"];
+            run_line(&[&base[..], extra].concat()).unwrap()
+        };
+        let ideal = json(&[]);
+        assert_eq!(json(&["--mean-latency", "0"]), ideal);
+        let slow = json(&["--mean-latency", "0.4", "--latency-dist", "constant"]);
+        let field = |raw: &str, path: &[&str]| {
+            let v: serde_json::Value = serde_json::from_str(raw).expect("valid JSON");
+            path.iter().try_fold(&v, |v, key| v.get(key)).cloned()
+        };
+        assert_ne!(field(&slow, &["final"]), field(&ideal, &["final"]));
+        let link = ["config", "overlay", "link"];
+        assert_eq!(field(&ideal, &link).unwrap().as_str(), Some("Ideal"));
+        let value = [&link[..], &["Faulty", "latency", "Constant", "value"]].concat();
+        assert_eq!(field(&slow, &value).unwrap().as_f64(), Some(0.4));
     }
 
     #[test]

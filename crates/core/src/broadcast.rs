@@ -13,12 +13,16 @@
 //! The driver advances the underlying [`Simulation`] in fixed increments
 //! and performs application rounds between increments, so protocol
 //! maintenance and dissemination interleave realistically.
+//!
+//! Pushes and pulls travel over the paper's ideal service: every
+//! transmission between two online nodes arrives. The session has no loss
+//! model of its own; putting its messages on the simulation's link layer
+//! ([`crate::config::LinkLayerConfig`]) is ROADMAP item 4.
 
 use crate::node::LinkTarget;
 use crate::simulation::Simulation;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use veil_obs::{EventKind as Obs, Recorder};
@@ -42,15 +46,6 @@ pub struct BroadcastConfig {
     pub pull_on_rejoin: bool,
     /// Length of one application round in shuffle periods.
     pub round_length: f64,
-    /// Independent probability that a single push transmission is lost by
-    /// the link layer. `0.0` (the default) models the paper's ideal
-    /// service and draws no randomness at all.
-    pub loss_probability: f64,
-    /// How many times an unacknowledged push is retransmitted before the
-    /// sender gives up on that copy (bounded re-forwarding; only consulted
-    /// when `loss_probability > 0`). Every attempt counts towards the
-    /// message cost. Default: 0 (fire and forget).
-    pub ack_retries: u32,
 }
 
 impl Default for BroadcastConfig {
@@ -60,8 +55,6 @@ impl Default for BroadcastConfig {
             push_rounds: 3,
             pull_on_rejoin: true,
             round_length: 1.0,
-            loss_probability: 0.0,
-            ack_retries: 0,
         }
     }
 }
@@ -134,10 +127,6 @@ impl EpidemicSession {
         assert!(cfg.push_fanout > 0, "fanout must be positive");
         assert!(cfg.push_rounds > 0, "push rounds must be positive");
         assert!(cfg.round_length > 0.0, "round length must be positive");
-        assert!(
-            (0.0..=1.0).contains(&cfg.loss_probability),
-            "loss probability must be in [0, 1]"
-        );
         Self {
             cfg,
             nodes: Vec::new(),
@@ -225,24 +214,7 @@ impl EpidemicSession {
                     let &target = online_links
                         .choose(&mut self.rng)
                         .expect("non-empty link list");
-                    if self.cfg.loss_probability > 0.0 {
-                        // Bounded re-forwarding: keep retransmitting this
-                        // copy until it gets through or the ack budget runs
-                        // out. Every attempt costs a message.
-                        let mut delivered = false;
-                        for _ in 0..=self.cfg.ack_retries {
-                            self.messages_sent += 1;
-                            if !self.rng.gen_bool(self.cfg.loss_probability) {
-                                delivered = true;
-                                break;
-                            }
-                        }
-                        if !delivered {
-                            continue;
-                        }
-                    } else {
-                        self.messages_sent += 1;
-                    }
+                    self.messages_sent += 1;
                     transfers.push((
                         target,
                         id,
@@ -498,86 +470,6 @@ mod tests {
         EpidemicSession::new(
             BroadcastConfig {
                 push_fanout: 0,
-                ..BroadcastConfig::default()
-            },
-            1,
-        );
-    }
-
-    #[test]
-    fn zero_loss_config_is_byte_identical_to_default() {
-        let run = |loss: f64| {
-            let mut s = sim(0.5, 7);
-            s.run_until(20.0);
-            let cfg = BroadcastConfig {
-                loss_probability: loss,
-                ack_retries: 3, // irrelevant at zero loss
-                ..BroadcastConfig::default()
-            };
-            let mut session = EpidemicSession::new(cfg, 7);
-            let publisher = (0..s.node_count()).find(|&v| s.is_online(v)).unwrap();
-            let msg = session.publish(&s, publisher).unwrap();
-            session.advance(&mut s, 60.0);
-            (session.delivery_ratio(msg), session.messages_sent())
-        };
-        assert_eq!(run(0.0), run(0.0));
-        let baseline = {
-            let mut s = sim(0.5, 7);
-            s.run_until(20.0);
-            let mut session = EpidemicSession::new(BroadcastConfig::default(), 7);
-            let publisher = (0..s.node_count()).find(|&v| s.is_online(v)).unwrap();
-            let msg = session.publish(&s, publisher).unwrap();
-            session.advance(&mut s, 60.0);
-            (session.delivery_ratio(msg), session.messages_sent())
-        };
-        assert_eq!(run(0.0), baseline, "zero loss must not perturb the RNG");
-    }
-
-    #[test]
-    fn ack_retries_recover_coverage_under_loss() {
-        let run = |retries: u32, seed: u64| {
-            let mut s = sim(1.0, seed);
-            s.run_until(20.0);
-            let cfg = BroadcastConfig {
-                loss_probability: 0.5,
-                ack_retries: retries,
-                ..BroadcastConfig::default()
-            };
-            let mut session = EpidemicSession::new(cfg, seed);
-            let msg = session.publish(&s, 0).unwrap();
-            session.advance(&mut s, 50.0);
-            (session.delivery_ratio(msg), session.messages_sent())
-        };
-        let (lossy, lossy_cost): (f64, u64) = {
-            let rs: Vec<_> = (0..3).map(|i| run(0, 20 + i)).collect();
-            (
-                rs.iter().map(|r| r.0).sum::<f64>() / 3.0,
-                rs.iter().map(|r| r.1).sum::<u64>() / 3,
-            )
-        };
-        let (retried, retried_cost): (f64, u64) = {
-            let rs: Vec<_> = (0..3).map(|i| run(3, 20 + i)).collect();
-            (
-                rs.iter().map(|r| r.0).sum::<f64>() / 3.0,
-                rs.iter().map(|r| r.1).sum::<u64>() / 3,
-            )
-        };
-        assert!(
-            retried >= lossy,
-            "retries must not hurt coverage: {retried} vs {lossy}"
-        );
-        assert!(
-            retried_cost > lossy_cost,
-            "retransmissions must show up in the message cost"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability")]
-    fn rejects_out_of_range_loss() {
-        EpidemicSession::new(
-            BroadcastConfig {
-                loss_probability: 1.5,
                 ..BroadcastConfig::default()
             },
             1,

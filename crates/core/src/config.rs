@@ -11,20 +11,28 @@ use veil_sim::fault::FaultConfig;
 /// that behaviour bit-for-bit. [`Faulty`] routes every shuffle through the
 /// fault-injecting layer described by a [`FaultConfig`]: per-message drops,
 /// sampled latency, and scripted episodes. A `Faulty` layer whose config
-/// [`FaultConfig::is_trivial`] is true collapses back to the ideal code
-/// path (with `link_latency` equal to the constant latency), so zero-fault
-/// runs reproduce ideal outputs exactly.
+/// [`FaultConfig::is_trivial`] — no loss, zero latency, no episodes — is
+/// the ideal link spelled another way and reproduces its outputs exactly.
+/// Nothing else collapses: any latency, constant or sampled, puts messages
+/// in flight, and a link with messages in flight does not tell the sender
+/// whether the peer is reachable — every shuffle over it is a tracked
+/// exchange with a timeout, retries and eviction, even one that never
+/// drops anything.
 ///
 /// [`Ideal`]: LinkLayerConfig::Ideal
 /// [`Faulty`]: LinkLayerConfig::Faulty
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum LinkLayerConfig {
-    /// The paper's ideal service: reliable delivery between online
-    /// endpoints at [`OverlayConfig::link_latency`].
+    /// The paper's ideal service: instant, reliable delivery between
+    /// online endpoints, which reports deliverability at send time.
     #[default]
     Ideal,
-    /// Fault-injecting layer driven by the given fault model. The model's
-    /// latency distribution replaces `link_latency`.
+    /// Fault-injecting layer driven by the given fault model. This is also
+    /// how a slow link is spelled: the paper argues the maintenance
+    /// protocol tolerates slow mixes — "for a pseudonym lifetime of a few
+    /// hours, pseudonym propagation times in the order of minutes are more
+    /// than acceptable" (Section III-E5) — and such a mix is a model with
+    /// a latency and no loss.
     Faulty(FaultConfig),
 }
 
@@ -111,18 +119,6 @@ pub struct OverlayConfig {
     pub stop_after_stable_periods: Option<u32>,
     /// How each node chooses the lifetime of the pseudonyms it mints.
     pub lifetime_policy: LifetimePolicy,
-    /// One-way delivery latency of the privacy-preserving link layer, in
-    /// shuffle periods.
-    ///
-    /// The paper's evaluation assumes an ideal low-latency service
-    /// (`0.0`, the default — requests and responses complete instantly),
-    /// but argues that the maintenance protocol tolerates slow mixes:
-    /// "for a pseudonym lifetime of a few hours, pseudonym propagation
-    /// times in the order of minutes are more than acceptable"
-    /// (Section III-E5). Non-zero values route every shuffle request and
-    /// response through delayed delivery events; messages to nodes that go
-    /// offline before delivery are lost.
-    pub link_latency: f64,
     /// Whether shuffle-partner selection skips links whose peer is offline.
     ///
     /// The paper's accounting ("the average number of messages sent per
@@ -132,6 +128,10 @@ pub struct OverlayConfig {
     /// nodes effectively shuffle with online peers only — the ideal link
     /// layer reports deliverability. `false` makes nodes pick uniformly
     /// over *all* links and lose requests to offline peers (ablation).
+    ///
+    /// A property of the link that reports deliverability — the ideal one —
+    /// only: over a [`LinkLayerConfig::Faulty`] link nodes always pick over
+    /// all links, whatever this says.
     pub skip_offline_peers: bool,
     /// Link-layer implementation carrying shuffle traffic (default: the
     /// paper's ideal service).
@@ -162,10 +162,10 @@ pub struct OverlayConfig {
     /// message barrier (see DESIGN.md "Sharded execution"). Every value —
     /// `None`, `Some(1)`, `Some(8)` — produces byte-identical snapshots
     /// and canonical traces, so this is a thread-layout knob, never a
-    /// model change. It partitions every configuration that gives messages
-    /// a non-zero flight time (a faulty link layer or `link_latency > 0`);
-    /// the paper's ideal zero-latency link exchanges synchronously across
-    /// two nodes, always runs on one shard, and ignores this field.
+    /// model change. It partitions every configuration that puts messages
+    /// in flight (a faulty link layer that injects something); the paper's
+    /// ideal zero-latency link exchanges synchronously across two nodes,
+    /// always runs on one shard, and ignores this field.
     ///
     /// Skipped during serialization when `None` so existing experiment
     /// artifacts (fig3 JSON etc.) keep their exact bytes; absent keys
@@ -414,7 +414,6 @@ impl Default for OverlayConfig {
             minwise_sampling: true,
             stop_after_stable_periods: None,
             lifetime_policy: LifetimePolicy::Global,
-            link_latency: 0.0,
             skip_offline_peers: true,
             link: LinkLayerConfig::Ideal,
             shuffle_timeout: 3.0,
@@ -526,15 +525,6 @@ impl OverlayConfig {
                     reason: format!("lifetime must be positive and finite, got {l}"),
                 });
             }
-        }
-        if !(self.link_latency.is_finite() && self.link_latency >= 0.0) {
-            return Err(CoreError::InvalidConfig {
-                field: "link_latency",
-                reason: format!(
-                    "latency must be finite and non-negative, got {}",
-                    self.link_latency
-                ),
-            });
         }
         if !(self.shuffle_timeout.is_finite() && self.shuffle_timeout > 0.0) {
             return Err(CoreError::InvalidConfig {

@@ -641,10 +641,7 @@ pub fn steady_state_broadcast(
 ) -> Result<crate::dissemination::BroadcastReport, CoreError> {
     let mut sim = build_simulation(trust.clone(), params, alpha)?;
     sim.run_until(params.warmup);
-    let online = sim.online_mask();
-    let source = (0..sim.node_count())
-        .filter(|&v| online[v])
-        .max_by_key(|&v| trust.degree(v))
+    let source = best_connected_online(trust, &sim.online_mask())
         .expect("at least one node online at steady state");
     Ok(crate::dissemination::flood_current_overlay(&sim, source))
 }
@@ -720,14 +717,6 @@ pub fn degradation_point(
     const SNAPSHOT_SPACING: f64 = 10.0;
     let mut p = params.clone();
     p.overlay.link = link;
-    // Structural fault effects (partitions, silent crashes) are invisible
-    // to the overlay *graph* — trusted links exist regardless of whether
-    // messages get through — so measurement filters the overlay down to
-    // what the fault layer actually lets through at snapshot time.
-    let fault = match &p.overlay.link {
-        LinkLayerConfig::Faulty(fc) if !fc.is_trivial() => Some(fc.clone()),
-        _ => None,
-    };
     let mut sim = build_simulation(trust.clone(), &p, alpha)?;
     sim.run_until(p.warmup);
     let removals_start = sim.total_link_removals();
@@ -738,12 +727,13 @@ pub fn degradation_point(
         if snap > 0 {
             sim.run_until(p.warmup + snap as f64 * SNAPSHOT_SPACING);
         }
-        let (overlay, online) = fault_adjusted_view(&sim, fault.as_ref());
+        // Structural fault effects (partitions, silent crashes) are
+        // invisible to the overlay *graph* — trusted links exist regardless
+        // of whether messages get through — so measurement filters the
+        // overlay down to what the fault layer lets through right now.
+        let (overlay, online) = fault_adjusted_view(&sim);
         disconnected += gm::fraction_disconnected(&overlay, &online);
-        let source = (0..sim.node_count())
-            .filter(|&v| online[v])
-            .max_by_key(|&v| trust.degree(v));
-        if let Some(source) = source {
+        if let Some(source) = best_connected_online(trust, &online) {
             coverage += crate::dissemination::flood(&overlay, &online, source).coverage();
         }
         final_view = Some((overlay, online));
@@ -767,10 +757,10 @@ pub fn degradation_point(
 /// The overlay as the fault layer lets it operate right now: crashed nodes
 /// count as offline and edges crossing an active partition are removed.
 /// With no fault model this is just the overlay graph and online mask.
-fn fault_adjusted_view(sim: &Simulation, fault: Option<&FaultConfig>) -> (Graph, Vec<bool>) {
+fn fault_adjusted_view(sim: &Simulation) -> (Graph, Vec<bool>) {
     let overlay = sim.overlay_graph();
     let mut online = sim.online_mask();
-    let Some(fc) = fault else {
+    let Some(fc) = &sim.fault else {
         return (overlay, online);
     };
     let now = sim.now().as_f64();
@@ -1039,30 +1029,13 @@ pub fn recovery_point(
     };
     let mut sim = build_simulation(trust.clone(), &p, alpha)?;
 
-    // Pre-blackout baseline: mean pseudonym-overlay coverage over the last
-    // `baseline_snapshots` periods of warm-up (the episode fires strictly
-    // after the `t == start` snapshot is taken).
+    // Baseline over the last `baseline_snapshots` periods of warm-up, then
+    // one probe per period until the horizon is passed.
     let snaps = scenario.baseline_snapshots.max(1);
-    let mut baseline = 0.0;
-    for i in (0..snaps).rev() {
-        sim.run_until(start - i as f64);
-        baseline += pseudonym_coverage(&sim, trust);
-    }
-    let baseline = baseline / snaps as f64;
-    let target = RECOVERY_FRACTION * baseline;
-
-    // Run through the blackout, then probe coverage once per period.
-    sim.run_until(end);
-    let mut time_to_recover = None;
-    let mut t = end;
-    while t < end + scenario.horizon {
-        t += 1.0;
-        sim.run_until(t);
-        if pseudonym_coverage(&sim, trust) >= target {
-            time_to_recover = Some(t - end);
-            break;
-        }
-    }
+    let give_up = end + scenario.horizon;
+    let time_to_recover = measure_recovery(&mut sim, trust, (start, end), snaps, |t| {
+        (t < give_up).then_some(t + 1.0)
+    });
     Ok(RecoveryPoint {
         seed,
         healing,
@@ -1072,15 +1045,57 @@ pub fn recovery_point(
     })
 }
 
+/// The blackout-recovery measurement: how long after an outage over
+/// `[start, end)` the pseudonym overlay takes to regain
+/// [`RECOVERY_FRACTION`] of its pre-outage coverage.
+///
+/// The baseline is the mean [`pseudonym_coverage`] of the last `snapshots`
+/// one-period snapshots up to `start` (the outage must begin strictly
+/// after the `t == start` snapshot is taken). The run then crosses the
+/// outage and is probed on the caller's grid: `next_probe` maps the
+/// previous probe time (`end` at first) to the next one, or to `None` to
+/// give up. Returns the recovering probe's distance from `end`; the
+/// simulation is left at the last probe taken. Probes are read-only floods
+/// and `run_until` is stepping-invariant, so measuring perturbs nothing.
+pub(crate) fn measure_recovery(
+    sim: &mut Simulation,
+    trust: &Graph,
+    (start, end): (f64, f64),
+    snapshots: usize,
+    next_probe: impl Fn(f64) -> Option<f64>,
+) -> Option<f64> {
+    let mut baseline = 0.0;
+    for i in (0..snapshots).rev() {
+        sim.run_until(start - i as f64);
+        baseline += pseudonym_coverage(sim, trust);
+    }
+    let target = RECOVERY_FRACTION * (baseline / snapshots as f64);
+    sim.run_until(end);
+    let mut t = end;
+    while let Some(next) = next_probe(t) {
+        t = next;
+        sim.run_until(t);
+        if pseudonym_coverage(sim, trust) >= target {
+            return Some(t - end);
+        }
+    }
+    None
+}
+
+/// The online node with the highest trust degree — the broadcast source of
+/// every coverage measurement. `None` when nobody is online.
+pub(crate) fn best_connected_online(trust: &Graph, online: &[bool]) -> Option<usize> {
+    (0..online.len())
+        .filter(|&v| online[v])
+        .max_by_key(|&v| trust.degree(v))
+}
+
 /// Flood coverage over the pseudonym overlay from the highest-trust-degree
 /// online node: the fraction of online nodes reachable through pseudonym
 /// links alone. `0` when nobody is online.
 pub(crate) fn pseudonym_coverage(sim: &Simulation, trust: &Graph) -> f64 {
     let online = sim.online_mask();
-    let source = (0..sim.node_count())
-        .filter(|&v| online[v])
-        .max_by_key(|&v| trust.degree(v));
-    match source {
+    match best_connected_online(trust, &online) {
         Some(s) => crate::dissemination::flood(&sim.pseudonym_graph(), &online, s).coverage(),
         None => 0.0,
     }

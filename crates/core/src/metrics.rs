@@ -189,18 +189,25 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OverlayConfig;
+    use crate::config::{LinkLayerConfig, OverlayConfig};
+    use crate::sim_exec::mailbox::WINDOW;
     use veil_graph::generators;
     use veil_sim::churn::ChurnConfig;
+    use veil_sim::fault::{FaultConfig, LatencyDist};
     use veil_sim::rng::{derive_rng, Stream};
 
     fn sim(alpha: f64, seed: u64) -> Simulation {
+        sim_over(LinkLayerConfig::Ideal, alpha, seed)
+    }
+
+    fn sim_over(link: LinkLayerConfig, alpha: f64, seed: u64) -> Simulation {
         let mut rng = derive_rng(seed, Stream::Topology);
         let trust = generators::social_graph(50, 3, &mut rng).unwrap();
         let cfg = OverlayConfig {
             cache_size: 50,
             shuffle_length: 8,
             target_links: 12,
+            link,
             ..OverlayConfig::default()
         };
         let churn = ChurnConfig::from_availability(alpha, 10.0);
@@ -279,29 +286,31 @@ mod tests {
 
     #[test]
     fn snapshot_counts_fault_statistics() {
+        let clean = |s: &OverlaySnapshot| {
+            (s.dropped_requests, s.shuffle_failures, s.shuffle_retries) == (0, 0, 0)
+        };
         // Always-on nodes over an ideal link layer lose nothing.
         let mut quiet = sim(1.0, 7);
         quiet.run_until(20.0);
-        let snap = snapshot(&quiet);
-        assert_eq!(snap.dropped_requests, 0);
-        assert_eq!(snap.shuffle_failures, 0);
-        assert_eq!(snap.shuffle_retries, 0);
-        // Under churn with in-flight delay, some requests find their peer
-        // offline mid-transit.
-        let mut rng = derive_rng(7, Stream::Topology);
-        let trust = generators::social_graph(50, 3, &mut rng).unwrap();
-        let cfg = OverlayConfig {
-            cache_size: 50,
-            shuffle_length: 8,
-            target_links: 12,
-            link_latency: 0.5,
-            ..OverlayConfig::default()
-        };
-        let churn = ChurnConfig::from_availability(0.4, 10.0);
-        let mut churny = Simulation::new(trust, cfg, churn, 7).unwrap();
+        assert!(clean(&snapshot(&quiet)));
+        // Nor over a slow link that never drops, when a round trip (each
+        // leg takes at most a window or the latency, whichever is longer)
+        // fits the timeout: every exchange completes on its first attempt.
+        let latency = 0.5;
+        let slow = LinkLayerConfig::Faulty(FaultConfig {
+            latency: LatencyDist::Constant { value: latency },
+            ..FaultConfig::none()
+        });
+        assert!(2.0 * latency.max(WINDOW) < OverlayConfig::default().shuffle_timeout);
+        let mut quiet = sim_over(slow.clone(), 1.0, 7);
+        quiet.run_until(20.0);
+        assert!(clean(&snapshot(&quiet)));
+        // Under churn the same link finds peers gone, and — it reports no
+        // deliverability — learns so by silence: timeouts, then retries.
+        let mut churny = sim_over(slow, 0.4, 7);
         churny.run_until(80.0);
         let snap = snapshot(&churny);
         assert!(snap.dropped_requests > 0, "churn should drop some requests");
-        assert_eq!(snap.shuffle_failures, 0, "ideal layer never times out");
+        assert!(snap.shuffle_retries > 0, "a lost request is retried");
     }
 }

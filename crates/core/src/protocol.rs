@@ -346,32 +346,6 @@ pub fn respond<R: Rng + ?Sized>(
     response.entries
 }
 
-/// The initiator's side of an exchange over a link that delays but never
-/// loses messages. Such an exchange needs no id, pending state or timer:
-/// the offer's `sent_from_cache` travels with the messages and comes back
-/// to [`complete_lossless`].
-pub fn begin_lossless<R: Rng + ?Sized>(
-    node: &mut Node,
-    arena: &PseudonymArena,
-    shuffle_length: usize,
-    now: SimTime,
-    rng: &mut R,
-) -> Offer {
-    build_offer(node, arena, shuffle_length, now, rng)
-}
-
-/// Absorbs the response of a [`begin_lossless`] exchange.
-pub fn complete_lossless<R: Rng + ?Sized>(
-    node: &mut Node,
-    arena: &mut PseudonymArena,
-    response: &[Pseudonym],
-    sent_from_cache: &[PseudonymId],
-    now: SimTime,
-    rng: &mut R,
-) {
-    receive_offer(node, arena, response, sent_from_cache, now, rng);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

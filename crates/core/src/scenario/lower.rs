@@ -186,8 +186,7 @@ pub fn recovery_interval(s: &Scenario) -> Option<(f64, f64)> {
 
 /// Lowers the link spec + phases into a link-layer config. Only the model
 /// that injects nothing at all — no loss, no latency, no episodes — is the
-/// ideal link; a constant latency alone stays a fault model, whose
-/// constant `Simulation::new` keeps when it collapses trivial models.
+/// ideal link; a constant latency alone is a fault model that never drops.
 fn lower_link(s: &Scenario) -> LinkLayerConfig {
     let latency = if s.link.latency.mean <= 0.0 {
         LatencyDist::Constant { value: 0.0 }
@@ -214,7 +213,7 @@ fn lower_link(s: &Scenario) -> LinkLayerConfig {
             .flat_map(|p| phase_episodes(p, s.nodes))
             .collect(),
     };
-    if fault == FaultConfig::none() {
+    if fault.is_trivial() {
         LinkLayerConfig::Ideal
     } else {
         LinkLayerConfig::Faulty(fault)

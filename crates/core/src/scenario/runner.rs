@@ -15,7 +15,7 @@ use super::schema::{AttackSpec, Scenario};
 use super::ScenarioError;
 use crate::dissemination::flood_current_overlay;
 use crate::experiment::{
-    build_simulation, build_trust_graph, pseudonym_coverage, RECOVERY_FRACTION,
+    best_connected_online, build_simulation, build_trust_graph, measure_recovery,
 };
 use crate::metrics::{snapshot, OverlaySnapshot};
 use serde::Serialize;
@@ -286,51 +286,25 @@ fn run_graded<T>(
     sim.set_recorder(recorder.clone());
 
     // With a `recovery_time_at_most` assertion the run is stepped: a
-    // pre-outage coverage baseline, then one-period probes after the last
-    // blackout ends until coverage regains 90% of that baseline. Probes
-    // are read-only floods and `run_until` is stepping-invariant, so the
+    // baseline over up to ten periods before the last blackout, then
+    // one-period probes after it ends, the last one on the horizon. The
     // trace stays byte-identical to an unstepped run; the probe grid is
     // fixed, so the measurement is shard-layout-invariant too.
-    let recovery_time = match scenario
+    let horizon = lowered.horizon;
+    let recovery_time = scenario
         .assertions
         .recovery_time_at_most
         .and_then(|_| recovery_interval(scenario))
-    {
-        Some((outage_start, outage_end)) => {
-            let snaps = (outage_start.floor() as usize).clamp(1, 10);
-            let mut baseline = 0.0;
-            for i in (0..snaps).rev() {
-                sim.run_until(outage_start - i as f64);
-                baseline += pseudonym_coverage(&sim, &trust);
-            }
-            baseline /= snaps as f64;
-            let target = RECOVERY_FRACTION * baseline;
-            sim.run_until(outage_end);
-            let mut t = outage_end;
-            let mut recovered = None;
-            while t < lowered.horizon {
-                t = (t + 1.0).min(lowered.horizon);
-                sim.run_until(t);
-                if pseudonym_coverage(&sim, &trust) >= target {
-                    recovered = Some(t - outage_end);
-                    break;
-                }
-            }
-            sim.run_until(lowered.horizon);
-            Some(recovered)
-        }
-        None => {
-            sim.run_until(lowered.horizon);
-            None
-        }
-    };
+        .map(|outage| {
+            let snaps = (outage.0.floor() as usize).clamp(1, 10);
+            measure_recovery(&mut sim, &trust, outage, snaps, |t| {
+                (t < horizon).then_some((t + 1.0).min(horizon))
+            })
+        });
+    sim.run_until(horizon);
 
     let snap = snapshot(&sim);
-    let online = sim.online_mask();
-    let source = (0..sim.node_count())
-        .filter(|&v| online[v])
-        .max_by_key(|&v| trust.degree(v));
-    let coverage = match source {
+    let coverage = match best_connected_online(&trust, &sim.online_mask()) {
         Some(source) => flood_current_overlay(&sim, source).coverage(),
         None => 0.0,
     };

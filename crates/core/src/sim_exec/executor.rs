@@ -1,7 +1,7 @@
 //! The windowed runtime: window loop, fork/join dispatch and the barrier.
 //! Every run executes here — on `S = shards.unwrap_or(1)` shards when
-//! messages spend time in flight (a fault model or positive link latency),
-//! on one shard for the ideal zero-latency link.
+//! messages spend time in flight (a fault model), on one shard for the
+//! ideal zero-latency link.
 //!
 //! Nodes are partitioned into `S` contiguous ranges; each [`Shard`] owns
 //! its range's cells, engine, pending exchanges and pseudonym minter.
@@ -27,17 +27,13 @@
 //! `run_until` may stop off the grid. The window it stops in stays open:
 //! shards have drained their events up to the stop, and a *partial*
 //! barrier runs steps 2–5 on what they produced (each is a merge by time
-//! or a commutative sum, so splitting it at the stop changes nothing). Two
-//! things belong to the grid window, not to the call, and are left alone
-//! until the window closes on its boundary:
-//!
-//! - the **online mask** is taken when a window opens and serves the whole
-//!   window — a resumed window must not see the churn that happened inside
-//!   it;
-//! - the **outboxes** keep their messages (every one is due at or after
-//!   the closing boundary, so nobody can need it earlier) and step 1
-//!   injects them in one canonical batch — two batches would let the
-//!   engines' FIFO tie-break order equal-time deliveries by batch.
+//! or a commutative sum, so splitting it at the stop changes nothing). One
+//! thing belongs to the grid window, not to the call, and is left alone
+//! until the window closes on its boundary: the **outboxes** keep their
+//! messages (every one is due at or after the closing boundary, so nobody
+//! can need it earlier) and step 1 injects them in one canonical batch —
+//! two batches would let the engines' FIFO tie-break order equal-time
+//! deliveries by batch.
 //!
 //! So between two calls the engines hold exactly what a straight run's
 //! engines hold at that instant, [`ShardedRuntime::queue_high_water`] is
@@ -64,8 +60,6 @@ pub(crate) struct ShardedRuntime {
     /// Index of the next *incomplete* window; the window covers
     /// `[window_index · W, (window_index + 1) · W)`.
     pub(crate) window_index: u64,
-    /// Reused per-window scratch: the opening-barrier online mask.
-    online: Vec<bool>,
     /// Reused barrier scratch for the canonical cross-shard message merge.
     batch: Vec<OutMsg>,
     /// Reused barrier scratch for the message-log merge.
@@ -89,7 +83,6 @@ impl ShardedRuntime {
             starts,
             owner,
             window_index: 0,
-            online: Vec::with_capacity(n),
             batch: Vec::new(),
             records: Vec::new(),
             obs: Vec::new(),
@@ -136,7 +129,6 @@ impl ShardedRuntime {
             .sum::<usize>()
             + self.starts.capacity() * size_of::<usize>()
             + self.owner.capacity() * size_of::<u32>()
-            + self.online.capacity()
             + self.batch.capacity() * size_of::<OutMsg>()
             + self.records.capacity() * size_of::<MessageRecord>()
             + self.obs.capacity() * size_of::<HealthObs>()
@@ -154,28 +146,24 @@ struct WorkItem<'a> {
 impl Simulation {
     /// Advances every shard to `horizon` window by window.
     pub(crate) fn run_windows(&mut self, horizon: SimTime) {
-        // Only the first window can be one an earlier call left open.
-        let mut opens = self.current_time == SimTime::new(self.rt.window_index as f64 * WINDOW);
         loop {
             let boundary = SimTime::new((self.rt.window_index + 1) as f64 * WINDOW);
             let cap = boundary.min(horizon);
             let closes = cap == boundary;
-            self.run_one_window(cap, opens, closes);
+            self.run_one_window(cap, closes);
             if closes {
                 self.rt.window_index += 1;
             }
             if boundary >= horizon {
                 break;
             }
-            opens = true;
         }
     }
 
     /// Runs one window, or the part of it before `cap`: fork shards, join,
-    /// barrier. `opens` says the run starts on the window's own grid
-    /// boundary, `closes` that `cap` is its far one (see "Partial windows"
-    /// in the module docs).
-    fn run_one_window(&mut self, cap: SimTime, opens: bool, closes: bool) {
+    /// barrier. `closes` says `cap` is the window's far grid boundary (see
+    /// "Partial windows" in the module docs).
+    fn run_one_window(&mut self, cap: SimTime, closes: bool) {
         let log_on = self.message_log.is_some();
         let buffer_health = self.health.is_some();
         let Simulation {
@@ -184,7 +172,6 @@ impl Simulation {
             cells,
             rt,
             fault,
-            effective_latency,
             master_seed,
             recorder,
             message_log,
@@ -192,19 +179,10 @@ impl Simulation {
             remedy,
             ..
         } = self;
-        // Deliverability oracle for the whole window: the online mask as
-        // of the opening barrier. Identical for every shard count. The
-        // mask (like every barrier buffer below) reuses the runtime's
-        // scratch allocation across windows.
-        if opens {
-            rt.online.clear();
-            rt.online.extend(cells.iter().map(|c| c.churn.is_online()));
-        }
         let ShardedRuntime {
             shards,
             starts,
             owner,
-            online,
             batch,
             records,
             obs,
@@ -214,10 +192,9 @@ impl Simulation {
         let ctx = WindowCtx {
             cfg,
             fault: fault.as_ref(),
-            effective_latency: *effective_latency,
             master_seed: *master_seed,
             recorder,
-            online: online.as_slice(),
+            node_count: cells.len(),
             cap,
             log_on,
             buffer_health,

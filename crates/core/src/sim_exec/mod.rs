@@ -12,20 +12,21 @@
 //!   health observations.
 //! - [`shard`] — one shard of the executor: a per-shard
 //!   [`veil_sim::engine::Engine`] over a contiguous slice of node cells,
-//!   the one event dispatch, and the three link modes' shuffle initiation
-//!   (ideal-synchronous, lossless-latent, faulty) driving the exchange
-//!   core of [`crate::protocol`].
+//!   the one event dispatch, and the two link regimes' shuffle initiation
+//!   (ideal, in flight), the second driving the exchange core of
+//!   [`crate::protocol`].
 //! - [`executor`] — the windowed runtime: partitions nodes over S shards,
 //!   runs them in bounded time windows (on `veil-par` worker threads when
 //!   S > 1), and merges cross-shard traffic, health observations and
 //!   remediation at a deterministic barrier.
 //!
-//! There is one executor; the link regime only picks the link mode. A
-//! fault model or a positive link latency puts messages in flight, on
-//! `shards.unwrap_or(1)` shards, with a delivery schedule (`deliver_at =
-//! max(send + latency, next 0.5-period boundary)`) invariant in the shard
-//! count. The paper's ideal zero-latency link exchanges synchronously
-//! across two cells, so it runs the same window loop on one shard.
+//! There is one executor; the link regime only picks the initiation
+//! handler. A fault model — loss, any latency, episodes — puts messages in
+//! flight, on `shards.unwrap_or(1)` shards, with a delivery schedule
+//! (`deliver_at = max(send + latency, next 0.5-period boundary)`)
+//! invariant in the shard count. The paper's ideal zero-latency link
+//! exchanges synchronously across two cells, so it runs the same window
+//! loop on one shard.
 
 pub(crate) mod executor;
 pub(crate) mod mailbox;
@@ -65,11 +66,11 @@ pub(crate) enum Event {
         /// Generation stamp of the blackout.
         generation: u32,
     },
-    /// A shuffle request arrives after the configured link latency.
+    /// A shuffle request arrives after its link latency.
     DeliverRequest(Box<Delivery>),
-    /// A shuffle response arrives after the configured link latency.
+    /// A shuffle response arrives after its link latency.
     DeliverResponse(Box<Delivery>),
-    /// A faulty-link shuffle exchange hit its timeout without a response.
+    /// A tracked exchange hit its timeout without a response.
     ShuffleTimeout {
         /// The exchange the timeout guards.
         exchange: u64,
@@ -84,14 +85,8 @@ pub(crate) struct Delivery {
     pub(crate) from: u32,
     pub(crate) to: u32,
     pub(crate) offer: Vec<crate::pseudonym::Pseudonym>,
-    /// Lossless link only: the cache entries the *initiator* offered,
-    /// carried through the round trip so the Cyclon eviction preference
-    /// applies when the response arrives. Empty on the faulty link, where
-    /// the exchange core's pending state remembers them.
-    pub(crate) initiator_sent: Vec<crate::pseudonym::PseudonymId>,
     pub(crate) trusted_link: bool,
-    /// The tracked exchange this message belongs to; `0` on the lossless
-    /// link, whose exchanges carry no id.
+    /// The tracked exchange this message belongs to.
     pub(crate) exchange: u64,
     /// Which transmission attempt carried this message; keys the
     /// responder's per-message RNG so duplicate answers to retransmitted

@@ -6,28 +6,26 @@
 //! same-shard neighbour — goes through the outbox and is injected at the
 //! barrier, so a node's behaviour cannot depend on which shard runs it.
 //!
-//! The link regime picks one of three initiation handlers for a shuffle
+//! The link regime picks one of two initiation handlers for a shuffle
 //! tick; everything else — event dispatch, lifecycle glue, emission, the
 //! message log — exists once:
 //!
-//! - **ideal-synchronous** ([`Shard::begin_ideal`]): the paper's
-//!   zero-latency link. Nothing is in flight, so the exchange runs to
-//!   completion inside the tick, across two cells of the one shard such a
-//!   run is forced onto.
-//! - **lossless-latent** ([`Shard::begin_lossless`]): a positive constant
-//!   latency, no fault model; id-less request/response deliveries.
-//! - **faulty** ([`Shard::begin_exchange`]): a fault model; tracked
-//!   exchanges with timeout, retry and eviction.
+//! - **ideal** ([`Shard::begin_ideal`]): the paper's zero-latency link.
+//!   Nothing is in flight, so the exchange runs to completion inside the
+//!   tick, across two cells of the one shard such a run is forced onto.
+//! - **in flight** ([`Shard::begin_exchange`]): a fault model — loss, any
+//!   latency, episodes; tracked exchanges with timeout, retry and
+//!   eviction. A slow link that never drops is the same exchange whose
+//!   fate is always "delivered".
 //!
 //! A shard is a *driver* of the exchange core in [`crate::protocol`]: the
 //! core decides what an exchange does next; the handlers here decide each
 //! message's fate, schedule deliveries and timers, and keep the stats,
-//! trace and message log. Everything a handler consults on a link with
-//! messages in flight is layout-invariant:
+//! trace and message log. A link with messages in flight reports nothing
+//! about its far end — a sender learns by silence — so a handler never
+//! reads another node's churn state, and everything it does consult is
+//! layout-invariant:
 //!
-//! - **Deliverability checks** (`skip_offline_peers`, the lossless-latent
-//!   link's destination-offline drop) read the barrier-snapshot online
-//!   mask in [`WindowCtx`], never another node's live churn state.
 //! - **Fault randomness** comes from a stateless per-message RNG
 //!   ([`veil_sim::rng::derive_message_rng`]) keyed by `(exchange, attempt,
 //!   direction)`.
@@ -54,19 +52,13 @@ use super::{two_mut, Delivery, Event, MessageKind, MessageRecord};
 /// Read-only context shared by every shard during one window.
 pub(crate) struct WindowCtx<'a> {
     pub cfg: &'a OverlayConfig,
+    /// The fault model deciding each message's fate; `None` is the ideal
+    /// link, which has nothing in flight.
     pub fault: Option<&'a FaultConfig>,
-    /// One-way latency of the lossless link (`fault` is `None`); zero is
-    /// the ideal-synchronous link.
-    pub effective_latency: f64,
     pub master_seed: u64,
     pub recorder: &'a Recorder,
-    /// Online mask snapshotted at the window's opening barrier: the
-    /// deliverability oracle for `skip_offline_peers` filtering and the
-    /// lossless-latent link's destination-offline check. A shard must not
-    /// read live churn state of nodes it does not own; the snapshot is
-    /// refreshed every window boundary and is identical for every shard
-    /// count.
-    pub online: &'a [bool],
+    /// Nodes in the whole run, across every shard.
+    pub node_count: usize,
     /// Events strictly before `cap` run in this window.
     pub cap: SimTime,
     /// Whether protocol messages are logged this run.
@@ -81,7 +73,7 @@ pub(crate) struct Shard {
     /// First node index this shard owns.
     pub start: usize,
     pub engine: Engine<Event>,
-    /// In-flight faulty-link exchanges initiated by this shard's nodes.
+    /// In-flight exchanges initiated by this shard's nodes.
     pub exchanges: Exchanges,
     /// Pseudonym minter (ids are pure functions of the owner's mint count,
     /// so per-shard services agree with any other layout).
@@ -255,7 +247,6 @@ impl Shard {
         }
         match ctx.fault {
             Some(fault) => self.begin_exchange(now, v as u32, fault, cell, ctx),
-            None if ctx.effective_latency > 0.0 => self.begin_lossless(now, v as u32, cell, ctx),
             None => self.begin_ideal(now, v, cells, ctx),
         }
     }
@@ -313,67 +304,10 @@ impl Shard {
         self.log(ctx, now, back, MessageKind::Response, true, trusted_link);
     }
 
-    /// Initiates a shuffle over the lossless link (positive constant
-    /// latency, no fault model). Deliverability comes from the barrier
-    /// snapshot; nothing is lost in flight, so the exchange carries no id,
-    /// pending state or timeout.
-    fn begin_lossless(&mut self, now: SimTime, v: u32, cell: &mut NodeCell, ctx: &WindowCtx<'_>) {
-        let accept = |u: u32| !ctx.cfg.skip_offline_peers || ctx.online[u as usize];
-        let target = cell
-            .node
-            .pick_link_where(&self.arena, now, &mut cell.proto_rng, accept);
-        let Some(target) = target else {
-            return;
-        };
-        let dest = target.resolve();
-        debug_assert_ne!(dest, v, "nodes never link to themselves");
-        let trusted_link = target.is_trusted();
-        self.emit(ctx, now, Some(v), || Obs::ShuffleStart {
-            target: u64::from(dest),
-            trusted: trusted_link,
-        });
-        cell.node.stats.requests_sent += 1;
-        let deliverable = ctx.online[dest as usize];
-        self.log(
-            ctx,
-            now,
-            (v, dest),
-            MessageKind::Request,
-            deliverable,
-            trusted_link,
-        );
-        if !deliverable {
-            // Request sent into the anonymity service but never delivered.
-            cell.node.stats.dropped_requests += 1;
-            self.emit(ctx, now, Some(v), || Obs::MessageDropped {
-                exchange: 0,
-                response: false,
-            });
-            return;
-        }
-        let offer = protocol::begin_lossless(
-            &mut cell.node,
-            &self.arena,
-            ctx.cfg.shuffle_length,
-            now,
-            &mut cell.proto_rng,
-        );
-        let event = Event::DeliverRequest(Box::new(Delivery {
-            from: v,
-            to: dest,
-            offer: offer.entries,
-            initiator_sent: offer.sent_from_cache,
-            trusted_link,
-            exchange: 0,
-            attempt: 0,
-        }));
-        self.send(cell, v, now, ctx.effective_latency, dest, event);
-    }
-
-    /// Initiates a shuffle over the faulty link: a uniform pick over *all*
-    /// links (a lossy layer cannot report deliverability, so there is no
-    /// `skip_offline_peers` shortcut), then a tracked exchange whose
-    /// request is guarded by a timeout.
+    /// Initiates a shuffle over a link with messages in flight: a uniform
+    /// pick over *all* links (such a link cannot report deliverability, so
+    /// there is no `skip_offline_peers` shortcut), then a tracked exchange
+    /// whose request is guarded by a timeout.
     fn begin_exchange(
         &mut self,
         now: SimTime,
@@ -443,7 +377,6 @@ impl Shard {
                 from: v,
                 to: dest,
                 offer: request.offer,
-                initiator_sent: Vec::new(),
                 trusted_link,
                 exchange,
                 attempt,
@@ -463,9 +396,8 @@ impl Shard {
         cells: &mut [NodeCell],
         ctx: &WindowCtx<'_>,
     ) {
-        // Timeouts are only ever armed by `transmit`, under a fault model.
         let Some(fault) = ctx.fault else {
-            return;
+            return; // only `transmit` arms timeouts, under a fault model
         };
         let v = protocol::exchange_initiator(exchange);
         let cell = &mut cells[v as usize - self.start];
@@ -511,13 +443,13 @@ impl Shard {
         cells: &mut [NodeCell],
         ctx: &WindowCtx<'_>,
     ) {
+        let Some(fault) = ctx.fault else {
+            return; // only `transmit` puts requests in flight
+        };
         let (initiator, responder, exchange) = (delivery.from, delivery.to, delivery.exchange);
         let (attempt, trusted_link) = (delivery.attempt, delivery.trusted_link);
         let cell = &mut cells[responder as usize - self.start];
-        let crashed = ctx
-            .fault
-            .is_some_and(|f| f.crashed(responder, now.as_f64()));
-        if !cell.churn.is_online() || crashed {
+        if !cell.churn.is_online() || fault.crashed(responder, now.as_f64()) {
             // Lost in transit. The initiator may live on another shard, so
             // its `dropped_requests` bump is credited at the barrier.
             self.credits.push(initiator);
@@ -538,14 +470,9 @@ impl Shard {
         cell.node.stats.responses_sent += 1;
         // Responses answering a retransmission (`attempt > 0`) draw their
         // own stream, so duplicate answers stay independent.
-        let fate = match ctx.fault {
-            Some(fault) => {
-                MessageLink::for_message(fault, ctx.master_seed, exchange, attempt, true)
-                    .send(responder, initiator, now.as_f64())
-                    .delivered()
-            }
-            None => Some(ctx.effective_latency),
-        };
+        let fate = MessageLink::for_message(fault, ctx.master_seed, exchange, attempt, true)
+            .send(responder, initiator, now.as_f64())
+            .delivered();
         let ends = (responder, initiator);
         self.log(
             ctx,
@@ -567,7 +494,6 @@ impl Shard {
             from: responder,
             to: initiator,
             offer: response,
-            initiator_sent: delivery.initiator_sent,
             trusted_link,
             exchange,
             attempt,
@@ -591,15 +517,9 @@ impl Shard {
             return;
         }
         let (node, rng) = (&mut cell.node, &mut cell.proto_rng);
-        let arena = &mut self.arena;
-        let outcome = if ctx.fault.is_some() {
+        let outcome =
             self.exchanges
-                .on_response(exchange, node, arena, &delivery.offer, now, rng)
-        } else {
-            let sent = &delivery.initiator_sent;
-            protocol::complete_lossless(node, arena, &delivery.offer, sent, now, rng);
-            ResponseOutcome::Completed
-        };
+                .on_response(exchange, node, &mut self.arena, &delivery.offer, now, rng);
         // A duplicate answer to a retransmitted request whose exchange
         // already completed or failed is stale; ignore it.
         if outcome == ResponseOutcome::Completed {

@@ -49,9 +49,8 @@ impl Shard {
         // The EpisodeStart event sits in every shard's engine (each shard
         // handles its own victims); exactly one shard — the owner of the
         // episode's anchor node — emits the network-level observation.
-        let n_total = ctx.online.len();
         let anchor = match ep.effect {
-            EpisodeEffect::Blackout { first, .. } => (first as usize).min(n_total - 1),
+            EpisodeEffect::Blackout { first, .. } => (first as usize).min(ctx.node_count - 1),
             _ => 0,
         };
         let owned = self.start..self.start + cells.len();

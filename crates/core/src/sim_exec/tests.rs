@@ -1,12 +1,13 @@
 //! Ideal-link simulation tests (moved from `simulation.rs`).
 
 use super::two_mut;
-use crate::config::OverlayConfig;
+use crate::config::{LinkLayerConfig, OverlayConfig};
 use crate::error::CoreError;
 use crate::simulation::{MessageKind, Simulation};
 use veil_graph::metrics as gm;
 use veil_graph::{generators, Graph};
 use veil_sim::churn::ChurnConfig;
+use veil_sim::fault::{FaultConfig, LatencyDist};
 use veil_sim::rng::{derive_rng, Stream};
 
 fn trust_graph(n: usize, seed: u64) -> Graph {
@@ -352,6 +353,14 @@ fn message_log_records_request_response_pairs() {
     assert!(sim.message_log().is_none());
 }
 
+/// A slow link that never drops: constant one-way latency, nothing else.
+pub(super) fn slow_link(value: f64) -> LinkLayerConfig {
+    LinkLayerConfig::Faulty(FaultConfig {
+        latency: LatencyDist::Constant { value },
+        ..FaultConfig::none()
+    })
+}
+
 #[test]
 fn latency_one_round_trip_still_exchanges() {
     let trust = trust_graph(30, 19);
@@ -359,7 +368,7 @@ fn latency_one_round_trip_still_exchanges() {
         cache_size: 40,
         shuffle_length: 6,
         target_links: 8,
-        link_latency: 0.2,
+        link: slow_link(0.2),
         ..OverlayConfig::default()
     };
     let churn = ChurnConfig::from_availability(1.0, 10.0);
@@ -389,7 +398,7 @@ fn latency_with_churn_loses_in_transit_messages() {
         cache_size: 40,
         shuffle_length: 6,
         target_links: 8,
-        link_latency: 0.5,
+        link: slow_link(0.5),
         ..OverlayConfig::default()
     };
     // Short sessions: transit losses become likely.
@@ -411,7 +420,7 @@ fn moderate_latency_preserves_robustness() {
             cache_size: 50,
             shuffle_length: 8,
             target_links: 12,
-            link_latency: latency,
+            link: slow_link(latency),
             ..OverlayConfig::default()
         };
         let churn = ChurnConfig::from_availability(0.5, 10.0);

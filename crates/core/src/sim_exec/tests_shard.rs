@@ -4,6 +4,7 @@
 //! and neither `cfg.shards` — unset, one, or many — nor how the caller
 //! steps `run_until` changes the result. `S = 1` is the reference.
 
+use super::tests::slow_link;
 use crate::config::{HealthConfig, LinkLayerConfig, OverlayConfig, RemedyConfig};
 use crate::node::NodeStats;
 use crate::simulation::{MessageRecord, Simulation};
@@ -24,6 +25,13 @@ fn base_cfg() -> OverlayConfig {
         shuffle_length: 8,
         target_links: 12,
         ..OverlayConfig::default()
+    }
+}
+
+fn constant_latency(value: f64) -> OverlayConfig {
+    OverlayConfig {
+        link: slow_link(value),
+        ..base_cfg()
     }
 }
 
@@ -79,7 +87,7 @@ fn run_sharded(
         shards,
         ..cfg.clone()
     };
-    let in_flight = cfg.link != LinkLayerConfig::Ideal || cfg.link_latency > 0.0;
+    let in_flight = cfg.link != LinkLayerConfig::Ideal;
     let churn = ChurnConfig::from_availability(alpha, 10.0);
     let mut sim = Simulation::new(trust, cfg, churn, seed).unwrap();
     assert_eq!(sim.is_sharded(), in_flight);
@@ -119,25 +127,51 @@ fn faulty_link_is_shard_invariant() {
 
 #[test]
 fn ideal_latency_is_shard_invariant() {
-    let cfg = OverlayConfig {
-        link_latency: 0.3,
-        ..base_cfg()
-    };
     for seed in [43, 44] {
-        assert_shard_invariant(&cfg, 0.6, seed, 30.0);
+        assert_shard_invariant(&constant_latency(0.3), 0.6, seed, 30.0);
     }
 }
 
 #[test]
 fn ideal_latency_with_skip_offline_is_shard_invariant() {
-    // skip_offline_peers routes target filtering through the barrier
-    // snapshot — exercise it explicitly under churn.
-    let cfg = OverlayConfig {
-        link_latency: 0.5,
-        skip_offline_peers: true,
-        ..base_cfg()
+    // A link with messages in flight reports no deliverability, so the
+    // flag must change nothing there — under churn, at every shard count.
+    let on = constant_latency(0.5);
+    assert!(on.skip_offline_peers);
+    assert_shard_invariant(&on, 0.5, 45, 30.0);
+    let off = OverlayConfig {
+        skip_offline_peers: false,
+        ..on.clone()
     };
-    assert_shard_invariant(&cfg, 0.5, 45, 30.0);
+    assert_eq!(
+        run_sharded(&off, 0.5, 45, Some(2), &[30.0]),
+        run_sharded(&on, 0.5, 45, Some(2), &[30.0])
+    );
+}
+
+#[test]
+fn latency_shape_does_not_pick_the_protocol() {
+    // Two loss-free slow links of equal mean run the same tracked exchange:
+    // the same event kinds, timeouts among them, and a real exchange id on
+    // everything that carries one.
+    let kinds = |cfg: &OverlayConfig| {
+        let churn = ChurnConfig::from_availability(0.6, 10.0);
+        let mut sim = Simulation::new(trust_graph(60, 43), cfg.clone(), churn, 43).unwrap();
+        sim.set_recorder(Recorder::full());
+        sim.run_until(30.0);
+        let mut names = std::collections::BTreeSet::new();
+        for e in sim.recorder().events() {
+            if let Obs::ShuffleComplete { exchange } | Obs::MessageDropped { exchange, .. } = e.kind
+            {
+                assert_ne!(exchange, 0, "{:?}", cfg.link);
+            }
+            names.insert(e.kind.name());
+        }
+        names
+    };
+    let constant = kinds(&constant_latency(0.3));
+    assert_eq!(constant, kinds(&exponential_link(0.0)));
+    assert!(constant.contains("ShuffleTimeout"), "{constant:?}");
 }
 
 #[test]
@@ -224,9 +258,9 @@ fn sharded_run_is_deterministic() {
 
 /// Stopping `run_until` off the window grid and resuming must equal one
 /// straight run in every observable, on `S ∈ {1, 4}` shards. Thirty seeds
-/// per configuration: before partial windows kept their mask and their
-/// outboxes, a third to two thirds of the seeds diverged on every link with
-/// messages in flight, and a single seed could pass by luck. Returns the
+/// per configuration: before partial windows kept their outboxes, a third
+/// to two thirds of the seeds diverged on every link with messages in
+/// flight, and a single seed could pass by luck. Returns the
 /// straight runs' snapshots.
 fn assert_stepping_invariant(cfg: &OverlayConfig, seeds: std::ops::Range<u64>) -> Vec<Snapshot> {
     let mut straight_runs = Vec::new();
@@ -238,9 +272,8 @@ fn assert_stepping_invariant(cfg: &OverlayConfig, seeds: std::ops::Range<u64>) -
                 assert!(
                     split == straight,
                     "stops {stops:?} diverged from a straight run (seed {seed}, shards {shards:?}, \
-                     link {:?}, latency {})",
-                    cfg.link,
-                    cfg.link_latency
+                     link {:?})",
+                    cfg.link
                 );
             }
             straight_runs.push(straight);
@@ -262,11 +295,7 @@ fn exponential_link(drop_probability: f64) -> OverlayConfig {
 
 #[test]
 fn split_horizons_match_single_run() {
-    let constant_latency = OverlayConfig {
-        link_latency: 0.3,
-        ..base_cfg()
-    };
-    assert_stepping_invariant(&constant_latency, 100..130);
+    assert_stepping_invariant(&constant_latency(0.3), 100..130);
     assert_stepping_invariant(&exponential_link(0.0), 130..160);
     assert_stepping_invariant(&exponential_link(0.1), 160..190);
 }
@@ -370,9 +399,8 @@ fn marker_pseudonym_comes_from_its_owners_mint_sequence() {
 fn shard_count_above_node_count_is_clamped() {
     let trust = trust_graph(10, 51);
     let cfg = OverlayConfig {
-        link_latency: 0.2,
         shards: Some(64),
-        ..base_cfg()
+        ..constant_latency(0.2)
     };
     let churn = ChurnConfig::from_availability(1.0, 10.0);
     let mut sim = Simulation::new(trust, cfg, churn, 51).unwrap();
@@ -386,9 +414,8 @@ fn manual_blackout_is_shard_invariant() {
     let trust = trust_graph(60, 53);
     let run = |shards: usize| {
         let cfg = OverlayConfig {
-            link_latency: 0.4,
             shards: Some(shards),
-            ..base_cfg()
+            ..constant_latency(0.4)
         };
         let churn = ChurnConfig::from_availability(0.8, 10.0);
         let mut sim = Simulation::new(trust.clone(), cfg, churn, 53).unwrap();

@@ -25,9 +25,9 @@
 //! user knob — only picks how a shuffle is initiated
 //! ([`crate::sim_exec::shard`]):
 //!
-//! - a fault model or a positive link latency puts messages in flight:
-//!   nodes are partitioned over [`OverlayConfig::shards`] shards (one when
-//!   unset), with identical results for every shard count;
+//! - a fault model — loss, any latency, episodes — puts messages in
+//!   flight: nodes are partitioned over [`OverlayConfig::shards`] shards
+//!   (one when unset), with identical results for every shard count;
 //! - the paper's ideal zero-latency link exchanges synchronously across
 //!   two nodes, so it runs on one shard and `shards` is ignored there.
 
@@ -92,12 +92,9 @@ pub struct Simulation {
     pub(crate) cells: Vec<NodeCell>,
     pub(crate) current_time: SimTime,
     pub(crate) message_log: Option<Vec<MessageRecord>>,
-    /// The fault model when the non-trivial faulty link layer is active;
-    /// `None` is the lossless link.
+    /// The fault model when the link has messages in flight; `None` is
+    /// the ideal link.
     pub(crate) fault: Option<FaultConfig>,
-    /// One-way latency of the lossless link: `cfg.link_latency`, or the
-    /// constant latency of a trivial faulty layer.
-    pub(crate) effective_latency: f64,
     /// The master seed, kept for the stateless per-message RNG derivation.
     pub(crate) master_seed: u64,
     /// The windowed runtime: the shards with their engines, minters and
@@ -145,19 +142,16 @@ impl Simulation {
             });
         }
         // The faulty link layer only takes over when it actually injects
-        // something; a trivial fault model is the lossless link (with its
-        // constant latency), which keeps zero-fault runs byte-identical to
-        // the paper setup.
-        let (fault, effective_latency) = match &cfg.link {
-            LinkLayerConfig::Ideal => (None, cfg.link_latency),
-            LinkLayerConfig::Faulty(fc) if fc.is_trivial() => (None, fc.latency.mean()),
-            LinkLayerConfig::Faulty(fc) => (Some(fc.clone()), 0.0),
+        // something; a model that injects nothing is the ideal link, which
+        // keeps zero-fault runs byte-identical to the paper setup.
+        let fault = match &cfg.link {
+            LinkLayerConfig::Faulty(fc) if !fc.is_trivial() => Some(fc.clone()),
+            _ => None,
         };
-        // One shard unless told otherwise. The zero-latency lossless link
-        // exchanges synchronously across two cells, so it gets one shard
-        // whatever `shards` says.
-        let in_flight = fault.is_some() || effective_latency > 0.0;
-        let shards = if in_flight {
+        // One shard unless told otherwise. The ideal link exchanges
+        // synchronously across two cells, so it gets one shard whatever
+        // `shards` says.
+        let shards = if fault.is_some() {
             cfg.shards.unwrap_or(1).min(n)
         } else {
             1
@@ -229,7 +223,6 @@ impl Simulation {
             current_time: SimTime::ZERO,
             message_log: None,
             fault,
-            effective_latency,
             master_seed,
             rt,
             recorder,
@@ -261,12 +254,13 @@ impl Simulation {
         &self.recorder
     }
 
-    /// Whether messages spend time in flight: `true` exactly when a fault
-    /// model or a positive link latency is configured — the runs
-    /// [`OverlayConfig::shards`] partitions — and `false` for the
-    /// zero-latency ideal link, which exchanges synchronously on one shard.
+    /// Whether messages spend time in flight: `true` exactly when the link
+    /// is a fault model that injects something (loss, any latency,
+    /// episodes) — the runs [`OverlayConfig::shards`] partitions — and
+    /// `false` for the ideal link, which exchanges synchronously on one
+    /// shard.
     pub fn is_sharded(&self) -> bool {
-        self.fault.is_some() || self.effective_latency > 0.0
+        self.fault.is_some()
     }
 
     /// Publishes end-of-run engine and protocol aggregates into the

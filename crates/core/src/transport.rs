@@ -19,7 +19,9 @@
 //!   oracle derive identical drops.
 //!
 //! The paper's ideal link needs neither: it never drops, draws no
-//! randomness, and its latency is a configured constant.
+//! randomness and delivers instantly, so nothing is ever submitted. Every
+//! other link — a slow one that never drops included — is a
+//! [`FaultConfig`] behind a [`MessageLink`].
 
 use rand::rngs::StdRng;
 use veil_sim::fault::FaultConfig;

@@ -22,8 +22,8 @@ use serde::{Deserialize, Serialize};
 /// shuffle periods.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LatencyDist {
-    /// Every message takes exactly `value` periods (the ideal layer's
-    /// `link_latency` knob; `0.0` is instant delivery).
+    /// Every message takes exactly `value` periods (`0.0` is instant
+    /// delivery).
     Constant {
         /// The fixed one-way latency.
         value: f64,
@@ -56,11 +56,6 @@ impl LatencyDist {
             LatencyDist::Constant { value } => value,
             LatencyDist::Exponential { mean } | LatencyDist::Pareto { mean, .. } => mean,
         }
-    }
-
-    /// Whether every sample is the same value.
-    pub fn is_constant(&self) -> bool {
-        matches!(self, LatencyDist::Constant { .. })
     }
 
     /// Draws one latency.
@@ -242,11 +237,14 @@ impl FaultConfig {
         }
     }
 
-    /// Whether this model injects no faults at all (zero drop probability,
-    /// constant latency, no episodes). A trivial model is behaviourally the
-    /// ideal link layer with `link_latency` equal to the constant value.
+    /// Whether this model injects nothing at all (zero drop probability,
+    /// zero latency, no episodes). A trivial model is behaviourally the
+    /// ideal link layer; any latency, however regular, puts messages in
+    /// flight and is not trivial.
     pub fn is_trivial(&self) -> bool {
-        self.drop_probability == 0.0 && self.latency.is_constant() && self.episodes.is_empty()
+        self.drop_probability == 0.0
+            && self.latency == LatencyDist::Constant { value: 0.0 }
+            && self.episodes.is_empty()
     }
 
     /// Whether a message from `from` to `to` sent at `now` is lost —
@@ -355,11 +353,17 @@ mod tests {
 
     #[test]
     fn nonconstant_latency_is_nontrivial() {
-        let f = FaultConfig {
-            latency: LatencyDist::Exponential { mean: 0.2 },
-            ..FaultConfig::none()
-        };
-        assert!(!f.is_trivial());
+        // Nor is a constant one: only zero latency keeps nothing in flight.
+        for latency in [
+            LatencyDist::Exponential { mean: 0.2 },
+            LatencyDist::Constant { value: 0.2 },
+        ] {
+            let f = FaultConfig {
+                latency,
+                ..FaultConfig::none()
+            };
+            assert!(!f.is_trivial(), "{latency:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Acceptance tests for the fault-injecting link layer:
 //!
 //! 1. A `Faulty` link layer with the trivial (zero-fault) model is
-//!    byte-for-byte identical to the ideal layer, at every thread count.
+//!    byte-for-byte identical to the ideal layer, at every thread count —
+//!    in sweep results, snapshot, raw trace and message log.
 //! 2. Under increasing message loss the overlay degrades *gracefully*:
 //!    coverage declines near-monotonically with no cliff, and stays high
 //!    up to the documented 20% loss threshold.
@@ -9,10 +10,11 @@
 
 use veil_core::config::LinkLayerConfig;
 use veil_core::experiment::{
-    availability_sweep, build_trust_graph, degradation_latency_sweep, degradation_loss_sweep,
-    degradation_partition_sweep, recovery_point, ExperimentParams, RecoveryScenario,
+    availability_sweep, build_simulation, build_trust_graph, degradation_latency_sweep,
+    degradation_loss_sweep, degradation_partition_sweep, recovery_point, ExperimentParams,
+    RecoveryScenario,
 };
-use veil_sim::fault::FaultConfig;
+use veil_sim::fault::{FaultConfig, LatencyDist};
 
 const PARALLELISMS: [Option<usize>; 3] = [Some(1), Some(4), None];
 // Extends well past the documented 20% operating threshold so the decline
@@ -72,6 +74,33 @@ fn zero_fault_faulty_layer_is_byte_identical_to_ideal() {
                 "zero-fault faulty layer diverged from ideal \
                  (seed {seed}, parallelism {parallelism:?})"
             );
+        }
+    }
+    // One run, everything it leaves behind. The second spelling is what
+    // `--mean-latency 0` and a scenario's `latency.mean = 0` produce.
+    let run = |seed: u64, link: LinkLayerConfig| {
+        let params = with_link(&tiny_params(seed), link, Some(1));
+        let trust = build_trust_graph(&params).expect("trust graph");
+        let mut sim = build_simulation(trust, &params, 0.5).expect("simulation");
+        sim.set_recorder(veil_obs::Recorder::full());
+        sim.enable_message_log();
+        sim.run_until(30.0);
+        (
+            serde_json::to_string(&veil_core::metrics::snapshot(&sim)).expect("serialize"),
+            sim.recorder().events_jsonl(),
+            sim.take_message_log(),
+        )
+    };
+    let zero_latency = FaultConfig {
+        latency: LatencyDist::Constant { value: 0.0 },
+        ..FaultConfig::none()
+    };
+    for seed in [1, 7, 42] {
+        let ideal = run(seed, LinkLayerConfig::Ideal);
+        assert!(!ideal.1.is_empty() && !ideal.2.is_empty());
+        for fault in [FaultConfig::none(), zero_latency.clone()] {
+            let got = run(seed, LinkLayerConfig::Faulty(fault.clone()));
+            assert!(got == ideal, "{fault:?} diverged from ideal (seed {seed})");
         }
     }
 }
