@@ -1,12 +1,16 @@
 //! The per-node control socket: a minimal HTTP/1.0 metrics endpoint
-//! served from the runtime's own poll loop.
+//! answered from the node's own thread.
 //!
-//! Reuses the non-blocking discipline of [`crate::sock`] — no extra
-//! thread, no async runtime: the node's event loop calls
-//! [`ControlServer::poll`] once per round, which accepts whatever clients
-//! are queued, answers complete requests, and drops finished connections.
-//! The server speaks just enough HTTP for `curl`, a Prometheus scraper,
-//! and the fleet poller:
+//! The registry a scrape renders belongs to the node thread, so that is
+//! where the answer is built; what must not happen there is waiting for
+//! a scraper. The endpoint's [`Acceptor`] thread therefore accepts and
+//! reads each request head itself (one client at a time, each within
+//! [`REQUEST_WAIT`]), and only a complete request reaches the node, as a
+//! [`Wake::Scrape`] on the channel its loop already blocks on. The node
+//! calls [`ControlServer::respond`], which writes the whole response —
+//! kilobytes, into a fresh socket's empty send buffer — and closes. The
+//! server speaks just enough HTTP for `curl`, a Prometheus scraper, and
+//! the fleet poller:
 //!
 //! * `GET /metrics` — Prometheus text exposition format
 //! * `GET /metrics.json` — the JSON snapshot the fleet collector consumes
@@ -15,142 +19,107 @@
 //! (`Connection: close`), so a scrape is one short-lived connection, like
 //! the shuffle exchanges themselves.
 
+use crate::sock::{Acceptor, Wake, WRITE_WAIT};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::Sender;
+use std::time::{Duration, Instant};
 
 /// Cap on buffered request bytes before a client is dropped; a metrics
 /// scrape's request line plus headers is a few hundred bytes.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// One connected scraper mid-request or mid-response.
-struct Client {
+/// How long a client has to send its request head. It is the acceptor
+/// thread that waits, so a stalling client delays other scrapers by this
+/// much and the node not at all.
+pub const REQUEST_WAIT: Duration = Duration::from_millis(250);
+
+/// A scraper whose request head has arrived, waiting for its answer.
+pub struct ScrapeRequest {
     stream: TcpStream,
-    inbuf: Vec<u8>,
-    out: Vec<u8>,
-    responded: bool,
-    closed: bool,
+    /// The path of a `GET`; `None` for anything else.
+    path: Option<String>,
 }
 
-/// A non-blocking metrics endpoint on a localhost port.
+/// A metrics endpoint on a localhost port.
 pub struct ControlServer {
-    listener: TcpListener,
-    clients: Vec<Client>,
+    port: u16,
+    /// Held for its drop, which closes the listener.
+    _acceptor: Acceptor,
     /// Requests answered (any status) since the server was bound.
     pub requests_served: u64,
 }
 
 impl ControlServer {
     /// Binds the endpoint on `127.0.0.1:port` (with the same brief retry
-    /// as the node listener itself).
-    pub fn bind(port: u16) -> Result<Self, String> {
+    /// as the node listener itself); complete requests arrive on `wake`.
+    pub fn bind(port: u16, wake: Sender<Wake>) -> Result<Self, String> {
         let addr = SocketAddr::from(([127, 0, 0, 1], port));
-        let listener = crate::sock::bind_listener(addr)
-            .map_err(|e| format!("control endpoint: bind {addr}: {e}"))?;
+        let bound = crate::sock::bind_listener(addr).and_then(|listener| {
+            let port = listener.local_addr()?.port();
+            let acceptor = Acceptor::spawn(listener, move |stream| {
+                if let Some(request) = read_request(stream) {
+                    let _ = wake.send(Wake::Scrape(request));
+                }
+            })?;
+            Ok((port, acceptor))
+        });
+        let (port, acceptor) = bound.map_err(|e| format!("control endpoint: bind {addr}: {e}"))?;
         Ok(Self {
-            listener,
-            clients: Vec::new(),
+            port,
+            _acceptor: acceptor,
             requests_served: 0,
         })
     }
 
     /// The bound port (useful when bound on port 0).
     pub fn port(&self) -> u16 {
-        self.listener
-            .local_addr()
-            .map(|a| a.port())
-            .unwrap_or_default()
+        self.port
     }
 
-    /// One poll round: accept queued scrapers, answer complete requests,
-    /// flush, and drop finished clients. `render` maps a request path to
-    /// `(content_type, body)`; `None` is a 404. It is only invoked when a
-    /// complete request arrived, so idle rounds build no snapshot.
-    pub fn poll(&mut self, mut render: impl FnMut(&str) -> Option<(&'static str, String)>) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        self.clients.push(Client {
-                            stream,
-                            inbuf: Vec::new(),
-                            out: Vec::new(),
-                            responded: false,
-                            closed: false,
-                        });
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        let mut served = 0u64;
-        for c in &mut self.clients {
-            served += c.step(&mut render);
-        }
-        self.requests_served += served;
-        self.clients.retain(|c| !c.closed);
+    /// Answers one request and closes its connection. `render` maps a
+    /// request path to `(content_type, body)`; `None` is a 404. A client
+    /// that does not take the response within the connection write wait
+    /// gets a truncated one.
+    pub fn respond(
+        &mut self,
+        request: ScrapeRequest,
+        render: impl FnOnce(&str) -> Option<(&'static str, String)>,
+    ) {
+        let ScrapeRequest { mut stream, path } = request;
+        let answer = match path.as_deref().and_then(render) {
+            Some((content_type, body)) => response(200, "OK", content_type, &body),
+            None => response(404, "Not Found", "text/plain", "not found\n"),
+        };
+        self.requests_served += 1;
+        let _ = stream.write_all(&answer);
     }
 }
 
-impl Client {
-    /// Advances one client; returns 1 when a request was answered.
-    fn step(&mut self, render: &mut impl FnMut(&str) -> Option<(&'static str, String)>) -> u64 {
-        let mut answered = 0;
-        if !self.responded {
-            let mut buf = [0u8; 1024];
-            loop {
-                match self.stream.read(&mut buf) {
-                    Ok(0) => {
-                        self.closed = true;
-                        break;
-                    }
-                    Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.closed = true;
-                        break;
-                    }
-                }
-            }
-            if self.inbuf.len() > MAX_REQUEST_BYTES {
-                self.closed = true;
-            }
-            if !self.closed && headers_complete(&self.inbuf) {
-                let path = request_path(&self.inbuf);
-                self.out = match path.as_deref().and_then(render) {
-                    Some((content_type, body)) => response(200, "OK", content_type, &body),
-                    None => response(404, "Not Found", "text/plain", "not found\n"),
-                };
-                self.responded = true;
-                answered = 1;
-            }
+/// Reads one request head on the acceptor thread; `None` drops a client
+/// that hung up, overran [`MAX_REQUEST_BYTES`] or [`REQUEST_WAIT`].
+fn read_request(mut stream: TcpStream) -> Option<ScrapeRequest> {
+    stream.set_write_timeout(Some(WRITE_WAIT)).ok()?;
+    let deadline = Instant::now() + REQUEST_WAIT;
+    let mut head = Vec::new();
+    let mut buf = [0u8; 1024];
+    while !headers_complete(&head) {
+        let left = deadline.checked_duration_since(Instant::now())?;
+        if left.is_zero() || head.len() > MAX_REQUEST_BYTES {
+            return None;
         }
-        if !self.out.is_empty() {
-            while !self.out.is_empty() {
-                match self.stream.write(&self.out) {
-                    Ok(0) => {
-                        self.closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.closed = true;
-                        break;
-                    }
-                }
-            }
+        stream.set_read_timeout(Some(left)).ok()?;
+        match stream.read(&mut buf) {
+            Ok(0) => return None,
+            Ok(n) => head.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return None,
         }
-        if self.responded && self.out.is_empty() {
-            self.closed = true;
-        }
-        answered
     }
+    Some(ScrapeRequest {
+        path: request_path(&head),
+        stream,
+    })
 }
 
 /// Whether a full HTTP request head (`\r\n\r\n` or `\n\n`) has arrived.
@@ -208,27 +177,26 @@ pub fn scrape(port: u16, path: &str, timeout: Duration) -> Result<String, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    /// Serves a fixed body from a polling thread, scrapes it with the
-    /// blocking client, and checks both content types and the 404 path.
+    /// Serves a fixed body from a thread blocking on the wake channel,
+    /// scrapes it with the blocking client, and checks both content types
+    /// and the 404 path.
     #[test]
-    fn scrape_round_trips_through_a_polled_server() {
-        let mut server = ControlServer::bind(0).expect("bind control port");
+    fn scrape_round_trips_through_a_woken_server() {
+        let (tx, wakes) = std::sync::mpsc::channel();
+        let mut server = ControlServer::bind(0, tx).expect("bind control port");
         let port = server.port();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
         let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                server.poll(|path| match path {
+            while server.requests_served < 3 {
+                let Ok(Wake::Scrape(request)) = wakes.recv() else {
+                    panic!("only scrapes arrive on this channel");
+                };
+                server.respond(request, |path| match path {
                     "/metrics" => Some(("text/plain; version=0.0.4", "veil_up 1\n".to_string())),
                     "/metrics.json" => Some(("application/json", "{\"node\":3}".to_string())),
                     _ => None,
                 });
-                std::thread::sleep(Duration::from_millis(1));
             }
-            server.requests_served
         });
         let timeout = Duration::from_secs(5);
         let prom = scrape(port, "/metrics", timeout).expect("prometheus scrape");
@@ -237,9 +205,7 @@ mod tests {
         assert_eq!(json, "{\"node\":3}");
         let err = scrape(port, "/nope", timeout).unwrap_err();
         assert!(err.contains("404"), "{err}");
-        stop.store(true, Ordering::Relaxed);
-        let served = handle.join().unwrap();
-        assert_eq!(served, 3, "three requests were answered");
+        handle.join().expect("three requests were answered");
     }
 
     #[test]

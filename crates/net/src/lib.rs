@@ -4,10 +4,11 @@
 //! The crate turns the simulated overlay into a deployable one without
 //! forking the protocol: each process hosts one [`veil_core::node::Node`]
 //! and drives the existing `veil_core::protocol` shuffle logic over
-//! non-blocking localhost TCP ([`sock`]), speaking a length-prefixed
-//! framed JSON protocol ([`frame`], [`wire`]) that opens with a
-//! version/seed handshake. The per-process runtime ([`runtime`]) mirrors
-//! the simulator's executor semantics — identical timer phases, timeout /
+//! localhost TCP from a loop that wakes on bytes and timers ([`sock`]:
+//! the blocking socket calls sit on helper threads), speaking a
+//! length-prefixed framed JSON protocol ([`frame`], [`wire`]) that opens
+//! with a version/seed handshake. The per-process runtime ([`runtime`])
+//! mirrors the simulator's executor semantics — identical timer phases, timeout /
 //! retry / eviction behavior, and sender-side drop injection through the
 //! same `veil_core::transport` seam — so a fleet run is comparable to a
 //! simulation of the same [`scenario::NetScenario`]. The fleet runner

@@ -1,6 +1,6 @@
 //! The veil-node runtime: one overlay node per process, driving the
-//! sans-IO exchange core of `veil_core::protocol` over real non-blocking
-//! TCP.
+//! sans-IO exchange core of `veil_core::protocol` over real TCP from an
+//! event-driven loop.
 //!
 //! The runtime is the second driver of that core (the windowed simulator's
 //! shards are the first): the core decides what an exchange does next —
@@ -30,17 +30,32 @@
 //!
 //! Each shuffle exchange is one short-lived TCP connection: the initiator
 //! dials, pipelines `Hello` + `ShuffleRequest`, and waits for `HelloAck` +
-//! `ShuffleResponse`; a retransmission dials afresh. Localhost round trips
-//! are a few hundred microseconds against periods of ~100 ms, so exchanges
-//! complete "instantly" on the logical clock, like the oracle's.
+//! `ShuffleResponse`; a retransmission dials afresh.
+//!
+//! **The loop.** All protocol state lives on the one node thread, and that
+//! thread blocks in exactly one place: `recv_timeout` on the node's
+//! [`Wake`] channel, until the earliest of its next shuffle timer, the
+//! earliest flight deadline, the earliest silent-connection reap,
+//! telemetry's once-per-period sample and the end of the linger. Bytes
+//! wake it early: the helper threads of [`crate::sock`] (one acceptor,
+//! one reader per live connection, the metrics endpoint's acceptor) sit
+//! in the blocking socket calls and post to that channel. An idle node
+//! therefore wakes a few times per period, and a round trip costs what
+//! loopback, four thread hand-offs, framing and JSON cost — on localhost
+//! a few hundred microseconds at most, so exchanges complete "instantly"
+//! on the logical clock, like the oracle's. The node thread itself touches
+//! a socket only to connect (bounded by the attempt's own timeout) and to
+//! write (bounded by the connection's write wait).
 
+use crate::control::ControlServer;
 use crate::scenario::NetScenario;
-use crate::sock::{accept_ready, bind_listener, dial, Conn};
+use crate::sock::{bind_listener, dial_within, Acceptor, Conn, Wake};
 use crate::telemetry::NodeTelemetry;
 use crate::wire::{hello, validate_hello, WireMsg};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::collections::{BTreeMap, HashMap};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use veil_core::node::Node;
 use veil_core::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
@@ -56,9 +71,6 @@ use veil_sim::SimTime;
 /// shuffle periods. Nothing is recorded in this window; it only lets
 /// near-boundary exchanges of *other* nodes complete.
 const LINGER_PERIODS: f64 = 1.0;
-
-/// Poll-loop sleep between rounds.
-const POLL_SLEEP: Duration = Duration::from_millis(1);
 
 /// End-of-run counters of one veil-node process, printed as one JSON line
 /// on stdout for the fleet runner.
@@ -80,7 +92,8 @@ pub struct NodeSummary {
     #[serde(default)]
     pub frame_errors: u64,
     /// Outbound dials that failed at the socket level (peer not yet
-    /// listening, connection refused); recovered by the shuffle timeout.
+    /// listening, connection refused, no answer within the attempt's
+    /// timeout); recovered by the shuffle timeout.
     pub dial_failures: u64,
     /// Shuffle rounds initiated.
     pub shuffles_started: u64,
@@ -106,16 +119,18 @@ pub struct NodeSummary {
 struct Flight {
     /// Logical time at which the transmission times out.
     deadline: f64,
-    /// Wall-clock instant the request went out, for the telemetry RTT
-    /// histogram. `None` when it never hit the wire (injected drop or dial
-    /// failure).
-    sent_at: Option<Instant>,
+    /// The connection carrying the request and the wall-clock instant it
+    /// went out (for the telemetry RTT histogram). `None` when it never
+    /// hit the wire (injected drop or dial failure).
+    wire: Option<(u64, Instant)>,
 }
 
-/// An outbound connection serving one exchange.
-struct Outbound {
+/// A live connection in the node's table.
+struct Link {
     conn: Conn,
-    exchange: u64,
+    /// For an accepted connection that has not yet produced a complete
+    /// request: the logical time at which it is given up.
+    reap_at: Option<f64>,
 }
 
 fn unix_now_ms() -> u64 {
@@ -168,7 +183,11 @@ pub fn run_node_with(sc: &NetScenario, id: u32, opts: &NodeOptions) -> Result<No
     sc.validate()?;
     let mut rt = NodeRuntime::new(sc, id)?;
     if opts.enabled() {
-        rt.tel = Some(NodeTelemetry::new(id, opts.metrics_port)?);
+        let control = match opts.metrics_port {
+            Some(port) => Some(ControlServer::bind(port, rt.wake_tx.clone())?),
+            None => None,
+        };
+        rt.tel = Some(NodeTelemetry::new(id, control));
     }
     rt.run();
     Ok(rt.finish())
@@ -192,9 +211,18 @@ struct NodeRuntime {
     fault: Option<FaultConfig>,
     phase: f64,
     rec: Recorder,
-    listener: std::net::TcpListener,
-    inbound: Vec<Conn>,
-    outbound: Vec<Outbound>,
+    /// The channel the loop blocks on. The node keeps a sender of its own
+    /// (cloned into every connection it opens), so the channel never
+    /// reads as hung up.
+    wakes: Receiver<Wake>,
+    wake_tx: Sender<Wake>,
+    /// Held for its drop, which closes the listener.
+    _acceptor: Acceptor,
+    /// Live connections, both directions, by the number their reader
+    /// threads wake the loop with (ordered, so that nothing telemetry
+    /// records depends on a hash).
+    conns: BTreeMap<u64, Link>,
+    next_conn: u64,
     /// The exchange core's pending state of this node's own exchanges…
     exchanges: Exchanges,
     /// …and the deadline of each one's current transmission.
@@ -220,7 +248,14 @@ impl NodeRuntime {
             .iter()
             .map(|&p| SocketAddr::from(([127, 0, 0, 1], p)))
             .collect();
-        let listener = bind_listener(peers[id as usize])
+        let (wake_tx, wakes) = mpsc::channel();
+        let accepted = wake_tx.clone();
+        let acceptor = bind_listener(peers[id as usize])
+            .and_then(|listener| {
+                Acceptor::spawn(listener, move |stream| {
+                    let _ = accepted.send(Wake::Accepted(stream));
+                })
+            })
             .map_err(|e| format!("node {id}: bind {}: {e}", peers[id as usize]))?;
         // Start-up condition: every node mints its pseudonym at t = 0,
         // exactly like the simulator's construction-time mint.
@@ -246,9 +281,11 @@ impl NodeRuntime {
             fault: sc.fault(),
             phase: phases[id as usize],
             rec,
-            listener,
-            inbound: Vec::new(),
-            outbound: Vec::new(),
+            wakes,
+            wake_tx,
+            _acceptor: acceptor,
+            conns: BTreeMap::new(),
+            next_conn: 0,
             exchanges: Exchanges::default(),
             flights: HashMap::new(),
             summary: NodeSummary {
@@ -259,14 +296,20 @@ impl NodeRuntime {
         })
     }
 
-    /// Wall time since the start barrier, in shuffle periods.
+    /// Wall time since the start barrier, in shuffle periods. Read at the
+    /// clock's own resolution: the loop waits for a logical instant and
+    /// must find it reached when it wakes.
     fn logical_now(&self) -> f64 {
-        let now = unix_now_ms();
-        if now <= self.start_at_ms {
-            0.0
-        } else {
-            (now - self.start_at_ms) as f64 / self.period_ms as f64
-        }
+        let since_start = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or_default()
+            .saturating_sub(Duration::from_millis(self.start_at_ms));
+        since_start.as_secs_f64() * 1e3 / self.period_ms as f64
+    }
+
+    /// `periods` of logical time as wall time (zero if negative).
+    fn wall(&self, periods: f64) -> Duration {
+        Duration::from_secs_f64(periods.max(0.0) * self.period_ms as f64 / 1e3)
     }
 
     /// Records an event unless it falls at or past the horizon (the
@@ -322,18 +365,50 @@ impl NodeRuntime {
                 next_fire += 1.0;
             }
             self.check_timeouts(now);
-            self.poll_io(now);
+            self.reap_silent(now);
             if let Some(tel) = self.tel.as_mut() {
-                let queued: u64 = self
-                    .inbound
-                    .iter()
-                    .map(|c| c.pending_output_bytes())
-                    .chain(self.outbound.iter().map(|o| o.conn.pending_output_bytes()))
-                    .sum();
-                tel.sample(now, queued, self.flights.len());
-                tel.serve();
+                let queued = self.conns.values().map(|l| l.conn.pending_output_bytes());
+                tel.sample(now, queued.sum(), self.flights.len());
+                tel.count("net.loop_wakeups", 1);
             }
-            std::thread::sleep(POLL_SLEEP);
+            // The one place the node thread blocks: until the next thing
+            // it has scheduled is due, or a helper thread has something.
+            let due = self.next_due(next_fire).min(end);
+            let wait = self.wall(due - self.logical_now());
+            if let Ok(wake) = self.wakes.recv_timeout(wait) {
+                let now = self.logical_now();
+                self.on_wake(wake, now);
+                while let Ok(wake) = self.wakes.try_recv() {
+                    self.on_wake(wake, now);
+                }
+            }
+        }
+    }
+
+    /// The earliest logical time at which the loop has something to do
+    /// unprompted (infinite if nothing is scheduled).
+    fn next_due(&self, next_fire: f64) -> f64 {
+        // Past the horizon neither timers nor deadlines fire.
+        let timers = std::iter::once(next_fire)
+            .chain(self.flights.values().map(|f| f.deadline))
+            .filter(|&t| t < self.horizon);
+        let reaps = self.conns.values().filter_map(|l| l.reap_at);
+        let sample = self.tel.as_ref().map(NodeTelemetry::next_sample);
+        timers
+            .chain(reaps)
+            .chain(sample)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn on_wake(&mut self, wake: Wake, now: f64) {
+        match wake {
+            Wake::Accepted(stream) => self.on_accepted(stream, now),
+            Wake::Readable(id) => self.on_readable(id, now),
+            Wake::Scrape(request) => {
+                if let Some(tel) = self.tel.as_mut() {
+                    tel.answer(request);
+                }
+            }
         }
     }
 
@@ -384,37 +459,50 @@ impl NodeRuntime {
                 tel.count("net.reconnects", 1);
             }
         }
-        let mut sent_at = None;
+        // The deadline recovers whatever happens below; it runs from the
+        // scheduled instant, like the simulator's `schedule_in`.
+        let timeout = protocol::retry_backoff(self.shuffle_timeout, attempt);
+        let mut wire = None;
         if self.drop_injected(exchange, attempt, false, self.id, dest, t) {
             self.summary.dropped_requests += 1;
             self.emit(t, || Obs::MessageDropped {
                 exchange,
                 response: false,
             });
-        } else if let Ok(mut conn) = dial(self.peers[dest as usize], dest) {
-            conn.queue(&hello(self.seed, self.id));
-            conn.queue(&WireMsg::ShuffleRequest {
-                exchange,
-                from: self.id,
-                offer: request.offer,
-                trusted_link: request.trusted_link,
-                attempt,
-            });
-            conn.flush();
-            sent_at = Some(Instant::now());
-            self.outbound.push(Outbound { conn, exchange });
         } else {
-            // Indistinguishable from a lost message; the timeout
-            // retries. Not an injected drop, so no trace event.
-            self.summary.dial_failures += 1;
-            if let Some(tel) = self.tel.as_mut() {
-                tel.count("net.dial_failures", 1);
+            // A peer that has not answered the dial by the time the
+            // attempt times out has failed it.
+            let id = self.next_conn;
+            self.next_conn += 1;
+            let waker = Some((id, self.wake_tx.clone()));
+            match dial_within(self.peers[dest as usize], dest, self.wall(timeout), waker) {
+                Ok(mut conn) => {
+                    conn.queue(&hello(self.seed, self.id));
+                    conn.queue(&WireMsg::ShuffleRequest {
+                        exchange,
+                        from: self.id,
+                        offer: request.offer,
+                        trusted_link: request.trusted_link,
+                        attempt,
+                    });
+                    conn.flush();
+                    wire = Some((id, Instant::now()));
+                    let reap_at = None; // only accepted connections are reaped
+                    self.conns.insert(id, Link { conn, reap_at });
+                    self.settle(id, t);
+                }
+                Err(_) => {
+                    // Indistinguishable from a lost message; the timeout
+                    // retries. Not an injected drop, so no trace event.
+                    self.summary.dial_failures += 1;
+                    if let Some(tel) = self.tel.as_mut() {
+                        tel.count("net.dial_failures", 1);
+                    }
+                }
             }
         }
-        // Either way the deadline recovers; it runs from the scheduled
-        // instant, like the simulator's `schedule_in`.
-        let deadline = t + protocol::retry_backoff(self.shuffle_timeout, attempt);
-        self.flights.insert(exchange, Flight { deadline, sent_at });
+        let deadline = t + timeout;
+        self.flights.insert(exchange, Flight { deadline, wire });
     }
 
     /// Fires due deadlines and lets the exchange core decide: retry, or
@@ -431,12 +519,9 @@ impl NodeRuntime {
         // ties (the map's iteration order must not leak into the trace).
         due.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for (exchange, deadline) in due {
-            self.flights.remove(&exchange);
             // The stale connection (if any) serves a dead attempt.
-            for o in &mut self.outbound {
-                if o.exchange == exchange {
-                    o.conn.closed = true;
-                }
+            if let Some((id, _)) = self.flights.remove(&exchange).and_then(|f| f.wire) {
+                self.close(id, now);
             }
             let budget = self.retry_budget;
             match self.exchanges.on_timeout(exchange, &mut self.node, budget) {
@@ -471,87 +556,111 @@ impl NodeRuntime {
         });
     }
 
-    fn poll_io(&mut self, now: f64) {
-        self.inbound.extend(accept_ready(&self.listener));
-        // Inbound: handshake, then serve shuffle requests.
-        let mut i = 0;
-        while i < self.inbound.len() {
-            let msgs = self.inbound[i].poll_read();
-            for msg in msgs {
-                self.handle_inbound(i, msg, now);
-            }
-            self.inbound[i].flush();
+    /// Closes accepted connections whose peer has sent no complete request
+    /// within one shuffle timeout: nobody waits that long to speak, and a
+    /// silent connection would otherwise hold its slot and its reader
+    /// thread for as long as the peer liked.
+    fn reap_silent(&mut self, now: f64) {
+        let silent: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, l)| l.reap_at.is_some_and(|at| at <= now))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in silent {
             if let Some(tel) = self.tel.as_mut() {
-                tel.on_io(now, self.inbound[i].take_io_deltas());
+                tel.count("net.conns_reaped", 1);
             }
-            i += 1;
+            self.close(id, now);
         }
-        // Outbound: collect acks and responses.
-        let mut o = 0;
-        while o < self.outbound.len() {
-            let msgs = self.outbound[o].conn.poll_read();
-            for msg in msgs {
-                match msg {
-                    WireMsg::HelloAck { .. } => {
-                        self.summary.handshakes_ok += 1;
-                        if let Some(tel) = self.tel.as_mut() {
-                            tel.count("net.handshakes_ok", 1);
-                        }
-                    }
-                    WireMsg::ShuffleResponse {
-                        exchange, offer, ..
-                    } => {
-                        self.complete_exchange(exchange, &offer, now);
-                        self.outbound[o].conn.closed = true;
-                    }
-                    _ => {}
-                }
-            }
-            self.outbound[o].conn.flush();
-            if let Some(tel) = self.tel.as_mut() {
-                let d = self.outbound[o].conn.take_io_deltas();
-                tel.on_io(now, d);
-            }
-            o += 1;
-        }
-        // Prune finished connections, banking their error counts (frame
-        // errors poison the connection; message-level decode errors were
-        // survivable but still sum into the end-of-run summary).
-        let summary = &mut self.summary;
-        let tel = &mut self.tel;
-        self.inbound.retain(|c| {
-            if c.closed {
-                summary.decode_errors += c.decode_errors;
-                summary.frame_errors += c.frame_errors;
-                if let Some(t) = tel.as_mut() {
-                    t.on_conn_close(now, c);
-                }
-            }
-            !c.closed
-        });
-        self.outbound.retain(|oc| {
-            if oc.conn.closed {
-                summary.decode_errors += oc.conn.decode_errors;
-                summary.frame_errors += oc.conn.frame_errors;
-                if let Some(t) = tel.as_mut() {
-                    t.on_conn_close(now, &oc.conn);
-                }
-            }
-            !oc.conn.closed
-        });
     }
 
-    fn handle_inbound(&mut self, conn_idx: usize, msg: WireMsg, now: f64) {
-        if self.inbound[conn_idx].peer.is_none() {
-            match validate_hello(&msg, self.seed) {
-                Ok(peer) => {
-                    self.inbound[conn_idx].peer = Some(peer);
+    fn on_accepted(&mut self, stream: TcpStream, now: f64) {
+        let id = self.next_conn;
+        self.next_conn += 1;
+        // Out of threads or descriptors: the peer sees a reset and its
+        // timeout recovers.
+        if let Ok(conn) = Conn::new(stream, None, Some((id, self.wake_tx.clone()))) {
+            let reap_at = Some(now + self.shuffle_timeout);
+            self.conns.insert(id, Link { conn, reap_at });
+        }
+    }
+
+    /// Connection `id` has bytes: an accepted one shakes hands and then
+    /// serves shuffle requests, a dialed one collects its ack and its
+    /// response. A wake for a connection already closed is stale.
+    fn on_readable(&mut self, id: u64, now: f64) {
+        let Some(link) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let inbound = link.conn.inbound;
+        for msg in link.conn.poll_read() {
+            match msg {
+                msg if inbound => self.handle_inbound(id, msg, now),
+                WireMsg::HelloAck { .. } => {
                     self.summary.handshakes_ok += 1;
                     if let Some(tel) = self.tel.as_mut() {
                         tel.count("net.handshakes_ok", 1);
                     }
-                    let ack = WireMsg::HelloAck { node: self.id };
-                    self.inbound[conn_idx].queue(&ack);
+                }
+                WireMsg::ShuffleResponse {
+                    exchange, offer, ..
+                } => {
+                    self.complete_exchange(exchange, &offer, now);
+                    // One connection, one exchange.
+                    self.close(id, now);
+                }
+                _ => {}
+            }
+        }
+        self.settle(id, now);
+    }
+
+    /// Sends what connection `id` has queued, reports its I/O to
+    /// telemetry, and closes it if that finished it. Nothing to do for a
+    /// connection already closed.
+    fn settle(&mut self, id: u64, now: f64) {
+        let Some(link) = self.conns.get_mut(&id) else {
+            return;
+        };
+        link.conn.flush();
+        if link.conn.closed {
+            self.close(id, now);
+        } else if let Some(tel) = self.tel.as_mut() {
+            tel.on_io(now, link.conn.take_io_deltas());
+        }
+    }
+
+    /// Drops connection `id`, which ends and joins its reader thread, and
+    /// banks its counters: frame errors poison a connection, message-level
+    /// decode errors were survivable but still sum into the end-of-run
+    /// summary.
+    fn close(&mut self, id: u64, now: f64) {
+        let Some(Link { mut conn, .. }) = self.conns.remove(&id) else {
+            return;
+        };
+        self.summary.decode_errors += conn.decode_errors;
+        self.summary.frame_errors += conn.frame_errors;
+        if let Some(tel) = self.tel.as_mut() {
+            tel.on_io(now, conn.take_io_deltas());
+            tel.on_conn_close(now, &conn);
+        }
+    }
+
+    fn handle_inbound(&mut self, id: u64, msg: WireMsg, now: f64) {
+        // Gone if an earlier message of the same read failed the handshake.
+        let Some(link) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if link.conn.peer.is_none() {
+            match validate_hello(&msg, self.seed) {
+                Ok(peer) => {
+                    link.conn.peer = Some(peer);
+                    link.conn.queue(&WireMsg::HelloAck { node: self.id });
+                    self.summary.handshakes_ok += 1;
+                    if let Some(tel) = self.tel.as_mut() {
+                        tel.count("net.handshakes_ok", 1);
+                    }
                 }
                 Err(e) => {
                     eprintln!("node {}: handshake rejected: {e}", self.id);
@@ -559,7 +668,7 @@ impl NodeRuntime {
                     if let Some(tel) = self.tel.as_mut() {
                         tel.on_handshake_fail(now, &e.to_string());
                     }
-                    self.inbound[conn_idx].closed = true;
+                    self.close(id, now);
                 }
             }
             return;
@@ -574,6 +683,7 @@ impl NodeRuntime {
         else {
             return; // ignore protocol misuse after the handshake
         };
+        link.reap_at = None;
         let response = protocol::respond(
             &mut self.node,
             &mut self.arena,
@@ -597,12 +707,14 @@ impl NodeRuntime {
             });
             return; // initiator's timeout recovers
         }
-        let resp = WireMsg::ShuffleResponse {
+        let response = WireMsg::ShuffleResponse {
             exchange,
             from: self.id,
             offer: response,
         };
-        self.inbound[conn_idx].queue(&resp);
+        if let Some(link) = self.conns.get_mut(&id) {
+            link.conn.queue(&response);
+        }
     }
 
     /// The response arrived: the core merges it and completes the exchange
@@ -622,40 +734,30 @@ impl NodeRuntime {
         let flight = self.flights.remove(&exchange);
         self.summary.shuffles_completed += 1;
         self.emit(now, || Obs::ShuffleComplete { exchange });
-        if let (Some(tel), Some(sent)) = (self.tel.as_mut(), flight.and_then(|f| f.sent_at)) {
+        if let (Some(tel), Some((_, sent))) = (self.tel.as_mut(), flight.and_then(|f| f.wire)) {
             tel.observe_rtt(sent.elapsed().as_micros() as u64);
         }
     }
 
+    /// Closes what is still open (so lifetime byte totals are complete)
+    /// and hands over what the run produced. Every helper thread has been
+    /// joined and both listeners are closed when this returns: the
+    /// connections go here, the acceptors when `self` is dropped.
     fn finish(mut self) -> NodeOutput {
         let now = self.logical_now();
-        for c in &self.inbound {
-            self.summary.decode_errors += c.decode_errors;
-            self.summary.frame_errors += c.frame_errors;
-        }
-        for o in &self.outbound {
-            self.summary.decode_errors += o.conn.decode_errors;
-            self.summary.frame_errors += o.conn.frame_errors;
+        while let Some((&id, _)) = self.conns.first_key_value() {
+            self.close(id, now);
         }
         let (telemetry_trace, metrics) = match self.tel.take() {
-            Some(mut tel) => {
-                // Still-open connections get their close event at shutdown
-                // so lifetime byte totals are complete.
-                for c in &self.inbound {
-                    tel.on_conn_close(now, c);
-                }
-                for o in &self.outbound {
-                    tel.on_conn_close(now, &o.conn);
-                }
+            Some(tel) => {
                 let (trace, snap) = tel.finish();
                 (Some(trace), Some(snap))
             }
             None => (None, None),
         };
-        let trace = self.rec.events_jsonl();
         NodeOutput {
+            trace: self.rec.events_jsonl(),
             summary: self.summary,
-            trace,
             telemetry_trace,
             metrics,
         }

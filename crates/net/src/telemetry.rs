@@ -14,12 +14,18 @@
 //! enforces in the simulator), so a run with telemetry on emits exactly
 //! the protocol events of a run with it off.
 
-use crate::control::ControlServer;
+use crate::control::{ControlServer, ScrapeRequest};
 use crate::sock::{Conn, IoCounters};
 use veil_obs::{EventKind as Obs, MetricsRegistry, MetricsSnapshot, Recorder};
 
 /// The wall-clock request→response histogram, in microseconds.
 pub const RTT_METRIC: &str = "net.rtt_us";
+
+/// Largest round trip [`RTT_METRIC`] resolves. The histogram behind it
+/// is dense — eight bytes per microsecond up to the slowest sample — so
+/// this ceiling is also its memory bound (2 MB per node). Slower round
+/// trips are recorded at the ceiling and counted in `net.rtt_overflow`.
+pub const RTT_CEILING_US: u64 = 250_000;
 
 /// Transport telemetry for one node process. Constructed only when
 /// telemetry is enabled; a disabled node carries `None` and pays nothing.
@@ -33,20 +39,16 @@ pub struct NodeTelemetry {
 }
 
 impl NodeTelemetry {
-    /// Creates the telemetry side of a node, binding the control endpoint
-    /// when a metrics port is given.
-    pub fn new(node: u32, metrics_port: Option<u16>) -> Result<Self, String> {
-        let control = match metrics_port {
-            Some(port) => Some(ControlServer::bind(port)?),
-            None => None,
-        };
-        Ok(Self {
+    /// Creates the telemetry side of a node, answering scrapes on
+    /// `control` when the node serves a metrics endpoint.
+    pub fn new(node: u32, control: Option<ControlServer>) -> Self {
+        Self {
             node,
             rec: Recorder::full(),
             metrics: MetricsRegistry::new(),
             control,
             next_sample: 1.0,
-        })
+        }
     }
 
     /// Banks one connection's I/O deltas into the registry and emits a
@@ -61,6 +63,7 @@ impl NodeTelemetry {
         self.metrics.count("net.frames_out", d.frames_out);
         self.metrics.count("net.decode_errors", d.decode_errors);
         self.metrics.count("net.frame_errors", d.frame_errors);
+        self.metrics.count("net.write_stalls", d.write_stalls);
         for _ in 0..d.decode_errors {
             self.rec
                 .event(t, Some(self.node), || Obs::NetDecodeError { fatal: false });
@@ -71,8 +74,7 @@ impl NodeTelemetry {
         }
     }
 
-    /// Records a connection leaving the poll set, with its lifetime I/O
-    /// totals.
+    /// Records a connection being closed, with its lifetime I/O totals.
     pub fn on_conn_close(&mut self, t: f64, conn: &Conn) {
         self.metrics.count("net.conn_closes", 1);
         let (inbound, bytes_in, bytes_out) = (conn.inbound, conn.bytes_in, conn.bytes_out);
@@ -99,12 +101,21 @@ impl NodeTelemetry {
 
     /// Observes one request→response round trip.
     pub fn observe_rtt(&mut self, micros: u64) {
+        if micros > RTT_CEILING_US {
+            self.metrics.count("net.rtt_overflow", 1);
+        }
         self.metrics
-            .observe(RTT_METRIC, usize::try_from(micros).unwrap_or(usize::MAX));
+            .observe(RTT_METRIC, micros.min(RTT_CEILING_US) as usize);
     }
 
-    /// Periodic upkeep from the poll loop: refreshes the send-queue and
-    /// pending-exchange gauges, and once per shuffle period emits a
+    /// Logical time of the next periodic sample: the node loop waits no
+    /// further than this.
+    pub fn next_sample(&self) -> f64 {
+        self.next_sample
+    }
+
+    /// Upkeep on every turn of the node loop: refreshes the send-queue
+    /// and pending-exchange gauges, and once per shuffle period emits a
     /// cumulative [`Obs::NetBytes`] sample.
     pub fn sample(&mut self, t: f64, send_queue_bytes: u64, pending_exchanges: usize) {
         self.metrics
@@ -129,16 +140,14 @@ impl NodeTelemetry {
         });
     }
 
-    /// One control-endpoint poll round: answers any complete scrape from
-    /// the current registry. Snapshots are only rendered when a request
-    /// actually arrived.
-    pub fn serve(&mut self) {
+    /// Answers one scrape from the current registry.
+    pub fn answer(&mut self, request: ScrapeRequest) {
         let Some(control) = self.control.as_mut() else {
             return;
         };
         let node = self.node;
         let metrics = &self.metrics;
-        control.poll(|path| match path {
+        control.respond(request, |path| match path {
             "/metrics" => Some(("text/plain; version=0.0.4", metrics.prometheus_text())),
             "/metrics.json" | "/json" => {
                 Some(("application/json", metrics_json(node, &metrics.snapshot())))
@@ -174,7 +183,7 @@ mod tests {
 
     #[test]
     fn telemetry_events_validate_and_counters_accumulate() {
-        let mut tel = NodeTelemetry::new(3, None).expect("no endpoint to bind");
+        let mut tel = NodeTelemetry::new(3, None);
         tel.on_io(
             0.5,
             IoCounters {
@@ -184,6 +193,7 @@ mod tests {
                 frames_out: 2,
                 decode_errors: 1,
                 frame_errors: 1,
+                write_stalls: 0,
             },
         );
         tel.on_handshake_fail(0.6, "scenario seed 9 differs from ours");
@@ -202,9 +212,24 @@ mod tests {
         assert_eq!(snap.histograms.get(RTT_METRIC).map(|h| h.count), Some(1));
     }
 
+    /// The RTT histogram is dense: a sample is clamped at the ceiling
+    /// (and counted) so one slow round trip cannot size it.
+    #[test]
+    fn rtt_is_clamped_at_the_ceiling_and_the_overflow_counted() {
+        let mut tel = NodeTelemetry::new(0, None);
+        tel.observe_rtt(RTT_CEILING_US);
+        tel.observe_rtt(RTT_CEILING_US + 1);
+        tel.observe_rtt(u64::MAX);
+        let (_, snap) = tel.finish();
+        let rtt = &snap.histograms[RTT_METRIC];
+        assert_eq!(rtt.count, 3);
+        assert_eq!(rtt.max, Some(RTT_CEILING_US as usize));
+        assert_eq!(snap.counters.get("net.rtt_overflow"), Some(&2));
+    }
+
     #[test]
     fn sample_fires_once_per_period() {
-        let mut tel = NodeTelemetry::new(0, None).unwrap();
+        let mut tel = NodeTelemetry::new(0, None);
         tel.sample(0.2, 0, 0); // before the first boundary: no event
         tel.sample(1.1, 0, 0); // fires, next at 2.0
         tel.sample(1.9, 0, 0); // not yet
