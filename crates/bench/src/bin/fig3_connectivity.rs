@@ -2,16 +2,13 @@
 //! trust graphs sampled with f = 1.0 and f = 0.5, compared against the
 //! maintained overlay and an Erdős–Rényi reference graph.
 //!
-//! Set `VEIL_TRACE_OUT`, `VEIL_METRICS_OUT` or `VEIL_CHROME_TRACE` to a
-//! file path to record the run's events, metrics or profiling spans (see
-//! EXPERIMENTS.md); unset, tracing is a no-op and the figure output is
-//! byte-identical either way.
+//! The figure is sixteen independent simulations, so it records no trace;
+//! trace one run with `veil simulate --trace-out` (see EXPERIMENTS.md).
 
 use veil_bench::{f3, paper_params, render_table, write_json, ALPHAS};
 use veil_core::experiment::{availability_sweep, build_trust_graph_with_f};
 
 fn main() {
-    let obs = veil_bench::init_observability();
     let params = paper_params();
     let mut results = Vec::new();
     for f in [1.0, 0.5] {
@@ -42,5 +39,4 @@ fn main() {
         results.push((f, sweep));
     }
     write_json("fig3_connectivity", &results);
-    obs.finish();
 }

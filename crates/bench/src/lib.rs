@@ -26,6 +26,11 @@
 //! link layer with per-message drop probability `p` (default `0` keeps the
 //! ideal layer). The CI fault matrix uses this to smoke-test the figure
 //! pipeline at several loss rates.
+//!
+//! # Tracing
+//!
+//! A figure is many independent simulations, so the figure binaries
+//! record no trace; `veil simulate --trace-out` traces a single run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -187,78 +192,6 @@ pub fn refuse_single_core_baseline(name: &str) {
              write the report anyway."
         );
         std::process::exit(1);
-    }
-}
-
-/// Observability artifacts requested through the environment, written when
-/// [`ObsSession::finish`] runs.
-#[derive(Debug)]
-pub struct ObsSession {
-    recorder: veil_obs::Recorder,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    chrome_out: Option<String>,
-}
-
-/// Installs a global full recorder when any of `VEIL_TRACE_OUT`,
-/// `VEIL_METRICS_OUT` or `VEIL_CHROME_TRACE` names an output file;
-/// otherwise the global recorder stays a no-op and the figure binaries run
-/// exactly as before. Call [`ObsSession::finish`] after the experiment to
-/// write the requested files. Tracing never draws randomness, so figure
-/// outputs are byte-identical whether or not these knobs are set.
-pub fn init_observability() -> ObsSession {
-    let var = |k: &str| std::env::var(k).ok().filter(|v| !v.trim().is_empty());
-    let trace_out = var("VEIL_TRACE_OUT");
-    let metrics_out = var("VEIL_METRICS_OUT");
-    let chrome_out = var("VEIL_CHROME_TRACE");
-    let recorder = if trace_out.is_some() || metrics_out.is_some() || chrome_out.is_some() {
-        let r = veil_obs::Recorder::full();
-        veil_obs::install_global(r.clone());
-        r
-    } else {
-        veil_obs::Recorder::disabled()
-    };
-    ObsSession {
-        recorder,
-        trace_out,
-        metrics_out,
-        chrome_out,
-    }
-}
-
-impl ObsSession {
-    /// Whether this run records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.is_enabled()
-    }
-
-    /// The recorder driving this session (no-op when disabled).
-    pub fn recorder(&self) -> &veil_obs::Recorder {
-        &self.recorder
-    }
-
-    /// Writes the artifacts requested via the environment. A `.prom`
-    /// extension on `VEIL_METRICS_OUT` selects Prometheus text format,
-    /// anything else the JSON snapshot.
-    pub fn finish(self) {
-        let write = |path: &str, text: String| {
-            std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        };
-        if let Some(path) = &self.trace_out {
-            write(path, self.recorder.events_jsonl());
-        }
-        if let Some(path) = &self.metrics_out {
-            let text = if path.ends_with(".prom") {
-                self.recorder.prometheus_text()
-            } else {
-                self.recorder.metrics_json()
-            };
-            write(path, text);
-        }
-        if let Some(path) = &self.chrome_out {
-            write(path, self.recorder.chrome_trace());
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! `veil obs` — inspect, validate, analyze and diff observability
-//! artifacts produced by `veil simulate --trace-out` (or the
-//! `VEIL_TRACE_OUT` bench knob).
+//! artifacts produced by `veil simulate --trace-out` (or
+//! `veil scenario run --trace-out`).
 
 use super::{CmdResult, Regression};
 use crate::args::Args;

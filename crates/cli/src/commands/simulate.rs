@@ -261,14 +261,7 @@ pub fn run(args: &Args) -> CmdResult {
     };
 
     let trust = build_trust_graph(&params)?;
-    // Install globally before construction: `Simulation::new` emits the
-    // initial pseudonym mints, which would otherwise be missed. Restore
-    // the previous global immediately — the simulation holds its own
-    // handle from here on.
-    let prev = veil_obs::install_global(recorder.clone());
-    let sim = build_simulation(trust, &params, alpha);
-    veil_obs::install_global(prev);
-    let mut sim = sim?;
+    let mut sim = build_simulation(trust, &params, alpha)?;
     sim.set_recorder(recorder.clone());
     let mut collector = Collector::new(interval);
     let mut blackout_note = String::new();

@@ -258,9 +258,6 @@ pub fn availability_sweep(
     alphas: &[f64],
     with_path_length: bool,
 ) -> Result<Vec<SweepPoint>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.availability_sweep", || {
-        format!("points={}", alphas.len())
-    });
     // Each α is an independent simulation whose randomness derives from
     // `(params.seed, stream)` alone, so the points can run on worker
     // threads; collecting in index order keeps the output byte-identical
@@ -280,8 +277,6 @@ fn availability_point(
     alpha: f64,
     with_path_length: bool,
 ) -> Result<SweepPoint, CoreError> {
-    let _span =
-        veil_obs::global().span_with("experiment.availability_point", || format!("alpha={alpha}"));
     // Connectivity under churn fluctuates snapshot to snapshot; average a
     // few spaced snapshots after warm-up, as "results show the state of the
     // system after the reported metrics have reached stable values".
@@ -365,27 +360,6 @@ pub fn degree_distributions(
     })
 }
 
-/// Runs [`degree_distributions`] for several availabilities in parallel,
-/// returning the snapshots in input order.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn degree_distributions_multi(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alphas: &[f64],
-) -> Result<Vec<DegreeDistributions>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.degree_distributions_multi", || {
-        format!("points={}", alphas.len())
-    });
-    veil_par::map(alphas, params.overlay.parallelism, |&alpha| {
-        degree_distributions(trust, params, alpha)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// One node's row in the message-load experiment (Figure 6). Rows are
 /// ordered by decreasing trust degree ("nodes are ranked according to their
 /// degree in the trust graph").
@@ -467,29 +441,6 @@ pub fn message_load(
     Ok(rows)
 }
 
-/// Runs [`message_load`] for several availabilities in parallel, returning
-/// the row sets in input order.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn message_load_multi(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alphas: &[f64],
-    measure: f64,
-    sample_every: f64,
-) -> Result<Vec<Vec<MessageLoadRow>>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.message_load_multi", || {
-        format!("points={}", alphas.len())
-    });
-    veil_par::map(alphas, params.overlay.parallelism, |&alpha| {
-        message_load(trust, params, alpha, measure, sample_every)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// One availability sweep per pseudonym-lifetime ratio (`None` = `r = ∞`),
 /// in input order — the shape of [`lifetime_sweep`]'s output.
 pub type RatioSweeps = Vec<(Option<f64>, Vec<SweepPoint>)>;
@@ -508,9 +459,6 @@ pub fn lifetime_sweep(
     alphas: &[f64],
     ratios: &[Option<f64>],
 ) -> Result<RatioSweeps, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.lifetime_sweep", || {
-        format!("points={}", alphas.len() * ratios.len())
-    });
     // Flatten the (ratio × α) grid into one job list so the thread pool
     // stays busy even when one axis is short, then regroup by ratio. Jobs
     // are ordered ratio-major, exactly like the nested serial loops, so
@@ -550,9 +498,6 @@ pub fn connectivity_over_time(
     horizon: f64,
     interval: f64,
 ) -> Result<ConvergenceSeries, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.connectivity_over_time", || {
-        format!("ratios={} horizon={horizon}", ratios.len())
-    });
     // One independent simulation per ratio; the trust-graph baseline is
     // overlay-independent, so it is taken from the first ratio's run just
     // like the serial loop did.
@@ -599,9 +544,6 @@ pub fn replacement_rate_over_time(
     horizon: f64,
     interval: f64,
 ) -> Result<Vec<(Option<f64>, TimeSeries)>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.replacement_rate_over_time", || {
-        format!("ratios={} horizon={horizon}", ratios.len())
-    });
     veil_par::map(ratios, params.overlay.parallelism, |&ratio| {
         let p = ExperimentParams {
             lifetime_ratio: ratio,
@@ -644,27 +586,6 @@ pub fn steady_state_broadcast(
     let source = best_connected_online(trust, &sim.online_mask())
         .expect("at least one node online at steady state");
     Ok(crate::dissemination::flood_current_overlay(&sim, source))
-}
-
-/// Runs [`steady_state_broadcast`] for several availabilities in parallel,
-/// returning the reports in input order.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn steady_state_broadcast_multi(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alphas: &[f64],
-) -> Result<Vec<crate::dissemination::BroadcastReport>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.steady_state_broadcast_multi", || {
-        format!("points={}", alphas.len())
-    });
-    veil_par::map(alphas, params.overlay.parallelism, |&alpha| {
-        steady_state_broadcast(trust, params, alpha)
-    })
-    .into_iter()
-    .collect()
 }
 
 /// One row of the fault-degradation sweeps ([`degradation_loss_sweep`],
@@ -712,7 +633,6 @@ pub fn degradation_point(
     x: f64,
     link: LinkLayerConfig,
 ) -> Result<DegradationPoint, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.degradation_point", || format!("x={x}"));
     const SNAPSHOTS: usize = 5;
     const SNAPSHOT_SPACING: f64 = 10.0;
     let mut p = params.clone();
@@ -798,9 +718,6 @@ pub fn degradation_loss_sweep(
     alpha: f64,
     losses: &[f64],
 ) -> Result<Vec<DegradationPoint>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.degradation_loss_sweep", || {
-        format!("points={}", losses.len())
-    });
     veil_par::map(losses, params.overlay.parallelism, |&loss| {
         let link = LinkLayerConfig::Faulty(FaultConfig::with_loss(loss));
         degradation_point(trust, params, alpha, loss, link)
@@ -823,9 +740,6 @@ pub fn degradation_latency_sweep(
     alpha: f64,
     means: &[f64],
 ) -> Result<Vec<DegradationPoint>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.degradation_latency_sweep", || {
-        format!("points={}", means.len())
-    });
     veil_par::map(means, params.overlay.parallelism, |&mean| {
         let latency = if mean > 0.0 {
             LatencyDist::Exponential { mean }
@@ -856,9 +770,6 @@ pub fn degradation_partition_sweep(
     alpha: f64,
     fractions: &[f64],
 ) -> Result<Vec<DegradationPoint>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.degradation_partition_sweep", || {
-        format!("points={}", fractions.len())
-    });
     let n = trust.node_count();
     veil_par::map(fractions, params.overlay.parallelism, |&frac| {
         let boundary = (frac * n as f64).round() as u32;
@@ -965,9 +876,6 @@ pub fn degradation_recovery_sweep(
     loss: f64,
     seeds: &[u64],
 ) -> Result<Vec<RecoveryPoint>, CoreError> {
-    let _span = veil_obs::global().span_with("experiment.degradation_recovery_sweep", || {
-        format!("seeds={}", seeds.len())
-    });
     let scenario = RecoveryScenario::default();
     let arms: Vec<(u64, bool)> = seeds
         .iter()

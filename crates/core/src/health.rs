@@ -27,11 +27,12 @@
 //! [`HealthMonitor::rotate`] returns the window's [`WindowAlert`]s (with
 //! the implicated node set) so the remediation engine
 //! ([`crate::remedy`]) can act on them; as a side effect it also pushes
-//! `HealthAlert` trace events and `health.*` gauges into the recorder it
-//! was built with. The recorder is *optional* plumbing: a disabled
-//! recorder silently swallows the events while alert counting and the
-//! returned decisions stay identical, so untraced runs monitor (and heal)
-//! exactly like traced ones. With remediation off this keeps the
+//! `HealthAlert` trace events and `health.*` gauges into the recorder its
+//! caller hands it. The monitor holds no recorder: a disabled one silently
+//! swallows the events while alert counting and the returned decisions
+//! stay identical, so untraced runs monitor (and heal) exactly like traced
+//! ones, and attaching a recorder mid-run changes nothing it decides.
+//! With remediation off this keeps the
 //! `off == full == ring` byte-identity of `tests/obs_equivalence.rs`
 //! intact whether monitoring is enabled or not.
 //!
@@ -82,7 +83,6 @@ pub struct WindowAlert {
 #[derive(Debug)]
 pub struct HealthMonitor {
     cfg: HealthConfig,
-    recorder: Recorder,
     /// Start of the currently accumulating window (on the `k * window`
     /// grid).
     window_start: f64,
@@ -102,30 +102,21 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Builds a monitor when `cfg.enabled`; `None` otherwise. The recorder
-    /// may be disabled — alerts are still detected, counted, and returned
-    /// from [`HealthMonitor::rotate`]; only the trace events and gauges are
-    /// dropped. `now` seeds the window grid and the per-node starvation
-    /// clocks.
-    pub fn maybe_new(
-        cfg: &HealthConfig,
-        recorder: &Recorder,
-        nodes: usize,
-        now: f64,
-    ) -> Option<Self> {
+    /// Builds a monitor over `nodes` nodes, starting at t = 0, when
+    /// `cfg.enabled`; `None` otherwise.
+    pub fn maybe_new(cfg: &HealthConfig, nodes: usize) -> Option<Self> {
         if !cfg.enabled {
             return None;
         }
         Some(Self {
             cfg: cfg.clone(),
-            recorder: recorder.clone(),
-            window_start: (now / cfg.window).floor() * cfg.window,
+            window_start: 0.0,
             starts: 0,
             completes: 0,
             failures: 0,
             evictions: 0,
             expiry_purges: 0,
-            last_progress: vec![now; nodes],
+            last_progress: vec![0.0; nodes],
             alerts_emitted: 0,
         })
     }
@@ -171,9 +162,10 @@ impl HealthMonitor {
 
     /// Closes the elapsed window(s): runs every detector against the
     /// accumulated counts and the caller-supplied topology view, emits
-    /// `HealthAlert` events stamped at the window boundary, refreshes the
-    /// `health.*` gauges, resets the counters, and returns the window's
-    /// alerts (with implicated nodes) for the remediation engine.
+    /// `HealthAlert` events stamped at the window boundary into `recorder`,
+    /// refreshes its `health.*` gauges, resets the counters, and returns
+    /// the window's alerts (with implicated nodes) for the remediation
+    /// engine. The returned alerts do not depend on `recorder`.
     ///
     /// `online[v]` / `degrees[v]` describe the current node states and
     /// total overlay degree (trusted + pseudonym links) per node;
@@ -182,6 +174,7 @@ impl HealthMonitor {
     /// trusted links don't count).
     pub fn rotate(
         &mut self,
+        recorder: &Recorder,
         now: f64,
         online: &[bool],
         degrees: &[usize],
@@ -203,49 +196,49 @@ impl HealthMonitor {
         // 1. Shuffle failure burst.
         if self.starts >= self.cfg.failure_burst_min_starts {
             let rate = self.failures as f64 / self.starts as f64;
-            self.gauge("health.shuffle_failure_rate", rate);
+            recorder.gauge("health.shuffle_failure_rate", rate);
             if rate > self.cfg.failure_burst_rate {
-                self.alert(
-                    &mut fired,
+                fired.push(self.alert(
+                    recorder,
                     boundary,
                     "shuffle_failure_burst",
                     rate,
                     self.cfg.failure_burst_rate,
                     Vec::new(),
-                );
+                ));
             }
         } else if self.starts > 0 {
-            self.gauge(
+            recorder.gauge(
                 "health.shuffle_failure_rate",
                 self.failures as f64 / self.starts as f64,
             );
         }
 
         // 2. Eviction storm.
-        self.gauge("health.window_evictions", self.evictions as f64);
+        recorder.gauge("health.window_evictions", self.evictions as f64);
         if self.evictions > self.cfg.eviction_storm_count {
-            self.alert(
-                &mut fired,
+            fired.push(self.alert(
+                recorder,
                 boundary,
                 "eviction_storm",
                 self.evictions as f64,
                 self.cfg.eviction_storm_count as f64,
                 Vec::new(),
-            );
+            ));
         }
 
         // 3. Pseudonym expiry stampede.
         let expiry_fraction = self.expiry_purges as f64 / nodes as f64;
-        self.gauge("health.window_expiry_fraction", expiry_fraction);
+        recorder.gauge("health.window_expiry_fraction", expiry_fraction);
         if expiry_fraction > self.cfg.expiry_stampede_fraction {
-            self.alert(
-                &mut fired,
+            fired.push(self.alert(
+                recorder,
                 boundary,
                 "pseudonym_expiry_stampede",
                 expiry_fraction,
                 self.cfg.expiry_stampede_fraction,
                 Vec::new(),
-            );
+            ));
         }
 
         // 4. Starved nodes: online but no completed shuffle for the
@@ -257,18 +250,18 @@ impl HealthMonitor {
             .filter(|(_, (on, last))| **on && boundary - **last > self.cfg.starvation_periods)
             .map(|(v, _)| v as u32)
             .collect();
-        self.gauge("health.starved_nodes", starved.len() as f64);
+        recorder.gauge("health.starved_nodes", starved.len() as f64);
         if online_count > 0 {
             let starved_fraction = starved.len() as f64 / online_count as f64;
             if starved_fraction > self.cfg.starved_fraction {
-                self.alert(
-                    &mut fired,
+                fired.push(self.alert(
+                    recorder,
                     boundary,
                     "starved_nodes",
                     starved_fraction,
                     self.cfg.starved_fraction,
                     starved,
-                );
+                ));
             }
         }
 
@@ -283,10 +276,10 @@ impl HealthMonitor {
             .filter(|(_, (on, deg))| **on && **deg == 0)
             .map(|(v, _)| v as u32)
             .collect();
-        self.gauge("health.isolated_nodes", isolated.len() as f64);
+        recorder.gauge("health.isolated_nodes", isolated.len() as f64);
         if !isolated.is_empty() {
             let count = isolated.len() as f64;
-            self.alert(&mut fired, boundary, "isolated_nodes", count, 0.0, isolated);
+            fired.push(self.alert(recorder, boundary, "isolated_nodes", count, 0.0, isolated));
         }
 
         // 6. In-degree skew over online nodes.
@@ -299,7 +292,7 @@ impl HealthMonitor {
             let mean = sum as f64 / online_count as f64;
             if mean > 0.0 {
                 let skew = max as f64 / mean;
-                self.gauge("health.indegree_skew", skew);
+                recorder.gauge("health.indegree_skew", skew);
                 if skew > self.cfg.indegree_skew_ratio {
                     // Implicate every online node sitting above the
                     // configured ratio (at least the max-degree node).
@@ -312,19 +305,19 @@ impl HealthMonitor {
                         })
                         .map(|(v, _)| v as u32)
                         .collect();
-                    self.alert(
-                        &mut fired,
+                    fired.push(self.alert(
+                        recorder,
                         boundary,
                         "indegree_skew",
                         skew,
                         self.cfg.indegree_skew_ratio,
                         hubs,
-                    );
+                    ));
                 }
             }
         }
 
-        self.gauge("health.alerts_emitted", self.alerts_emitted as f64);
+        recorder.gauge("health.alerts_emitted", self.alerts_emitted as f64);
         self.window_start = boundary;
         self.starts = 0;
         self.completes = 0;
@@ -334,37 +327,33 @@ impl HealthMonitor {
         fired
     }
 
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.recorder.gauge(name, value);
-    }
-
     fn alert(
         &mut self,
-        fired: &mut Vec<WindowAlert>,
+        recorder: &Recorder,
         t: f64,
         detector: &'static str,
         value: f64,
         threshold: f64,
         nodes: Vec<u32>,
-    ) {
+    ) -> WindowAlert {
         self.alerts_emitted += 1;
         // Zero-threshold detectors (isolated nodes) have no meaningful
         // ratio; any firing is critical.
         let critical = threshold <= 0.0 || value >= CRITICAL_FACTOR * threshold;
-        self.recorder.event(t, None, || Obs::HealthAlert {
+        recorder.event(t, None, || Obs::HealthAlert {
             detector: detector.to_string(),
             severity: if critical { "critical" } else { "warning" }.to_string(),
             value,
             threshold,
         });
-        fired.push(WindowAlert {
+        WindowAlert {
             t,
             detector,
             critical,
             value,
             threshold,
             nodes,
-        });
+        }
     }
 }
 
@@ -396,22 +385,17 @@ mod tests {
 
     #[test]
     fn only_the_config_gates_the_monitor() {
-        let off = HealthConfig::default();
-        assert!(HealthMonitor::maybe_new(&off, &Recorder::full(), 4, 0.0).is_none());
-        let on = enabled_cfg();
-        // A disabled recorder no longer disables monitoring: alerts are
-        // decisions first, trace events second.
-        assert!(HealthMonitor::maybe_new(&on, &Recorder::disabled(), 4, 0.0).is_some());
-        assert!(HealthMonitor::maybe_new(&on, &Recorder::full(), 4, 0.0).is_some());
+        assert!(HealthMonitor::maybe_new(&HealthConfig::default(), 4).is_none());
+        assert!(HealthMonitor::maybe_new(&enabled_cfg(), 4).is_some());
     }
 
     #[test]
     fn recorder_free_monitor_counts_and_returns_alerts() {
         let rec = Recorder::disabled();
-        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), &rec, 4, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 4).unwrap();
         // Starve everyone and isolate node 3; no recorder is attached, yet
         // the decisions must match a traced run exactly.
-        let fired = hm.rotate(20.0, &[true; 4], &[2, 2, 2, 1], &[2, 2, 2, 0]);
+        let fired = hm.rotate(&rec, 20.0, &[true; 4], &[2, 2, 2, 1], &[2, 2, 2, 0]);
         assert!(
             fired
                 .iter()
@@ -431,7 +415,7 @@ mod tests {
     #[test]
     fn failure_burst_fires_with_severity() {
         let rec = Recorder::full();
-        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), &rec, 4, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 4).unwrap();
         for i in 0..10 {
             hm.observe(
                 0.5,
@@ -446,7 +430,7 @@ mod tests {
             hm.observe(1.0, Some(0), &Obs::ShuffleFailure { exchange: 1 });
         }
         assert!(hm.due(5.0));
-        hm.rotate(5.0, &[true; 4], &[3, 3, 3, 3], &[1, 1, 1, 1]);
+        hm.rotate(&rec, 5.0, &[true; 4], &[3, 3, 3, 3], &[1, 1, 1, 1]);
         let fired = alerts(&rec);
         // 0.6 failure rate >= 2 * 0.25 threshold: critical, stamped at the
         // window boundary.
@@ -461,7 +445,7 @@ mod tests {
     #[test]
     fn quiet_window_fires_nothing() {
         let rec = Recorder::full();
-        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), &rec, 4, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 4).unwrap();
         for i in 0..8 {
             hm.observe(
                 0.5,
@@ -473,7 +457,7 @@ mod tests {
             );
             hm.observe(0.6, Some(i % 4), &Obs::ShuffleComplete { exchange: 0 });
         }
-        hm.rotate(6.0, &[true; 4], &[3, 3, 3, 3], &[1, 1, 1, 1]);
+        hm.rotate(&rec, 6.0, &[true; 4], &[3, 3, 3, 3], &[1, 1, 1, 1]);
         assert!(alerts(&rec).is_empty());
         assert_eq!(hm.alerts_emitted(), 0);
     }
@@ -481,12 +465,13 @@ mod tests {
     #[test]
     fn isolated_and_starved_nodes_detected() {
         let rec = Recorder::full();
-        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), &rec, 4, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 4).unwrap();
         // Nobody completes anything for 20 periods: everyone online is
         // starved (> 15 periods) and node 3 is isolated — its surviving
         // trusted link (total degree 1) does not rescue it, because
         // isolation is measured on pseudonym links alone.
         hm.rotate(
+            &rec,
             20.0,
             &[true, true, true, true],
             &[2, 2, 2, 1],
@@ -504,12 +489,12 @@ mod tests {
     #[test]
     fn rejoining_node_gets_starvation_grace() {
         let rec = Recorder::full();
-        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), &rec, 2, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 2).unwrap();
         // Both nodes make progress late enough to stay fresh; one came
         // online even later.
         hm.observe(18.0, Some(0), &Obs::ShuffleComplete { exchange: 0 });
         hm.observe(19.0, Some(1), &Obs::NodeOnline);
-        hm.rotate(20.0, &[true, true], &[1, 1], &[1, 1]);
+        hm.rotate(&rec, 20.0, &[true, true], &[1, 1], &[1, 1]);
         assert!(
             !alerts(&rec).iter().any(|(_, d, _)| d == "starved_nodes"),
             "progress and rejoin must reset the starvation clock"
@@ -523,23 +508,29 @@ mod tests {
             indegree_skew_ratio: 3.0,
             ..enabled_cfg()
         };
-        let mut hm = HealthMonitor::maybe_new(&cfg, &rec, 4, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&cfg, 4).unwrap();
         hm.observe(1.0, Some(0), &Obs::ShuffleComplete { exchange: 0 });
         hm.observe(1.0, Some(1), &Obs::ShuffleComplete { exchange: 0 });
         hm.observe(1.0, Some(2), &Obs::ShuffleComplete { exchange: 0 });
         // The offline node's degree (100) must not enter the mean; with
         // only 3 online nodes max/mean is bounded below 3, so no alert.
-        hm.rotate(5.0, &[true, true, true, false], &[30, 1, 1, 100], &[1; 4]);
+        hm.rotate(
+            &rec,
+            5.0,
+            &[true, true, true, false],
+            &[30, 1, 1, 100],
+            &[1; 4],
+        );
         assert!(
             !alerts(&rec).iter().any(|(_, d, _)| d == "indegree_skew"),
             "3 online nodes bound the ratio below 3"
         );
         let rec2 = Recorder::full();
-        let mut hm2 = HealthMonitor::maybe_new(&cfg, &rec2, 5, 0.0).unwrap();
+        let mut hm2 = HealthMonitor::maybe_new(&cfg, 5).unwrap();
         for v in 0..5 {
             hm2.observe(1.0, Some(v), &Obs::ShuffleComplete { exchange: 0 });
         }
-        hm2.rotate(5.0, &[true; 5], &[80, 1, 1, 1, 1], &[1; 5]);
+        hm2.rotate(&rec2, 5.0, &[true; 5], &[80, 1, 1, 1, 1], &[1; 5]);
         assert!(
             alerts(&rec2).iter().any(|(_, d, _)| d == "indegree_skew"),
             "80 vs mean 16.8 is a 4.8x skew"
@@ -554,13 +545,13 @@ mod tests {
             expiry_stampede_fraction: 0.5,
             ..enabled_cfg()
         };
-        let mut hm = HealthMonitor::maybe_new(&cfg, &rec, 4, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&cfg, 4).unwrap();
         for v in 0..4 {
             hm.observe(1.0, Some(v), &Obs::PeerEvicted { pseudonym: 7 });
             hm.observe(1.5, Some(v), &Obs::PseudonymsExpired { count: 2 });
             hm.observe(2.0, Some(v), &Obs::ShuffleComplete { exchange: 0 });
         }
-        hm.rotate(5.0, &[true; 4], &[3; 4], &[1; 4]);
+        hm.rotate(&rec, 5.0, &[true; 4], &[3; 4], &[1; 4]);
         let fired = alerts(&rec);
         assert!(fired.iter().any(|(_, d, _)| d == "eviction_storm"));
         assert!(
@@ -570,22 +561,22 @@ mod tests {
             "4/4 nodes purged"
         );
         // Counters reset: an immediately following quiet window is clean.
-        hm.rotate(10.0, &[true; 4], &[3; 4], &[1; 4]);
+        hm.rotate(&rec, 10.0, &[true; 4], &[3; 4], &[1; 4]);
         assert_eq!(alerts(&rec).len(), fired.len());
     }
 
     #[test]
     fn rotation_is_idempotent_within_a_window() {
         let rec = Recorder::full();
-        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), &rec, 2, 0.0).unwrap();
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 2).unwrap();
         assert!(!hm.due(4.9));
-        hm.rotate(4.9, &[true, true], &[1, 1], &[1, 1]); // not past the boundary: no-op
+        hm.rotate(&rec, 4.9, &[true, true], &[1, 1], &[1, 1]); // not past the boundary: no-op
         assert!(hm.due(5.0));
-        hm.rotate(5.0, &[true, true], &[1, 1], &[1, 1]);
+        hm.rotate(&rec, 5.0, &[true, true], &[1, 1], &[1, 1]);
         assert!(!hm.due(9.9));
         // A long idle gap collapses into one evaluation at the last grid
         // point, not one per elapsed window.
-        hm.rotate(102.3, &[true, true], &[1, 1], &[1, 1]);
+        hm.rotate(&rec, 102.3, &[true, true], &[1, 1], &[1, 1]);
         assert!(!hm.due(102.4));
         assert!(hm.due(105.0));
     }

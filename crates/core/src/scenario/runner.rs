@@ -22,7 +22,6 @@ use serde::Serialize;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{Display, Write as _};
-use std::sync::Mutex;
 use veil_graph::Graph;
 use veil_obs::{analyze_events, EventKind, Recorder, TraceEvent};
 
@@ -119,24 +118,16 @@ pub struct ScenarioRun {
     pub trace_jsonl: String,
 }
 
-/// `install_global` swaps a process-wide recorder; campaigns run
-/// scenarios in parallel, so the install → build → restore window must be
-/// exclusive or concurrent runs would cross-wire their traces.
-static OBS_GATE: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with `recorder` installed as the process-global observability
-/// sink, holding the same gate scenario runs hold. Hand-built comparison
-/// runs (the conformance suite's byte-identity checks) must use this
-/// instead of calling `veil_obs::install_global` directly, or a
-/// concurrent scenario run could cross-wire traces.
+/// Returns `f()`; `recorder` is unused. There is no process-wide
+/// recorder: a simulation records into the one
+/// [`Simulation::set_recorder`](crate::simulation::Simulation::set_recorder)
+/// attaches, and one attached before the first `run_until` also receives
+/// the t = 0 start-up mints.
 ///
-/// The frozen benchmark package compiles against this signature.
-pub fn with_global_recorder<T>(recorder: &Recorder, f: impl FnOnce() -> T) -> T {
-    let _gate = OBS_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = veil_obs::install_global(recorder.clone());
-    let out = f();
-    veil_obs::install_global(prev);
-    out
+/// Kept only because the frozen benchmark package compiles against this
+/// signature (it builds through it, then calls `set_recorder`).
+pub fn with_global_recorder<T>(_recorder: &Recorder, f: impl FnOnce() -> T) -> T {
+    f()
 }
 
 /// Whether `kind` serializes as a bare string (`"NodeOnline"`) and not as
@@ -279,10 +270,8 @@ fn run_graded<T>(
         .map_err(|e| ScenarioError::new(format!("building trust graph: {e}")))?;
 
     let recorder = Recorder::full();
-    let mut sim = with_global_recorder(&recorder, || {
-        build_simulation(trust.clone(), &params, lowered.alpha)
-    })
-    .map_err(|e| ScenarioError::new(format!("building simulation: {e}")))?;
+    let mut sim = build_simulation(trust.clone(), &params, lowered.alpha)
+        .map_err(|e| ScenarioError::new(format!("building simulation: {e}")))?;
     sim.set_recorder(recorder.clone());
 
     // With a `recovery_time_at_most` assertion the run is stepped: a

@@ -289,7 +289,7 @@ impl Simulation {
                     view.fill(cells, trust);
                     filled = true;
                 }
-                alerts.extend(view.rotate(h, t));
+                alerts.extend(view.rotate(h, recorder, t));
             };
             for o in obs.drain(..) {
                 rotate(h, o.t);

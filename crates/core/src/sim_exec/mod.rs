@@ -138,13 +138,13 @@ pub struct MessageRecord {
     pub trusted_link: bool,
 }
 
-/// Emission funnel for coordinator-side events — construction-time mints
+/// Emission funnel for coordinator-side events — the t = 0 start-up mints
 /// and manual blackouts, which happen between windows: builds the payload
 /// once, feeds the health monitor directly, then records (in-window events
 /// go through `Shard::emit` and reach the monitor at the barrier). The
-/// monitor observes even when recording
-/// is off — untraced runs must monitor (and heal) exactly like traced
-/// ones; with neither consumer present this stays a single branch.
+/// monitor observes even when recording is off — untraced runs must
+/// monitor (and heal) exactly like traced ones; with neither consumer
+/// present this stays a single branch.
 pub(crate) fn record(
     recorder: &Recorder,
     health: &mut Option<HealthMonitor>,

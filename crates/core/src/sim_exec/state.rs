@@ -15,7 +15,7 @@ use crate::health::{HealthMonitor, WindowAlert};
 use crate::node::Node;
 use crate::pseudonym::PseudonymService;
 use rand::rngs::StdRng;
-use veil_obs::EventKind as Obs;
+use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::churn::{ChurnProcess, NodeState};
 use veil_sim::SimTime;
 
@@ -291,9 +291,21 @@ impl HealthView {
         );
     }
 
-    /// Closes the monitor's elapsed window(s) against this view.
-    pub(crate) fn rotate(&self, h: &mut HealthMonitor, t: f64) -> Vec<WindowAlert> {
-        h.rotate(t, &self.online, &self.degrees, &self.pseudonym_degrees)
+    /// Closes the monitor's elapsed window(s) against this view, recording
+    /// into `recorder`.
+    pub(crate) fn rotate(
+        &self,
+        h: &mut HealthMonitor,
+        recorder: &Recorder,
+        t: f64,
+    ) -> Vec<WindowAlert> {
+        h.rotate(
+            recorder,
+            t,
+            &self.online,
+            &self.degrees,
+            &self.pseudonym_degrees,
+        )
     }
 
     pub(crate) fn capacity_bytes(&self) -> usize {

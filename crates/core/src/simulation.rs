@@ -100,10 +100,13 @@ pub struct Simulation {
     /// The windowed runtime: the shards with their engines, minters and
     /// arenas, plus the barrier scratch.
     pub(crate) rt: ShardedRuntime,
-    /// Observability sink; disabled by default (a single branch per hook)
-    /// and never a source of randomness, so enabling it cannot perturb the
-    /// simulation.
+    /// Observability sink; disabled until [`Simulation::set_recorder`]
+    /// (a single branch per hook) and never a source of randomness, so
+    /// enabling it cannot perturb the simulation.
     pub(crate) recorder: Recorder,
+    /// Whether the t = 0 start-up mints are still to be recorded; see
+    /// [`Simulation::record_startup_mints`].
+    startup_pending: bool,
     /// Rolling-window degradation detectors over the event stream; present
     /// only when [`OverlayConfig::health`] is enabled. The monitor itself is
     /// read-only — its outputs are window-boundary alert records (plus
@@ -123,6 +126,10 @@ impl Simulation {
     /// processes initialized per `churn_cfg`, and — for nodes online at
     /// time zero — pseudonyms created simultaneously at the start (the
     /// paper's start-up condition).
+    ///
+    /// Records nothing: the recorder is disabled until
+    /// [`Simulation::set_recorder`], and the start-up mints reach whichever
+    /// recorder is attached when the run first advances.
     ///
     /// # Errors
     ///
@@ -159,8 +166,7 @@ impl Simulation {
         let mut rt = ShardedRuntime::new(n, shards, master_seed);
         let mut cells = Vec::with_capacity(n);
         let phases = shuffle_phases(master_seed, n);
-        let recorder = veil_obs::global();
-        let mut health = HealthMonitor::maybe_new(&cfg.health, &recorder, n, 0.0);
+        let health = HealthMonitor::maybe_new(&cfg.health, n);
         let remedy = RemedyEngine::maybe_new(&cfg.remedy, n);
 
         for (v, &phase) in phases.iter().enumerate() {
@@ -177,11 +183,6 @@ impl Simulation {
                 // has no availability observations yet and falls back to
                 // the global lifetime here.)
                 node.renew_pseudonym(&mut shard.minter, SimTime::ZERO, cfg.pseudonym_lifetime);
-                record(&recorder, &mut health, 0.0, Some(v as u32), || {
-                    Obs::PseudonymMinted {
-                        lifetime: cfg.pseudonym_lifetime,
-                    }
-                });
             }
             if let Some(delay) = first_transition {
                 let ev = Event::Churn {
@@ -225,28 +226,24 @@ impl Simulation {
             fault,
             master_seed,
             rt,
-            recorder,
+            recorder: Recorder::disabled(),
+            startup_pending: true,
             health,
             remedy,
         })
     }
 
-    /// Replaces the observability sink (taken from [`veil_obs::global`] at
-    /// construction). Pass [`Recorder::disabled`] to switch recording off.
+    /// Replaces the observability sink (disabled after construction). Pass
+    /// [`Recorder::disabled`] to switch recording off.
     ///
-    /// The health monitor follows the recorder: it is rebuilt against the
-    /// new sink (when [`OverlayConfig::health`] is enabled) with fresh
-    /// window state starting at the current time. The remediation engine is
-    /// *not* rebuilt — reaction counts and cooldown stamps survive, since
-    /// healing must behave identically whether or not anyone is recording.
+    /// This swaps the sink and nothing else: the health monitor, the
+    /// remediation engine and the protocol carry on exactly as they would
+    /// unrecorded, so attaching a recorder at any time changes no decision.
+    /// The new sink sees every event from now on — a recorder attached
+    /// before the first [`Simulation::run_until`] also receives the t = 0
+    /// start-up mints.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-        self.health = HealthMonitor::maybe_new(
-            &self.cfg.health,
-            &self.recorder,
-            self.cells.len(),
-            self.current_time.as_f64(),
-        );
     }
 
     /// The active observability sink.
@@ -493,6 +490,28 @@ impl Simulation {
         self.cells.iter().map(|c| c.node.sampler.removals()).sum()
     }
 
+    /// Records the t = 0 start-up mints — one `PseudonymMinted` per node
+    /// online at construction — into the attached sink, the first time the
+    /// run advances or injects a blackout, and never again. Until then no
+    /// event has changed who is online, so the cells still say who minted.
+    fn record_startup_mints(&mut self) {
+        if !std::mem::take(&mut self.startup_pending) {
+            return;
+        }
+        let lifetime = self.cfg.pseudonym_lifetime;
+        for (v, cell) in self.cells.iter().enumerate() {
+            if cell.churn.is_online() {
+                record(
+                    &self.recorder,
+                    &mut self.health,
+                    0.0,
+                    Some(v as u32),
+                    || Obs::PseudonymMinted { lifetime },
+                );
+            }
+        }
+    }
+
     /// Advances the simulation until simulated time `t` (in shuffle
     /// periods).
     ///
@@ -506,6 +525,7 @@ impl Simulation {
             "cannot run backwards: {horizon} < {}",
             self.current_time
         );
+        self.record_startup_mints();
         let _span = self
             .recorder
             .span_with("sim.run_until", || format!("until={t}"));
@@ -531,6 +551,7 @@ impl Simulation {
     /// range.
     pub fn inject_blackout(&mut self, nodes: &[usize], duration: f64) {
         assert!(duration > 0.0, "blackout duration must be positive");
+        self.record_startup_mints();
         let now = self.current_time;
         let until = now + duration;
         for &v in nodes {

@@ -328,17 +328,13 @@ fn unix_now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs the simulator oracle for `sc` and returns its JSONL trace.
-///
-/// The recorder is installed globally (under the scenario runner's gate,
-/// so concurrent oracles cannot cross-wire) around construction so the
-/// t = 0 pseudonym mints (emitted inside `Simulation::new`) are captured.
+/// Runs the simulator oracle for `sc` and returns its JSONL trace. The
+/// recorder is attached before the run starts, so the trace holds the
+/// t = 0 pseudonym mints.
 pub fn oracle_trace(sc: &NetScenario) -> Result<String, String> {
     let rec = Recorder::full();
-    let mut sim = veil_core::scenario::with_global_recorder(&rec, || {
-        Simulation::new(sc.trust_graph(), sc.overlay(), sc.churn(), sc.seed)
-    })
-    .map_err(|e| format!("oracle: {e}"))?;
+    let mut sim = Simulation::new(sc.trust_graph(), sc.overlay(), sc.churn(), sc.seed)
+        .map_err(|e| format!("oracle: {e}"))?;
     sim.set_recorder(rec.clone());
     sim.run_until(sc.horizon);
     Ok(rec.events_jsonl())

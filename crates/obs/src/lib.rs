@@ -65,49 +65,3 @@ pub use replay::{
 };
 pub use span::{chrome_trace_json, SpanRecord};
 pub use xtrace::{correlate_exchanges, exchange_chrome_trace, ExchangeRecord};
-
-use std::sync::RwLock;
-
-static GLOBAL: RwLock<Option<Recorder>> = RwLock::new(None);
-
-/// The process-global recorder (disabled unless [`install_global`] was
-/// called). Cheap to call: clones an `Option<Arc>`.
-///
-/// Library code that has no recorder threaded to it (experiment sweeps,
-/// `veil-par` workers) consults this so a CLI- or bench-installed recorder
-/// sees the whole run.
-pub fn global() -> Recorder {
-    GLOBAL
-        .read()
-        .map(|guard| guard.clone().unwrap_or_default())
-        .unwrap_or_default()
-}
-
-/// Installs `recorder` as the process-global recorder, returning the
-/// previous one. Pass [`Recorder::disabled`] to switch global recording
-/// back off.
-pub fn install_global(recorder: Recorder) -> Recorder {
-    match GLOBAL.write() {
-        Ok(mut guard) => guard.replace(recorder).unwrap_or_default(),
-        Err(_) => Recorder::disabled(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_defaults_to_disabled_and_round_trips() {
-        // Note: other tests in this binary do not touch the global, so the
-        // install/uninstall below cannot race with them.
-        assert!(!global().is_enabled());
-        let prev = install_global(Recorder::full());
-        assert!(!prev.is_enabled());
-        assert!(global().is_enabled());
-        global().count("g", 2);
-        let installed = install_global(prev);
-        assert_eq!(installed.metrics().counter("g"), 2);
-        assert!(!global().is_enabled());
-    }
-}

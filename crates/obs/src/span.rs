@@ -12,7 +12,7 @@ use serde_json::Value;
 /// One completed profiling span.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanRecord {
-    /// Span name (e.g. `"experiment.availability_sweep"`).
+    /// Span name (e.g. `"sim.run_until"`).
     pub name: String,
     /// Recorder shard (thread) id that ran the span.
     pub tid: u32,

@@ -10,6 +10,9 @@
 //!
 //! `parallelism = None` means "use all available cores"; `Some(1)` forces
 //! the serial path; `Some(k)` caps the pool at `k` threads.
+//!
+//! The helpers record nothing. A unit that is traced records into the
+//! recorder of the simulation it runs, which labels its own threads.
 
 #![forbid(unsafe_code)]
 
@@ -78,36 +81,22 @@ where
     F: Fn(usize) -> U + Sync,
 {
     let threads = effective_parallelism(parallelism).min(n.max(1));
-    // Observability only: spans attribute each unit to the worker thread
-    // that ran it. The recorder is a no-op unless one is installed, and it
-    // never draws randomness, so results stay byte-identical either way.
-    let obs = veil_obs::global();
     if threads <= 1 || n <= 1 {
-        return (0..n)
-            .map(|i| {
-                let _span = obs.span_with("par.unit", || format!("unit={i}"));
-                f(i)
-            })
-            .collect();
+        return (0..n).map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for k in 0..threads {
-            let (obs, next, slots, f) = (&obs, &next, &slots, &f);
-            scope.spawn(move || {
-                obs.label_thread(|| format!("worker-{k}"));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let _span = obs.span_with("par.unit", || format!("unit={i}"));
-                    let value = f(i);
-                    drop(_span);
-                    *slots[i].lock().expect("result slot poisoned") = Some(value);
+        for _ in 0..threads {
+            let (next, slots, f) = (&next, &slots, &f);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let value = f(i);
+                *slots[i].lock().expect("result slot poisoned") = Some(value);
             });
         }
     });
@@ -144,10 +133,8 @@ where
 {
     let n = items.len();
     let threads = effective_parallelism(parallelism).min(n.max(1));
-    let obs = veil_obs::global();
     if threads <= 1 || n <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
-            let _span = obs.span_with("par.unit", || format!("unit={i}"));
             f(i, item);
         }
         return;
@@ -161,12 +148,10 @@ where
             let take = chunk.min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
             rest = tail;
-            let (obs, f) = (&obs, &f);
+            let f = &f;
             scope.spawn(move || {
                 for (j, item) in head.iter_mut().enumerate() {
-                    let i = base + j;
-                    let _span = obs.span_with("par.unit", || format!("unit={i}"));
-                    f(i, item);
+                    f(base + j, item);
                 }
             });
             base += take;

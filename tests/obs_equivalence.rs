@@ -4,21 +4,19 @@
 //! recorder — at every parallelism level — because the recorder never
 //! draws from any RNG stream and never reorders events.
 //!
+//! Attaching a recorder is `Simulation::set_recorder` and nothing else:
+//! a recorder attached mid-run sees the rest of the same run, and one
+//! attached before the run starts also gets the t = 0 start-up mints.
+//!
 //! Also exercises the export surface end to end: the JSONL trace
 //! validates against the event schema, the Chrome trace parses, and the
 //! flight-recorder ring honors its capacity.
 
-use std::sync::Mutex;
-use veil_core::experiment::{
-    availability_sweep, build_simulation, build_trust_graph, ExperimentParams,
-};
+use veil_core::config::{LinkLayerConfig, RemedyConfig};
+use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::metrics::snapshot;
-use veil_obs::Recorder;
-
-/// Serializes the tests that install a *global* recorder: the global is
-/// process-wide state, and the test harness runs tests on concurrent
-/// threads.
-static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
+use veil_obs::{EventKind, Recorder};
+use veil_sim::fault::FaultConfig;
 
 fn params(seed: u64, parallelism: Option<usize>) -> ExperimentParams {
     let mut p = ExperimentParams {
@@ -34,20 +32,6 @@ fn params(seed: u64, parallelism: Option<usize>) -> ExperimentParams {
     p
 }
 
-/// Builds a simulation while no concurrently running test has a global
-/// recorder installed: construction adopts whatever `veil_obs::global()`
-/// returns at that instant, and would otherwise write its t = 0 events
-/// into the other test's trace.
-fn build_isolated(
-    trust: veil_graph::Graph,
-    p: &ExperimentParams,
-) -> veil_core::simulation::Simulation {
-    let _guard = GLOBAL_RECORDER_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    build_simulation(trust, p, 0.5).expect("simulation")
-}
-
 /// Runs one simulation under `recorder` and returns the serialized final
 /// snapshot — the byte-identity witness.
 fn witness(seed: u64, recorder: Recorder) -> String {
@@ -59,7 +43,7 @@ fn witness_health(seed: u64, recorder: Recorder, health: bool) -> String {
     let mut p = params(seed, Some(1));
     p.overlay.health.enabled = health;
     let trust = build_trust_graph(&p).expect("trust graph");
-    let mut sim = build_isolated(trust, &p);
+    let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
     sim.set_recorder(recorder);
     sim.run_until(40.0);
     serde_json::to_string(&snapshot(&sim)).expect("snapshot serializes")
@@ -106,7 +90,7 @@ fn recorder_free_monitor_counts_alerts_without_perturbing_the_run() {
         let mut p = params(11, Some(1));
         p.overlay.health.enabled = health;
         let trust = build_trust_graph(&p).expect("trust graph");
-        let mut sim = build_isolated(trust, &p);
+        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
         sim.run_until(40.0);
         let alerts = sim.health_alerts();
         (
@@ -142,37 +126,6 @@ fn health_monitored_trace_validates_and_counts_alerts() {
         alerts,
         "alert counter and event stream must agree"
     );
-}
-
-#[test]
-fn global_tracing_never_changes_sweep_output() {
-    let _guard = GLOBAL_RECORDER_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let alphas = [0.25, 0.5, 1.0];
-    for parallelism in [Some(1), Some(4)] {
-        let p = params(7, parallelism);
-        let trust = build_trust_graph(&p).expect("trust graph");
-        let baseline = {
-            let prev = veil_obs::install_global(Recorder::disabled());
-            let out = availability_sweep(&trust, &p, &alphas, false).expect("sweep");
-            veil_obs::install_global(prev);
-            serde_json::to_string(&out).expect("sweep serializes")
-        };
-        let recorder = Recorder::full();
-        let prev = veil_obs::install_global(recorder.clone());
-        let out = availability_sweep(&trust, &p, &alphas, false).expect("sweep");
-        veil_obs::install_global(prev);
-        let traced = serde_json::to_string(&out).expect("sweep serializes");
-        assert_eq!(
-            baseline, traced,
-            "tracing perturbed the sweep at parallelism {parallelism:?}"
-        );
-        assert!(
-            !recorder.spans().is_empty(),
-            "the traced sweep should have recorded spans"
-        );
-    }
 }
 
 #[test]
@@ -221,12 +174,6 @@ fn sharded_traces_are_shard_count_invariant() {
     // the remediation engine's reactions when self-healing is on, since
     // its decisions are made against barrier-time state that every shard
     // layout reconstructs identically.
-    use veil_core::config::{LinkLayerConfig, RemedyConfig};
-    use veil_core::experiment::build_simulation;
-    use veil_sim::fault::FaultConfig;
-    let _guard = GLOBAL_RECORDER_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let canonical = |seed: u64, shards: usize, healing: bool| {
         let mut p = params(seed, Some(1));
         p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
@@ -237,10 +184,7 @@ fn sharded_traces_are_shard_count_invariant() {
         p.overlay.shards = Some(shards);
         let trust = build_trust_graph(&p).expect("trust graph");
         let recorder = Recorder::full();
-        let prev = veil_obs::install_global(recorder.clone());
-        let sim = build_simulation(trust, &p, 0.5);
-        veil_obs::install_global(prev);
-        let mut sim = sim.expect("simulation");
+        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
         assert!(sim.is_sharded(), "fault model must engage the executor");
         sim.set_recorder(recorder.clone());
         sim.run_until(40.0);
@@ -319,4 +263,110 @@ fn flight_recorder_honors_its_capacity() {
         all[all.len() - retained.len()..],
         "flight recorder must retain the suffix of the full trace"
     );
+}
+
+#[test]
+fn attaching_a_recorder_mid_run_changes_nothing_it_sees() {
+    // `set_recorder` swaps the sink and nothing else. A recorder attached
+    // at t = 17.5 must see the rest of the very run a recorder attached at
+    // t = 0 sees: the same alert count, the same alerts from 17.5 on, the
+    // same reactions and the same final overlay — on a lossy, monitored,
+    // self-healing run where the monitor's window state matters.
+    const ATTACH: f64 = 17.5;
+    let run = |seed: u64, attach: f64| {
+        let mut p = params(seed, Some(1));
+        p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
+        p.overlay.health.enabled = true;
+        p.overlay.remedy = RemedyConfig::all_on();
+        let trust = build_trust_graph(&p).expect("trust graph");
+        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+        let recorder = Recorder::full();
+        sim.run_until(attach);
+        sim.set_recorder(recorder.clone());
+        sim.run_until(40.0);
+        let late_alerts: Vec<(f64, EventKind)> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.t >= ATTACH && matches!(e.kind, EventKind::HealthAlert { .. }))
+            .map(|e| (e.t, e.kind))
+            .collect();
+        let first_event = recorder.events().first().map(|e| e.t);
+        (
+            (
+                sim.health_alerts().expect("monitor is on"),
+                late_alerts,
+                sim.remedy_counts().expect("self-healing is on"),
+                serde_json::to_string(&snapshot(&sim)).expect("snapshot serializes"),
+            ),
+            first_event,
+        )
+    };
+    for seed in 1..=10 {
+        let (from_start, _) = run(seed, 0.0);
+        let (from_mid_run, first_event) = run(seed, ATTACH);
+        assert!(
+            first_event.is_some_and(|t| t >= ATTACH),
+            "a late recorder sees nothing from before it was attached (seed {seed})"
+        );
+        assert_eq!(
+            from_mid_run, from_start,
+            "attaching at t = {ATTACH} changed the run (seed {seed})"
+        );
+    }
+}
+
+#[test]
+fn a_recorder_attached_before_the_run_gets_one_startup_mint_per_online_node() {
+    // The t = 0 start-up mints are recorded once, into the recorder
+    // attached when the run first advances: one `PseudonymMinted` per node
+    // online at construction, in node order, carrying the configured
+    // lifetime, as the first events on the recording thread — exactly what
+    // construction used to record into a recorder installed around it.
+    // A blackout injected before the run starts comes after the mints and
+    // does not hide its victims' mints.
+    for (seed, shards, blackout_first) in [(3, None, false), (11, None, true), (19, Some(2), false)]
+    {
+        let mut p = params(seed, Some(1));
+        p.overlay.shards = shards;
+        if shards.is_some() {
+            p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
+        }
+        let trust = build_trust_graph(&p).expect("trust graph");
+        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+        let online: Vec<u32> = (0..sim.node_count())
+            .filter(|&v| sim.is_online(v))
+            .map(|v| v as u32)
+            .collect();
+        assert!(
+            !online.is_empty(),
+            "someone is online at t = 0 (seed {seed})"
+        );
+        let recorder = Recorder::full();
+        sim.set_recorder(recorder.clone());
+        if blackout_first {
+            sim.inject_blackout(&[0, 1, 2, 3], 5.0);
+        }
+        sim.run_until(40.0);
+        let lifetime = sim.config().pseudonym_lifetime;
+        let events = recorder.events();
+        let tid = events[0].tid;
+        let mints: Vec<(u32, u64, Option<u32>, EventKind)> = events
+            .into_iter()
+            .filter(|e| e.t == 0.0 && matches!(e.kind, EventKind::PseudonymMinted { .. }))
+            .map(|e| (e.tid, e.seq, e.node, e.kind))
+            .collect();
+        let expected: Vec<(u32, u64, Option<u32>, EventKind)> = online
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                (
+                    tid,
+                    i as u64,
+                    Some(v),
+                    EventKind::PseudonymMinted { lifetime },
+                )
+            })
+            .collect();
+        assert_eq!(mints, expected, "seed {seed}, shards {shards:?}");
+    }
 }

@@ -8,8 +8,8 @@
 //! `parallelism ∈ {Some(1), Some(4), None}`.
 
 use veil_core::experiment::{
-    availability_sweep, build_trust_graph, connectivity_over_time, degree_distributions_multi,
-    lifetime_sweep, message_load_multi, replacement_rate_over_time, steady_state_broadcast_multi,
+    availability_sweep, build_trust_graph, connectivity_over_time, degree_distributions,
+    lifetime_sweep, message_load, replacement_rate_over_time, steady_state_broadcast,
     ExperimentParams,
 };
 use veil_graph::Graph;
@@ -124,8 +124,10 @@ fn replacement_rate_is_parallelism_invariant() {
 #[test]
 fn degree_distributions_are_parallelism_invariant() {
     for_each_config(|params, trust| {
-        assert_equivalent("degree_distributions_multi", params, |p| {
-            degree_distributions_multi(trust, p, &ALPHAS).expect("distributions")
+        assert_equivalent("degree_distributions", params, |p| {
+            veil_par::map(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                degree_distributions(trust, p, alpha).expect("distributions")
+            })
         });
     });
 }
@@ -133,8 +135,10 @@ fn degree_distributions_are_parallelism_invariant() {
 #[test]
 fn message_load_is_parallelism_invariant() {
     for_each_config(|params, trust| {
-        assert_equivalent("message_load_multi", params, |p| {
-            message_load_multi(trust, p, &ALPHAS, 20.0, 5.0).expect("rows")
+        assert_equivalent("message_load", params, |p| {
+            veil_par::map(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                message_load(trust, p, alpha, 20.0, 5.0).expect("rows")
+            })
         });
     });
 }
@@ -142,8 +146,10 @@ fn message_load_is_parallelism_invariant() {
 #[test]
 fn steady_state_broadcast_is_parallelism_invariant() {
     for_each_config(|params, trust| {
-        assert_equivalent("steady_state_broadcast_multi", params, |p| {
-            steady_state_broadcast_multi(trust, p, &ALPHAS).expect("reports")
+        assert_equivalent("steady_state_broadcast", params, |p| {
+            veil_par::map(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                steady_state_broadcast(trust, p, alpha).expect("report")
+            })
         });
     });
 }

@@ -229,10 +229,7 @@ fn blackout_recovery_run_is_byte_identical_to_hand_built_run() {
         params.overlay.shards = shards;
         let trust = build_trust_graph(&params).unwrap();
         let recorder = Recorder::full();
-        let mut sim = veil_core::scenario::with_global_recorder(&recorder, || {
-            build_simulation(trust, &params, 0.9)
-        })
-        .unwrap();
+        let mut sim = build_simulation(trust, &params, 0.9).unwrap();
         sim.set_recorder(recorder.clone());
         sim.run_until(80.0);
         let hand_snapshot = veil_core::metrics::snapshot(&sim);

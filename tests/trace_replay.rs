@@ -10,7 +10,6 @@
 use veil_core::config::LinkLayerConfig;
 use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::metrics::snapshot;
-use veil_core::scenario::with_global_recorder;
 use veil_obs::{analyze_trace, Recorder};
 use veil_sim::fault::FaultConfig;
 
@@ -37,10 +36,9 @@ fn replayed_trace_reconstructs_live_final_stats() {
             let p = params(seed, parallelism);
             let trust = build_trust_graph(&p).expect("trust graph");
             let recorder = Recorder::full();
-            // Install globally (gated against sibling tests) before
-            // construction so the initial pseudonym mints land in the trace.
-            let mut sim = with_global_recorder(&recorder, || build_simulation(trust, &p, 0.5))
-                .expect("simulation");
+            // Attached before the run starts, so the initial pseudonym
+            // mints land in the trace.
+            let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
             sim.set_recorder(recorder.clone());
             sim.run_until(40.0);
             let live = snapshot(&sim);
@@ -99,8 +97,8 @@ fn sharded_trace_replays_to_live_stats_at_every_shard_count() {
         p.overlay.shards = Some(shards);
         let trust = build_trust_graph(&p).expect("trust graph");
         let recorder = Recorder::full();
-        let mut sim = with_global_recorder(&recorder, || build_simulation(trust, &p, 0.5))
-            .expect("simulation");
+        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+        sim.set_recorder(recorder.clone());
         assert!(sim.is_sharded(), "fault model must engage the executor");
         sim.run_until(40.0);
         let live = snapshot(&sim);
@@ -147,8 +145,7 @@ fn serial_and_parallel_traces_reconstruct_identically() {
             let p = params(7, parallelism);
             let trust = build_trust_graph(&p).expect("trust graph");
             let recorder = Recorder::full();
-            let mut sim = with_global_recorder(&recorder, || build_simulation(trust, &p, 0.5))
-                .expect("simulation");
+            let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
             sim.set_recorder(recorder.clone());
             sim.run_until(40.0);
             let report = analyze_trace(&recorder.events_jsonl()).expect("trace analyzes");
