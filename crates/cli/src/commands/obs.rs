@@ -302,11 +302,11 @@ pub fn schema(args: &Args) -> CmdResult {
     writeln!(out, "trace event schema (JSONL, one event per line)")?;
     writeln!(
         out,
-        "common fields: t (f64 simulated time), tid (u32 recording thread),"
+        "common fields: t (f64 simulated time), tid (u32 merge input, else 0),"
     )?;
     writeln!(
         out,
-        "seq (u64 per-thread sequence), node (u32 or null), kind (tagged payload)"
+        "seq (u64 recording order), node (u32 or null), kind (tagged payload)"
     )?;
     writeln!(out)?;
     out.push_str(&veil_obs::schema_text());

@@ -67,8 +67,8 @@ COMMANDS:
                                          text format, anything else JSON
                      [--chrome-trace FILE] write profiling spans as Chrome
                                          trace_event JSON (chrome://tracing)
-                     [--flight-recorder N] keep only the last N events per
-                                         recording thread (flight recorder)
+                     [--flight-recorder N] keep only the last N events
+                                         (flight recorder)
                      [--self-heal]       enable the remediation engine with
                                          every reaction (implies --health);
                                          off is byte-identical to a build

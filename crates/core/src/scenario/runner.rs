@@ -155,7 +155,7 @@ fn canonical_order_by_variant(a: &TraceEvent, b: &TraceEvent) -> Ordering {
 }
 
 /// The recorder's events in canonical order — sorted by `(t bits, node,
-/// kind as JSON text)` — with the capture metadata (`tid`, per-thread
+/// kind as JSON text)` — with the capture metadata (`tid`, recording-order
 /// `seq`) rewritten to `(0, position)`.
 ///
 /// The kind's JSON is only built where it is needed to decide: for events
@@ -191,14 +191,13 @@ fn events_jsonl(events: &[TraceEvent]) -> String {
 
 /// Serializes the recorder's events as canonical JSONL: a trace header
 /// followed by events sorted by `(t, node, kind)` with the capture
-/// metadata (`tid`, per-thread `seq`) rewritten to `(0, position)`.
+/// metadata (`tid`, recording-order `seq`) rewritten to `(0, position)`.
 ///
-/// Raw [`Recorder::events_jsonl`] output orders events by `(t, tid,
-/// seq)`, and `tid` depends on the thread layout — the sharded executor
-/// assigns it per worker — so raw bytes differ across shard counts and
-/// even across runs at the same shard count. The canonical form is
-/// byte-identical for every shard count (the event *content* is the
-/// executor's invariant; see `sharded_traces_are_shard_count_invariant`
+/// Raw [`Recorder::events_jsonl`] output orders events by `(t, seq)`, and
+/// the barrier records equal-time events in shard order — so raw bytes
+/// repeat run after run but differ across shard counts. The canonical
+/// form is byte-identical for every shard count (the event *content* is
+/// the executor's invariant; see `sharded_traces_are_shard_count_invariant`
 /// in the obs equivalence suite).
 ///
 /// After the rewrite, canonical order *is* `(t, tid, seq)` order — the
@@ -734,8 +733,8 @@ mod tests {
                     (t, node, random_kind(&mut gen))
                 })
                 .collect();
-            // Two recording threads: the canonical form must not care
-            // which `tid` captured what.
+            // Recorded from two threads: the canonical form must not care
+            // in which order the events arrived.
             let recorder = Recorder::full();
             let (here, there) = events.split_at(events.len() / 2);
             let record = |part: &[(f64, Option<u32>, EventKind)]| {

@@ -14,9 +14,10 @@
 //!    and inject each message into its destination's owner shard,
 //! 2. apply deferred cross-shard stat credits,
 //! 3. merge the per-shard message logs in canonical record order,
-//! 4. replay buffered health observations (sorted by time, rotations
-//!    interleaved where due) into the coordinator-owned monitor,
-//! 5. hand the alerts that fired to the remediation engine.
+//! 4. feed the window's buffered events (sorted by time) to the
+//!    coordinator-owned health monitor and recorder,
+//! 5. rotate the monitor if a health window closed, and hand the alerts
+//!    that fired to the remediation engine.
 //!
 //! Every barrier step is a pure function of set-of-shard-outputs, so the
 //! post-barrier state — and therefore the whole run — is invariant in the
@@ -41,9 +42,10 @@
 //! outboxes, which [`ShardedRuntime::pending_events`] and
 //! [`ShardedRuntime::approx_heap_bytes`] count.
 
+use veil_obs::TraceEvent;
 use veil_sim::SimTime;
 
-use super::mailbox::{sort_canonical, sort_records, HealthObs, OutMsg, WINDOW};
+use super::mailbox::{sort_canonical, sort_records, OutMsg, WINDOW};
 use super::shard::{Shard, WindowCtx};
 use super::state::{owner_of, shard_starts, HealthView, NodeCell};
 use super::MessageRecord;
@@ -64,8 +66,8 @@ pub(crate) struct ShardedRuntime {
     batch: Vec<OutMsg>,
     /// Reused barrier scratch for the message-log merge.
     records: Vec<MessageRecord>,
-    /// Reused barrier scratch for buffered health observations.
-    obs: Vec<HealthObs>,
+    /// Reused barrier scratch for the window's buffered events.
+    events: Vec<TraceEvent>,
     /// Reused barrier scratch for a health rotation's topology view.
     view: HealthView,
 }
@@ -85,7 +87,7 @@ impl ShardedRuntime {
             window_index: 0,
             batch: Vec::new(),
             records: Vec::new(),
-            obs: Vec::new(),
+            events: Vec::new(),
             view: HealthView::default(),
         }
     }
@@ -131,7 +133,7 @@ impl ShardedRuntime {
             + self.owner.capacity() * size_of::<u32>()
             + self.batch.capacity() * size_of::<OutMsg>()
             + self.records.capacity() * size_of::<MessageRecord>()
-            + self.obs.capacity() * size_of::<HealthObs>()
+            + self.events.capacity() * size_of::<TraceEvent>()
             + self.view.capacity_bytes()
     }
 }
@@ -165,7 +167,7 @@ impl Simulation {
     /// "Partial windows" in the module docs).
     fn run_one_window(&mut self, cap: SimTime, closes: bool) {
         let log_on = self.message_log.is_some();
-        let buffer_health = self.health.is_some();
+        let buffer_events = self.health.is_some() || self.recorder.is_enabled();
         let Simulation {
             cfg,
             trust,
@@ -185,7 +187,7 @@ impl Simulation {
             owner,
             batch,
             records,
-            obs,
+            events,
             view,
             ..
         } = rt;
@@ -193,11 +195,10 @@ impl Simulation {
             cfg,
             fault: fault.as_ref(),
             master_seed: *master_seed,
-            recorder,
             node_count: cells.len(),
             cap,
             log_on,
-            buffer_health,
+            buffer_events,
         };
 
         if let [shard] = shards.as_mut_slice() {
@@ -214,8 +215,7 @@ impl Simulation {
                 items.push(WorkItem { shard, cells: head });
             }
             let s = items.len();
-            veil_par::fork_join_indexed(&mut items, Some(s), |i, item| {
-                ctx.recorder.label_thread(|| format!("shard-{i}"));
+            veil_par::fork_join_indexed(&mut items, Some(s), |_, item| {
                 item.shard.run_window(item.cells, &ctx);
             });
         }
@@ -259,50 +259,34 @@ impl Simulation {
             }
         }
 
-        // Barrier step 4: replay buffered observations into the
-        // coordinator-owned health monitor. `observe` is commutative among
-        // equal-time events, so a stable sort by time alone fixes the
-        // monitor's state; rotations interleave where they fall due, with
-        // online/degree masks read from the barrier-time cells.
-        //
-        // Barrier step 5 (when self-healing is on): feed every alert the
-        // replay fired into the remediation engine and apply its reactions
-        // against the barrier-time cells. Alerts, masks and cells are all
-        // pure functions of set-of-shard-outputs, so the reactions — like
-        // everything else here — are invariant in the shard count.
-        if let Some(h) = health.as_mut() {
-            for shard in shards.iter_mut() {
-                obs.append(&mut shard.health_buf);
-            }
-            obs.sort_by(|a, b| a.t.partial_cmp(&b.t).expect("finite event times"));
-            // A rotation falls due once per health window, not once per
-            // executor window: the O(n) topology view is filled on the
-            // barrier's first rotation only (cells do not change during
-            // the replay, so later rotations of the same barrier share it).
-            let mut filled = false;
-            let mut alerts = Vec::new();
-            let mut rotate = |h: &mut crate::health::HealthMonitor, t: f64| {
-                if !h.due(t) {
-                    return;
-                }
-                if !filled {
-                    view.fill(cells, trust);
-                    filled = true;
-                }
-                alerts.extend(view.rotate(h, recorder, t));
-            };
-            for o in obs.drain(..) {
-                rotate(h, o.t);
-                h.observe(o.t, o.node, &o.kind);
-            }
-            rotate(h, cap.as_f64());
+        // Barrier step 4: the window's events, taken in shard order and
+        // sorted stably by time, go through the coordinator's funnel —
+        // health monitor, then recorder. `observe` is commutative among
+        // equal-time events, so time order alone fixes the monitor's
+        // state; the recorder sees a function of the run and the shard
+        // count (at S = 1, emission order).
+        for shard in shards.iter_mut() {
+            events.append(&mut shard.event_buf);
+        }
+        events.sort_by(|a, b| a.t.partial_cmp(&b.t).expect("finite event times"));
+        for e in events.drain(..) {
+            super::record(recorder, health, e.t, e.node, || e.kind);
+        }
+
+        // Barrier step 5: a health window is a multiple of the execution
+        // window, so it can only close on a barrier's cap. Rotate against
+        // the barrier-time cells and (when self-healing is on) feed every
+        // alert into the remediation engine, which applies its reactions
+        // to the same cells. Alerts, view and cells are all pure functions
+        // of set-of-shard-outputs, so the reactions — like everything else
+        // here — are invariant in the shard count.
+        let t = cap.as_f64();
+        if let Some(h) = health.as_mut().filter(|h| h.due(t)) {
+            view.fill(cells, trust);
+            let alerts = view.rotate(h, recorder, t);
             if let Some(rm) = remedy.as_mut().filter(|_| !alerts.is_empty()) {
                 let decisions = rm.decide(&alerts, &view.online);
                 rm.apply(&decisions, cells, shards, owner, trust, recorder);
-            }
-        } else {
-            for shard in shards.iter_mut() {
-                shard.health_buf.clear();
             }
         }
     }

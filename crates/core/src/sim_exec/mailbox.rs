@@ -18,7 +18,6 @@
 //!    (FIFO) order, so injecting the sorted batch fixes the intra-window
 //!    interleaving identically for every layout.
 
-use veil_obs::EventKind as Obs;
 use veil_sim::SimTime;
 
 use super::{Event, MessageRecord};
@@ -80,24 +79,6 @@ pub(crate) fn sort_records(records: &mut [MessageRecord]) {
             .then_with(|| a.kind.rank().cmp(&b.kind.rank()))
             .then_with(|| a.trusted_link.cmp(&b.trusted_link))
     });
-}
-
-/// A health-relevant observation buffered by a shard, replayed into the
-/// coordinator-owned [`crate::health::HealthMonitor`] at the barrier.
-///
-/// The monitor's `observe` is commutative among observations with equal
-/// timestamps (it only bumps counters and assigns `last_progress[v] = t`),
-/// so feeding the batch sorted by time alone — with window rotations
-/// interleaved where they fall due — reproduces identical monitor state
-/// for every shard count.
-#[derive(Debug)]
-pub(crate) struct HealthObs {
-    /// Event timestamp.
-    pub t: f64,
-    /// Emitting node, if any.
-    pub node: Option<u32>,
-    /// The event payload the monitor classifies.
-    pub kind: Obs,
 }
 
 #[cfg(test)]

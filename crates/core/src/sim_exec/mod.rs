@@ -8,8 +8,8 @@
 //!   blackouts) as effect-returning methods, plus the contiguous
 //!   node-range partitioning.
 //! - [`mailbox`] — the cross-shard mail primitives: the window grid, the
-//!   canonical `(deliver_at, src, seq)` merge order, and the buffered
-//!   health observations.
+//!   canonical `(deliver_at, src, seq)` merge order and the message-log
+//!   order.
 //! - [`shard`] — one shard of the executor: a per-shard
 //!   [`veil_sim::engine::Engine`] over a contiguous slice of node cells,
 //!   the one event dispatch, and the two link regimes' shuffle initiation
@@ -17,8 +17,8 @@
 //!   [`crate::protocol`].
 //! - [`executor`] — the windowed runtime: partitions nodes over S shards,
 //!   runs them in bounded time windows (on `veil-par` worker threads when
-//!   S > 1), and merges cross-shard traffic, health observations and
-//!   remediation at a deterministic barrier.
+//!   S > 1), and merges cross-shard traffic, trace events and remediation
+//!   at a deterministic barrier.
 //!
 //! There is one executor; the link regime only picks the initiation
 //! handler. A fault model — loss, any latency, episodes — puts messages in
@@ -138,13 +138,13 @@ pub struct MessageRecord {
     pub trusted_link: bool,
 }
 
-/// Emission funnel for coordinator-side events — the t = 0 start-up mints
-/// and manual blackouts, which happen between windows: builds the payload
-/// once, feeds the health monitor directly, then records (in-window events
-/// go through `Shard::emit` and reach the monitor at the barrier). The
-/// monitor observes even when recording is off — untraced runs must
-/// monitor (and heal) exactly like traced ones; with neither consumer
-/// present this stays a single branch.
+/// The one emission funnel: builds the payload once, feeds the health
+/// monitor, then records. The barrier sends every in-window event through
+/// it (shards buffer them with `Shard::emit`), and so do the coordinator's
+/// own events between windows — the t = 0 start-up mints and manual
+/// blackouts. The monitor observes even when recording is off — untraced
+/// runs must monitor (and heal) exactly like traced ones; with neither
+/// consumer present this stays a single branch.
 pub(crate) fn record(
     recorder: &Recorder,
     health: &mut Option<HealthMonitor>,

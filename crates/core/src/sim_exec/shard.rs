@@ -40,12 +40,12 @@ use crate::config::OverlayConfig;
 use crate::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
 use crate::pseudonym::{PseudonymArena, PseudonymService};
 use crate::transport::{MessageLink, Transport};
-use veil_obs::{EventKind as Obs, Recorder};
+use veil_obs::{EventKind as Obs, TraceEvent};
 use veil_sim::engine::Engine;
 use veil_sim::fault::FaultConfig;
 use veil_sim::SimTime;
 
-use super::mailbox::{next_boundary, HealthObs, OutMsg};
+use super::mailbox::{next_boundary, OutMsg};
 use super::state::NodeCell;
 use super::{two_mut, Delivery, Event, MessageKind, MessageRecord};
 
@@ -56,15 +56,15 @@ pub(crate) struct WindowCtx<'a> {
     /// link, which has nothing in flight.
     pub fault: Option<&'a FaultConfig>,
     pub master_seed: u64,
-    pub recorder: &'a Recorder,
     /// Nodes in the whole run, across every shard.
     pub node_count: usize,
     /// Events strictly before `cap` run in this window.
     pub cap: SimTime,
     /// Whether protocol messages are logged this run.
     pub log_on: bool,
-    /// Whether to buffer health observations for the coordinator.
-    pub buffer_health: bool,
+    /// Whether to buffer events for the barrier: a health monitor or a
+    /// recorder is attached.
+    pub buffer_events: bool,
 }
 
 /// A contiguous slice of the simulation: engine, pending exchanges and
@@ -88,8 +88,9 @@ pub(crate) struct Shard {
     /// Protocol messages logged this window (merged canonically at the
     /// barrier).
     pub log_buf: Vec<MessageRecord>,
-    /// Health observations buffered for the coordinator's monitor.
-    pub health_buf: Vec<HealthObs>,
+    /// Events emitted this window, handed to the coordinator's monitor
+    /// and recorder at the barrier.
+    pub event_buf: Vec<TraceEvent>,
     /// Nodes to credit one `dropped_requests` each at the barrier: a
     /// responder-side drop debits the (possibly foreign) initiator.
     pub credits: Vec<u32>,
@@ -105,7 +106,7 @@ impl Shard {
             arena: PseudonymArena::new(),
             outbox: Vec::new(),
             log_buf: Vec::new(),
-            health_buf: Vec::new(),
+            event_buf: Vec::new(),
             credits: Vec::new(),
         }
     }
@@ -120,7 +121,7 @@ impl Shard {
             + self.arena.approx_heap_bytes()
             + self.outbox.capacity() * size_of::<OutMsg>()
             + self.log_buf.capacity() * size_of::<MessageRecord>()
-            + self.health_buf.capacity() * size_of::<HealthObs>()
+            + self.event_buf.capacity() * size_of::<TraceEvent>()
             + self.credits.capacity() * size_of::<u32>()
     }
 
@@ -153,10 +154,11 @@ impl Shard {
         }
     }
 
-    /// Records an observability event and mirrors it into the health
-    /// buffer for the coordinator's deterministic barrier replay. The
-    /// buffer fills whenever a monitor exists, recorder or not — untraced
-    /// runs must monitor (and heal) exactly like traced ones.
+    /// Buffers an observability event for the barrier, which feeds it to
+    /// the health monitor and the recorder. The buffer fills whenever
+    /// either is attached — untraced runs must monitor (and heal) exactly
+    /// like traced ones. The capture metadata (`tid`, `seq`) is the
+    /// recorder's to assign.
     pub(super) fn emit(
         &mut self,
         ctx: &WindowCtx<'_>,
@@ -164,18 +166,15 @@ impl Shard {
         node: Option<u32>,
         kind: impl FnOnce() -> Obs,
     ) {
-        if !ctx.buffer_health && !ctx.recorder.is_enabled() {
-            return;
-        }
-        let kind = kind();
-        if ctx.buffer_health {
-            self.health_buf.push(HealthObs {
+        if ctx.buffer_events {
+            self.event_buf.push(TraceEvent {
                 t: now.as_f64(),
+                tid: 0,
+                seq: 0,
                 node,
-                kind: kind.clone(),
+                kind: kind(),
             });
         }
-        ctx.recorder.event(now.as_f64(), node, move || kind);
     }
 
     /// Logs one protocol message sent at `now`, as `kind` if the link layer

@@ -2,8 +2,9 @@
 //!
 //! Every event the simulator can emit is a variant of [`EventKind`]; an
 //! [`TraceEvent`] wraps a kind with its simulated timestamp, the emitting
-//! node (when there is one) and a `(tid, seq)` pair that identifies the
-//! recording thread shard and the per-shard emission order.
+//! node (when there is one) and a `(tid, seq)` pair: `seq` is the
+//! recorder's recording order, and `tid` is 0 from a recorder — only
+//! `obs merge` sets it, to number its inputs.
 //!
 //! The JSONL export writes one serialized [`TraceEvent`] per line. The
 //! [`validate_events_jsonl`] function checks such a file against the
@@ -301,15 +302,15 @@ impl EventKind {
     }
 }
 
-/// One recorded event: simulated time, emitting node, shard/order id and
-/// the typed payload.
+/// One recorded event: simulated time, emitting node, capture metadata
+/// and the typed payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Simulated time in shuffle periods.
     pub t: f64,
-    /// Recorder shard (thread) id that captured the event.
+    /// Input number in a merged trace; 0 as a recorder writes it.
     pub tid: u32,
-    /// Emission order within the shard (monotone per `tid`).
+    /// Recording order (monotone per `tid`).
     pub seq: u64,
     /// Node the event concerns; `None` for global events.
     pub node: Option<u32>,

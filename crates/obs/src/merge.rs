@@ -1,7 +1,7 @@
 //! Merging per-process JSONL traces into one canonical trace.
 //!
-//! A veil-net fleet produces one trace file per process. Each process
-//! records on its own thread, so `(tid, seq)` pairs collide across files;
+//! A veil-net fleet produces one trace file per process. Every recorder
+//! writes `tid` 0, so `(tid, seq)` pairs collide across files;
 //! the merger renumbers every input onto its own `tid` (the input's index)
 //! with a fresh per-input `seq`, then sorts globally by `(t, tid, seq)` —
 //! the same canonical order `obs diff` and the replay analyzer use. The

@@ -2,8 +2,7 @@
 //! Prometheus-style text export and JSON export.
 //!
 //! A [`MetricsRegistry`] is plain data — the [`Recorder`](crate::Recorder)
-//! keeps one per thread shard and merges them at export time, so recording
-//! a metric never contends on a shared lock.
+//! keeps one behind its lock and hands out a copy at export time.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -118,26 +117,6 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Merges another registry into this one: counters add, histograms
-    /// merge, gauges take the other registry's value on key collision
-    /// (shards are merged in thread-id order, so the highest-tid writer
-    /// wins deterministically for a fixed shard layout).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.count(k, *v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
-            }
-        }
-    }
-
     /// The JSON export shape (histograms summarized).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -202,22 +181,6 @@ mod tests {
         m.count("sim.shuffles", 2);
         assert_eq!(m.counter("sim.shuffles"), 3);
         assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_merges_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.count("c", 1);
-        a.observe("h", 2);
-        a.gauge("g", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.count("c", 4);
-        b.observe("h", 6);
-        b.gauge("g", 2.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.histogram("h").unwrap().total(), 2);
-        assert_eq!(a.gauge_value("g"), Some(2.0));
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The [`Recorder`]: a cheap handle that is either disabled (every
-//! operation is a single branch on `None`) or backed by per-thread shards.
+//! operation is a single branch on `None`) or backed by one buffer.
 //!
-//! # Lock-free-per-thread sharding
+//! # One buffer, one lock
 //!
-//! Each recording thread lazily registers its own shard in a thread-local
-//! registry keyed by the recorder's unique id. A shard *is* protected by a
-//! `Mutex`, but the mutex is uncontended by construction: only the owning
-//! thread ever records into it, and other threads touch it only at export
-//! time, after the workers have finished. This gives the practical
-//! behavior of thread-local buffers without `unsafe` (the workspace
-//! forbids it) and without a hard dependency on thread lifetimes.
+//! An enabled recorder is one state — event deque (a ring for a flight
+//! recorder), metrics registry, per-kind counts, spans — behind one
+//! `Mutex`. Any thread may record; the simulator records from one thread
+//! per run (its shards hand their events to the barrier), so the lock is
+//! uncontended there and the event order is a function of the run and
+//! its shard count.
 //!
 //! # RNG isolation
 //!
@@ -20,19 +19,17 @@
 use crate::event::{EventKind, TraceEvent, COUNTER_NAMES, KIND_COUNT};
 use crate::metrics::MetricsRegistry;
 use crate::span::{chrome_trace_json, SpanRecord};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Observability configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Maximum trace events retained *per recording thread*; older events
-    /// are evicted ring-buffer style. `None` (the default) keeps
-    /// everything (full JSONL sink mode).
+    /// Maximum trace events retained; older events are evicted
+    /// ring-buffer style. `None` (the default) keeps everything (full
+    /// JSONL sink mode).
     pub ring_capacity: Option<usize>,
 }
 
@@ -42,8 +39,7 @@ impl ObsConfig {
         Self::default()
     }
 
-    /// Keep only the last `capacity` events per recording thread
-    /// (flight-recorder mode).
+    /// Keep only the last `capacity` events (flight-recorder mode).
     pub fn flight_recorder(capacity: usize) -> Self {
         Self {
             ring_capacity: Some(capacity),
@@ -51,14 +47,13 @@ impl ObsConfig {
     }
 }
 
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
-
 #[derive(Default)]
-struct ShardState {
-    label: Option<String>,
+struct State {
     events: VecDeque<TraceEvent>,
+    /// Events recorded so far, evicted ones included; the next event's
+    /// `seq`.
     seen: u64,
-    next_seq: u64,
+    dropped: u64,
     spans: Vec<SpanRecord>,
     metrics: MetricsRegistry,
     /// Counters auto-derived from recorded events, accumulated per
@@ -67,75 +62,15 @@ struct ShardState {
     kind_counts: [u64; KIND_COUNT],
 }
 
-struct Shard {
-    tid: u32,
-    state: Mutex<ShardState>,
-}
-
 struct Inner {
-    id: u64,
     epoch: Instant,
     ring_capacity: Option<usize>,
-    next_tid: AtomicU32,
-    shards: Mutex<Vec<Arc<Shard>>>,
-    dropped: AtomicU64,
-}
-
-thread_local! {
-    /// Per-thread shard cache: recorder id → shard. Holds a strong handle
-    /// so the recording hot path pays no atomics (no `Weak::upgrade`, no
-    /// `Arc` clone); the matching registry entry in [`Inner::shards`] is
-    /// the export-side handle, so once the recorder itself is dropped the
-    /// cached entry is the last owner (`strong_count == 1`), which is how
-    /// stale entries are recognized and pruned.
-    static SHARDS: RefCell<Vec<(u64, Arc<Shard>)>> = const { RefCell::new(Vec::new()) };
+    state: Mutex<State>,
 }
 
 impl Inner {
-    /// Runs `f` with the calling thread's shard for this recorder,
-    /// creating and registering the shard on first use.
-    fn with_shard<R>(&self, f: impl FnOnce(&Arc<Shard>) -> R) -> R {
-        SHARDS.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            if let Some((_, shard)) = cache.iter().find(|(id, _)| *id == self.id) {
-                return f(shard);
-            }
-            let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
-            // Preallocate the event buffer: growth-by-doubling reallocs on
-            // the recording hot path are a measurable fraction of the
-            // tracing overhead budget.
-            let capacity = match self.ring_capacity {
-                Some(cap) => cap.min(65_536) + 1,
-                None => 4_096,
-            };
-            let shard = Arc::new(Shard {
-                tid,
-                state: Mutex::new(ShardState {
-                    events: VecDeque::with_capacity(capacity),
-                    ..ShardState::default()
-                }),
-            });
-            self.shards
-                .lock()
-                .expect("shard registry")
-                .push(Arc::clone(&shard));
-            // Drop stale entries (dead recorders) while we are here.
-            cache.retain(|(id, shard)| *id != self.id && Arc::strong_count(shard) > 1);
-            cache.push((self.id, shard));
-            f(&cache.last().expect("just pushed").1)
-        })
-    }
-
-    /// The calling thread's shard as an owned handle (for spans, which
-    /// outlive the borrow).
-    fn shard(&self) -> Arc<Shard> {
-        self.with_shard(Arc::clone)
-    }
-
-    fn shards_by_tid(&self) -> Vec<Arc<Shard>> {
-        let mut shards = self.shards.lock().expect("shard registry").clone();
-        shards.sort_by_key(|s| s.tid);
-        shards
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("recorder state")
     }
 }
 
@@ -155,11 +90,7 @@ impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.inner {
             None => write!(f, "Recorder(disabled)"),
-            Some(inner) => write!(
-                f,
-                "Recorder(id={}, ring={:?})",
-                inner.id, inner.ring_capacity
-            ),
+            Some(inner) => write!(f, "Recorder(ring={:?})", inner.ring_capacity),
         }
     }
 }
@@ -172,14 +103,21 @@ impl Recorder {
 
     /// An enabled recorder with the given configuration.
     pub fn new(config: ObsConfig) -> Self {
+        // Preallocate the event buffer: growth-by-doubling reallocs on the
+        // recording hot path are a measurable fraction of the tracing
+        // overhead budget.
+        let capacity = match config.ring_capacity {
+            Some(cap) => cap.min(65_536) + 1,
+            None => 4_096,
+        };
         Self {
             inner: Some(Arc::new(Inner {
-                id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
                 ring_capacity: config.ring_capacity,
-                next_tid: AtomicU32::new(0),
-                shards: Mutex::new(Vec::new()),
-                dropped: AtomicU64::new(0),
+                state: Mutex::new(State {
+                    events: VecDeque::with_capacity(capacity),
+                    ..State::default()
+                }),
             })),
         }
     }
@@ -189,7 +127,7 @@ impl Recorder {
         Self::new(ObsConfig::full())
     }
 
-    /// An enabled recorder keeping the last `capacity` events per thread.
+    /// An enabled recorder keeping the last `capacity` events.
     pub fn flight_recorder(capacity: usize) -> Self {
         Self::new(ObsConfig::flight_recorder(capacity))
     }
@@ -204,28 +142,25 @@ impl Recorder {
     pub fn event(&self, t: f64, node: Option<u32>, kind: impl FnOnce() -> EventKind) {
         let Some(inner) = &self.inner else { return };
         let kind = kind();
-        inner.with_shard(|shard| {
-            let mut st = shard.state.lock().expect("shard state");
-            if let Some((_, delta)) = kind.counter() {
-                st.kind_counts[kind.index()] += delta;
-            }
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.seen += 1;
-            st.events.push_back(TraceEvent {
-                t,
-                tid: shard.tid,
-                seq,
-                node,
-                kind,
-            });
-            if let Some(cap) = inner.ring_capacity {
-                while st.events.len() > cap {
-                    st.events.pop_front();
-                    inner.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let mut st = inner.state();
+        if let Some((_, delta)) = kind.counter() {
+            st.kind_counts[kind.index()] += delta;
+        }
+        let seq = st.seen;
+        st.seen += 1;
+        st.events.push_back(TraceEvent {
+            t,
+            tid: 0,
+            seq,
+            node,
+            kind,
         });
+        if let Some(cap) = inner.ring_capacity {
+            while st.events.len() > cap {
+                st.events.pop_front();
+                st.dropped += 1;
+            }
+        }
     }
 
     /// Adds `delta` to a named counter. Counters paired with trace events
@@ -233,38 +168,19 @@ impl Recorder {
     /// automatically (see [`EventKind::counter`]).
     pub fn count(&self, name: &str, delta: u64) {
         let Some(inner) = &self.inner else { return };
-        inner.with_shard(|shard| {
-            let mut st = shard.state.lock().expect("shard state");
-            st.metrics.count(name, delta);
-        });
+        inner.state().metrics.count(name, delta);
     }
 
     /// Sets a named gauge.
     pub fn gauge(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.with_shard(|shard| {
-            let mut st = shard.state.lock().expect("shard state");
-            st.metrics.gauge(name, value);
-        });
+        inner.state().metrics.gauge(name, value);
     }
 
     /// Records one observation into a named histogram.
     pub fn observe(&self, name: &str, value: usize) {
         let Some(inner) = &self.inner else { return };
-        inner.with_shard(|shard| {
-            let mut st = shard.state.lock().expect("shard state");
-            st.metrics.observe(name, value);
-        });
-    }
-
-    /// Names the calling thread's shard (shown as the Chrome-trace thread
-    /// name). The closure runs only when enabled.
-    pub fn label_thread(&self, label: impl FnOnce() -> String) {
-        let Some(inner) = &self.inner else { return };
-        inner.with_shard(|shard| {
-            let mut st = shard.state.lock().expect("shard state");
-            st.label = Some(label());
-        });
+        inner.state().metrics.observe(name, value);
     }
 
     /// Opens a profiling span; it closes (and records) when dropped.
@@ -285,8 +201,7 @@ impl Recorder {
             return Span(None);
         };
         Span(Some(ActiveSpan {
-            shard: inner.shard(),
-            epoch: inner.epoch,
+            inner: Arc::clone(inner),
             name,
             args,
             start: Instant::now(),
@@ -295,22 +210,17 @@ impl Recorder {
 
     // --- export -----------------------------------------------------------
 
-    /// All retained events, merged across shards and sorted by
-    /// `(t, tid, seq)`. Simulated times are never NaN, so the order is
-    /// total; with a single recording thread it is exactly emission order.
+    /// All retained events, sorted by `(t, seq)`. Simulated times are
+    /// never NaN, so the order is total; for a recorder fed in time order
+    /// it is exactly recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for shard in inner.shards_by_tid() {
-            let st = shard.state.lock().expect("shard state");
-            events.extend(st.events.iter().cloned());
-        }
+        let mut events: Vec<TraceEvent> = inner.state().events.iter().cloned().collect();
         events.sort_by(|a, b| {
             a.t.partial_cmp(&b.t)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.tid.cmp(&b.tid))
                 .then(a.seq.cmp(&b.seq))
         });
         events
@@ -328,97 +238,62 @@ impl Recorder {
         out
     }
 
-    /// All completed spans, sorted by `(start_us, tid)`.
+    /// All completed spans, sorted by `start_us`.
     pub fn spans(&self) -> Vec<SpanRecord> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        for shard in inner.shards_by_tid() {
-            let st = shard.state.lock().expect("shard state");
-            spans.extend(st.spans.iter().cloned());
-        }
-        spans.sort_by(|a, b| a.start_us.cmp(&b.start_us).then(a.tid.cmp(&b.tid)));
+        let mut spans = inner.state().spans.clone();
+        spans.sort_by_key(|s| s.start_us);
         spans
     }
 
-    /// Shard id → display label (defaulting to `shard-<tid>`).
-    pub fn thread_labels(&self) -> Vec<(u32, String)> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        inner
-            .shards_by_tid()
-            .iter()
-            .map(|shard| {
-                let st = shard.state.lock().expect("shard state");
-                let label = st
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| format!("shard-{}", shard.tid));
-                (shard.tid, label)
-            })
-            .collect()
-    }
-
     /// The spans as Chrome `trace_event` JSON (loads in `about:tracing`
-    /// and Perfetto).
+    /// and Perfetto), on one track.
     pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(&self.spans(), &self.thread_labels())
+        chrome_trace_json(&self.spans(), &[(0, "veil".to_string())])
     }
 
-    /// The metrics, merged across shards in thread-id order.
+    /// The metrics, with the event-derived counters folded in.
     pub fn metrics(&self) -> MetricsRegistry {
         let Some(inner) = &self.inner else {
             return MetricsRegistry::new();
         };
-        let mut merged = MetricsRegistry::new();
-        for shard in inner.shards_by_tid() {
-            let st = shard.state.lock().expect("shard state");
-            merged.merge(&st.metrics);
-            for (i, &total) in st.kind_counts.iter().enumerate() {
-                if total > 0 {
-                    if let Some(name) = COUNTER_NAMES[i] {
-                        merged.count(name, total);
-                    }
+        let st = inner.state();
+        let mut metrics = st.metrics.clone();
+        for (i, &total) in st.kind_counts.iter().enumerate() {
+            if total > 0 {
+                if let Some(name) = COUNTER_NAMES[i] {
+                    metrics.count(name, total);
                 }
             }
         }
-        merged
+        metrics
     }
 
-    /// The merged metrics as pretty JSON.
+    /// The metrics as pretty JSON.
     pub fn metrics_json(&self) -> String {
         serde_json::to_string_pretty(&self.metrics().snapshot()).expect("metrics serialize")
     }
 
-    /// The merged metrics in Prometheus text exposition format.
+    /// The metrics in Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
         self.metrics().prometheus_text()
     }
 
-    /// Total events emitted (including any evicted from rings).
+    /// Total events emitted (including any evicted from the ring).
     pub fn events_seen(&self) -> u64 {
-        let Some(inner) = &self.inner else { return 0 };
-        inner
-            .shards_by_tid()
-            .iter()
-            .map(|s| s.state.lock().expect("shard state").seen)
-            .sum()
+        self.inner.as_ref().map_or(0, |inner| inner.state().seen)
     }
 
-    /// Events evicted by flight-recorder rings (0 in full-sink mode).
+    /// Events evicted by a flight-recorder ring (0 in full-sink mode).
     pub fn events_dropped(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.dropped.load(Ordering::Relaxed),
-        }
+        self.inner.as_ref().map_or(0, |inner| inner.state().dropped)
     }
 }
 
 struct ActiveSpan {
-    shard: Arc<Shard>,
-    epoch: Instant,
+    inner: Arc<Inner>,
     name: &'static str,
     args: Option<String>,
     start: Instant,
@@ -434,22 +309,24 @@ impl Drop for Span {
         if let Some(active) = self.0.take() {
             let end = Instant::now();
             let ActiveSpan {
-                shard,
-                epoch,
+                inner,
                 name,
                 args,
                 start,
             } = active;
-            let start_us = start.duration_since(epoch).as_micros() as u64;
+            let start_us = start.duration_since(inner.epoch).as_micros() as u64;
             let dur_us = end.duration_since(start).as_micros() as u64;
-            let mut st = shard.state.lock().expect("shard state");
-            st.spans.push(SpanRecord {
+            let span = SpanRecord {
                 name: name.to_string(),
-                tid: shard.tid,
+                tid: 0,
                 start_us,
                 dur_us,
                 args,
-            });
+            };
+            // A drop must not panic: a poisoned lock loses the span.
+            if let Ok(mut st) = inner.state.lock() {
+                st.spans.push(span);
+            };
         }
     }
 }
@@ -504,7 +381,7 @@ mod tests {
         assert_eq!(events[2].t, 1.5);
         assert_eq!(r.events_seen(), 3);
         assert_eq!(r.events_dropped(), 0);
-        // Single-threaded recording: one shard, contiguous seqs.
+        // One buffer: contiguous seqs in recording order.
         assert!(events.iter().enumerate().all(|(i, e)| e.seq == i as u64));
     }
 
@@ -527,7 +404,6 @@ mod tests {
     #[test]
     fn spans_nest_and_export_to_chrome_trace() {
         let r = Recorder::full();
-        r.label_thread(|| "main".to_string());
         {
             let _outer = r.span("outer");
             let _inner = r.span_with("inner", || "detail".to_string());

@@ -14,7 +14,7 @@ use serde_json::Value;
 pub struct SpanRecord {
     /// Span name (e.g. `"sim.run_until"`).
     pub name: String,
-    /// Recorder shard (thread) id that ran the span.
+    /// Track id in the Chrome trace; 0 as a recorder writes it.
     pub tid: u32,
     /// Start, in microseconds since the recorder epoch.
     pub start_us: u64,
@@ -35,12 +35,12 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
 
 /// Serializes spans as Chrome `trace_event` JSON.
 ///
-/// `thread_labels` maps shard ids to display names (emitted as
-/// `thread_name` metadata records). All spans share `pid` 1; the shard id
-/// becomes the `tid`.
-pub fn chrome_trace_json(spans: &[SpanRecord], thread_labels: &[(u32, String)]) -> String {
-    let mut events: Vec<Value> = Vec::with_capacity(spans.len() + thread_labels.len());
-    for (tid, label) in thread_labels {
+/// `track_names` maps track ids to display names (emitted as
+/// `thread_name` metadata records). All spans share `pid` 1; a span's
+/// `tid` names its track.
+pub fn chrome_trace_json(spans: &[SpanRecord], track_names: &[(u32, String)]) -> String {
+    let mut events: Vec<Value> = Vec::with_capacity(spans.len() + track_names.len());
+    for (tid, label) in track_names {
         events.push(map(vec![
             ("name", Value::Str("thread_name".to_string())),
             ("ph", Value::Str("M".to_string())),

@@ -12,7 +12,7 @@
 //! the serial path; `Some(k)` caps the pool at `k` threads.
 //!
 //! The helpers record nothing. A unit that is traced records into the
-//! recorder of the simulation it runs, which labels its own threads.
+//! recorder of the simulation it runs.
 
 #![forbid(unsafe_code)]
 

@@ -167,9 +167,9 @@ fn traced_run_exports_load_cleanly() {
 #[test]
 fn sharded_traces_are_shard_count_invariant() {
     // The trace content (what happened, when, to whom) must be identical
-    // for every shard count; only the capture metadata (`tid`, the
-    // per-thread `seq`) depends on the thread layout, so events are
-    // compared in canonical order with those fields stripped. Health
+    // for every shard count; only the recording order (`seq`) of
+    // equal-time events depends on the shard layout, so events are
+    // compared in canonical order with the capture metadata stripped. Health
     // alerts feed off the same stream and must agree too — and so must
     // the remediation engine's reactions when self-healing is on, since
     // its decisions are made against barrier-time state that every shard
@@ -234,35 +234,85 @@ fn sharded_traces_are_shard_count_invariant() {
     }
 }
 
+/// A lossy, monitored run on `shards` shards, traced into `recorder`;
+/// `healing` switches every remediation reaction on.
+fn lossy_run(seed: u64, shards: usize, healing: bool, recorder: Recorder) {
+    let mut p = params(seed, Some(1));
+    p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
+    p.overlay.health.enabled = true;
+    if healing {
+        p.overlay.remedy = RemedyConfig::all_on();
+    }
+    p.overlay.shards = Some(shards);
+    let trust = build_trust_graph(&p).expect("trust graph");
+    let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+    sim.set_recorder(recorder);
+    sim.run_until(40.0);
+}
+
 #[test]
 fn flight_recorder_honors_its_capacity() {
+    // One ring per recorder, whatever runs the simulation: the sequential
+    // ideal-link run, and lossy monitored runs whose windows fork onto 2
+    // and 8 worker threads.
     let cap = 32;
-    let recorder = Recorder::flight_recorder(cap);
-    witness(5, recorder.clone());
-    let retained = recorder.events();
-    assert!(
-        retained.len() <= cap,
-        "ring retained {} events, capacity {cap}",
-        retained.len()
-    );
-    assert!(
-        recorder.events_seen() > cap as u64,
-        "workload overflows the ring"
-    );
-    assert_eq!(
-        recorder.events_dropped(),
-        recorder.events_seen() - retained.len() as u64,
-        "seen = retained + dropped"
-    );
-    // The ring keeps the *tail*: retained events are the most recent ones.
-    let full = Recorder::full();
-    witness(5, full.clone());
-    let all = full.events();
-    assert_eq!(
-        retained,
-        all[all.len() - retained.len()..],
-        "flight recorder must retain the suffix of the full trace"
-    );
+    type Run = Box<dyn Fn(Recorder)>;
+    let runs: Vec<(&str, Run)> = vec![
+        ("ideal", Box::new(|r| drop(witness(5, r)))),
+        ("lossy, shards 2", Box::new(|r| lossy_run(5, 2, false, r))),
+        ("lossy, shards 8", Box::new(|r| lossy_run(5, 8, false, r))),
+    ];
+    for (name, run) in runs {
+        let recorder = Recorder::flight_recorder(cap);
+        run(recorder.clone());
+        let retained = recorder.events();
+        assert!(
+            retained.len() <= cap,
+            "{name}: ring retained {} events, capacity {cap}",
+            retained.len()
+        );
+        assert!(
+            recorder.events_seen() > cap as u64,
+            "{name}: workload overflows the ring"
+        );
+        assert_eq!(
+            recorder.events_dropped(),
+            recorder.events_seen() - retained.len() as u64,
+            "{name}: seen = retained + dropped"
+        );
+        // The ring keeps the *tail*: retained events are the most recent
+        // ones of the full trace at the same shard count.
+        let full = Recorder::full();
+        run(full.clone());
+        let all = full.events();
+        assert_eq!(
+            retained,
+            all[all.len() - retained.len()..],
+            "{name}: flight recorder must retain the suffix of the full trace"
+        );
+    }
+}
+
+#[test]
+fn sharded_raw_traces_repeat_byte_for_byte() {
+    // The barrier records every window's events in one order fixed by
+    // the run and the shard count, so the raw trace — capture metadata
+    // included — repeats exactly, however the worker threads were
+    // scheduled.
+    for shards in [2, 8] {
+        let trace = || {
+            let recorder = Recorder::full();
+            lossy_run(7, shards, true, recorder.clone());
+            recorder.events_jsonl()
+        };
+        let first = trace();
+        for rep in 1..5 {
+            assert!(
+                trace() == first,
+                "raw trace differs on repetition {rep} (shards {shards})"
+            );
+        }
+    }
 }
 
 #[test]
@@ -320,7 +370,7 @@ fn a_recorder_attached_before_the_run_gets_one_startup_mint_per_online_node() {
     // The t = 0 start-up mints are recorded once, into the recorder
     // attached when the run first advances: one `PseudonymMinted` per node
     // online at construction, in node order, carrying the configured
-    // lifetime, as the first events on the recording thread — exactly what
+    // lifetime, as the first events recorded — exactly what
     // construction used to record into a recorder installed around it.
     // A blackout injected before the run starts comes after the mints and
     // does not hide its victims' mints.
