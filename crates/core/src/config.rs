@@ -161,7 +161,7 @@ pub struct OverlayConfig {
     /// advance in bounded time windows with a deterministic cross-shard
     /// message barrier (see DESIGN.md "Sharded execution"). Every value —
     /// `None`, `Some(1)`, `Some(8)` — produces byte-identical snapshots
-    /// and canonical traces, so this is a thread-layout knob, never a
+    /// and traces, so this is a thread-layout knob, never a
     /// model change. It partitions every configuration that puts messages
     /// in flight (a faulty link layer that injects something); the paper's
     /// ideal zero-latency link exchanges synchronously across two nodes,

@@ -12,10 +12,11 @@
 //!
 //! 1. merge all outboxes in the canonical `(deliver_at, src, seq)` order
 //!    and inject each message into its destination's owner shard,
-//! 2. apply deferred cross-shard stat credits,
+//! 2. apply deferred cross-shard stat credits in `(t, initiator,
+//!    exchange)` order, buffering the drop event each one traces,
 //! 3. merge the per-shard message logs in canonical record order,
-//! 4. feed the window's buffered events (sorted by time) to the
-//!    coordinator-owned health monitor and recorder,
+//! 4. feed the window's buffered events, sorted stably by `(t, node)`
+//!    (a total key), to the coordinator-owned health monitor and recorder,
 //! 5. rotate the monitor if a health window closed, and hand the alerts
 //!    that fired to the remediation engine.
 //!
@@ -42,7 +43,7 @@
 //! outboxes, which [`ShardedRuntime::pending_events`] and
 //! [`ShardedRuntime::approx_heap_bytes`] count.
 
-use veil_obs::TraceEvent;
+use veil_obs::{EventKind as Obs, TraceEvent};
 use veil_sim::SimTime;
 
 use super::mailbox::{sort_canonical, sort_records, OutMsg, WINDOW};
@@ -66,6 +67,8 @@ pub(crate) struct ShardedRuntime {
     batch: Vec<OutMsg>,
     /// Reused barrier scratch for the message-log merge.
     records: Vec<MessageRecord>,
+    /// Reused barrier scratch for the deferred stat credits.
+    credits: Vec<(SimTime, u32, u64)>,
     /// Reused barrier scratch for the window's buffered events.
     events: Vec<TraceEvent>,
     /// Reused barrier scratch for a health rotation's topology view.
@@ -87,6 +90,7 @@ impl ShardedRuntime {
             window_index: 0,
             batch: Vec::new(),
             records: Vec::new(),
+            credits: Vec::new(),
             events: Vec::new(),
             view: HealthView::default(),
         }
@@ -133,6 +137,7 @@ impl ShardedRuntime {
             + self.owner.capacity() * size_of::<u32>()
             + self.batch.capacity() * size_of::<OutMsg>()
             + self.records.capacity() * size_of::<MessageRecord>()
+            + self.credits.capacity() * size_of::<(SimTime, u32, u64)>()
             + self.events.capacity() * size_of::<TraceEvent>()
             + self.view.capacity_bytes()
     }
@@ -187,6 +192,7 @@ impl Simulation {
             owner,
             batch,
             records,
+            credits,
             events,
             view,
             ..
@@ -195,7 +201,6 @@ impl Simulation {
             cfg,
             fault: fault.as_ref(),
             master_seed: *master_seed,
-            node_count: cells.len(),
             cap,
             log_on,
             buffer_events,
@@ -237,12 +242,28 @@ impl Simulation {
             }
         }
 
-        // Barrier step 2: deferred foreign stat credits (responder-side
-        // drops debit the initiator, who may live on another shard).
-        // Increments commute, so shard iteration order does not matter.
+        // Barrier step 2: deferred foreign stat credits. A responder-side
+        // request drop debits the initiator, who may live on another
+        // shard, so the debit and the `MessageDropped` traced under the
+        // initiator happen here, in `(t, initiator, exchange)` order; at
+        // step 4 they precede the initiator's own events at their `t`.
         for shard in shards.iter_mut() {
-            for v in shard.credits.drain(..) {
-                cells[v as usize].node.stats.dropped_requests += 1;
+            credits.append(&mut shard.credits);
+        }
+        credits.sort_unstable();
+        for (t, v, exchange) in credits.drain(..) {
+            cells[v as usize].node.stats.dropped_requests += 1;
+            if buffer_events {
+                events.push(TraceEvent {
+                    t: t.as_f64(),
+                    tid: 0,
+                    seq: 0,
+                    node: Some(v),
+                    kind: Obs::MessageDropped {
+                        exchange,
+                        response: false,
+                    },
+                });
             }
         }
 
@@ -260,15 +281,15 @@ impl Simulation {
         }
 
         // Barrier step 4: the window's events, taken in shard order and
-        // sorted stably by time, go through the coordinator's funnel —
-        // health monitor, then recorder. `observe` is commutative among
-        // equal-time events, so time order alone fixes the monitor's
-        // state; the recorder sees a function of the run and the shard
-        // count (at S = 1, emission order).
+        // sorted stably by `(t, node)`, go through the coordinator's
+        // funnel — health monitor, then recorder. A node's events all come
+        // from its owner shard (or step 2) in an order node state fixes,
+        // and node-less ones only from shard 0, so the order is canonical:
+        // the same for every shard count.
         for shard in shards.iter_mut() {
             events.append(&mut shard.event_buf);
         }
-        events.sort_by(|a, b| a.t.partial_cmp(&b.t).expect("finite event times"));
+        events.sort_by(|a, b| a.t.total_cmp(&b.t).then(a.node.cmp(&b.node)));
         for e in events.drain(..) {
             super::record(recorder, health, e.t, e.node, || e.kind);
         }

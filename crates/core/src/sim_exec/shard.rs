@@ -34,7 +34,9 @@
 //! - **Exchange ids** are a pure function of the initiator's own history
 //!   ([`protocol::exchange_id`]).
 //! - **Foreign stat credit** (the initiator's `dropped_requests` bump when
-//!   a responder is found offline) is deferred to the barrier.
+//!   a responder is found offline) is deferred to the barrier, and so is
+//!   the `MessageDropped` traced under the initiator: every event a shard
+//!   buffers belongs to a node it owns.
 
 use crate::config::OverlayConfig;
 use crate::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
@@ -56,8 +58,6 @@ pub(crate) struct WindowCtx<'a> {
     /// link, which has nothing in flight.
     pub fault: Option<&'a FaultConfig>,
     pub master_seed: u64,
-    /// Nodes in the whole run, across every shard.
-    pub node_count: usize,
     /// Events strictly before `cap` run in this window.
     pub cap: SimTime,
     /// Whether protocol messages are logged this run.
@@ -91,9 +91,10 @@ pub(crate) struct Shard {
     /// Events emitted this window, handed to the coordinator's monitor
     /// and recorder at the barrier.
     pub event_buf: Vec<TraceEvent>,
-    /// Nodes to credit one `dropped_requests` each at the barrier: a
-    /// responder-side drop debits the (possibly foreign) initiator.
-    pub credits: Vec<u32>,
+    /// Responder-side request drops, `(t, initiator, exchange)`: the
+    /// barrier debits the (possibly foreign) initiator one
+    /// `dropped_requests` and traces the drop under it.
+    pub credits: Vec<(SimTime, u32, u64)>,
 }
 
 impl Shard {
@@ -122,7 +123,7 @@ impl Shard {
             + self.outbox.capacity() * size_of::<OutMsg>()
             + self.log_buf.capacity() * size_of::<MessageRecord>()
             + self.event_buf.capacity() * size_of::<TraceEvent>()
-            + self.credits.capacity() * size_of::<u32>()
+            + self.credits.capacity() * size_of::<(SimTime, u32, u64)>()
     }
 
     /// Drains this shard's events strictly before `ctx.cap`.
@@ -450,12 +451,8 @@ impl Shard {
         let cell = &mut cells[responder as usize - self.start];
         if !cell.churn.is_online() || fault.crashed(responder, now.as_f64()) {
             // Lost in transit. The initiator may live on another shard, so
-            // its `dropped_requests` bump is credited at the barrier.
-            self.credits.push(initiator);
-            self.emit(ctx, now, Some(initiator), || Obs::MessageDropped {
-                exchange,
-                response: false,
-            });
+            // its `dropped_requests` bump and drop event come at the barrier.
+            self.credits.push((now, initiator, exchange));
             return;
         }
         let response = protocol::respond(

@@ -3,8 +3,8 @@
 //! The transitions themselves are [`NodeCell`] methods (see
 //! [`super::state`]); a shard only schedules what they return into its own
 //! engine and emits their events. Every victim of an episode is handled by
-//! the shard that owns it, and exactly one shard (the owner of the
-//! episode's anchor node) emits the network-level observation.
+//! the shard that owns it, and exactly one shard (shard 0) emits the
+//! network-level observation.
 
 use veil_obs::EventKind as Obs;
 use veil_sim::fault::EpisodeEffect;
@@ -47,14 +47,12 @@ impl Shard {
             return;
         };
         // The EpisodeStart event sits in every shard's engine (each shard
-        // handles its own victims); exactly one shard — the owner of the
-        // episode's anchor node — emits the network-level observation.
-        let anchor = match ep.effect {
-            EpisodeEffect::Blackout { first, .. } => (first as usize).min(ctx.node_count - 1),
-            _ => 0,
-        };
+        // handles its own victims); exactly one shard — shard 0, whatever
+        // the layout — emits the network-level observation. Episodes are
+        // scheduled in index order and engines pop equal-time events FIFO,
+        // so episodes starting at one `t` are traced in index order.
         let owned = self.start..self.start + cells.len();
-        if owned.contains(&anchor) {
+        if self.start == 0 {
             self.emit(ctx, now, None, || Obs::EpisodeStart {
                 index: idx as u64,
                 kind: ep.effect.kind_str().to_string(),

@@ -4,8 +4,9 @@
 //! writes `tid` 0, so `(tid, seq)` pairs collide across files;
 //! the merger renumbers every input onto its own `tid` (the input's index)
 //! with a fresh per-input `seq`, then sorts globally by `(t, tid, seq)` —
-//! the same canonical order `obs diff` and the replay analyzer use. The
-//! result is a single well-formed trace: one header line, then events.
+//! the order `obs diff` and the replay analyzer replay in, which for one
+//! simulator recorder is its recording order. The result is a single
+//! well-formed trace: one header line, then events.
 
 use crate::event::{parse_trace_header, trace_header, TraceEvent, TRACE_SCHEMA_VERSION};
 

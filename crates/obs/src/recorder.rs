@@ -7,8 +7,8 @@
 //! recorder), metrics registry, per-kind counts, spans — behind one
 //! `Mutex`. Any thread may record; the simulator records from one thread
 //! per run (its shards hand their events to the barrier), so the lock is
-//! uncontended there and the event order is a function of the run and
-//! its shard count.
+//! uncontended there and the event order is the barrier's canonical one,
+//! the same for every shard count.
 //!
 //! # RNG isolation
 //!
@@ -212,7 +212,8 @@ impl Recorder {
 
     /// All retained events, sorted by `(t, seq)`. Simulated times are
     /// never NaN, so the order is total; for a recorder fed in time order
-    /// it is exactly recording order.
+    /// it is exactly recording order — for a simulation's recorder, the
+    /// canonical order its executor records in at every shard count.
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();

@@ -12,11 +12,12 @@
 //! validates against the event schema, the Chrome trace parses, and the
 //! flight-recorder ring honors its capacity.
 
+use std::collections::{HashMap, HashSet};
 use veil_core::config::{LinkLayerConfig, RemedyConfig};
 use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::metrics::snapshot;
-use veil_obs::{EventKind, Recorder};
-use veil_sim::fault::FaultConfig;
+use veil_obs::{EventKind, Recorder, TraceEvent};
+use veil_sim::fault::{EpisodeEffect, FaultConfig, FaultEpisode, LatencyDist};
 
 fn params(seed: u64, parallelism: Option<usize>) -> ExperimentParams {
     let mut p = ExperimentParams {
@@ -166,15 +167,13 @@ fn traced_run_exports_load_cleanly() {
 
 #[test]
 fn sharded_traces_are_shard_count_invariant() {
-    // The trace content (what happened, when, to whom) must be identical
-    // for every shard count; only the recording order (`seq`) of
-    // equal-time events depends on the shard layout, so events are
-    // compared in canonical order with the capture metadata stripped. Health
-    // alerts feed off the same stream and must agree too — and so must
-    // the remediation engine's reactions when self-healing is on, since
-    // its decisions are made against barrier-time state that every shard
-    // layout reconstructs identically.
-    let canonical = |seed: u64, shards: usize, healing: bool| {
+    // The barrier records every event in canonical order, so the raw
+    // trace — capture metadata included — is byte-identical for every
+    // shard count. Health alerts feed off the same stream and must agree
+    // too — and so must the remediation engine's reactions when
+    // self-healing is on, since its decisions are made against
+    // barrier-time state that every shard layout reconstructs identically.
+    let run = |seed: u64, shards: usize, healing: bool| {
         let mut p = params(seed, Some(1));
         p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
         p.overlay.health.enabled = true;
@@ -188,20 +187,8 @@ fn sharded_traces_are_shard_count_invariant() {
         assert!(sim.is_sharded(), "fault model must engage the executor");
         sim.set_recorder(recorder.clone());
         sim.run_until(40.0);
-        let mut events: Vec<(u64, Option<u32>, String)> = recorder
-            .events()
-            .iter()
-            .map(|e| {
-                (
-                    e.t.to_bits(),
-                    e.node,
-                    serde_json::to_string(&e.kind).expect("kind serializes"),
-                )
-            })
-            .collect();
-        events.sort();
         (
-            events,
+            recorder.events_jsonl(),
             sim.health_alerts().expect("monitor is on"),
             sim.remedy_counts(),
             serde_json::to_string(&snapshot(&sim)).expect("snapshot serializes"),
@@ -209,7 +196,7 @@ fn sharded_traces_are_shard_count_invariant() {
     };
     for healing in [false, true] {
         for seed in [3, 11, 19] {
-            let reference = canonical(seed, 1, healing);
+            let reference = run(seed, 1, healing);
             if healing {
                 let counts = reference.2.as_ref().expect("self-healing is on");
                 assert!(
@@ -218,19 +205,135 @@ fn sharded_traces_are_shard_count_invariant() {
                 );
             }
             for shards in [2, 8] {
-                let got = canonical(seed, shards, healing);
-                assert_eq!(
-                    got.0.len(),
-                    reference.0.len(),
-                    "event count diverged (seed {seed}, shards {shards}, healing {healing})"
-                );
-                assert_eq!(
-                    got, reference,
+                let got = run(seed, shards, healing);
+                assert!(
+                    got == reference,
                     "trace/alerts/reactions/snapshot diverged \
                      (seed {seed}, shards {shards}, healing {healing})"
                 );
             }
         }
+    }
+}
+
+/// The raw trace of a lossy run whose ties a canonical order must break
+/// without looking at shards, stepped by `step` periods when given.
+///
+/// Every message takes exactly one period, so a request that finds its
+/// responder offline is dropped at the instant its initiator's next
+/// shuffle tick fires. Two blackouts start at t = 10: episode 0 anchored
+/// on node `n - 3` (in the last shard), episode 1 on node 1 (in shard 0).
+fn tied_trace(shards: usize, step: Option<f64>) -> String {
+    let mut p = params(5, Some(1));
+    let n = p.nodes as u32;
+    let blackout = |end: f64, first: u32| FaultEpisode {
+        start: 10.0,
+        end,
+        effect: EpisodeEffect::Blackout { first, count: 3 },
+    };
+    p.overlay.link = LinkLayerConfig::Faulty(FaultConfig {
+        drop_probability: 0.1,
+        latency: LatencyDist::Constant { value: 1.0 },
+        episodes: vec![blackout(14.0, n - 3), blackout(13.0, 1)],
+    });
+    p.overlay.health.enabled = true;
+    p.overlay.shards = Some(shards);
+    let trust = build_trust_graph(&p).expect("trust graph");
+    let recorder = Recorder::full();
+    let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
+    sim.set_recorder(recorder.clone());
+    let horizon = 40.0;
+    let mut t = 0.0;
+    while t < horizon {
+        t = step.map_or(horizon, |s| (t + s).min(horizon));
+        sim.run_until(t);
+    }
+    recorder.events_jsonl()
+}
+
+/// Counts the two ties in a trace that no shard may decide: (a) a
+/// `(t, node)` holding both a responder-side drop of the node's request
+/// and an event of the node's own, and (b) a second `EpisodeStart` at one
+/// `t`. A request drop is the initiator's own when it falls on one of its
+/// exchange's transmissions: the `k`-th `ShuffleStart` of node `v` begins
+/// exchange `((v + 1) << 32) | k`, and a `ShuffleRetry` names its own.
+fn count_ties(trace: &str) -> (usize, usize) {
+    let events: Vec<TraceEvent> = trace
+        .lines()
+        .skip(1)
+        .map(|line| serde_json::from_str(line).expect("event parses"))
+        .collect();
+    let mut begun: HashMap<u32, u64> = HashMap::new();
+    let mut sent: HashSet<(u64, u64)> = HashSet::new();
+    let mut episode_starts: HashMap<u64, usize> = HashMap::new();
+    for e in &events {
+        match e.kind {
+            EventKind::ShuffleStart { .. } => {
+                let v = e.node.expect("a start has a node");
+                let k = begun.entry(v).or_default();
+                sent.insert((((u64::from(v) + 1) << 32) | *k, e.t.to_bits()));
+                *k += 1;
+            }
+            EventKind::ShuffleRetry { exchange, .. } => {
+                sent.insert((exchange, e.t.to_bits()));
+            }
+            EventKind::EpisodeStart { .. } => {
+                *episode_starts.entry(e.t.to_bits()).or_default() += 1;
+            }
+            _ => {}
+        }
+    }
+    let responder_side = |e: &TraceEvent| {
+        matches!(e.kind, EventKind::MessageDropped { exchange, response: false }
+            if !sent.contains(&(exchange, e.t.to_bits())))
+    };
+    // Per `(t, node)`: (responder-side drops, other events).
+    let mut at: HashMap<(u64, Option<u32>), (usize, usize)> = HashMap::new();
+    for e in &events {
+        let (drops, others) = at.entry((e.t.to_bits(), e.node)).or_default();
+        if responder_side(e) {
+            *drops += 1;
+        } else {
+            *others += 1;
+        }
+    }
+    let drops = at.values().filter(|&&(d, o)| d > 0 && o > 0).count();
+    let episodes = episode_starts.values().map(|n| n - 1).sum();
+    (drops, episodes)
+}
+
+#[test]
+fn tied_events_are_recorded_in_one_order_for_every_shard_count() {
+    let reference = tied_trace(1, None);
+    let (drops, episodes) = count_ties(&reference);
+    assert!(
+        drops > 0,
+        "no responder-side drop shared a (t, node) with its initiator's own events"
+    );
+    assert_eq!(episodes, 1, "the two blackouts start at one t");
+    let starts: Vec<&str> = reference
+        .lines()
+        .filter(|line| line.contains("EpisodeStart"))
+        .collect();
+    assert!(starts[0].contains(r#""index":0"#), "{starts:?}");
+    for shards in [2, 3, 8] {
+        assert!(
+            tied_trace(shards, None) == reference,
+            "raw trace differs from one shard's (shards {shards})"
+        );
+    }
+}
+
+#[test]
+fn a_run_stepped_off_the_grid_writes_the_straight_runs_bytes() {
+    // `run_until` stops at 0.7, 1.4, 2.1, …: off the 0.5 grid, so windows
+    // close in partial barriers — on more than one shard, too.
+    let straight = tied_trace(1, None);
+    for shards in [1, 2, 3] {
+        assert!(
+            tied_trace(shards, Some(0.7)) == straight,
+            "stepped raw trace differs from the straight one (shards {shards})"
+        );
     }
 }
 
@@ -296,9 +399,8 @@ fn flight_recorder_honors_its_capacity() {
 #[test]
 fn sharded_raw_traces_repeat_byte_for_byte() {
     // The barrier records every window's events in one order fixed by
-    // the run and the shard count, so the raw trace — capture metadata
-    // included — repeats exactly, however the worker threads were
-    // scheduled.
+    // the run, so the raw trace — capture metadata included — repeats
+    // exactly, however the worker threads were scheduled.
     for shards in [2, 8] {
         let trace = || {
             let recorder = Recorder::full();

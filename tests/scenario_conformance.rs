@@ -233,11 +233,9 @@ fn blackout_recovery_run_is_byte_identical_to_hand_built_run() {
         sim.set_recorder(recorder.clone());
         sim.run_until(80.0);
         let hand_snapshot = veil_core::metrics::snapshot(&sim);
-        // Canonical serialization is the byte-identity contract: raw
-        // `events_jsonl` bytes depend on the executor's thread layout
-        // (`tid`), so both paths serialize through the same canonical
-        // form the scenario runner uses.
-        let hand_trace = veil_core::scenario::canonical_trace_jsonl(&recorder);
+        // The raw trace is the byte-identity contract: the executor
+        // records in one canonical order, whatever the shard count.
+        let hand_trace = recorder.events_jsonl();
         let hand_report = veil_obs::analyze_trace(&hand_trace).unwrap();
 
         // Scenario path.
