@@ -110,7 +110,6 @@ struct AppState {
 pub struct EpidemicSession {
     cfg: BroadcastConfig,
     nodes: Vec<AppState>,
-    publishers: HashMap<MessageId, (u32, f64)>,
     next_message_id: u64,
     rng: StdRng,
     messages_sent: u64,
@@ -130,7 +129,6 @@ impl EpidemicSession {
         Self {
             cfg,
             nodes: Vec::new(),
-            publishers: HashMap::new(),
             next_message_id: 0,
             rng: derive_rng(seed, Stream::Workload(0xB0)),
             messages_sent: 0,
@@ -158,7 +156,6 @@ impl EpidemicSession {
         let id = MessageId(self.next_message_id);
         self.next_message_id += 1;
         let now = sim.now().as_f64();
-        self.publishers.insert(id, (publisher as u32, now));
         let state = &mut self.nodes[publisher];
         state.inbox.insert(id, Delivery { time: now, hops: 0 });
         state.active.insert(id, self.cfg.push_rounds);
@@ -310,21 +307,6 @@ impl EpidemicSession {
         got as f64 / self.nodes.len() as f64
     }
 
-    /// Delivery latencies (periods since publication) of `id` across the
-    /// nodes that received it, excluding the publisher.
-    pub fn delivery_latencies(&self, id: MessageId) -> Vec<f64> {
-        let Some(&(publisher, published_at)) = self.publishers.get(&id) else {
-            return Vec::new();
-        };
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| v != publisher as usize)
-            .filter_map(|(_, s)| s.inbox.get(&id))
-            .map(|d| d.time - published_at)
-            .collect()
-    }
-
     /// Total application messages sent so far (pushes + pulled copies).
     pub fn messages_sent(&self) -> u64 {
         self.messages_sent
@@ -332,7 +314,7 @@ impl EpidemicSession {
 
     /// Number of messages published so far.
     pub fn published(&self) -> usize {
-        self.publishers.len()
+        self.next_message_id as usize
     }
 }
 
@@ -364,9 +346,11 @@ mod tests {
         let msg = session.publish(&s, 0).unwrap();
         session.advance(&mut s, 40.0);
         assert_eq!(session.delivery_ratio(msg), 1.0);
-        let latencies = session.delivery_latencies(msg);
-        assert_eq!(latencies.len(), 59);
-        assert!(latencies.iter().all(|&l| l >= 0.0));
+        let published_at = session.nodes[0].inbox[&msg].time;
+        assert!(session
+            .nodes
+            .iter()
+            .all(|s| s.inbox[&msg].time >= published_at));
     }
 
     #[test]
@@ -480,6 +464,5 @@ mod tests {
     fn delivery_ratio_of_unknown_message_is_zero() {
         let session = EpidemicSession::new(BroadcastConfig::default(), 6);
         assert_eq!(session.delivery_ratio(MessageId(999)), 0.0);
-        assert!(session.delivery_latencies(MessageId(999)).is_empty());
     }
 }

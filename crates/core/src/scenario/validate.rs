@@ -139,6 +139,16 @@ fn check_globals(s: &Scenario) -> Result<(), Issue> {
             s.nodes
         )));
     }
+    // Node ids are `u32` (`Graph::neighbors` is `&[u32]`), and the
+    // source graph the trust graph is sampled from holds
+    // `source_multiplier × nodes` of them.
+    if s.nodes > u32::MAX as usize {
+        return Err(Issue::global(format!(
+            "nodes must be at most {} (node ids are u32), got {}",
+            u32::MAX,
+            s.nodes
+        )));
+    }
     finite_positive("horizon", s.horizon, Issue::global)?;
     fraction_01("availability", s.availability, false, Issue::global)?;
     finite_positive("mean_offline", s.mean_offline, Issue::global)?;
@@ -148,6 +158,14 @@ fn check_globals(s: &Scenario) -> Result<(), Issue> {
         return Err(Issue::global(
             "graph.source_multiplier must be at least 1".into(),
         ));
+    }
+    if s.nodes.saturating_mul(s.graph.source_multiplier) > u32::MAX as usize {
+        return Err(Issue::global(format!(
+            "graph.source_multiplier × nodes must be at most {} (node ids are u32), got {} × {}",
+            u32::MAX,
+            s.graph.source_multiplier,
+            s.nodes
+        )));
     }
     let triad = match s.graph.model {
         GraphModel::HolmeKim { attach: 0, .. } => {
@@ -534,6 +552,12 @@ mod tests {
         let rows: &[(&str, &str)] = &[
             ("seed = 18446744073709551616", "seed"),
             ("nodes = 19", "nodes"),
+            ("nodes = 4294967296", "nodes"),
+            ("nodes = 18446744073709551615", "nodes"),
+            (
+                "nodes = 50000000\n[graph]\nsource_multiplier = 100",
+                "graph.source_multiplier",
+            ),
             ("horizon = 0", "horizon"),
             ("availability = 1.5", "availability"),
             ("mean_offline = -1", "mean_offline"),

@@ -592,12 +592,6 @@ impl Simulation {
         g
     }
 
-    /// The overlay restricted to trusted links only (the F2F baseline the
-    /// paper compares against).
-    pub fn trust_only_graph(&self) -> &Graph {
-        &self.trust
-    }
-
     /// The overlay restricted to *pseudonym* links only — the anonymous
     /// indirection layer the paper's privacy argument rests on, without the
     /// trusted-link substrate. This is the graph a correlated outage

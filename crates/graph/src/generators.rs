@@ -53,52 +53,6 @@ pub fn erdos_renyi_gnm<R: Rng + ?Sized>(
     Ok(g)
 }
 
-/// Erdős–Rényi `G(n, p)`: each possible edge present independently with
-/// probability `p`, using geometric skipping for efficiency.
-///
-/// # Errors
-///
-/// Returns an error if `p` is not in `[0, 1]`.
-pub fn erdos_renyi_gnp<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(GraphError::InvalidParameter {
-            reason: format!("edge probability {p} not in [0, 1]"),
-        });
-    }
-    let mut g = Graph::new(n);
-    if p == 0.0 || n < 2 {
-        return Ok(g);
-    }
-    if p == 1.0 {
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.add_edge(a, b).expect("complete edge");
-            }
-        }
-        return Ok(g);
-    }
-    // Batagelj–Brandes: walk the (a, b) pairs with geometric jumps.
-    let log_q = (1.0 - p).ln();
-    let (mut a, mut b) = (1usize, 0usize);
-    while a < n {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / log_q).floor() as usize;
-        b += 1 + skip;
-        while b >= a && a < n {
-            b -= a;
-            a += 1;
-        }
-        if a < n {
-            g.add_edge(a, b).expect("gnp edge in range");
-        }
-    }
-    Ok(g)
-}
-
 /// Erdős–Rényi graph with the same node and edge count as `reference`.
 ///
 /// # Errors
@@ -391,45 +345,6 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
     Ok(g)
 }
 
-/// Configuration model: a random simple graph approximately realizing the
-/// given degree sequence by stub matching (self-loops and duplicate edges
-/// are discarded, so high-degree vertices may come out slightly short).
-///
-/// # Errors
-///
-/// Returns an error if the degree sum is odd or any degree is `>= n`.
-pub fn configuration_model<R: Rng + ?Sized>(
-    degrees: &[usize],
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    let n = degrees.len();
-    let total: usize = degrees.iter().sum();
-    if !total.is_multiple_of(2) {
-        return Err(GraphError::InvalidParameter {
-            reason: "degree sequence sums to an odd number".into(),
-        });
-    }
-    if let Some((v, &d)) = degrees.iter().enumerate().find(|&(_, &d)| d >= n.max(1)) {
-        return Err(GraphError::InvalidParameter {
-            reason: format!("degree {d} of node {v} too large for a simple graph on {n} nodes"),
-        });
-    }
-    let mut stubs: Vec<usize> = Vec::with_capacity(total);
-    for (v, &d) in degrees.iter().enumerate() {
-        stubs.extend(std::iter::repeat_n(v, d));
-    }
-    stubs.shuffle(rng);
-    let mut g = Graph::new(n);
-    for pair in stubs.chunks_exact(2) {
-        let (a, b) = (pair[0], pair[1]);
-        if a != b {
-            // Duplicate edges silently dropped: approximate realization.
-            let _ = g.add_edge(a, b).expect("in-range stub");
-        }
-    }
-    Ok(g)
-}
-
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
     let mut g = Graph::new(n);
@@ -671,29 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn gnp_extremes() {
-        let empty = erdos_renyi_gnp(20, 0.0, &mut rng(2)).unwrap();
-        assert_eq!(empty.edge_count(), 0);
-        let full = erdos_renyi_gnp(20, 1.0, &mut rng(2)).unwrap();
-        assert_eq!(full.edge_count(), 20 * 19 / 2);
-        assert!(erdos_renyi_gnp(20, 1.5, &mut rng(2)).is_err());
-    }
-
-    #[test]
-    fn gnp_edge_count_near_expectation() {
-        let n = 400;
-        let p = 0.05;
-        let g = erdos_renyi_gnp(n, p, &mut rng(3)).unwrap();
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let sd = (expected * (1.0 - p)).sqrt();
-        assert!(
-            (g.edge_count() as f64 - expected).abs() < 5.0 * sd,
-            "edge count {} too far from expectation {expected}",
-            g.edge_count()
-        );
-    }
-
-    #[test]
     fn ba_structure() {
         let g = barabasi_albert(300, 3, &mut rng(4)).unwrap();
         assert_eq!(g.node_count(), 300);
@@ -772,24 +664,6 @@ mod tests {
     fn watts_strogatz_rejects_odd_k() {
         assert!(watts_strogatz(20, 3, 0.1, &mut rng(9)).is_err());
         assert!(watts_strogatz(4, 4, 0.1, &mut rng(9)).is_err());
-    }
-
-    #[test]
-    fn configuration_model_realizes_regular_sequence() {
-        let degrees = vec![4usize; 100];
-        let g = configuration_model(&degrees, &mut rng(10)).unwrap();
-        // Stub matching may lose a few edges to loops/duplicates.
-        assert!(g.edge_count() <= 200);
-        assert!(
-            g.edge_count() >= 180,
-            "lost too many edges: {}",
-            g.edge_count()
-        );
-    }
-
-    #[test]
-    fn configuration_model_rejects_odd_sum() {
-        assert!(configuration_model(&[1, 1, 1], &mut rng(11)).is_err());
     }
 
     #[test]

@@ -205,34 +205,6 @@ impl Graph {
         }
     }
 
-    /// Induced subgraph on the vertices where `keep[v]` is `true`.
-    ///
-    /// Returns the subgraph plus the mapping from new index to original
-    /// vertex (`mapping[new] == old`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len() != self.node_count()`.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> (Graph, Vec<usize>) {
-        assert_eq!(keep.len(), self.node_count(), "mask length mismatch");
-        let mut new_index = vec![usize::MAX; self.node_count()];
-        let mut mapping = Vec::new();
-        for (old, &k) in keep.iter().enumerate() {
-            if k {
-                new_index[old] = mapping.len();
-                mapping.push(old);
-            }
-        }
-        let mut sub = Graph::new(mapping.len());
-        for (a, b) in self.edges() {
-            if keep[a] && keep[b] {
-                sub.add_edge(new_index[a], new_index[b])
-                    .expect("induced edge within range");
-            }
-        }
-        (sub, mapping)
-    }
-
     /// Relabels vertices `new -> mapping[new]` is identity-checked by size;
     /// produces a graph whose vertex `i` is this graph's vertex `order[i]`.
     ///
@@ -312,18 +284,6 @@ mod tests {
         for &(a, b) in &edges {
             assert!(a < b);
         }
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        let keep = [true, true, false, true, true];
-        let (sub, mapping) = g.induced_subgraph(&keep);
-        assert_eq!(sub.node_count(), 4);
-        assert_eq!(mapping, vec![0, 1, 3, 4]);
-        assert_eq!(sub.edge_count(), 2); // (0,1) and (3,4)
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(2, 3));
     }
 
     #[test]

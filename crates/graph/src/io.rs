@@ -90,33 +90,6 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, EdgeListError> {
     Ok(g)
 }
 
-/// Writes `graph` in Graphviz DOT format for visual inspection
-/// (`dot -Tsvg`). Vertices in `highlight` are filled red — handy for
-/// marking observers, articulation points or blackout victims.
-///
-/// # Errors
-///
-/// Returns any I/O error from the writer.
-///
-/// # Panics
-///
-/// Panics if a highlighted vertex is out of range.
-pub fn write_dot<W: Write>(graph: &Graph, highlight: &[usize], mut writer: W) -> io::Result<()> {
-    for &v in highlight {
-        assert!(v < graph.node_count(), "highlight vertex {v} out of range");
-    }
-    writeln!(writer, "graph veil {{")?;
-    writeln!(writer, "  node [shape=circle, fontsize=9];")?;
-    for &v in highlight {
-        writeln!(writer, "  {v} [style=filled, fillcolor=red];")?;
-    }
-    for (a, b) in graph.edges() {
-        writeln!(writer, "  {a} -- {b};")?;
-    }
-    writeln!(writer, "}}")?;
-    Ok(())
-}
-
 /// Error reading an edge list: either the stream failed or the contents
 /// were not a valid simple graph.
 #[derive(Debug)]
@@ -219,25 +192,5 @@ mod tests {
         let g = read_edge_list("".as_bytes()).unwrap();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn dot_output_contains_edges_and_highlights() {
-        let g = generators::path(3);
-        let mut buf = Vec::new();
-        write_dot(&g, &[1], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("graph veil {"));
-        assert!(text.contains("0 -- 1;"));
-        assert!(text.contains("1 -- 2;"));
-        assert!(text.contains("1 [style=filled"));
-        assert!(text.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dot_rejects_bad_highlight() {
-        let g = generators::path(2);
-        write_dot(&g, &[5], &mut Vec::new()).unwrap();
     }
 }

@@ -521,51 +521,6 @@ pub fn degeneracy(g: &Graph) -> usize {
     core_numbers(g).into_iter().max().unwrap_or(0)
 }
 
-/// Fraction of surviving vertices inside the largest connected component
-/// as the vertices in `removal_order` are deleted one by one.
-///
-/// `profile[k]` is measured after removing the first `k` vertices of
-/// `removal_order` (so `profile[0]` describes the intact graph), always as
-/// a fraction of the vertices *still present*. Classic robustness-profile
-/// analysis: power-law graphs collapse quickly under degree-targeted
-/// removal ("celebrity attacks") yet survive random removal — exactly the
-/// asymmetry that motivates evolving the trust graph toward a random
-/// topology.
-///
-/// # Panics
-///
-/// Panics if `removal_order` repeats a vertex or indexes out of range.
-pub fn robustness_profile(g: &Graph, removal_order: &[usize]) -> Vec<f64> {
-    let n = g.node_count();
-    let mut present = vec![true; n];
-    let mut profile = Vec::with_capacity(removal_order.len() + 1);
-    let mut remaining = n;
-    for step in 0..=removal_order.len() {
-        if step > 0 {
-            let v = removal_order[step - 1];
-            assert!(v < n, "removal index {v} out of range");
-            assert!(present[v], "vertex {v} removed twice");
-            present[v] = false;
-            remaining -= 1;
-        }
-        if remaining == 0 {
-            profile.push(0.0);
-            continue;
-        }
-        let largest = largest_component_size_masked(g, Some(&present));
-        profile.push(largest as f64 / remaining as f64);
-    }
-    profile
-}
-
-/// Vertices in descending degree order — the removal schedule of a
-/// degree-targeted ("celebrity") attack. Ties break toward lower indices.
-pub fn degree_attack_order(g: &Graph) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..g.node_count()).collect();
-    order.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)));
-    order
-}
-
 /// Articulation points (cut vertices) of the graph, computed with an
 /// iterative Tarjan lowpoint DFS in `O(n + m)`.
 ///
@@ -987,69 +942,6 @@ mod tests {
         let g = generators::barabasi_albert(300, 3, &mut rng).unwrap();
         // Every BA vertex joins with m edges, so the graph is m-degenerate.
         assert_eq!(degeneracy(&g), 3);
-    }
-
-    #[test]
-    fn robustness_profile_of_star_collapses_instantly() {
-        let g = generators::star(10);
-        let profile = robustness_profile(&g, &[0]); // remove the hub
-        assert_eq!(profile.len(), 2);
-        assert_eq!(profile[0], 1.0);
-        assert!(
-            (profile[1] - 1.0 / 9.0).abs() < 1e-12,
-            "only singletons left"
-        );
-    }
-
-    #[test]
-    fn robustness_profile_full_removal_ends_at_zero() {
-        let g = generators::cycle(5);
-        let order: Vec<usize> = (0..5).collect();
-        let profile = robustness_profile(&g, &order);
-        assert_eq!(profile.len(), 6);
-        assert_eq!(profile[0], 1.0);
-        assert_eq!(profile[5], 0.0);
-        for p in &profile {
-            assert!((0.0..=1.0).contains(p));
-        }
-    }
-
-    #[test]
-    fn degree_attack_hurts_social_graphs_more_than_random_removal() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = generators::social_graph(500, 2, &mut rng).unwrap();
-        let k = 50;
-        let targeted: Vec<usize> = degree_attack_order(&g).into_iter().take(k).collect();
-        // "Random" removal: the k lowest-degree vertices as a cheap proxy
-        // for a typical random draw that misses the hubs.
-        let mut random_order = degree_attack_order(&g);
-        random_order.reverse();
-        let random: Vec<usize> = random_order.into_iter().take(k).collect();
-        let after_attack = *robustness_profile(&g, &targeted).last().unwrap();
-        let after_random = *robustness_profile(&g, &random).last().unwrap();
-        assert!(
-            after_attack < after_random,
-            "degree attack {after_attack} should beat random removal {after_random}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "twice")]
-    fn robustness_profile_rejects_duplicates() {
-        let g = generators::cycle(4);
-        robustness_profile(&g, &[1, 1]);
-    }
-
-    #[test]
-    fn degree_attack_order_is_sorted_by_degree() {
-        let g = generators::star(6);
-        let order = degree_attack_order(&g);
-        assert_eq!(order[0], 0, "hub first");
-        for w in order.windows(2) {
-            assert!(g.degree(w[0]) >= g.degree(w[1]));
-        }
     }
 
     #[test]

@@ -57,26 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_has_only_internal_edges(
-        (n, edges) in arb_graph(),
-        mask_seed in prop::collection::vec(any::<bool>(), 40),
-    ) {
-        let g = build(n, &edges);
-        let keep: Vec<bool> = (0..n).map(|v| mask_seed[v]).collect();
-        let (sub, mapping) = g.induced_subgraph(&keep);
-        prop_assert_eq!(sub.node_count(), keep.iter().filter(|&&k| k).count());
-        for (a, b) in sub.edges() {
-            prop_assert!(g.has_edge(mapping[a], mapping[b]));
-        }
-        // Every kept edge survives.
-        let expected = g
-            .edges()
-            .filter(|&(a, b)| keep[a] && keep[b])
-            .count();
-        prop_assert_eq!(sub.edge_count(), expected);
-    }
-
-    #[test]
     fn bfs_distances_are_symmetric((n, edges) in arb_graph(), probe in 0usize..40) {
         let g = build(n, &edges);
         let src = probe % n;
@@ -208,17 +188,6 @@ proptest! {
             if g.degree(v) <= 1 {
                 prop_assert!(score.abs() < 1e-12, "leaf/isolated vertex has zero betweenness");
             }
-        }
-    }
-
-    #[test]
-    fn robustness_profile_values_are_fractions((n, edges) in arb_graph()) {
-        let g = build(n, &edges);
-        let order: Vec<usize> = (0..n / 2).collect();
-        let profile = metrics::robustness_profile(&g, &order);
-        prop_assert_eq!(profile.len(), order.len() + 1);
-        for p in profile {
-            prop_assert!((0.0..=1.0).contains(&p));
         }
     }
 

@@ -1,4 +1,4 @@
-//! Dense and logarithmically binned histograms.
+//! Dense integer histograms.
 
 use serde::{Deserialize, Serialize};
 
@@ -87,15 +87,6 @@ impl Histogram {
             .map(|(v, &c)| (v, c))
     }
 
-    /// Returns the fraction of observations with value `<= value`.
-    pub fn cdf(&self, value: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let below: u64 = self.bins.iter().take(value + 1).sum();
-        below as f64 / self.total as f64
-    }
-
     /// Nearest-rank `q`-quantile: the smallest observed value whose
     /// cumulative count reaches a fraction `q` of the total.
     ///
@@ -119,22 +110,6 @@ impl Histogram {
         }
         self.max_value()
     }
-
-    /// Median observation (`quantile(0.5)`); `None` when empty.
-    pub fn median(&self) -> Option<usize> {
-        self.quantile(0.5)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.bins.len() > self.bins.len() {
-            self.bins.resize(other.bins.len(), 0);
-        }
-        for (dst, src) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *dst += src;
-        }
-        self.total += other.total;
-    }
 }
 
 impl FromIterator<usize> for Histogram {
@@ -155,77 +130,6 @@ impl Extend<usize> for Histogram {
     }
 }
 
-/// Histogram with logarithmically spaced bins, for heavy-tailed data.
-///
-/// Bin `i` covers values in `[base^i, base^(i+1))`; bin `0` additionally
-/// covers the value `0`.
-///
-/// # Examples
-///
-/// ```
-/// use veil_metrics::histogram::LogHistogram;
-///
-/// let mut h = LogHistogram::new(2.0);
-/// h.record(1);
-/// h.record(3);
-/// h.record(1000);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogHistogram {
-    base: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram with the given bin base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base <= 1.0`.
-    pub fn new(base: f64) -> Self {
-        assert!(base > 1.0, "log-histogram base must exceed 1");
-        Self {
-            base,
-            bins: Vec::new(),
-            total: 0,
-        }
-    }
-
-    fn bin_index(&self, value: u64) -> usize {
-        if value <= 1 {
-            0
-        } else {
-            (value as f64).log(self.base).floor() as usize
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = self.bin_index(value);
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0);
-        }
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates over `(bin_lower_bound, count)` pairs with non-zero counts.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (self.base.powi(i as i32) as u64, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +142,6 @@ mod tests {
         assert_eq!(h.max_value(), None);
         assert_eq!(h.min_value(), None);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.cdf(10), 0.0);
     }
 
     #[test]
@@ -262,15 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_reaches_one() {
-        let h: Histogram = [0, 1, 1, 5].into_iter().collect();
-        assert!(h.cdf(0) <= h.cdf(1));
-        assert!(h.cdf(1) <= h.cdf(5));
-        assert!((h.cdf(5) - 1.0).abs() < 1e-12);
-        assert!((h.cdf(100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn iter_skips_empty_bins() {
         let h: Histogram = [0, 4].into_iter().collect();
         let pairs: Vec<_> = h.iter().collect();
@@ -283,7 +177,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), None);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.quantile(1.0), None);
-        assert_eq!(h.median(), None);
     }
 
     #[test]
@@ -292,7 +185,6 @@ mod tests {
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), Some(7));
         }
-        assert_eq!(h.median(), Some(7));
     }
 
     #[test]
@@ -312,34 +204,5 @@ mod tests {
         assert_eq!(h.quantile(-3.0), Some(2));
         assert_eq!(h.quantile(42.0), Some(9));
         assert_eq!(h.quantile(f64::NAN), Some(2));
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a: Histogram = [1, 2].into_iter().collect();
-        let b: Histogram = [2, 9].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(2), 2);
-        assert_eq!(a.count(9), 1);
-        assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    fn log_histogram_bins() {
-        let mut h = LogHistogram::new(10.0);
-        h.record(0);
-        h.record(1);
-        h.record(9);
-        h.record(10);
-        h.record(99);
-        h.record(100);
-        let pairs: Vec<_> = h.iter().collect();
-        assert_eq!(pairs, vec![(1, 3), (10, 2), (100, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "base must exceed 1")]
-    fn log_histogram_rejects_bad_base() {
-        LogHistogram::new(1.0);
     }
 }

@@ -1,43 +1,27 @@
 //! Statistics primitives for the `veil` overlay simulator.
 //!
-//! This crate collects the small, dependency-free numerical building blocks
-//! that the rest of the workspace shares:
+//! The paper's evaluation needs two statistics, and this crate holds both:
 //!
-//! * [`stats::OnlineStats`] — numerically stable streaming mean/variance
-//!   (Welford's algorithm) with min/max tracking.
-//! * [`stats::Summary`] — a one-shot summary (mean, stddev, quantiles) of a
-//!   sample.
 //! * [`histogram::Histogram`] — dense integer histogram used for degree
 //!   distributions (Figure 5 of the paper).
-//! * [`histogram::LogHistogram`] — logarithmically binned histogram for
-//!   heavy-tailed data.
-//! * [`timeseries::TimeSeries`] — `(time, value)` series with resampling and
-//!   windowed averaging, used for the convergence plots (Figures 8 and 9).
-//! * [`union_find::UnionFind`] — disjoint-set forest with component sizes,
-//!   used for fast connectivity queries.
+//! * [`timeseries::TimeSeries`] — `(time, value)` series with tail means and
+//!   settling times, used for the convergence plots (Figures 8 and 9).
 //!
 //! # Examples
 //!
 //! ```
-//! use veil_metrics::stats::OnlineStats;
+//! use veil_metrics::Histogram;
 //!
-//! let mut s = OnlineStats::new();
-//! for x in [1.0, 2.0, 3.0] {
-//!     s.push(x);
-//! }
-//! assert_eq!(s.mean(), 2.0);
-//! assert_eq!(s.len(), 3);
+//! let h: Histogram = [1, 2, 3].into_iter().collect();
+//! assert_eq!(h.mean(), 2.0);
+//! assert_eq!(h.total(), 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod histogram;
-pub mod stats;
 pub mod timeseries;
-pub mod union_find;
 
-pub use histogram::{Histogram, LogHistogram};
-pub use stats::{OnlineStats, Summary};
+pub use histogram::Histogram;
 pub use timeseries::TimeSeries;
-pub use union_find::UnionFind;

@@ -69,21 +69,6 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Mean of the values observed in the half-open time window `[from, to)`.
-    ///
-    /// Returns `None` if the window contains no observations.
-    pub fn window_mean(&self, from: f64, to: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(t, v) in &self.points {
-            if t >= from && t < to {
-                sum += v;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
-
     /// Mean of the final `k` observations; `None` if the series has fewer.
     pub fn tail_mean(&self, k: usize) -> Option<f64> {
         if self.points.len() < k || k == 0 {
@@ -91,34 +76,6 @@ impl TimeSeries {
         }
         let tail = &self.points[self.points.len() - k..];
         Some(tail.iter().map(|&(_, v)| v).sum::<f64>() / k as f64)
-    }
-
-    /// Resamples onto a regular grid with spacing `step` via zero-order hold
-    /// (each grid point takes the most recent observation at or before it).
-    ///
-    /// Grid points before the first observation are skipped. Returns an empty
-    /// series when this one is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step <= 0.0`.
-    pub fn resample(&self, step: f64) -> TimeSeries {
-        assert!(step > 0.0, "resample step must be positive");
-        let mut out = TimeSeries::new();
-        let Some(&(t0, _)) = self.points.first() else {
-            return out;
-        };
-        let (t_end, _) = *self.points.last().expect("non-empty");
-        let mut idx = 0usize;
-        let mut t = (t0 / step).ceil() * step;
-        while t <= t_end {
-            while idx + 1 < self.points.len() && self.points[idx + 1].0 <= t {
-                idx += 1;
-            }
-            out.push(t, self.points[idx].1);
-            t += step;
-        }
-        out
     }
 
     /// First time at which the value becomes `<= threshold` and stays there
@@ -179,14 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn window_mean_half_open() {
-        let ts: TimeSeries = [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)].into_iter().collect();
-        assert_eq!(ts.window_mean(0.0, 2.0), Some(2.0));
-        assert_eq!(ts.window_mean(2.0, 3.0), Some(5.0));
-        assert_eq!(ts.window_mean(3.0, 4.0), None);
-    }
-
-    #[test]
     fn tail_mean() {
         let ts: TimeSeries = [(0.0, 1.0), (1.0, 2.0), (2.0, 6.0)].into_iter().collect();
         assert_eq!(ts.tail_mean(2), Some(4.0));
@@ -195,37 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn resample_zero_order_hold() {
-        let ts: TimeSeries = [(0.0, 1.0), (0.6, 2.0), (2.4, 3.0)].into_iter().collect();
-        let r = ts.resample(1.0);
-        assert_eq!(r.as_slice(), &[(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)]);
-    }
-
-    #[test]
-    fn resample_empty() {
-        let ts = TimeSeries::new();
-        assert!(ts.resample(1.0).is_empty());
-    }
-
-    #[test]
-    fn resample_single_sample_is_defined() {
-        // An on-grid single point resamples to itself.
-        let ts: TimeSeries = [(2.0, 5.0)].into_iter().collect();
-        assert_eq!(ts.resample(1.0).as_slice(), &[(2.0, 5.0)]);
-        // An off-grid single point has no grid point inside [t0, t0]; the
-        // result is empty rather than a panic or an extrapolated value.
-        let off: TimeSeries = [(0.5, 5.0)].into_iter().collect();
-        assert!(off.resample(1.0).is_empty());
-    }
-
-    #[test]
     fn empty_and_single_sample_aggregates_are_defined() {
         let empty = TimeSeries::new();
-        assert_eq!(empty.window_mean(0.0, 10.0), None);
         assert_eq!(empty.tail_mean(1), None);
         assert_eq!(empty.settling_time(0.5), None);
         let one: TimeSeries = [(1.0, 2.0)].into_iter().collect();
-        assert_eq!(one.window_mean(0.0, 10.0), Some(2.0));
         assert_eq!(one.tail_mean(1), Some(2.0));
         assert_eq!(one.settling_time(5.0), Some(1.0));
     }

@@ -70,17 +70,6 @@ pub struct RoundStats {
     pub alerts: u64,
 }
 
-impl RoundStats {
-    /// Completed / started shuffles this round; 1.0 for an idle round.
-    pub fn success_rate(&self) -> f64 {
-        if self.starts == 0 {
-            1.0
-        } else {
-            self.completes as f64 / self.starts as f64
-        }
-    }
-}
-
 /// One `HealthAlert` event from the trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlertRecord {
@@ -771,7 +760,6 @@ mod tests {
         assert_eq!(report.rounds[0].round, 0);
         assert_eq!(report.rounds[0].starts, 1);
         assert_eq!(report.rounds[0].completes, 1);
-        assert_eq!(report.rounds[0].success_rate(), 1.0);
         assert_eq!(report.rounds[1].round, 1);
         assert_eq!(report.rounds[1].dropped_requests, 1);
         assert_eq!(report.rounds[1].dropped_responses, 1);

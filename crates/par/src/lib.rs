@@ -170,16 +170,6 @@ where
     run(items.len(), parallelism, |i| f(&items[i]))
 }
 
-/// Maps `f(index, &item)` over `items`, preserving order.
-pub fn map_indexed<T, U, F>(items: &[T], parallelism: Option<usize>, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    run(items.len(), parallelism, |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,13 +203,6 @@ mod tests {
         for parallelism in [Some(1), Some(3), None] {
             assert_eq!(map(&items, parallelism, |x| x + 1), serial);
         }
-    }
-
-    #[test]
-    fn map_indexed_sees_correct_pairs() {
-        let items = vec!["a", "b", "c", "d"];
-        let out = map_indexed(&items, Some(2), |i, s| format!("{i}{s}"));
-        assert_eq!(out, vec!["0a", "1b", "2c", "3d"]);
     }
 
     #[test]

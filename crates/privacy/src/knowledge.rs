@@ -116,13 +116,6 @@ pub fn audit(trust: &Graph, observers: &ObserverSet) -> KnowledgeReport {
     }
 }
 
-/// Whether the observers can establish that nodes `a` and `b` — both
-/// adjacent to members of the set — share a trust edge *from configured
-/// knowledge alone*. True only when the edge is incident to an observer.
-pub fn can_confirm_edge(trust: &Graph, observers: &ObserverSet, a: usize, b: usize) -> bool {
-    trust.has_edge(a, b) && (observers.contains(a) || observers.contains(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,15 +172,6 @@ mod tests {
             "even the biggest hub knows {} of the graph",
             report.node_fraction
         );
-    }
-
-    #[test]
-    fn can_confirm_only_incident_edges() {
-        let g = generators::cycle(5);
-        let obs = ObserverSet::new([0]);
-        assert!(can_confirm_edge(&g, &obs, 0, 1));
-        assert!(!can_confirm_edge(&g, &obs, 1, 2), "nonincident edge hidden");
-        assert!(!can_confirm_edge(&g, &obs, 0, 2), "no such edge");
     }
 
     #[test]

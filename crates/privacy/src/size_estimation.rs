@@ -41,11 +41,6 @@ impl SizeEstimator {
         }
     }
 
-    /// Total distinct pseudonyms ever sighted.
-    pub fn total_seen(&self) -> usize {
-        self.seen.len()
-    }
-
     /// The size estimate at `now`: distinct sighted pseudonyms still valid.
     pub fn estimate(&self, now: SimTime) -> usize {
         self.seen
@@ -164,8 +159,6 @@ mod tests {
         // sighted so far has expired.
         s.run_until(20.0);
         assert_eq!(estimator.estimate(s.now()), 0);
-        // But total_seen remembers history.
-        assert!(estimator.total_seen() >= early);
     }
 
     #[test]

@@ -71,14 +71,6 @@ pub struct InjectionOutcome {
     pub trust_edge_exists: bool,
 }
 
-impl InjectionOutcome {
-    /// Whether the observers' inference would be *correct*: they conclude a
-    /// link exists iff one actually did.
-    pub fn inference_correct(&self) -> bool {
-        self.detected == self.overlay_link_existed
-    }
-}
-
 /// Runs the injection attack against a live simulation.
 ///
 /// The marker pseudonym is owned by the injecting observer (so any node
@@ -296,23 +288,5 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(8);
         run(&mut s, &attack, &mut rng);
-    }
-
-    #[test]
-    fn inference_correct_logic() {
-        let hit = InjectionOutcome {
-            detected: true,
-            arrival_time: Some(1.0),
-            overlay_link_existed: true,
-            trust_edge_exists: false,
-        };
-        assert!(hit.inference_correct());
-        let false_positive = InjectionOutcome {
-            detected: true,
-            arrival_time: Some(1.0),
-            overlay_link_existed: false,
-            trust_edge_exists: false,
-        };
-        assert!(!false_positive.inference_correct());
     }
 }

@@ -18,54 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use veil_core::simulation::{MessageKind, MessageRecord, Simulation};
-
-/// Everything an external observer watching one node's channels collects
-/// over a window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrafficView {
-    /// The watched node.
-    pub target: u32,
-    /// Messages the target sent (requests + responses).
-    pub messages_sent: u64,
-    /// Messages the target received.
-    pub messages_received: u64,
-    /// Distinct peers the target exchanged messages with.
-    pub counterparties: BTreeSet<u32>,
-    /// Messages that travelled over trusted links — the paper's worry:
-    /// naive direct exchange "may reveal ... the fact that there is a trust
-    /// relation"; these are the channels worth the observer's attention.
-    pub trusted_link_messages: u64,
-}
-
-/// Builds the observer's view of `target` from a message log.
-pub fn observer_view(log: &[MessageRecord], target: u32) -> TrafficView {
-    let mut view = TrafficView {
-        target,
-        messages_sent: 0,
-        messages_received: 0,
-        counterparties: BTreeSet::new(),
-        trusted_link_messages: 0,
-    };
-    for m in log {
-        if m.kind == MessageKind::Dropped {
-            continue;
-        }
-        if m.from == target {
-            view.messages_sent += 1;
-            view.counterparties.insert(m.to);
-        } else if m.to == target {
-            view.messages_received += 1;
-            view.counterparties.insert(m.from);
-        } else {
-            continue;
-        }
-        if m.trusted_link {
-            view.trusted_link_messages += 1;
-        }
-    }
-    view
-}
+use veil_core::simulation::{MessageKind, Simulation};
 
 /// Aggregate rotation-exposure measurement over all nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -143,23 +96,6 @@ mod tests {
         };
         let churn = ChurnConfig::from_availability(1.0, 30.0);
         Simulation::new(trust, cfg, churn, seed).unwrap()
-    }
-
-    #[test]
-    fn observer_view_counts_both_directions() {
-        let mut s = sim(1, None);
-        s.enable_message_log();
-        s.run_until(10.0);
-        let log = s.take_message_log().to_vec();
-        let view = observer_view(&log, 0);
-        assert_eq!(view.target, 0);
-        assert!(view.messages_sent > 0, "node 0 must have shuffled");
-        // Every counterparty actually appears in the log with node 0.
-        for &c in &view.counterparties {
-            assert!(log
-                .iter()
-                .any(|m| (m.from == 0 && m.to == c) || (m.from == c && m.to == 0)));
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@ use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParam
 use veil_core::metrics::{degree_histogram, snapshot, Collector};
 use veil_graph::metrics as gm;
 use veil_graph::Graph;
-use veil_metrics::UnionFind;
 
 fn params(seed: u64) -> ExperimentParams {
     ExperimentParams {
@@ -16,37 +15,53 @@ fn params(seed: u64) -> ExperimentParams {
     .scaled_down(12)
 }
 
-/// Component count computed independently through union-find.
-fn component_count_uf(g: &Graph) -> usize {
-    let mut uf = UnionFind::new(g.node_count());
-    for (a, b) in g.edges() {
-        uf.union(a, b);
+/// Component sizes computed independently of BFS: a disjoint-set forest
+/// with path halving, counted per root.
+fn component_sizes_uf(g: &Graph) -> Vec<usize> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
     }
-    uf.component_count()
+    let n = g.node_count();
+    let mut parent: Vec<usize> = (0..n).collect();
+    for (a, b) in g.edges() {
+        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        parent[ra] = rb;
+    }
+    let mut size = vec![0usize; n];
+    for v in 0..n {
+        size[find(&mut parent, v)] += 1;
+    }
+    size.into_iter().filter(|&s| s > 0).collect()
 }
 
 #[test]
 fn bfs_and_union_find_component_counts_agree() {
     let p = params(1);
     let trust = build_trust_graph(&p).unwrap();
-    assert_eq!(gm::component_count(&trust), component_count_uf(&trust));
+    assert_eq!(
+        gm::component_count(&trust),
+        component_sizes_uf(&trust).len()
+    );
     let mut sim = build_simulation(trust, &p, 0.5).unwrap();
     sim.run_until(40.0);
     let overlay = sim.overlay_graph();
-    assert_eq!(gm::component_count(&overlay), component_count_uf(&overlay));
+    assert_eq!(
+        gm::component_count(&overlay),
+        component_sizes_uf(&overlay).len()
+    );
 }
 
 #[test]
 fn largest_component_sizes_agree() {
     let p = params(2);
     let trust = build_trust_graph(&p).unwrap();
-    let mut uf = UnionFind::new(trust.node_count());
-    for (a, b) in trust.edges() {
-        uf.union(a, b);
-    }
     assert_eq!(
         gm::largest_component_size_masked(&trust, None),
-        uf.largest_component_size()
+        component_sizes_uf(&trust).into_iter().max().unwrap_or(0)
     );
 }
 
