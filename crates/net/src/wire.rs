@@ -184,7 +184,7 @@ pub fn validate_hello(msg: &WireMsg, expected_seed: u64) -> Result<u32, Handshak
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameDecoder;
+    use crate::frame::{encode_frame, FrameDecoder, MAX_FRAME_LEN};
 
     #[test]
     fn messages_round_trip_through_frames() {
@@ -266,5 +266,15 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode_msg(b"not json").is_err());
         assert!(decode_msg(&[0xff, 0xfe]).is_err());
+    }
+
+    #[test]
+    fn a_maximal_frame_of_open_brackets_is_an_error_not_a_crash() {
+        let payload = vec![b'['; MAX_FRAME_LEN];
+        let mut d = FrameDecoder::new();
+        d.push(&encode_frame(&payload));
+        let frame = d.next_frame().unwrap().expect("frame available");
+        let err = decode_msg(&frame).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 }

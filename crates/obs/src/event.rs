@@ -584,9 +584,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kind_round_trips_and_validates() {
-        let kinds = vec![
+    /// Every variant, `PseudonymMinted` with and without a lifetime.
+    fn every_kind() -> Vec<EventKind> {
+        vec![
             EventKind::ShuffleStart {
                 target: 9,
                 trusted: false,
@@ -650,7 +650,12 @@ mod tests {
                 frames_in: 12,
                 frames_out: 11,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_kind_round_trips_and_validates() {
+        let kinds = every_kind();
         assert_eq!(kinds.len(), schema().len() + 1); // PseudonymMinted twice
         for kind in kinds {
             let ev = event(kind.clone());
@@ -660,6 +665,27 @@ mod tests {
             let value: serde_json::Value = serde_json::from_str(&json).unwrap();
             validate_event_value(&value).unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         }
+    }
+
+    #[test]
+    fn events_jsonl_writes_every_kind_as_its_tree_renders() {
+        let rec = crate::Recorder::full();
+        let kinds = every_kind();
+        for (i, kind) in kinds.iter().enumerate() {
+            rec.event(i as f64 * 0.5, (i % 3 != 0).then_some(i as u32), || {
+                kind.clone()
+            });
+        }
+        let jsonl = rec.events_jsonl();
+        let mut lines = jsonl.lines();
+        assert_eq!(lines.next(), Some(trace_header().as_str()));
+        let events = rec.events();
+        assert_eq!(events.len(), kinds.len());
+        for ev in &events {
+            let tree = serde_json::to_string(&ev.to_content()).unwrap();
+            assert_eq!(lines.next(), Some(tree.as_str()), "{}", ev.kind.name());
+        }
+        assert_eq!(lines.next(), None);
     }
 
     #[test]

@@ -418,6 +418,33 @@ fn sharded_raw_traces_repeat_byte_for_byte() {
 }
 
 #[test]
+fn a_healing_lossy_trace_is_written_as_each_event_renders_through_its_tree() {
+    // `events_jsonl` writes every event straight into one buffer, never
+    // through the tree an event converts to; that tree's rendering is the
+    // reference, line by line.
+    let recorder = Recorder::full();
+    lossy_run(7, 2, true, recorder.clone());
+    let events = recorder.events();
+    let kinds: HashSet<&str> = events.iter().map(|ev| ev.kind.name()).collect();
+    for kind in [
+        "HealthAlert",
+        "RemedyAction",
+        "MessageDropped",
+        "PseudonymMinted",
+    ] {
+        assert!(kinds.contains(kind), "no {kind} in {kinds:?}");
+    }
+    let jsonl = recorder.events_jsonl();
+    let mut lines = jsonl.lines();
+    assert_eq!(lines.next(), Some(veil_obs::trace_header().as_str()));
+    for (i, ev) in events.iter().enumerate() {
+        let tree = serde_json::to_string(&serde::Serialize::to_content(ev)).unwrap();
+        assert_eq!(lines.next(), Some(tree.as_str()), "event {i}");
+    }
+    assert_eq!(lines.next(), None);
+}
+
+#[test]
 fn attaching_a_recorder_mid_run_changes_nothing_it_sees() {
     // `set_recorder` swaps the sink and nothing else. A recorder attached
     // at t = 17.5 must see the rest of the very run a recorder attached at
