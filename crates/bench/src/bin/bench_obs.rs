@@ -10,12 +10,13 @@
 //! minimum over several repetitions, which is the standard robust
 //! estimator against scheduler noise. Honors `VEIL_SCALE` and
 //! `VEIL_PARALLELISM`; set `VEIL_OBS_CHECK=1` to turn the overhead budget
-//! into a hard assertion (used by CI).
+//! into a hard assertion (used by CI). Refuses to run on a one-core
+//! machine unless `--allow-single-core` is given.
 
 use serde::Serialize;
 use std::time::Instant;
-use veil_bench::{paper_params, write_bench_json};
-use veil_core::experiment::{build_simulation, build_trust_graph};
+use veil_bench::{fault_loss, paper_params, scale, scaled_horizon, write_bench_json};
+use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::metrics::snapshot;
 use veil_obs::Recorder;
 
@@ -47,19 +48,21 @@ struct Report {
     outputs_identical: bool,
 }
 
-/// Runs the workload `iters` times, each under a fresh recorder from
-/// `make` (matching real usage: one recorder per run); returns the
-/// serialized final snapshot (the byte-identity witness — identical on
-/// every iteration by determinism), the mean wall-clock milliseconds per
-/// iteration over the timed batch, and the per-run event count.
+/// Runs the workload over `params` `iters` times, each under a fresh
+/// recorder from `make` (matching real usage: one recorder per run);
+/// returns the serialized final snapshot (the byte-identity witness —
+/// identical on every iteration by determinism), the mean wall-clock
+/// milliseconds per iteration over the timed batch, and the per-run event
+/// count.
 fn run_batch(
+    params: &ExperimentParams,
     make: &impl Fn() -> Recorder,
     alpha: f64,
     horizon: f64,
     iters: usize,
     health: bool,
 ) -> (String, f64, u64) {
-    let mut params = paper_params();
+    let mut params = params.clone();
     // The health monitor is read-only over the event stream and draws no
     // randomness, so enabling it must keep the witness byte-identical.
     params.overlay.health.enabled = health;
@@ -82,20 +85,19 @@ fn run_batch(
 /// Picks an iteration count that makes each timed batch run for at least
 /// `TARGET_BATCH_MS`, so percentage comparisons are not noise on a
 /// few-millisecond measurement at small `VEIL_SCALE`.
-fn calibrate(alpha: f64, horizon: f64) -> usize {
+fn calibrate(params: &ExperimentParams, alpha: f64, horizon: f64) -> usize {
     const TARGET_BATCH_MS: f64 = 30.0;
-    let (_, est_ms, _) = run_batch(&Recorder::disabled, alpha, horizon, 1, false);
+    let (_, est_ms, _) = run_batch(params, &Recorder::disabled, alpha, horizon, 1, false);
     ((TARGET_BATCH_MS / est_ms.max(0.1)).ceil() as usize).clamp(1, 500)
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     veil_bench::refuse_single_core_baseline("obs");
+    let scale = scale()?;
+    let params = paper_params(scale, fault_loss()?);
     let alpha = 0.5;
-    let horizon = veil_bench::scaled_horizon(300.0, 30.0);
-    eprintln!(
-        "observability overhead: alpha = {alpha}, horizon = {horizon} sp, scale = {}",
-        veil_bench::scale()
-    );
+    let horizon = scaled_horizon(300.0, 30.0, scale);
+    eprintln!("observability overhead: alpha = {alpha}, horizon = {horizon} sp, scale = {scale}");
 
     type MakeRecorder = fn() -> Recorder;
     let modes: Vec<(&str, MakeRecorder, bool)> = vec![
@@ -110,7 +112,7 @@ fn main() {
         ("full_health", Recorder::full, true),
     ];
     // The calibration batch doubles as cache/allocator warmup.
-    let iters = calibrate(alpha, horizon);
+    let iters = calibrate(&params, alpha, horizon);
     eprintln!("calibrated to {iters} runs per timed batch");
 
     // A measurement attempt: REPS interleaved rounds over all modes,
@@ -124,7 +126,7 @@ fn main() {
         let mut events = vec![0u64; modes.len()];
         for rep in 0..REPS {
             for (i, (name, make, health)) in modes.iter().enumerate() {
-                let (snap, ms, seen) = run_batch(make, alpha, horizon, iters, *health);
+                let (snap, ms, seen) = run_batch(&params, make, alpha, horizon, iters, *health);
                 timings[i].push(ms);
                 witnesses[i] = snap;
                 events[i] = seen;
@@ -230,5 +232,6 @@ fn main() {
         modes,
         outputs_identical,
     };
-    write_bench_json("obs", &report);
+    write_bench_json("obs", scale, &report);
+    Ok(())
 }

@@ -9,11 +9,12 @@
 //! `--max-bytes-per-node F` turn the measured numbers into assertions
 //! (exit code 1 on violation), so a regression in the flat data layout or
 //! the event queue fails the `scale-smoke` job instead of silently
-//! shipping. `VEIL_SCALE` divides every size for smoke runs.
+//! shipping. `VEIL_SCALE` divides every size for smoke runs. Refuses to
+//! run on a one-core machine unless `--allow-single-core` is given.
 
 use serde::Serialize;
 use veil_bench::scale::{measure_scale_point, ScalePoint};
-use veil_bench::write_bench_json;
+use veil_bench::{flag_value, write_bench_json};
 
 const SEED: u64 = 42;
 const DEFAULT_SIZES: [usize; 2] = [10_000, 100_000];
@@ -26,19 +27,10 @@ struct Report {
     points: Vec<ScalePoint>,
 }
 
-/// Reads `--flag value` from the raw argument list.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
+fn main() -> Result<(), String> {
     veil_bench::refuse_single_core_baseline("scale");
-    let args: Vec<String> = std::env::args().collect();
-    let scale = veil_bench::scale();
-    let sizes: Vec<usize> = match flag_value(&args, "--sizes") {
+    let scale = veil_bench::scale()?;
+    let sizes: Vec<usize> = match flag_value("--sizes") {
         Some(raw) => raw
             .split(',')
             .map(|s| {
@@ -50,13 +42,13 @@ fn main() {
         None => DEFAULT_SIZES.to_vec(),
     };
     let sizes: Vec<usize> = sizes.iter().map(|&n| (n / scale).max(1_000)).collect();
-    let horizon: f64 = flag_value(&args, "--horizon")
+    let horizon: f64 = flag_value("--horizon")
         .map(|s| s.parse().unwrap_or_else(|e| panic!("--horizon {s:?}: {e}")))
         .unwrap_or(DEFAULT_HORIZON);
     let min_eps: Option<f64> =
-        flag_value(&args, "--min-events-per-sec").map(|s| s.parse().expect("--min-events-per-sec"));
+        flag_value("--min-events-per-sec").map(|s| s.parse().expect("--min-events-per-sec"));
     let max_bpn: Option<f64> =
-        flag_value(&args, "--max-bytes-per-node").map(|s| s.parse().expect("--max-bytes-per-node"));
+        flag_value("--max-bytes-per-node").map(|s| s.parse().expect("--max-bytes-per-node"));
 
     let mut points = Vec::new();
     for &nodes in &sizes {
@@ -101,8 +93,9 @@ fn main() {
         seed: SEED,
         points,
     };
-    write_bench_json("scale", &report);
+    write_bench_json("scale", scale, &report);
     if failed {
         std::process::exit(1);
     }
+    Ok(())
 }

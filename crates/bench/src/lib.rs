@@ -1,36 +1,40 @@
-//! Experiment harness shared by the `fig*` binaries.
+//! Experiment harness behind the `figures` binary and the three timing
+//! benchmarks (`bench_parallel`, `bench_obs`, `bench_scale`).
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index). This library provides the common plumbing:
-//! paper-scale default parameters, an environment-driven scale knob for
-//! smoke runs, plain-text table rendering, and JSON result export.
+//! `figures` regenerates every table and figure of the paper as one row
+//! per output (see DESIGN.md §4 for the index); the experiments themselves
+//! are [`veil_core::experiment`] measurements fanned out by its `sweep`.
+//! This library provides the common plumbing: paper-scale default
+//! parameters, the environment knobs below, plain-text table rendering,
+//! JSON result export and the timing benchmarks' command-line flags.
 //!
 //! # Scale knob
 //!
 //! Set `VEIL_SCALE=n` to divide the experiment size by `n` (nodes, warm-up
 //! time, horizons). `VEIL_SCALE=1` (default) reproduces the paper's
 //! configuration; `VEIL_SCALE=10` finishes in seconds for CI smoke tests.
+//! Anything but a positive integer is an error, never a silent default.
 //!
 //! # Parallelism knob
 //!
 //! Set `VEIL_PARALLELISM=k` to cap the experiment engine at `k` worker
 //! threads (`1` forces serial execution; `0` or unset uses every core).
-//! The knob only changes wall-clock time: every sweep point derives its
-//! randomness from the master seed and its own stream and results are
-//! reduced in index order, so output files are byte-identical for every
-//! value.
+//! The knob only changes wall-clock time: every run of a sweep derives its
+//! randomness from its own parameters and results are reduced in index
+//! order, so output files are byte-identical for every value.
 //!
 //! # Fault knob
 //!
 //! Set `VEIL_FAULT_LOSS=p` to run every figure over the fault-injecting
 //! link layer with per-message drop probability `p` (default `0` keeps the
-//! ideal layer). The CI fault matrix uses this to smoke-test the figure
-//! pipeline at several loss rates.
+//! ideal layer); anything outside `[0, 1]` is an error. The CI fault
+//! matrix uses this to smoke-test the figure pipeline at several loss
+//! rates.
 //!
 //! # Tracing
 //!
-//! A figure is many independent simulations, so the figure binaries
-//! record no trace; `veil simulate --trace-out` traces a single run.
+//! A figure is many independent simulations, so `figures` records no
+//! trace; `veil simulate --trace-out` traces a single run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +42,7 @@
 pub mod scale;
 
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use veil_core::config::LinkLayerConfig;
 use veil_core::experiment::ExperimentParams;
 use veil_sim::fault::FaultConfig;
@@ -50,47 +54,82 @@ pub const ALPHAS: [f64; 8] = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0];
 pub const RATIOS: [Option<f64>; 4] = [Some(1.0), Some(3.0), Some(9.0), None];
 
 /// Reads the `VEIL_SCALE` divisor (default 1).
-pub fn scale() -> usize {
-    std::env::var("VEIL_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
+///
+/// # Errors
+///
+/// Names the variable and its value unless it is a positive integer.
+pub fn scale() -> Result<usize, String> {
+    parse_scale(env_value("VEIL_SCALE").as_deref())
+}
+
+fn parse_scale(raw: Option<&str>) -> Result<usize, String> {
+    parse_knob("VEIL_SCALE", raw, 1, |&s| s >= 1, "a positive integer")
 }
 
 /// Reads the `VEIL_FAULT_LOSS` per-message drop probability (default 0).
-pub fn fault_loss() -> f64 {
-    std::env::var("VEIL_FAULT_LOSS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|p| (0.0..=1.0).contains(p))
-        .unwrap_or(0.0)
+///
+/// # Errors
+///
+/// Names the variable and its value unless it is a number in `[0, 1]`.
+pub fn fault_loss() -> Result<f64, String> {
+    parse_fault_loss(env_value("VEIL_FAULT_LOSS").as_deref())
 }
 
-/// Paper-scale experiment parameters divided by the `VEIL_SCALE` knob,
-/// with the thread count taken from `VEIL_PARALLELISM` and the link layer
-/// from `VEIL_FAULT_LOSS` (non-zero loss switches every experiment onto
-/// the fault-injecting layer).
-pub fn paper_params() -> ExperimentParams {
-    let s = scale();
-    let base = ExperimentParams::default();
-    let mut params = if s == 1 { base } else { base.scaled_down(s) };
+fn parse_fault_loss(raw: Option<&str>) -> Result<f64, String> {
+    parse_knob(
+        "VEIL_FAULT_LOSS",
+        raw,
+        0.0,
+        |p| (0.0..=1.0).contains(p),
+        "a probability in [0, 1]",
+    )
+}
+
+/// The value of an environment knob. A non-Unicode value is kept, lossily,
+/// so that it fails to parse instead of reading as unset.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// `default` when the knob is unset, its value when that parses and is
+/// `valid`, and otherwise an error naming the knob and its value.
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+    expected: &str,
+) -> Result<T, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    raw.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{name}={raw} is not {expected}"))
+}
+
+/// Paper-scale experiment parameters divided by `scale` (see
+/// [`scale()`]), with the thread count taken from `VEIL_PARALLELISM` and a
+/// non-zero `loss` (see [`fault_loss()`]) switching every experiment onto
+/// the fault-injecting link layer.
+pub fn paper_params(scale: usize, loss: f64) -> ExperimentParams {
+    let mut params = ExperimentParams::default().scaled_down(scale);
     params.overlay.parallelism = veil_par::env_parallelism();
-    let loss = fault_loss();
     if loss > 0.0 {
         params.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(loss));
     }
     params
 }
 
-/// Divides a time horizon by the scale knob, with a floor.
-pub fn scaled_horizon(full: f64, min: f64) -> f64 {
-    (full / scale() as f64).max(min)
+/// Divides a time horizon by the scale divisor, with a floor.
+pub fn scaled_horizon(full: f64, min: f64, scale: usize) -> f64 {
+    (full / scale as f64).max(min)
 }
 
 /// Renders a plain-text table with right-aligned numeric columns.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+pub fn render_table<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
@@ -107,7 +146,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    let header_cells: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let header_cells: Vec<String> = headers.iter().map(|h| h.as_ref().to_string()).collect();
     out.push_str(&line(&header_cells, &widths));
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
@@ -128,16 +167,11 @@ pub fn ratio_label(r: Option<f64>) -> String {
     }
 }
 
-/// Directory where figure outputs are written (`target/figures`).
-pub fn output_dir() -> PathBuf {
-    let dir = Path::new("target").join("figures");
-    std::fs::create_dir_all(&dir).expect("create target/figures");
-    dir
-}
-
 /// Serializes `value` as pretty JSON into `target/figures/<name>.json`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = output_dir().join(format!("{name}.json"));
+    let dir = Path::new("target").join("figures");
+    std::fs::create_dir_all(&dir).expect("create target/figures");
+    let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialize result");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     // On stdout so scripts copying artifacts (e.g. into benchmarks/baseline/)
@@ -146,15 +180,14 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 }
 
 /// Serializes a benchmark report into `target/figures/BENCH_<name>.json`,
-/// wrapped in the envelope shared by every `bench_*` binary: the benchmark
+/// wrapped in the envelope shared by every `BENCH_*.json`: the benchmark
 /// name, the `VEIL_SCALE` divisor and the available core count, with the
 /// benchmark-specific payload under `"report"`. Keeping the envelope in
 /// one place keeps the `BENCH_*.json` files mutually comparable.
-pub fn write_bench_json<T: Serialize>(name: &str, payload: &T) {
-    refuse_single_core_baseline(name);
+pub fn write_bench_json<T: Serialize>(name: &str, scale: usize, payload: &T) {
     let doc = serde::Content::Map(vec![
         ("bench".to_string(), serde::Content::Str(name.to_string())),
-        ("scale".to_string(), serde::Content::U64(scale() as u64)),
+        ("scale".to_string(), serde::Content::U64(scale as u64)),
         (
             "available_cores".to_string(),
             serde::Content::U64(veil_par::effective_parallelism(None) as u64),
@@ -164,32 +197,31 @@ pub fn write_bench_json<T: Serialize>(name: &str, payload: &T) {
     write_json(&format!("BENCH_{name}"), &doc);
 }
 
-/// Whether writing a `BENCH_*.json` report is permitted on this host.
-///
-/// The committed baselines under `benchmarks/baseline/` are timing
-/// references captured on multi-core hosts; a report produced with one
-/// available core has the same shape but meaningless speedup columns, and
-/// it is far too easy to copy one over a baseline by accident. Opt in
-/// explicitly with the `--allow-single-core` flag (any `bench_*` binary)
-/// or `VEIL_ALLOW_SINGLE_CORE=1` when a single-core report is wanted.
-pub fn single_core_allowed() -> bool {
-    std::env::args().any(|a| a == "--allow-single-core")
-        || std::env::var("VEIL_ALLOW_SINGLE_CORE").is_ok_and(|v| v == "1")
+/// Reads `flag` from the command line: `None` when it is absent, otherwise
+/// the argument after it (empty when it is last), so a bare switch such as
+/// `--allow-single-core` reads as `Some`.
+pub fn flag_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next()?;
+    Some(args.next().unwrap_or_default())
 }
 
-/// Aborts (exit code 1) instead of writing a baseline-shaped benchmark
-/// report when only one core is available and the caller did not opt in —
-/// see [`single_core_allowed`]. The `bench_*` binaries call this first
-/// thing in `main` so a refused run fails before the timing loops, and
-/// [`write_bench_json`] calls it again as the last-line guarantee.
+/// Exits (code 1) before a timing benchmark starts when the machine has
+/// one core and `--allow-single-core` was not given.
+///
+/// The committed `benchmarks/baseline/BENCH_{parallel,obs,scale}.json` are
+/// timing references captured on multi-core hosts; a report timed on one
+/// core has the same shape but meaningless speedup columns, and it is far
+/// too easy to copy one over a baseline by accident. Reports that hold no
+/// timings (`BENCH_faults.json`, `BENCH_recovery.json`) are written on any
+/// core count.
 pub fn refuse_single_core_baseline(name: &str) {
-    if veil_par::effective_parallelism(None) == 1 && !single_core_allowed() {
+    if veil_par::effective_parallelism(None) == 1 && flag_value("--allow-single-core").is_none() {
         eprintln!(
-            "error: refusing to write BENCH_{name}.json: only one core is available \
-             (VEIL_PARALLELISM or the machine), so the timing columns would be \
-             meaningless next to the committed multi-core baselines.\n\
-             Re-run with --allow-single-core (or VEIL_ALLOW_SINGLE_CORE=1) to \
-             write the report anyway."
+            "error: refusing to write BENCH_{name}.json: this machine has one core, so \
+             the timing columns would be meaningless next to the committed \
+             multi-core baselines.\n\
+             Re-run with --allow-single-core to write the report anyway."
         );
         std::process::exit(1);
     }
@@ -242,11 +274,45 @@ mod tests {
 
     #[test]
     fn scaled_horizon_has_floor() {
-        assert_eq!(scaled_horizon(1000.0, 50.0), 1000.0 / scale() as f64);
-        assert!(
-            scaled_horizon(10.0, 50.0) >= 50.0 / scale() as f64
-                || scaled_horizon(10.0, 50.0) == 50.0
+        assert_eq!(scaled_horizon(1000.0, 50.0, 10), 100.0);
+        assert_eq!(scaled_horizon(1000.0, 50.0, 1), 1000.0);
+        assert_eq!(scaled_horizon(10.0, 50.0, 1), 50.0);
+    }
+
+    #[test]
+    fn scale_knob_accepts_only_positive_integers() {
+        assert_eq!(parse_scale(None), Ok(1));
+        assert_eq!(parse_scale(Some("1")), Ok(1));
+        assert_eq!(parse_scale(Some("10")), Ok(10));
+        for bad in ["0", "ten", "1.5", "-0.1", "0.2x", "", "-1"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert_eq!(err, format!("VEIL_SCALE={bad} is not a positive integer"));
+        }
+    }
+
+    #[test]
+    fn fault_loss_knob_accepts_only_probabilities() {
+        assert_eq!(parse_fault_loss(None), Ok(0.0));
+        assert_eq!(parse_fault_loss(Some("0")), Ok(0.0));
+        assert_eq!(parse_fault_loss(Some("0.05")), Ok(0.05));
+        assert_eq!(parse_fault_loss(Some("1")), Ok(1.0));
+        for bad in ["1.5", "-0.1", "0.2x", "ten", "NaN", ""] {
+            let err = parse_fault_loss(Some(bad)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("VEIL_FAULT_LOSS={bad} is not a probability in [0, 1]")
+            );
+        }
+    }
+
+    #[test]
+    fn paper_params_switch_the_link_only_for_loss() {
+        assert_eq!(paper_params(10, 0.0).overlay.link, LinkLayerConfig::Ideal);
+        assert_eq!(
+            paper_params(10, 0.2).overlay.link,
+            LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2))
         );
+        assert_eq!(paper_params(1, 0.0).nodes, 1000);
     }
 
     #[test]

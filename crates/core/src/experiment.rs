@@ -1,19 +1,25 @@
 //! Packaged experiments reproducing the paper's evaluation (Section V).
 //!
-//! Each public function regenerates the data behind one figure:
+//! Every figure is the same loop: pick the parameters of each run, run it
+//! to steady state, measure, reduce. This module holds the constructors
+//! ([`build_trust_graph`], [`build_simulation`]), one measurement per kind
+//! of observation, and [`sweep`], which fans a list of runs out over worker
+//! threads. Whatever a run varies — lifetime ratio, link layer, seed,
+//! remedy, overlay knobs — is set in its [`ExperimentParams`]; reducing the
+//! measurements into a table is the caller's job (the `figures` binary of
+//! `veil-bench` holds one row per figure).
 //!
-//! | Figure | Function |
-//! |--------|----------|
-//! | 3      | [`availability_sweep`] (`*_disconnected` fields) |
-//! | 4      | [`availability_sweep`] (`*_npl` fields) |
+//! | Figure | Measurement, per run |
+//! |--------|----------------------|
+//! | 3, 4, 7 | [`availability_point`] (per lifetime ratio for 7) |
 //! | 5      | [`degree_distributions`] |
 //! | 6      | [`message_load`] |
-//! | 7      | [`lifetime_sweep`] |
-//! | 8      | [`connectivity_over_time`] |
-//! | 9      | [`replacement_rate_over_time`] |
+//! | 8, 9   | [`collector_series`], per lifetime ratio |
+//! | fault degradation | [`degradation_point`], per [`FaultAxis`] value |
+//! | self-healing recovery | [`recovery_point`], per seed, remedy off and on |
 //!
-//! The sensitivity and ablation sweeps in `veil-bench` reuse
-//! [`availability_sweep`] over configuration variants.
+//! The sensitivity and ablation tables sweep [`availability_point`] over
+//! overlay-configuration variants.
 //!
 //! The trust graphs are sampled — exactly as in Section IV-A — with the
 //! invitation-model *f-sampler* from a larger social graph; since the
@@ -21,7 +27,7 @@
 //! synthetic Holme–Kim graph with power-law degrees and social-level
 //! clustering (see DESIGN.md for the substitution argument).
 
-use crate::config::{LinkLayerConfig, OverlayConfig, RemedyConfig};
+use crate::config::{LinkLayerConfig, OverlayConfig};
 use crate::error::CoreError;
 use crate::metrics::Collector;
 use crate::simulation::Simulation;
@@ -29,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use veil_graph::metrics as gm;
 use veil_graph::sample::sample_trust_graph;
 use veil_graph::{generators, Graph};
-use veil_metrics::{Histogram, TimeSeries};
+use veil_metrics::Histogram;
 use veil_sim::churn::ChurnConfig;
 use veil_sim::fault::{EpisodeEffect, FaultConfig, FaultEpisode, LatencyDist};
 use veil_sim::rng::{derive_rng, derive_rng_raw, Stream};
@@ -151,25 +157,15 @@ impl ExperimentParams {
     }
 }
 
-/// Builds the trust graph: a Holme–Kim synthetic social graph f-sampled
-/// down to `params.nodes` vertices.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] if the parameters cannot produce a
-/// valid graph.
-pub fn build_trust_graph(params: &ExperimentParams) -> Result<Graph, CoreError> {
-    build_trust_graph_with_f(params, params.trust_f)
-}
-
-/// Like [`build_trust_graph`] but overriding the sampling parameter `f`
+/// Builds the trust graph: a synthetic social graph (see [`SourceModel`])
+/// f-sampled with `params.trust_f` down to `params.nodes` vertices
 /// (Figures 3–6 compare `f = 1.0` against `f = 0.5`).
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] if the parameters cannot produce a
 /// valid graph.
-pub fn build_trust_graph_with_f(params: &ExperimentParams, f: f64) -> Result<Graph, CoreError> {
+pub fn build_trust_graph(params: &ExperimentParams) -> Result<Graph, CoreError> {
     let source_nodes = params.nodes * params.source_multiplier.max(1);
     let mut rng = derive_rng(params.seed, Stream::Topology);
     let source = match params.source {
@@ -187,12 +183,13 @@ pub fn build_trust_graph_with_f(params: &ExperimentParams, f: f64) -> Result<Gra
         field: "source",
         reason: e.to_string(),
     })?;
-    let sampled = sample_trust_graph(&source, params.nodes, f, &mut rng).map_err(|e| {
-        CoreError::InvalidConfig {
-            field: "trust_f",
-            reason: e.to_string(),
-        }
-    })?;
+    let sampled =
+        sample_trust_graph(&source, params.nodes, params.trust_f, &mut rng).map_err(|e| {
+            CoreError::InvalidConfig {
+                field: "trust_f",
+                reason: e.to_string(),
+            }
+        })?;
     Ok(sampled.graph)
 }
 
@@ -215,6 +212,37 @@ pub fn build_simulation(
     Simulation::new(trust, cfg, churn, params.seed)
 }
 
+/// Measures every run of a sweep and returns the results in run order.
+///
+/// A run is whatever one measurement needs — usually `(params, α)`, with
+/// everything the sweep varies (lifetime ratio, link layer, seed, remedy,
+/// overlay knobs) set in its [`ExperimentParams`]. The runs fan out over
+/// `parallelism` worker threads (`None` = every core, `Some(1)` = serial;
+/// figures pass their `overlay.parallelism`).
+///
+/// This is the experiment engine's determinism contract, stated once:
+/// each run derives its randomness from its own parameters alone (the
+/// master seed and per-component streams) and results are collected in
+/// index order, so the output is identical for every `parallelism`.
+///
+/// # Errors
+///
+/// Returns the error of the first failed run, in run order.
+pub fn sweep<R, T, F>(
+    runs: &[R],
+    parallelism: Option<usize>,
+    measure: F,
+) -> Result<Vec<T>, CoreError>
+where
+    R: Sync,
+    T: Send,
+    F: Fn(&R) -> Result<T, CoreError> + Sync,
+{
+    veil_par::map(runs, parallelism, measure)
+        .into_iter()
+        .collect()
+}
+
 /// An Erdős–Rényi reference graph with the same order and size as `like`,
 /// seeded deterministically from the experiment seed.
 fn random_reference(like: &Graph, seed: u64) -> Graph {
@@ -222,7 +250,7 @@ fn random_reference(like: &Graph, seed: u64) -> Graph {
     generators::erdos_renyi_like(like, &mut rng).expect("reference graph parameters are valid")
 }
 
-/// One row of the availability sweeps (Figures 3, 4 and 7).
+/// One point of the availability figures (3, 4 and 7).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
     /// Node availability `α`.
@@ -241,37 +269,18 @@ pub struct SweepPoint {
     pub random_npl: f64,
 }
 
-/// Runs the availability sweep behind Figures 3 and 4: for each `α`, build
-/// the overlay under churn, run to steady state, and measure connectivity
-/// and normalized path length for the trust graph, the overlay, and an ER
-/// reference of the same size as the overlay.
+/// The measurement behind Figures 3, 4 and 7: build the overlay under
+/// churn at availability `alpha`, run to steady state, and measure
+/// connectivity and normalized path length for the trust graph, the
+/// overlay, and an ER reference of the same size as the overlay.
 ///
 /// Set `with_path_length = false` to skip the (expensive) all-pairs BFS
-/// when only Figure 3 data is needed.
+/// when only connectivity is needed (the `*_npl` fields are then `0`).
 ///
 /// # Errors
 ///
 /// Propagates simulation construction errors.
-pub fn availability_sweep(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alphas: &[f64],
-    with_path_length: bool,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    // Each α is an independent simulation whose randomness derives from
-    // `(params.seed, stream)` alone, so the points can run on worker
-    // threads; collecting in index order keeps the output byte-identical
-    // to a serial run for every `params.overlay.parallelism` value.
-    veil_par::map(alphas, params.overlay.parallelism, |&alpha| {
-        availability_point(trust, params, alpha, with_path_length)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// One α-point of [`availability_sweep`]: build the overlay under churn,
-/// run to steady state, and measure.
-fn availability_point(
+pub fn availability_point(
     trust: &Graph,
     params: &ExperimentParams,
     alpha: f64,
@@ -303,7 +312,7 @@ fn availability_point(
     let overlay = sim.overlay_graph();
     let reference = random.expect("at least one snapshot taken");
     // The all-pairs BFS inside the path-length metric stays serial here:
-    // the sweep already parallelizes across α-points, and oversubscribing
+    // a sweep already parallelizes across runs, and oversubscribing
     // threads would not change the (index-ordered, exact-sum) results.
     let npl = |g: &Graph| {
         if with_path_length {
@@ -441,132 +450,25 @@ pub fn message_load(
     Ok(rows)
 }
 
-/// One availability sweep per pseudonym-lifetime ratio (`None` = `r = ∞`),
-/// in input order — the shape of [`lifetime_sweep`]'s output.
-pub type RatioSweeps = Vec<(Option<f64>, Vec<SweepPoint>)>;
-
-/// Figure 7: the availability sweep repeated for several pseudonym-lifetime
-/// ratios. Returns one sweep per ratio, in input order (`None` = `r = ∞`).
-///
-/// Path lengths are skipped (Figure 7 reports connectivity only).
+/// The measurement behind Figures 8 and 9: run one simulation from a cold
+/// start to `horizon`, sampling every `interval` periods. The returned
+/// collector holds trust-graph and overlay connectivity over time
+/// (Figure 8) and the link-replacement rate (Figure 9).
 ///
 /// # Errors
 ///
 /// Propagates simulation construction errors.
-pub fn lifetime_sweep(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alphas: &[f64],
-    ratios: &[Option<f64>],
-) -> Result<RatioSweeps, CoreError> {
-    // Flatten the (ratio × α) grid into one job list so the thread pool
-    // stays busy even when one axis is short, then regroup by ratio. Jobs
-    // are ordered ratio-major, exactly like the nested serial loops, so
-    // the regrouped output is identical to running each sweep in turn.
-    let jobs: Vec<(Option<f64>, f64)> = ratios
-        .iter()
-        .flat_map(|&ratio| alphas.iter().map(move |&alpha| (ratio, alpha)))
-        .collect();
-    let points = veil_par::map(&jobs, params.overlay.parallelism, |&(ratio, alpha)| {
-        let p = ExperimentParams {
-            lifetime_ratio: ratio,
-            ..params.clone()
-        };
-        availability_point(trust, &p, alpha, false)
-    });
-    let mut out = Vec::with_capacity(ratios.len());
-    let mut it = points.into_iter();
-    for &ratio in ratios {
-        let sweep: Result<Vec<SweepPoint>, CoreError> = it.by_ref().take(alphas.len()).collect();
-        out.push((ratio, sweep?));
-    }
-    Ok(out)
-}
-
-/// Connectivity-over-time series (Figure 8): the trust-graph baseline plus
-/// one overlay series per lifetime ratio, sampled every `interval` periods
-/// until `horizon`.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn connectivity_over_time(
+pub fn collector_series(
     trust: &Graph,
     params: &ExperimentParams,
     alpha: f64,
-    ratios: &[Option<f64>],
     horizon: f64,
     interval: f64,
-) -> Result<ConvergenceSeries, CoreError> {
-    // One independent simulation per ratio; the trust-graph baseline is
-    // overlay-independent, so it is taken from the first ratio's run just
-    // like the serial loop did.
-    let runs = veil_par::map(ratios, params.overlay.parallelism, |&ratio| {
-        let p = ExperimentParams {
-            lifetime_ratio: ratio,
-            ..params.clone()
-        };
-        let mut sim = build_simulation(trust.clone(), &p, alpha)?;
-        let mut collector = Collector::new(interval);
-        collector.run(&mut sim, horizon);
-        Ok::<_, CoreError>((
-            ratio,
-            collector.connectivity_trust().clone(),
-            collector.connectivity().clone(),
-        ))
-    });
-    let mut overlays = Vec::with_capacity(ratios.len());
-    let mut trust_series = TimeSeries::new();
-    for (i, run) in runs.into_iter().enumerate() {
-        let (ratio, trust_ts, overlay_ts) = run?;
-        if i == 0 {
-            trust_series = trust_ts;
-        }
-        overlays.push((ratio, overlay_ts));
-    }
-    Ok(ConvergenceSeries {
-        alpha,
-        trust: trust_series,
-        overlays,
-    })
-}
-
-/// Link-replacement-rate series (Figure 9): one series per lifetime ratio.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn replacement_rate_over_time(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alpha: f64,
-    ratios: &[Option<f64>],
-    horizon: f64,
-    interval: f64,
-) -> Result<Vec<(Option<f64>, TimeSeries)>, CoreError> {
-    veil_par::map(ratios, params.overlay.parallelism, |&ratio| {
-        let p = ExperimentParams {
-            lifetime_ratio: ratio,
-            ..params.clone()
-        };
-        let mut sim = build_simulation(trust.clone(), &p, alpha)?;
-        let mut collector = Collector::new(interval);
-        collector.run(&mut sim, horizon);
-        Ok((ratio, collector.replacement_rate().clone()))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Output of [`connectivity_over_time`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceSeries {
-    /// Availability the experiment ran at.
-    pub alpha: f64,
-    /// Trust-graph connectivity over time.
-    pub trust: TimeSeries,
-    /// Overlay connectivity over time, one series per lifetime ratio.
-    pub overlays: Vec<(Option<f64>, TimeSeries)>,
+) -> Result<Collector, CoreError> {
+    let mut sim = build_simulation(trust.clone(), params, alpha)?;
+    let mut collector = Collector::new(interval);
+    collector.run(&mut sim, horizon);
+    Ok(collector)
 }
 
 /// Convenience wrapper: flood a broadcast from the highest-degree online
@@ -588,14 +490,13 @@ pub fn steady_state_broadcast(
     Ok(crate::dissemination::flood_current_overlay(&sim, source))
 }
 
-/// One row of the fault-degradation sweeps ([`degradation_loss_sweep`],
-/// [`degradation_latency_sweep`], [`degradation_partition_sweep`]): overlay
-/// quality and maintenance effort as a function of one fault parameter.
+/// One point of a fault-degradation sweep ([`degradation_point`]): overlay
+/// quality and maintenance effort at one value of one fault parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradationPoint {
     /// The swept fault parameter: per-message loss probability, mean
     /// latency in shuffle periods, or partitioned node fraction, depending
-    /// on the sweep.
+    /// on the [`FaultAxis`].
     pub x: f64,
     /// Fraction of disconnected online nodes in the maintained overlay,
     /// averaged over the steady-state snapshots.
@@ -617,10 +518,12 @@ pub struct DegradationPoint {
     pub shuffle_retries: u64,
 }
 
-/// One point of the degradation sweeps: run the overlay at availability
-/// `alpha` over the given link layer, then measure connectivity, broadcast
-/// coverage, path length and maintenance effort at steady state (the same
-/// snapshot-averaging discipline as [`availability_sweep`]).
+/// The measurement behind the fault-degradation sweeps: run the overlay
+/// at availability `alpha` over `params.overlay.link` (see
+/// [`FaultAxis::link`]), then measure connectivity, broadcast coverage,
+/// path length and maintenance effort at steady state (the same
+/// snapshot-averaging discipline as [`availability_point`]). `x` labels
+/// the point with the swept fault parameter's value.
 ///
 /// # Errors
 ///
@@ -631,21 +534,18 @@ pub fn degradation_point(
     params: &ExperimentParams,
     alpha: f64,
     x: f64,
-    link: LinkLayerConfig,
 ) -> Result<DegradationPoint, CoreError> {
     const SNAPSHOTS: usize = 5;
     const SNAPSHOT_SPACING: f64 = 10.0;
-    let mut p = params.clone();
-    p.overlay.link = link;
-    let mut sim = build_simulation(trust.clone(), &p, alpha)?;
-    sim.run_until(p.warmup);
+    let mut sim = build_simulation(trust.clone(), params, alpha)?;
+    sim.run_until(params.warmup);
     let removals_start = sim.total_link_removals();
     let mut disconnected = 0.0;
     let mut coverage = 0.0;
     let mut final_view = None;
     for snap in 0..SNAPSHOTS {
         if snap > 0 {
-            sim.run_until(p.warmup + snap as f64 * SNAPSHOT_SPACING);
+            sim.run_until(params.warmup + snap as f64 * SNAPSHOT_SPACING);
         }
         // Structural fault effects (partitions, silent crashes) are
         // invisible to the overlay *graph* — trusted links exist regardless
@@ -700,95 +600,43 @@ fn fault_adjusted_view(sim: &Simulation) -> (Graph, Vec<bool>) {
     (filtered, online)
 }
 
-/// Degradation versus per-message loss probability: one
-/// [`DegradationPoint`] per entry of `losses`, in input order. Loss `0`
-/// routes through the ideal-equivalent trivial fault model, so the first
-/// point of a sweep starting at `0.0` doubles as the fault-free baseline.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-///
-/// # Panics
-///
-/// Panics (inside the worker) if a loss value is outside `[0, 1]`.
-pub fn degradation_loss_sweep(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alpha: f64,
-    losses: &[f64],
-) -> Result<Vec<DegradationPoint>, CoreError> {
-    veil_par::map(losses, params.overlay.parallelism, |&loss| {
-        let link = LinkLayerConfig::Faulty(FaultConfig::with_loss(loss));
-        degradation_point(trust, params, alpha, loss, link)
-    })
-    .into_iter()
-    .collect()
+/// The three fault axes of the degradation experiments: what one value
+/// `x` of the swept fault parameter means as a link layer. Each axis's
+/// value `0` injects nothing, so a sweep starting at `0.0` carries its
+/// own fault-free baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultAxis {
+    /// Per-message loss probability `x`.
+    Loss,
+    /// Exponentially distributed one-way latency with mean `x` shuffle
+    /// periods.
+    Latency,
+    /// The nodes `0..x·n` cut off from the rest by a network partition
+    /// active for the whole run.
+    Partition,
 }
 
-/// Degradation versus mean one-way latency (exponentially distributed):
-/// one [`DegradationPoint`] per entry of `means`, in input order. A mean
-/// of `0` substitutes the degenerate constant-zero distribution, i.e. the
-/// instant-delivery baseline.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn degradation_latency_sweep(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alpha: f64,
-    means: &[f64],
-) -> Result<Vec<DegradationPoint>, CoreError> {
-    veil_par::map(means, params.overlay.parallelism, |&mean| {
-        let latency = if mean > 0.0 {
-            LatencyDist::Exponential { mean }
-        } else {
-            LatencyDist::Constant { value: 0.0 }
-        };
-        let fault = FaultConfig {
-            latency,
-            ..FaultConfig::none()
-        };
-        degradation_point(trust, params, alpha, mean, LinkLayerConfig::Faulty(fault))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Degradation versus partition size: for each fraction, the nodes
-/// `0..fraction·n` are permanently cut off from the rest (a network
-/// partition active for the whole run). One [`DegradationPoint`] per
-/// fraction, in input order; fraction `0` is the unpartitioned baseline.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn degradation_partition_sweep(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alpha: f64,
-    fractions: &[f64],
-) -> Result<Vec<DegradationPoint>, CoreError> {
-    let n = trust.node_count();
-    veil_par::map(fractions, params.overlay.parallelism, |&frac| {
-        let boundary = (frac * n as f64).round() as u32;
-        let fault = if boundary == 0 {
-            FaultConfig::none()
-        } else {
-            FaultConfig {
-                episodes: vec![FaultEpisode {
-                    start: 0.0,
-                    end: f64::INFINITY,
-                    effect: EpisodeEffect::Partition { boundary },
-                }],
-                ..FaultConfig::none()
-            }
-        };
-        degradation_point(trust, params, alpha, frac, LinkLayerConfig::Faulty(fault))
-    })
-    .into_iter()
-    .collect()
+impl FaultAxis {
+    /// The link layer at value `x` of this axis, for an `n`-node overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a loss probability is outside `[0, 1]`.
+    pub fn link(self, x: f64, n: usize) -> LinkLayerConfig {
+        let mut fault = FaultConfig::none();
+        let boundary = (x * n as f64).round() as u32;
+        match self {
+            FaultAxis::Loss => fault = FaultConfig::with_loss(x),
+            FaultAxis::Latency if x > 0.0 => fault.latency = LatencyDist::Exponential { mean: x },
+            FaultAxis::Partition if boundary > 0 => fault.episodes.push(FaultEpisode {
+                start: 0.0,
+                end: f64::INFINITY,
+                effect: EpisodeEffect::Partition { boundary },
+            }),
+            FaultAxis::Latency | FaultAxis::Partition => {}
+        }
+        LinkLayerConfig::Faulty(fault)
+    }
 }
 
 /// The scripted outage the self-healing recovery sweep measures against.
@@ -833,10 +681,9 @@ impl Default for RecoveryScenario {
 /// the trace analytics' blackout recovery metric in [`veil_obs::replay`]).
 pub(crate) const RECOVERY_FRACTION: f64 = 0.9;
 
-/// One row of the self-healing recovery sweep
-/// ([`degradation_recovery_sweep`]): how fast the pseudonym overlay
-/// recovers from a correlated blackout, with the remediation engine on or
-/// off.
+/// One run of the self-healing recovery sweep ([`recovery_point`]): how
+/// fast the pseudonym overlay recovers from a correlated blackout, with
+/// the remediation engine on or off.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPoint {
     /// Master seed of this run.
@@ -853,52 +700,25 @@ pub struct RecoveryPoint {
     pub remedy_actions: u64,
 }
 
-/// Time-to-recover from a correlated blackout, healing on versus healing
-/// off, at several seeds: for each seed the sweep runs the identical
-/// scenario twice — `loss` per-message drop probability plus the default
-/// [`RecoveryScenario`] blackout right after warm-up — once with
-/// [`RemedyConfig`] disabled and once with every reaction enabled.
-/// Recovery is measured on the pseudonym overlay (see
-/// [`RecoveryScenario`] for why): periods after the blackout lifts until
-/// flood coverage over pseudonym links regains 90% of its pre-blackout
-/// mean. Both arms share the identical monitor configuration, so the only
-/// difference between them is whether alerts trigger reactions.
+/// The measurement behind the self-healing recovery sweep: the blackout
+/// of `scenario` right after warm-up, on top of `params.overlay.link`
+/// (the sweep sets a lossy link), then time-to-recover. Recovery is
+/// measured on the pseudonym overlay (see [`RecoveryScenario`] for why):
+/// periods after the blackout lifts until flood coverage over pseudonym
+/// links regains 90% of its pre-blackout mean.
 ///
-/// Returns two [`RecoveryPoint`]s per seed, healing-off first.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn degradation_recovery_sweep(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alpha: f64,
-    loss: f64,
-    seeds: &[u64],
-) -> Result<Vec<RecoveryPoint>, CoreError> {
-    let scenario = RecoveryScenario::default();
-    let arms: Vec<(u64, bool)> = seeds
-        .iter()
-        .flat_map(|&seed| [(seed, false), (seed, true)])
-        .collect();
-    veil_par::map(&arms, params.overlay.parallelism, |&(seed, healing)| {
-        recovery_point(trust, params, alpha, loss, seed, healing, &scenario)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// One arm of the recovery sweep: run the blackout scenario and measure
-/// pseudonym-overlay coverage period by period.
-///
-/// The health monitor runs with a 1-period window (reaction latency is the
-/// whole point of the measurement) and the eviction-storm threshold lifted
-/// out of reach: at 20% message loss, retry-exhausted evictions are
-/// routine, so a storm threshold calibrated for clean links would fire
-/// every window and the backoff reaction would suppress healthy gossip
-/// (measurably slowing recovery — the backoff path is exercised by unit
-/// and integration tests instead). Both arms share this monitor; the
-/// healing arm differs only in reacting to its alerts.
+/// The A/B comparison runs this twice per seed, with
+/// `params.overlay.remedy` off and with every reaction on
+/// ([`RemedyConfig::all_on`](crate::config::RemedyConfig::all_on)). The
+/// health monitor is set here, identically for both arms, so the only
+/// difference between them is whether alerts trigger reactions: a
+/// 1-period window (reaction latency is the whole point of the
+/// measurement) and the eviction-storm threshold lifted out of reach. At
+/// 20% message loss, retry-exhausted evictions are routine, so a storm
+/// threshold calibrated for clean links would fire every window and the
+/// backoff reaction would suppress healthy gossip (measurably slowing
+/// recovery — the backoff path is exercised by unit and integration tests
+/// instead).
 ///
 /// # Errors
 ///
@@ -907,9 +727,6 @@ pub fn recovery_point(
     trust: &Graph,
     params: &ExperimentParams,
     alpha: f64,
-    loss: f64,
-    seed: u64,
-    healing: bool,
     scenario: &RecoveryScenario,
 ) -> Result<RecoveryPoint, CoreError> {
     let n = trust.node_count();
@@ -917,24 +734,19 @@ pub fn recovery_point(
     let start = params.warmup;
     let end = start + scenario.duration;
     let mut p = params.clone();
-    p.seed = seed;
-    p.overlay.link = LinkLayerConfig::Faulty(FaultConfig {
-        drop_probability: loss,
-        episodes: vec![FaultEpisode {
-            start,
-            end,
-            effect: EpisodeEffect::Blackout { first: 0, count },
-        }],
-        ..FaultConfig::none()
+    let mut fault = match p.overlay.link {
+        LinkLayerConfig::Faulty(fault) => fault,
+        LinkLayerConfig::Ideal => FaultConfig::none(),
+    };
+    fault.episodes.push(FaultEpisode {
+        start,
+        end,
+        effect: EpisodeEffect::Blackout { first: 0, count },
     });
+    p.overlay.link = LinkLayerConfig::Faulty(fault);
     p.overlay.health.enabled = true;
     p.overlay.health.window = 1.0;
     p.overlay.health.eviction_storm_count = u64::MAX;
-    p.overlay.remedy = if healing {
-        RemedyConfig::all_on()
-    } else {
-        RemedyConfig::default()
-    };
     let mut sim = build_simulation(trust.clone(), &p, alpha)?;
 
     // Baseline over the last `baseline_snapshots` periods of warm-up, then
@@ -945,8 +757,8 @@ pub fn recovery_point(
         (t < give_up).then_some(t + 1.0)
     });
     Ok(RecoveryPoint {
-        seed,
-        healing,
+        seed: p.seed,
+        healing: p.overlay.remedy.enabled,
         time_to_recover,
         health_alerts: sim.health_alerts().unwrap_or(0),
         remedy_actions: sim.remedy_counts().map_or(0, |c| c.total()),
@@ -1024,6 +836,35 @@ mod tests {
         .scaled_down(8)
     }
 
+    /// One availability point per α, as the Figure 3/4 rows run them.
+    fn availability_sweep(
+        trust: &Graph,
+        p: &ExperimentParams,
+        alphas: &[f64],
+        with_path_length: bool,
+    ) -> Vec<SweepPoint> {
+        sweep(alphas, p.overlay.parallelism, |&alpha| {
+            availability_point(trust, p, alpha, with_path_length)
+        })
+        .unwrap()
+    }
+
+    /// One degradation point per value of `axis`, at availability `alpha`.
+    fn degradation_sweep(
+        trust: &Graph,
+        p: &ExperimentParams,
+        alpha: f64,
+        axis: FaultAxis,
+        xs: &[f64],
+    ) -> Vec<DegradationPoint> {
+        sweep(xs, p.overlay.parallelism, |&x| {
+            let mut q = p.clone();
+            q.overlay.link = axis.link(x, trust.node_count());
+            degradation_point(trust, &q, alpha, x)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn default_params_match_table_one() {
         let p = ExperimentParams::default();
@@ -1057,8 +898,12 @@ mod tests {
             },
             ..ExperimentParams::default()
         };
-        let dense = build_trust_graph_with_f(&p, 1.0).unwrap();
-        let sparse = build_trust_graph_with_f(&p, 0.5).unwrap();
+        let with_f = |trust_f| ExperimentParams {
+            trust_f,
+            ..p.clone()
+        };
+        let dense = build_trust_graph(&with_f(1.0)).unwrap();
+        let sparse = build_trust_graph(&with_f(0.5)).unwrap();
         assert_eq!(dense.node_count(), 100);
         assert!(
             dense.average_degree() > sparse.average_degree(),
@@ -1083,8 +928,12 @@ mod tests {
                 source_multiplier: 5,
                 ..ExperimentParams::default()
             };
-            dense_total += build_trust_graph_with_f(&p, 1.0).unwrap().edge_count();
-            sparse_total += build_trust_graph_with_f(&p, 0.5).unwrap().edge_count();
+            let with_f = |trust_f| ExperimentParams {
+                trust_f,
+                ..p.clone()
+            };
+            dense_total += build_trust_graph(&with_f(1.0)).unwrap().edge_count();
+            sparse_total += build_trust_graph(&with_f(0.5)).unwrap().edge_count();
         }
         assert!(
             dense_total > sparse_total,
@@ -1096,7 +945,7 @@ mod tests {
     fn availability_sweep_shapes() {
         let p = tiny_params(3);
         let trust = build_trust_graph(&p).unwrap();
-        let points = availability_sweep(&trust, &p, &[0.25, 1.0], false).unwrap();
+        let points = availability_sweep(&trust, &p, &[0.25, 1.0], false);
         assert_eq!(points.len(), 2);
         let low = &points[0];
         let full = &points[1];
@@ -1116,7 +965,7 @@ mod tests {
     fn sweep_with_path_lengths() {
         let p = tiny_params(4);
         let trust = build_trust_graph(&p).unwrap();
-        let points = availability_sweep(&trust, &p, &[1.0], true).unwrap();
+        let points = availability_sweep(&trust, &p, &[1.0], true);
         let pt = &points[0];
         assert!(pt.overlay_npl > 0.0);
         assert!(
@@ -1153,35 +1002,60 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_sweep_orders_ratios() {
+    fn sweep_equals_runs_measured_one_by_one() {
         let p = tiny_params(7);
         let trust = build_trust_graph(&p).unwrap();
-        let sweeps = lifetime_sweep(&trust, &p, &[0.5], &[Some(1.0), None]).unwrap();
-        assert_eq!(sweeps.len(), 2);
-        assert_eq!(sweeps[0].0, Some(1.0));
-        assert_eq!(sweeps[1].0, None);
+        let runs: Vec<(ExperimentParams, f64)> = [Some(1.0), None]
+            .into_iter()
+            .flat_map(|lifetime_ratio| {
+                let q = ExperimentParams {
+                    lifetime_ratio,
+                    ..p.clone()
+                };
+                [0.25, 0.5, 1.0].map(|alpha| (q.clone(), alpha))
+            })
+            .collect();
+        let one_by_one: Vec<SweepPoint> = runs
+            .iter()
+            .map(|(q, alpha)| availability_point(&trust, q, *alpha, false).unwrap())
+            .collect();
+        for parallelism in [Some(1), Some(4)] {
+            let swept = sweep(&runs, parallelism, |(q, alpha)| {
+                availability_point(&trust, q, *alpha, false)
+            })
+            .unwrap();
+            assert_eq!(swept, one_by_one, "parallelism {parallelism:?}");
+        }
     }
 
     #[test]
     fn convergence_series_has_all_ratios() {
         let p = tiny_params(8);
         let trust = build_trust_graph(&p).unwrap();
-        let series =
-            connectivity_over_time(&trust, &p, 0.5, &[Some(3.0), None], 30.0, 10.0).unwrap();
-        assert_eq!(series.overlays.len(), 2);
-        assert_eq!(series.trust.len(), 4); // t = 0, 10, 20, 30
-        for (_, ts) in &series.overlays {
-            assert_eq!(ts.len(), 4);
+        let runs = [Some(3.0), None].map(|lifetime_ratio| ExperimentParams {
+            lifetime_ratio,
+            ..p.clone()
+        });
+        let series = sweep(&runs, p.overlay.parallelism, |q| {
+            collector_series(&trust, q, 0.5, 30.0, 10.0)
+        })
+        .unwrap();
+        assert_eq!(series.len(), 2);
+        assert_eq!(series[0].connectivity_trust().len(), 4); // t = 0, 10, 20, 30
+        for collector in &series {
+            assert_eq!(collector.connectivity().len(), 4);
         }
     }
 
     #[test]
     fn replacement_series_zero_for_infinite_lifetime_at_steady_state() {
-        let p = tiny_params(9);
+        let p = ExperimentParams {
+            lifetime_ratio: None,
+            ..tiny_params(9)
+        };
         let trust = build_trust_graph(&p).unwrap();
-        let series = replacement_rate_over_time(&trust, &p, 1.0, &[None], 120.0, 10.0).unwrap();
-        let (_, ts) = &series[0];
-        let tail = ts.tail_mean(3).unwrap();
+        let series = collector_series(&trust, &p, 1.0, 120.0, 10.0).unwrap();
+        let tail = series.replacement_rate().tail_mean(3).unwrap();
         assert!(tail < 1.0, "late replacement rate {tail} should be ~0");
     }
 
@@ -1212,7 +1086,7 @@ mod tests {
         // when snapshots catch zero or one node online.
         let p = tiny_params(11);
         let trust = build_trust_graph(&p).unwrap();
-        let points = availability_sweep(&trust, &p, &[0.02, 1.0], true).unwrap();
+        let points = availability_sweep(&trust, &p, &[0.02, 1.0], true);
         assert_eq!(points.len(), 2);
         let (trickle, full) = (&points[0], &points[1]);
         assert_eq!(full.overlay_disconnected, 0.0);
@@ -1231,7 +1105,7 @@ mod tests {
         let p = tiny_params(12);
         let trust = build_trust_graph(&p).unwrap();
         for alpha in [0.02, 1.0] {
-            let pts = degradation_loss_sweep(&trust, &p, alpha, &[0.2]).unwrap();
+            let pts = degradation_sweep(&trust, &p, alpha, FaultAxis::Loss, &[0.2]);
             assert!((0.0..=1.0).contains(&pts[0].coverage));
         }
     }
@@ -1240,7 +1114,7 @@ mod tests {
     fn loss_sweep_baseline_matches_ideal_and_degrades() {
         let p = tiny_params(13);
         let trust = build_trust_graph(&p).unwrap();
-        let pts = degradation_loss_sweep(&trust, &p, 0.8, &[0.0, 0.3]).unwrap();
+        let pts = degradation_sweep(&trust, &p, 0.8, FaultAxis::Loss, &[0.0, 0.3]);
         assert_eq!(pts.len(), 2);
         let (clean, lossy) = (&pts[0], &pts[1]);
         // The zero-loss point runs the ideal-equivalent path: no retries,
@@ -1260,7 +1134,7 @@ mod tests {
         let trust = build_trust_graph(&p).unwrap();
         // Mean latency far beyond the shuffle timeout: most exchanges
         // should need retries, yet the run completes.
-        let pts = degradation_latency_sweep(&trust, &p, 1.0, &[0.0, 10.0]).unwrap();
+        let pts = degradation_sweep(&trust, &p, 1.0, FaultAxis::Latency, &[0.0, 10.0]);
         assert_eq!(pts[0].shuffle_retries, 0);
         assert!(pts[1].shuffle_retries > 0, "slow links must time out");
     }
@@ -1269,7 +1143,7 @@ mod tests {
     fn partition_sweep_disconnects_cut_off_region() {
         let p = tiny_params(15);
         let trust = build_trust_graph(&p).unwrap();
-        let pts = degradation_partition_sweep(&trust, &p, 1.0, &[0.0, 0.4]).unwrap();
+        let pts = degradation_sweep(&trust, &p, 1.0, FaultAxis::Partition, &[0.0, 0.4]);
         let (whole, split) = (&pts[0], &pts[1]);
         assert_eq!(whole.overlay_disconnected, 0.0);
         // With 40% of nodes cut off, a broadcast from the majority side

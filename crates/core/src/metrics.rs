@@ -106,7 +106,7 @@ pub fn degree_histogram(sim: &Simulation) -> Histogram {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Collector {
     interval: f64,
     connectivity: TimeSeries,

@@ -13,7 +13,7 @@
 //! cargo run --release -p veil-core --example patient_community
 //! ```
 
-use veil_core::experiment::{build_simulation, build_trust_graph_with_f, ExperimentParams};
+use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_graph::metrics;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Invitation models: f = 1.0 "everyone invites all their friends",
     // f = 0.5 "everyone invites some friends".
     for f in [1.0, 0.5] {
-        let trust = build_trust_graph_with_f(&base, f)?;
+        let trust = build_trust_graph(&ExperimentParams {
+            trust_f: f,
+            ..base.clone()
+        })?;
         println!(
             "\ninvitation model f = {f}: {} patients, {} trust ties (avg degree {:.1})",
             trust.node_count(),

@@ -2,7 +2,7 @@
 //! master seed; different seeds diverge; component streams are independent.
 
 use veil_core::experiment::{
-    availability_sweep, build_simulation, build_trust_graph, ExperimentParams,
+    availability_point, build_simulation, build_trust_graph, sweep, ExperimentParams,
 };
 use veil_graph::generators;
 use veil_sim::rng::{derive_rng, Stream};
@@ -61,8 +61,14 @@ fn incremental_and_single_shot_runs_agree() {
 fn sweep_results_are_reproducible() {
     let p = params(11);
     let trust = build_trust_graph(&p).unwrap();
-    let a = availability_sweep(&trust, &p, &[0.5], false).unwrap();
-    let b = availability_sweep(&trust, &p, &[0.5], false).unwrap();
+    let run = || {
+        sweep(&[0.5], p.overlay.parallelism, |&alpha| {
+            availability_point(&trust, &p, alpha, false)
+        })
+        .unwrap()
+    };
+    let a = run();
+    let b = run();
     assert_eq!(a, b);
 }
 

@@ -8,12 +8,12 @@
 //!    up to the documented 20% loss threshold.
 //! 3. Faulty runs are deterministic across thread counts.
 
-use veil_core::config::LinkLayerConfig;
+use veil_core::config::{LinkLayerConfig, RemedyConfig};
 use veil_core::experiment::{
-    availability_sweep, build_simulation, build_trust_graph, degradation_latency_sweep,
-    degradation_loss_sweep, degradation_partition_sweep, recovery_point, ExperimentParams,
-    RecoveryScenario,
+    availability_point, build_simulation, build_trust_graph, degradation_point, recovery_point,
+    sweep, DegradationPoint, ExperimentParams, FaultAxis, RecoveryScenario, SweepPoint,
 };
+use veil_graph::Graph;
 use veil_sim::fault::{FaultConfig, LatencyDist};
 
 const PARALLELISMS: [Option<usize>; 3] = [Some(1), Some(4), None];
@@ -48,6 +48,30 @@ fn with_link(
     p
 }
 
+/// One availability point per α, path lengths included.
+fn availability_sweep(trust: &Graph, p: &ExperimentParams, alphas: &[f64]) -> Vec<SweepPoint> {
+    sweep(alphas, p.overlay.parallelism, |&alpha| {
+        availability_point(trust, p, alpha, true)
+    })
+    .expect("sweep")
+}
+
+/// One degradation point per value `x` of `axis`, at availability `alpha`.
+fn degradation_sweep(
+    trust: &Graph,
+    p: &ExperimentParams,
+    alpha: f64,
+    axis: FaultAxis,
+    xs: &[f64],
+) -> Vec<DegradationPoint> {
+    sweep(xs, p.overlay.parallelism, |&x| {
+        let mut q = p.clone();
+        q.overlay.link = axis.link(x, trust.node_count());
+        degradation_point(trust, &q, alpha, x)
+    })
+    .expect("sweep")
+}
+
 #[test]
 fn zero_fault_faulty_layer_is_byte_identical_to_ideal() {
     for seed in [5, 23] {
@@ -55,20 +79,16 @@ fn zero_fault_faulty_layer_is_byte_identical_to_ideal() {
         let trust = build_trust_graph(&params).expect("trust graph");
         let alphas = [0.5, 1.0];
         let ideal = with_link(&params, LinkLayerConfig::Ideal, Some(1));
-        let baseline = serde_json::to_string(
-            &availability_sweep(&trust, &ideal, &alphas, true).expect("ideal sweep"),
-        )
-        .expect("serialize");
+        let baseline =
+            serde_json::to_string(&availability_sweep(&trust, &ideal, &alphas)).expect("serialize");
         for parallelism in PARALLELISMS {
             let faulty = with_link(
                 &params,
                 LinkLayerConfig::Faulty(FaultConfig::none()),
                 parallelism,
             );
-            let got = serde_json::to_string(
-                &availability_sweep(&trust, &faulty, &alphas, true).expect("faulty sweep"),
-            )
-            .expect("serialize");
+            let got = serde_json::to_string(&availability_sweep(&trust, &faulty, &alphas))
+                .expect("serialize");
             assert_eq!(
                 baseline, got,
                 "zero-fault faulty layer diverged from ideal \
@@ -109,7 +129,7 @@ fn zero_fault_faulty_layer_is_byte_identical_to_ideal() {
 fn coverage_degrades_gracefully_with_loss() {
     let params = tiny_params(42);
     let trust = build_trust_graph(&params).expect("trust graph");
-    let points = degradation_loss_sweep(&trust, &params, ALPHA, &LOSSES).expect("sweep");
+    let points = degradation_sweep(&trust, &params, ALPHA, FaultAxis::Loss, &LOSSES);
     let coverages: Vec<f64> = points.iter().map(|p| p.coverage).collect();
     // Near-monotone decline: later points may wobble up only within noise.
     for w in coverages.windows(2) {
@@ -165,9 +185,9 @@ fn degradation_sweeps_are_deterministic_across_thread_counts() {
     let run = |parallelism: Option<usize>| {
         let mut p = params.clone();
         p.overlay.parallelism = parallelism;
-        let loss = degradation_loss_sweep(&trust, &p, ALPHA, &[0.1, 0.3]).expect("loss");
-        let lat = degradation_latency_sweep(&trust, &p, ALPHA, &[0.5, 2.0]).expect("latency");
-        let part = degradation_partition_sweep(&trust, &p, ALPHA, &[0.3]).expect("partition");
+        let loss = degradation_sweep(&trust, &p, ALPHA, FaultAxis::Loss, &[0.1, 0.3]);
+        let lat = degradation_sweep(&trust, &p, ALPHA, FaultAxis::Latency, &[0.5, 2.0]);
+        let part = degradation_sweep(&trust, &p, ALPHA, FaultAxis::Partition, &[0.3]);
         (loss, lat, part)
     };
     let serial = run(Some(1));
@@ -184,8 +204,7 @@ fn degradation_sweeps_are_deterministic_across_thread_counts() {
 fn latency_degradation_is_graceful() {
     let params = tiny_params(11);
     let trust = build_trust_graph(&params).expect("trust graph");
-    let points =
-        degradation_latency_sweep(&trust, &params, ALPHA, &[0.0, 0.5, 1.0]).expect("sweep");
+    let points = degradation_sweep(&trust, &params, ALPHA, FaultAxis::Latency, &[0.0, 0.5, 1.0]);
     // Sub-timeout latencies barely hurt: the overlay stays useful.
     for p in &points {
         assert!(
@@ -229,8 +248,10 @@ fn self_healing_strictly_speeds_blackout_recovery() {
     for seed in [23, 47] {
         let mut p = params.clone();
         p.seed = seed;
-        let off = recovery_point(&trust, &p, ALPHA, 0.2, seed, false, &scenario).expect("off arm");
-        let on = recovery_point(&trust, &p, ALPHA, 0.2, seed, true, &scenario).expect("on arm");
+        p.overlay.link = FaultAxis::Loss.link(0.2, trust.node_count());
+        let off = recovery_point(&trust, &p, ALPHA, &scenario).expect("off arm");
+        p.overlay.remedy = RemedyConfig::all_on();
+        let on = recovery_point(&trust, &p, ALPHA, &scenario).expect("on arm");
         assert_eq!(off.remedy_actions, 0, "healing-off arm must not react");
         assert!(
             on.remedy_actions > 0,
@@ -257,8 +278,13 @@ fn self_healing_strictly_speeds_blackout_recovery() {
 fn partition_size_limits_coverage() {
     let params = tiny_params(19);
     let trust = build_trust_graph(&params).expect("trust graph");
-    let points =
-        degradation_partition_sweep(&trust, &params, 1.0, &[0.0, 0.25, 0.5]).expect("sweep");
+    let points = degradation_sweep(
+        &trust,
+        &params,
+        1.0,
+        FaultAxis::Partition,
+        &[0.0, 0.25, 0.5],
+    );
     // Coverage cannot exceed the fraction of nodes on the source's side
     // (plus rounding); it must shrink as the cut grows toward an even
     // split.

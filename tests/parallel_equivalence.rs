@@ -8,9 +8,8 @@
 //! `parallelism ∈ {Some(1), Some(4), None}`.
 
 use veil_core::experiment::{
-    availability_sweep, build_trust_graph, connectivity_over_time, degree_distributions,
-    lifetime_sweep, message_load, replacement_rate_over_time, steady_state_broadcast,
-    ExperimentParams,
+    availability_point, build_trust_graph, collector_series, degree_distributions, message_load,
+    steady_state_broadcast, sweep, ExperimentParams,
 };
 use veil_graph::Graph;
 
@@ -49,6 +48,17 @@ fn with_parallelism(params: &ExperimentParams, parallelism: Option<usize>) -> Ex
     p
 }
 
+/// `params` once per lifetime ratio of [`RATIOS`].
+fn per_ratio(params: &ExperimentParams) -> Vec<ExperimentParams> {
+    RATIOS
+        .iter()
+        .map(|&lifetime_ratio| ExperimentParams {
+            lifetime_ratio,
+            ..params.clone()
+        })
+        .collect()
+}
+
 /// Runs `experiment` at every parallelism level and asserts all outputs
 /// equal the serial one.
 fn assert_equivalent<T, F>(label: &str, params: &ExperimentParams, experiment: F)
@@ -80,7 +90,10 @@ fn for_each_config(mut body: impl FnMut(&ExperimentParams, &Graph)) {
 fn availability_sweep_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("availability_sweep", params, |p| {
-            availability_sweep(trust, p, &ALPHAS, false).expect("sweep")
+            sweep(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                availability_point(trust, p, alpha, false)
+            })
+            .expect("sweep")
         });
     });
 }
@@ -89,7 +102,10 @@ fn availability_sweep_is_parallelism_invariant() {
 fn availability_sweep_with_path_lengths_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("availability_sweep(npl)", params, |p| {
-            availability_sweep(trust, p, &[0.5, 1.0], true).expect("sweep")
+            sweep(&[0.5, 1.0], p.overlay.parallelism, |&alpha| {
+                availability_point(trust, p, alpha, true)
+            })
+            .expect("sweep")
         });
     });
 }
@@ -98,7 +114,14 @@ fn availability_sweep_with_path_lengths_is_parallelism_invariant() {
 fn lifetime_sweep_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("lifetime_sweep", params, |p| {
-            lifetime_sweep(trust, p, &ALPHAS, &RATIOS).expect("sweep")
+            let runs: Vec<(ExperimentParams, f64)> = per_ratio(p)
+                .into_iter()
+                .flat_map(|q| ALPHAS.map(|alpha| (q.clone(), alpha)))
+                .collect();
+            sweep(&runs, p.overlay.parallelism, |(q, alpha)| {
+                availability_point(trust, q, *alpha, false)
+            })
+            .expect("sweep")
         });
     });
 }
@@ -107,7 +130,11 @@ fn lifetime_sweep_is_parallelism_invariant() {
 fn connectivity_over_time_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("connectivity_over_time", params, |p| {
-            connectivity_over_time(trust, p, 0.5, &RATIOS, 40.0, 10.0).expect("series")
+            sweep(&per_ratio(p), p.overlay.parallelism, |q| {
+                collector_series(trust, q, 0.5, 40.0, 10.0)
+                    .map(|c| (c.connectivity_trust().clone(), c.connectivity().clone()))
+            })
+            .expect("series")
         });
     });
 }
@@ -116,7 +143,10 @@ fn connectivity_over_time_is_parallelism_invariant() {
 fn replacement_rate_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("replacement_rate_over_time", params, |p| {
-            replacement_rate_over_time(trust, p, 0.5, &RATIOS, 40.0, 10.0).expect("series")
+            sweep(&per_ratio(p), p.overlay.parallelism, |q| {
+                collector_series(trust, q, 0.5, 40.0, 10.0).map(|c| c.replacement_rate().clone())
+            })
+            .expect("series")
         });
     });
 }
@@ -125,9 +155,10 @@ fn replacement_rate_is_parallelism_invariant() {
 fn degree_distributions_are_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("degree_distributions", params, |p| {
-            veil_par::map(&ALPHAS, p.overlay.parallelism, |&alpha| {
-                degree_distributions(trust, p, alpha).expect("distributions")
+            sweep(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                degree_distributions(trust, p, alpha)
             })
+            .expect("distributions")
         });
     });
 }
@@ -136,9 +167,10 @@ fn degree_distributions_are_parallelism_invariant() {
 fn message_load_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("message_load", params, |p| {
-            veil_par::map(&ALPHAS, p.overlay.parallelism, |&alpha| {
-                message_load(trust, p, alpha, 20.0, 5.0).expect("rows")
+            sweep(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                message_load(trust, p, alpha, 20.0, 5.0)
             })
+            .expect("rows")
         });
     });
 }
@@ -147,9 +179,10 @@ fn message_load_is_parallelism_invariant() {
 fn steady_state_broadcast_is_parallelism_invariant() {
     for_each_config(|params, trust| {
         assert_equivalent("steady_state_broadcast", params, |p| {
-            veil_par::map(&ALPHAS, p.overlay.parallelism, |&alpha| {
-                steady_state_broadcast(trust, p, alpha).expect("report")
+            sweep(&ALPHAS, p.overlay.parallelism, |&alpha| {
+                steady_state_broadcast(trust, p, alpha)
             })
+            .expect("report")
         });
     });
 }

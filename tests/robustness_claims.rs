@@ -2,12 +2,13 @@
 //! reduced scale: the orderings and crossovers of Figures 3, 4, 7 and 8
 //! and the slow-mix argument of Section III-E5 must hold (absolute values
 //! are checked loosely; the full-scale numbers are regenerated by the
-//! `veil-bench` figure binaries).
+//! `figures` binary of `veil-bench`).
 
 use veil_core::config::LinkLayerConfig;
 use veil_core::experiment::{
-    availability_sweep, build_trust_graph, connectivity_over_time, lifetime_sweep, ExperimentParams,
+    availability_point, build_trust_graph, collector_series, sweep, ExperimentParams, SweepPoint,
 };
+use veil_graph::Graph;
 use veil_sim::fault::{FaultConfig, LatencyDist};
 
 fn params(seed: u64) -> ExperimentParams {
@@ -20,12 +21,20 @@ fn params(seed: u64) -> ExperimentParams {
     }
 }
 
+/// One connectivity-only availability point per α.
+fn availability_sweep(trust: &Graph, p: &ExperimentParams, alphas: &[f64]) -> Vec<SweepPoint> {
+    sweep(alphas, p.overlay.parallelism, |&alpha| {
+        availability_point(trust, p, alpha, false)
+    })
+    .unwrap()
+}
+
 #[test]
 fn figure3_overlay_beats_trust_graph_under_churn() {
     let p = params(1);
     let trust = build_trust_graph(&p).unwrap();
-    let sweep = availability_sweep(&trust, &p, &[0.25, 0.5, 1.0], false).unwrap();
-    for point in &sweep {
+    let points = availability_sweep(&trust, &p, &[0.25, 0.5, 1.0]);
+    for point in &points {
         assert!(
             point.overlay_disconnected <= point.trust_disconnected + 1e-9,
             "alpha {}: overlay {} vs trust {}",
@@ -37,9 +46,9 @@ fn figure3_overlay_beats_trust_graph_under_churn() {
     // At moderate churn the trust graph fragments badly, the overlay barely.
     // A single snapshot of a 150-node system is noisy, so compare tail
     // averages of the time series instead of one instant.
-    let series = connectivity_over_time(&trust, &p, 0.25, &[p.lifetime_ratio], 250.0, 5.0).unwrap();
-    let trust_tail = series.trust.tail_mean(10).unwrap();
-    let overlay_tail = series.overlays[0].1.tail_mean(10).unwrap();
+    let series = collector_series(&trust, &p, 0.25, 250.0, 5.0).unwrap();
+    let trust_tail = series.connectivity_trust().tail_mean(10).unwrap();
+    let overlay_tail = series.connectivity().tail_mean(10).unwrap();
     assert!(
         trust_tail > 0.2,
         "trust graph unexpectedly robust at alpha 0.25: {trust_tail}"
@@ -49,7 +58,7 @@ fn figure3_overlay_beats_trust_graph_under_churn() {
         "overlay unexpectedly fragile at alpha 0.25: {overlay_tail}"
     );
     // At full availability everything is connected.
-    let full = &sweep[2];
+    let full = &points[2];
     assert_eq!(full.trust_disconnected, 0.0);
     assert_eq!(full.overlay_disconnected, 0.0);
 }
@@ -58,8 +67,11 @@ fn figure3_overlay_beats_trust_graph_under_churn() {
 fn figure4_overlay_path_length_tracks_random_graph() {
     let p = params(2);
     let trust = build_trust_graph(&p).unwrap();
-    let sweep = availability_sweep(&trust, &p, &[0.5, 1.0], true).unwrap();
-    for point in &sweep {
+    let points = sweep(&[0.5, 1.0], p.overlay.parallelism, |&alpha| {
+        availability_point(&trust, &p, alpha, true)
+    })
+    .unwrap();
+    for point in &points {
         assert!(
             point.overlay_npl < point.trust_npl,
             "alpha {}: overlay npl {} vs trust npl {}",
@@ -82,11 +94,17 @@ fn figure7_longer_lifetimes_are_more_robust() {
     let p = params(3);
     let trust = build_trust_graph(&p).unwrap();
     let ratios = [Some(1.0), Some(3.0), None];
-    let sweeps = lifetime_sweep(&trust, &p, &[0.25], &ratios).unwrap();
-    let disc: Vec<f64> = sweeps
-        .iter()
-        .map(|(_, sweep)| sweep[0].overlay_disconnected)
-        .collect();
+    let runs = ratios.map(|lifetime_ratio| ExperimentParams {
+        lifetime_ratio,
+        ..p.clone()
+    });
+    let disc: Vec<f64> = sweep(&runs, p.overlay.parallelism, |q| {
+        availability_point(&trust, q, 0.25, false)
+    })
+    .unwrap()
+    .iter()
+    .map(|point| point.overlay_disconnected)
+    .collect();
     // r = 1 must be the worst; r = ∞ must be (weakly) the best.
     assert!(
         disc[0] >= disc[2],
@@ -112,10 +130,17 @@ fn figure7_longer_lifetimes_are_more_robust() {
 fn figure8_overlay_converges_while_trust_graph_stays_broken() {
     let p = params(4);
     let trust = build_trust_graph(&p).unwrap();
-    let series =
-        connectivity_over_time(&trust, &p, 0.25, &[Some(3.0), Some(9.0)], 300.0, 10.0).unwrap();
+    let ratios = [Some(3.0), Some(9.0)];
+    let runs = ratios.map(|lifetime_ratio| ExperimentParams {
+        lifetime_ratio,
+        ..p.clone()
+    });
+    let series = sweep(&runs, p.overlay.parallelism, |q| {
+        collector_series(&trust, q, 0.25, 300.0, 10.0)
+    })
+    .unwrap();
     // The trust graph hovers at heavy disconnection throughout.
-    let trust_tail = series.trust.tail_mean(5).unwrap();
+    let trust_tail = series[0].connectivity_trust().tail_mean(5).unwrap();
     assert!(
         trust_tail > 0.4,
         "trust graph should stay heavily partitioned, got {trust_tail}"
@@ -124,8 +149,8 @@ fn figure8_overlay_converges_while_trust_graph_stays_broken() {
     // instant is not a usable reference: with 150 nodes the stationary
     // churn draw at t = 0 sometimes leaves the trust hubs online, making
     // the very first snapshot nearly connected by luck.)
-    for (ratio, ts) in &series.overlays {
-        let tail = ts.tail_mean(5).unwrap();
+    for (ratio, collector) in ratios.iter().zip(&series) {
+        let tail = collector.connectivity().tail_mean(5).unwrap();
         assert!(
             tail < trust_tail / 2.0,
             "overlay r={ratio:?} did not converge: tail {tail} vs trust {trust_tail}"
@@ -141,9 +166,9 @@ fn figure8_overlay_converges_while_trust_graph_stays_broken() {
 fn availability_one_needs_no_churn_machinery() {
     let p = params(5);
     let trust = build_trust_graph(&p).unwrap();
-    let sweep = availability_sweep(&trust, &p, &[1.0], false).unwrap();
-    assert_eq!(sweep[0].overlay_disconnected, 0.0);
-    assert_eq!(sweep[0].random_disconnected, 0.0);
+    let points = availability_sweep(&trust, &p, &[1.0]);
+    assert_eq!(points[0].overlay_disconnected, 0.0);
+    assert_eq!(points[0].random_disconnected, 0.0);
 }
 
 #[test]
@@ -162,7 +187,7 @@ fn section3e5_slow_mixes_do_not_break_maintenance() {
             ..FaultConfig::none()
         });
         p.overlay.shards = shards;
-        availability_sweep(&trust, &p, &[0.25], false).unwrap()[0].overlay_disconnected
+        availability_sweep(&trust, &p, &[0.25])[0].overlay_disconnected
     };
     let instant = disconnected(0.0, None);
     let slow = disconnected(1.0, None);
