@@ -6,25 +6,33 @@ use crate::args::Args;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
+use veil_core::experiment::{build_simulation, build_trust_graph};
+use veil_core::scenario::{lower, Scenario};
 use veil_privacy::knowledge::{audit, ObserverSet};
 use veil_privacy::size_estimation::estimate_system_size;
 use veil_privacy::timing_attack::detection_rate;
 use veil_privacy::traffic::rotation_exposure;
 use veil_privacy::vertex_cut;
 
-/// `veil attack --nodes N [--seed S]`
+/// The flags `veil attack` accepts; its USAGE block lists exactly these.
+pub const FLAGS: &[&str] = &["nodes", "seed"];
+
+/// `veil attack --nodes N [--seed S]`: the threats are measured on
+/// [`super::base_scenario`] with every node always online, warmed up for
+/// 60 periods.
 pub fn run(args: &Args) -> CmdResult {
-    args.check_known(&["nodes", "seed"])?;
-    let nodes: usize = args.require("nodes", "integer")?;
-    let seed: u64 = args.get_or("seed", 42, "integer")?;
-    let params = ExperimentParams {
-        nodes,
-        seed,
-        warmup: 60.0,
-        source_multiplier: 20,
-        ..ExperimentParams::default()
+    args.check_known(FLAGS)?;
+    let base = super::base_scenario();
+    let scenario = Scenario {
+        nodes: args.require("nodes", "integer")?,
+        seed: args.get_or("seed", base.seed, "integer")?,
+        horizon: 60.0,
+        availability: 1.0,
+        ..base
     };
+    scenario.validate()?;
+    let lowered = lower(&scenario)?;
+    let (params, nodes, seed) = (lowered.params, scenario.nodes, scenario.seed);
     let trust = build_trust_graph(&params)?;
     let mut out = String::new();
     writeln!(
@@ -60,8 +68,8 @@ pub fn run(args: &Args) -> CmdResult {
     )?;
 
     // Timing attack.
-    let mut sim = build_simulation(trust.clone(), &params, 1.0)?;
-    sim.run_until(params.warmup);
+    let mut sim = build_simulation(trust.clone(), &params, lowered.alpha)?;
+    sim.run_until(lowered.horizon);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     let (hits, trials) = detection_rate(&mut sim, 0, 1, 2.0, 15, &mut rng);
     writeln!(out, "\n[pseudonym-injection timing attack]")?;

@@ -28,9 +28,14 @@ COMMANDS:
     graph sample     invitation-model f-sample of an edge-list file
                      <FILE> --target N [--f F] [--seed S] [--out FILE]
     simulate         run the overlay protocol under churn
-                     --nodes N [--alpha A] [--horizon T] [--seed S]
+                     --nodes N (at least 20) [--alpha A] [--horizon T]
+                     [--seed S]
                      [--lifetime-ratio R|inf] [--snapshot-every X]
-                     [--blackout T,DURATION,FRACTION] [--json]
+                     [--json]
+                     [--blackout T,D,F]  the first fraction F of the nodes
+                                         goes dark over [T, T + D): a
+                                         scenario's blackout phase, on
+                                         the fault-injecting link layer
                      [--loss P]          per-message drop probability;
                                          any loss or latency switches to
                                          the fault-injecting link layer
@@ -60,6 +65,8 @@ COMMANDS:
                                          sample densities)
                      [--avg-degree D]    degree-matched target average
                                          degree (default 11.3)
+                     [--source-multiplier M] source graph of M × nodes
+                                         vertices (default 20)
                      [--trace-out FILE]  write the structured event trace
                                          as JSONL (never perturbs results)
                      [--metrics-out FILE] write the metrics registry; a
@@ -69,6 +76,10 @@ COMMANDS:
                                          trace_event JSON (chrome://tracing)
                      [--flight-recorder N] keep only the last N events
                                          (flight recorder)
+                     [--health]          enable the online overlay health
+                                         monitor (rolling-window detectors
+                                         emitting HealthAlert events);
+                                         implies the full recorder
                      [--self-heal]       enable the remediation engine with
                                          every reaction (implies --health);
                                          off is byte-identical to a build
@@ -78,10 +89,6 @@ COMMANDS:
                                          (each implies --health)
     attack           run the Section III-E threat models
                      --nodes N [--seed S]
-                     [--health]          enable the online overlay health
-                                         monitor (rolling-window detectors
-                                         emitting HealthAlert events);
-                                         implies the full recorder
     obs validate     check a JSONL trace file against the event schema
                      <FILE>
     obs schema       print the trace-event schema
@@ -481,6 +488,89 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("gaussian"));
+    }
+
+    /// The `--flags` USAGE lists under `command`: its line and the
+    /// indented lines below it, up to the next command.
+    fn usage_flags(command: &str) -> std::collections::BTreeSet<&'static str> {
+        let mut lines = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with(&format!("    {command} ")));
+        let first = lines.next().expect("command listed in USAGE");
+        std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("     ")))
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_accepts() {
+        for (command, accepted) in [
+            ("simulate", commands::simulate::FLAGS),
+            ("attack", commands::attack::FLAGS),
+        ] {
+            let accepted = accepted.iter().copied().collect();
+            assert_eq!(usage_flags(command), accepted, "USAGE block of {command}");
+        }
+    }
+
+    /// Every out-of-range world flag is rejected by the scenario DSL's
+    /// `validate` (the report flag `--snapshot-every` by the command)
+    /// with an error naming the flag or its DSL key — none panics, and
+    /// none runs a world the flags do not describe.
+    #[test]
+    fn bad_world_flags_are_typed_errors_naming_the_flag() {
+        for (line, names) in [
+            ("simulate --nodes 50 --horizon -5", "horizon"),
+            ("simulate --nodes 50 --horizon 0", "horizon"),
+            ("simulate --nodes 50 --horizon 40 --alpha 0", "availability"),
+            ("simulate --nodes 50 --lifetime-ratio 0", "lifetime_ratio"),
+            ("simulate --nodes 50 --blackout 5,-1,0.5", "blackout"),
+            (
+                "simulate --nodes 50 --blackout 50,5,0.5 --horizon 20",
+                "blackout",
+            ),
+            ("simulate --nodes 50 --snapshot-every 0", "snapshot-every"),
+            ("simulate --nodes 50 --snapshot-every NaN", "snapshot-every"),
+            ("simulate --nodes 50 --loss 1.5", "link.loss"),
+            (
+                "simulate --nodes 50 --source-multiplier 0",
+                "source_multiplier",
+            ),
+            ("simulate --nodes 50 --mean-latency -1", "latency"),
+            ("simulate --nodes 5", "nodes"),
+            ("attack --nodes 1", "nodes"),
+        ] {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let err = run_line(&words).expect_err(line);
+            assert!(err.contains(names), "{line}: {err}");
+        }
+    }
+
+    /// A command line and the scenario file it writes are one
+    /// description: `veil scenario run` of the file ends in the same
+    /// overlay as the command.
+    #[test]
+    fn flags_and_scenario_file_are_one_description() {
+        use veil_core::scenario::{parse_scenario_str, run_scenario, Format};
+        for line in [
+            "simulate --nodes 60 --alpha 0.6 --horizon 30 --seed 5",
+            "simulate --nodes 60 --alpha 0.6 --horizon 30 --seed 5 --loss 0.1 --shards 2",
+            "simulate --nodes 60 --alpha 0.6 --horizon 30 --seed 5 --blackout 10,8,0.5",
+        ] {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let scenario = commands::simulate::scenario(&Args::parse(words.clone()).unwrap());
+            let scenario = scenario.unwrap();
+            let (file, _) = parse_scenario_str(&scenario.to_toml(), Format::Toml, "cli").unwrap();
+            assert_eq!(file, scenario, "{line}");
+            let outcome = run_scenario(&file).unwrap().outcome;
+            let out = run_line(&[&words[..], &["--json"]].concat()).unwrap();
+            let out: serde_json::Value = serde_json::from_str(&out).unwrap();
+            let last = out.get("final").cloned().unwrap();
+            let last: veil_core::metrics::OverlaySnapshot = serde_json::from_value(last).unwrap();
+            assert_eq!(outcome.snapshot, last, "{line}");
+        }
     }
 
     #[test]

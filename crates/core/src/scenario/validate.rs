@@ -8,7 +8,8 @@
 //! range rules of everything that lowers 1:1 onto `OverlayConfig` — the
 //! rest of `[overlay]`, `[link]`, `[health]`, `[remediation]` — are that
 //! config's (and its fault model's) own `validate`, run on the lowered
-//! value, so no rule is stated twice.
+//! value, so no rule is stated twice — save `link.loss`, restated so its
+//! message names the key rather than the config's `link` field.
 //!
 //! Validation runs on the plain scenario value (so programmatically built
 //! scenarios and property tests can use it without source text); when the
@@ -187,6 +188,12 @@ fn check_globals(s: &Scenario) -> Result<(), Issue> {
     // is built, so no config validator sees it.
     if let Some(r) = s.overlay.lifetime_ratio {
         finite_positive("overlay.lifetime_ratio", r, Issue::global)?;
+    }
+    if !(0.0..=1.0).contains(&s.link.loss) {
+        return Err(Issue::global(format!(
+            "link.loss must be in [0, 1], got {}",
+            s.link.loss
+        )));
     }
     // Lowering reads a mean <= 0 as "instant", which would hide a
     // negative one from the fault model's validator.
@@ -581,9 +588,8 @@ mod tests {
             ("[overlay]\nlifetime_ratio = inf", "overlay.lifetime_ratio"),
             ("[overlay]\nshuffle_timeout = 0", "shuffle_timeout"),
             ("[overlay]\nshuffle_retries = 4294967297", "shuffle_retries"),
-            // The fault model reports under the config's `link` field.
-            ("[link]\nloss = 1.5", "link"),
-            ("[link]\nloss = -0.1", "link"),
+            ("[link]\nloss = 1.5", "link.loss"),
+            ("[link]\nloss = -0.1", "link.loss"),
             ("[link.latency]\nmean = -0.5", "link.latency.mean"),
             ("[link.latency]\ndist = \"exponential\"\nmean = inf", "mean"),
             (
