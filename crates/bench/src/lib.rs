@@ -1,5 +1,5 @@
-//! Experiment harness behind the `figures` binary and the three timing
-//! benchmarks (`bench_parallel`, `bench_obs`, `bench_scale`).
+//! Experiment harness behind the `figures` binary and the two timing
+//! benchmarks (`bench_obs`, `bench_scale`).
 //!
 //! `figures` regenerates every table and figure of the paper as one row
 //! per output (see DESIGN.md §4 for the index); the experiments themselves
@@ -209,9 +209,9 @@ pub fn flag_value(flag: &str) -> Option<String> {
 /// Exits (code 1) before a timing benchmark starts when the machine has
 /// one core and `--allow-single-core` was not given.
 ///
-/// The committed `benchmarks/baseline/BENCH_{parallel,obs,scale}.json` are
+/// The committed `benchmarks/baseline/BENCH_{obs,scale}.json` are
 /// timing references captured on multi-core hosts; a report timed on one
-/// core has the same shape but meaningless speedup columns, and it is far
+/// core has the same shape but meaningless timing columns, and it is far
 /// too easy to copy one over a baseline by accident. Reports that hold no
 /// timings (`BENCH_faults.json`, `BENCH_recovery.json`) are written on any
 /// core count.

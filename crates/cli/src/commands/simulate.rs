@@ -178,6 +178,10 @@ pub fn scenario(args: &Args) -> Result<Scenario, Box<dyn std::error::Error>> {
     Ok(s)
 }
 
+/// Most snapshots a run may take: each is a whole-overlay connectivity
+/// pass, and at `--snapshot-every 1e-300` `t += interval` stops advancing.
+const MAX_SNAPSHOTS: f64 = 1e6;
+
 /// `veil simulate --nodes N [flag…]`; USAGE describes each flag.
 pub fn run(args: &Args) -> CmdResult {
     args.check_known(FLAGS)?;
@@ -200,8 +204,11 @@ pub fn run(args: &Args) -> CmdResult {
     };
     // A report flag, so the DSL does not hold it and the check stays here.
     let interval: f64 = args.get_or("snapshot-every", (horizon / 20.0).max(1.0), "float")?;
-    if !(interval.is_finite() && interval > 0.0) {
-        return Err(format!("--snapshot-every must be finite and positive, got {interval}").into());
+    if !(interval.is_finite() && interval > 0.0 && horizon / interval <= MAX_SNAPSHOTS) {
+        return Err(format!(
+            "--snapshot-every must be finite, positive and at least horizon / {MAX_SNAPSHOTS}, got {interval:?}"
+        )
+        .into());
     }
     // Observability: any of the obs flags switches on an in-process
     // recorder. Tracing never draws randomness, so the simulation output

@@ -533,6 +533,14 @@ mod tests {
             ),
             ("simulate --nodes 50 --snapshot-every 0", "snapshot-every"),
             ("simulate --nodes 50 --snapshot-every NaN", "snapshot-every"),
+            (
+                "simulate --nodes 50 --snapshot-every 1e-300",
+                "snapshot-every",
+            ),
+            (
+                "simulate --nodes 50 --snapshot-every 1e-12",
+                "snapshot-every",
+            ),
             ("simulate --nodes 50 --loss 1.5", "link.loss"),
             (
                 "simulate --nodes 50 --source-multiplier 0",

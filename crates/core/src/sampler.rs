@@ -53,7 +53,7 @@
 //! fills slots round-robin and never reads a reference at all.
 //!
 //! The link set (distinct sampled pseudonyms) is a sorted parallel triple
-//! of vectors, which makes [`Sampler::links`] a pre-sorted resolve.
+//! of vectors, which makes [`Sampler::links_iter`] a pre-sorted resolve.
 
 use crate::config::DistanceMetric;
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
@@ -170,21 +170,6 @@ impl Sampler {
     /// Whether the pseudonym with this id occupies at least one slot.
     pub fn contains(&self, id: PseudonymId) -> bool {
         self.link_ids.binary_search(&id).is_ok()
-    }
-
-    /// The distinct sampled pseudonyms — the node's pseudonym links —
-    /// in ascending instance-id order.
-    pub fn links(&self, arena: &PseudonymArena) -> Vec<Pseudonym> {
-        let mut out = Vec::with_capacity(self.link_handles.len());
-        self.links_into(arena, &mut out);
-        out
-    }
-
-    /// Appends the links to `out` (ascending instance-id order) without
-    /// allocating beyond `out`'s capacity — the per-call path used by the
-    /// executors with a reused scratch vector.
-    pub fn links_into(&self, arena: &PseudonymArena, out: &mut Vec<Pseudonym>) {
-        out.extend(self.links_iter(arena));
     }
 
     /// Iterates over the links in ascending instance-id order, resolving
@@ -455,7 +440,7 @@ mod tests {
         assert_eq!(s.slot_count(), 4);
         assert_eq!(s.link_count(), 0);
         assert_eq!(s.empty_slots(), 4);
-        assert!(s.links(&arena).is_empty());
+        assert!(s.links_iter(&arena).next().is_none());
     }
 
     #[test]
@@ -902,17 +887,12 @@ mod tests {
         for i in 0..3 {
             s.offer(&mut arena, svc.mint(i, SimTime::ZERO, None), SimTime::ZERO);
         }
-        let links = s.links(&arena);
-        let ids: Vec<_> = links.iter().map(|p| p.id()).collect();
+        let ids: Vec<_> = s.links_iter(&arena).map(|p| p.id()).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ids, sorted, "links come out sorted by id, deduplicated");
-        assert!(links.len() <= 3);
-        // links_into appends without clearing.
-        let mut out = links.clone();
-        s.links_into(&arena, &mut out);
-        assert_eq!(out.len(), links.len() * 2);
+        assert!(ids.len() <= 3);
     }
 
     #[test]
@@ -964,7 +944,7 @@ mod tests {
         for i in 1..50 {
             s.offer(&mut arena, svc.mint(i, SimTime::ZERO, None), SimTime::ZERO);
         }
-        let links = s.links(&arena);
+        let links: Vec<_> = s.links_iter(&arena).collect();
         assert_eq!(links.len(), s.link_count());
         for idx in 0..s.slot_count() {
             let p = slot_entry(&s, &arena, idx).unwrap();

@@ -36,7 +36,7 @@ proptest! {
         }
         // Every link is one of the offered pseudonyms, and the number of
         // distinct links never exceeds min(slots, count).
-        let links = sampler.links(&arena);
+        let links: Vec<_> = sampler.links_iter(&arena).collect();
         prop_assert!(links.len() <= slots.min(count));
         for l in &links {
             prop_assert!(offered.iter().any(|p| p.id() == l.id()));
@@ -77,8 +77,8 @@ proptest! {
             b.offer(&mut arena, p, SimTime::ZERO);
             b.offer(&mut arena, p, SimTime::ZERO); // frequency bias must not matter
         }
-        let ids_a: Vec<_> = a.links(&arena).iter().map(|p| p.id()).collect();
-        let ids_b: Vec<_> = b.links(&arena).iter().map(|p| p.id()).collect();
+        let ids_a: Vec<_> = a.links_iter(&arena).map(|p| p.id()).collect();
+        let ids_b: Vec<_> = b.links_iter(&arena).map(|p| p.id()).collect();
         prop_assert_eq!(ids_a, ids_b);
     }
 
@@ -98,7 +98,7 @@ proptest! {
             sampler.offer(&mut arena, p, SimTime::ZERO);
         }
         sampler.purge_expired(SimTime::new(now));
-        for p in sampler.links(&arena) {
+        for p in sampler.links_iter(&arena) {
             prop_assert!(p.is_valid(SimTime::new(now)));
         }
     }
@@ -290,7 +290,7 @@ proptest! {
         for v in 0..sim.node_count() {
             let node = sim.node(v);
             // 1. No self links, no links through expired pseudonyms.
-            for p in node.sampler.links(sim.arena_of(v)) {
+            for p in node.sampler.links_iter(sim.arena_of(v)) {
                 prop_assert_ne!(p.owner(), v as u32, "self link at node {}", v);
             }
             // 2. Trusted neighbour list still matches the trust graph.
