@@ -13,18 +13,17 @@
 //! [`PseudonymHandle`]s into the executor's shared [`PseudonymArena`]
 //! instead of 48-byte [`Pseudonym`] values, with the expiry time mirrored
 //! inline (`expires`, `f64::INFINITY` = never) so the per-shuffle expiry
-//! sweep scans one contiguous array and never dereferences the arena. A
-//! third parallel column, `ids`, answers membership by a linear scan of at
-//! most `capacity` `u64`s; there is no index to keep in step between
-//! calls. That is 20 bytes per entry (handle 4 + expiry 8 + id 8) instead
-//! of the ~65 of a `Vec<Pseudonym>` plus `HashMap`, all of it lazily grown,
-//! and nothing else: the cache owns no scratch buffer.
+//! sweep scans one contiguous array instead of gathering from an arena that
+//! grows with simulated time. The arena gives one handle per instance id,
+//! so the handle is the entry's identity and membership is a scan of at
+//! most `capacity` `u32`s. That is 12 bytes per entry, grown by doubling
+//! but never past `capacity`, and nothing else: no index, no scratch.
 //!
-//! [`Cache::absorb`], which would otherwise scan `ids` once per received
-//! pseudonym and twice per eviction, scans it once per call instead: a
-//! single pass resolves every id the call can ask about (the received ids
-//! and the just-sent ids) into a call-local [`PosTable`], kept in step
-//! with the call's own removals and pushes.
+//! [`Cache::absorb`], which would otherwise scan `entries` once per
+//! received pseudonym and twice per eviction, scans it once per call
+//! instead: a single pass resolves every handle the call can ask about (the
+//! received ones and the just-sent ones) into a call-local [`PosTable`],
+//! kept in step with the call's own removals and pushes.
 
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
 use rand::Rng;
@@ -45,7 +44,7 @@ use veil_sim::SimTime;
 /// let a = svc.mint(1, SimTime::ZERO, None);
 /// cache.insert(&mut arena, a, SimTime::ZERO);
 /// assert_eq!(cache.len(), 1);
-/// assert!(cache.contains(a.id()));
+/// assert!(cache.contains(&arena, a.id()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -56,8 +55,6 @@ pub struct Cache {
     entries: Vec<PseudonymHandle>,
     /// Expiry instant per entry, parallel to `entries`; `INFINITY` = never.
     expires: Vec<f64>,
-    /// Instance id per entry, parallel to `entries`.
-    ids: Vec<PseudonymId>,
 }
 
 /// Position marker of a [`PosTable`] slot no key has claimed.
@@ -68,71 +65,71 @@ const ABSENT: u32 = u32::MAX - 1;
 /// Sixteen filter bits per slot at the paper's ℓ = 40 (79 keys, 256 slots).
 const FILTER_BITS: usize = 4096;
 
-/// The id → position table of one [`Cache::absorb`] call: open addressing
-/// with linear probing over a fixed key set (registered up front, never
-/// removed), at most half full. Only the positions change while the call
-/// runs, so a slot index stays valid for the whole call.
+/// The handle → position table of one [`Cache::absorb`] call: open
+/// addressing with linear probing over a fixed key set (registered up
+/// front, never removed), at most half full. Only the positions change
+/// while the call runs, so a slot index stays valid for the whole call.
 ///
-/// Most ids the call looks up are not keys (the cache's other entries), so
-/// a one-hash bit filter answers those before the probe loop and its
-/// unpredictable branches are reached.
+/// Most handles the call looks up are not keys (the cache's other
+/// entries), so a one-hash bit filter answers those before the probe loop
+/// and its unpredictable branches are reached.
 struct PosTable {
-    slots: Vec<(PseudonymId, u32)>,
+    slots: Vec<(PseudonymHandle, u32)>,
     shift: u32,
     filter: [u64; FILTER_BITS / 64],
 }
 
 impl PosTable {
-    /// An empty table with room for `keys` distinct ids.
+    /// An empty table with room for `keys` distinct handles.
     fn for_keys(keys: usize) -> Self {
         let len = (2 * keys).next_power_of_two().max(2);
         Self {
-            slots: vec![(PseudonymId(0), VACANT); len],
+            slots: vec![(0, VACANT); len],
             shift: u64::BITS - len.trailing_zeros(),
             filter: [0; FILTER_BITS / 64],
         }
     }
 
-    /// Ids are `(owner + 1) << 32 | seq`: multiplicative hashing spreads
-    /// both halves over the top bits, which index the slots and the filter.
-    fn hash(id: PseudonymId) -> u64 {
-        id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    /// Handles are dense arena indices: multiplicative hashing spreads
+    /// them over the top bits, which index the slots and the filter.
+    fn hash(h: PseudonymHandle) -> u64 {
+        u64::from(h).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// The filter word and bit of `id`.
-    fn filter_bit(id: PseudonymId) -> (usize, u64) {
-        let bit = Self::hash(id) >> (u64::BITS - FILTER_BITS.trailing_zeros());
+    /// The filter word and bit of `h`.
+    fn filter_bit(h: PseudonymHandle) -> (usize, u64) {
+        let bit = Self::hash(h) >> (u64::BITS - FILTER_BITS.trailing_zeros());
         ((bit / 64) as usize, 1 << (bit % 64))
     }
 
-    /// The slot holding `id`, or the vacant slot where it would go.
-    fn probe(&self, id: PseudonymId) -> usize {
+    /// The slot holding `h`, or the vacant slot where it would go.
+    fn probe(&self, h: PseudonymHandle) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = (Self::hash(id) >> self.shift) as usize;
+        let mut i = (Self::hash(h) >> self.shift) as usize;
         loop {
             let (key, pos) = self.slots[i];
-            if pos == VACANT || key == id {
+            if pos == VACANT || key == h {
                 return i;
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Makes `id` a key (not in the cache until [`PosTable::set`] says so).
-    fn register(&mut self, id: PseudonymId) {
-        let (word, bit) = Self::filter_bit(id);
+    /// Makes `h` a key (not in the cache until [`PosTable::set`] says so).
+    fn register(&mut self, h: PseudonymHandle) {
+        let (word, bit) = Self::filter_bit(h);
         self.filter[word] |= bit;
-        let i = self.probe(id);
+        let i = self.probe(h);
         if self.slots[i].1 == VACANT {
-            self.slots[i] = (id, ABSENT);
+            self.slots[i] = (h, ABSENT);
         }
     }
 
-    /// Records `pos` for `id` if `id` is a key; other ids are ignored.
-    fn set(&mut self, id: PseudonymId, pos: u32) {
-        let (word, bit) = Self::filter_bit(id);
+    /// Records `pos` for `h` if `h` is a key; other handles are ignored.
+    fn set(&mut self, h: PseudonymHandle, pos: u32) {
+        let (word, bit) = Self::filter_bit(h);
         if self.filter[word] & bit != 0 {
-            let i = self.probe(id);
+            let i = self.probe(h);
             if self.slots[i].1 != VACANT {
                 self.slots[i].1 = pos;
             }
@@ -154,7 +151,6 @@ impl Cache {
             capacity,
             entries: Vec::new(),
             expires: Vec::new(),
-            ids: Vec::new(),
         }
     }
 
@@ -173,14 +169,9 @@ impl Cache {
         self.capacity
     }
 
-    /// Whether a pseudonym with this id is cached.
-    pub fn contains(&self, id: PseudonymId) -> bool {
-        self.ids.contains(&id)
-    }
-
-    /// The cached entries as arena handles, in unspecified order.
-    pub fn handles(&self) -> &[PseudonymHandle] {
-        &self.entries
+    /// Whether a pseudonym with this id is cached (looked up in `arena`).
+    pub fn contains(&self, arena: &PseudonymArena, id: PseudonymId) -> bool {
+        arena.lookup(id).is_some_and(|h| self.entries.contains(&h))
     }
 
     /// Iterates over the cached pseudonyms in unspecified order, resolved
@@ -193,27 +184,25 @@ impl Cache {
     pub fn approx_heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<PseudonymHandle>()
             + self.expires.capacity() * std::mem::size_of::<f64>()
-            + self.ids.capacity() * std::mem::size_of::<PseudonymId>()
     }
 
-    /// Removes the entry at `pos` from all three columns by swap-remove
-    /// (the last entry moves into `pos`).
+    /// Removes the entry at `pos` from both columns by swap-remove (the
+    /// last entry moves into `pos`).
     fn remove_at(&mut self, pos: usize) {
         self.entries.swap_remove(pos);
         self.expires.swap_remove(pos);
-        self.ids.swap_remove(pos);
     }
 
     /// Removes the pseudonym with the given id; returns whether it was
-    /// present.
-    pub fn remove(&mut self, id: PseudonymId) -> bool {
-        match self.ids.iter().position(|&i| i == id) {
-            Some(pos) => {
-                self.remove_at(pos);
-                true
-            }
-            None => false,
+    /// present. `arena` is the one that interned the cache's entries.
+    pub fn remove(&mut self, arena: &PseudonymArena, id: PseudonymId) -> bool {
+        let pos = arena
+            .lookup(id)
+            .and_then(|h| self.entries.iter().position(|&e| e == h));
+        if let Some(pos) = pos {
+            self.remove_at(pos);
         }
+        pos.is_some()
     }
 
     /// Drops every pseudonym that has expired by `now`; returns how many.
@@ -234,11 +223,16 @@ impl Cache {
         removed
     }
 
-    fn push_entry(&mut self, arena: &mut PseudonymArena, p: Pseudonym) {
-        let h = arena.intern(p);
-        debug_assert!(!self.contains(p.id()), "inserting an id already present");
+    /// Appends an entry; the columns grow by doubling, never past `capacity`.
+    fn push_entry(&mut self, h: PseudonymHandle, p: &Pseudonym) {
+        debug_assert!(!self.entries.contains(&h), "handle already cached");
+        let len = self.entries.len();
+        if len == self.entries.capacity() {
+            let grow = (2 * len).max(4).min(self.capacity) - len;
+            self.entries.reserve_exact(grow);
+            self.expires.reserve_exact(grow);
+        }
         self.entries.push(h);
-        self.ids.push(p.id());
         self.expires
             .push(p.expires().map_or(f64::INFINITY, |e| e.as_f64()));
     }
@@ -248,16 +242,16 @@ impl Cache {
     /// Returns `false` (without evicting) when the cache is full; bulk
     /// insertion with eviction goes through [`Cache::absorb`].
     pub fn insert(&mut self, arena: &mut PseudonymArena, p: Pseudonym, now: SimTime) -> bool {
-        if !p.is_valid(now) || self.contains(p.id()) || self.entries.len() >= self.capacity {
+        if !p.is_valid(now) || self.contains(arena, p.id()) || self.entries.len() >= self.capacity {
             return false;
         }
-        self.push_entry(arena, p);
+        self.push_entry(arena.intern(p), &p);
         true
     }
 
     /// Selects up to `count` distinct cached pseudonyms uniformly at random
     /// — the node's offer in a shuffle (its own pseudonym is appended by the
-    /// protocol, not stored here).
+    /// protocol, not stored here) — and returns their handles in `arena`.
     ///
     /// A forward partial Fisher–Yates: position `i` of the result is drawn
     /// from the entries not yet taken, so every ordered `count`-subset is
@@ -269,22 +263,24 @@ impl Cache {
         arena: &PseudonymArena,
         count: usize,
         rng: &mut R,
-    ) -> Vec<Pseudonym> {
+    ) -> Vec<PseudonymHandle> {
         let n = self.entries.len();
         let take = count.min(n);
         let mut picks: Vec<u32> = (0..n as u32).collect();
         for i in 0..take {
             picks.swap(i, rng.gen_range(i..n));
         }
+        debug_assert!(n <= arena.len(), "entries are distinct handles of arena");
         picks[..take]
             .iter()
-            .map(|&i| arena.get(self.entries[i as usize]))
+            .map(|&i| self.entries[i as usize])
             .collect()
     }
 
     /// Absorbs the peer's offer: inserts every valid, novel pseudonym,
     /// evicting — when full — first the entries in `just_sent` (Cyclon
-    /// policy), then random victims.
+    /// policy; handles from [`Cache::select_offer`] on this cache), then
+    /// random victims.
     ///
     /// `own` is the receiving node's current pseudonym id, which is never
     /// cached ("with the exception of its own pseudonym, if present").
@@ -293,33 +289,36 @@ impl Cache {
         &mut self,
         arena: &mut PseudonymArena,
         received: &[Pseudonym],
-        just_sent: &[PseudonymId],
+        just_sent: &[PseudonymHandle],
         own: Option<PseudonymId>,
         now: SimTime,
         rng: &mut R,
     ) -> usize {
         self.purge_expired(now);
-        // One pass over the id column answers every membership and position
-        // question the loop below can ask.
+        // Every valid, non-own received pseudonym ends up cached (inserted
+        // below or already there), so interning them up front in received
+        // order hands out the handles that interning on insertion would.
+        // One pass over the handle column then answers every membership and
+        // position question the loop below can ask.
         let mut table = PosTable::for_keys(received.len() + just_sent.len());
-        for p in received {
-            table.register(p.id());
+        let incoming: Vec<(PseudonymHandle, &Pseudonym)> = received
+            .iter()
+            .filter(|p| Some(p.id()) != own && p.is_valid(now))
+            .map(|p| (arena.intern(*p), p))
+            .inspect(|&(h, _)| table.register(h))
+            .collect();
+        for &h in just_sent {
+            table.register(h);
         }
-        for &id in just_sent {
-            table.register(id);
-        }
-        for (pos, &id) in self.ids.iter().enumerate() {
-            table.set(id, pos as u32);
+        for (pos, &h) in self.entries.iter().enumerate() {
+            table.set(h, pos as u32);
         }
         let mut inserted = 0;
-        // Just-sent ids not yet tried as victims: `just_sent[..unsent]`,
+        // Just-sent handles not yet tried as victims: `just_sent[..unsent]`,
         // taken from the back.
         let mut unsent = just_sent.len();
-        for &p in received {
-            if Some(p.id()) == own || !p.is_valid(now) {
-                continue;
-            }
-            let slot = table.probe(p.id());
+        for &(h, p) in &incoming {
+            let slot = table.probe(h);
             if table.slots[slot].1 != ABSENT {
                 continue;
             }
@@ -327,25 +326,25 @@ impl Cache {
                 // Prefer evicting what we just offered to the peer: the peer
                 // now holds those entries, so overall cache diversity grows.
                 let victim = loop {
-                    let Some(&id) = just_sent[..unsent].last() else {
+                    let Some(&sent) = just_sent[..unsent].last() else {
                         break rng.gen_range(0..self.entries.len());
                     };
                     unsent -= 1;
-                    let pos = table.slots[table.probe(id)].1;
+                    let pos = table.slots[table.probe(sent)].1;
                     if pos != ABSENT {
                         break pos as usize;
                     }
                 };
                 // Swap-remove: the victim goes absent and the last entry
                 // inherits its position.
-                table.set(self.ids[victim], ABSENT);
+                table.set(self.entries[victim], ABSENT);
                 self.remove_at(victim);
-                if let Some(&moved) = self.ids.get(victim) {
+                if let Some(&moved) = self.entries.get(victim) {
                     table.set(moved, victim as u32);
                 }
             }
             table.slots[slot].1 = self.entries.len() as u32;
-            self.push_entry(arena, p);
+            self.push_entry(h, p);
             inserted += 1;
         }
         inserted
@@ -410,9 +409,9 @@ mod tests {
             cache.insert(&mut arena, p, SimTime::ZERO);
         }
         assert_eq!(cache.purge_expired(SimTime::new(10.0)), 1);
-        assert!(!cache.contains(short.id()));
-        assert!(cache.contains(long.id()));
-        assert!(cache.contains(eternal.id()));
+        assert!(!cache.contains(&arena, short.id()));
+        assert!(cache.contains(&arena, long.id()));
+        assert!(cache.contains(&arena, eternal.id()));
     }
 
     #[test]
@@ -428,7 +427,7 @@ mod tests {
         let mut want: Vec<_> = ps.iter().map(|p| p.id()).collect();
         want.sort_unstable();
         assert_eq!(got, want);
-        assert_eq!(cache.handles().len(), 3);
+        assert_eq!(cache.entries.len(), 3);
     }
 
     #[test]
@@ -438,12 +437,12 @@ mod tests {
         for p in mint_n(&mut svc, 10, None) {
             cache.insert(&mut arena, p, SimTime::ZERO);
         }
-        let offer = cache.select_offer(&arena, 4, &mut rng);
+        let mut offer = cache.select_offer(&arena, 4, &mut rng);
         assert_eq!(offer.len(), 4);
-        let mut ids: Vec<_> = offer.iter().map(|p| p.id()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 4);
+        assert!(offer.iter().all(|h| cache.entries.contains(h)));
+        offer.sort_unstable();
+        offer.dedup();
+        assert_eq!(offer.len(), 4);
         // Asking for more than available returns everything.
         assert_eq!(cache.select_offer(&arena, 100, &mut rng).len(), 10);
     }
@@ -478,8 +477,9 @@ mod tests {
         let mut hits = [[0u32; 10]; 10];
         for _ in 0..calls {
             let offer = cache.select_offer(&arena, 10, &mut a);
-            for (pos, p) in offer.iter().enumerate() {
-                hits[pos][members.iter().position(|m| m.id() == p.id()).unwrap()] += 1;
+            for (pos, &h) in offer.iter().enumerate() {
+                let id = arena.get(h).id();
+                hits[pos][members.iter().position(|m| m.id() == id).unwrap()] += 1;
             }
         }
         let expected = calls as f64 / 10.0;
@@ -509,8 +509,8 @@ mod tests {
             &mut rng,
         );
         assert_eq!(n, 1);
-        assert!(!cache.contains(own.id()));
-        assert!(cache.contains(other.id()));
+        assert!(!cache.contains(&arena, own.id()));
+        assert!(cache.contains(&arena, other.id()));
     }
 
     #[test]
@@ -521,7 +521,7 @@ mod tests {
         for &p in &residents {
             cache.insert(&mut arena, p, SimTime::ZERO);
         }
-        let sent = residents[0].id();
+        let sent = arena.lookup(residents[0].id()).unwrap();
         let incoming = svc.mint(9, SimTime::ZERO, None);
         cache.absorb(
             &mut arena,
@@ -531,10 +531,13 @@ mod tests {
             SimTime::ZERO,
             &mut rng,
         );
-        assert!(cache.contains(incoming.id()));
-        assert!(!cache.contains(sent), "sent entry should be the victim");
-        assert!(cache.contains(residents[1].id()));
-        assert!(cache.contains(residents[2].id()));
+        assert!(cache.contains(&arena, incoming.id()));
+        assert!(
+            !cache.contains(&arena, residents[0].id()),
+            "sent entry should be the victim"
+        );
+        assert!(cache.contains(&arena, residents[1].id()));
+        assert!(cache.contains(&arena, residents[2].id()));
     }
 
     #[test]
@@ -547,7 +550,7 @@ mod tests {
         let incoming = svc.mint(9, SimTime::ZERO, None);
         cache.absorb(&mut arena, &[incoming], &[], None, SimTime::ZERO, &mut rng);
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains(incoming.id()));
+        assert!(cache.contains(&arena, incoming.id()));
     }
 
     #[test]
@@ -567,23 +570,57 @@ mod tests {
         for &p in &ps {
             cache.insert(&mut arena, p, SimTime::ZERO);
         }
-        assert!(cache.remove(ps[0].id()));
+        assert!(cache.remove(&arena, ps[0].id()));
         // swap_remove moved the last entry into slot 0; it must stay findable.
-        assert!(cache.contains(ps[2].id()));
-        assert!(cache.remove(ps[2].id()));
-        assert!(!cache.remove(ps[2].id()), "double remove is a no-op");
+        assert!(cache.contains(&arena, ps[2].id()));
+        assert!(cache.remove(&arena, ps[2].id()));
+        assert!(
+            !cache.remove(&arena, ps[2].id()),
+            "double remove is a no-op"
+        );
         assert_eq!(cache.len(), 1);
     }
 
-    /// `absorb` as it was before the one-pass rewrite — a `contains` scan
-    /// per received pseudonym, a `contains` and a `remove` scan per
-    /// just-sent victim — kept as the oracle the rewrite is checked
-    /// against.
+    #[test]
+    fn unknown_id_is_absent_and_never_interned() {
+        let (mut svc, mut arena, _) = setup();
+        let mut cache = Cache::new(5);
+        for p in mint_n(&mut svc, 3, None) {
+            cache.insert(&mut arena, p, SimTime::ZERO);
+        }
+        let stranger = svc.mint(7, SimTime::ZERO, None);
+        assert!(!cache.contains(&arena, stranger.id()));
+        assert!(!cache.remove(&arena, stranger.id()));
+        assert_eq!(arena.len(), 3, "a lookup must not intern");
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn full_cache_costs_twelve_bytes_per_entry() {
+        // Handle and expiry, nothing else, and no growth past `capacity`.
+        for capacity in [1, 2, 3, 5, 400] {
+            let (mut svc, mut arena, mut rng) = setup();
+            let mut cache = Cache::new(capacity);
+            let batch = mint_n(&mut svc, capacity, None);
+            cache.absorb(&mut arena, &batch, &[], None, SimTime::ZERO, &mut rng);
+            assert_eq!(cache.len(), capacity);
+            assert_eq!(
+                cache.approx_heap_bytes(),
+                12 * capacity,
+                "capacity {capacity}"
+            );
+        }
+    }
+
+    /// `absorb` as it was before the one-pass rewrite — a membership scan
+    /// per received pseudonym, a position scan per just-sent victim, and
+    /// each pseudonym interned only when it is inserted — kept as the
+    /// oracle the rewrite is checked against.
     fn absorb_reference(
         cache: &mut Cache,
         arena: &mut PseudonymArena,
         received: &[Pseudonym],
-        just_sent: &[PseudonymId],
+        just_sent: &[PseudonymHandle],
         own: Option<PseudonymId>,
         now: SimTime,
         rng: &mut StdRng,
@@ -592,26 +629,22 @@ mod tests {
         let mut inserted = 0;
         let mut sent_pool = just_sent.to_vec();
         for &p in received {
-            if Some(p.id()) == own || !p.is_valid(now) || cache.contains(p.id()) {
+            if Some(p.id()) == own || !p.is_valid(now) || cache.contains(arena, p.id()) {
                 continue;
             }
             if cache.entries.len() >= cache.capacity {
-                let evicted = loop {
+                let victim = loop {
                     match sent_pool.pop() {
-                        Some(victim) if cache.contains(victim) => {
-                            cache.remove(victim);
-                            break true;
-                        }
-                        Some(_) => continue,
-                        None => break false,
+                        Some(h) => match cache.entries.iter().position(|&e| e == h) {
+                            Some(pos) => break pos,
+                            None => continue,
+                        },
+                        None => break rng.gen_range(0..cache.entries.len()),
                     }
                 };
-                if !evicted {
-                    let victim = rng.gen_range(0..cache.entries.len());
-                    cache.remove_at(victim);
-                }
+                cache.remove_at(victim);
             }
-            cache.push_entry(arena, p);
+            cache.push_entry(arena.intern(p), &p);
             inserted += 1;
         }
         inserted
@@ -633,8 +666,12 @@ mod tests {
         random_after_sent: bool,
     }
 
-    fn has_duplicates(ids: &[PseudonymId]) -> bool {
-        let mut sorted = ids.to_vec();
+    /// Stand-in handles for pool pseudonyms the arena never saw: the pool
+    /// is 24 pseudonyms, so no arena handle reaches this.
+    const NOT_INTERNED: PseudonymHandle = 1000;
+
+    fn has_duplicates<T: Ord + Clone>(keys: &[T]) -> bool {
+        let mut sorted = keys.to_vec();
         sorted.sort_unstable();
         sorted.windows(2).any(|w| w[0] == w[1])
     }
@@ -642,6 +679,10 @@ mod tests {
     /// Old and new `absorb`, side by side through random operation
     /// sequences: same entry order, same return values, same arena, same
     /// RNG stream.
+    ///
+    /// Just-sent handles are mostly cache entries, but not only: a
+    /// pseudonym of the pool the arena never saw stands in as
+    /// `NOT_INTERNED + its pool index`, a handle no entry can have.
     #[test]
     fn absorb_matches_reference_on_random_ops() {
         let mut seen = Coverage::default();
@@ -672,7 +713,7 @@ mod tests {
                     }
                     1 => {
                         let id = pool[gen.gen_range(0..pool.len())].id();
-                        assert_eq!(new.remove(id), old.remove(id));
+                        assert_eq!(new.remove(&arena_new, id), old.remove(&arena_old, id));
                     }
                     2 => assert_eq!(new.purge_expired(now), old.purge_expired(now)),
                     3 => now += gen.gen_range(0.0..3.0),
@@ -682,12 +723,15 @@ mod tests {
                         let received: Vec<Pseudonym> = (0..gen.gen_range(0..12))
                             .map(|_| pool[gen.gen_range(0..pool.len())])
                             .collect();
-                        let just_sent: Vec<PseudonymId> = (0..gen.gen_range(0..6))
+                        let just_sent: Vec<PseudonymHandle> = (0..gen.gen_range(0..6))
                             .map(|_| {
                                 if new.is_empty() || gen.gen_bool(0.3) {
-                                    pool[gen.gen_range(0..pool.len())].id()
+                                    let i = gen.gen_range(0..pool.len());
+                                    arena_new
+                                        .lookup(pool[i].id())
+                                        .unwrap_or(NOT_INTERNED + i as u32)
                                 } else {
-                                    new.ids[gen.gen_range(0..new.len())]
+                                    new.entries[gen.gen_range(0..new.len())]
                                 }
                             })
                             .collect();
@@ -701,19 +745,26 @@ mod tests {
                         let live = |p: &&Pseudonym| p.is_valid(now) && Some(p.id()) != own;
                         let live_ids: Vec<_> =
                             received.iter().filter(live).map(|p| p.id()).collect();
-                        let cached_live = |id: &PseudonymId| {
-                            old.ids
+                        let cached_live = |h: &PseudonymHandle| {
+                            old.entries
                                 .iter()
                                 .zip(&old.expires)
-                                .any(|(i, &e)| i == id && t < e)
+                                .any(|(e, &x)| e == h && t < x)
                         };
-                        let mut novel: Vec<_> =
-                            live_ids.iter().filter(|id| !cached_live(id)).collect();
+                        let live_handles: Vec<_> = live_ids
+                            .iter()
+                            .filter_map(|&id| arena_old.lookup(id))
+                            .collect();
+                        let mut novel: Vec<_> = live_ids
+                            .iter()
+                            .filter(|&&id| !arena_old.lookup(id).is_some_and(|h| cached_live(&h)))
+                            .collect();
                         novel.sort_unstable();
                         novel.dedup();
                         let sent_cached = just_sent.iter().any(cached_live);
                         seen.duplicate_received |= has_duplicates(&live_ids);
-                        seen.received_and_sent |= live_ids.iter().any(|id| just_sent.contains(id));
+                        seen.received_and_sent |=
+                            live_handles.iter().any(|h| just_sent.contains(h));
                         seen.own_received |= received.iter().any(|p| Some(p.id()) == own);
                         seen.expired_cached |= old.expires.iter().any(|&e| t >= e);
                         seen.expired_received |= received.iter().any(|p| !p.is_valid(now));
@@ -751,10 +802,10 @@ mod tests {
                     }
                 }
                 assert_eq!(new.entries, old.entries);
-                assert_eq!(new.ids, old.ids);
                 assert_eq!(new.expires, old.expires);
                 assert!(new.len() <= capacity);
                 assert_eq!(arena_new.len(), arena_old.len());
+                assert!((0..arena_new.len() as u32).all(|h| arena_new.get(h) == arena_old.get(h)));
                 assert_eq!(rng_new, rng_old);
             }
             assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
@@ -776,29 +827,30 @@ mod tests {
         cache.insert(&mut arena, back, SimTime::ZERO);
         let mut reference = cache.clone();
         let (mut ref_arena, mut ref_rng) = (arena.clone(), rng.clone());
+        let sent = arena.lookup(back.id()).unwrap();
         let n = cache.absorb(
             &mut arena,
             &[fresh, back],
-            &[back.id()],
+            &[sent],
             None,
             SimTime::ZERO,
             &mut rng,
         );
         assert_eq!(n, 2);
-        assert_eq!(cache.ids.last(), Some(&back.id()));
+        assert_eq!(cache.entries.last(), Some(&sent));
         assert_eq!(
             n,
             absorb_reference(
                 &mut reference,
                 &mut ref_arena,
                 &[fresh, back],
-                &[back.id()],
+                &[sent],
                 None,
                 SimTime::ZERO,
                 &mut ref_rng
             )
         );
-        assert_eq!(cache.ids, reference.ids);
+        assert_eq!(cache.entries, reference.entries);
         assert_eq!(rng, ref_rng);
     }
 }

@@ -23,7 +23,7 @@
 //! message fates, schedule timers and record what happened.
 
 use crate::node::{LinkTarget, Node};
-use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymId};
+use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
 use rand::Rng;
 use std::collections::hash_map::{Entry, HashMap};
 use veil_sim::SimTime;
@@ -34,9 +34,9 @@ pub struct Offer {
     /// Pseudonyms sent over the link (own pseudonym first, then cache
     /// picks), at most ℓ entries.
     pub entries: Vec<Pseudonym>,
-    /// Ids of the cache entries included — the Cyclon eviction candidates
-    /// on this side once the peer's offer arrives.
-    pub sent_from_cache: Vec<PseudonymId>,
+    /// Arena handles of the cache entries included, valid in the arena the
+    /// offer was built from — this side's Cyclon eviction candidates.
+    pub sent_from_cache: Vec<PseudonymHandle>,
 }
 
 /// Builds a node's offer: its own pseudonym (when valid) plus up to
@@ -59,13 +59,9 @@ pub fn build_offer<R: Rng + ?Sized>(
         node.own_pseudonym(now)
     };
     let budget = shuffle_length.saturating_sub(usize::from(own.is_some()));
-    let picks = node.cache.select_offer(arena, budget, rng);
-    let sent_from_cache = picks.iter().map(|p| p.id()).collect();
-    let mut entries = Vec::with_capacity(picks.len() + 1);
-    if let Some(p) = own {
-        entries.push(p);
-    }
-    entries.extend(picks);
+    let sent_from_cache = node.cache.select_offer(arena, budget, rng);
+    let picks = sent_from_cache.iter().map(|&h| arena.get(h));
+    let entries = own.into_iter().chain(picks).collect();
     Offer {
         entries,
         sent_from_cache,
@@ -81,7 +77,7 @@ pub fn receive_offer<R: Rng + ?Sized>(
     node: &mut Node,
     arena: &mut PseudonymArena,
     received: &[Pseudonym],
-    just_sent: &[PseudonymId],
+    just_sent: &[PseudonymHandle],
     now: SimTime,
     rng: &mut R,
 ) -> usize {
@@ -186,7 +182,7 @@ struct PendingExchange {
     /// The pseudonym behind the chosen link, evicted if the exchange
     /// fails; `None` for trusted links (never evicted).
     target_pseudonym: Option<PseudonymId>,
-    sent_from_cache: Vec<PseudonymId>,
+    sent_from_cache: Vec<PseudonymHandle>,
 }
 
 /// What a response did to the exchange it answers.
@@ -231,14 +227,14 @@ pub struct Exchanges {
 
 impl Exchanges {
     /// Approximate heap footprint in bytes: the table plus what each
-    /// pending exchange owns (its request's offer and its just-sent ids).
+    /// pending exchange owns (its request's offer and its just-sent handles).
     pub fn approx_heap_bytes(&self) -> usize {
         let owned: usize = self
             .pending
             .values()
             .map(|p| {
                 p.request.offer.capacity() * std::mem::size_of::<Pseudonym>()
-                    + p.sent_from_cache.capacity() * std::mem::size_of::<PseudonymId>()
+                    + p.sent_from_cache.capacity() * std::mem::size_of::<PseudonymHandle>()
             })
             .sum();
         self.pending.capacity() * std::mem::size_of::<(u64, PendingExchange)>() + owned
@@ -297,11 +293,12 @@ impl Exchanges {
 
     /// The timer guarding the current transmission of `exchange` fired at
     /// its initiator `node`: retry within `retry_budget`, then give up and
-    /// apply Cyclon-style recovery.
+    /// apply Cyclon-style recovery. `arena` is the node's domain arena.
     pub fn on_timeout(
         &mut self,
         exchange: u64,
         node: &mut Node,
+        arena: &PseudonymArena,
         retry_budget: u32,
     ) -> TimeoutOutcome {
         let Entry::Occupied(mut entry) = self.pending.entry(exchange) else {
@@ -317,7 +314,7 @@ impl Exchanges {
         }
         let evict = entry.remove().target_pseudonym;
         if let Some(id) = evict {
-            node.cache.remove(id);
+            node.cache.remove(arena, id);
             node.sampler.evict(id);
         }
         TimeoutOutcome::Failed { attempt, evict }
@@ -547,8 +544,8 @@ mod tests {
             SimTime::ZERO,
             &mut rng,
         );
-        assert!(a.cache.contains(pb.id()), "a learned b's pseudonym");
-        assert!(b.cache.contains(pa.id()), "b learned a's pseudonym");
+        assert!(a.cache.contains(&arena, pb.id()), "a learned b's pseudonym");
+        assert!(b.cache.contains(&arena, pa.id()), "b learned a's pseudonym");
         assert!(a.sampler.contains(pb.id()));
         assert!(b.sampler.contains(pa.id()));
         assert_eq!(a.stats.requests_sent, 1);
@@ -577,7 +574,7 @@ mod tests {
                 SimTime::ZERO,
                 &mut rng,
             );
-            if b.cache.contains(third.id()) {
+            if b.cache.contains(&arena, third.id()) {
                 learned = true;
                 break;
             }
@@ -620,7 +617,7 @@ mod tests {
                     ..first.clone()
                 };
                 assert_eq!(
-                    table.on_timeout(first.exchange, &mut node, budget),
+                    table.on_timeout(first.exchange, &mut node, &arena, budget),
                     TimeoutOutcome::Retry { request: expect },
                     "trusted {trusted}, budget {budget}"
                 );
@@ -630,7 +627,7 @@ mod tests {
                 _ => None,
             };
             assert_eq!(
-                table.on_timeout(first.exchange, &mut node, budget),
+                table.on_timeout(first.exchange, &mut node, &arena, budget),
                 TimeoutOutcome::Failed {
                     attempt: budget,
                     evict
@@ -640,7 +637,7 @@ mod tests {
             assert_eq!(node.sampler.link_count(), usize::from(trusted));
             assert_eq!(node.cache.len(), usize::from(trusted));
             assert_eq!(
-                table.on_timeout(first.exchange, &mut node, budget),
+                table.on_timeout(first.exchange, &mut node, &arena, budget),
                 TimeoutOutcome::Stale
             );
         }
@@ -654,29 +651,25 @@ mod tests {
         let fresh = [svc.mint(5, SimTime::ZERO, None)];
         let mut table = Exchanges::default();
         let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
-        let mut respond = |table: &mut Exchanges, node: &mut Node, offer: &[Pseudonym]| {
-            table.on_response(
-                req.exchange,
-                node,
-                &mut arena,
-                offer,
-                SimTime::ZERO,
-                &mut rng,
-            )
+        let mut respond = |table: &mut Exchanges,
+                           node: &mut Node,
+                           arena: &mut PseudonymArena,
+                           offer: &[Pseudonym]| {
+            table.on_response(req.exchange, node, arena, offer, SimTime::ZERO, &mut rng)
         };
         assert_eq!(
-            respond(&mut table, &mut node, &fresh),
+            respond(&mut table, &mut node, &mut arena, &fresh),
             ResponseOutcome::Completed
         );
-        assert!(node.cache.contains(fresh[0].id()));
+        assert!(node.cache.contains(&arena, fresh[0].id()));
         // The answer to a retransmission arrives after the exchange is
         // resolved: nothing of it is absorbed.
         let late = [svc.mint(6, SimTime::ZERO, None)];
         assert_eq!(
-            respond(&mut table, &mut node, &late),
+            respond(&mut table, &mut node, &mut arena, &late),
             ResponseOutcome::Stale
         );
-        assert!(!node.cache.contains(late[0].id()));
+        assert!(!node.cache.contains(&arena, late[0].id()));
         assert!(!node.sampler.contains(late[0].id()));
         // So is the answer to an exchange its initiator abandoned.
         let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
@@ -698,11 +691,11 @@ mod tests {
         let mut table = Exchanges::default();
         assert_eq!(table.approx_heap_bytes(), 0);
         let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
-        // Own pseudonym plus the one cached peer, of which one id was sent
+        // Own pseudonym plus the one cached peer, whose handle was sent
         // from the cache.
         assert_eq!(req.offer.len(), 2);
         let entry = std::mem::size_of::<(u64, PendingExchange)>();
-        let owned = 2 * std::mem::size_of::<Pseudonym>() + std::mem::size_of::<PseudonymId>();
+        let owned = 2 * std::mem::size_of::<Pseudonym>() + std::mem::size_of::<PseudonymHandle>();
         assert!(table.approx_heap_bytes() >= entry + owned);
         table.abandon(req.exchange);
         assert_eq!(
@@ -785,6 +778,6 @@ mod tests {
             !response.contains(&incoming[0]),
             "never echoed straight back"
         );
-        assert!(node.cache.contains(incoming[0].id()));
+        assert!(node.cache.contains(&arena, incoming[0].id()));
     }
 }

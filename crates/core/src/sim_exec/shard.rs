@@ -407,7 +407,10 @@ impl Shard {
             return;
         }
         let budget = ctx.cfg.shuffle_retry_budget;
-        match self.exchanges.on_timeout(exchange, &mut cell.node, budget) {
+        match self
+            .exchanges
+            .on_timeout(exchange, &mut cell.node, &self.arena, budget)
+        {
             TimeoutOutcome::Stale => {} // the response arrived in time
             TimeoutOutcome::Retry { request } => {
                 let attempt = u64::from(request.attempt);

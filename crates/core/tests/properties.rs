@@ -138,12 +138,12 @@ proptest! {
         }
         let offer = cache.select_offer(&arena, request, &mut rng);
         prop_assert_eq!(offer.len(), request.min(cache.len()));
-        let mut ids: Vec<_> = offer.iter().map(|p| p.id()).collect();
+        let mut ids: Vec<_> = offer.iter().map(|&h| arena.get(h).id()).collect();
         ids.sort_unstable();
         ids.dedup();
         prop_assert_eq!(ids.len(), offer.len());
-        for p in &offer {
-            prop_assert!(cache.contains(p.id()));
+        for id in ids {
+            prop_assert!(cache.contains(&arena, id));
         }
     }
 

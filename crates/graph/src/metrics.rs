@@ -352,106 +352,6 @@ pub fn diameter_par(g: &Graph, parallelism: Option<usize>) -> u32 {
     eccentricities.into_iter().max().unwrap_or(0)
 }
 
-/// Betweenness centrality of every vertex (Brandes' algorithm,
-/// `O(n·m)` for unweighted graphs), normalized by the number of ordered
-/// vertex pairs excluding the endpoint, `(n-1)(n-2)`.
-///
-/// In a relay-based overlay, high-betweenness nodes carry a
-/// disproportionate share of forwarded traffic; on trust graphs they are
-/// the chokepoints whose churn separates communities — another view of the
-/// structural weakness the overlay repairs.
-pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
-    betweenness_centrality_par(g, Some(1))
-}
-
-/// Sources per reduction chunk in [`betweenness_centrality_par`]. Fixed
-/// (not derived from the thread count) so the floating-point summation
-/// tree — and hence the exact result — is the same for every
-/// `parallelism` value.
-const BETWEENNESS_CHUNK: usize = 16;
-
-/// [`betweenness_centrality`] with the per-source Brandes passes spread
-/// over up to `parallelism` threads.
-///
-/// Per-source dependency contributions are floating-point, so the
-/// summation order matters for bit-identity. Sources are grouped into
-/// fixed-size chunks; each chunk accumulates its sources in index order
-/// and the chunk partials are folded in chunk order. The reduction tree
-/// therefore depends only on the graph size, never on the thread count,
-/// and the serial entry point uses the same tree.
-pub fn betweenness_centrality_par(g: &Graph, parallelism: Option<usize>) -> Vec<f64> {
-    let n = g.node_count();
-    let mut centrality = vec![0.0f64; n];
-    if n < 3 {
-        return centrality;
-    }
-    let chunks = n.div_ceil(BETWEENNESS_CHUNK);
-    let partials = veil_par::run(chunks, parallelism, |c| {
-        let lo = c * BETWEENNESS_CHUNK;
-        let hi = (lo + BETWEENNESS_CHUNK).min(n);
-        betweenness_partial(g, lo, hi)
-    });
-    for partial in &partials {
-        for (acc, &x) in centrality.iter_mut().zip(partial) {
-            *acc += x;
-        }
-    }
-    // Each unordered pair was counted twice (once per endpoint as source).
-    let norm = ((n - 1) * (n - 2)) as f64;
-    for c in &mut centrality {
-        *c /= norm;
-    }
-    centrality
-}
-
-/// Unnormalized betweenness contributions of sources `lo..hi` (one Brandes
-/// pass per source, accumulated in source order).
-fn betweenness_partial(g: &Graph, lo: usize, hi: usize) -> Vec<f64> {
-    let n = g.node_count();
-    let mut centrality = vec![0.0f64; n];
-    let mut stack: Vec<usize> = Vec::with_capacity(n);
-    let mut predecessors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut sigma = vec![0.0f64; n];
-    let mut dist = vec![i64::MAX; n];
-    let mut delta = vec![0.0f64; n];
-    let mut queue = VecDeque::new();
-    for s in lo..hi {
-        stack.clear();
-        for v in 0..n {
-            predecessors[v].clear();
-            sigma[v] = 0.0;
-            dist[v] = i64::MAX;
-            delta[v] = 0.0;
-        }
-        sigma[s] = 1.0;
-        dist[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            stack.push(v);
-            for &w in g.neighbors(v) {
-                let w = w as usize;
-                if dist[w] == i64::MAX {
-                    dist[w] = dist[v] + 1;
-                    queue.push_back(w);
-                }
-                if dist[w] == dist[v] + 1 {
-                    sigma[w] += sigma[v];
-                    predecessors[w].push(v);
-                }
-            }
-        }
-        while let Some(w) = stack.pop() {
-            for &v in &predecessors[w] {
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-            }
-            if w != s {
-                centrality[w] += delta[w];
-            }
-        }
-    }
-    centrality
-}
-
 /// Core number of every vertex: the largest `k` such that the vertex
 /// belongs to the `k`-core (the maximal subgraph of minimum degree `k`).
 /// Computed by iterative minimum-degree peeling in `O(n + m)`.
@@ -842,51 +742,6 @@ mod tests {
         let g = generators::two_cliques_bridge(4, 3);
         assert_eq!(bridges(&g), vec![(3, 4)]);
         assert_eq!(bridges(&generators::star(4)), vec![(0, 1), (0, 2), (0, 3)]);
-    }
-
-    #[test]
-    fn betweenness_of_path_peaks_in_the_middle() {
-        // Path 0-1-2-3-4: centre vertex 2 lies on 4 of the 6 pairs.
-        let g = generators::path(5);
-        let c = betweenness_centrality(&g);
-        assert_eq!(c[0], 0.0);
-        assert_eq!(c[4], 0.0);
-        assert!(c[2] > c[1] && c[2] > c[3]);
-        // Exact: v2 on pairs {0,3},{0,4},{1,3},{1,4} = 4 of 12 ordered.
-        assert!((c[2] - 4.0 / 12.0 * 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn betweenness_of_star_hub_is_one() {
-        let g = generators::star(6);
-        let c = betweenness_centrality(&g);
-        assert!((c[0] - 1.0).abs() < 1e-12, "hub on every pair");
-        for &leaf in &c[1..] {
-            assert_eq!(leaf, 0.0);
-        }
-    }
-
-    #[test]
-    fn betweenness_of_complete_graph_is_zero() {
-        let c = betweenness_centrality(&generators::complete(5));
-        for x in c {
-            assert!(x.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn betweenness_handles_tiny_graphs() {
-        assert_eq!(betweenness_centrality(&Graph::new(0)), Vec::<f64>::new());
-        assert_eq!(betweenness_centrality(&generators::path(2)), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn betweenness_splits_evenly_on_even_cycle() {
-        let c = betweenness_centrality(&generators::cycle(6));
-        for x in &c {
-            assert!((x - c[0]).abs() < 1e-12, "cycle is vertex-transitive");
-        }
-        assert!(c[0] > 0.0);
     }
 
     /// Oracle: core numbers by repeated minimum-degree peeling.

@@ -524,7 +524,10 @@ impl NodeRuntime {
                 self.close(id, now);
             }
             let budget = self.retry_budget;
-            match self.exchanges.on_timeout(exchange, &mut self.node, budget) {
+            match self
+                .exchanges
+                .on_timeout(exchange, &mut self.node, &self.arena, budget)
+            {
                 TimeoutOutcome::Stale => {}
                 TimeoutOutcome::Retry { request } => {
                     self.note_timeout(exchange, request.attempt - 1, deadline);

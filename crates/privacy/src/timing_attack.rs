@@ -125,7 +125,8 @@ pub fn run<R: Rng + ?Sized>(
         t = (t + attack.check_every).min(deadline);
         sim.run_until(t);
         let watcher = sim.node(attack.observer_near_b);
-        if watcher.cache.contains(marker.id()) || watcher.sampler.contains(marker.id()) {
+        let arena = sim.arena_of(attack.observer_near_b);
+        if watcher.cache.contains(arena, marker.id()) || watcher.sampler.contains(marker.id()) {
             arrival_time = Some(t - start);
         }
     }
