@@ -694,11 +694,11 @@ fn recovery_sweep(s: &Setup) {
     let runs: Vec<ExperimentParams> = [11, 23, 47]
         .into_iter()
         .flat_map(|seed| {
-            [RemedyConfig::default(), RemedyConfig::all_on()].map(|remedy| {
+            [false, true].map(|enabled| {
                 let mut params = s.params.clone();
                 params.seed = seed;
                 params.overlay.link = FaultAxis::Loss.link(RECOVERY_LOSS, n);
-                params.overlay.remedy = remedy;
+                params.overlay.remedy = RemedyConfig { enabled };
                 params
             })
         })

@@ -45,9 +45,6 @@ pub const FLAGS: &[&str] = &[
     "flight-recorder",
     "health",
     "self-heal",
-    "heal-backoff",
-    "heal-rebootstrap",
-    "heal-throttle",
 ];
 
 #[derive(Serialize)]
@@ -157,23 +154,10 @@ pub fn scenario(args: &Args) -> Result<Scenario, Box<dyn std::error::Error>> {
     let graph = &mut s.graph;
     graph.source_multiplier =
         args.get_or("source-multiplier", graph.source_multiplier, "integer >= 1")?;
-    // Self-healing: `--self-heal` switches every reaction on; each
-    // `--heal-*` flag enables just that reaction. Any of them implies the
-    // engine's master switch and health monitoring (there is nothing to
-    // react to without the detectors). With none given `[remediation]`
-    // keeps its defaults, which leave the run byte-identical to a build
-    // without the engine.
-    let heal = |reaction: &str| args.has("self-heal") || args.has(reaction);
-    let reactions = [
-        heal("heal-backoff"),
-        heal("heal-rebootstrap"),
-        heal("heal-throttle"),
-    ];
-    if reactions.contains(&true) {
-        let r = &mut s.remediation;
-        r.enabled = true;
-        [r.backoff, r.rebootstrap, r.throttle] = reactions;
-    }
+    // `--self-heal` switches the remediation engine on, and with it health
+    // monitoring (there is nothing to react to without the detectors).
+    // Without it the run is byte-identical to a build without the engine.
+    s.remediation.enabled = args.has("self-heal");
     s.health.enabled = args.has("health") || s.remediation.enabled;
     Ok(s)
 }
@@ -221,9 +205,9 @@ pub fn run(args: &Args) -> CmdResult {
         .map(str::parse)
         .transpose()
         .map_err(|e| format!("--flight-recorder: {e}"))?;
-    // --health (and every --heal-* flag, which implies it) needs a live
-    // recorder: the monitor reads the event stream and publishes its
-    // alerts back into it.
+    // --health (and --self-heal, which implies it) needs a live recorder:
+    // the monitor reads the event stream and publishes its alerts back
+    // into it.
     let obs_enabled = trace_out.is_some()
         || metrics_out.is_some()
         || chrome_trace.is_some()

@@ -80,13 +80,10 @@ COMMANDS:
                                          monitor (rolling-window detectors
                                          emitting HealthAlert events);
                                          implies the full recorder
-                     [--self-heal]       enable the remediation engine with
-                                         every reaction (implies --health);
-                                         off is byte-identical to a build
-                                         without the engine
-                     [--heal-backoff] [--heal-rebootstrap] [--heal-throttle]
-                                         enable a single reaction instead
-                                         (each implies --health)
+                     [--self-heal]       enable the remediation engine and
+                                         its three reactions (implies
+                                         --health); off is byte-identical
+                                         to a build without the engine
     attack           run the Section III-E threat models
                      --nodes N [--seed S]
     obs validate     check a JSONL trace file against the event schema
@@ -671,24 +668,22 @@ mod tests {
         .unwrap();
         assert!(out.contains("health monitor:"), "{out}");
         assert!(out.contains("self-healing:"), "{out}");
-        // A single-reaction flag implies both the engine and the monitor.
-        let out = run_line(&[
-            "simulate",
-            "--nodes",
-            "60",
-            "--alpha",
-            "0.6",
-            "--horizon",
-            "30",
-            "--seed",
-            "5",
-            "--heal-rebootstrap",
-        ])
-        .unwrap();
-        assert!(out.contains("health monitor:"), "{out}");
-        assert!(out.contains("self-healing:"), "{out}");
-        assert!(out.contains("0 backoff"), "{out}");
-        assert!(out.contains("0 throttle"), "{out}");
+    }
+
+    /// Self-healing is one switch: a per-reaction flag is an unknown
+    /// flag, not a silent no-op.
+    #[test]
+    fn removed_heal_flags_are_unknown() {
+        for flag in ["heal-backoff", "heal-rebootstrap", "heal-throttle"] {
+            let removed = format!("--{flag}");
+            let line = ["simulate", "--nodes", "60", "--self-heal", &removed];
+            let err = Args::parse(line)
+                .unwrap()
+                .check_known(commands::simulate::FLAGS);
+            assert_eq!(err, Err(args::ArgsError::UnknownFlag(flag.into())));
+            let err = run_line(&line).unwrap_err();
+            assert!(err.contains(&format!("unknown flag --{flag}")), "{err}");
+        }
     }
 
     #[test]

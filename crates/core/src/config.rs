@@ -179,7 +179,7 @@ pub struct OverlayConfig {
     /// cannot perturb the simulation (unless [`OverlayConfig::remedy`]
     /// explicitly closes the loop).
     pub health: HealthConfig,
-    /// Self-healing remediation: gated reactions to health alerts (see
+    /// Self-healing remediation: reactions to health alerts (see
     /// [`crate::remedy`]). Disabled by default, and skipped during
     /// serialization while at its default so existing experiment artifacts
     /// keep their exact bytes.
@@ -187,64 +187,19 @@ pub struct OverlayConfig {
     pub remedy: RemedyConfig,
 }
 
-/// Gated reactions of the self-healing remediation engine
-/// ([`crate::remedy::RemedyEngine`]), consuming the window alerts the
-/// health monitor raises and feeding deterministic corrective actions back
-/// into the overlay.
+/// The self-healing remediation engine
+/// ([`crate::remedy::RemedyEngine`]): one switch, which runs all three of
+/// its reactions to the health monitor's window alerts.
 ///
-/// Every reaction sits behind its own flag *and* the master [`enabled`]
-/// switch; with the engine off the simulation is byte-identical to a build
+/// With the engine off the simulation is byte-identical to a build
 /// without it. Remediation requires health monitoring
 /// ([`HealthConfig::enabled`]) — there is nothing to react to otherwise.
-///
-/// [`enabled`]: RemedyConfig::enabled
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct RemedyConfig {
     /// Master switch for the remediation engine. `false` (the default)
     /// guarantees byte-identical output to a monitoring-only run.
     pub enabled: bool,
-    /// React to `eviction_storm` alerts by suppressing shuffle initiation
-    /// for [`RemedyConfig::backoff_shuffles`] periods on every online node,
-    /// letting in-flight exchanges drain instead of compounding the storm.
-    pub backoff_on_eviction_storm: bool,
-    /// React to `starved_nodes` / `isolated_nodes` alerts by re-seeding the
-    /// implicated node's sampler with fresh pseudonyms from its online
-    /// trusted neighbors (a targeted re-bootstrap along trust edges).
-    pub rebootstrap_starved: bool,
-    /// React to `indegree_skew` alerts by withholding the over-represented
-    /// node's own pseudonym from its shuffle offers for
-    /// [`RemedyConfig::throttle_periods`], throttling further in-degree
-    /// growth at the hub.
-    pub throttle_indegree_skew: bool,
-    /// How many of its own shuffle initiations a node skips after an
-    /// eviction-storm backoff is applied. The counter decays by one per
-    /// skipped shuffle, so the reaction is self-limiting.
-    pub backoff_shuffles: u32,
-    /// Maximum trusted-neighbor pseudonyms offered to a starved node's
-    /// sampler per re-bootstrap.
-    pub rebootstrap_max_offers: usize,
-    /// Minimum spacing, in shuffle periods, between two re-bootstraps of
-    /// the same node (prevents thrashing a persistently isolated node).
-    pub rebootstrap_cooldown: f64,
-    /// How long, in shuffle periods, a skew-throttled node withholds its
-    /// own pseudonym from outgoing shuffle offers.
-    pub throttle_periods: f64,
-}
-
-impl Default for RemedyConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            backoff_on_eviction_storm: true,
-            rebootstrap_starved: true,
-            throttle_indegree_skew: true,
-            backoff_shuffles: 2,
-            rebootstrap_max_offers: 8,
-            rebootstrap_cooldown: 10.0,
-            throttle_periods: 10.0,
-        }
-    }
 }
 
 impl RemedyConfig {
@@ -253,51 +208,12 @@ impl RemedyConfig {
     pub fn is_default(&self) -> bool {
         *self == Self::default()
     }
-
-    /// A config with the master switch and every reaction on (the CLI's
-    /// `--self-heal`).
-    pub fn all_on() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Checks internal consistency (validated even when disabled, so a
-    /// latent bad config cannot hide until someone switches healing on).
-    pub fn validate(&self) -> Result<(), CoreError> {
-        if self.backoff_shuffles == 0 {
-            return Err(CoreError::InvalidConfig {
-                field: "remedy.backoff_shuffles",
-                reason: "a backoff of zero shuffles would be a no-op reaction".into(),
-            });
-        }
-        if self.rebootstrap_max_offers == 0 {
-            return Err(CoreError::InvalidConfig {
-                field: "remedy.rebootstrap_max_offers",
-                reason: "a re-bootstrap offering zero pseudonyms would be a no-op".into(),
-            });
-        }
-        let positive = [
-            ("remedy.rebootstrap_cooldown", self.rebootstrap_cooldown),
-            ("remedy.throttle_periods", self.throttle_periods),
-        ];
-        for (field, v) in positive {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CoreError::InvalidConfig {
-                    field,
-                    reason: format!("must be finite and positive, got {v}"),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Thresholds of the rolling-window health detectors in
-/// [`crate::health::HealthMonitor`]. All windows and thresholds are in
-/// shuffle periods / events per window; see the field docs for each
-/// detector's semantics.
+/// The rolling-window health detectors of
+/// [`crate::health::HealthMonitor`]: the switch, the window and the one
+/// threshold a run sets. The other thresholds are constants in
+/// [`crate::health`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Master switch. The monitor runs recorder-free too: alerts are
@@ -310,29 +226,9 @@ pub struct HealthConfig {
     /// window boundary (boundaries lie on a fixed grid, so results do not
     /// depend on event timing).
     pub window: f64,
-    /// `shuffle_failure_burst` fires when `failures / starts` within a
-    /// window exceeds this rate.
-    pub failure_burst_rate: f64,
-    /// Minimum shuffle starts in a window before the failure-burst rate is
-    /// meaningful (suppresses noise from nearly idle windows).
-    pub failure_burst_min_starts: u64,
     /// `eviction_storm` fires when more than this many Cyclon evictions
     /// happen within one window.
     pub eviction_storm_count: u64,
-    /// `pseudonym_expiry_stampede` fires when the fraction of nodes that
-    /// purged expired pseudonyms within one window exceeds this value (the
-    /// synchronized-expiry transient of the paper's Figure 9).
-    pub expiry_stampede_fraction: f64,
-    /// `starved_nodes` fires when the fraction of online nodes that have
-    /// not completed a shuffle for this many shuffle periods exceeds
-    /// [`HealthConfig::starved_fraction`].
-    pub starvation_periods: f64,
-    /// Fraction of online nodes allowed to be starved before alerting.
-    pub starved_fraction: f64,
-    /// `indegree_skew` fires when `max_degree / mean_degree` over online
-    /// nodes (trusted + pseudonym links) exceeds this ratio — the topology
-    /// skew that F2F-overlay analyses flag as the onset of hub formation.
-    pub indegree_skew_ratio: f64,
 }
 
 impl Default for HealthConfig {
@@ -340,35 +236,21 @@ impl Default for HealthConfig {
         Self {
             enabled: false,
             window: 5.0,
-            failure_burst_rate: 0.25,
-            failure_burst_min_starts: 20,
             eviction_storm_count: 50,
-            expiry_stampede_fraction: 0.5,
-            starvation_periods: 15.0,
-            starved_fraction: 0.10,
-            indegree_skew_ratio: 8.0,
         }
     }
 }
 
 impl HealthConfig {
-    /// Checks internal consistency (only meaningful values; the config is
-    /// validated even when `enabled` is false so a latent bad config cannot
-    /// hide until someone switches monitoring on).
+    /// Checks the window (validated even when `enabled` is false so a
+    /// latent bad config cannot hide until someone switches monitoring
+    /// on).
     pub fn validate(&self) -> Result<(), CoreError> {
-        let positive = [
-            ("health.window", self.window),
-            ("health.failure_burst_rate", self.failure_burst_rate),
-            ("health.starvation_periods", self.starvation_periods),
-            ("health.indegree_skew_ratio", self.indegree_skew_ratio),
-        ];
-        for (field, v) in positive {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CoreError::InvalidConfig {
-                    field,
-                    reason: format!("must be finite and positive, got {v}"),
-                });
-            }
+        if !(self.window.is_finite() && self.window > 0.0) {
+            return Err(CoreError::InvalidConfig {
+                field: "health.window",
+                reason: format!("must be finite and positive, got {}", self.window),
+            });
         }
         // A rotation reads the cells at the barrier that finds it due, and
         // only the execution grid's boundaries are barriers however the
@@ -381,21 +263,6 @@ impl HealthConfig {
                     self.window
                 ),
             });
-        }
-        let fractions = [
-            (
-                "health.expiry_stampede_fraction",
-                self.expiry_stampede_fraction,
-            ),
-            ("health.starved_fraction", self.starved_fraction),
-        ];
-        for (field, v) in fractions {
-            if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-                return Err(CoreError::InvalidConfig {
-                    field,
-                    reason: format!("must be in (0, 1], got {v}"),
-                });
-            }
         }
         Ok(())
     }
@@ -556,7 +423,6 @@ impl OverlayConfig {
             });
         }
         self.health.validate()?;
-        self.remedy.validate()?;
         if self.remedy.enabled && !self.health.enabled {
             return Err(CoreError::InvalidConfig {
                 field: "remedy.enabled",
@@ -744,14 +610,6 @@ mod tests {
             ..OverlayConfig::default()
         };
         assert!(bad_window.validate().is_err());
-        let bad_fraction = OverlayConfig {
-            health: HealthConfig {
-                starved_fraction: 1.5,
-                ..HealthConfig::default()
-            },
-            ..OverlayConfig::default()
-        };
-        assert!(bad_fraction.validate().is_err());
         let enabled = OverlayConfig {
             health: HealthConfig {
                 enabled: true,
@@ -796,7 +654,7 @@ mod tests {
     fn remedy_knob_validates_and_stays_off_the_wire() {
         // Healing without monitoring has nothing to react to.
         let no_health = OverlayConfig {
-            remedy: RemedyConfig::all_on(),
+            remedy: RemedyConfig { enabled: true },
             ..OverlayConfig::default()
         };
         assert!(no_health.validate().is_err());
@@ -805,31 +663,10 @@ mod tests {
                 enabled: true,
                 ..HealthConfig::default()
             },
-            remedy: RemedyConfig::all_on(),
+            remedy: RemedyConfig { enabled: true },
             ..OverlayConfig::default()
         };
         healed.validate().unwrap();
-        // Degenerate tuning is rejected even while disabled.
-        for bad in [
-            RemedyConfig {
-                backoff_shuffles: 0,
-                ..RemedyConfig::default()
-            },
-            RemedyConfig {
-                rebootstrap_max_offers: 0,
-                ..RemedyConfig::default()
-            },
-            RemedyConfig {
-                rebootstrap_cooldown: 0.0,
-                ..RemedyConfig::default()
-            },
-            RemedyConfig {
-                throttle_periods: f64::NAN,
-                ..RemedyConfig::default()
-            },
-        ] {
-            assert!(bad.validate().is_err());
-        }
         // The default is skipped entirely: the default config serializes to
         // the exact same bytes as before the knob existed, keeping committed
         // experiment artifacts byte-stable.

@@ -708,10 +708,9 @@ pub struct RecoveryPoint {
 /// links regains 90% of its pre-blackout mean.
 ///
 /// The A/B comparison runs this twice per seed, with
-/// `params.overlay.remedy` off and with every reaction on
-/// ([`RemedyConfig::all_on`](crate::config::RemedyConfig::all_on)). The
-/// health monitor is set here, identically for both arms, so the only
-/// difference between them is whether alerts trigger reactions: a
+/// `params.overlay.remedy` off and on. The health monitor is set here,
+/// identically for both arms, so the only difference between them is
+/// whether alerts trigger reactions: a
 /// 1-period window (reaction latency is the whole point of the
 /// measurement) and the eviction-storm threshold lifted out of reach. At
 /// 20% message loss, retry-exhausted evictions are routine, so a storm

@@ -3,22 +3,27 @@
 //! A [`HealthMonitor`] watches the observability event stream of a running
 //! [`crate::simulation::Simulation`] through rolling windows and raises
 //! typed `HealthAlert` trace events when a degradation detector crosses its
-//! configured threshold ([`HealthConfig`]):
+//! threshold. The thresholds are the constants below, except the eviction
+//! storm's, which [`HealthConfig`] holds (the recovery sweep lifts it out
+//! of reach):
 //!
 //! * `shuffle_failure_burst` — failures / starts within a window;
 //! * `eviction_storm` — Cyclon evictions per window;
 //! * `pseudonym_expiry_stampede` — fraction of nodes purging expired
 //!   pseudonyms in one window (the synchronized-expiry transient);
 //! * `starved_nodes` — online nodes that have not completed a shuffle for
-//!   a configured number of periods;
+//!   `STARVATION_PERIODS`;
 //! * `isolated_nodes` — online nodes with no *pseudonym* links. Trusted
 //!   links are node-addressed and survive any outage, so a node can be
 //!   perfectly reachable by its friends yet absent from the anonymous
 //!   indirection layer the paper's privacy argument rests on — exactly the
 //!   state a long blackout leaves its victims in, and exactly what the
 //!   remediation engine's re-bootstrap repairs;
-//! * `indegree_skew` — max/mean overlay degree over online nodes (hub
-//!   formation).
+//! * `indegree_skew` — max/mean of trust degree plus the node's *own*
+//!   sampler links over online nodes. Both terms are links the node holds,
+//!   so despite its (trace-stable) name this is an out-degree skew: it
+//!   flags trust-graph hubs, not nodes whose pseudonym sits in many
+//!   caches.
 //!
 //! # Alerts are events — and decisions
 //!
@@ -46,9 +51,39 @@
 use crate::config::HealthConfig;
 use veil_obs::{EventKind as Obs, Recorder};
 
+/// Names of the detectors, as the `detector` field of `HealthAlert`
+/// trace events spells them, in evaluation order.
+pub const DETECTOR_NAMES: [&str; 6] = [
+    "shuffle_failure_burst",
+    "eviction_storm",
+    "pseudonym_expiry_stampede",
+    "starved_nodes",
+    "isolated_nodes",
+    "indegree_skew",
+];
+
 /// Severity threshold: a value at least this multiple of its threshold is
 /// reported as `critical` rather than `warning`.
 const CRITICAL_FACTOR: f64 = 2.0;
+/// `shuffle_failure_burst` fires when `failures / starts` within a window
+/// exceeds this rate…
+const FAILURE_BURST_RATE: f64 = 0.25;
+/// …and the window saw at least this many starts (a nearly idle window's
+/// rate is noise).
+const FAILURE_BURST_MIN_STARTS: u64 = 20;
+/// `pseudonym_expiry_stampede` fires when more than this fraction of the
+/// nodes purged expired pseudonyms within one window (the
+/// synchronized-expiry transient of the paper's Figure 9).
+const EXPIRY_STAMPEDE_FRACTION: f64 = 0.5;
+/// A node is starved when online but without a completed shuffle for more
+/// than this many shuffle periods…
+const STARVATION_PERIODS: f64 = 15.0;
+/// …and `starved_nodes` fires when more than this fraction of the online
+/// nodes are.
+const STARVED_FRACTION: f64 = 0.10;
+/// `indegree_skew` fires when max/mean of the degree it reads exceeds
+/// this ratio.
+const INDEGREE_SKEW_RATIO: f64 = 8.0;
 
 /// One detector firing, as returned by [`HealthMonitor::rotate`].
 ///
@@ -67,7 +102,7 @@ pub struct WindowAlert {
     pub critical: bool,
     /// Observed value.
     pub value: f64,
-    /// Configured threshold (0.0 for the always-critical isolation check).
+    /// Threshold (0.0 for the always-critical isolation check).
     pub threshold: f64,
     /// Nodes the detector implicates, in ascending id order; empty for
     /// population-aggregate detectors.
@@ -88,7 +123,6 @@ pub struct HealthMonitor {
     window_start: f64,
     // Counts accumulated over the current window.
     starts: u64,
-    completes: u64,
     failures: u64,
     evictions: u64,
     /// Number of `PseudonymsExpired` purges seen this window (one per node
@@ -112,7 +146,6 @@ impl HealthMonitor {
             cfg: cfg.clone(),
             window_start: 0.0,
             starts: 0,
-            completes: 0,
             failures: 0,
             evictions: 0,
             expiry_purges: 0,
@@ -131,7 +164,6 @@ impl HealthMonitor {
         match kind {
             Obs::ShuffleStart { .. } => self.starts += 1,
             Obs::ShuffleComplete { .. } => {
-                self.completes += 1;
                 if let Some(v) = node {
                     if let Some(slot) = self.last_progress.get_mut(v as usize) {
                         *slot = t;
@@ -167,8 +199,8 @@ impl HealthMonitor {
     /// the window's alerts (with implicated nodes) for the remediation
     /// engine. The returned alerts do not depend on `recorder`.
     ///
-    /// `online[v]` / `degrees[v]` describe the current node states and
-    /// total overlay degree (trusted + pseudonym links) per node;
+    /// `online[v]` is the node's state and `degrees[v]` its trust degree
+    /// plus its own pseudonym links, which the skew detector reads;
     /// `pseudonym_degrees[v]` counts the pseudonym links alone, which is
     /// what the isolation detector watches (see the module docs for why
     /// trusted links don't count).
@@ -192,18 +224,19 @@ impl HealthMonitor {
 
         let online_count = online.iter().filter(|o| **o).count();
         let nodes = online.len().max(1);
+        let [burst, storm, stampede, starving, isolation, skewed] = DETECTOR_NAMES;
 
         // 1. Shuffle failure burst.
-        if self.starts >= self.cfg.failure_burst_min_starts {
+        if self.starts >= FAILURE_BURST_MIN_STARTS {
             let rate = self.failures as f64 / self.starts as f64;
             recorder.gauge("health.shuffle_failure_rate", rate);
-            if rate > self.cfg.failure_burst_rate {
+            if rate > FAILURE_BURST_RATE {
                 fired.push(self.alert(
                     recorder,
                     boundary,
-                    "shuffle_failure_burst",
+                    burst,
                     rate,
-                    self.cfg.failure_burst_rate,
+                    FAILURE_BURST_RATE,
                     Vec::new(),
                 ));
             }
@@ -220,7 +253,7 @@ impl HealthMonitor {
             fired.push(self.alert(
                 recorder,
                 boundary,
-                "eviction_storm",
+                storm,
                 self.evictions as f64,
                 self.cfg.eviction_storm_count as f64,
                 Vec::new(),
@@ -230,36 +263,36 @@ impl HealthMonitor {
         // 3. Pseudonym expiry stampede.
         let expiry_fraction = self.expiry_purges as f64 / nodes as f64;
         recorder.gauge("health.window_expiry_fraction", expiry_fraction);
-        if expiry_fraction > self.cfg.expiry_stampede_fraction {
+        if expiry_fraction > EXPIRY_STAMPEDE_FRACTION {
             fired.push(self.alert(
                 recorder,
                 boundary,
-                "pseudonym_expiry_stampede",
+                stampede,
                 expiry_fraction,
-                self.cfg.expiry_stampede_fraction,
+                EXPIRY_STAMPEDE_FRACTION,
                 Vec::new(),
             ));
         }
 
-        // 4. Starved nodes: online but no completed shuffle for the
-        // configured number of periods.
+        // 4. Starved nodes: online but no completed shuffle for
+        // `STARVATION_PERIODS`.
         let starved: Vec<u32> = online
             .iter()
             .zip(self.last_progress.iter())
             .enumerate()
-            .filter(|(_, (on, last))| **on && boundary - **last > self.cfg.starvation_periods)
+            .filter(|(_, (on, last))| **on && boundary - **last > STARVATION_PERIODS)
             .map(|(v, _)| v as u32)
             .collect();
         recorder.gauge("health.starved_nodes", starved.len() as f64);
         if online_count > 0 {
             let starved_fraction = starved.len() as f64 / online_count as f64;
-            if starved_fraction > self.cfg.starved_fraction {
+            if starved_fraction > STARVED_FRACTION {
                 fired.push(self.alert(
                     recorder,
                     boundary,
-                    "starved_nodes",
+                    starving,
                     starved_fraction,
-                    self.cfg.starved_fraction,
+                    STARVED_FRACTION,
                     starved,
                 ));
             }
@@ -279,10 +312,11 @@ impl HealthMonitor {
         recorder.gauge("health.isolated_nodes", isolated.len() as f64);
         if !isolated.is_empty() {
             let count = isolated.len() as f64;
-            fired.push(self.alert(recorder, boundary, "isolated_nodes", count, 0.0, isolated));
+            fired.push(self.alert(recorder, boundary, isolation, count, 0.0, isolated));
         }
 
-        // 6. In-degree skew over online nodes.
+        // 6. Degree skew over online nodes (named `indegree_skew`; it reads
+        // out-degree, see the module docs).
         if online_count > 0 {
             let (sum, max) = online
                 .iter()
@@ -293,24 +327,22 @@ impl HealthMonitor {
             if mean > 0.0 {
                 let skew = max as f64 / mean;
                 recorder.gauge("health.indegree_skew", skew);
-                if skew > self.cfg.indegree_skew_ratio {
-                    // Implicate every online node sitting above the
-                    // configured ratio (at least the max-degree node).
+                if skew > INDEGREE_SKEW_RATIO {
+                    // Implicate every online node sitting above the ratio
+                    // (at least the max-degree node).
                     let hubs: Vec<u32> = online
                         .iter()
                         .zip(degrees.iter())
                         .enumerate()
-                        .filter(|(_, (on, deg))| {
-                            **on && **deg as f64 > self.cfg.indegree_skew_ratio * mean
-                        })
+                        .filter(|(_, (on, deg))| **on && **deg as f64 > INDEGREE_SKEW_RATIO * mean)
                         .map(|(v, _)| v as u32)
                         .collect();
                     fired.push(self.alert(
                         recorder,
                         boundary,
-                        "indegree_skew",
+                        skewed,
                         skew,
-                        self.cfg.indegree_skew_ratio,
+                        INDEGREE_SKEW_RATIO,
                         hubs,
                     ));
                 }
@@ -320,7 +352,6 @@ impl HealthMonitor {
         recorder.gauge("health.alerts_emitted", self.alerts_emitted as f64);
         self.window_start = boundary;
         self.starts = 0;
-        self.completes = 0;
         self.failures = 0;
         self.evictions = 0;
         self.expiry_purges = 0;
@@ -365,7 +396,6 @@ mod tests {
         HealthConfig {
             enabled: true,
             window: 5.0,
-            failure_burst_min_starts: 4,
             ..HealthConfig::default()
         }
     }
@@ -416,26 +446,31 @@ mod tests {
     fn failure_burst_fires_with_severity() {
         let rec = Recorder::full();
         let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 4).unwrap();
-        for i in 0..10 {
-            hm.observe(
-                0.5,
-                Some(i % 4),
-                &Obs::ShuffleStart {
-                    target: 0,
-                    trusted: false,
-                },
-            );
-        }
-        for _ in 0..6 {
+        // One start short of `FAILURE_BURST_MIN_STARTS`, every one failed:
+        // too few starts for the rate to count.
+        let start = Obs::ShuffleStart {
+            target: 0,
+            trusted: false,
+        };
+        for i in 0..FAILURE_BURST_MIN_STARTS - 1 {
+            hm.observe(0.5, Some(i as u32 % 4), &start);
             hm.observe(1.0, Some(0), &Obs::ShuffleFailure { exchange: 1 });
         }
-        assert!(hm.due(5.0));
         hm.rotate(&rec, 5.0, &[true; 4], &[3, 3, 3, 3], &[1, 1, 1, 1]);
+        assert!(alerts(&rec).is_empty());
+        for i in 0..FAILURE_BURST_MIN_STARTS {
+            hm.observe(5.5, Some(i as u32 % 4), &start);
+        }
+        for _ in 0..12 {
+            hm.observe(6.0, Some(0), &Obs::ShuffleFailure { exchange: 1 });
+        }
+        assert!(hm.due(10.0));
+        hm.rotate(&rec, 10.0, &[true; 4], &[3, 3, 3, 3], &[1, 1, 1, 1]);
         let fired = alerts(&rec);
         // 0.6 failure rate >= 2 * 0.25 threshold: critical, stamped at the
         // window boundary.
         assert_eq!(fired.len(), 1, "{fired:?}");
-        assert_eq!(fired[0].0, 5.0);
+        assert_eq!(fired[0].0, 10.0);
         assert_eq!(fired[0].1, "shuffle_failure_burst");
         assert_eq!(fired[0].2, "critical");
         assert_eq!(rec.metrics().counter("health.alerts"), 1);
@@ -504,37 +539,28 @@ mod tests {
     #[test]
     fn skew_detector_uses_online_mean() {
         let rec = Recorder::full();
-        let cfg = HealthConfig {
-            indegree_skew_ratio: 3.0,
-            ..enabled_cfg()
-        };
-        let mut hm = HealthMonitor::maybe_new(&cfg, 4).unwrap();
-        hm.observe(1.0, Some(0), &Obs::ShuffleComplete { exchange: 0 });
-        hm.observe(1.0, Some(1), &Obs::ShuffleComplete { exchange: 0 });
-        hm.observe(1.0, Some(2), &Obs::ShuffleComplete { exchange: 0 });
-        // The offline node's degree (100) must not enter the mean; with
-        // only 3 online nodes max/mean is bounded below 3, so no alert.
-        hm.rotate(
-            &rec,
-            5.0,
-            &[true, true, true, false],
-            &[30, 1, 1, 100],
-            &[1; 4],
-        );
+        let mut hm = HealthMonitor::maybe_new(&enabled_cfg(), 9).unwrap();
+        // The offline node's degree (1000) must not enter the mean: with
+        // it, max/mean would be 1000 / 120.8 > 8; over the 8 online nodes
+        // max/mean is at most 8, so no alert.
+        let mut degrees = vec![1; 9];
+        degrees[0] = 80;
+        degrees[8] = 1000;
+        let mut online = [true; 9];
+        online[8] = false;
+        hm.rotate(&rec, 5.0, &online, &degrees, &[1; 9]);
         assert!(
             !alerts(&rec).iter().any(|(_, d, _)| d == "indegree_skew"),
-            "3 online nodes bound the ratio below 3"
+            "8 online nodes bound the ratio at 8"
         );
         let rec2 = Recorder::full();
-        let mut hm2 = HealthMonitor::maybe_new(&cfg, 5).unwrap();
-        for v in 0..5 {
-            hm2.observe(1.0, Some(v), &Obs::ShuffleComplete { exchange: 0 });
-        }
-        hm2.rotate(&rec2, 5.0, &[true; 5], &[80, 1, 1, 1, 1], &[1; 5]);
-        assert!(
-            alerts(&rec2).iter().any(|(_, d, _)| d == "indegree_skew"),
-            "80 vs mean 16.8 is a 4.8x skew"
-        );
+        let mut hm2 = HealthMonitor::maybe_new(&enabled_cfg(), 10).unwrap();
+        let mut degrees = vec![1; 10];
+        degrees[0] = 100;
+        let fired = hm2.rotate(&rec2, 5.0, &[true; 10], &degrees, &[1; 10]);
+        let skew = fired.iter().find(|a| a.detector == "indegree_skew");
+        // 100 vs mean 10.9 is a 9.2x skew; only node 0 is above 8x.
+        assert_eq!(skew.map(|a| &a.nodes[..]), Some(&[0][..]), "{fired:?}");
     }
 
     #[test]
@@ -542,7 +568,6 @@ mod tests {
         let rec = Recorder::full();
         let cfg = HealthConfig {
             eviction_storm_count: 3,
-            expiry_stampede_fraction: 0.5,
             ..enabled_cfg()
         };
         let mut hm = HealthMonitor::maybe_new(&cfg, 4).unwrap();

@@ -1,26 +1,26 @@
-//! Self-healing remediation: deterministic, gated reactions to health
-//! alerts.
+//! Self-healing remediation: deterministic reactions to health alerts.
 //!
 //! The [`crate::health::HealthMonitor`] detects degradation; the
 //! [`RemedyEngine`] closes the loop. Each window rotation hands the engine
 //! the fired [`WindowAlert`]s, and the engine maps them — purely, with no
-//! randomness of its own — onto three reactions, each behind its own
-//! [`RemedyConfig`] flag:
+//! randomness of its own — onto three reactions, all of which run when
+//! [`RemedyConfig::enabled`] is set:
 //!
 //! * **eviction storm ⇒ shuffle backoff** — every online node skips its
-//!   next [`RemedyConfig::backoff_shuffles`] shuffle initiations, letting
-//!   in-flight exchanges drain instead of compounding the storm (the
-//!   counter decays by one per skipped shuffle, so the reaction is
-//!   self-limiting);
+//!   next `BACKOFF_SHUFFLES` shuffle initiations, letting in-flight
+//!   exchanges drain instead of compounding the storm (the counter decays
+//!   by one per skipped shuffle, so the reaction is self-limiting);
 //! * **starvation / isolation ⇒ targeted re-bootstrap** — an implicated
 //!   node's sampler and cache are re-seeded with the current pseudonyms of
 //!   its *online trusted neighbors* (the one set of peers it can always
 //!   re-contact without deanonymizing anyone), rate-limited per node by
-//!   [`RemedyConfig::rebootstrap_cooldown`];
-//! * **in-degree skew ⇒ contribution throttle** — over-represented hubs
-//!   withhold their own pseudonym from outgoing shuffle offers for
-//!   [`RemedyConfig::throttle_periods`], starving further in-degree growth
-//!   while normal gossip rebalances the topology.
+//!   `REBOOTSTRAP_COOLDOWN`;
+//! * **degree skew ⇒ contribution throttle** — a node the `indegree_skew`
+//!   detector flags (a trust-graph hub: the detector reads trust degree
+//!   plus the node's own sampler links, see [`crate::health`]) withholds
+//!   its own pseudonym from outgoing shuffle offers for
+//!   `THROTTLE_PERIODS`, which caps how many caches learn it — its
+//!   pseudonym *in*-degree, a quantity the detector never reads.
 //!
 //! # Shard-layout invariance
 //!
@@ -40,12 +40,26 @@
 //! a monitoring-only build — pinned by the equivalence suites.
 
 use crate::config::RemedyConfig;
-use crate::health::WindowAlert;
+use crate::health::{WindowAlert, DETECTOR_NAMES};
 use crate::sim_exec::shard::Shard;
 use crate::sim_exec::state::NodeCell;
 use veil_graph::Graph;
 use veil_obs::{EventKind as Obs, Recorder};
 use veil_sim::SimTime;
+
+/// Names of the reactions, as the `reaction` field of `RemedyAction`
+/// trace events spells them.
+pub const REACTION_NAMES: [&str; 3] = ["backoff", "rebootstrap", "throttle"];
+
+/// Shuffle initiations a node skips after an eviction-storm backoff.
+const BACKOFF_SHUFFLES: u32 = 2;
+/// Most trusted-neighbor pseudonyms offered per re-bootstrap.
+const REBOOTSTRAP_MAX_OFFERS: usize = 8;
+/// Least spacing, in shuffle periods, between two re-bootstraps of one
+/// node (a persistently isolated node is not thrashed).
+const REBOOTSTRAP_COOLDOWN: f64 = 10.0;
+/// Shuffle periods a throttled node withholds its own pseudonym.
+const THROTTLE_PERIODS: f64 = 10.0;
 
 /// One reaction the engine decided to take, before application.
 ///
@@ -105,7 +119,6 @@ impl RemedyCounts {
 /// The remediation engine: alert consumer and reaction dispatcher.
 #[derive(Debug)]
 pub struct RemedyEngine {
-    cfg: RemedyConfig,
     /// Per node: boundary time of the last re-bootstrap (`-inf` = never).
     last_rebootstrap: Vec<f64>,
     counts: RemedyCounts,
@@ -119,7 +132,6 @@ impl RemedyEngine {
             return None;
         }
         Some(Self {
-            cfg: cfg.clone(),
             last_rebootstrap: vec![f64::NEG_INFINITY; nodes],
             counts: RemedyCounts::default(),
         })
@@ -135,12 +147,13 @@ impl RemedyEngine {
     /// Pure except for the per-node re-bootstrap cooldown stamps: a node
     /// implicated by both `starved_nodes` and `isolated_nodes` in the same
     /// window is re-bootstrapped once, and not again until
-    /// [`RemedyConfig::rebootstrap_cooldown`] periods have passed.
+    /// `REBOOTSTRAP_COOLDOWN` periods have passed.
     pub fn decide(&mut self, alerts: &[WindowAlert], online: &[bool]) -> Vec<RemedyDecision> {
+        let [_, storm, _, starved, isolated, skew] = DETECTOR_NAMES;
         let mut out = Vec::new();
         for a in alerts {
             match a.detector {
-                "eviction_storm" if self.cfg.backoff_on_eviction_storm => {
+                d if d == storm => {
                     let nodes: Vec<u32> = online
                         .iter()
                         .enumerate()
@@ -155,13 +168,13 @@ impl RemedyEngine {
                         });
                     }
                 }
-                "starved_nodes" | "isolated_nodes" if self.cfg.rebootstrap_starved => {
+                d if d == starved || d == isolated => {
                     for &v in &a.nodes {
                         let slot = match self.last_rebootstrap.get_mut(v as usize) {
                             Some(slot) => slot,
                             None => continue,
                         };
-                        if a.t - *slot < self.cfg.rebootstrap_cooldown {
+                        if a.t - *slot < REBOOTSTRAP_COOLDOWN {
                             continue;
                         }
                         *slot = a.t;
@@ -172,7 +185,7 @@ impl RemedyEngine {
                         });
                     }
                 }
-                "indegree_skew" if self.cfg.throttle_indegree_skew => {
+                d if d == skew => {
                     for &v in &a.nodes {
                         out.push(RemedyDecision::Throttle {
                             t: a.t,
@@ -202,17 +215,18 @@ impl RemedyEngine {
         trust: &Graph,
         recorder: &Recorder,
     ) {
+        let [backoff, rebootstrap, throttle] = REACTION_NAMES;
         for d in decisions {
             match d {
                 RemedyDecision::Backoff { t, detector, nodes } => {
                     for &v in nodes {
                         let cell = &mut cells[v as usize];
-                        cell.shuffle_backoff = cell.shuffle_backoff.max(self.cfg.backoff_shuffles);
+                        cell.shuffle_backoff = cell.shuffle_backoff.max(BACKOFF_SHUFFLES);
                     }
                     self.counts.backoffs += 1;
                     let affected = nodes.len() as u64;
                     recorder.event(*t, None, || Obs::RemedyAction {
-                        reaction: "backoff".to_string(),
+                        reaction: backoff.to_string(),
                         detector: (*detector).to_string(),
                         affected,
                     });
@@ -225,7 +239,7 @@ impl RemedyEngine {
                     // the starved node (mutable pass).
                     let mut offers = Vec::new();
                     for &u in trust.neighbors(v) {
-                        if offers.len() >= self.cfg.rebootstrap_max_offers {
+                        if offers.len() >= REBOOTSTRAP_MAX_OFFERS {
                             break;
                         }
                         let peer = &cells[u as usize];
@@ -252,17 +266,17 @@ impl RemedyEngine {
                     }
                     self.counts.rebootstraps += 1;
                     recorder.event(*t, Some(*node), || Obs::RemedyAction {
-                        reaction: "rebootstrap".to_string(),
+                        reaction: rebootstrap.to_string(),
                         detector: (*detector).to_string(),
                         affected: accepted,
                     });
                 }
                 RemedyDecision::Throttle { t, detector, node } => {
-                    let until = SimTime::new(*t + self.cfg.throttle_periods);
+                    let until = SimTime::new(*t + THROTTLE_PERIODS);
                     cells[*node as usize].node.throttle_contribution(until);
                     self.counts.throttles += 1;
                     recorder.event(*t, Some(*node), || Obs::RemedyAction {
-                        reaction: "throttle".to_string(),
+                        reaction: throttle.to_string(),
                         detector: (*detector).to_string(),
                         affected: 1,
                     });
@@ -277,7 +291,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> RemedyConfig {
-        RemedyConfig::all_on()
+        RemedyConfig { enabled: true }
     }
 
     fn alert(detector: &'static str, t: f64, nodes: Vec<u32>) -> WindowAlert {
@@ -348,35 +362,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], RemedyDecision::Throttle { node: 0, .. }));
         assert!(matches!(out[1], RemedyDecision::Throttle { node: 3, .. }));
-    }
-
-    #[test]
-    fn per_reaction_flags_gate_independently() {
-        let mut eng = RemedyEngine::maybe_new(
-            &RemedyConfig {
-                backoff_on_eviction_storm: false,
-                throttle_indegree_skew: false,
-                ..cfg()
-            },
-            4,
-        )
-        .unwrap();
-        let out = eng.decide(
-            &[
-                alert("eviction_storm", 5.0, vec![]),
-                alert("starved_nodes", 5.0, vec![2]),
-                alert("indegree_skew", 5.0, vec![0]),
-            ],
-            &[true; 4],
-        );
-        assert_eq!(
-            out,
-            vec![RemedyDecision::Rebootstrap {
-                t: 5.0,
-                detector: "starved_nodes",
-                node: 2,
-            }]
-        );
     }
 
     #[test]

@@ -246,13 +246,6 @@ pub fn lower(s: &Scenario) -> Result<Lowered, ScenarioError> {
         },
         remedy: RemedyConfig {
             enabled: s.remediation.enabled,
-            backoff_on_eviction_storm: s.remediation.backoff,
-            rebootstrap_starved: s.remediation.rebootstrap,
-            throttle_indegree_skew: s.remediation.throttle,
-            backoff_shuffles: s.remediation.backoff_shuffles,
-            rebootstrap_max_offers: s.remediation.rebootstrap_max_offers,
-            rebootstrap_cooldown: s.remediation.rebootstrap_cooldown,
-            throttle_periods: s.remediation.throttle_periods,
         },
         ..OverlayConfig::default()
     };
@@ -433,14 +426,8 @@ mod tests {
         let mut s = base();
         s.health.enabled = true;
         s.remediation.enabled = true;
-        s.remediation.backoff = false;
-        s.remediation.rebootstrap_max_offers = 4;
         let lowered = lower(&s).unwrap();
-        let remedy = &lowered.params.overlay.remedy;
-        assert!(remedy.enabled);
-        assert!(!remedy.backoff_on_eviction_storm);
-        assert!(remedy.rebootstrap_starved);
-        assert_eq!(remedy.rebootstrap_max_offers, 4);
+        assert!(lowered.params.overlay.remedy.enabled);
         lowered.params.overlay.validate().unwrap();
 
         // Defaults lower to the default config — off stays byte-identical.

@@ -12,23 +12,9 @@
 
 use super::parser::{Spanned, Table, Value};
 use super::{ScenarioError, Span};
+use crate::health::DETECTOR_NAMES;
+use crate::remedy::REACTION_NAMES;
 use std::fmt::Write as _;
-
-/// Names of the health detectors a scenario may require or forbid
-/// (mirrors `crate::health`; validated at parse time so a typo cannot
-/// silently never match).
-pub const DETECTOR_NAMES: [&str; 6] = [
-    "shuffle_failure_burst",
-    "eviction_storm",
-    "pseudonym_expiry_stampede",
-    "starved_nodes",
-    "isolated_nodes",
-    "indegree_skew",
-];
-
-/// Names of the self-healing reactions a scenario may assert on
-/// (mirrors the `reaction` field of `RemedyAction` trace events).
-pub const REACTION_NAMES: [&str; 3] = ["backoff", "rebootstrap", "throttle"];
 
 /// A complete declarative scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,28 +144,13 @@ pub struct HealthSpec {
     pub window: f64,
 }
 
-/// Self-healing remediation switchboard (`[remediation]`); the scenario
+/// Self-healing remediation switch (`[remediation]`); the scenario
 /// counterpart of `config::RemedyConfig`. The engine consumes the health
 /// monitor's window alerts, so enabling it requires `[health]` enabled.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RemedySpec {
-    /// Master switch for the remediation engine.
+    /// Master switch for the remediation engine and its three reactions.
     pub enabled: bool,
-    /// React to eviction storms with a shuffle-rate backoff.
-    pub backoff: bool,
-    /// React to starved/isolated nodes with a targeted re-bootstrap from
-    /// trusted neighbors.
-    pub rebootstrap: bool,
-    /// React to in-degree skew by throttling the hub's own pseudonym.
-    pub throttle: bool,
-    /// Shuffle initiations skipped per backoff (decays one per skip).
-    pub backoff_shuffles: u32,
-    /// Maximum trusted-neighbor pseudonyms offered per re-bootstrap.
-    pub rebootstrap_max_offers: usize,
-    /// Minimum periods between two re-bootstraps of the same node.
-    pub rebootstrap_cooldown: f64,
-    /// Periods a throttled node withholds its own pseudonym.
-    pub throttle_periods: f64,
 }
 
 /// One workload phase. All node regions are expressed as fractions of the
@@ -410,22 +381,6 @@ impl Default for HealthSpec {
         Self {
             enabled: false,
             window: 5.0,
-        }
-    }
-}
-
-impl Default for RemedySpec {
-    // Mirrors `RemedyConfig::default()`: engine off, every reaction armed.
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            backoff: true,
-            rebootstrap: true,
-            throttle: true,
-            backoff_shuffles: 2,
-            rebootstrap_max_offers: 8,
-            rebootstrap_cooldown: 10.0,
-            throttle_periods: 10.0,
         }
     }
 }
@@ -920,16 +875,7 @@ const LATENCY: &[Key<LatencySpec>] = &[key!(dist), key!(mean), key!(shape)];
 
 const HEALTH: &[Key<HealthSpec>] = &[key!(enabled), key!(window)];
 
-const REMEDIATION: &[Key<RemedySpec>] = &[
-    key!(enabled),
-    key!(backoff),
-    key!(rebootstrap),
-    key!(throttle),
-    key!(backoff_shuffles),
-    key!(rebootstrap_max_offers),
-    key!(rebootstrap_cooldown),
-    key!(throttle_periods),
-];
+const REMEDIATION: &[Key<RemedySpec>] = &[key!(enabled)];
 
 const ATTACK: &[Key<AttackSpec>] = &[key!(observers)];
 
@@ -1143,8 +1089,8 @@ mod tests {
                 "4294967297",
             ),
             (
-                "[remediation]\nbackoff_shuffles = 4294967296\n",
-                "backoff_shuffles",
+                "[overlay]\nshuffle_retries = 4294967296\n",
+                "shuffle_retries",
                 "4294967296",
             ),
         ] {
@@ -1201,8 +1147,6 @@ mod tests {
         s.assertions.reaction_fired = vec!["rebootstrap".into(), "backoff".into()];
         s.health.enabled = true;
         s.remediation.enabled = true;
-        s.remediation.throttle = false;
-        s.remediation.rebootstrap_cooldown = 6.0;
         s.overlay.lifetime_ratio = None;
         let text = s.to_toml();
         let doc = parse_document(&text).unwrap();
@@ -1212,23 +1156,42 @@ mod tests {
 
     #[test]
     fn remediation_section_parses_and_suggests_on_typos() {
-        let doc = parse_document(
-            "[remediation]\nenabled = true\nbackoff = false\nrebootstrap_max_offers = 4\n",
-        )
-        .unwrap();
+        let doc = parse_document("[remediation]\nenabled = true\n").unwrap();
         let (s, _) = build_scenario(&doc, "x").unwrap();
         assert!(s.remediation.enabled);
-        assert!(!s.remediation.backoff);
-        assert!(s.remediation.rebootstrap);
-        assert_eq!(s.remediation.rebootstrap_max_offers, 4);
 
-        let doc = parse_document("[remediation]\nrebotstrap = true\n").unwrap();
+        let doc = parse_document("[remediation]\nenabeld = true\n").unwrap();
         let err = build_scenario(&doc, "x").unwrap_err();
         assert!(
-            err.message.contains("did you mean `rebootstrap`"),
+            err.message.contains("did you mean `enabled`"),
             "{}",
             err.message
         );
+    }
+
+    /// `[remediation]` is one switch: the per-reaction flags and the
+    /// reactions' tuning are constants of the engine, not keys.
+    #[test]
+    fn removed_remediation_keys_are_unknown() {
+        for (key, value) in [
+            ("backoff", "false"),
+            ("rebootstrap", "false"),
+            ("throttle", "false"),
+            ("backoff_shuffles", "4"),
+            ("rebootstrap_max_offers", "4"),
+            ("rebootstrap_cooldown", "6.0"),
+            ("throttle_periods", "6.0"),
+        ] {
+            let text = format!("[remediation]\nenabled = true\n{key} = {value}\n");
+            let err = build_scenario(&parse_document(&text).unwrap(), "x").unwrap_err();
+            assert!(
+                err.message
+                    .starts_with(&format!("unknown key `{key}` in [remediation]")),
+                "{key}: {}",
+                err.message
+            );
+            assert_eq!(err.span, Some(Span::new(3, 1)), "{key}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ranges, `lifetime_ratio`, whatever [`lower`] clamps before a config
 //! could see it, phases, assertions, and cross-section coherence. The
 //! range rules of everything that lowers 1:1 onto `OverlayConfig` — the
-//! rest of `[overlay]`, `[link]`, `[health]`, `[remediation]` — are that
+//! rest of `[overlay]`, `[link]`, `[health]` — are that
 //! config's (and its fault model's) own `validate`, run on the lowered
 //! value, so no rule is stated twice — save `link.loss`, restated so its
 //! message names the key rather than the config's `link` field.
@@ -213,11 +213,11 @@ fn check_globals(s: &Scenario) -> Result<(), Issue> {
     Ok(())
 }
 
-/// The range rules `OverlayConfig::validate` owns (with the health,
-/// remedy and fault-model validators under it), applied to the lowered
-/// config and reported under the config's field name. Runs after the
-/// phase checks, so the episodes it sees are already well-formed. Tuning
-/// is checked even while its engine is off: a latent bad value must not
+/// The range rules `OverlayConfig::validate` owns (with the health and
+/// fault-model validators under it), applied to the lowered config and
+/// reported under the config's field name. Runs after the phase checks,
+/// so the episodes it sees are already well-formed. The health window is
+/// checked even while the monitor is off: a latent bad value must not
 /// hide until someone flips the switch.
 fn check_lowered(s: &Scenario) -> Result<(), Issue> {
     let lowered = lower(s).map_err(|e| Issue::global(e.message))?;
@@ -504,19 +504,6 @@ fn check_attack_and_assertions(s: &Scenario) -> Result<(), Issue> {
             "reaction_fired requires `enabled = true` in [remediation]".into(),
         ));
     }
-    for name in &a.reaction_fired {
-        let armed = match name.as_str() {
-            "backoff" => s.remediation.backoff,
-            "rebootstrap" => s.remediation.rebootstrap,
-            "throttle" => s.remediation.throttle,
-            _ => true, // unknown names are rejected at parse time
-        };
-        if !armed {
-            return Err(Issue::assertions(format!(
-                "reaction `{name}` is asserted to fire but its [remediation] flag is off"
-            )));
-        }
-    }
     Ok(())
 }
 
@@ -598,20 +585,6 @@ mod tests {
             ),
             ("[health]\nwindow = 0", "health.window"),
             ("[health]\nwindow = 3.3", "health.window"),
-            ("[remediation]\nbackoff_shuffles = 0", "backoff_shuffles"),
-            (
-                "[remediation]\nbackoff_shuffles = 4294967296",
-                "backoff_shuffles",
-            ),
-            (
-                "[remediation]\nrebootstrap_max_offers = 0",
-                "rebootstrap_max_offers",
-            ),
-            (
-                "[remediation]\nrebootstrap_cooldown = 0",
-                "rebootstrap_cooldown",
-            ),
-            ("[remediation]\nthrottle_periods = -1", "throttle_periods"),
             ("[attack]\nobservers = 0", "attack.observers"),
             ("nodes = 50\n[attack]\nobservers = 50", "attack.observers"),
             ("[assertions]\nmax_disconnected = 1.5", "max_disconnected"),
@@ -748,18 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn remediation_tuning_checked_even_when_disabled() {
-        let mut s = base();
-        s.remediation.backoff_shuffles = 0;
-        let issue = check(&s).unwrap_err();
-        assert!(
-            issue.message.contains("backoff_shuffles"),
-            "{}",
-            issue.message
-        );
-    }
-
-    #[test]
     fn recovery_assertion_needs_a_blackout_phase() {
         let mut s = base();
         s.assertions.recovery_time_at_most = Some(10.0);
@@ -787,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn reaction_fired_needs_remediation_and_armed_flag() {
+    fn reaction_fired_needs_remediation() {
         let mut s = base();
         s.assertions.reaction_fired = vec!["rebootstrap".into()];
         let issue = check(&s).unwrap_err();
@@ -796,10 +757,6 @@ mod tests {
         s.health.enabled = true;
         s.remediation.enabled = true;
         check(&s).unwrap();
-
-        s.remediation.rebootstrap = false;
-        let issue = check(&s).unwrap_err();
-        assert!(issue.message.contains("flag is off"), "{}", issue.message);
     }
 
     #[test]

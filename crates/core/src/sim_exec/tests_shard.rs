@@ -41,7 +41,7 @@ fn healing(cfg: OverlayConfig) -> OverlayConfig {
             enabled: true,
             ..HealthConfig::default()
         },
-        remedy: RemedyConfig::all_on(),
+        remedy: RemedyConfig { enabled: true },
         ..cfg
     }
 }

@@ -14,9 +14,10 @@
 
 use proptest::option;
 use proptest::prelude::*;
+use veil_core::health::DETECTOR_NAMES;
 use veil_core::scenario::schema::{
     AttackSpec, GraphModel, HealthSpec, LatencyKind, LatencySpec, LinkSpec, OverlaySpec, Phase,
-    Scenario, DETECTOR_NAMES,
+    Scenario,
 };
 use veil_core::scenario::{lower, parse_scenario_str, validate, Format};
 
@@ -156,7 +157,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             any::<bool>(),
             (2u32..20).prop_map(|k| f64::from(k) * 0.5),
             option::of(1usize..20),
-            1u32..=u32::MAX,
+            any::<bool>(),
         ),
         (
             collection::vec(arb_phase(), 0..4),
@@ -168,7 +169,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 (name, seed, nodes, horizon),
                 (availability, mean_offline, trust_f, source_multiplier),
                 (model, overlay, link),
-                (health_enabled, window, observers, backoff_shuffles),
+                (health_enabled, window, observers, heal),
                 (mut phases, forbid),
             )| {
                 phases.sort_by(|a, b| {
@@ -196,7 +197,8 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                     enabled: health_enabled,
                     window,
                 };
-                s.remediation.backoff_shuffles = backoff_shuffles;
+                // Remediation requires the monitor.
+                s.remediation.enabled = health_enabled && heal;
                 // Alert assertions require health.enabled, so detector
                 // lists only ride along when the monitor is on.
                 if health_enabled {

@@ -323,13 +323,13 @@ pub struct TraceEvent {
 pub enum FieldType {
     /// Non-negative integer.
     U64,
-    /// Any JSON number.
+    /// A finite JSON number.
     F64,
     /// Boolean.
     Bool,
     /// String.
     Str,
-    /// Number or `null`.
+    /// A finite number or `null`.
     NullableF64,
 }
 
@@ -415,6 +415,14 @@ pub fn schema_text() -> String {
 }
 
 fn check_field(value: &serde_json::Value, ty: FieldType) -> Result<(), String> {
+    // An overflowing literal such as `1e400` parses to infinity, which the
+    // JSON writer cannot spell back: the same rule as the values door's
+    // `check_event_fields`.
+    if let (FieldType::F64 | FieldType::NullableF64, Some(v)) = (ty, value.as_f64()) {
+        if !v.is_finite() {
+            return Err(format!("must be finite, got {v}"));
+        }
+    }
     let ok = match ty {
         FieldType::U64 => value.as_u64().is_some(),
         FieldType::F64 => value.as_f64().is_some(),

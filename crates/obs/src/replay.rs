@@ -877,6 +877,44 @@ mod tests {
         assert_eq!(b.time_to_recover, Some(1.0), "round 9 regains the baseline");
     }
 
+    /// An overflowing float literal is infinity: both text doors reject
+    /// it for every float field of the schema, naming `Kind.field`.
+    #[test]
+    fn text_doors_reject_overflowing_floats() {
+        const PLACEHOLDER: &str = "12345.5";
+        let v: f64 = PLACEHOLDER.parse().unwrap();
+        let alert = |value, threshold| EventKind::HealthAlert {
+            detector: "d".into(),
+            severity: "warning".into(),
+            value,
+            threshold,
+        };
+        for (kind, field) in [
+            (alert(v, 1.0), "HealthAlert.value"),
+            (alert(1.0, v), "HealthAlert.threshold"),
+            (EventKind::BlackoutStart { until: v }, "BlackoutStart.until"),
+            (
+                EventKind::PseudonymMinted { lifetime: Some(v) },
+                "PseudonymMinted.lifetime",
+            ),
+        ] {
+            let line = ev(1.0, Some(0), kind);
+            assert!(analyze_trace(&line).is_ok(), "{line}");
+            for bad in ["1e400", "-1e400"] {
+                let line = line.replace(PLACEHOLDER, bad);
+                for err in [
+                    crate::event::validate_events_jsonl(&line).unwrap_err(),
+                    analyze_trace(&line).unwrap_err(),
+                ] {
+                    assert!(
+                        err.contains(&format!("{field}: must be finite")),
+                        "{line}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn version_mismatch_is_rejected() {
         let text = format!(

@@ -250,7 +250,7 @@ fn self_healing_strictly_speeds_blackout_recovery() {
         p.seed = seed;
         p.overlay.link = FaultAxis::Loss.link(0.2, trust.node_count());
         let off = recovery_point(&trust, &p, ALPHA, &scenario).expect("off arm");
-        p.overlay.remedy = RemedyConfig::all_on();
+        p.overlay.remedy = RemedyConfig { enabled: true };
         let on = recovery_point(&trust, &p, ALPHA, &scenario).expect("on arm");
         assert_eq!(off.remedy_actions, 0, "healing-off arm must not react");
         assert!(

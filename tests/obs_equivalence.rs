@@ -178,7 +178,7 @@ fn sharded_traces_are_shard_count_invariant() {
         p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
         p.overlay.health.enabled = true;
         if healing {
-            p.overlay.remedy = RemedyConfig::all_on();
+            p.overlay.remedy = RemedyConfig { enabled: true };
         }
         p.overlay.shards = Some(shards);
         let trust = build_trust_graph(&p).expect("trust graph");
@@ -344,7 +344,7 @@ fn lossy_run(seed: u64, shards: usize, healing: bool, recorder: Recorder) {
     p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
     p.overlay.health.enabled = true;
     if healing {
-        p.overlay.remedy = RemedyConfig::all_on();
+        p.overlay.remedy = RemedyConfig { enabled: true };
     }
     p.overlay.shards = Some(shards);
     let trust = build_trust_graph(&p).expect("trust graph");
@@ -456,7 +456,7 @@ fn attaching_a_recorder_mid_run_changes_nothing_it_sees() {
         let mut p = params(seed, Some(1));
         p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
         p.overlay.health.enabled = true;
-        p.overlay.remedy = RemedyConfig::all_on();
+        p.overlay.remedy = RemedyConfig { enabled: true };
         let trust = build_trust_graph(&p).expect("trust graph");
         let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
         let recorder = Recorder::full();
