@@ -40,18 +40,15 @@ pub fn validate(args: &Args) -> CmdResult {
 /// generations.
 fn load_report(path: &str) -> Result<TraceReport, String> {
     // Sniff the first line: a JSONL trace opens with the version header
-    // (or, for header-less legacy traces, a schema-valid event), while a
-    // saved report is one pretty-printed JSON document. Traces — the files
-    // that can reach gigabytes — are then streamed line by line; only a
-    // report, which is always small, is read whole.
+    // (or, for header-less legacy traces, a schema-valid event), which the
+    // trace decoder accepts, while a saved report is one pretty-printed
+    // JSON document. Traces — the files that can reach gigabytes — are
+    // then streamed line by line; only a report, which is always small, is
+    // read whole.
     let mut first = String::new();
     std::io::BufRead::read_line(&mut open_trace(path)?, &mut first)
         .map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let line = first.trim();
-    let is_trace = veil_obs::parse_trace_header(line).is_some()
-        || serde_json::from_str::<serde_json::Value>(line)
-            .map(|v| veil_obs::validate_event_value(&v).is_ok())
-            .unwrap_or(false);
+    let is_trace = veil_obs::TraceDecoder::default().decode(&first).is_ok();
     if is_trace {
         return veil_obs::analyze_trace_reader(open_trace(path)?)
             .map_err(|e| format!("{path}: {e}"));
@@ -127,16 +124,10 @@ pub fn diff(args: &Args) -> CmdResult {
             "float",
         )?,
     };
+    // `load_report` refuses any version but this build's, so the two
+    // reports share a schema.
     let baseline = load_report(base_path)?;
     let candidate = load_report(cand_path)?;
-    if baseline.schema_version != candidate.schema_version {
-        return Err(format!(
-            "trace version mismatch: {base_path} is version {}, {cand_path} is version {}; \
-             a cross-version diff would compare incompatible schemas",
-            baseline.schema_version, candidate.schema_version
-        )
-        .into());
-    }
     let diff = diff_reports(&baseline, &candidate, cfg);
     let rendered = if args.has("json") {
         serde_json::to_string_pretty(&diff)?
@@ -228,7 +219,8 @@ fn format_event(ev: &TraceEvent) -> String {
 /// `veil obs tail FILE [--all] [--no-follow] [--poll-ms N] [--timeout-s T]`
 /// — follow a growing trace file and print `HealthAlert` events as they
 /// are appended (every event with `--all`). `--no-follow` drains what is
-/// already there and exits; `--timeout-s` bounds a follow.
+/// already there and exits; `--timeout-s` bounds a follow. A line `obs
+/// validate` refuses stops the follow with the same error.
 pub fn tail(args: &Args) -> CmdResult {
     args.check_known(&["all", "no-follow", "poll-ms", "timeout-s"])?;
     let Some(path) = args.positional(2) else {
@@ -240,7 +232,7 @@ pub fn tail(args: &Args) -> CmdResult {
     let timeout_s: f64 = args.get_or("timeout-s", 0.0, "float (0 = unbounded)")?;
     let started = std::time::Instant::now();
     let mut offset = 0usize;
-    let mut header_seen = false;
+    let mut decoder = veil_obs::TraceDecoder::default();
     let mut printed = 0u64;
     let mut scanned = 0u64;
     loop {
@@ -253,25 +245,7 @@ pub fn tail(args: &Args) -> CmdResult {
             None => offset,
         };
         for line in text[offset.min(text.len())..complete].lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if !header_seen {
-                header_seen = true;
-                if let Some(version) = veil_obs::parse_trace_header(line) {
-                    if version != u64::from(veil_obs::TRACE_SCHEMA_VERSION) {
-                        return Err(format!(
-                            "{path}: unsupported trace version {version} (this build reads \
-                             version {})",
-                            veil_obs::TRACE_SCHEMA_VERSION
-                        )
-                        .into());
-                    }
-                    continue;
-                }
-            }
-            let Ok(ev) = serde_json::from_str::<TraceEvent>(line) else {
+            let Some(ev) = decoder.decode(line).map_err(|e| format!("{path}: {e}"))? else {
                 continue;
             };
             scanned += 1;

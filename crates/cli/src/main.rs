@@ -825,6 +825,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every door that reads a trace refuses what `obs validate` refuses,
+    /// with its error apart from the input or path prefix.
+    #[test]
+    fn every_trace_door_refuses_what_validate_refuses() {
+        let header = veil_obs::trace_header();
+        let event = |kind: &str| format!(r#"{{"t":1,"tid":0,"seq":0,"node":1,"kind":{kind}}}"#);
+        let rows = [
+            (
+                event(r#"{"ShuffleFailure":{"exchange":3,"extra":1}}"#),
+                "line 2",
+                "\"extra\"",
+            ),
+            (
+                event(
+                    r#"{"HealthAlert":{"detector":"d","severity":"warning","value":1e400,"threshold":1}}"#,
+                ),
+                "line 2",
+                "HealthAlert.value",
+            ),
+            (
+                r#"{"t":-1,"tid":0,"seq":0,"node":null,"kind":"NodeOnline"}"#.to_string(),
+                "line 2",
+                "\"t\"",
+            ),
+            (
+                event(r#"{"ShuffleStart":{"target":3}}"#),
+                "line 2",
+                "\"trusted\"",
+            ),
+            (header.clone(), "line 2", "\"veil_trace_version\""),
+        ];
+        let mut traces: Vec<(String, &str, &str)> = rows
+            .into_iter()
+            .map(|(line, at, field)| (format!("{header}\n{line}\n"), at, field))
+            .collect();
+        traces.push((
+            "{\"veil_trace_version\":999}\n".to_string(),
+            "line 1",
+            "version 999",
+        ));
+        let dir = std::env::temp_dir().join("veil-cli-test-doors");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, (text, at, field)) in traces.iter().enumerate() {
+            let want = veil_obs::validate_events_jsonl(text).unwrap_err();
+            assert!(want.starts_with(at) && want.contains(field), "{want}");
+            let path = dir.join(format!("row{i}.jsonl"));
+            std::fs::write(&path, text).unwrap();
+            let path = path.to_str().unwrap();
+            for (door, got) in [
+                ("analyze", veil_obs::analyze_trace(text).map(drop)),
+                ("merge", veil_obs::merge_traces(&[(path, text)]).map(drop)),
+                ("chrome", veil_obs::exchange_chrome_trace(text).map(drop)),
+                (
+                    "tail",
+                    run_line(&["obs", "tail", path, "--no-follow", "--all"]).map(drop),
+                ),
+            ] {
+                let got = got.expect_err(door);
+                assert!(got.ends_with(&want), "{door}: {got} (validate: {want})");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn attack_smoke() {
         let out = run_line(&["attack", "--nodes", "80", "--seed", "2"]).unwrap();

@@ -22,7 +22,7 @@
 //! [`Cache::absorb`], which would otherwise scan `entries` once per
 //! received pseudonym and twice per eviction, scans it once per call
 //! instead: a single pass resolves every handle the call can ask about (the
-//! received ones and the just-sent ones) into a call-local [`PosTable`],
+//! received ones and the just-sent ones) into a call-local `PosTable`,
 //! kept in step with the call's own removals and pushes.
 
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};

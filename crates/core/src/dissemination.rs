@@ -3,12 +3,10 @@
 //! The overlay exists so that "reliable and privacy-preserving message
 //! broadcast" can be built on top "by using controlled flooding, epidemic
 //! dissemination, or an additional routing layer" (Section I). This module
-//! provides the two simplest such layers — flooding and probabilistic
-//! (epidemic) gossip — so the examples and tests can exercise the overlay
-//! end to end and measure what robustness buys.
+//! provides the simplest such layer, flooding, so the figures and tests can
+//! exercise the overlay end to end and measure what robustness buys.
 
 use crate::simulation::Simulation;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use veil_graph::Graph;
@@ -49,26 +47,6 @@ impl BroadcastReport {
 /// Panics if `source` is out of range, offline, or the mask length differs
 /// from the graph order.
 pub fn flood(graph: &Graph, online: &[bool], source: usize) -> BroadcastReport {
-    // No queued node is `usize::MAX` hops out, so this TTL never expires.
-    controlled_flood(graph, online, source, usize::MAX)
-}
-
-/// Controlled flooding: like [`flood`], but messages carry a TTL and stop
-/// propagating after `ttl` hops — the "controlled flooding" variant the
-/// paper names as a dissemination layer candidate (Section I). On a
-/// random-graph-like overlay a TTL a little above the diameter reaches
-/// everyone at a fraction of unbounded flooding's cost.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range, offline, or the mask length differs
-/// from the graph order.
-pub fn controlled_flood(
-    graph: &Graph,
-    online: &[bool],
-    source: usize,
-    ttl: usize,
-) -> BroadcastReport {
     assert_eq!(online.len(), graph.node_count(), "mask length mismatch");
     assert!(online[source], "broadcast source must be online");
     let mut hops = vec![usize::MAX; graph.node_count()];
@@ -76,56 +54,11 @@ pub fn controlled_flood(
     let mut queue = VecDeque::from([source]);
     let mut messages = 0usize;
     while let Some(v) = queue.pop_front() {
-        if hops[v] >= ttl {
-            continue; // TTL exhausted: receive but do not forward
-        }
         for &w in graph.neighbors(v) {
             let w = w as usize;
             if !online[w] {
                 continue;
             }
-            messages += 1;
-            if hops[w] == usize::MAX {
-                hops[w] = hops[v] + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    summarize(online, source, &hops, messages)
-}
-
-/// Epidemic gossip: each infected node forwards to `fanout` random online
-/// neighbours instead of all of them, trading coverage for message cost.
-///
-/// # Panics
-///
-/// Same conditions as [`flood`].
-pub fn gossip<R: Rng + ?Sized>(
-    graph: &Graph,
-    online: &[bool],
-    source: usize,
-    fanout: usize,
-    rng: &mut R,
-) -> BroadcastReport {
-    assert_eq!(online.len(), graph.node_count(), "mask length mismatch");
-    assert!(online[source], "broadcast source must be online");
-    let mut hops = vec![usize::MAX; graph.node_count()];
-    hops[source] = 0;
-    let mut queue = VecDeque::from([source]);
-    let mut messages = 0usize;
-    while let Some(v) = queue.pop_front() {
-        let mut candidates: Vec<usize> = graph
-            .neighbors(v)
-            .iter()
-            .map(|&w| w as usize)
-            .filter(|&w| online[w])
-            .collect();
-        // Partial Fisher–Yates: choose `fanout` targets without replacement.
-        let picks = fanout.min(candidates.len());
-        for i in 0..picks {
-            let j = rng.gen_range(i..candidates.len());
-            candidates.swap(i, j);
-            let w = candidates[i];
             messages += 1;
             if hops[w] == usize::MAX {
                 hops[w] = hops[v] + 1;
@@ -169,8 +102,6 @@ pub fn flood_current_overlay(sim: &Simulation, source: usize) -> BroadcastReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use veil_graph::generators;
 
     #[test]
@@ -206,58 +137,6 @@ mod tests {
         let r = flood(&g, &[true; 4], 0);
         assert_eq!(r.max_hops, 3);
         assert!((r.mean_hops - 2.0).abs() < 1e-12); // hops 1,2,3
-    }
-
-    #[test]
-    fn controlled_flood_respects_ttl() {
-        let g = generators::path(6);
-        let online = vec![true; 6];
-        let r = controlled_flood(&g, &online, 0, 2);
-        assert_eq!(r.reached, 3, "hops 0,1,2 only");
-        assert_eq!(r.max_hops, 2);
-        // Unbounded TTL behaves like flood.
-        let full = controlled_flood(&g, &online, 0, 100);
-        let flooded = flood(&g, &online, 0);
-        assert_eq!(full.reached, flooded.reached);
-        assert_eq!(full.messages, flooded.messages);
-    }
-
-    #[test]
-    fn controlled_flood_ttl_zero_reaches_only_source() {
-        let g = generators::complete(5);
-        let r = controlled_flood(&g, &[true; 5], 0, 0);
-        assert_eq!(r.reached, 1);
-        assert_eq!(r.messages, 0);
-    }
-
-    #[test]
-    fn controlled_flood_saves_messages_on_dense_graphs() {
-        let g = generators::complete(20);
-        let online = vec![true; 20];
-        let full = flood(&g, &online, 0);
-        let bounded = controlled_flood(&g, &online, 0, 1);
-        assert_eq!(bounded.reached, 20, "diameter 1: TTL 1 reaches all");
-        assert!(bounded.messages < full.messages);
-    }
-
-    #[test]
-    fn gossip_with_full_fanout_matches_flood_coverage() {
-        let g = generators::complete(8);
-        let online = vec![true; 8];
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = gossip(&g, &online, 0, 7, &mut rng);
-        assert_eq!(r.reached, 8);
-    }
-
-    #[test]
-    fn gossip_uses_fewer_messages_than_flood() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let g = generators::erdos_renyi_gnm(100, 800, &mut rng).unwrap();
-        let online = vec![true; 100];
-        let f = flood(&g, &online, 0);
-        let e = gossip(&g, &online, 0, 3, &mut rng);
-        assert!(e.messages < f.messages);
-        assert!(e.reached > 50, "gossip should still reach most nodes");
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl Sampler {
     /// Offers a received pseudonym to the slots, applying the paper's
     /// three replacement rules. Returns `true` if any slot changed.
     ///
-    /// Only the slots whose reference lies in [`Sampler::window`] are
+    /// Only the slots whose reference lies in `Sampler::window` are
     /// visited; every other slot holds something strictly closer and would
     /// reject the offer on rule 2.
     ///

@@ -1,6 +1,6 @@
 //! Lowering: deterministic translation of a validated [`Scenario`] onto
 //! the machinery that already exists — [`ExperimentParams`] carrying an
-//! [`OverlayConfig`](crate::config::OverlayConfig) whose link layer holds
+//! [`OverlayConfig`] whose link layer holds
 //! the [`FaultEpisode`] script derived from the phases.
 //!
 //! Lowering adds nothing the hand-built path cannot express: a scenario
@@ -220,7 +220,7 @@ fn lower_link(s: &Scenario) -> LinkLayerConfig {
     }
 }
 
-/// Lowers a validated scenario. Call [`validate`](super::validate) first;
+/// Lowers a validated scenario. Call [`validate`](fn@super::validate) first;
 /// lowering re-checks nothing and a malformed scenario may produce a
 /// config that `OverlayConfig::validate` rejects.
 ///

@@ -11,12 +11,12 @@
 //!
 //! 1. [`parser`] — spanned TOML-subset / JSON front-end producing a value
 //!    tree where every key and value remembers its line and column.
-//! 2. [`schema`] — typed [`Scenario`](schema::Scenario) built from that
+//! 2. [`schema`] — typed [`Scenario`] built from that
 //!    tree; unknown keys, wrong types, unknown phase kinds and detector
 //!    names are rejected here with precise spans.
-//! 3. [`validate`] — semantic checks spanning fields (phase ordering,
+//! 3. [`validate`](mod@validate) — semantic checks spanning fields (phase ordering,
 //!    overlapping blackout regions, ranges, assertion/attack coherence).
-//! 4. [`lower`] — deterministic translation onto the existing machinery:
+//! 4. [`lower`](mod@lower) — deterministic translation onto the existing machinery:
 //!    `ExperimentParams` + `OverlayConfig` + `FaultEpisode` scripts. A
 //!    scenario run is byte-identical to the equivalent hand-built config.
 //! 5. [`runner`] — executes a lowered scenario (optionally overriding
@@ -152,7 +152,7 @@ pub enum Format {
 }
 
 /// Parses and structurally checks scenario text. Semantic validation is a
-/// separate step ([`validate`]) so callers can distinguish "unreadable"
+/// separate step ([`validate()`]) so callers can distinguish "unreadable"
 /// from "readable but inconsistent".
 ///
 /// # Errors

@@ -8,7 +8,7 @@
 //! writing, so every "unknown key" / "wrong type" diagnostic can point at
 //! the offending character. Semantic rules that involve more than one
 //! field (phase ordering, overlapping blackouts, assertion/attack
-//! consistency) live in [`super::validate`].
+//! consistency) live in [`super::validate`](mod@super::validate).
 
 use super::parser::{Spanned, Table, Value};
 use super::{ScenarioError, Span};

@@ -20,10 +20,10 @@
 //! by evicting the unresponsive pseudonym from its cache and sampler.
 //!
 //! This module is the public facade; the execution machinery lives in
-//! [`crate::sim_exec`]. Every run advances through the one windowed
-//! executor ([`crate::sim_exec::executor`]); the link regime — never a
+//! the private `sim_exec` module. Every run advances through the one
+//! windowed executor (`sim_exec::executor`); the link regime — never a
 //! user knob — only picks how a shuffle is initiated
-//! ([`crate::sim_exec::shard`]):
+//! (`sim_exec::shard`):
 //!
 //! - a fault model — loss, any latency, episodes — puts messages in
 //!   flight: nodes are partitioned over [`OverlayConfig::shards`] shards

@@ -1,4 +1,4 @@
-//! Typed trace events and the JSONL schema validator.
+//! Typed trace events and the JSONL trace format.
 //!
 //! Every event the simulator can emit is a variant of [`EventKind`]; an
 //! [`TraceEvent`] wraps a kind with its simulated timestamp, the emitting
@@ -6,12 +6,17 @@
 //! recorder's recording order, and `tid` is 0 from a recorder — only
 //! `obs merge` sets it, to number its inputs.
 //!
-//! The JSONL export writes one serialized [`TraceEvent`] per line. The
-//! [`validate_events_jsonl`] function checks such a file against the
-//! schema table ([`schema`]) without needing the original Rust types, so
-//! CI can verify an emitted trace from the outside.
+//! This module owns the format. The JSONL export writes a [`trace_header`]
+//! line, then one serialized [`TraceEvent`] per line. Every reader of that
+//! text — validation, replay, merge, the exchange timeline and `veil obs
+//! tail` — goes through one [`TraceDecoder`], which checks each line
+//! against the schema table without needing the original Rust types, so
+//! CI can verify an emitted trace from the outside. Every consumer orders
+//! events by one comparator, `(t, tid, seq)`.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::io::BufRead;
 
 /// What happened. Serialized externally tagged: a unit variant becomes the
 /// bare variant-name string, a struct variant a single-key map.
@@ -174,91 +179,78 @@ pub enum EventKind {
     },
 }
 
-/// Number of [`EventKind`] variants; the range of [`EventKind::index`].
-pub(crate) const KIND_COUNT: usize = 22;
+/// The one declaration of each kind's facts beside the enum: its payload
+/// fields with their Rust types, in declaration order, and the counter it
+/// feeds. The generated `match`es bind every field by name and type, so a
+/// row that disagrees with [`EventKind`] does not compile.
+macro_rules! event_kinds {
+    ($($kind:ident { $($field:ident: $ty:ty),* } => $counter:expr,)+) => {
+        /// Dense kind numbers, in table order.
+        enum KindIndex {
+            $($kind,)+
+        }
 
-/// Version of the JSONL trace format. Bumped whenever the event schema
-/// changes incompatibly; the header line produced by [`trace_header`]
-/// carries it so consumers can reject traces they do not understand
-/// up front instead of failing on individual events.
-///
-/// **Additive changes do not bump this.** New event kinds (such as the
-/// `Net*` transport-telemetry kinds) extend the schema table without
-/// invalidating anything a version-1 reader already understands: an old
-/// trace without the new kinds still validates, analyzes and diffs
-/// cleanly against this build, and [`validate_events_jsonl`] continues
-/// to accept it under the same header.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+        /// Number of [`EventKind`] variants; the range of [`EventKind::index`].
+        pub(crate) const KIND_COUNT: usize = [$(KindIndex::$kind),+].len();
 
-/// The header object opening every JSONL trace: one line identifying the
-/// format and its [`TRACE_SCHEMA_VERSION`].
-pub fn trace_header() -> String {
-    format!("{{\"veil_trace_version\":{TRACE_SCHEMA_VERSION}}}")
+        /// Counter name per kind index; `None` for kinds that feed no counter.
+        pub(crate) const COUNTER_NAMES: [Option<&str>; KIND_COUNT] = [$($counter),+];
+
+        /// The event schema: variant name → required fields and their types.
+        /// Unit variants have no fields and serialize as a bare string.
+        static SCHEMA: [(&str, &[(&str, FieldType)]); KIND_COUNT] =
+            [$((stringify!($kind), &[$((stringify!($field), <$ty as Field>::TYPE)),*])),+];
+
+        impl EventKind {
+            /// Dense variant index, in [`SCHEMA`] order.
+            pub(crate) fn index(&self) -> usize {
+                match self {
+                    $(EventKind::$kind { .. } => KindIndex::$kind as usize,)+
+                }
+            }
+
+            fn check_fields(&self) -> Result<(), String> {
+                match self {
+                    $(EventKind::$kind { $($field),* } => {
+                        $(<$ty as Field>::check($field).map_err(|e| {
+                            format!(concat!(stringify!($kind), ".", stringify!($field), ": {}"), e)
+                        })?;)*
+                    })+
+                }
+                Ok(())
+            }
+        }
+    };
 }
 
-/// If `line` is a trace header, returns its version.
-pub fn parse_trace_header(line: &str) -> Option<u64> {
-    let v: serde_json::Value = serde_json::from_str(line.trim()).ok()?;
-    v.get("veil_trace_version").and_then(|n| n.as_u64())
+event_kinds! {
+    ShuffleStart { target: u64, trusted: bool } => Some("sim.shuffles_started"),
+    ShuffleComplete { exchange: u64 } => Some("sim.shuffles_completed"),
+    ShuffleTimeout { exchange: u64, attempt: u64 } => Some("sim.shuffle_timeouts"),
+    ShuffleRetry { exchange: u64, attempt: u64 } => Some("sim.shuffle_retries"),
+    ShuffleFailure { exchange: u64 } => Some("sim.shuffle_failures"),
+    PeerEvicted { pseudonym: u64 } => Some("sim.evictions"),
+    MessageDropped { exchange: u64, response: bool } => Some("sim.messages_dropped"),
+    PseudonymMinted { lifetime: Option<f64> } => Some("sim.pseudonyms_minted"),
+    PseudonymsExpired { count: u64 } => Some("sim.pseudonyms_expired"),
+    NodeOnline {} => None,
+    NodeOffline {} => None,
+    BlackoutStart { until: f64 } => Some("sim.blackouts"),
+    BlackoutEnd {} => None,
+    EpisodeStart { index: u64, kind: String } => None,
+    BroadcastPublish { message: u64 } => Some("broadcast.published"),
+    BroadcastDeliver { message: u64, hops: u64 } => Some("broadcast.delivered"),
+    HealthAlert { detector: String, severity: String, value: f64, threshold: f64 }
+        => Some("health.alerts"),
+    RemedyAction { reaction: String, detector: String, affected: u64 } => Some("remedy.actions"),
+    NetHandshakeFail { reason: String } => Some("net.handshake_failures"),
+    NetDecodeError { fatal: bool } => Some("net.decode_errors"),
+    NetConnClose { inbound: bool, bytes_in: u64, bytes_out: u64 } => Some("net.conn_closes"),
+    // A cumulative sample, not a countable occurrence.
+    NetBytes { bytes_in: u64, bytes_out: u64, frames_in: u64, frames_out: u64 } => None,
 }
-
-/// Counter name per kind index (aligned with [`EventKind::index`]); `None`
-/// for kinds that do not feed a counter. Pinned against
-/// [`EventKind::counter`] by a unit test.
-pub(crate) const COUNTER_NAMES: [Option<&str>; KIND_COUNT] = [
-    Some("sim.shuffles_started"),
-    Some("sim.shuffles_completed"),
-    Some("sim.shuffle_timeouts"),
-    Some("sim.shuffle_retries"),
-    Some("sim.shuffle_failures"),
-    Some("sim.evictions"),
-    Some("sim.messages_dropped"),
-    Some("sim.pseudonyms_minted"),
-    Some("sim.pseudonyms_expired"),
-    None, // NodeOnline
-    None, // NodeOffline
-    Some("sim.blackouts"),
-    None, // BlackoutEnd
-    None, // EpisodeStart
-    Some("broadcast.published"),
-    Some("broadcast.delivered"),
-    Some("health.alerts"),
-    Some("remedy.actions"),
-    Some("net.handshake_failures"),
-    Some("net.decode_errors"),
-    Some("net.conn_closes"),
-    None, // NetBytes — a cumulative sample, not a countable occurrence
-];
 
 impl EventKind {
-    /// Dense variant index, in [`schema`] order.
-    pub(crate) fn index(&self) -> usize {
-        match self {
-            EventKind::ShuffleStart { .. } => 0,
-            EventKind::ShuffleComplete { .. } => 1,
-            EventKind::ShuffleTimeout { .. } => 2,
-            EventKind::ShuffleRetry { .. } => 3,
-            EventKind::ShuffleFailure { .. } => 4,
-            EventKind::PeerEvicted { .. } => 5,
-            EventKind::MessageDropped { .. } => 6,
-            EventKind::PseudonymMinted { .. } => 7,
-            EventKind::PseudonymsExpired { .. } => 8,
-            EventKind::NodeOnline => 9,
-            EventKind::NodeOffline => 10,
-            EventKind::BlackoutStart { .. } => 11,
-            EventKind::BlackoutEnd => 12,
-            EventKind::EpisodeStart { .. } => 13,
-            EventKind::BroadcastPublish { .. } => 14,
-            EventKind::BroadcastDeliver { .. } => 15,
-            EventKind::HealthAlert { .. } => 16,
-            EventKind::RemedyAction { .. } => 17,
-            EventKind::NetHandshakeFail { .. } => 18,
-            EventKind::NetDecodeError { .. } => 19,
-            EventKind::NetConnClose { .. } => 20,
-            EventKind::NetBytes { .. } => 21,
-        }
-    }
-
     /// The counter this event feeds, as `(name, increment)`, or `None`.
     ///
     /// Counters derive from the event stream at emission time — the
@@ -275,31 +267,30 @@ impl EventKind {
 
     /// Stable variant name, matching the serialized tag.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::ShuffleStart { .. } => "ShuffleStart",
-            EventKind::ShuffleComplete { .. } => "ShuffleComplete",
-            EventKind::ShuffleTimeout { .. } => "ShuffleTimeout",
-            EventKind::ShuffleRetry { .. } => "ShuffleRetry",
-            EventKind::ShuffleFailure { .. } => "ShuffleFailure",
-            EventKind::PeerEvicted { .. } => "PeerEvicted",
-            EventKind::MessageDropped { .. } => "MessageDropped",
-            EventKind::PseudonymMinted { .. } => "PseudonymMinted",
-            EventKind::PseudonymsExpired { .. } => "PseudonymsExpired",
-            EventKind::NodeOnline => "NodeOnline",
-            EventKind::NodeOffline => "NodeOffline",
-            EventKind::BlackoutStart { .. } => "BlackoutStart",
-            EventKind::BlackoutEnd => "BlackoutEnd",
-            EventKind::EpisodeStart { .. } => "EpisodeStart",
-            EventKind::BroadcastPublish { .. } => "BroadcastPublish",
-            EventKind::BroadcastDeliver { .. } => "BroadcastDeliver",
-            EventKind::HealthAlert { .. } => "HealthAlert",
-            EventKind::RemedyAction { .. } => "RemedyAction",
-            EventKind::NetHandshakeFail { .. } => "NetHandshakeFail",
-            EventKind::NetDecodeError { .. } => "NetDecodeError",
-            EventKind::NetConnClose { .. } => "NetConnClose",
-            EventKind::NetBytes { .. } => "NetBytes",
-        }
+        SCHEMA[self.index()].0
     }
+}
+
+/// Version of the JSONL trace format. Bumped whenever the event schema
+/// changes incompatibly; the header line produced by [`trace_header`]
+/// carries it so consumers can reject traces they do not understand
+/// up front instead of failing on individual events.
+///
+/// **Additive changes do not bump this.** New event kinds (such as the
+/// `Net*` transport-telemetry kinds) extend the schema table without
+/// invalidating anything a version-1 reader already understands: an old
+/// trace without the new kinds still validates, analyzes and diffs
+/// cleanly against this build, and [`validate_events_jsonl`] continues
+/// to accept it under the same header.
+pub const TRACE_SCHEMA_VERSION: u32 = 1;
+
+/// The key of the header object.
+const HEADER_KEY: &str = "veil_trace_version";
+
+/// The header object opening every JSONL trace: one line identifying the
+/// format and its [`TRACE_SCHEMA_VERSION`].
+pub fn trace_header() -> String {
+    format!("{{\"{HEADER_KEY}\":{TRACE_SCHEMA_VERSION}}}")
 }
 
 /// One recorded event: simulated time, emitting node, capture metadata
@@ -318,9 +309,17 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
+/// The canonical order of a trace: `(t, tid, seq)`. Validated times are
+/// finite and non-negative, so `total_cmp` is numeric order on them.
+pub(crate) fn canonical_order(a: &TraceEvent, b: &TraceEvent) -> Ordering {
+    a.t.total_cmp(&b.t)
+        .then(a.tid.cmp(&b.tid))
+        .then(a.seq.cmp(&b.seq))
+}
+
 /// Field types the schema can require.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldType {
+enum FieldType {
     /// Non-negative integer.
     U64,
     /// A finite JSON number.
@@ -333,57 +332,49 @@ pub enum FieldType {
     NullableF64,
 }
 
-/// The event schema: variant name → required fields and their types.
-///
-/// Unit variants have an empty field list and serialize as a bare string.
-pub fn schema() -> &'static [(&'static str, &'static [(&'static str, FieldType)])] {
-    use FieldType::*;
-    &[
-        ("ShuffleStart", &[("target", U64), ("trusted", Bool)]),
-        ("ShuffleComplete", &[("exchange", U64)]),
-        ("ShuffleTimeout", &[("exchange", U64), ("attempt", U64)]),
-        ("ShuffleRetry", &[("exchange", U64), ("attempt", U64)]),
-        ("ShuffleFailure", &[("exchange", U64)]),
-        ("PeerEvicted", &[("pseudonym", U64)]),
-        ("MessageDropped", &[("exchange", U64), ("response", Bool)]),
-        ("PseudonymMinted", &[("lifetime", NullableF64)]),
-        ("PseudonymsExpired", &[("count", U64)]),
-        ("NodeOnline", &[]),
-        ("NodeOffline", &[]),
-        ("BlackoutStart", &[("until", F64)]),
-        ("BlackoutEnd", &[]),
-        ("EpisodeStart", &[("index", U64), ("kind", Str)]),
-        ("BroadcastPublish", &[("message", U64)]),
-        ("BroadcastDeliver", &[("message", U64), ("hops", U64)]),
-        (
-            "HealthAlert",
-            &[
-                ("detector", Str),
-                ("severity", Str),
-                ("value", F64),
-                ("threshold", F64),
-            ],
-        ),
-        (
-            "RemedyAction",
-            &[("reaction", Str), ("detector", Str), ("affected", U64)],
-        ),
-        ("NetHandshakeFail", &[("reason", Str)]),
-        ("NetDecodeError", &[("fatal", Bool)]),
-        (
-            "NetConnClose",
-            &[("inbound", Bool), ("bytes_in", U64), ("bytes_out", U64)],
-        ),
-        (
-            "NetBytes",
-            &[
-                ("bytes_in", U64),
-                ("bytes_out", U64),
-                ("frames_in", U64),
-                ("frames_out", U64),
-            ],
-        ),
-    ]
+/// A payload field's Rust type, tied to its schema type.
+trait Field {
+    const TYPE: FieldType;
+
+    /// What the types do not rule out: a float must be finite, because the
+    /// JSON writer has no spelling for NaN or infinity and writes `null`,
+    /// which is a schema violation for a required float and reads back as
+    /// "absent" for an optional one.
+    fn check(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Field for u64 {
+    const TYPE: FieldType = FieldType::U64;
+}
+
+impl Field for bool {
+    const TYPE: FieldType = FieldType::Bool;
+}
+
+impl Field for String {
+    const TYPE: FieldType = FieldType::Str;
+}
+
+impl Field for f64 {
+    const TYPE: FieldType = FieldType::F64;
+
+    fn check(&self) -> Result<(), String> {
+        if self.is_finite() {
+            Ok(())
+        } else {
+            Err(format!("must be finite, got {self}"))
+        }
+    }
+}
+
+impl Field for Option<f64> {
+    const TYPE: FieldType = FieldType::NullableF64;
+
+    fn check(&self) -> Result<(), String> {
+        self.as_ref().map_or(Ok(()), Field::check)
+    }
 }
 
 /// Human-readable schema listing (one line per event kind), for
@@ -391,7 +382,7 @@ pub fn schema() -> &'static [(&'static str, &'static [(&'static str, FieldType)]
 pub fn schema_text() -> String {
     let mut out = String::new();
     out.push_str("TraceEvent: {t: f64, tid: u64, seq: u64, node: u64|null, kind: <event>}\n");
-    for (name, fields) in schema() {
+    for (name, fields) in SCHEMA {
         if fields.is_empty() {
             out.push_str(&format!("  {name}\n"));
         } else {
@@ -415,14 +406,6 @@ pub fn schema_text() -> String {
 }
 
 fn check_field(value: &serde_json::Value, ty: FieldType) -> Result<(), String> {
-    // An overflowing literal such as `1e400` parses to infinity, which the
-    // JSON writer cannot spell back: the same rule as the values door's
-    // `check_event_fields`.
-    if let (FieldType::F64 | FieldType::NullableF64, Some(v)) = (ty, value.as_f64()) {
-        if !v.is_finite() {
-            return Err(format!("must be finite, got {v}"));
-        }
-    }
     let ok = match ty {
         FieldType::U64 => value.as_u64().is_some(),
         FieldType::F64 => value.as_f64().is_some(),
@@ -440,7 +423,7 @@ fn check_field(value: &serde_json::Value, ty: FieldType) -> Result<(), String> {
 fn validate_kind(kind: &serde_json::Value) -> Result<(), String> {
     // Unit variant: bare string tag.
     if let Some(tag) = kind.as_str() {
-        return match schema().iter().find(|(name, _)| *name == tag) {
+        return match SCHEMA.iter().find(|(name, _)| *name == tag) {
             Some((_, [])) => Ok(()),
             Some(_) => Err(format!("kind {tag} requires a payload map")),
             None => Err(format!("unknown event kind {tag:?}")),
@@ -457,7 +440,7 @@ fn validate_kind(kind: &serde_json::Value) -> Result<(), String> {
         ));
     }
     let (tag, payload) = &entries[0];
-    let (_, fields) = schema()
+    let (_, fields) = SCHEMA
         .iter()
         .find(|(name, _)| name == tag)
         .ok_or_else(|| format!("unknown event kind {tag:?}"))?;
@@ -478,18 +461,13 @@ fn validate_kind(kind: &serde_json::Value) -> Result<(), String> {
     Ok(())
 }
 
-fn check_time(t: f64) -> Result<(), String> {
-    if t.is_finite() && t >= 0.0 {
-        Ok(())
-    } else {
-        Err(format!("\"t\" must be finite and non-negative, got {t}"))
-    }
-}
-
-/// Validates one parsed JSONL event object against the schema.
-pub fn validate_event_value(v: &serde_json::Value) -> Result<(), String> {
-    let t = v.get("t").ok_or("missing field \"t\"")?;
-    check_time(t.as_f64().ok_or("\"t\" must be a number")?)?;
+/// Checks the shape of one parsed JSONL event object against the schema;
+/// [`check_event_fields`] checks the values once it is typed.
+fn validate_event_value(v: &serde_json::Value) -> Result<(), String> {
+    v.get("t")
+        .ok_or("missing field \"t\"")?
+        .as_f64()
+        .ok_or("\"t\" must be a number")?;
     v.get("tid")
         .and_then(serde_json::Value::as_u64)
         .ok_or("missing or non-integer field \"tid\"")?;
@@ -504,77 +482,113 @@ pub fn validate_event_value(v: &serde_json::Value) -> Result<(), String> {
     validate_kind(kind)
 }
 
-/// What [`validate_event_value`] enforces that the types of a
-/// [`TraceEvent`] do not: `t` finite and non-negative, and every `f64`
-/// payload finite — the JSON writer has no spelling for NaN or infinity
-/// and writes `null`, which is a schema violation for a required float
-/// and reads back as "absent" for an optional one.
+/// What every door checks that the types of a [`TraceEvent`] do not: `t`
+/// finite and non-negative, and every `f64` payload finite.
 pub(crate) fn check_event_fields(ev: &TraceEvent) -> Result<(), String> {
-    check_time(ev.t)?;
-    let finite = |field: &str, v: f64| {
-        if v.is_finite() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{}.{field} must be finite, got {v}",
-                ev.kind.name()
-            ))
+    if !(ev.t.is_finite() && ev.t >= 0.0) {
+        return Err(format!(
+            "\"t\" must be finite and non-negative, got {}",
+            ev.t
+        ));
+    }
+    ev.kind.check_fields()
+}
+
+/// Reads a JSONL trace one line at a time: the one door through which
+/// every reader of the format passes, so a trace one of them refuses, all
+/// of them refuse with the same message.
+///
+/// A blank line is skipped. The first non-blank line may be a
+/// [`trace_header`]; a header announcing another version than
+/// [`TRACE_SCHEMA_VERSION`] is refused up front, and header-less traces
+/// (from builds predating the header) are read as the current version.
+/// Every other line must be one event that passes the schema. Line
+/// numbers run on across calls, so a follower that feeds the lines of a
+/// growing file poll by poll reports the same numbers as a whole-file read.
+#[derive(Debug, Default)]
+pub struct TraceDecoder {
+    /// Lines fed so far, blank ones included.
+    line: usize,
+    /// Whether a non-blank line has been fed.
+    started: bool,
+}
+
+impl TraceDecoder {
+    /// Decodes the next line (without its newline): `Ok(None)` for a blank
+    /// line or the header, the event otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The first violation, prefixed with the 1-based `line N`.
+    pub fn decode(&mut self, line: &str) -> Result<Option<TraceEvent>, String> {
+        self.line += 1;
+        let line = line.trim();
+        if line.is_empty() {
+            return Ok(None);
         }
-    };
-    // Every float field of [`schema`]; a unit test pins the list.
-    match ev.kind {
-        EventKind::PseudonymMinted { lifetime: Some(l) } => finite("lifetime", l),
-        EventKind::BlackoutStart { until } => finite("until", until),
-        EventKind::HealthAlert {
-            value, threshold, ..
-        } => finite("value", value).and(finite("threshold", threshold)),
-        _ => Ok(()),
+        let first = !std::mem::replace(&mut self.started, true);
+        decode_line(line, first).map_err(|e| format!("line {}: {e}", self.line))
     }
 }
 
-/// Validates a whole JSONL trace (one event object per non-empty line,
-/// optionally opened by a [`trace_header`] line).
-///
-/// A header with a version other than [`TRACE_SCHEMA_VERSION`] is rejected
-/// up front with a single clear error instead of per-event failures;
-/// header-less traces (from builds predating the header) still validate.
-/// Returns the number of validated events (the header does not count), or
-/// the first error annotated with its 1-based line number.
+fn decode_line(line: &str, first: bool) -> Result<Option<TraceEvent>, String> {
+    let value: serde_json::Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    if let Some(version) = value.get(HEADER_KEY) {
+        if !first {
+            return Err(format!("a {HEADER_KEY:?} header may only open the trace"));
+        }
+        if version.as_u64() != Some(u64::from(TRACE_SCHEMA_VERSION)) {
+            return Err(format!(
+                "unsupported trace version {} (this build reads version \
+                 {TRACE_SCHEMA_VERSION}); re-record the trace with a matching build",
+                serde_json::to_string(version).map_err(|e| e.to_string())?
+            ));
+        }
+        return Ok(None);
+    }
+    validate_event_value(&value)?;
+    let event: TraceEvent = serde_json::from_value(value).map_err(|e| e.to_string())?;
+    check_event_fields(&event)?;
+    Ok(Some(event))
+}
+
+/// Decodes every event of a JSONL trace from `reader` through one
+/// [`TraceDecoder`], handing each to `each` in file order.
+pub(crate) fn read_events<R: BufRead>(
+    reader: R,
+    mut each: impl FnMut(TraceEvent),
+) -> Result<(), String> {
+    let mut decoder = TraceDecoder::default();
+    for line in reader.lines() {
+        let line = line.map_err(|e| format!("line {}: read error: {e}", decoder.line + 1))?;
+        if let Some(event) = decoder.decode(&line)? {
+            each(event);
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a whole JSONL trace into its events in [`canonical_order`].
+pub(crate) fn read_sorted<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
+    let mut events = Vec::new();
+    read_events(reader, |event| events.push(event))?;
+    events.sort_by(canonical_order);
+    Ok(events)
+}
+
+/// Validates a whole JSONL trace (see [`TraceDecoder`]). Returns the number
+/// of events (the header does not count), or the first error annotated
+/// with its 1-based line number.
 pub fn validate_events_jsonl(text: &str) -> Result<usize, String> {
     validate_events_reader(text.as_bytes())
 }
 
 /// Streaming form of [`validate_events_jsonl`]: validates a JSONL trace
 /// line at a time from any buffered reader, so a multi-gigabyte trace
-/// never has to fit in memory. Each line is parsed, checked and dropped
-/// before the next is read; peak memory is one line plus its parsed
-/// [`serde_json::Value`].
-pub fn validate_events_reader<R: std::io::BufRead>(reader: R) -> Result<usize, String> {
+/// never has to fit in memory; peak memory is one line and its event.
+pub fn validate_events_reader<R: BufRead>(reader: R) -> Result<usize, String> {
     let mut n = 0usize;
-    let mut saw_line = false;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: read error: {e}", i + 1))?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if !saw_line {
-            saw_line = true;
-            if let Some(version) = parse_trace_header(line) {
-                if version != u64::from(TRACE_SCHEMA_VERSION) {
-                    return Err(format!(
-                        "unsupported trace version {version} (this build reads version \
-                         {TRACE_SCHEMA_VERSION}); re-record the trace with a matching build"
-                    ));
-                }
-                continue;
-            }
-        }
-        let v: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        validate_event_value(&v).map_err(|e| format!("line {}: {e}", i + 1))?;
-        n += 1;
-    }
+    read_events(reader, |_| n += 1)?;
     Ok(n)
 }
 
@@ -664,7 +678,7 @@ mod tests {
     #[test]
     fn every_kind_round_trips_and_validates() {
         let kinds = every_kind();
-        assert_eq!(kinds.len(), schema().len() + 1); // PseudonymMinted twice
+        assert_eq!(kinds.len(), SCHEMA.len() + 1); // PseudonymMinted twice
         for kind in kinds {
             let ev = event(kind.clone());
             let json = serde_json::to_string(&ev).unwrap();
@@ -697,92 +711,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_index_and_counters_align_with_schema() {
-        let kinds = [
-            EventKind::ShuffleStart {
-                target: 0,
-                trusted: false,
-            },
-            EventKind::ShuffleComplete { exchange: 0 },
-            EventKind::ShuffleTimeout {
-                exchange: 0,
-                attempt: 0,
-            },
-            EventKind::ShuffleRetry {
-                exchange: 0,
-                attempt: 0,
-            },
-            EventKind::ShuffleFailure { exchange: 0 },
-            EventKind::PeerEvicted { pseudonym: 0 },
-            EventKind::MessageDropped {
-                exchange: 0,
-                response: false,
-            },
-            EventKind::PseudonymMinted { lifetime: None },
-            EventKind::PseudonymsExpired { count: 1 },
-            EventKind::NodeOnline,
-            EventKind::NodeOffline,
-            EventKind::BlackoutStart { until: 0.0 },
-            EventKind::BlackoutEnd,
-            EventKind::EpisodeStart {
-                index: 0,
-                kind: String::new(),
-            },
-            EventKind::BroadcastPublish { message: 0 },
-            EventKind::BroadcastDeliver {
-                message: 0,
-                hops: 0,
-            },
-            EventKind::HealthAlert {
-                detector: String::new(),
-                severity: String::new(),
-                value: 0.0,
-                threshold: 0.0,
-            },
-            EventKind::RemedyAction {
-                reaction: String::new(),
-                detector: String::new(),
-                affected: 0,
-            },
-            EventKind::NetHandshakeFail {
-                reason: String::new(),
-            },
-            EventKind::NetDecodeError { fatal: false },
-            EventKind::NetConnClose {
-                inbound: true,
-                bytes_in: 0,
-                bytes_out: 0,
-            },
-            EventKind::NetBytes {
-                bytes_in: 0,
-                bytes_out: 0,
-                frames_in: 0,
-                frames_out: 0,
-            },
-        ];
-        assert_eq!(kinds.len(), KIND_COUNT);
-        assert_eq!(schema().len(), KIND_COUNT);
-        for (i, kind) in kinds.iter().enumerate() {
-            assert_eq!(kind.index(), i, "{} index", kind.name());
-            assert_eq!(schema()[i].0, kind.name(), "schema order");
-            assert_eq!(
-                kind.counter().map(|(name, _)| name),
-                COUNTER_NAMES[i],
-                "{} counter name",
-                kind.name()
-            );
-        }
-        // Purge events add the purge size, not 1.
-        assert_eq!(
-            EventKind::PseudonymsExpired { count: 4 }.counter(),
-            Some(("sim.pseudonyms_expired", 4))
-        );
-    }
-
-    #[test]
     fn typed_field_check_covers_every_float_in_the_schema() {
         use FieldType::{NullableF64, F64};
-        let floats: Vec<(&str, &str)> = schema()
+        let floats: Vec<(&str, &str)> = SCHEMA
             .iter()
             .flat_map(|(kind, fields)| {
                 fields
@@ -888,7 +819,6 @@ mod tests {
         // Header does not count as an event.
         let with_header = format!("{}\n{event}\n", trace_header());
         assert_eq!(validate_events_jsonl(&with_header), Ok(1));
-        assert_eq!(parse_trace_header(&trace_header()), Some(1));
         // A future version is rejected up front with a single clear error.
         let future = format!("{{\"veil_trace_version\":999}}\n{event}\n");
         let err = validate_events_jsonl(&future).unwrap_err();
@@ -901,8 +831,76 @@ mod tests {
     #[test]
     fn schema_text_lists_every_kind() {
         let text = schema_text();
-        for (name, _) in schema() {
+        for (name, _) in SCHEMA {
             assert!(text.contains(name), "{name} missing from schema text");
+        }
+    }
+
+    /// The decoder on hostile bytes: arbitrary byte strings, and a recorder
+    /// trace of every kind with random byte flips and truncations. No door
+    /// panics, and every refusal names its line. 1 500 seeded cases.
+    #[test]
+    fn decoder_survives_hostile_bytes() {
+        // splitmix64: a seeded stream without a dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let rec = crate::Recorder::full();
+        for (i, kind) in every_kind().into_iter().enumerate() {
+            rec.event(i as f64 * 0.5, (i % 3 != 0).then_some(i as u32), || kind);
+        }
+        let trace = rec.events_jsonl().into_bytes();
+        let event_lines = trace.iter().filter(|&&b| b == b'\n').count() - 1;
+        assert_eq!(validate_events_reader(&trace[..]), Ok(event_lines));
+        // A time past `u64::MAX` rounds is valid; replay must not overflow.
+        let far = format!(
+            "{}{}\n",
+            String::from_utf8_lossy(&trace),
+            r#"{"t":1e300,"tid":0,"seq":99,"node":1,"kind":"NodeOnline"}"#
+        );
+        assert_eq!(crate::analyze_trace(&far).map(|r| r.duration), Ok(1e300));
+        // JSON punctuation, digits and literals, so random bytes get past
+        // the tokenizer; plus invalid UTF-8.
+        const ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789tfnrul \n\\\xff";
+        for case in 0..1500 {
+            let bytes: Vec<u8> = match case % 3 {
+                0 => (0..next() % 96)
+                    .map(|_| match next() {
+                        r if r % 4 == 0 => r as u8,
+                        r => ALPHABET[(r >> 8) as usize % ALPHABET.len()],
+                    })
+                    .collect(),
+                1 => {
+                    let mut flipped = trace.clone();
+                    for _ in 0..1 + next() % 3 {
+                        let at = next() as usize % flipped.len();
+                        flipped[at] ^= 1 << (next() % 8);
+                    }
+                    flipped
+                }
+                _ => trace[..next() as usize % trace.len()].to_vec(),
+            };
+            let text = std::str::from_utf8(&bytes).unwrap_or("");
+            for err in [
+                validate_events_reader(&bytes[..]).map(drop),
+                crate::analyze_trace_reader(&bytes[..]).map(drop),
+                crate::merge_traces(&[("in", text)]).map(drop),
+                crate::exchange_chrome_trace(text).map(drop),
+            ]
+            .into_iter()
+            .filter_map(Result::err)
+            {
+                let err = err.strip_prefix("in: ").unwrap_or(&err);
+                assert!(
+                    err.starts_with("line "),
+                    "{err} for {:?}",
+                    String::from_utf8_lossy(&bytes)
+                );
+            }
         }
     }
 }

@@ -53,8 +53,8 @@ pub mod xtrace;
 
 pub use diff::{diff_reports, DiffConfig, DiffEntry, TraceDiff};
 pub use event::{
-    parse_trace_header, schema, schema_text, trace_header, validate_event_value,
-    validate_events_jsonl, validate_events_reader, EventKind, TraceEvent, TRACE_SCHEMA_VERSION,
+    schema_text, trace_header, validate_events_jsonl, validate_events_reader, EventKind,
+    TraceDecoder, TraceEvent, TRACE_SCHEMA_VERSION,
 };
 pub use merge::merge_traces;
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};

@@ -8,60 +8,27 @@
 //! simulator recorder is its recording order. The result is a single
 //! well-formed trace: one header line, then events.
 
-use crate::event::{parse_trace_header, trace_header, TraceEvent, TRACE_SCHEMA_VERSION};
+use crate::event::{canonical_order, read_sorted, trace_header, TraceEvent};
 
 /// Merges JSONL traces into one canonical trace.
 ///
 /// Each input is a `(name, contents)` pair; the name labels errors (a file
-/// path, usually). Every input must carry the current
-/// [`TRACE_SCHEMA_VERSION`] header (or none, for header-less traces);
-/// a mismatched version is rejected up front with an error naming the
-/// offending input rather than failing on individual events.
+/// path, usually). Every input is decoded by [`crate::TraceDecoder`], so
+/// an input `veil obs validate` refuses is refused here with the same
+/// message, prefixed by its name.
 pub fn merge_traces(inputs: &[(&str, &str)]) -> Result<String, String> {
     let mut all: Vec<TraceEvent> = Vec::new();
     for (idx, (name, text)) in inputs.iter().enumerate() {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut saw_line = false;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if !saw_line {
-                saw_line = true;
-                if let Some(version) = parse_trace_header(line) {
-                    if version != u64::from(TRACE_SCHEMA_VERSION) {
-                        return Err(format!(
-                            "{name}: unsupported trace version {version} (this build reads \
-                             version {TRACE_SCHEMA_VERSION}); re-record the trace with a \
-                             matching build"
-                        ));
-                    }
-                    continue;
-                }
-            }
-            let ev: TraceEvent = serde_json::from_str(line)
-                .map_err(|e| format!("{name}: line {}: {e}", lineno + 1))?;
-            events.push(ev);
-        }
-        // Canonical order within the input, then renumber onto this
-        // input's tid so merged identities cannot collide.
-        events.sort_by(|a, b| {
-            a.t.total_cmp(&b.t)
-                .then(a.tid.cmp(&b.tid))
-                .then(a.seq.cmp(&b.seq))
-        });
+        let mut events = read_sorted(text.as_bytes()).map_err(|e| format!("{name}: {e}"))?;
+        // Renumber onto this input's tid so merged identities cannot
+        // collide.
         for (seq, ev) in events.iter_mut().enumerate() {
             ev.tid = idx as u32;
             ev.seq = seq as u64;
         }
         all.extend(events);
     }
-    all.sort_by(|a, b| {
-        a.t.total_cmp(&b.t)
-            .then(a.tid.cmp(&b.tid))
-            .then(a.seq.cmp(&b.seq))
-    });
+    all.sort_by(canonical_order);
     let mut out = trace_header();
     out.push('\n');
     for ev in &all {

@@ -16,7 +16,7 @@
 //! enabling it cannot perturb any simulation. This is the invariant the
 //! `obs_equivalence` integration tests pin.
 
-use crate::event::{EventKind, TraceEvent, COUNTER_NAMES, KIND_COUNT};
+use crate::event::{canonical_order, EventKind, TraceEvent, COUNTER_NAMES, KIND_COUNT};
 use crate::metrics::MetricsRegistry;
 use crate::span::{chrome_trace_json, SpanRecord};
 use std::collections::VecDeque;
@@ -77,11 +77,7 @@ impl Inner {
 /// `events` in the order of [`Recorder::events`], without copying them.
 fn sorted(events: &VecDeque<TraceEvent>) -> Vec<&TraceEvent> {
     let mut refs: Vec<&TraceEvent> = events.iter().collect();
-    refs.sort_by(|a, b| {
-        a.t.partial_cmp(&b.t)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.seq.cmp(&b.seq))
-    });
+    refs.sort_by(|a, b| canonical_order(a, b));
     refs
 }
 
@@ -221,10 +217,10 @@ impl Recorder {
 
     // --- export -----------------------------------------------------------
 
-    /// All retained events, sorted by `(t, seq)`. Simulated times are
-    /// never NaN, so the order is total; for a recorder fed in time order
-    /// it is exactly recording order — for a simulation's recorder, the
-    /// canonical order its executor records in at every shard count.
+    /// All retained events in the canonical `(t, tid, seq)` order (`tid` is
+    /// always 0 here). For a recorder fed in time order it is exactly
+    /// recording order — for a simulation's recorder, the canonical order
+    /// its executor records in at every shard count.
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();

@@ -26,7 +26,7 @@
 //!   completions regain 90% of their pre-blackout mean.
 
 use crate::event::{
-    check_event_fields, parse_trace_header, validate_event_value, COUNTER_NAMES, KIND_COUNT,
+    canonical_order, check_event_fields, read_sorted, COUNTER_NAMES, KIND_COUNT,
     TRACE_SCHEMA_VERSION,
 };
 use crate::{EventKind, TraceEvent};
@@ -277,43 +277,13 @@ pub fn analyze_trace(text: &str) -> Result<TraceReport, String> {
     analyze_trace_reader(text.as_bytes())
 }
 
-/// Streaming form of [`analyze_trace`]: parses and replays a JSONL trace
-/// line at a time from any buffered reader. Only the decoded
-/// [`TraceEvent`]s are buffered (they must be, for the canonical re-sort
-/// below) — the raw JSON text and the intermediate [`serde_json::Value`]
-/// of each line are dropped as soon as the line validates, so the
-/// analytics path never holds a whole multi-gigabyte trace in memory.
-/// Each line is parsed once: the event is built from the `Value` that
-/// was just validated.
+/// Streaming form of [`analyze_trace`]: decodes a JSONL trace line at a
+/// time from any buffered reader ([`crate::TraceDecoder`]). Only the
+/// decoded [`TraceEvent`]s are buffered (they must be, for the canonical
+/// re-sort), never the raw text, so the analytics path never holds a whole
+/// multi-gigabyte trace in memory.
 pub fn analyze_trace_reader<R: std::io::BufRead>(reader: R) -> Result<TraceReport, String> {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut saw_line = false;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: read error: {e}", i + 1))?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if !saw_line {
-            saw_line = true;
-            if let Some(v) = parse_trace_header(line) {
-                if v != u64::from(TRACE_SCHEMA_VERSION) {
-                    return Err(format!(
-                        "unsupported trace version {v} (this build reads version \
-                         {TRACE_SCHEMA_VERSION}); re-record the trace with a matching build"
-                    ));
-                }
-                continue;
-            }
-        }
-        let value: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        validate_event_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let ev: TraceEvent =
-            serde_json::from_value(value).map_err(|e| format!("line {}: {e}", i + 1))?;
-        events.push(ev);
-    }
-    Ok(sort_and_replay(events))
+    Ok(replay(&read_sorted(reader)?))
 }
 
 /// Replays events the caller already holds as values into a
@@ -328,24 +298,14 @@ pub fn analyze_trace_reader<R: std::io::BufRead>(reader: R) -> Result<TraceRepor
 /// writer turns a non-finite float into `null`, which the validator
 /// rejects — or, for an optional field, silently reads back as absent).
 /// The message names the offending event by its position.
-pub fn analyze_events(events: Vec<TraceEvent>) -> Result<TraceReport, String> {
+pub fn analyze_events(mut events: Vec<TraceEvent>) -> Result<TraceReport, String> {
     for (i, ev) in events.iter().enumerate() {
         check_event_fields(ev).map_err(|e| format!("event {i}: {e}"))?;
     }
-    Ok(sort_and_replay(events))
-}
-
-/// The tail both doors share. The recorder exports shard-merged events
-/// already sorted by `(t, tid, seq)`; re-sort so hand-assembled or
-/// concatenated traces replay identically.
-fn sort_and_replay(mut events: Vec<TraceEvent>) -> TraceReport {
-    events.sort_by(|a, b| {
-        a.t.partial_cmp(&b.t)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.tid.cmp(&b.tid))
-            .then(a.seq.cmp(&b.seq))
-    });
-    replay(&events)
+    // The recorder exports events already in canonical order; re-sort so
+    // hand-assembled or concatenated events replay identically.
+    events.sort_by(canonical_order);
+    Ok(replay(&events))
 }
 
 /// Node-state model rebuilt during replay.
@@ -553,7 +513,7 @@ fn replay(events: &[TraceEvent]) -> TraceReport {
 fn recovery_time(rounds: &[RoundStats], start: f64, end: f64) -> Option<f64> {
     let before: Vec<&RoundStats> = rounds
         .iter()
-        .filter(|r| ((r.round + 1) as f64) <= start)
+        .filter(|r| r.round as f64 + 1.0 <= start)
         .collect();
     if before.is_empty() {
         return None;

@@ -26,7 +26,7 @@
 //! the viewer's ruler reads directly in periods. The output loads in
 //! `about:tracing` and [Perfetto](https://ui.perfetto.dev) unchanged.
 
-use crate::event::{parse_trace_header, validate_event_value, TRACE_SCHEMA_VERSION};
+use crate::event::read_sorted;
 use crate::{EventKind, TraceEvent};
 use serde_json::Value;
 use std::collections::HashMap;
@@ -73,43 +73,6 @@ impl ExchangeRecord {
             "pending"
         }
     }
-}
-
-/// Parses a JSONL trace (header line optional) into validated events in
-/// `(t, tid, seq)` order.
-fn parse_events(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut saw_line = false;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if !saw_line {
-            saw_line = true;
-            if let Some(v) = parse_trace_header(line) {
-                if v != u64::from(TRACE_SCHEMA_VERSION) {
-                    return Err(format!(
-                        "unsupported trace version {v} (this build reads version \
-                         {TRACE_SCHEMA_VERSION})"
-                    ));
-                }
-                continue;
-            }
-        }
-        let value: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        validate_event_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let ev: TraceEvent =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        events.push(ev);
-    }
-    events.sort_by(|a, b| {
-        a.t.total_cmp(&b.t)
-            .then(a.tid.cmp(&b.tid))
-            .then(a.seq.cmp(&b.seq))
-    });
-    Ok(events)
 }
 
 /// Reconstructs every exchange of a merged fleet trace, in exchange-id
@@ -204,7 +167,7 @@ fn ts(t: f64) -> u64 {
 /// Renders a merged fleet trace as a cross-process exchange timeline in
 /// Chrome `trace_event` JSON.
 pub fn exchange_chrome_trace(text: &str) -> Result<String, String> {
-    let events = parse_events(text)?;
+    let events = read_sorted(text.as_bytes())?;
     let exchanges = correlate_exchanges(&events);
     let by_id: HashMap<u64, &ExchangeRecord> = exchanges.iter().map(|r| (r.exchange, r)).collect();
 
@@ -359,7 +322,7 @@ mod tests {
     #[test]
     fn correlation_stitches_events_across_processes() {
         let merged = two_process_trace();
-        let events = parse_events(&merged).unwrap();
+        let events = read_sorted(merged.as_bytes()).unwrap();
         let records = correlate_exchanges(&events);
         assert_eq!(records.len(), 2);
         let first = &records[0];
@@ -423,12 +386,8 @@ mod tests {
             trusted: true,
         });
         let jsonl = rec.events_jsonl();
-        let body: String = jsonl
-            .lines()
-            .filter(|l| parse_trace_header(l).is_none())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let events = parse_events(&body).unwrap();
+        let body = jsonl.split_once('\n').unwrap().1;
+        let events = read_sorted(body.as_bytes()).unwrap();
         assert_eq!(correlate_exchanges(&events).len(), 1);
     }
 }
