@@ -5,7 +5,7 @@
 use super::{CmdResult, Regression};
 use crate::args::Args;
 use std::fmt::Write as _;
-use std::io::BufReader;
+use std::io::{BufReader, Read as _};
 use veil_obs::{diff_reports, DiffConfig, EventKind, TraceEvent, TraceReport};
 
 /// Opens a trace file for buffered line-at-a-time reading. Validation and
@@ -231,30 +231,17 @@ pub fn tail(args: &Args) -> CmdResult {
     let poll_ms: u64 = args.get_or("poll-ms", 200, "integer")?;
     let timeout_s: f64 = args.get_or("timeout-s", 0.0, "float (0 = unbounded)")?;
     let started = std::time::Instant::now();
-    let mut offset = 0usize;
-    let mut decoder = veil_obs::TraceDecoder::default();
+    let mut follower = TraceFollower::open(path)?;
     let mut printed = 0u64;
     let mut scanned = 0u64;
     loop {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
-        // Only complete (newline-terminated) lines past the last offset are
-        // consumed; a partially written tail line waits for the next poll.
-        let complete = match text[offset.min(text.len())..].rfind('\n') {
-            Some(rel) => offset + rel + 1,
-            None => offset,
-        };
-        for line in text[offset.min(text.len())..complete].lines() {
-            let Some(ev) = decoder.decode(line).map_err(|e| format!("{path}: {e}"))? else {
-                continue;
-            };
+        follower.poll(|ev| {
             scanned += 1;
             if all || matches!(ev.kind, EventKind::HealthAlert { .. }) {
                 println!("{}", format_event(&ev));
                 printed += 1;
             }
-        }
-        offset = complete;
+        })?;
         if !follow {
             break;
         }
@@ -266,6 +253,60 @@ pub fn tail(args: &Args) -> CmdResult {
     Ok(format!(
         "tail: printed {printed} of {scanned} event(s) from {path}"
     ))
+}
+
+/// Reads the events appended to a growing trace file, poll by poll. The
+/// file stays open, so each poll reads only the bytes written since the
+/// last one, a chunk at a time; a partially written last line is carried
+/// over until its newline arrives.
+struct TraceFollower {
+    path: String,
+    file: std::fs::File,
+    pending: Vec<u8>,
+    decoder: veil_obs::TraceDecoder,
+}
+
+impl TraceFollower {
+    /// Bytes read per step, so a large backlog is never held whole.
+    const CHUNK: u64 = 1 << 20;
+
+    fn open(path: &str) -> Result<Self, String> {
+        let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
+        Ok(Self {
+            path: path.to_string(),
+            file,
+            pending: Vec::new(),
+            decoder: veil_obs::TraceDecoder::default(),
+        })
+    }
+
+    /// Hands `each` the events on the lines completed since the last poll.
+    fn poll(&mut self, mut each: impl FnMut(TraceEvent)) -> Result<(), String> {
+        let path = &self.path;
+        loop {
+            let read = (&mut self.file)
+                .take(Self::CHUNK)
+                .read_to_end(&mut self.pending)
+                .map_err(|e| format!("cannot read {path:?}: {e}"))?;
+            if read == 0 {
+                return Ok(());
+            }
+            let complete = self
+                .pending
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let text = std::str::from_utf8(&self.pending[..complete])
+                .map_err(|_| format!("cannot read {path:?}: stream did not contain valid UTF-8"))?;
+            for line in text.lines() {
+                let decoded = self.decoder.decode(line);
+                if let Some(ev) = decoded.map_err(|e| format!("{path}: {e}"))? {
+                    each(ev);
+                }
+            }
+            self.pending.drain(..complete);
+        }
+    }
 }
 
 /// `veil obs schema` — print the trace-event schema (one line per event
@@ -285,4 +326,55 @@ pub fn schema(args: &Args) -> CmdResult {
     writeln!(out)?;
     out.push_str(&veil_obs::schema_text());
     Ok(out.trim_end().to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write as _;
+
+    const LINE: &str =
+        r#"{"t":1.0,"tid":0,"seq":0,"node":3,"kind":{"PseudonymsExpired":{"count":2}}}"#;
+
+    /// A fresh trace file and a follower on it.
+    fn follow(name: &str) -> (std::path::PathBuf, std::fs::File, TraceFollower) {
+        let dir = std::env::temp_dir().join(format!("veil_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        let writer = std::fs::File::create(&path).unwrap();
+        let follower = TraceFollower::open(path.to_str().unwrap()).unwrap();
+        (dir, writer, follower)
+    }
+
+    fn poll(follower: &mut TraceFollower) -> Vec<EventKind> {
+        let mut events = Vec::new();
+        follower.poll(|ev| events.push(ev.kind)).unwrap();
+        events
+    }
+
+    #[test]
+    fn follower_waits_for_a_line_to_complete() {
+        let (dir, mut writer, mut follower) = follow("follow_half");
+        let (head, rest) = LINE.split_at(LINE.len() / 2);
+        writer.write_all(head.as_bytes()).unwrap();
+        assert_eq!(poll(&mut follower), []);
+        writer.write_all(format!("{rest}\n").as_bytes()).unwrap();
+        assert_eq!(
+            poll(&mut follower),
+            [EventKind::PseudonymsExpired { count: 2 }]
+        );
+        assert_eq!(poll(&mut follower), []);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn follower_reads_a_backlog_larger_than_a_chunk() {
+        let (dir, mut writer, mut follower) = follow("follow_backlog");
+        let lines = TraceFollower::CHUNK as usize / LINE.len() + 100;
+        writer
+            .write_all(format!("{LINE}\n").repeat(lines).as_bytes())
+            .unwrap();
+        assert_eq!(poll(&mut follower).len(), lines);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -51,10 +51,10 @@ COMMANDS:
                                          exchange timeout (default 3) and
                                          retry budget (default 2) on the
                                          faulty layer
-                     [--parallelism K]   worker threads for sweeps and
-                                         metrics; 0 = all cores (default,
-                                         or VEIL_PARALLELISM); results
-                                         are identical for every K
+                     [--parallelism K]   worker threads for sweeps;
+                                         0 = all cores (default, or
+                                         VEIL_PARALLELISM); results are
+                                         identical for every K
                      [--shards S]        shards (threads) of the windowed
                                          executor on every link with
                                          --loss or --mean-latency > 0 (or
@@ -801,7 +801,7 @@ mod tests {
     fn obs_schema_lists_event_kinds() {
         let out = run_line(&["obs", "schema"]).unwrap();
         assert!(out.contains("ShuffleStart"));
-        assert!(out.contains("BroadcastDeliver"));
+        assert!(out.contains("HealthAlert"));
         // The transport telemetry kinds are part of the same (additive)
         // schema version.
         assert!(out.contains("NetHandshakeFail"));

@@ -146,9 +146,9 @@ pub struct OverlayConfig {
     /// the unresponsive pseudonym and counting a `shuffle_failure`).
     /// Default: 2.
     pub shuffle_retry_budget: u32,
-    /// Worker threads for the experiment engine's independent sweep points
-    /// and metric fan-outs: `None` uses every available core, `Some(1)`
-    /// forces serial execution, `Some(k)` caps the pool at `k`.
+    /// Worker threads for the experiment engine's independent sweep
+    /// points: `None` uses every available core, `Some(1)` forces serial
+    /// execution, `Some(k)` caps the pool at `k`.
     ///
     /// Purely an execution knob — every sweep point derives its randomness
     /// from the master seed and its own stream, and results are reduced in

@@ -471,25 +471,6 @@ pub fn collector_series(
     Ok(collector)
 }
 
-/// Convenience wrapper: flood a broadcast from the highest-degree online
-/// node of a steady-state overlay and report the coverage — the end-to-end
-/// "does dissemination actually work" check used by examples and tests.
-///
-/// # Errors
-///
-/// Propagates simulation construction errors.
-pub fn steady_state_broadcast(
-    trust: &Graph,
-    params: &ExperimentParams,
-    alpha: f64,
-) -> Result<crate::dissemination::BroadcastReport, CoreError> {
-    let mut sim = build_simulation(trust.clone(), params, alpha)?;
-    sim.run_until(params.warmup);
-    let source = best_connected_online(trust, &sim.online_mask())
-        .expect("at least one node online at steady state");
-    Ok(crate::dissemination::flood_current_overlay(&sim, source))
-}
-
 /// One point of a fault-degradation sweep ([`degradation_point`]): overlay
 /// quality and maintenance effort at one value of one fault parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -1062,7 +1043,10 @@ mod tests {
     fn broadcast_reaches_most_online_nodes() {
         let p = tiny_params(10);
         let trust = build_trust_graph(&p).unwrap();
-        let report = steady_state_broadcast(&trust, &p, 0.5).unwrap();
+        let mut sim = build_simulation(trust.clone(), &p, 0.5).unwrap();
+        sim.run_until(p.warmup);
+        let source = best_connected_online(&trust, &sim.online_mask()).expect("someone online");
+        let report = crate::dissemination::flood_current_overlay(&sim, source);
         assert!(
             report.coverage() > 0.8,
             "coverage {} too low",

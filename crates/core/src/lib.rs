@@ -22,7 +22,8 @@
 //!   discrete-event engine and churn model from `veil-sim`;
 //!   [`metrics`] takes overlay snapshots, [`experiment`] packages the
 //!   paper's experiments (Figures 3–9), and [`dissemination`] provides the
-//!   flooding broadcast the overlay exists to support.
+//!   flooding broadcast the overlay exists to support — the one
+//!   dissemination model every coverage measurement uses.
 //!
 //! # Quickstart
 //!
@@ -49,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod broadcast;
 pub mod cache;
 pub mod config;
 pub mod dissemination;

@@ -411,15 +411,6 @@ impl Simulation {
         &self.cells[v].node
     }
 
-    /// Mutable access to a node's protocol state.
-    ///
-    /// This is an instrumentation hook for the attack experiments in
-    /// `veil-privacy` (e.g. an internal observer seeding a marked pseudonym
-    /// into its own cache); it is not part of the protocol surface.
-    pub fn node_mut(&mut self, v: usize) -> &mut Node {
-        &mut self.cells[v].node
-    }
-
     /// The pseudonym arena of the shard that owns node `v`. Needed to
     /// resolve the [`crate::pseudonym::PseudonymHandle`]s stored in the
     /// node's cache and sampler back to pseudonym values.
@@ -427,10 +418,12 @@ impl Simulation {
         &self.rt.shards[self.rt.owner[v] as usize].arena
     }
 
-    /// Mutable access to a node together with its shard's arena — the
-    /// borrow-splitting companion of [`Simulation::node_mut`] for
+    /// Mutable access to a node together with its shard's arena, for
     /// instrumentation that inserts pseudonyms into per-node structures
-    /// (which interns them into the arena).
+    /// (which interns them into the arena). This is a hook for the attack
+    /// experiments in `veil-privacy` (e.g. an internal observer seeding a
+    /// marked pseudonym into its own cache); it is not part of the
+    /// protocol surface.
     pub fn node_and_arena_mut(&mut self, v: usize) -> (&mut Node, &mut PseudonymArena) {
         (&mut self.cells[v].node, &mut self.rt.shard_of_mut(v).arena)
     }

@@ -204,29 +204,6 @@ impl Graph {
             2.0 * self.edges as f64 / self.adjacency.len() as f64
         }
     }
-
-    /// Relabels vertices `new -> mapping[new]` is identity-checked by size;
-    /// produces a graph whose vertex `i` is this graph's vertex `order[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..n`.
-    pub fn permuted(&self, order: &[usize]) -> Graph {
-        assert_eq!(order.len(), self.node_count(), "order length mismatch");
-        let mut inverse = vec![usize::MAX; order.len()];
-        for (new, &old) in order.iter().enumerate() {
-            assert!(
-                old < order.len() && inverse[old] == usize::MAX,
-                "order must be a permutation"
-            );
-            inverse[old] = new;
-        }
-        let mut g = Graph::new(self.node_count());
-        for (a, b) in self.edges() {
-            g.add_edge(inverse[a], inverse[b]).expect("permuted edge");
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -284,22 +261,6 @@ mod tests {
         for &(a, b) in &edges {
             assert!(a < b);
         }
-    }
-
-    #[test]
-    fn permuted_preserves_structure() {
-        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
-        let p = g.permuted(&[2, 0, 1]);
-        // new vertex 0 is old vertex 2, 1 is old 0, 2 is old 1 -> edge (1,2)
-        assert!(p.has_edge(1, 2));
-        assert_eq!(p.edge_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn permuted_rejects_non_permutation() {
-        let g = Graph::new(2);
-        g.permuted(&[0, 0]);
     }
 
     #[test]

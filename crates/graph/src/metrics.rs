@@ -162,29 +162,15 @@ pub fn bfs_distances(g: &Graph, src: usize) -> Vec<u32> {
 ///
 /// Returns `0.0` when the component has fewer than two vertices.
 pub fn average_path_length(g: &Graph, online: Option<&[bool]>) -> f64 {
-    average_path_length_par(g, online, Some(1))
-}
-
-/// [`average_path_length`] with the per-source BFS fan-out spread over up
-/// to `parallelism` threads (`None` = all cores).
-///
-/// The per-source contributions are exact integer sums reduced in source
-/// order, so the result is bit-identical to the serial computation for
-/// every `parallelism` value.
-pub fn average_path_length_par(
-    g: &Graph,
-    online: Option<&[bool]>,
-    parallelism: Option<usize>,
-) -> f64 {
     let lcc = largest_component_mask(g, online);
     let members: Vec<usize> = (0..g.node_count()).filter(|&v| lcc[v]).collect();
     if members.len() < 2 {
         return 0.0;
     }
-    let partials = veil_par::map(&members, parallelism, |&src| {
+    let mut sum = 0u64;
+    let mut pairs = 0u64;
+    for &src in &members {
         let dist = bfs_distances_masked(g, src, Some(&lcc));
-        let mut sum = 0u64;
-        let mut pairs = 0u64;
         for &dst in &members {
             if dst != src {
                 debug_assert_ne!(dist[dst], UNREACHABLE, "LCC must be connected");
@@ -192,76 +178,8 @@ pub fn average_path_length_par(
                 pairs += 1;
             }
         }
-        (sum, pairs)
-    });
-    let (sum, pairs) = partials
-        .iter()
-        .fold((0u64, 0u64), |(s, p), &(ds, dp)| (s + ds, p + dp));
+    }
     sum as f64 / pairs as f64
-}
-
-/// Average path length estimated from BFS trees rooted at at most
-/// `max_sources` members of the largest component (for large graphs).
-///
-/// `pick` selects source indices; pass a closure drawing from an RNG for a
-/// random sample, or the identity for the first `max_sources` members.
-pub fn average_path_length_sampled<F>(
-    g: &Graph,
-    online: Option<&[bool]>,
-    max_sources: usize,
-    pick: F,
-) -> f64
-where
-    F: FnMut(usize) -> usize,
-{
-    average_path_length_sampled_par(g, online, max_sources, pick, Some(1))
-}
-
-/// [`average_path_length_sampled`] with parallel BFS fan-out.
-///
-/// All `pick` draws happen serially up front (so a stateful RNG closure
-/// sees exactly the same call sequence as in the serial version); only the
-/// per-source BFS work is distributed. Integer sums reduced in draw order
-/// make the result bit-identical across `parallelism` values.
-pub fn average_path_length_sampled_par<F>(
-    g: &Graph,
-    online: Option<&[bool]>,
-    max_sources: usize,
-    mut pick: F,
-    parallelism: Option<usize>,
-) -> f64
-where
-    F: FnMut(usize) -> usize,
-{
-    let lcc = largest_component_mask(g, online);
-    let members: Vec<usize> = (0..g.node_count()).filter(|&v| lcc[v]).collect();
-    if members.len() < 2 {
-        return 0.0;
-    }
-    let k = max_sources.min(members.len());
-    let sources: Vec<usize> = (0..k)
-        .map(|_| members[pick(members.len()) % members.len()])
-        .collect();
-    let partials = veil_par::map(&sources, parallelism, |&src| {
-        let dist = bfs_distances_masked(g, src, Some(&lcc));
-        let mut sum = 0u64;
-        let mut pairs = 0u64;
-        for &dst in &members {
-            if dst != src && dist[dst] != UNREACHABLE {
-                sum += dist[dst] as u64;
-                pairs += 1;
-            }
-        }
-        (sum, pairs)
-    });
-    let (sum, pairs) = partials
-        .iter()
-        .fold((0u64, 0u64), |(s, p), &(ds, dp)| (s + ds, p + dp));
-    if pairs == 0 {
-        0.0
-    } else {
-        sum as f64 / pairs as f64
-    }
 }
 
 /// The paper's *normalized path length* (Section IV-C): the average path
@@ -331,25 +249,20 @@ pub fn average_clustering(g: &Graph) -> f64 {
 ///
 /// Returns `0` for graphs with fewer than two connected vertices.
 pub fn diameter(g: &Graph) -> u32 {
-    diameter_par(g, Some(1))
-}
-
-/// [`diameter`] with the per-source BFS fan-out spread over up to
-/// `parallelism` threads. The reduction (`max`) is order-independent, so
-/// every `parallelism` value yields the same result.
-pub fn diameter_par(g: &Graph, parallelism: Option<usize>) -> u32 {
     let lcc = largest_component_mask(g, None);
-    let members: Vec<usize> = (0..g.node_count()).filter(|&v| lcc[v]).collect();
-    let eccentricities = veil_par::map(&members, parallelism, |&v| {
-        let dist = bfs_distances_masked(g, v, Some(&lcc));
-        dist.iter()
-            .enumerate()
-            .filter(|&(w, &d)| lcc[w] && d != UNREACHABLE)
-            .map(|(_, &d)| d)
-            .max()
-            .unwrap_or(0)
-    });
-    eccentricities.into_iter().max().unwrap_or(0)
+    (0..g.node_count())
+        .filter(|&v| lcc[v])
+        .map(|v| {
+            let dist = bfs_distances_masked(g, v, Some(&lcc));
+            dist.iter()
+                .enumerate()
+                .filter(|&(w, &d)| lcc[w] && d != UNREACHABLE)
+                .map(|(_, &d)| d)
+                .max()
+                .unwrap_or(0)
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Core number of every vertex: the largest `k` such that the vertex
@@ -673,21 +586,6 @@ mod tests {
     fn assortativity_of_regular_graph_is_zero() {
         let g = generators::cycle(10);
         assert_eq!(degree_assortativity(&g), 0.0);
-    }
-
-    #[test]
-    fn sampled_path_length_close_to_exact() {
-        let mut seed = 0usize;
-        let g = generators::two_cliques_bridge(10, 10);
-        let exact = average_path_length(&g, None);
-        let approx = average_path_length_sampled(&g, None, 20, |_| {
-            seed += 7;
-            seed
-        });
-        assert!(
-            (exact - approx).abs() < 0.5,
-            "exact={exact} approx={approx}"
-        );
     }
 
     #[test]

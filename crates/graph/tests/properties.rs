@@ -203,71 +203,4 @@ proptest! {
         let diameter = metrics::diameter(&g) as f64;
         prop_assert!(apl <= diameter + 1e-9);
     }
-
-    // ---- parallel metrics must equal serial, bit for bit ----------------
-    //
-    // The arbitrary graphs here are routinely disconnected (random edge
-    // lists at low density), which is exactly the regime where the
-    // largest-component masking inside these metrics matters.
-
-    #[test]
-    fn parallel_average_path_length_matches_serial((n, edges) in arb_graph()) {
-        let g = build(n, &edges);
-        let serial = metrics::average_path_length(&g, None);
-        for parallelism in [Some(2), Some(4), None] {
-            let par = metrics::average_path_length_par(&g, None, parallelism);
-            prop_assert_eq!(serial.to_bits(), par.to_bits(),
-                "parallelism {:?}: {} != {}", parallelism, serial, par);
-        }
-    }
-
-    #[test]
-    fn parallel_average_path_length_matches_serial_masked(
-        (n, edges) in arb_graph(),
-        mask_seed in prop::collection::vec(any::<bool>(), 40),
-    ) {
-        let g = build(n, &edges);
-        let online: Vec<bool> = (0..n).map(|v| mask_seed[v]).collect();
-        let serial = metrics::average_path_length(&g, Some(&online));
-        for parallelism in [Some(3), None] {
-            let par = metrics::average_path_length_par(&g, Some(&online), parallelism);
-            prop_assert_eq!(serial.to_bits(), par.to_bits(),
-                "parallelism {:?}: {} != {}", parallelism, serial, par);
-        }
-    }
-
-    #[test]
-    fn parallel_sampled_path_length_matches_serial(
-        (n, edges) in arb_graph(),
-        max_sources in 1usize..12,
-        pick_seed in any::<u64>(),
-    ) {
-        let g = build(n, &edges);
-        // Both runs must see the same picker draw sequence; the parallel
-        // implementation draws all sources up front, in the same order as
-        // the serial loop, so a deterministic stateful picker is fair.
-        let make_pick = || {
-            let mut state = pick_seed;
-            move |bound: usize| {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                (state >> 33) as usize % bound.max(1)
-            }
-        };
-        let serial = metrics::average_path_length_sampled(&g, None, max_sources, make_pick());
-        for parallelism in [Some(2), None] {
-            let par = metrics::average_path_length_sampled_par(
-                &g, None, max_sources, make_pick(), parallelism);
-            prop_assert_eq!(serial.to_bits(), par.to_bits(),
-                "parallelism {:?}: {} != {}", parallelism, serial, par);
-        }
-    }
-
-    #[test]
-    fn parallel_diameter_matches_serial((n, edges) in arb_graph()) {
-        let g = build(n, &edges);
-        let serial = metrics::diameter(&g);
-        for parallelism in [Some(2), Some(5), None] {
-            prop_assert_eq!(serial, metrics::diameter_par(&g, parallelism));
-        }
-    }
 }

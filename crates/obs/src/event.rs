@@ -95,18 +95,6 @@ pub enum EventKind {
         /// Effect kind (`"blackout"`, `"partition"`, `"crash"`, ...).
         kind: String,
     },
-    /// A broadcast message was published by its origin.
-    BroadcastPublish {
-        /// Message id.
-        message: u64,
-    },
-    /// A broadcast message reached a new node.
-    BroadcastDeliver {
-        /// Message id.
-        message: u64,
-        /// Hop count at delivery (0 at the publisher).
-        hops: u64,
-    },
     /// An online health detector crossed its threshold (see
     /// `veil_core::health`). Alerts are ordinary trace events: the monitor
     /// never feeds back into the simulation, so `off == full == ring`
@@ -238,8 +226,6 @@ event_kinds! {
     BlackoutStart { until: f64 } => Some("sim.blackouts"),
     BlackoutEnd {} => None,
     EpisodeStart { index: u64, kind: String } => None,
-    BroadcastPublish { message: u64 } => Some("broadcast.published"),
-    BroadcastDeliver { message: u64, hops: u64 } => Some("broadcast.delivered"),
     HealthAlert { detector: String, severity: String, value: f64, threshold: f64 }
         => Some("health.alerts"),
     RemedyAction { reaction: String, detector: String, affected: u64 } => Some("remedy.actions"),
@@ -640,11 +626,6 @@ mod tests {
             EventKind::EpisodeStart {
                 index: 0,
                 kind: "partition".to_string(),
-            },
-            EventKind::BroadcastPublish { message: 5 },
-            EventKind::BroadcastDeliver {
-                message: 5,
-                hops: 2,
             },
             EventKind::HealthAlert {
                 detector: "shuffle_failure_burst".to_string(),

@@ -4,10 +4,10 @@
 //!
 //! * **Structured event tracing** — typed [`TraceEvent`]s (shuffle
 //!   start/complete/timeout/retry/eviction, pseudonym birth/expiry, churn
-//!   transitions, fault episodes, broadcast hops) captured into one buffer
-//!   per recorder, either unbounded (full JSONL sink) or as a bounded
-//!   flight-recorder ring. Export as JSONL; validate with
-//!   [`validate_events_jsonl`].
+//!   transitions, fault episodes, health alerts, remedies, transport
+//!   telemetry) captured into one buffer per recorder, either unbounded
+//!   (full JSONL sink) or as a bounded flight-recorder ring. Export as
+//!   JSONL; validate with [`validate_events_jsonl`].
 //! * **Metrics** — named counters, gauges and `veil-metrics` histograms
 //!   ([`MetricsRegistry`]) with Prometheus text and JSON export.
 //! * **Profiling spans** — RAII [`Span`]s measuring wall-clock time,

@@ -188,15 +188,15 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.count("sim.shuffles_started", 7);
         m.gauge("engine.queue_high_water", 42.0);
-        m.observe("broadcast.hops", 3);
-        m.observe("broadcast.hops", 5);
+        m.observe("sim.node_links", 3);
+        m.observe("sim.node_links", 5);
         let text = m.prometheus_text();
         assert!(text.contains("# TYPE veil_sim_shuffles_started_total counter"));
         assert!(text.contains("veil_sim_shuffles_started_total 7"));
         assert!(text.contains("veil_engine_queue_high_water 42"));
-        assert!(text.contains("veil_broadcast_hops{quantile=\"0.5\"} 3"));
-        assert!(text.contains("veil_broadcast_hops_count 2"));
-        assert!(text.contains("veil_broadcast_hops_sum 8"));
+        assert!(text.contains("veil_sim_node_links{quantile=\"0.5\"} 3"));
+        assert!(text.contains("veil_sim_node_links_count 2"));
+        assert!(text.contains("veil_sim_node_links_sum 8"));
     }
 
     #[test]

@@ -401,16 +401,14 @@ mod tests {
     fn flight_recorder_keeps_the_tail() {
         let r = Recorder::flight_recorder(2);
         for i in 0..5u64 {
-            r.event(i as f64, None, || EventKind::BroadcastPublish {
-                message: i,
-            });
+            r.event(i as f64, None, || EventKind::PeerEvicted { pseudonym: i });
         }
         let events = r.events();
         assert_eq!(events.len(), 2);
         assert_eq!(r.events_seen(), 5);
         assert_eq!(r.events_dropped(), 3);
-        assert_eq!(events[0].kind, EventKind::BroadcastPublish { message: 3 });
-        assert_eq!(events[1].kind, EventKind::BroadcastPublish { message: 4 });
+        assert_eq!(events[0].kind, EventKind::PeerEvicted { pseudonym: 3 });
+        assert_eq!(events[1].kind, EventKind::PeerEvicted { pseudonym: 4 });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every random decision in a simulation run is drawn from an RNG derived
 //! from `(master_seed, stream)`, where the stream identifies a logical actor
-//! (a node's churn process, the protocol scheduler, the workload generator).
+//! (a node's churn process, the protocol scheduler, the fault injector).
 //! Two runs with the same master seed are bit-for-bit identical; changing
 //! one actor's stream leaves every other stream untouched, which keeps
 //! experiments comparable across configurations.
@@ -26,8 +26,6 @@ pub enum Stream {
     Pseudonym(u32),
     /// Phase desynchronisation offsets and other global scheduling noise.
     Scheduler,
-    /// Workload/attack generators layered on top of the overlay.
-    Workload(u32),
     /// Link-layer fault injection (message drops, latency sampling).
     Fault,
 }
@@ -40,7 +38,6 @@ impl Stream {
             Stream::Protocol(i) => (0x03 << 32) | i as u64,
             Stream::Pseudonym(i) => (0x04 << 32) | i as u64,
             Stream::Scheduler => 0x05 << 32,
-            Stream::Workload(i) => (0x06 << 32) | i as u64,
             Stream::Fault => 0x07 << 32,
         }
     }
@@ -143,7 +140,6 @@ mod tests {
             Stream::Protocol(0).id(),
             Stream::Pseudonym(0).id(),
             Stream::Scheduler.id(),
-            Stream::Workload(0).id(),
             Stream::Fault.id(),
             Stream::Churn(1).id(),
         ];

@@ -3,9 +3,7 @@
 
 use veil_core::config::OverlayConfig;
 use veil_core::dissemination;
-use veil_core::experiment::{
-    build_simulation, build_trust_graph, steady_state_broadcast, ExperimentParams,
-};
+use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::simulation::Simulation;
 use veil_graph::metrics as gm;
 use veil_sim::churn::ChurnConfig;
@@ -60,15 +58,6 @@ fn broadcast_over_overlay_beats_trust_graph() {
         over_trust.coverage()
     );
     assert!(over_overlay.coverage() > 0.8);
-}
-
-#[test]
-fn steady_state_broadcast_helper_works() {
-    let params = tiny_params(3);
-    let trust = build_trust_graph(&params).unwrap();
-    let report = steady_state_broadcast(&trust, &params, 0.6).unwrap();
-    assert!(report.coverage() > 0.8, "coverage {}", report.coverage());
-    assert!(report.max_hops >= 1);
 }
 
 #[test]
@@ -170,30 +159,6 @@ fn dropped_requests_are_counted_under_faults() {
     // The same counter surfaces on overlay snapshots.
     let snap = veil_core::metrics::snapshot(&sim);
     assert_eq!(snap.dropped_requests, dropped);
-}
-
-#[test]
-fn epidemic_feed_survives_a_blackout() {
-    use veil_core::broadcast::{BroadcastConfig, EpidemicSession};
-    let params = tiny_params(8);
-    let trust = build_trust_graph(&params).unwrap();
-    let mut sim = build_simulation(trust, &params, 1.0).unwrap();
-    sim.run_until(params.warmup);
-    let mut feed = EpidemicSession::new(BroadcastConfig::default(), 8);
-    // Blackout half the community, publish from a survivor mid-outage.
-    let half: Vec<usize> = (0..sim.node_count() / 2).collect();
-    sim.inject_blackout(&half, 10.0);
-    let survivor = (0..sim.node_count())
-        .find(|&v| sim.is_online(v))
-        .expect("someone survives");
-    let msg = feed.publish(&sim, survivor).unwrap();
-    let horizon = sim.now().as_f64() + 30.0;
-    feed.advance(&mut sim, horizon);
-    assert!(
-        feed.delivery_ratio(msg) > 0.9,
-        "store-and-forward coverage after blackout: {}",
-        feed.delivery_ratio(msg)
-    );
 }
 
 #[test]

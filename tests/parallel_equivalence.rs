@@ -7,9 +7,10 @@
 //! Runs 3 seeds × 2 scaled-down parameter sets across
 //! `parallelism ∈ {Some(1), Some(4), None}`.
 
+use veil_core::dissemination::flood_current_overlay;
 use veil_core::experiment::{
-    availability_point, build_trust_graph, collector_series, degree_distributions, message_load,
-    steady_state_broadcast, sweep, ExperimentParams,
+    availability_point, build_simulation, build_trust_graph, collector_series,
+    degree_distributions, message_load, sweep, ExperimentParams,
 };
 use veil_graph::Graph;
 
@@ -176,11 +177,18 @@ fn message_load_is_parallelism_invariant() {
 }
 
 #[test]
-fn steady_state_broadcast_is_parallelism_invariant() {
+fn steady_state_flood_is_parallelism_invariant() {
     for_each_config(|params, trust| {
-        assert_equivalent("steady_state_broadcast", params, |p| {
+        assert_equivalent("steady_state_flood", params, |p| {
             sweep(&ALPHAS, p.overlay.parallelism, |&alpha| {
-                steady_state_broadcast(trust, p, alpha)
+                let mut sim = build_simulation(trust.clone(), p, alpha)?;
+                sim.run_until(p.warmup);
+                let online = sim.online_mask();
+                let source = (0..online.len())
+                    .filter(|&v| online[v])
+                    .max_by_key(|&v| trust.degree(v))
+                    .expect("someone online at steady state");
+                Ok(flood_current_overlay(&sim, source))
             })
             .expect("report")
         });
@@ -193,7 +201,6 @@ fn sharded_executor_is_shard_count_invariant() {
     // has lookahead), every shard count — including one — produces
     // byte-identical results. 3 seeds × shards {1, 2, 8}.
     use veil_core::config::LinkLayerConfig;
-    use veil_core::experiment::build_simulation;
     use veil_core::metrics::snapshot;
     use veil_sim::fault::FaultConfig;
     for seed in SEEDS {
