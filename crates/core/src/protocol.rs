@@ -175,14 +175,41 @@ pub struct Request {
 
 /// Initiator-side state of an in-flight exchange, kept until the response
 /// arrives or the retry budget runs out.
+///
+/// It holds the offer as handles, not as a copy: a retransmission is
+/// rebuilt as `own` followed by the arena's copy of each sent handle. The
+/// arena is append-only, so that is the first transmission's offer even
+/// after the cache evicted those entries or the node renewed its own
+/// pseudonym.
 #[derive(Debug)]
 struct PendingExchange {
-    /// The current transmission (retransmitted verbatim, `attempt` aside).
-    request: Request,
+    exchange: u64,
+    /// The current transmission attempt.
+    attempt: u32,
+    dest: u32,
+    trusted_link: bool,
     /// The pseudonym behind the chosen link, evicted if the exchange
     /// fails; `None` for trusted links (never evicted).
     target_pseudonym: Option<PseudonymId>,
+    /// The own pseudonym the offer led with, if any.
+    own: Option<Pseudonym>,
+    /// The cache entries the offer carried after `own`, in order.
     sent_from_cache: Vec<PseudonymHandle>,
+}
+
+impl PendingExchange {
+    /// The transmission numbered `self.attempt`, its offer rebuilt from
+    /// `arena` (the arena the offer was built from).
+    fn request(&self, arena: &PseudonymArena) -> Request {
+        let picks = self.sent_from_cache.iter().map(|&h| arena.get(h));
+        Request {
+            exchange: self.exchange,
+            attempt: self.attempt,
+            dest: self.dest,
+            trusted_link: self.trusted_link,
+            offer: self.own.into_iter().chain(picks).collect(),
+        }
+    }
 }
 
 /// What a response did to the exchange it answers.
@@ -227,15 +254,12 @@ pub struct Exchanges {
 
 impl Exchanges {
     /// Approximate heap footprint in bytes: the table plus what each
-    /// pending exchange owns (its request's offer and its just-sent handles).
+    /// pending exchange owns (its just-sent handles).
     pub fn approx_heap_bytes(&self) -> usize {
         let owned: usize = self
             .pending
             .values()
-            .map(|p| {
-                p.request.offer.capacity() * std::mem::size_of::<Pseudonym>()
-                    + p.sent_from_cache.capacity() * std::mem::size_of::<PseudonymHandle>()
-            })
+            .map(|p| p.sent_from_cache.capacity() * std::mem::size_of::<PseudonymHandle>())
             .sum();
         self.pending.capacity() * std::mem::size_of::<(u64, PendingExchange)>() + owned
     }
@@ -261,12 +285,19 @@ impl Exchanges {
             offer: offer.entries,
         };
         node.exchange_seq += 1;
+        // The offer leads with the own pseudonym exactly when it carries
+        // one more entry than the cache picks.
+        let own = (request.offer.len() > offer.sent_from_cache.len()).then(|| request.offer[0]);
         let pending = PendingExchange {
-            request: request.clone(),
+            exchange: request.exchange,
+            attempt: 0,
+            dest: request.dest,
+            trusted_link: request.trusted_link,
             target_pseudonym: match target {
                 LinkTarget::Pseudonym(p) => Some(p.id()),
                 LinkTarget::Trusted(_) => None,
             },
+            own,
             sent_from_cache: offer.sent_from_cache,
         };
         self.pending.insert(request.exchange, pending);
@@ -293,7 +324,8 @@ impl Exchanges {
 
     /// The timer guarding the current transmission of `exchange` fired at
     /// its initiator `node`: retry within `retry_budget`, then give up and
-    /// apply Cyclon-style recovery. `arena` is the node's domain arena.
+    /// apply Cyclon-style recovery. `arena` is the node's domain arena, the
+    /// one [`Exchanges::begin`] built the offer from.
     pub fn on_timeout(
         &mut self,
         exchange: u64,
@@ -304,12 +336,12 @@ impl Exchanges {
         let Entry::Occupied(mut entry) = self.pending.entry(exchange) else {
             return TimeoutOutcome::Stale;
         };
-        let request = &mut entry.get_mut().request;
-        let attempt = request.attempt;
+        let pending = entry.get_mut();
+        let attempt = pending.attempt;
         if attempt < retry_budget {
-            request.attempt += 1;
+            pending.attempt += 1;
             return TimeoutOutcome::Retry {
-                request: request.clone(),
+                request: pending.request(arena),
             };
         }
         let evict = entry.remove().target_pseudonym;
@@ -686,17 +718,72 @@ mod tests {
     }
 
     #[test]
+    fn a_retransmission_is_verbatim() {
+        // Between the first transmission and its retries the node's state
+        // moves on: the response to another exchange evicts every cache
+        // entry this offer carried, and the node renews its own pseudonym.
+        // Neither may leak into a retransmission.
+        let cfg = small_cfg();
+        let mut svc = PseudonymService::new(17);
+        let mut arena = PseudonymArena::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut node = node_with_pseudonym(0, &cfg, &mut svc, &mut rng);
+        for owner in 1..=cfg.cache_size as u32 {
+            let p = svc.mint(owner, SimTime::ZERO, None);
+            node.cache.insert(&mut arena, p, SimTime::ZERO);
+        }
+        let target = LinkTarget::Trusted(9);
+        let mut table = Exchanges::default();
+        let first = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
+        let own = node.own_pseudonym(SimTime::ZERO).unwrap();
+        assert_eq!(first.offer.len(), 4, "own + 3 cache entries");
+        assert_eq!(first.offer[0], own);
+        let sent = table.pending[&first.exchange].sent_from_cache.clone();
+        let fresh: Vec<Pseudonym> = (11..=13)
+            .map(|o| svc.mint(o, SimTime::ZERO, None))
+            .collect();
+        receive_offer(
+            &mut node,
+            &mut arena,
+            &fresh,
+            &sent,
+            SimTime::ZERO,
+            &mut rng,
+        );
+        for p in &first.offer[1..] {
+            assert!(!node.cache.contains(&arena, p.id()), "{} evicted", p.id());
+        }
+        let renewed = node.renew_pseudonym(&mut svc, SimTime::ZERO, cfg.pseudonym_lifetime);
+        assert_ne!(renewed, own);
+        for attempt in 1..=3 {
+            let expect = Request {
+                attempt,
+                ..first.clone()
+            };
+            assert_eq!(
+                table.on_timeout(first.exchange, &mut node, &arena, 3),
+                TimeoutOutcome::Retry { request: expect }
+            );
+        }
+    }
+
+    #[test]
     fn heap_bytes_count_what_a_pending_exchange_owns() {
         let (mut node, arena, target, mut rng) = initiator(vec![], 16);
         let mut table = Exchanges::default();
         assert_eq!(table.approx_heap_bytes(), 0);
         let req = table.begin(&mut node, &arena, target, 4, SimTime::ZERO, &mut rng);
-        // Own pseudonym plus the one cached peer, whose handle was sent
-        // from the cache.
+        // Own pseudonym plus the one cached peer; the pending entry keeps
+        // the own pseudonym inline and owns only the peer's handle.
         assert_eq!(req.offer.len(), 2);
         let entry = std::mem::size_of::<(u64, PendingExchange)>();
-        let owned = 2 * std::mem::size_of::<Pseudonym>() + std::mem::size_of::<PseudonymHandle>();
-        assert!(table.approx_heap_bytes() >= entry + owned);
+        let owned = table.pending[&req.exchange].sent_from_cache.capacity()
+            * std::mem::size_of::<PseudonymHandle>();
+        assert_eq!(owned, std::mem::size_of::<PseudonymHandle>());
+        assert_eq!(
+            table.approx_heap_bytes(),
+            table.pending.capacity() * entry + owned
+        );
         table.abandon(req.exchange);
         assert_eq!(
             table.approx_heap_bytes(),

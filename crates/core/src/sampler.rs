@@ -40,7 +40,9 @@
 //! sampler, not by [`Sampler::new`]: while no slot has an occupant no slot
 //! has state, so sorting the one column permutes nothing else, and building
 //! an overlay (one sampler per node, most of them idle for a while) pays
-//! nothing for it.
+//! nothing for it. The same step allocates the other three slot columns
+//! (28 B per slot), so a sampler that was never offered anything holds its
+//! references only.
 //!
 //! Sorting renumbers the slots relative to the order their references were
 //! drawn in, and nothing can tell. A slot's state depends only on its own
@@ -95,7 +97,8 @@ pub struct Sampler {
     /// Fixed per-slot reference values, drawn once at start-up; in
     /// ascending order whenever a slot is occupied.
     refs: Vec<u128>,
-    /// Arena handle of each slot's current pseudonym (`EMPTY` = vacant).
+    /// Arena handle of each slot's current pseudonym (`EMPTY` = vacant);
+    /// empty, like the two columns below, until the first offer.
     slot_entry: Vec<PseudonymHandle>,
     /// Distance of each slot's pseudonym to the slot's reference
     /// (`u128::MAX` while vacant, so every offer is at least as close).
@@ -136,17 +139,17 @@ impl Sampler {
         Self::with_refs(refs, metric, minwise)
     }
 
-    /// An empty sampler over the given reference values.
+    /// An empty sampler over the given reference values. The slot columns
+    /// stay unallocated until the first offer ([`Sampler::open_slots`]).
     fn with_refs(refs: Vec<u128>, metric: DistanceMetric, minwise: bool) -> Self {
-        let slot_count = refs.len();
         Self {
             metric,
             minwise,
             refs,
-            slot_entry: vec![EMPTY; slot_count],
-            slot_dist: vec![u128::MAX; slot_count],
+            slot_entry: Vec::new(),
+            slot_dist: Vec::new(),
             max_dist: u128::MAX,
-            slot_expires: vec![0.0; slot_count],
+            slot_expires: Vec::new(),
             link_ids: Vec::new(),
             link_handles: Vec::new(),
             link_counts: Vec::new(),
@@ -235,6 +238,18 @@ impl Sampler {
         }
     }
 
+    /// Allocates the slot columns, every slot vacant, unless they already
+    /// are. Until then the sampler reads as all-vacant: the sweeps walk
+    /// empty columns and `empty_slots` counts every slot.
+    fn open_slots(&mut self) {
+        if self.slot_entry.is_empty() {
+            let slots = self.refs.len();
+            self.slot_entry = vec![EMPTY; slots];
+            self.slot_dist = vec![u128::MAX; slots];
+            self.slot_expires = vec![0.0; slots];
+        }
+    }
+
     /// Empties slot `idx`, which must be occupied.
     fn clear_slot(&mut self, idx: usize) {
         let h = std::mem::replace(&mut self.slot_entry[idx], EMPTY);
@@ -299,6 +314,7 @@ impl Sampler {
             if self.contains(p.id()) {
                 return false;
             }
+            self.open_slots();
             let idx = self.next_ring % self.refs.len();
             self.next_ring = self.next_ring.wrapping_add(1);
             let h = arena.intern(p);
@@ -309,8 +325,9 @@ impl Sampler {
             // Every slot is vacant, so the reference column is the only one
             // with anything in it: the moment to put it in order (the first
             // offer, or — already sorted — the first after losing every
-            // link).
+            // link), and to allocate the other columns.
             self.refs.sort_unstable();
+            self.open_slots();
         }
         let p_bits = p.bits();
         let p_expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
@@ -374,7 +391,7 @@ impl Sampler {
 
     /// Number of currently empty slots.
     pub fn empty_slots(&self) -> usize {
-        self.slot_entry.iter().filter(|&&h| h == EMPTY).count()
+        self.slot_count() - self.slot_entry.iter().filter(|&&h| h != EMPTY).count()
     }
 
     /// Evicts the pseudonym with this id from every slot it occupies —
@@ -441,6 +458,8 @@ mod tests {
         assert_eq!(s.link_count(), 0);
         assert_eq!(s.empty_slots(), 4);
         assert!(s.links_iter(&arena).next().is_none());
+        // Only the references are allocated before the first offer.
+        assert_eq!(s.approx_heap_bytes(), 4 * std::mem::size_of::<u128>());
     }
 
     #[test]
@@ -660,6 +679,7 @@ mod tests {
         if !p.is_valid(now) || s.refs.is_empty() {
             return false;
         }
+        s.open_slots();
         let mut handle = arena.lookup(p.id());
         let p_expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
         let mut changed = false;
@@ -765,14 +785,19 @@ mod tests {
                             valid && metric == DistanceMetric::Xor && narrow && inside < slots;
                         for idx in 0..slots {
                             let d = distance(p.bits(), old.refs[idx], metric);
-                            if old.slot_entry[idx] == EMPTY {
-                                seen.offer_at_maximal_distance |= valid && d == u128::MAX;
-                            } else {
-                                let held = arena_old.get(old.slot_entry[idx]);
-                                seen.tie_inside_a_narrow_window |= valid
-                                    && narrow
-                                    && held.id() != p.id()
-                                    && d == old.slot_dist[idx];
+                            // A fresh sampler has no slot columns yet: all
+                            // of its slots are vacant.
+                            match old.slot_entry.get(idx) {
+                                None | Some(&EMPTY) => {
+                                    seen.offer_at_maximal_distance |= valid && d == u128::MAX;
+                                }
+                                Some(&h) => {
+                                    let held = arena_old.get(h);
+                                    seen.tie_inside_a_narrow_window |= valid
+                                        && narrow
+                                        && held.id() != p.id()
+                                        && d == old.slot_dist[idx];
+                                }
                             }
                         }
                         let changed = new.offer(&mut arena_new, p, now);
@@ -782,7 +807,8 @@ mod tests {
                 }
                 assert_eq!(new.slot_entry, old.slot_entry);
                 assert_eq!(new.slot_dist, old.slot_dist);
-                assert_eq!(new.max_dist, *new.slot_dist.iter().max().unwrap());
+                let max = new.slot_dist.iter().max().copied();
+                assert_eq!(new.max_dist, max.unwrap_or(u128::MAX));
                 assert_eq!(new.link_ids, old.link_ids);
                 assert_eq!(new.link_handles, old.link_handles);
                 assert_eq!(new.link_counts, old.link_counts);

@@ -79,6 +79,19 @@ pub(crate) enum Event {
     EpisodeStart(u32),
 }
 
+impl Event {
+    /// Heap bytes a queued event owns: a delivery's box and its offer.
+    pub(crate) fn delivery_heap_bytes(&self) -> usize {
+        match self {
+            Event::DeliverRequest(d) | Event::DeliverResponse(d) => {
+                std::mem::size_of::<Delivery>()
+                    + d.offer.capacity() * std::mem::size_of::<crate::pseudonym::Pseudonym>()
+            }
+            _ => 0,
+        }
+    }
+}
+
 /// An in-flight shuffle message of the windowed executor.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Delivery {

@@ -113,11 +113,17 @@ impl Shard {
     }
 
     /// Approximate heap footprint of this shard's runtime state in bytes:
-    /// the event queue, pending exchanges, the pseudonym arena and the
-    /// barrier buffers. Per-node protocol state is accounted by the cells.
+    /// the event queue and the deliveries queued in it or in the outbox,
+    /// pending exchanges, the pseudonym arena and the barrier buffers.
+    /// Per-node protocol state is accounted by the cells.
     pub(crate) fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
+        let queued = self
+            .engine
+            .events()
+            .chain(self.outbox.iter().map(|m| &m.event));
         self.engine.approx_heap_bytes()
+            + queued.map(Event::delivery_heap_bytes).sum::<usize>()
             + self.exchanges.approx_heap_bytes()
             + self.arena.approx_heap_bytes()
             + self.outbox.capacity() * size_of::<OutMsg>()

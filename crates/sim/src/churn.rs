@@ -7,7 +7,7 @@
 //! offline time `Toff`, fixes `Toff` (30 shuffle periods by default) and
 //! tunes `Ton` to reach a target *availability* `α = Ton / (Ton + Toff)`.
 
-use crate::dist::{DistKind, DurationDist};
+use crate::dist::{Dist, DistKind, DurationDist};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -150,8 +150,8 @@ impl ChurnConfig {
 /// assert_eq!(p.state(), before.flipped());
 /// ```
 pub struct ChurnProcess {
-    online_dist: Option<Box<dyn DurationDist + Send + Sync>>,
-    offline_dist: Box<dyn DurationDist + Send + Sync>,
+    online_dist: Option<Dist>,
+    offline_dist: Dist,
     state: NodeState,
     transitions: u64,
 }

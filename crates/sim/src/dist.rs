@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// A distribution over non-negative durations (in shuffle periods).
 ///
-/// This trait is object-safe so churn configurations can hold heterogeneous
-/// distributions behind `Box<dyn DurationDist>` if needed.
+/// A churn process holds one of the three families by value as a [`Dist`].
 pub trait DurationDist {
     /// Draws one duration.
     fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
@@ -131,11 +130,41 @@ pub enum DistKind {
 
 impl DistKind {
     /// Instantiates the distribution with the given mean.
-    pub fn build(self, mean: f64) -> Box<dyn DurationDist + Send + Sync> {
+    pub fn build(self, mean: f64) -> Dist {
         match self {
-            DistKind::Exponential => Box::new(Exponential::new(mean)),
-            DistKind::Pareto { shape } => Box::new(Pareto::with_mean(shape, mean)),
-            DistKind::Fixed => Box::new(Fixed(mean)),
+            DistKind::Exponential => Dist::Exponential(Exponential::new(mean)),
+            DistKind::Pareto { shape } => Dist::Pareto(Pareto::with_mean(shape, mean)),
+            DistKind::Fixed => Dist::Fixed(Fixed(mean)),
+        }
+    }
+}
+
+/// One distribution of any family, held by value: what a churn process
+/// keeps per node, without an allocation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Dist {
+    /// See [`Exponential`].
+    Exponential(Exponential),
+    /// See [`Pareto`].
+    Pareto(Pareto),
+    /// See [`Fixed`].
+    Fixed(Fixed),
+}
+
+impl DurationDist for Dist {
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+        match self {
+            Dist::Exponential(d) => d.sample(rng),
+            Dist::Pareto(d) => d.sample(rng),
+            Dist::Fixed(d) => d.sample(rng),
+        }
+    }
+
+    fn mean(&self) -> f64 {
+        match self {
+            Dist::Exponential(d) => d.mean(),
+            Dist::Pareto(d) => d.mean(),
+            Dist::Fixed(d) => d.mean(),
         }
     }
 }

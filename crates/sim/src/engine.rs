@@ -128,6 +128,12 @@ impl<E> Engine<E> {
         self.heap.capacity() * std::mem::size_of::<Scheduled<E>>()
     }
 
+    /// The queued events, in no particular order (for accounting what they
+    /// own; the queue is unchanged).
+    pub fn events(&self) -> impl Iterator<Item = &E> {
+        self.heap.iter().map(|s| &s.event)
+    }
+
     /// Schedules `event` at absolute time `time`.
     ///
     /// Among events sharing the same `time`, delivery order is insertion
