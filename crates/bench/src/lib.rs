@@ -185,16 +185,21 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// benchmark-specific payload under `"report"`. Keeping the envelope in
 /// one place keeps the `BENCH_*.json` files mutually comparable.
 pub fn write_bench_json<T: Serialize>(name: &str, scale: usize, payload: &T) {
-    let doc = serde::Content::Map(vec![
-        ("bench".to_string(), serde::Content::Str(name.to_string())),
-        ("scale".to_string(), serde::Content::U64(scale as u64)),
-        (
-            "available_cores".to_string(),
-            serde::Content::U64(veil_par::effective_parallelism(None) as u64),
-        ),
-        ("report".to_string(), payload.to_content()),
-    ]);
-    write_json(&format!("BENCH_{name}"), &doc);
+    struct Envelope<'a, T>(&'a str, usize, &'a T);
+    impl<T: Serialize> Serialize for Envelope<'_, T> {
+        fn write_json(&self, out: &mut String) {
+            let Envelope(bench, scale, report) = self;
+            out.push_str("{\"bench\":");
+            bench.write_json(out);
+            let cores = veil_par::effective_parallelism(None);
+            out.push_str(&format!(
+                ",\"scale\":{scale},\"available_cores\":{cores},\"report\":"
+            ));
+            report.write_json(out);
+            out.push('}');
+        }
+    }
+    write_json(&format!("BENCH_{name}"), &Envelope(name, scale, payload));
 }
 
 /// Reads `flag` from the command line: `None` when it is absent, otherwise
@@ -318,5 +323,41 @@ mod tests {
     #[test]
     fn f3_formats() {
         assert_eq!(f3(1.23456), "1.235");
+    }
+
+    /// Every committed pretty JSON file is, byte for byte, what the pretty
+    /// printer writes for the value it parses to (a trailing newline
+    /// aside), so its key order, number text and layout are this
+    /// printer's. `BENCH_net_rtt.json` is indented by one space: this
+    /// printer never wrote it.
+    #[test]
+    fn committed_pretty_files_are_what_the_printer_writes() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in [
+            "benchmarks/baseline/BENCH_faults.json",
+            "benchmarks/baseline/BENCH_jsonl.json",
+            "benchmarks/baseline/BENCH_obs.json",
+            "benchmarks/baseline/BENCH_recovery.json",
+            "benchmarks/baseline/BENCH_scale.json",
+            "benchmarks/baseline/ci_trace_report.json",
+            "benchmarks/veil-benchmark/baseline/e2e.json",
+            "benchmarks/veil-benchmark/baseline/layers.json",
+        ] {
+            let text =
+                std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let value: serde_json::Value =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let pretty = serde_json::to_string_pretty(&value).unwrap();
+            let text = text.strip_suffix('\n').unwrap_or(&text);
+            if let Some((i, (want, got))) = text
+                .lines()
+                .zip(pretty.lines())
+                .enumerate()
+                .find(|(_, (want, got))| want != got)
+            {
+                panic!("{file} line {}: committed {want:?}, printed {got:?}", i + 1);
+            }
+            assert_eq!(text, pretty, "{file}");
+        }
     }
 }

@@ -671,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn events_jsonl_writes_every_kind_as_its_tree_renders() {
+    fn events_jsonl_writes_every_kind_as_a_line_that_reads_back() {
         let rec = crate::Recorder::full();
         let kinds = every_kind();
         for (i, kind) in kinds.iter().enumerate() {
@@ -681,12 +681,20 @@ mod tests {
         }
         let jsonl = rec.events_jsonl();
         let mut lines = jsonl.lines();
-        assert_eq!(lines.next(), Some(trace_header().as_str()));
+        let mut decoder = TraceDecoder::default();
+        let header = lines.next().unwrap();
+        assert_eq!(header, trace_header());
+        assert_eq!(decoder.decode(header), Ok(None));
         let events = rec.events();
         assert_eq!(events.len(), kinds.len());
-        for ev in &events {
-            let tree = serde_json::to_string(&ev.to_content()).unwrap();
-            assert_eq!(lines.next(), Some(tree.as_str()), "{}", ev.kind.name());
+        // Each line is the text its parsed value writes, and it decodes to
+        // the event it was written from.
+        for ev in events {
+            let line = lines.next().unwrap();
+            let value: serde_json::Value = serde_json::from_str(line).unwrap();
+            assert_eq!(serde_json::to_string(&value).unwrap(), line);
+            let name = ev.kind.name();
+            assert_eq!(decoder.decode(line), Ok(Some(ev)), "{name}");
         }
         assert_eq!(lines.next(), None);
     }

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use veil_core::config::{LinkLayerConfig, RemedyConfig};
 use veil_core::experiment::{build_simulation, build_trust_graph, ExperimentParams};
 use veil_core::metrics::snapshot;
-use veil_obs::{EventKind, Recorder, TraceEvent};
+use veil_obs::{EventKind, Recorder, TraceDecoder, TraceEvent};
 use veil_sim::fault::{EpisodeEffect, FaultConfig, FaultEpisode, LatencyDist};
 
 fn params(seed: u64, parallelism: Option<usize>) -> ExperimentParams {
@@ -418,10 +418,10 @@ fn sharded_raw_traces_repeat_byte_for_byte() {
 }
 
 #[test]
-fn a_healing_lossy_trace_is_written_as_each_event_renders_through_its_tree() {
-    // `events_jsonl` writes every event straight into one buffer, never
-    // through the tree an event converts to; that tree's rendering is the
-    // reference, line by line.
+fn a_healing_lossy_trace_writes_lines_that_read_back_as_its_events() {
+    // `events_jsonl` writes every event straight into one buffer. Each line
+    // must be the text its own parsed value writes, and must decode to the
+    // event it was written from.
     let recorder = Recorder::full();
     lossy_run(7, 2, true, recorder.clone());
     let events = recorder.events();
@@ -436,10 +436,15 @@ fn a_healing_lossy_trace_is_written_as_each_event_renders_through_its_tree() {
     }
     let jsonl = recorder.events_jsonl();
     let mut lines = jsonl.lines();
-    assert_eq!(lines.next(), Some(veil_obs::trace_header().as_str()));
-    for (i, ev) in events.iter().enumerate() {
-        let tree = serde_json::to_string(&serde::Serialize::to_content(ev)).unwrap();
-        assert_eq!(lines.next(), Some(tree.as_str()), "event {i}");
+    let mut decoder = TraceDecoder::default();
+    let header = lines.next().unwrap();
+    assert_eq!(header, veil_obs::trace_header());
+    assert_eq!(decoder.decode(header), Ok(None));
+    for (i, ev) in events.into_iter().enumerate() {
+        let line = lines.next().unwrap();
+        let value: serde_json::Value = serde_json::from_str(line).unwrap();
+        assert_eq!(serde_json::to_string(&value).unwrap(), line, "event {i}");
+        assert_eq!(decoder.decode(line), Ok(Some(ev)), "event {i}");
     }
     assert_eq!(lines.next(), None);
 }
