@@ -177,13 +177,13 @@ pub fn run(args: &Args) -> CmdResult {
     // changes results, only wall-clock time. `--parallelism` is worker
     // threads (0/unset: VEIL_PARALLELISM, else all cores); `--shards S`
     // spreads the windowed executor over S shards whenever the link puts
-    // messages in flight (0/unset: VEIL_SHARDS, else one).
+    // messages in flight (0/unset: one).
     params.overlay.parallelism = match args.get_or::<usize>("parallelism", 0, "integer")? {
         0 => veil_par::env_parallelism(),
         k => Some(k),
     };
     params.overlay.shards = match args.get_or::<usize>("shards", 0, "integer")? {
-        0 => veil_par::env_shards(),
+        0 => None,
         s => Some(s),
     };
     // A report flag, so the DSL does not hold it and the check stays here.

@@ -57,9 +57,9 @@ COMMANDS:
                                          identical for every K
                      [--shards S]        shards (threads) of the windowed
                                          executor on every link with
-                                         --loss or --mean-latency > 0 (or
-                                         VEIL_SHARDS; default 1); results
-                                         are identical for every S
+                                         --loss or --mean-latency > 0
+                                         (default 1); results are
+                                         identical for every S
                      [--graph M]         source model: holme-kim (default)
                                          or degree-matched (paper trust-
                                          sample densities)

@@ -46,24 +46,6 @@ pub fn env_parallelism() -> Option<usize> {
     }
 }
 
-/// Reads the `VEIL_SHARDS` environment knob: how many shards the windowed
-/// simulation executor partitions the nodes into.
-///
-/// `0` or unset → `None` (one shard); `s > 0` → `Some(s)`. Like
-/// `VEIL_PARALLELISM` this is a layout knob that never changes results:
-/// the link regime alone decides which executor runs, and the windowed
-/// one is identical for every `s`.
-#[must_use]
-pub fn env_shards() -> Option<usize> {
-    match std::env::var("VEIL_SHARDS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) | Err(_) => None,
-            Ok(s) => Some(s),
-        },
-        Err(_) => None,
-    }
-}
-
 /// Computes `f(0), f(1), …, f(n - 1)` and returns the results in index
 /// order, distributing the calls over up to `effective_parallelism`
 /// scoped threads.

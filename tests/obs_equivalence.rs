@@ -165,57 +165,6 @@ fn traced_run_exports_load_cleanly() {
     );
 }
 
-#[test]
-fn sharded_traces_are_shard_count_invariant() {
-    // The barrier records every event in canonical order, so the raw
-    // trace — capture metadata included — is byte-identical for every
-    // shard count. Health alerts feed off the same stream and must agree
-    // too — and so must the remediation engine's reactions when
-    // self-healing is on, since its decisions are made against
-    // barrier-time state that every shard layout reconstructs identically.
-    let run = |seed: u64, shards: usize, healing: bool| {
-        let mut p = params(seed, Some(1));
-        p.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
-        p.overlay.health.enabled = true;
-        if healing {
-            p.overlay.remedy = RemedyConfig { enabled: true };
-        }
-        p.overlay.shards = Some(shards);
-        let trust = build_trust_graph(&p).expect("trust graph");
-        let recorder = Recorder::full();
-        let mut sim = build_simulation(trust, &p, 0.5).expect("simulation");
-        assert!(sim.is_sharded(), "fault model must engage the executor");
-        sim.set_recorder(recorder.clone());
-        sim.run_until(40.0);
-        (
-            recorder.events_jsonl(),
-            sim.health_alerts().expect("monitor is on"),
-            sim.remedy_counts(),
-            serde_json::to_string(&snapshot(&sim)).expect("snapshot serializes"),
-        )
-    };
-    for healing in [false, true] {
-        for seed in [3, 11, 19] {
-            let reference = run(seed, 1, healing);
-            if healing {
-                let counts = reference.2.as_ref().expect("self-healing is on");
-                assert!(
-                    counts.total() > 0,
-                    "healing-on reference run must actually react (seed {seed})"
-                );
-            }
-            for shards in [2, 8] {
-                let got = run(seed, shards, healing);
-                assert!(
-                    got == reference,
-                    "trace/alerts/reactions/snapshot diverged \
-                     (seed {seed}, shards {shards}, healing {healing})"
-                );
-            }
-        }
-    }
-}
-
 /// The raw trace of a lossy run whose ties a canonical order must break
 /// without looking at shards, stepped by `step` periods when given.
 ///
@@ -393,27 +342,6 @@ fn flight_recorder_honors_its_capacity() {
             all[all.len() - retained.len()..],
             "{name}: flight recorder must retain the suffix of the full trace"
         );
-    }
-}
-
-#[test]
-fn sharded_raw_traces_repeat_byte_for_byte() {
-    // The barrier records every window's events in one order fixed by
-    // the run, so the raw trace — capture metadata included — repeats
-    // exactly, however the worker threads were scheduled.
-    for shards in [2, 8] {
-        let trace = || {
-            let recorder = Recorder::full();
-            lossy_run(7, shards, true, recorder.clone());
-            recorder.events_jsonl()
-        };
-        let first = trace();
-        for rep in 1..5 {
-            assert!(
-                trace() == first,
-                "raw trace differs on repetition {rep} (shards {shards})"
-            );
-        }
     }
 }
 

@@ -196,37 +196,6 @@ fn steady_state_flood_is_parallelism_invariant() {
 }
 
 #[test]
-fn sharded_executor_is_shard_count_invariant() {
-    // The sharded executor's contract: with a fault model active (the run
-    // has lookahead), every shard count — including one — produces
-    // byte-identical results. 3 seeds × shards {1, 2, 8}.
-    use veil_core::config::LinkLayerConfig;
-    use veil_core::metrics::snapshot;
-    use veil_sim::fault::FaultConfig;
-    for seed in SEEDS {
-        let mut base = parameter_sets(seed).remove(0);
-        base.overlay.link = LinkLayerConfig::Faulty(FaultConfig::with_loss(0.2));
-        let trust = build_trust_graph(&base).expect("trust graph");
-        let run = |shards: usize| {
-            let mut p = base.clone();
-            p.overlay.shards = Some(shards);
-            let mut sim = build_simulation(trust.clone(), &p, 0.5).expect("simulation");
-            assert!(sim.is_sharded(), "fault model must engage the executor");
-            sim.run_until(40.0);
-            serde_json::to_string(&snapshot(&sim)).expect("snapshot serializes")
-        };
-        let reference = run(1);
-        for shards in [2, 8] {
-            assert_eq!(
-                run(shards),
-                reference,
-                "shards={shards} diverged from shards=1 (seed {seed})"
-            );
-        }
-    }
-}
-
-#[test]
 fn shards_knob_survives_serde_round_trip() {
     for shards in [None, Some(1), Some(8)] {
         let mut p = parameter_sets(7).remove(0);

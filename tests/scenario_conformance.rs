@@ -2,13 +2,12 @@
 //!
 //! Every committed scenario must parse, validate, lower onto a config
 //! that `OverlayConfig::validate` accepts, round-trip through canonical
-//! TOML, and run *deterministically*: identical outcomes and traces on
-//! repeat, identical results whatever the shard count (unset included), and
-//! byte-identical campaign reports whether the sweep ran serially or in
-//! parallel. For `blackout_recovery` — which mirrors a config that can be
-//! written by hand — the lowered parameters and the whole run (snapshot,
-//! trace, health alerts) are pinned byte-for-byte against the hand-built
-//! equivalent at every shard count tested.
+//! TOML, and write byte-identical campaign reports whether the sweep ran
+//! serially or in parallel. For `blackout_recovery` — which mirrors a
+//! config that can be written by hand — the lowered parameters and the
+//! whole run (snapshot, trace, health alerts) are pinned byte-for-byte
+//! against the hand-built equivalent. That a run repeats, and is the same
+//! at every shard count, is the cell table's check (`tests/cells.rs`).
 
 use std::path::{Path, PathBuf};
 use veil_core::config::{HealthConfig, LinkLayerConfig, OverlayConfig};
@@ -78,67 +77,6 @@ fn every_committed_scenario_round_trips_through_canonical_toml() {
 /// need (the CLI injects the same function).
 fn eval() -> Option<&'static veil_core::scenario::AttackEval> {
     Some(&veil_privacy::evaluate_attack)
-}
-
-#[test]
-fn every_committed_scenario_runs_deterministically() {
-    for (path, s) in library() {
-        let a = run_scenario_with(&s, RunOverrides::default(), eval())
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let b = run_scenario_with(&s, RunOverrides::default(), eval()).unwrap();
-        assert_eq!(
-            a.outcome,
-            b.outcome,
-            "{}: outcome not reproducible",
-            path.display()
-        );
-        assert_eq!(
-            a.trace_jsonl,
-            b.trace_jsonl,
-            "{}: trace not reproducible",
-            path.display()
-        );
-    }
-}
-
-#[test]
-fn sharded_runs_are_shard_count_invariant() {
-    // `shards` is a layout knob: unset (the `-` column of a campaign
-    // report), one or eight, every committed scenario — lossy, latent or
-    // ideal — must produce the S = 1 run bit-for-bit.
-    for (path, s) in library() {
-        for seed in [s.seed, s.seed + 1] {
-            let run = |shards: Option<usize>| {
-                run_scenario_with(
-                    &s,
-                    RunOverrides {
-                        seed: Some(seed),
-                        shards,
-                    },
-                    eval(),
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-            };
-            let one = run(Some(1));
-            for shards in [None, Some(8)] {
-                let got = run(shards);
-                assert_eq!(
-                    one.trace_jsonl,
-                    got.trace_jsonl,
-                    "{} seed {seed}: shards {shards:?} changed the trace",
-                    path.display()
-                );
-                let mut outcome = got.outcome.clone();
-                outcome.shards = one.outcome.shards; // the only allowed difference
-                assert_eq!(
-                    one.outcome,
-                    outcome,
-                    "{} seed {seed}: shards {shards:?} changed the outcome",
-                    path.display()
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -223,38 +161,28 @@ fn blackout_recovery_lowers_to_the_hand_built_config() {
 fn blackout_recovery_run_is_byte_identical_to_hand_built_run() {
     let path = library_dir().join("blackout_recovery.toml");
     let (s, _) = parse_scenario_path(&path).unwrap();
-    for shards in [None, Some(1), Some(8)] {
-        // Hand-built path: what an experimenter writes by hand.
-        let mut params = hand_built_blackout_recovery();
-        params.overlay.shards = shards;
-        let trust = build_trust_graph(&params).unwrap();
-        let recorder = Recorder::full();
-        let mut sim = build_simulation(trust, &params, 0.9).unwrap();
-        sim.set_recorder(recorder.clone());
-        sim.run_until(80.0);
-        let hand_snapshot = veil_core::metrics::snapshot(&sim);
-        // The raw trace is the byte-identity contract: the executor
-        // records in one canonical order, whatever the shard count.
-        let hand_trace = recorder.events_jsonl();
-        let hand_report = veil_obs::analyze_trace(&hand_trace).unwrap();
+    // Hand-built path: what an experimenter writes by hand.
+    let params = hand_built_blackout_recovery();
+    let trust = build_trust_graph(&params).unwrap();
+    let recorder = Recorder::full();
+    let mut sim = build_simulation(trust, &params, 0.9).unwrap();
+    sim.set_recorder(recorder.clone());
+    sim.run_until(80.0);
+    let hand_snapshot = veil_core::metrics::snapshot(&sim);
+    // The raw trace is the byte-identity contract.
+    let hand_trace = recorder.events_jsonl();
+    let hand_report = veil_obs::analyze_trace(&hand_trace).unwrap();
 
-        // Scenario path.
-        let run = run_scenario_with(&s, RunOverrides { seed: None, shards }, eval()).unwrap();
+    // Scenario path.
+    let run = run_scenario_with(&s, RunOverrides::default(), eval()).unwrap();
 
-        assert_eq!(
-            run.outcome.snapshot, hand_snapshot,
-            "shards {shards:?}: snapshots differ"
-        );
-        assert_eq!(
-            run.trace_jsonl, hand_trace,
-            "shards {shards:?}: traces differ"
-        );
-        let scenario_report = veil_obs::analyze_trace(&run.trace_jsonl).unwrap();
-        assert_eq!(
-            scenario_report.alerts, hand_report.alerts,
-            "shards {shards:?}: health alerts differ"
-        );
-    }
+    assert_eq!(run.outcome.snapshot, hand_snapshot, "snapshots differ");
+    assert_eq!(run.trace_jsonl, hand_trace, "traces differ");
+    let scenario_report = veil_obs::analyze_trace(&run.trace_jsonl).unwrap();
+    assert_eq!(
+        scenario_report.alerts, hand_report.alerts,
+        "health alerts differ"
+    );
 }
 
 #[test]
@@ -269,39 +197,37 @@ fn the_trace_a_run_writes_replays_to_the_report_it_was_graded_from() {
     let (s, _) = parse_scenario_path(&heal).unwrap_or_else(|e| panic!("{}: {e}", heal.display()));
     cases.push((heal, s));
     for (path, s) in cases {
-        for shards in [None, Some(2)] {
-            let at = format!("{} shards {shards:?}", path.display());
-            let run = run_scenario_with(&s, RunOverrides { seed: None, shards }, eval())
-                .unwrap_or_else(|e| panic!("{at}: {e}"));
-            let from_text = veil_obs::analyze_trace(&run.trace_jsonl).unwrap();
-            assert_eq!(
-                veil_obs::validate_events_jsonl(&run.trace_jsonl),
-                Ok(from_text.events as usize),
-                "{at}"
-            );
-            // The canonical events, back from the lines they were written
-            // to: position is `seq`, so file order is replay order.
-            let events: Vec<veil_obs::TraceEvent> = run
-                .trace_jsonl
-                .lines()
-                .skip(1)
-                .map(|line| serde_json::from_str(line).unwrap())
-                .collect();
-            assert!(
-                (events.iter().enumerate()).all(|(i, e)| (e.tid, e.seq) == (0, i as u64)),
-                "{at}: trace is not in canonical form"
-            );
-            assert_eq!(veil_obs::analyze_events(events).unwrap(), from_text, "{at}");
+        let at = path.display();
+        let run = run_scenario_with(&s, RunOverrides::default(), eval())
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let from_text = veil_obs::analyze_trace(&run.trace_jsonl).unwrap();
+        assert_eq!(
+            veil_obs::validate_events_jsonl(&run.trace_jsonl),
+            Ok(from_text.events as usize),
+            "{at}"
+        );
+        // The canonical events, back from the lines they were written
+        // to: position is `seq`, so file order is replay order.
+        let events: Vec<veil_obs::TraceEvent> = run
+            .trace_jsonl
+            .lines()
+            .skip(1)
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        assert!(
+            (events.iter().enumerate()).all(|(i, e)| (e.tid, e.seq) == (0, i as u64)),
+            "{at}: trace is not in canonical form"
+        );
+        assert_eq!(veil_obs::analyze_events(events).unwrap(), from_text, "{at}");
 
-            let o = &run.outcome;
-            let critical = from_text.alerts.iter().filter(|a| a.severity == "critical");
-            assert_eq!(o.alerts_total, from_text.alerts.len() as u64, "{at}");
-            assert_eq!(o.critical_alerts, critical.count() as u64, "{at}");
-            assert_eq!(o.shuffle_success_rate, from_text.shuffle_success_rate);
-            assert_eq!(o.reaction_counts, from_text.reaction_counts, "{at}");
-            for a in &from_text.alerts {
-                assert!(o.detectors.contains(&a.detector), "{at}: {}", a.detector);
-            }
+        let o = &run.outcome;
+        let critical = from_text.alerts.iter().filter(|a| a.severity == "critical");
+        assert_eq!(o.alerts_total, from_text.alerts.len() as u64, "{at}");
+        assert_eq!(o.critical_alerts, critical.count() as u64, "{at}");
+        assert_eq!(o.shuffle_success_rate, from_text.shuffle_success_rate);
+        assert_eq!(o.reaction_counts, from_text.reaction_counts, "{at}");
+        for a in &from_text.alerts {
+            assert!(o.detectors.contains(&a.detector), "{at}: {}", a.detector);
         }
     }
 }
