@@ -339,6 +339,7 @@ mod tests {
             "benchmarks/baseline/BENCH_obs.json",
             "benchmarks/baseline/BENCH_recovery.json",
             "benchmarks/baseline/BENCH_scale.json",
+            "benchmarks/baseline/BENCH_work.json",
             "benchmarks/baseline/ci_trace_report.json",
             "benchmarks/veil-benchmark/baseline/e2e.json",
             "benchmarks/veil-benchmark/baseline/layers.json",

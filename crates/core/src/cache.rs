@@ -12,18 +12,26 @@
 //! The cache is flat and arena-backed: `entries` holds 4-byte
 //! [`PseudonymHandle`]s into the executor's shared [`PseudonymArena`]
 //! instead of 48-byte [`Pseudonym`] values, with the expiry time mirrored
-//! inline (`expires`, `f64::INFINITY` = never) so the per-shuffle expiry
-//! sweep scans one contiguous array instead of gathering from an arena that
-//! grows with simulated time. The arena gives one handle per instance id,
-//! so the handle is the entry's identity and membership is a scan of at
-//! most `capacity` `u32`s. That is 12 bytes per entry, grown by doubling
-//! but never past `capacity`, and nothing else: no index, no scratch.
+//! inline (`expires`, `f64::INFINITY` = never) so the expiry sweep scans
+//! one contiguous array instead of gathering from an arena that grows with
+//! simulated time. The arena gives one handle per instance id, so the
+//! handle is the entry's identity and membership is a scan of at most
+//! `capacity` `u32`s. That is 12 bytes per entry, grown by doubling but
+//! never past `capacity`, plus one inline watermark, `next_expiry`: no
+//! later than the soonest expiry in the cache, so a sweep with nothing due
+//! returns after one compare.
 //!
-//! [`Cache::absorb`], which would otherwise scan `entries` once per
+//! Selecting and absorbing work in handles. The ideal link's exchange
+//! calls the handle forms (`select_offer_into`, `absorb_handles`) with
+//! buffers its driver owns and reuses, so they allocate nothing;
+//! [`Cache::select_offer`] and [`Cache::absorb`] are the value forms for
+//! callers that hold [`Pseudonym`]s, and wrap the same code.
+//!
+//! `absorb_handles`, which would otherwise scan `entries` once per
 //! received pseudonym and twice per eviction, scans it once per call
 //! instead: a single pass resolves every handle the call can ask about (the
-//! received ones and the just-sent ones) into a call-local `PosTable`,
-//! kept in step with the call's own removals and pushes.
+//! received ones and the just-sent ones) into a `PosTable`, kept in step
+//! with the call's own removals and pushes.
 
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
 use rand::Rng;
@@ -55,6 +63,9 @@ pub struct Cache {
     entries: Vec<PseudonymHandle>,
     /// Expiry instant per entry, parallel to `entries`; `INFINITY` = never.
     expires: Vec<f64>,
+    /// No later than the soonest entry of `expires`: every insert lowers
+    /// it, every full sweep recomputes it, and a removal leaves it alone.
+    next_expiry: f64,
 }
 
 /// Position marker of a [`PosTable`] slot no key has claimed.
@@ -65,29 +76,41 @@ const ABSENT: u32 = u32::MAX - 1;
 /// Sixteen filter bits per slot at the paper's ℓ = 40 (79 keys, 256 slots).
 const FILTER_BITS: usize = 4096;
 
-/// The handle → position table of one [`Cache::absorb`] call: open
-/// addressing with linear probing over a fixed key set (registered up
+/// The handle → position table of one [`Cache::absorb_handles`] call:
+/// open addressing with linear probing over a fixed key set (registered up
 /// front, never removed), at most half full. Only the positions change
 /// while the call runs, so a slot index stays valid for the whole call.
+/// Its storage outlives the call, so a caller that keeps the table reuses
+/// it.
 ///
 /// Most handles the call looks up are not keys (the cache's other
 /// entries), so a one-hash bit filter answers those before the probe loop
 /// and its unpredictable branches are reached.
-struct PosTable {
+#[derive(Debug, Clone)]
+pub(crate) struct PosTable {
     slots: Vec<(PseudonymHandle, u32)>,
     shift: u32,
     filter: [u64; FILTER_BITS / 64],
 }
 
-impl PosTable {
-    /// An empty table with room for `keys` distinct handles.
-    fn for_keys(keys: usize) -> Self {
-        let len = (2 * keys).next_power_of_two().max(2);
+impl Default for PosTable {
+    fn default() -> Self {
         Self {
-            slots: vec![(0, VACANT); len],
-            shift: u64::BITS - len.trailing_zeros(),
+            slots: Vec::new(),
+            shift: 0,
             filter: [0; FILTER_BITS / 64],
         }
+    }
+}
+
+impl PosTable {
+    /// Empties the table, with room for `keys` distinct handles.
+    fn reset(&mut self, keys: usize) {
+        let len = (2 * keys).next_power_of_two().max(2);
+        self.slots.clear();
+        self.slots.resize(len, (0, VACANT));
+        self.shift = u64::BITS - len.trailing_zeros();
+        self.filter = [0; FILTER_BITS / 64];
     }
 
     /// Handles are dense arena indices: multiplicative hashing spreads
@@ -151,6 +174,7 @@ impl Cache {
             capacity,
             entries: Vec::new(),
             expires: Vec::new(),
+            next_expiry: f64::INFINITY,
         }
     }
 
@@ -206,25 +230,34 @@ impl Cache {
     }
 
     /// Drops every pseudonym that has expired by `now`; returns how many.
+    /// Before the soonest expiry this is one compare.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
+        let t = now.as_f64();
+        // Expiry is exclusive (`now < expires` is valid), matching
+        // `Pseudonym::is_valid`.
+        if t < self.next_expiry {
+            return 0;
+        }
         let mut removed = 0;
         let mut pos = 0;
-        let t = now.as_f64();
+        let mut next = f64::INFINITY;
         while pos < self.entries.len() {
-            // Expiry is exclusive (`now < expires` is valid), matching
-            // `Pseudonym::is_valid`.
-            if t >= self.expires[pos] {
+            let e = self.expires[pos];
+            if t >= e {
                 self.remove_at(pos);
                 removed += 1;
             } else {
+                next = next.min(e);
                 pos += 1;
             }
         }
+        self.next_expiry = next;
         removed
     }
 
-    /// Appends an entry; the columns grow by doubling, never past `capacity`.
-    fn push_entry(&mut self, h: PseudonymHandle, p: &Pseudonym) {
+    /// Appends an entry of pseudonym `p`; the columns grow by doubling,
+    /// never past `capacity`.
+    fn push_entry(&mut self, h: PseudonymHandle, p: Pseudonym) {
         debug_assert!(!self.entries.contains(&h), "handle already cached");
         let len = self.entries.len();
         if len == self.entries.capacity() {
@@ -232,9 +265,10 @@ impl Cache {
             self.entries.reserve_exact(grow);
             self.expires.reserve_exact(grow);
         }
+        let expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
         self.entries.push(h);
-        self.expires
-            .push(p.expires().map_or(f64::INFINITY, |e| e.as_f64()));
+        self.expires.push(expires);
+        self.next_expiry = self.next_expiry.min(expires);
     }
 
     /// Inserts a single pseudonym if it is valid and not already present.
@@ -245,36 +279,54 @@ impl Cache {
         if !p.is_valid(now) || self.contains(arena, p.id()) || self.entries.len() >= self.capacity {
             return false;
         }
-        self.push_entry(arena.intern(p), &p);
+        self.push_entry(arena.intern(p), p);
         true
     }
 
     /// Selects up to `count` distinct cached pseudonyms uniformly at random
     /// — the node's offer in a shuffle (its own pseudonym is appended by the
     /// protocol, not stored here) — and returns their handles in `arena`.
-    ///
-    /// A forward partial Fisher–Yates: position `i` of the result is drawn
-    /// from the entries not yet taken, so every ordered `count`-subset is
-    /// equally likely and the randomness consumed is exactly
-    /// `min(count, len)` bounded draws — nothing for an empty cache or a
-    /// zero `count`.
+    /// The value form of `select_offer_into`; the result's capacity is its
+    /// length.
     pub fn select_offer<R: Rng + ?Sized>(
         &self,
         arena: &PseudonymArena,
         count: usize,
         rng: &mut R,
     ) -> Vec<PseudonymHandle> {
+        debug_assert!(
+            self.entries.len() <= arena.len(),
+            "entries are distinct handles of arena"
+        );
+        let mut picks = Vec::new();
+        self.select_offer_into(count, rng, &mut Vec::new(), &mut picks);
+        picks
+    }
+
+    /// [`Cache::select_offer`] into `picks` (appended, after reserving
+    /// exactly what they need), with `perm` as the permutation's storage.
+    ///
+    /// A forward partial Fisher–Yates: position `i` of the result is drawn
+    /// from the entries not yet taken, so every ordered `count`-subset is
+    /// equally likely and the randomness consumed is exactly
+    /// `min(count, len)` bounded draws — nothing for an empty cache or a
+    /// zero `count`.
+    pub(crate) fn select_offer_into<R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &mut R,
+        perm: &mut Vec<u32>,
+        picks: &mut Vec<PseudonymHandle>,
+    ) {
         let n = self.entries.len();
         let take = count.min(n);
-        let mut picks: Vec<u32> = (0..n as u32).collect();
+        perm.clear();
+        perm.extend(0..n as u32);
         for i in 0..take {
-            picks.swap(i, rng.gen_range(i..n));
+            perm.swap(i, rng.gen_range(i..n));
         }
-        debug_assert!(n <= arena.len(), "entries are distinct handles of arena");
-        picks[..take]
-            .iter()
-            .map(|&i| self.entries[i as usize])
-            .collect()
+        picks.reserve_exact(take);
+        picks.extend(perm[..take].iter().map(|&i| self.entries[i as usize]));
     }
 
     /// Absorbs the peer's offer: inserts every valid, novel pseudonym,
@@ -285,6 +337,10 @@ impl Cache {
     /// `own` is the receiving node's current pseudonym id, which is never
     /// cached ("with the exception of its own pseudonym, if present").
     /// Returns the number of newly inserted entries.
+    ///
+    /// The value form of `absorb_handles`: it interns the valid, non-own
+    /// received pseudonyms in received order — each ends up cached,
+    /// inserted or already there — and absorbs their handles.
     pub fn absorb<R: Rng + ?Sized>(
         &mut self,
         arena: &mut PseudonymArena,
@@ -294,20 +350,32 @@ impl Cache {
         now: SimTime,
         rng: &mut R,
     ) -> usize {
-        self.purge_expired(now);
-        // Every valid, non-own received pseudonym ends up cached (inserted
-        // below or already there), so interning them up front in received
-        // order hands out the handles that interning on insertion would.
-        // One pass over the handle column then answers every membership and
-        // position question the loop below can ask.
-        let mut table = PosTable::for_keys(received.len() + just_sent.len());
-        let incoming: Vec<(PseudonymHandle, &Pseudonym)> = received
+        let incoming: Vec<PseudonymHandle> = received
             .iter()
             .filter(|p| Some(p.id()) != own && p.is_valid(now))
-            .map(|p| (arena.intern(*p), p))
-            .inspect(|&(h, _)| table.register(h))
+            .map(|&p| arena.intern(p))
             .collect();
-        for &h in just_sent {
+        let mut table = PosTable::default();
+        self.absorb_handles(arena, &incoming, just_sent, now, rng, &mut table)
+    }
+
+    /// [`Cache::absorb`] of pseudonyms `arena` already holds. Every handle
+    /// in `incoming` must be valid at `now` and not the receiving node's
+    /// own pseudonym; `table` is storage, reused across calls.
+    pub(crate) fn absorb_handles<R: Rng + ?Sized>(
+        &mut self,
+        arena: &PseudonymArena,
+        incoming: &[PseudonymHandle],
+        just_sent: &[PseudonymHandle],
+        now: SimTime,
+        rng: &mut R,
+        table: &mut PosTable,
+    ) -> usize {
+        self.purge_expired(now);
+        // One pass over the handle column answers every membership and
+        // position question the loop below can ask.
+        table.reset(incoming.len() + just_sent.len());
+        for &h in incoming.iter().chain(just_sent) {
             table.register(h);
         }
         for (pos, &h) in self.entries.iter().enumerate() {
@@ -317,7 +385,7 @@ impl Cache {
         // Just-sent handles not yet tried as victims: `just_sent[..unsent]`,
         // taken from the back.
         let mut unsent = just_sent.len();
-        for &(h, p) in &incoming {
+        for &h in incoming {
             let slot = table.probe(h);
             if table.slots[slot].1 != ABSENT {
                 continue;
@@ -344,7 +412,7 @@ impl Cache {
                 }
             }
             table.slots[slot].1 = self.entries.len() as u32;
-            self.push_entry(h, p);
+            self.push_entry(h, arena.get(h));
             inserted += 1;
         }
         inserted
@@ -612,6 +680,97 @@ mod tests {
         }
     }
 
+    #[test]
+    fn columns_grow_by_doubling_from_four_up_to_capacity() {
+        // Capacity after k inserts: 4, 8, 16, … and never past `capacity`
+        // (for capacity 10: 4, 8, 10), read through the heap accounting.
+        for capacity in [1, 3, 4, 10, 400] {
+            let (mut svc, mut arena, _) = setup();
+            let mut cache = Cache::new(capacity);
+            for (k, p) in (1..).zip(mint_n(&mut svc, capacity, None)) {
+                assert!(cache.insert(&mut arena, p, SimTime::ZERO));
+                let columns = (k as usize).next_power_of_two().max(4).min(capacity);
+                assert_eq!(
+                    cache.approx_heap_bytes(),
+                    12 * columns,
+                    "capacity {capacity}, {k} inserts"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_entry_due_before_the_watermark_is_purged_on_time() {
+        // The watermark sits at 50 after the first purge; an entry due at 5
+        // must lower it, whether it comes in by `insert` or by `absorb`.
+        for by_absorb in [false, true] {
+            let (mut svc, mut arena, mut rng) = setup();
+            let mut cache = Cache::new(4);
+            let late = svc.mint(1, SimTime::ZERO, Some(50.0));
+            cache.insert(&mut arena, late, SimTime::ZERO);
+            assert_eq!(cache.purge_expired(SimTime::new(1.0)), 0);
+            let soon = svc.mint(2, SimTime::ZERO, Some(5.0));
+            if by_absorb {
+                cache.absorb(&mut arena, &[soon], &[], None, SimTime::new(2.0), &mut rng);
+            } else {
+                cache.insert(&mut arena, soon, SimTime::new(2.0));
+            }
+            assert_eq!(cache.purge_expired(SimTime::new(4.0)), 0);
+            assert_eq!(cache.purge_expired(SimTime::new(5.0)), 1);
+            assert!(!cache.contains(&arena, soon.id()));
+            assert!(cache.contains(&arena, late.id()));
+        }
+    }
+
+    #[test]
+    fn purge_matches_a_watermark_free_scan_on_random_ops() {
+        // `scan` has its watermark knocked down before every operation, so
+        // each of its purges (its own and `absorb`'s) scans every entry.
+        for seed in 0..200u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let mut svc = PseudonymService::new(seed);
+            let pool: Vec<Pseudonym> = (0..24)
+                .map(|i| {
+                    let born = SimTime::new(gen.gen_range(0.0..20.0));
+                    let lifetime =
+                        [None, Some(2.0), Some(5.0), Some(9.0)][gen.gen_range(0..4usize)];
+                    svc.mint(i, born, lifetime)
+                })
+                .collect();
+            let capacity = [1usize, 3, 8, 16][gen.gen_range(0..4usize)];
+            let (mut gated, mut scan) = (Cache::new(capacity), Cache::new(capacity));
+            let mut arena = PseudonymArena::new();
+            let mut rng_gated = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let mut rng_scan = rng_gated.clone();
+            let mut now = SimTime::ZERO;
+            for _ in 0..60 {
+                scan.next_expiry = f64::NEG_INFINITY;
+                let p = pool[gen.gen_range(0..pool.len())];
+                match gen.gen_range(0..6) {
+                    0 => assert_eq!(
+                        gated.insert(&mut arena, p, now),
+                        scan.insert(&mut arena, p, now)
+                    ),
+                    1 => assert_eq!(gated.remove(&arena, p.id()), scan.remove(&arena, p.id())),
+                    2 => assert_eq!(gated.purge_expired(now), scan.purge_expired(now)),
+                    3 => now += gen.gen_range(0.0..3.0),
+                    _ => {
+                        let received: Vec<Pseudonym> = (0..gen.gen_range(0..6))
+                            .map(|_| pool[gen.gen_range(0..pool.len())])
+                            .collect();
+                        assert_eq!(
+                            gated.absorb(&mut arena, &received, &[], None, now, &mut rng_gated),
+                            scan.absorb(&mut arena, &received, &[], None, now, &mut rng_scan)
+                        );
+                    }
+                }
+                assert_eq!(gated.entries, scan.entries);
+                assert_eq!(gated.expires, scan.expires);
+                assert!(gated.expires.iter().all(|&e| gated.next_expiry <= e));
+            }
+        }
+    }
+
     /// `absorb` as it was before the one-pass rewrite — a membership scan
     /// per received pseudonym, a position scan per just-sent victim, and
     /// each pseudonym interned only when it is inserted — kept as the
@@ -644,7 +803,7 @@ mod tests {
                 };
                 cache.remove_at(victim);
             }
-            cache.push_entry(arena.intern(p), &p);
+            cache.push_entry(arena.intern(p), p);
             inserted += 1;
         }
         inserted

@@ -8,9 +8,7 @@
 //!
 //! The functions here are pure protocol logic over [`Node`] state; the
 //! event-driven orchestration (timers, churn, delivery) lives in
-//! [`crate::simulation`]. Offers carry full [`Pseudonym`] values (that is
-//! what crosses the wire); the receiving side interns them into its
-//! executor's [`PseudonymArena`].
+//! [`crate::simulation`].
 //!
 //! Two exchanges are built from the offer primitives: [`execute_shuffle`],
 //! the paper's synchronous exchange over an ideal zero-latency link, and
@@ -21,11 +19,24 @@
 //! response, timeout), and reports each as a plain value; its drivers (the
 //! windowed simulator's shards, veil-net's socket runtime) only decide
 //! message fates, schedule timers and record what happened.
+//!
+//! Each primitive has one implementation over arena handles. An ideal
+//! exchange never leaves its arena, so [`execute_shuffle`] works in
+//! handles from end to end: the sender interns its own pseudonym once, when
+//! it builds its offer (the cache picks already are handles); the receiver
+//! filters, absorbs and samples those handles, and interns nothing. Every
+//! buffer it needs lives in a [`ShuffleScratch`] its driver owns and
+//! reuses, so it allocates nothing. The exchange core's messages carry
+//! [`Pseudonym`] values (they may cross a shard or a wire), through
+//! [`build_offer`] and [`receive_offer`], the value forms: a receiver
+//! interns what it received, then runs the handle form.
 
+use crate::cache::PosTable;
 use crate::node::{LinkTarget, Node};
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
 use rand::Rng;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use veil_sim::SimTime;
 
 /// The pseudonym set one side contributes to a shuffle.
@@ -39,19 +50,30 @@ pub struct Offer {
     pub sent_from_cache: Vec<PseudonymHandle>,
 }
 
-/// Builds a node's offer: its own pseudonym (when valid) plus up to
-/// `shuffle_length − 1` random cache entries.
+/// The buffers of [`execute_shuffle`], owned by its driver and reused
+/// across exchanges so that an exchange allocates nothing.
+#[derive(Debug, Default)]
+pub struct ShuffleScratch {
+    /// The initiator's offer as handles: its own pseudonym (if it leads
+    /// with one), then its cache picks — the just-sent list.
+    request: Vec<PseudonymHandle>,
+    /// The responder's offer, laid out the same way.
+    response: Vec<PseudonymHandle>,
+    /// `Cache::select_offer_into`'s permutation.
+    perm: Vec<u32>,
+    /// The received handles a receiver acts on.
+    incoming: Vec<PseudonymHandle>,
+    /// `Cache::absorb_handles`'s position table.
+    table: PosTable,
+}
+
+/// The own pseudonym a node's offer leads with, if any, and how many cache
+/// entries may follow it.
 ///
 /// Expired cache entries are purged first so they are never gossiped. A
 /// contribution-throttled node ([`Node::throttle_contribution`]) withholds
 /// its own pseudonym and fills the whole budget from its cache instead.
-pub fn build_offer<R: Rng + ?Sized>(
-    node: &mut Node,
-    arena: &PseudonymArena,
-    shuffle_length: usize,
-    now: SimTime,
-    rng: &mut R,
-) -> Offer {
+fn offer_head(node: &mut Node, shuffle_length: usize, now: SimTime) -> (Option<Pseudonym>, usize) {
     node.cache.purge_expired(now);
     let own = if node.contribution_throttled(now) {
         None
@@ -59,6 +81,20 @@ pub fn build_offer<R: Rng + ?Sized>(
         node.own_pseudonym(now)
     };
     let budget = shuffle_length.saturating_sub(usize::from(own.is_some()));
+    (own, budget)
+}
+
+/// Builds a node's offer: its own pseudonym (when valid) plus up to
+/// `shuffle_length − 1` random cache entries. The value form of the offer
+/// [`execute_shuffle`] builds in handles.
+pub fn build_offer<R: Rng + ?Sized>(
+    node: &mut Node,
+    arena: &PseudonymArena,
+    shuffle_length: usize,
+    now: SimTime,
+    rng: &mut R,
+) -> Offer {
+    let (own, budget) = offer_head(node, shuffle_length, now);
     let sent_from_cache = node.cache.select_offer(arena, budget, rng);
     let picks = sent_from_cache.iter().map(|&h| arena.get(h));
     let entries = own.into_iter().chain(picks).collect();
@@ -68,11 +104,33 @@ pub fn build_offer<R: Rng + ?Sized>(
     }
 }
 
+/// [`build_offer`] into `offer` as handles, interning the own pseudonym;
+/// returns how many entries lead the cache picks (0 or 1).
+fn build_offer_handles<R: Rng + ?Sized>(
+    node: &mut Node,
+    arena: &mut PseudonymArena,
+    shuffle_length: usize,
+    now: SimTime,
+    rng: &mut R,
+    perm: &mut Vec<u32>,
+    offer: &mut Vec<PseudonymHandle>,
+) -> usize {
+    let (own, budget) = offer_head(node, shuffle_length, now);
+    offer.clear();
+    offer.extend(own.map(|p| arena.intern(p)));
+    node.cache.select_offer_into(budget, rng, perm, offer);
+    usize::from(own.is_some())
+}
+
 /// Applies a received offer to a node: absorbs the entries into the cache
 /// (evicting just-sent entries first) and offers every received pseudonym —
 /// whether cached or not — to the sampler.
 ///
 /// Returns the number of pseudonyms that changed the node's sampler.
+///
+/// The value form of the ideal exchange's receive step. Only the admitted
+/// pseudonyms are interned, in received order; the rest would change
+/// neither the cache nor the sampler.
 pub fn receive_offer<R: Rng + ?Sized>(
     node: &mut Node,
     arena: &mut PseudonymArena,
@@ -81,19 +139,46 @@ pub fn receive_offer<R: Rng + ?Sized>(
     now: SimTime,
     rng: &mut R,
 ) -> usize {
-    let own_id = node.own_pseudonym(now).map(|p| p.id());
+    let admit = admission(node, now);
+    let incoming: Vec<PseudonymHandle> = received
+        .iter()
+        .filter(|&&p| admit(p))
+        .map(|&p| arena.intern(p))
+        .collect();
+    let table = &mut PosTable::default();
+    receive_handles(node, arena, &incoming, just_sent, now, rng, table)
+}
+
+/// Which received pseudonyms a node acts on at `now`: the valid ones other
+/// than its current own pseudonym.
+fn admission(node: &Node, now: SimTime) -> impl Fn(Pseudonym) -> bool {
+    let own = node.own_pseudonym(now).map(|p| p.id());
+    move |p| Some(p.id()) != own && p.is_valid(now)
+}
+
+/// [`receive_offer`] of the admitted entries of an offer, as handles of
+/// `arena`, with `table` as the cache's position table.
+fn receive_handles<R: Rng + ?Sized>(
+    node: &mut Node,
+    arena: &PseudonymArena,
+    incoming: &[PseudonymHandle],
+    just_sent: &[PseudonymHandle],
+    now: SimTime,
+    rng: &mut R,
+    table: &mut PosTable,
+) -> usize {
     node.cache
-        .absorb(arena, received, just_sent, own_id, now, rng);
+        .absorb_handles(arena, incoming, just_sent, now, rng, table);
     node.sampler.purge_expired(now);
     let mut sampled = 0;
-    for &p in received {
+    for &h in incoming {
         // A node recognizes every pseudonym it minted itself — including
         // previous, still-valid instances — and never self-links. This is
         // legitimate local knowledge, not an identity leak.
-        if p.owner() == node.id {
+        if arena.get(h).owner() == node.id {
             continue;
         }
-        if node.sampler.offer(arena, p, now) {
+        if node.sampler.offer_handle(arena, h, now) {
             sampled += 1;
         }
     }
@@ -107,7 +192,8 @@ pub fn receive_offer<R: Rng + ?Sized>(
 /// offer, and both sides apply what they received. The caller must have
 /// verified that both nodes are online. Both nodes must live in the same
 /// shard (they share `arena`), which is why the executor gives the
-/// zero-latency link one shard.
+/// zero-latency link one shard. The offers stay handles of `arena`
+/// throughout, and every buffer is `scratch`'s.
 pub fn execute_shuffle<R: Rng + ?Sized>(
     initiator: &mut Node,
     responder: &mut Node,
@@ -115,25 +201,27 @@ pub fn execute_shuffle<R: Rng + ?Sized>(
     shuffle_length: usize,
     now: SimTime,
     rng: &mut R,
+    scratch: &mut ShuffleScratch,
 ) {
-    let request = build_offer(initiator, arena, shuffle_length, now, rng);
-    let response = build_offer(responder, arena, shuffle_length, now, rng);
-    receive_offer(
-        responder,
-        arena,
-        &request.entries,
-        &response.sent_from_cache,
-        now,
-        rng,
-    );
-    receive_offer(
-        initiator,
-        arena,
-        &response.entries,
-        &request.sent_from_cache,
-        now,
-        rng,
-    );
+    let ShuffleScratch {
+        request,
+        response,
+        perm,
+        incoming,
+        table,
+    } = scratch;
+    let ell = shuffle_length;
+    let request_own = build_offer_handles(initiator, arena, ell, now, rng, perm, request);
+    let response_own = build_offer_handles(responder, arena, ell, now, rng, perm, response);
+    for (node, offer, sent) in [
+        (&mut *responder, &request[..], &response[response_own..]),
+        (&mut *initiator, &response[..], &request[request_own..]),
+    ] {
+        let admit = admission(node, now);
+        incoming.clear();
+        incoming.extend(offer.iter().copied().filter(|&h| admit(arena.get(h))));
+        receive_handles(node, arena, incoming, sent, now, rng, table);
+    }
     initiator.stats.requests_sent += 1;
     responder.stats.responses_sent += 1;
 }
@@ -246,10 +334,12 @@ pub enum TimeoutOutcome {
 
 /// The in-flight exchanges of one driver's initiators, keyed by exchange
 /// id. Only ever accessed by key, so the map's iteration order can never
-/// leak into results.
+/// leak into results. The keys are the driver's own exchange ids, hashed
+/// with fixed keys, so the table's growth — and the work a run does — is
+/// the same on every run.
 #[derive(Debug, Default)]
 pub struct Exchanges {
-    pending: HashMap<u64, PendingExchange>,
+    pending: HashMap<u64, PendingExchange, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl Exchanges {
@@ -575,6 +665,7 @@ mod tests {
             cfg.shuffle_length,
             SimTime::ZERO,
             &mut rng,
+            &mut ShuffleScratch::default(),
         );
         assert!(a.cache.contains(&arena, pb.id()), "a learned b's pseudonym");
         assert!(b.cache.contains(&arena, pa.id()), "b learned a's pseudonym");
@@ -583,6 +674,90 @@ mod tests {
         assert_eq!(a.stats.requests_sent, 1);
         assert_eq!(b.stats.responses_sent, 1);
         assert_eq!(a.stats.responses_sent, 0);
+    }
+
+    /// What a run of shuffles leaves behind that anything can observe:
+    /// cache ids in entry order, sampler links, counters, the RNG's next
+    /// draw and the set of interned ids.
+    type Observed = (
+        Vec<Vec<PseudonymId>>,
+        Vec<Vec<PseudonymId>>,
+        Vec<u64>,
+        u64,
+        Vec<PseudonymId>,
+    );
+
+    /// Six shuffles between two nodes whose caches hold third parties,
+    /// some of them expiring, each other's current and earlier own
+    /// pseudonyms, with renewals and a throttle along the way — through
+    /// `execute_shuffle` (handles, one scratch) or through the value forms
+    /// in the order it calls them.
+    fn shuffle_run(seed: u64, handles: bool) -> Observed {
+        let cfg = small_cfg();
+        let mut svc = PseudonymService::new(seed);
+        let mut arena = PseudonymArena::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = node_with_pseudonym(0, &cfg, &mut svc, &mut rng);
+        let mut b = node_with_pseudonym(1, &cfg, &mut svc, &mut rng);
+        for owner in 2..2 + rng.gen_range(0..12usize) as u32 {
+            let lifetime = [None, Some(3.0), Some(7.0)][rng.gen_range(0..3usize)];
+            let p = svc.mint(owner, SimTime::ZERO, lifetime);
+            let node = if rng.gen_bool(0.5) { &mut a } else { &mut b };
+            node.cache.insert(&mut arena, p, SimTime::ZERO);
+        }
+        let b_own = b.own_pseudonym(SimTime::ZERO).unwrap();
+        a.cache.insert(&mut arena, b_own, SimTime::ZERO);
+        if rng.gen_bool(0.3) {
+            a.throttle_contribution(SimTime::new(4.0));
+        }
+        let mut scratch = ShuffleScratch::default();
+        for round in 0..6 {
+            let now = SimTime::new(f64::from(round) * 1.5);
+            if round == 2 {
+                // b's first instance, still valid and cached at a, is no
+                // longer its own: b caches it but never samples it.
+                b.renew_pseudonym(&mut svc, now, cfg.pseudonym_lifetime);
+            }
+            let ell = cfg.shuffle_length;
+            if handles {
+                execute_shuffle(&mut a, &mut b, &mut arena, ell, now, &mut rng, &mut scratch);
+            } else {
+                let request = build_offer(&mut a, &arena, ell, now, &mut rng);
+                let response = build_offer(&mut b, &arena, ell, now, &mut rng);
+                let sent = &response.sent_from_cache;
+                receive_offer(&mut b, &mut arena, &request.entries, sent, now, &mut rng);
+                let sent = &request.sent_from_cache;
+                receive_offer(&mut a, &mut arena, &response.entries, sent, now, &mut rng);
+            }
+        }
+        let nodes = [&a, &b];
+        let mut interned: Vec<_> = (0..arena.len() as u32).map(|h| arena.get(h).id()).collect();
+        interned.sort_unstable();
+        (
+            nodes
+                .map(|n| n.cache.iter(&arena).map(|p| p.id()).collect())
+                .to_vec(),
+            nodes
+                .map(|n| n.sampler.links_iter(&arena).map(|p| p.id()).collect())
+                .to_vec(),
+            nodes
+                .iter()
+                .flat_map(|n| [n.sampler.additions(), n.sampler.removals()])
+                .collect(),
+            rng.gen(),
+            interned,
+        )
+    }
+
+    #[test]
+    fn the_ideal_exchange_equals_its_value_forms() {
+        for seed in 0..100 {
+            assert_eq!(
+                shuffle_run(seed, true),
+                shuffle_run(seed, false),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -597,6 +772,7 @@ mod tests {
         let third = svc.mint(2, SimTime::ZERO, None);
         a.cache.insert(&mut arena, third, SimTime::ZERO);
         let mut learned = false;
+        let mut scratch = ShuffleScratch::default();
         for _ in 0..20 {
             execute_shuffle(
                 &mut a,
@@ -605,6 +781,7 @@ mod tests {
                 cfg.shuffle_length,
                 SimTime::ZERO,
                 &mut rng,
+                &mut scratch,
             );
             if b.cache.contains(&arena, third.id()) {
                 learned = true;

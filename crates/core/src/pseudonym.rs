@@ -118,10 +118,11 @@ pub type PseudonymHandle = u32;
 /// globally unique per instance (an owner plus its mint count), so equal
 /// ids always denote byte-identical pseudonyms and deduplication is exact.
 ///
-/// Each shard of the executor owns one arena (messages cross shard
-/// boundaries as full [`Pseudonym`] values and are re-interned on receipt,
-/// so no synchronization is ever needed). Entries are never removed;
-/// expiry is a property of the pseudonym, not of arena residency.
+/// Each shard of the executor owns one arena. An ideal exchange stays
+/// inside it and passes handles; a message in flight carries full
+/// [`Pseudonym`] values and is interned on receipt, so no synchronization
+/// is ever needed. Entries are never removed; expiry is a property of the
+/// pseudonym, not of arena residency.
 ///
 /// # Examples
 ///

@@ -56,6 +56,15 @@
 //!
 //! The link set (distinct sampled pseudonyms) is a sorted parallel triple
 //! of vectors, which makes [`Sampler::links_iter`] a pre-sorted resolve.
+//!
+//! One inline watermark, `next_expiry`, is no later than the soonest
+//! occupant's expiry, so [`Sampler::purge_expired`] with nothing due
+//! returns after one compare.
+//!
+//! Offers come in two forms over one implementation: [`Sampler::offer`]
+//! takes a [`Pseudonym`] and interns it only if a slot keeps it;
+//! `offer_handle` takes a handle the arena already holds, which is how the
+//! ideal link's exchange offers what it received.
 
 use crate::config::DistanceMetric;
 use crate::pseudonym::{Pseudonym, PseudonymArena, PseudonymHandle, PseudonymId};
@@ -109,6 +118,10 @@ pub struct Sampler {
     /// Expiry of each slot's pseudonym (`INFINITY` = never), mirrored
     /// inline for the tie-break and the expiry sweep.
     slot_expires: Vec<f64>,
+    /// No later than the soonest expiry of an occupied slot: every
+    /// `set_slot` lowers it, every full sweep recomputes it, and clearing a
+    /// slot leaves it alone.
+    next_expiry: f64,
     /// The link set, sorted by instance id (parallel vectors): distinct
     /// sampled pseudonyms with their handle and slot-occupancy count.
     link_ids: Vec<PseudonymId>,
@@ -150,6 +163,7 @@ impl Sampler {
             slot_dist: Vec::new(),
             max_dist: u128::MAX,
             slot_expires: Vec::new(),
+            next_expiry: f64::INFINITY,
             link_ids: Vec::new(),
             link_handles: Vec::new(),
             link_counts: Vec::new(),
@@ -267,7 +281,9 @@ impl Sampler {
         self.slot_entry[idx] = h;
         self.slot_dist[idx] = distance(p.bits(), self.refs[idx], self.metric);
         self.max_dist = self.slot_dist.iter().copied().max().unwrap_or(u128::MAX);
-        self.slot_expires[idx] = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
+        let expires = p.expires().map_or(f64::INFINITY, |e| e.as_f64());
+        self.slot_expires[idx] = expires;
+        self.next_expiry = self.next_expiry.min(expires);
         self.retain_entry(id, h);
     }
 
@@ -306,6 +322,27 @@ impl Sampler {
     /// Expired pseudonyms are ignored. The caller (the protocol layer)
     /// filters out the node's own pseudonym.
     pub fn offer(&mut self, arena: &mut PseudonymArena, p: Pseudonym, now: SimTime) -> bool {
+        self.offer_with(p, now, || arena.intern(p))
+    }
+
+    /// [`Sampler::offer`] of the pseudonym behind `h`, a handle of `arena`.
+    pub(crate) fn offer_handle(
+        &mut self,
+        arena: &PseudonymArena,
+        h: PseudonymHandle,
+        now: SimTime,
+    ) -> bool {
+        self.offer_with(arena.get(h), now, || h)
+    }
+
+    /// The one implementation of both offer forms: `intern` yields `p`'s
+    /// handle, and is called at most once, when a slot first keeps `p`.
+    fn offer_with(
+        &mut self,
+        p: Pseudonym,
+        now: SimTime,
+        mut intern: impl FnMut() -> PseudonymHandle,
+    ) -> bool {
         if !p.is_valid(now) || self.refs.is_empty() {
             return false;
         }
@@ -317,7 +354,7 @@ impl Sampler {
             self.open_slots();
             let idx = self.next_ring % self.refs.len();
             self.next_ring = self.next_ring.wrapping_add(1);
-            let h = arena.intern(p);
+            let h = intern();
             self.set_slot(idx, h, p.id(), p);
             return true;
         }
@@ -364,7 +401,7 @@ impl Sampler {
             {
                 continue;
             }
-            let h = *handle.get_or_insert_with(|| arena.intern(p));
+            let h = *handle.get_or_insert_with(&mut intern);
             self.set_slot(idx, h, p.id(), p);
         }
         handle.is_some()
@@ -375,17 +412,28 @@ impl Sampler {
     /// and their corresponding slots become empty").
     ///
     /// Returns the number of distinct pseudonyms removed from the link set.
+    /// Before the soonest expiry this is one compare.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let before = self.removals;
         let t = now.as_f64();
+        // Expiry is exclusive (`now < expires` is valid), matching
+        // `Pseudonym::is_valid`.
+        if t < self.next_expiry {
+            return 0;
+        }
+        let before = self.removals;
+        let mut next = f64::INFINITY;
         for idx in 0..self.slot_entry.len() {
-            let h = self.slot_entry[idx];
-            // Expiry is exclusive (`now < expires` is valid), matching
-            // `Pseudonym::is_valid`.
-            if h != EMPTY && t >= self.slot_expires[idx] {
+            if self.slot_entry[idx] == EMPTY {
+                continue;
+            }
+            let e = self.slot_expires[idx];
+            if t >= e {
                 self.clear_slot(idx);
+            } else {
+                next = next.min(e);
             }
         }
+        self.next_expiry = next;
         (self.removals - before) as usize
     }
 
@@ -903,6 +951,70 @@ mod tests {
         assert_eq!(s.purge_expired(SimTime::new(4.999)), 0);
         // ...and gone exactly at it, matching `Pseudonym::is_valid`.
         assert_eq!(s.purge_expired(SimTime::new(5.0)), 1);
+    }
+
+    #[test]
+    fn an_occupant_due_before_the_watermark_is_purged_on_time() {
+        // The watermark sits at 50 after the first purge. Evicting that
+        // occupant leaves it there; the next occupant, due at 5, must lower
+        // it — under min-wise sampling and under the recency ablation.
+        for minwise in [true, false] {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut s = Sampler::new(1, DistanceMetric::Absolute, minwise, &mut rng);
+            let mut arena = PseudonymArena::new();
+            let late = Pseudonym::forged(1, 7, Some(50.0));
+            let soon = Pseudonym::forged(2, 7, Some(5.0));
+            assert!(s.offer(&mut arena, late, SimTime::ZERO));
+            assert_eq!(s.purge_expired(SimTime::new(1.0)), 0);
+            assert!(s.evict(late.id()));
+            assert!(s.offer(&mut arena, soon, SimTime::new(2.0)));
+            assert_eq!(s.purge_expired(SimTime::new(4.0)), 0);
+            assert_eq!(s.purge_expired(SimTime::new(5.0)), 1);
+            assert_eq!(s.empty_slots(), 1);
+        }
+    }
+
+    #[test]
+    fn purge_matches_a_watermark_free_scan_on_random_ops() {
+        // `scan` has its watermark knocked down before every operation, so
+        // each of its purges scans every slot.
+        for seed in 0..200u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let slots = [1usize, 2, 5, 12][gen.gen_range(0..4usize)];
+            let minwise = gen.gen_bool(0.8);
+            let mut gated = Sampler::new(slots, DistanceMetric::Absolute, minwise, &mut gen);
+            let mut scan = gated.clone();
+            let pool: Vec<Pseudonym> = (0..32)
+                .map(|i| {
+                    let born = gen.gen_range(0.0..20.0);
+                    let lifetime =
+                        [None, Some(2.0), Some(5.0), Some(9.0)][gen.gen_range(0..4usize)];
+                    Pseudonym::forged(i + 1, gen.gen(), lifetime.map(|l| born + l))
+                })
+                .collect();
+            let mut arena = PseudonymArena::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..80 {
+                scan.next_expiry = f64::NEG_INFINITY;
+                let p = pool[gen.gen_range(0..pool.len())];
+                match gen.gen_range(0..6) {
+                    0 => assert_eq!(gated.purge_expired(now), scan.purge_expired(now)),
+                    1 => assert_eq!(gated.evict(p.id()), scan.evict(p.id())),
+                    2 => now += gen.gen_range(0.0..2.0),
+                    _ => assert_eq!(
+                        gated.offer(&mut arena, p, now),
+                        scan.offer(&mut arena, p, now)
+                    ),
+                }
+                assert_eq!(gated.slot_entry, scan.slot_entry);
+                assert_eq!(gated.link_ids, scan.link_ids);
+                assert_eq!(gated.removals(), scan.removals());
+                let occupied = gated.slot_entry.iter().zip(&gated.slot_expires);
+                assert!(occupied
+                    .filter(|&(&h, _)| h != EMPTY)
+                    .all(|(_, &e)| gated.next_expiry <= e));
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   buffers belongs to a node it owns.
 
 use crate::config::OverlayConfig;
-use crate::protocol::{self, Exchanges, Request, ResponseOutcome, TimeoutOutcome};
+use crate::protocol::{self, Exchanges, Request, ResponseOutcome, ShuffleScratch, TimeoutOutcome};
 use crate::pseudonym::{PseudonymArena, PseudonymService};
 use crate::transport::{MessageLink, Transport};
 use veil_obs::{EventKind as Obs, TraceEvent};
@@ -79,10 +79,15 @@ pub(crate) struct Shard {
     /// so per-shard services agree with any other layout).
     pub minter: PseudonymService,
     /// Canonical pseudonym copies referenced by this shard's caches and
-    /// samplers. Offers cross shard boundaries as full [`crate::pseudonym::Pseudonym`]
-    /// values and are re-interned here on receipt, so no cross-shard
-    /// synchronization ever touches the arena.
+    /// samplers. An ideal exchange stays inside it, so its offers are
+    /// handles; an in-flight message carries full
+    /// [`crate::pseudonym::Pseudonym`] values, interned here on receipt, so
+    /// no cross-shard synchronization ever touches the arena.
     pub arena: PseudonymArena,
+    /// The ideal exchange's buffers, reused from one exchange to the next.
+    /// A few kilobytes per shard, whatever its node count, so
+    /// [`Shard::approx_heap_bytes`] leaves them out.
+    scratch: ShuffleScratch,
     /// Cross-node messages buffered for the barrier merge.
     pub outbox: Vec<OutMsg>,
     /// Protocol messages logged this window (merged canonically at the
@@ -105,6 +110,7 @@ impl Shard {
             exchanges: Exchanges::default(),
             minter: PseudonymService::new_keyed_for_range(master_seed, start as u32, len),
             arena: PseudonymArena::new(),
+            scratch: ShuffleScratch::default(),
             outbox: Vec::new(),
             log_buf: Vec::new(),
             event_buf: Vec::new(),
@@ -301,6 +307,7 @@ impl Shard {
             ctx.cfg.shuffle_length,
             now,
             &mut initiator.proto_rng,
+            &mut self.scratch,
         );
         self.emit(ctx, now, Some(ends.0), || Obs::ShuffleComplete {
             exchange: 0,

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use veil_core::cache::Cache;
 use veil_core::config::{DistanceMetric, OverlayConfig, SlotPolicy};
 use veil_core::node::Node;
-use veil_core::protocol::{build_offer, execute_shuffle, receive_offer};
+use veil_core::protocol::{build_offer, execute_shuffle, receive_offer, ShuffleScratch};
 use veil_core::pseudonym::{Pseudonym, PseudonymArena, PseudonymService};
 use veil_core::sampler::Sampler;
 use veil_sim::SimTime;
@@ -236,7 +236,8 @@ proptest! {
             b.cache.insert(&mut arena, p, SimTime::ZERO);
             universe.push(p);
         }
-        execute_shuffle(&mut a, &mut b, &mut arena, cfg.shuffle_length, SimTime::ZERO, &mut rng);
+        let scratch = &mut ShuffleScratch::default();
+        execute_shuffle(&mut a, &mut b, &mut arena, cfg.shuffle_length, SimTime::ZERO, &mut rng, scratch);
         for node in [&a, &b] {
             for p in node.cache.iter(&arena) {
                 prop_assert!(universe.iter().any(|u| u.id() == p.id()));
